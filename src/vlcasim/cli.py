@@ -208,6 +208,8 @@ def validate(raw_config: dict) -> list:
             default, kind = extras_spec[leaf]
             if kind == "float" and not isinstance(value, (int, float)):
                 diags.append((key, "expected a number"))
+            elif kind == "float" and not math.isfinite(value):
+                diags.append((key, "expected a finite number"))
             elif kind == "int" and not isinstance(value, int):
                 diags.append((key, "expected an integer"))
             elif kind == "str":
@@ -223,6 +225,9 @@ def validate(raw_config: dict) -> list:
                 continue
             if value is not None and not isinstance(value, (int, float)):
                 diags.append((key, "expected a number"))
+                continue
+            if value is not None and not math.isfinite(value):
+                diags.append((key, "expected a finite number"))
                 continue
             ns_overrides[prefix][name] = value
             continue
@@ -647,7 +652,6 @@ def run(raw_config: dict) -> RunManifest:
     outdir = _resolve_outdir(spec.out)
     os.makedirs(outdir, exist_ok=True)
     em = _Emitter(outdir)
-    np.random.seed(spec.seed)
     manifest = RunManifest(version=__version__, scenario=spec.scenario,
                            config_digest=spec.digest,
                            parameters=_resolved_parameters(spec),
@@ -722,6 +726,9 @@ def run_sweep(raw_config: dict, set_exprs, jobs: int = 1) -> dict:
         subdir = os.path.join(root, f"{idx:03d}_" + "_".join(tag_parts))
         combos.append((raw, subdir))
 
+    # the pool starts all its workers at once; more than one per core only
+    # costs memory
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_worker, combos))

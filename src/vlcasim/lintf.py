@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 
@@ -442,6 +443,21 @@ def fit_second_order(points: Sequence[FrequencyResponsePoint],
         raise FitDiverged("second-order fit did not converge")
     k, wn, zeta = np.exp(res.x)
     return SecondOrderFit(gain=float(k), omega_n=float(wn), zeta=float(zeta))
+
+
+def zoh_discretize(a, b, dt: float):
+    """Exact discretization of x' = A x + B u with u held constant over each
+    step of dt: x[k+1] = Ad x[k] + Bd u[k]. Both blocks come from one
+    exponential of the augmented matrix [[A, B], [0, 0]] dt (C. F. Van Loan,
+    IEEE TAC 1978)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float).reshape(len(a), -1)
+    n, m = b.shape
+    aug = np.zeros((n + m, n + m))
+    aug[:n, :n] = a
+    aug[:n, n:] = b
+    e = expm(aug * dt)
+    return e[:n, :n], e[:n, n:]
 
 
 FRF_CSV_HEADER = "omega_rad_s,magnitude,phase_deg"

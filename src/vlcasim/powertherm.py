@@ -5,12 +5,14 @@ accounting for lift experiments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .lintf import zoh_discretize
 from .vlca import ActuatorParams, DEFAULT_MOMENT_ARM, VLCA_ACTUATOR
 
 
@@ -70,35 +72,17 @@ def winding_power(state: ThermalState, current_a: float,
     return current_a ** 2 * params.resistance_at(state.t_winding)
 
 
+@functools.lru_cache(maxsize=64)
 def _propagator(params: ThermalParams, cooling_on: bool, dt: float):
-    """Exact matrix exponential of the two-node network over dt."""
-    a = 1.0 / (params.c_winding * params.r_wh)
-    c = 1.0 / (params.c_housing * params.r_wh)
-    d = 1.0 / (params.c_housing * params.r_ha(cooling_on))
-    tr = -(a + c + d)
-    det = a * d
-    disc = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
-    l1 = 0.5 * (tr + disc)
-    l2 = 0.5 * (tr - disc)
-    a00, a01, a10, a11 = -a, a, c, -(c + d)
-    if abs(l1 - l2) < 1e-12 * max(abs(l1), abs(l2), 1e-30):
-        e = math.exp(l1 * dt)
-        return (e * (1.0 + (a00 - l1) * dt), e * a01 * dt,
-                e * a10 * dt, e * (1.0 + (a11 - l1) * dt))
-    e1, e2 = math.exp(l1 * dt), math.exp(l2 * dt)
-    inv = 1.0 / (l1 - l2)
-    p00 = (e1 * (a00 - l2) - e2 * (a00 - l1)) * inv
-    p01 = (e1 - e2) * a01 * inv
-    p10 = (e1 - e2) * a10 * inv
-    p11 = (e1 * (a11 - l2) - e2 * (a11 - l1)) * inv
-    return p00, p01, p10, p11
-
-
-def _steady_point(power_w: float, params: ThermalParams, cooling_on: bool):
-    r_ha = params.r_ha(cooling_on)
-    tw = params.ambient_c + power_w * (params.r_wh + r_ha)
-    th = params.ambient_c + power_w * r_ha
-    return tw, th
+    """Exact zero-order-hold update of the two-node network over dt, as the
+    flat entries (a00, a01, a10, a11, b0, b1) of rise' = Ad rise + Bd power,
+    where rise is each node's temperature above ambient."""
+    g_wh = 1.0 / params.r_wh
+    g_ha = 1.0 / params.r_ha(cooling_on)
+    caps = np.array([[params.c_winding], [params.c_housing]])
+    a = np.array([[-g_wh, g_wh], [g_wh, -(g_wh + g_ha)]]) / caps
+    ad, bd = zoh_discretize(a, [1.0 / params.c_winding, 0.0], dt)
+    return (*ad.ravel().tolist(), *bd.ravel().tolist())
 
 
 def step_thermal(state: ThermalState, current_a: float, cooling_on: bool,
@@ -109,12 +93,12 @@ def step_thermal(state: ThermalState, current_a: float, cooling_on: bool,
     if not 0.0 < dt <= 0.010:
         raise ValueError("dt must be within (0, 10 ms]")
     p = winding_power(state, current_a, params)
-    ssw, ssh = _steady_point(p, params, cooling_on)
-    p00, p01, p10, p11 = _propagator(params, cooling_on, dt)
-    dw = state.t_winding - ssw
-    dh = state.t_housing - ssh
-    return ThermalState(t_winding=ssw + p00 * dw + p01 * dh,
-                        t_housing=ssh + p10 * dw + p11 * dh)
+    a00, a01, a10, a11, b0, b1 = _propagator(params, cooling_on, dt)
+    amb = params.ambient_c
+    dw = state.t_winding - amb
+    dh = state.t_housing - amb
+    return ThermalState(t_winding=amb + a00 * dw + a01 * dh + b0 * p,
+                        t_housing=amb + a10 * dw + a11 * dh + b1 * p)
 
 
 def steady_state_winding(current_a: float, params: ThermalParams,
@@ -168,19 +152,18 @@ def simulate_constant_current(current_a: float, duration_s: float,
         raise ValueError("dt must be within (0, 10 ms]")
     n = int(round(duration_s / dt))
     state = initial or ThermalState(params.ambient_c, params.ambient_c)
-    p00, p01, p10, p11 = _propagator(params, cooling_on, dt)
+    a00, a01, a10, a11, b0, b1 = _propagator(params, cooling_on, dt)
+    amb = params.ambient_c
     t = np.arange(n + 1) * dt
     tw = np.empty(n + 1)
     th = np.empty(n + 1)
-    w, h = state.t_winding, state.t_housing
+    w, h = state.t_winding - amb, state.t_housing - amb
     for k in range(n + 1):
-        tw[k], th[k] = w, h
+        tw[k], th[k] = amb + w, amb + h
         if k == n:
             break
-        p = current_a ** 2 * params.resistance_at(w)
-        ssw, ssh = _steady_point(p, params, cooling_on)
-        w, h = (ssw + p00 * (w - ssw) + p01 * (h - ssh),
-                ssh + p10 * (w - ssw) + p11 * (h - ssh))
+        p = current_a ** 2 * params.resistance_at(amb + w)
+        w, h = a00 * w + a01 * h + b0 * p, a10 * w + a11 * h + b1 * p
     return ThermalTrace(t=t, current_a=np.full(n + 1, current_a),
                         t_winding=tw, t_housing=th, cooling_on=cooling_on)
 

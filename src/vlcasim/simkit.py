@@ -1,19 +1,24 @@
 """Fixed-step time-domain simulation of the actuator force loops.
 
-Controllers run at 1 kHz with a one-period command delay; the mechanical
-plant integrates with RK4 at 10 substeps per control period. Saturation
-clips commanded current at the amplifier limit and is recorded, not fatal.
+Controllers run at 1 kHz with a one-period command delay and hold their
+current over each period. The linear plants (force loop, chirp, position
+loop) therefore advance by their exact zero-order-hold update, one affine
+step per period; the pulse-driven hammer strike and the nonlinear leg use
+the shared rk4_step. Saturation clips commanded current at the amplifier
+limit and is recorded, not fatal.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .lintf import zoh_discretize
 from .vlca import (ActuatorParams, ControllerGains, ControllerKind,
                    DEFAULT_MOMENT_ARM, VLCA_ACTUATOR)
 
@@ -31,7 +36,6 @@ class SaturationWarning(UserWarning):
 
 
 CONTROL_DT = 1e-3        # controller period [s]
-PLANT_SUBSTEPS = 10      # plant RK4 substeps per controller period
 CURRENT_LIMIT_A = 31.0   # amplifier clip [A]
 
 
@@ -62,21 +66,15 @@ class PlantState:
                    force_per_amp=params.drive_constant)
 
 
-def _rk4_1dof(x, v, f_in, m, b, k, h):
-    inv_m = 1.0 / m
-    a1 = (f_in - b * v - k * x) * inv_m
-    x2 = x + 0.5 * h * v
-    v2 = v + 0.5 * h * a1
-    a2 = (f_in - b * v2 - k * x2) * inv_m
-    x3 = x + 0.5 * h * v2
-    v3 = v + 0.5 * h * a2
-    a3 = (f_in - b * v3 - k * x3) * inv_m
-    x4 = x + h * v3
-    v4 = v + h * a3
-    a4 = (f_in - b * v4 - k * x4) * inv_m
-    x_n = x + h / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4)
-    v_n = v + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return x_n, v_n
+def rk4_step(f: Callable, t: float, y: Sequence[float], h: float) -> tuple:
+    """One classical RK4 step of y' = f(t, y) over h; y and f(t, y) are
+    equal-length sequences of floats."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, tuple(s + 0.5 * h * d for s, d in zip(y, k1)))
+    k3 = f(t + 0.5 * h, tuple(s + 0.5 * h * d for s, d in zip(y, k2)))
+    k4 = f(t + h, tuple(s + h * d for s, d in zip(y, k3)))
+    return tuple(s + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                 for s, a, b, c, d in zip(y, k1, k2, k3, k4))
 
 
 def step_plant(state: PlantState, motor_current: float, external_force: float,
@@ -85,8 +83,10 @@ def step_plant(state: PlantState, motor_current: float, external_force: float,
     if not 0.0 < dt <= 1e-3:
         raise ValueError("dt must be in (0, 1e-3]")
     f_in = state.force_per_amp * motor_current + external_force
-    x, v = _rk4_1dof(state.x_r, state.v_r, f_in, state.mass, state.damping,
-                     state.stiffness, dt)
+    inv_m = 1.0 / state.mass
+    b, k = state.damping, state.stiffness
+    x, v = rk4_step(lambda _t, y: (y[1], (f_in - b * y[1] - k * y[0]) * inv_m),
+                    0.0, (state.x_r, state.v_r), dt)
     if not (math.isfinite(x) and math.isfinite(v)):
         raise NonFiniteState("plant state diverged")
     return PlantState(x_r=x, v_r=v, mass=state.mass, damping=state.damping,
@@ -96,6 +96,22 @@ def step_plant(state: PlantState, motor_current: float, external_force: float,
 def mechanical_energy(state: PlantState) -> float:
     """Kinetic plus spring potential energy [J]."""
     return 0.5 * state.mass * state.v_r ** 2 + 0.5 * state.stiffness * state.x_r ** 2
+
+
+def _zoh_step(a, b) -> Callable[[list, float], list]:
+    """Exact per-period update y -> Ad y + Bd u of the linear plant
+    x' = A x + B u, with the scalar input u held over CONTROL_DT. States
+    are lists of floats."""
+    adb = np.hstack(zoh_discretize(a, b, CONTROL_DT))
+    return lambda y, u: adb.dot((*y, u)).tolist()
+
+
+def _locked_plant(params: ActuatorParams):
+    """(A, B) of the locked-output spring plant: state (x_r, v_r), input
+    screw-axis force [N]."""
+    m, b, k = params.effective_mass, params.effective_damping, params.k_r
+    return (np.array([[0.0, 1.0], [-k / m, -b / m]]),
+            np.array([[0.0], [1.0 / m]]))
 
 
 # ---------------------------------------------------------- references
@@ -244,13 +260,13 @@ class _DelayLine:
 
     def __init__(self, n: int):
         self.length = max(n, 0)
-        self._buf = [0.0] * n if n > 0 else None
+        self._buf = deque([0.0] * n, maxlen=n) if n > 0 else None
 
     def push(self, u: float) -> float:
         if self._buf is None:
             return u
-        out = self._buf.pop(0)
-        self._buf.append(u)
+        out = self._buf[0]
+        self._buf.append(u)  # a full deque drops the oldest entry
         return out
 
 
@@ -389,13 +405,10 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
     trace = _blank_trace(n, dt)
     trace.meta.update(kind=kind.value, reference=type(reference).__name__)
 
-    m_eff = params.effective_mass
-    b_eff = params.effective_damping
     k_r, b_r = params.k_r, params.b_r
     n_drive = params.drive_constant
-    h = dt / PLANT_SUBSTEPS
-    x = 0.0
-    v = 0.0
+    step = _zoh_step(*_locked_plant(params))
+    y = [0.0, 0.0]
 
     therm_state = None
     if thermal is not None:
@@ -407,6 +420,7 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
     preview = ctrl.latency_s
     for k in range(n):
         t = k * dt
+        x, v = y
         f_meas = k_r * x
         i_applied = ctrl.step(reference.value(t + preview), f_meas, v)
         f_ext = external_force(t) if external_force else 0.0
@@ -419,10 +433,8 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
             trace.temp_c[k] = therm_state.t_winding
             therm_state = step_thermal(therm_state, i_applied, cooling_on,
                                        dt, thermal)
-        f_in = n_drive * i_applied + f_ext
-        for _ in range(PLANT_SUBSTEPS):
-            x, v = _rk4_1dof(x, v, f_in, m_eff, b_eff, k_r, h)
-        if not (math.isfinite(x) and math.isfinite(v)):
+        y = step(y, n_drive * i_applied + f_ext)
+        if not all(map(math.isfinite, y)):
             raise NonFiniteState(f"plant state diverged at t={t:.3f} s")
     _warn_if_saturated(trace, ctrl.saturation_count)
     return trace
@@ -442,24 +454,21 @@ def run_plant_chirp(chirp: ChirpRef, params: ActuatorParams = VLCA_ACTUATOR,
     trace = _blank_trace(n, dt)
     trace.meta.update(kind="open_loop_chirp", f0_hz=chirp.f0_hz,
                       f1_hz=chirp.f1_hz)
-    m_eff, b_eff = params.effective_mass, params.effective_damping
     k_r, b_r = params.k_r, params.b_r
     n_drive = params.drive_constant
-    h = dt / PLANT_SUBSTEPS
-    x = 0.0
-    v = 0.0
+    step = _zoh_step(*_locked_plant(params))
+    y = [0.0, 0.0]
     for k in range(n):
         t = k * dt
+        x, v = y
         i = chirp.value(t) if t <= chirp.duration_s else 0.0
         trace.f_cmd[k] = n_drive * i
         trace.f_meas[k] = k_r * x
         trace.f_loadcell[k] = k_r * x + b_r * v
         trace.i_m[k] = i
         trace.x_r[k] = x
-        f_in = n_drive * i
-        for _ in range(PLANT_SUBSTEPS):
-            x, v = _rk4_1dof(x, v, f_in, m_eff, b_eff, k_r, h)
-        if not (math.isfinite(x) and math.isfinite(v)):
+        y = step(y, n_drive * i)
+        if not all(map(math.isfinite, y)):
             raise NonFiniteState(f"plant state diverged at t={t:.3f} s")
     return trace
 
@@ -572,6 +581,22 @@ def spring_element(element: str, params: ActuatorParams):
     return share * params.k_r, params.b_r if damping is None else damping
 
 
+def two_mass_plant(element: str, params: ActuatorParams = VLCA_ACTUATOR,
+                   load_mass: float = DEFAULT_REFLECTED_LOAD_KG):
+    """Open-loop (A, B) of the position-loop plant in screw coordinates:
+    state (x_m, v_m, x_l, v_l), input motor force [N]. The drivetrain mass
+    drives the reflected joint load through the series spring/damper."""
+    k_s, b_s = spring_element(element, params)
+    m_m = params.j_m * params.n_m ** 2 + params.m_r  # drivetrain side [kg]
+    b_dt = params.b_m * params.n_m ** 2   # drivetrain drag [N*s/m]
+    m_l = load_mass
+    a = np.array([[0.0, 1.0, 0.0, 0.0],
+                  [-k_s / m_m, -(b_dt + b_s) / m_m, k_s / m_m, b_s / m_m],
+                  [0.0, 0.0, 0.0, 1.0],
+                  [k_s / m_l, b_s / m_l, -k_s / m_l, -b_s / m_l]])
+    return a, np.array([[0.0], [1.0 / m_m], [0.0], [0.0]])
+
+
 def run_joint_position_control(element: str,
                                position_gains: PositionLoopGains = DEFAULT_POSITION_GAINS,
                                step_rad: float = 0.05,
@@ -581,39 +606,29 @@ def run_joint_position_control(element: str,
                                moment_arm: float = DEFAULT_MOMENT_ARM) -> SimTrace:
     """Joint step response through the chosen series element.
 
-    Two-mass model in screw coordinates: the drivetrain mass drives the
-    reflected joint load through the series spring/damper. The position
-    loop reads the output, damps motor speed, and commands current.
+    The position loop reads the output, damps motor speed, and commands
+    current to the two_mass_plant.
     """
     if duration <= 0.0:
         raise ValueError("duration must be > 0")
     if load_mass <= 0.0 or moment_arm <= 0.0:
         raise ValueError("load_mass and moment_arm must be > 0")
     k_s, b_s = spring_element(element, params)
-    m_m = params.j_m * params.n_m ** 2 + params.m_r  # drivetrain side [kg]
-    b_dt = params.b_m * params.n_m ** 2   # drivetrain drag [N*s/m]
     n_drive = params.drive_constant
     x_des = moment_arm * step_rad
 
     dt = CONTROL_DT
-    h = dt / PLANT_SUBSTEPS
     n = int(round(duration / dt))
     trace = _blank_trace(n, dt)
     trace.meta.update(kind="position_step", element=element,
                       step_rad=step_rad)
     delay = _DelayLine(int(round(1e-3 / dt)))
     sat = 0
-
-    xm = vm = xl = vl = 0.0
-    inv_mm, inv_ml = 1.0 / m_m, 1.0 / load_mass
-
-    def deriv(xm_, vm_, xl_, vl_, f_in):
-        f_e = k_s * (xm_ - xl_) + b_s * (vm_ - vl_)
-        am = (f_in - b_dt * vm_ - f_e) * inv_mm
-        al = f_e * inv_ml
-        return vm_, am, vl_, al
+    step = _zoh_step(*two_mass_plant(element, params, load_mass))
+    y = [0.0] * 4
 
     for k in range(n):
+        xm, vm, xl, vl = y
         f_cmd = position_gains.k_p * (x_des - xl) - position_gains.k_d * vm
         i_cmd = f_cmd / n_drive
         if abs(i_cmd) > CURRENT_LIMIT_A:
@@ -627,20 +642,8 @@ def run_joint_position_control(element: str,
         trace.i_m[k] = i_applied
         trace.x_r[k] = defl
         trace.q_out[k] = xl / moment_arm
-        f_in = n_drive * i_applied
-        for _ in range(PLANT_SUBSTEPS):
-            d1 = deriv(xm, vm, xl, vl, f_in)
-            d2 = deriv(xm + 0.5 * h * d1[0], vm + 0.5 * h * d1[1],
-                       xl + 0.5 * h * d1[2], vl + 0.5 * h * d1[3], f_in)
-            d3 = deriv(xm + 0.5 * h * d2[0], vm + 0.5 * h * d2[1],
-                       xl + 0.5 * h * d2[2], vl + 0.5 * h * d2[3], f_in)
-            d4 = deriv(xm + h * d3[0], vm + h * d3[1],
-                       xl + h * d3[2], vl + h * d3[3], f_in)
-            xm += h / 6.0 * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
-            vm += h / 6.0 * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
-            xl += h / 6.0 * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
-            vl += h / 6.0 * (d1[3] + 2.0 * d2[3] + 2.0 * d3[3] + d4[3])
-        if not all(map(math.isfinite, (xm, vm, xl, vl))):
+        y = step(y, n_drive * i_applied)
+        if not all(map(math.isfinite, y)):
             raise NonFiniteState(f"position loop diverged at t={k * dt:.3f} s")
     trace.meta["x_des_m"] = x_des
     if step_rad != 0.0:
@@ -655,24 +658,12 @@ def position_loop_matrix(element: str,
                          position_gains: PositionLoopGains = DEFAULT_POSITION_GAINS,
                          params: ActuatorParams = VLCA_ACTUATOR,
                          load_mass: float = DEFAULT_REFLECTED_LOAD_KG) -> np.ndarray:
-    """Continuous closed-loop state matrix (x_m, v_m, x_l, v_l), delay and
+    """Continuous closed-loop state matrix A - B K of the two_mass_plant
+    under the position law f = k_p (x_des - x_l) - k_d v_m, delay and
     sampling ignored; handy for modal damping analysis."""
-    k_s, b_s = spring_element(element, params)
-    m_m = params.j_m * params.n_m ** 2 + params.m_r
-    b_dt = params.b_m * params.n_m ** 2
-    kp, kd = position_gains.k_p, position_gains.k_d
-    a = np.zeros((4, 4))
-    a[0, 1] = 1.0
-    a[1, 0] = -k_s / m_m
-    a[1, 1] = -(b_dt + b_s + kd) / m_m
-    a[1, 2] = (k_s - kp) / m_m
-    a[1, 3] = b_s / m_m
-    a[2, 3] = 1.0
-    a[3, 0] = k_s / load_mass
-    a[3, 1] = b_s / load_mass
-    a[3, 2] = -k_s / load_mass
-    a[3, 3] = -b_s / load_mass
-    return a
+    a, b = two_mass_plant(element, params, load_mass)
+    k = np.array([[0.0, position_gains.k_d, position_gains.k_p, 0.0]])
+    return a - b @ k
 
 
 # --------------------------------------------------------------- impact
@@ -719,39 +710,38 @@ def run_impact(config: ImpactConfig,
     def hammer(t: float) -> float:
         return f_peak * math.sin(math.pi * t / w) if 0.0 <= t <= w else 0.0
 
+    inv_m = 1.0 / m_tot
+
+    def deriv(t: float, y: tuple) -> tuple:
+        x, v = y
+        return v, (hammer(t) - (b_dt + b_s) * v - k_s * x) * inv_m
+
     dt = CONTROL_DT
-    # resolve the short pulse: finer substep than the control-rate default
+    # resolve the short pulse: RK4 substeps while the hammer acts, then the
+    # unforced plant's exact step
     sub = 50
     h = dt / sub
+    free_step = _zoh_step([[0.0, 1.0], [-k_s * inv_m, -(b_dt + b_s) * inv_m]],
+                          [0.0, 0.0])
     n = int(round(config.duration_s / dt))
     trace = _blank_trace(n, dt)
     trace.meta.update(kind="impact", grounding=config.grounding,
                       f_peak_n=f_peak)
-    x = v = 0.0
-    inv_m = 1.0 / m_tot
+    y = (0.0, 0.0)
     for k in range(n):
         t = k * dt
-        acc = (hammer(t) - (b_dt + b_s) * v - k_s * x) * inv_m
+        x, acc = y[0], deriv(t, y)[1]
         trace.f_cmd[k] = 0.0
         trace.f_meas[k] = k_s * x
         trace.f_loadcell[k] = hammer(t) - config.sensor_mass_kg * acc
         trace.i_m[k] = 0.0
         trace.x_r[k] = x if visco else 0.0
-        for j in range(sub):
-            tj = t + j * h
-            # RK4 with the pulse evaluated inside the substep
-            def acc_at(tt, xx, vv):
-                return (hammer(tt) - (b_dt + b_s) * vv - k_s * xx) * inv_m
-            a1 = acc_at(tj, x, v)
-            x2, v2 = x + 0.5 * h * v, v + 0.5 * h * a1
-            a2 = acc_at(tj + 0.5 * h, x2, v2)
-            x3, v3 = x + 0.5 * h * v2, v + 0.5 * h * a2
-            a3 = acc_at(tj + 0.5 * h, x3, v3)
-            x4, v4 = x + h * v3, v + h * a3
-            a4 = acc_at(tj + h, x4, v4)
-            x += h / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4)
-            v += h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        if not (math.isfinite(x) and math.isfinite(v)):
+        if t < w:
+            for j in range(sub):
+                y = rk4_step(deriv, t + j * h, y, h)
+        else:
+            y = free_step(y, 0.0)
+        if not all(map(math.isfinite, y)):
             raise NonFiniteState(f"impact response diverged at t={t:.3f} s")
     return trace
 

@@ -465,7 +465,8 @@ def simulate_passive(q_init, qdot_init, duration: float,
     out_q = np.empty((n + 1, 2))
     out_w = np.empty((n + 1, 2))
 
-    def deriv(a, b, wa, wb):
+    def deriv(_t, y):
+        a, b, wa, wb = y
         a11, a12, a22, b1, b2, g1, g2 = _dyn_scalars(a, b, wa, wb, params)
         det = a11 * a22 - a12 * a12
         r0 = -b1 - g1
@@ -473,27 +474,20 @@ def simulate_passive(q_init, qdot_init, duration: float,
         return wa, wb, (a22 * r0 - a12 * r1) / det, (a11 * r1 - a12 * r0) / det
 
     h = substep_dt
+    y = (q0, q1, w0, w1)
     for k in range(n + 1):
         out_t[k] = k * h
-        out_q[k] = (q0, q1)
-        out_w[k] = (w0, w1)
+        out_q[k] = y[:2]
+        out_w[k] = y[2:]
         if k == n:
             break
-        d1 = deriv(q0, q1, w0, w1)
-        d2 = deriv(q0 + 0.5 * h * d1[0], q1 + 0.5 * h * d1[1],
-                   w0 + 0.5 * h * d1[2], w1 + 0.5 * h * d1[3])
-        d3 = deriv(q0 + 0.5 * h * d2[0], q1 + 0.5 * h * d2[1],
-                   w0 + 0.5 * h * d2[2], w1 + 0.5 * h * d2[3])
-        d4 = deriv(q0 + h * d3[0], q1 + h * d3[1],
-                   w0 + h * d3[2], w1 + h * d3[3])
-        q0 += h / 6.0 * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
-        q1 += h / 6.0 * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
-        w0 += h / 6.0 * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
-        w1 += h / 6.0 * (d1[3] + 2.0 * d2[3] + 2.0 * d3[3] + d4[3])
+        y = simkit.rk4_step(deriv, k * h, y, h)
     return out_t, out_q, out_w
 
 
 DEFAULT_FORCE_GAINS = ControllerGains(q_taud_cutoff=2.0 * math.pi * 60.0)
+
+LEG_SUBSTEPS = 10  # leg RK4 substeps per control period
 
 
 def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
@@ -523,8 +517,7 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
         profile = LinkageProfile.constant(DEFAULT_MOMENT_ARM)
 
     dt = simkit.CONTROL_DT
-    substeps = simkit.PLANT_SUBSTEPS
-    h = dt / substeps
+    h = dt / LEG_SUBSTEPS
     n = int(round(duration / dt))
     times = np.arange(n) * dt
     pos_des, vel_des, acc_des = trajectory.sample(times)
@@ -577,6 +570,8 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
         return t0, t1
 
     def deriv(state, tau_fixed, i_fixed, t):
+        """State rates with the torques, currents and external force held at
+        their values for the control period starting at t."""
         if cascaded:
             a, b, wa, wb, x0, v0, l0, x1, v1, l1_ = state
         else:
@@ -637,16 +632,9 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
         else:
             state = (q0, q1, w0, w1)
         tau_fixed = (tau0, tau1)
-        for _ in range(substeps):
-            d1 = deriv(state, tau_fixed, i_now, t)
-            s2 = tuple(s + 0.5 * h * d for s, d in zip(state, d1))
-            d2 = deriv(s2, tau_fixed, i_now, t)
-            s3 = tuple(s + 0.5 * h * d for s, d in zip(state, d2))
-            d3 = deriv(s3, tau_fixed, i_now, t)
-            s4 = tuple(s + h * d for s, d in zip(state, d3))
-            d4 = deriv(s4, tau_fixed, i_now, t)
-            state = tuple(s + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                          for s, a, b, c, d in zip(state, d1, d2, d3, d4))
+        rates = lambda _t, y: deriv(y, tau_fixed, i_now, t)
+        for _ in range(LEG_SUBSTEPS):
+            state = simkit.rk4_step(rates, t, state, h)
         if not all(math.isfinite(s) for s in state):
             raise simkit.NonFiniteState(f"leg simulation diverged at t={t:.3f} s")
         if cascaded:

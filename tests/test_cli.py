@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from vlcasim import cli
 from vlcasim.cli import main
 
 
@@ -69,6 +70,20 @@ def test_validate_applies_set_overrides(tmp_path, capsys):
     cfg = _write(tmp_path, "ok.cfg", "scenario = margins\n")
     assert main(["validate", cfg, "--set", "gains.delay_t=-1"]) == 2
     assert "delay_t" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", [
+    "actuator.eta = nan",
+    "gains.k_p = nan",
+    "gains.delay_t = inf",
+    "force_tracking.duration_s = inf",
+])
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "nonfinite.cfg",
+                 f"scenario = force_tracking\n{line}\n")
+    assert main(["validate", cfg]) == 2
+    out = capsys.readouterr().out
+    assert line.split(" ")[0] in out and "finite" in out
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -177,6 +192,33 @@ def test_sweep_fans_out_a_range(tmp_path, capsys):
         assert man["status"] == "ok"
     dirs = sorted(os.listdir(tmp_path / "sw_out"))
     assert dirs[0].startswith("000_impulse_ns=10")
+
+
+def test_sweep_jobs_are_clamped_to_the_core_count(tmp_path, monkeypatch):
+    started = []
+
+    class _InlinePool:
+        """Records the requested pool size and runs the work in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cfg = _write(tmp_path, "sw.cfg",
+                 "scenario = materials\nout = sw_out\nseed = 3\n")
+    assert main(["sweep", cfg, "--set", "materials.w_cost=1:2:1",
+                 "--jobs", "10000"]) == 0
+    assert started == [2]
 
 
 def test_sweep_requires_a_set_expression(tmp_path):

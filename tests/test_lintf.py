@@ -9,7 +9,8 @@ from vlcasim.lintf import (DelayNotClosed, DelayedTransferFunction, FitDiverged,
                            FRF_CSV_HEADER, FrequencyResponsePoint, NoCrossover,
                            PoleOnAxis, Polynomial, bode_sweep, compose,
                            fit_second_order, frf_from_csv, frf_to_csv,
-                           stability_margins, sweep_response, tf_eval)
+                           stability_margins, sweep_response, tf_eval,
+                           zoh_discretize)
 from vlcasim.vlca import VLCA_ACTUATOR, force_plant, plant_px
 
 
@@ -371,6 +372,22 @@ def test_fit_evaluator_matches_parameters():
     for p in fit_pts:
         h = fit.eval(p.omega)
         assert abs(h) == pytest.approx(p.magnitude, rel=1e-6)
+
+
+# ----------------------------------------------------------- discretization
+
+def test_zoh_first_order_lag():
+    ad, bd = zoh_discretize([[-2.0]], [[3.0]], 0.1)
+    assert ad.shape == bd.shape == (1, 1)
+    assert ad[0, 0] == pytest.approx(math.exp(-0.2), rel=1e-14)
+    assert bd[0, 0] == pytest.approx(1.5 * (1.0 - math.exp(-0.2)), rel=1e-14)
+
+
+def test_zoh_double_integrator():
+    dt = 0.01
+    ad, bd = zoh_discretize([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], dt)
+    np.testing.assert_allclose(ad, [[1.0, dt], [0.0, 1.0]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(bd, [[0.5 * dt * dt], [dt]], rtol=1e-12)
 
 
 # ----------------------------------------------------------------------- csv

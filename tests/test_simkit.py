@@ -290,6 +290,104 @@ def test_zero_step_position_command_stays_at_rest():
     assert "overshoot_frac" not in tr.meta
 
 
+# ------------------------------------------------- exact linear stepping
+
+def _rk4_discretize(a, b, dt, substeps=10):
+    """Per-period map of `substeps` rk4_step calls on x' = A x + B u with u
+    held. RK4 on a linear system is linear in (x, u), so the map is read
+    off column by column from unit initial conditions."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float).reshape(len(a), -1)
+    n = len(a)
+
+    def rates(_t, z):
+        return tuple(a @ z[:n] + b @ z[n:]) + (0.0,) * b.shape[1]
+
+    h = dt / substeps
+    cols = []
+    for unit in np.eye(n + b.shape[1]):
+        z = tuple(unit)
+        for j in range(substeps):
+            z = sk.rk4_step(rates, j * h, z, h)
+        cols.append(z[:n])
+    m = np.array(cols).T
+    return m[:, :n], m[:, n:]
+
+
+@pytest.fixture
+def rk4_reference(monkeypatch):
+    """Rerun a simulator with its linear plant stepped by 10 RK4 substeps
+    per control period in place of the exact zero-order-hold update."""
+    def run(simulate, *args, **kwargs):
+        calls = []
+
+        def discretize(a, b, dt):
+            calls.append(dt)
+            return _rk4_discretize(a, b, dt)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sk, "zoh_discretize", discretize)
+            trace = simulate(*args, **kwargs)
+        assert calls == [sk.CONTROL_DT]
+        return trace
+    return run
+
+
+def test_rk4_discretize_reproduces_step_plant():
+    # the reference map is the same integrator the plant stepper uses
+    st = sk.PlantState.from_params(P, x_r=1e-4, v_r=-0.02)
+    a = [[0.0, 1.0], [-st.stiffness / st.mass, -st.damping / st.mass]]
+    ad, bd = _rk4_discretize(a, [0.0, 1.0 / st.mass], 1e-3, substeps=1)
+    want = sk.step_plant(st, 2.0, 0.0, 1e-3)
+    got = ad @ [st.x_r, st.v_r] + bd[:, 0] * st.force_per_amp * 2.0
+    assert got == pytest.approx([want.x_r, want.v_r], rel=1e-12, abs=1e-18)
+
+
+# The exact update and 10 RK4 substeps agree to at most 6e-10 of full scale
+# (pd_f and the chirp; 5e-12 of the step on the position loop). A bound of
+# 1e-8 leaves room for rounding, while a first-order or mistimed update
+# misses it by orders of magnitude.
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_force_tracking_matches_rk4_reference(kind, rk4_reference):
+    full_scale = 25.0 / DEFAULT_MOMENT_ARM
+    ramp = sk.RampRef(start_level=0.0, end_level=full_scale, start_time=0.1,
+                      ramp_time=0.1)
+    exact = sk.run_force_tracking(kind, G60, ramp, 1.0)
+    ref = rk4_reference(sk.run_force_tracking, kind, G60, ramp, 1.0)
+    assert np.max(np.abs(exact.f_meas - ref.f_meas)) < 1e-8 * full_scale
+    assert np.max(np.abs(exact.f_loadcell - ref.f_loadcell)) < 1e-8 * full_scale
+
+
+def test_plant_chirp_matches_rk4_reference(rk4_reference):
+    chirp = sk.ChirpRef(amplitude=2.0, f0_hz=0.5, f1_hz=150.0, duration_s=2.0)
+    exact = sk.run_plant_chirp(chirp)
+    ref = rk4_reference(sk.run_plant_chirp, chirp)
+    peak = float(np.max(np.abs(ref.f_meas)))
+    assert np.max(np.abs(exact.f_meas - ref.f_meas)) < 1e-8 * peak
+
+
+@pytest.mark.parametrize("element", ["elastomer", "steel_spring"])
+def test_position_step_matches_rk4_reference(element, rk4_reference):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sk.SaturationWarning)
+        exact = sk.run_joint_position_control(element, duration=1.0)
+        ref = rk4_reference(sk.run_joint_position_control, element,
+                            duration=1.0)
+    assert np.max(np.abs(exact.q_out - ref.q_out)) < 1e-8 * 0.05
+    assert exact.saturation_count == ref.saturation_count
+
+
+def test_position_loop_matrix_closes_the_two_mass_plant():
+    g = sk.DEFAULT_POSITION_GAINS
+    gain_row = np.array([[0.0, g.k_d, g.k_p, 0.0]])
+    for element in ("elastomer", "steel_spring"):
+        a, b = sk.two_mass_plant(element)
+        # moving both masses together stretches nothing
+        assert np.all(a @ [1.0, 0.0, 1.0, 0.0] == 0.0)
+        np.testing.assert_array_equal(sk.position_loop_matrix(element),
+                                      a - b @ gain_row)
+
+
 # ------------------------------------------------------------------- impact
 
 def test_impact_peak_insensitive_to_grounding():
