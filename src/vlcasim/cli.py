@@ -193,6 +193,7 @@ def validate(raw_config: dict) -> list:
 
     ns_overrides = {ns: {} for ns in _NAMESPACES}
     extras_spec = _EXTRAS.get(scenario, {})
+    extras = {name: default for name, (default, _) in extras_spec.items()}
     for key, raw_val in raw_config.items():
         if key in _GLOBAL_KEYS:
             if key == "seed":
@@ -216,6 +217,7 @@ def validate(raw_config: dict) -> list:
                 pass  # free-form text, parsed by the scenario
             elif isinstance(kind, tuple) and value not in kind:
                 diags.append((key, f"expected one of {', '.join(kind)}"))
+            extras[leaf] = value
             continue
         if prefix in _NAMESPACES:
             fmap = _field_map(_NAMESPACES[prefix])
@@ -251,6 +253,16 @@ def validate(raw_config: dict) -> list:
             bad = next((n for n in overrides if msg.startswith(n)), None)
             key = f"{ns}.{bad}" if bad else ns
             diags.append((key, msg))
+
+    # range checks through the scenario's own input builders, once every
+    # value has the right type
+    if not diags and scenario in _EXTRAS_CHECKS:
+        try:
+            _EXTRAS_CHECKS[scenario](extras)
+        except ValueError as exc:
+            msg = str(exc)
+            bad = next((n for n in extras_spec if msg.startswith(n)), None)
+            diags.append((f"{scenario}.{bad}" if bad else scenario, msg))
     return diags
 
 
@@ -385,34 +397,37 @@ def _scenario_margins(spec: RunSpec, em: _Emitter):
         em.write("margin_calibration.csv", "\n".join(lines) + "\n")
 
 
+def _force_reference(x: dict):
+    simkit.check_duration(x["duration_s"])
+    full_scale = x["amplitude_nm"] / DEFAULT_MOMENT_ARM
+    ref_name = x["reference"]
+    if ref_name == "ramp":
+        return simkit.RampRef(start_level=1.0 / DEFAULT_MOMENT_ARM,
+                              end_level=full_scale, start_time=0.05,
+                              ramp_time=0.1)
+    if ref_name == "step":
+        return simkit.StepRef(level=full_scale, start_time=0.05)
+    if ref_name == "sine":
+        return simkit.SineRef(amplitude=full_scale, freq_hz=x["freq_hz"])
+    return simkit.ChirpRef(amplitude=full_scale, f0_hz=0.5,
+                           f1_hz=min(x["freq_hz"] * 40.0, 200.0),
+                           duration_s=max(x["duration_s"] - 0.5, 0.5))
+
+
 def _scenario_force_tracking(spec: RunSpec, em: _Emitter):
     x = spec.extras
     gains = spec.gains
     if "gains.q_taud_cutoff" not in spec.explicit_keys:
         # experiments run the observer filter at 60 Hz
         gains = replace(gains, q_taud_cutoff=2.0 * math.pi * 60.0)
-    full_scale = x["amplitude_nm"] / DEFAULT_MOMENT_ARM
-    ref_name = x["reference"]
-    if ref_name == "ramp":
-        ref = simkit.RampRef(start_level=1.0 / DEFAULT_MOMENT_ARM,
-                             end_level=full_scale, start_time=0.05,
-                             ramp_time=0.1)
-    elif ref_name == "step":
-        ref = simkit.StepRef(level=full_scale, start_time=0.05)
-    elif ref_name == "sine":
-        ref = simkit.SineRef(amplitude=full_scale, freq_hz=x["freq_hz"])
-    else:
-        ref = simkit.ChirpRef(amplitude=full_scale, f0_hz=0.5,
-                              f1_hz=min(x["freq_hz"] * 40.0, 200.0),
-                              duration_s=max(x["duration_s"] - 0.5, 0.5))
     kind = _KIND_BY_NAME[x["kind"]]
-    trace = simkit.run_force_tracking(kind, gains, ref, x["duration_s"],
-                                      params=spec.actuator)
+    trace = simkit.run_force_tracking(kind, gains, _force_reference(x),
+                                      x["duration_s"], params=spec.actuator)
     em.write("force_tracking.csv", trace.to_csv())
     em.write("force_tracking.svg", svgplot.line_chart(
         [("commanded", trace.t, trace.f_cmd),
          ("measured", trace.t, trace.f_meas)],
-        title=f"Force tracking ({x['kind']}, {ref_name})",
+        title=f"Force tracking ({x['kind']}, {x['reference']})",
         xlabel="time [s]", ylabel="force [N]"))
 
 
@@ -436,20 +451,22 @@ def _scenario_position_step(spec: RunSpec, em: _Emitter):
         xlabel="time [s]", ylabel="joint angle [rad]"))
 
 
+def _impact_configs(x: dict) -> list:
+    return [simkit.ImpactConfig(grounding=grounding, impulse_ns=x["impulse_ns"],
+                                pulse_width_s=x["pulse_width_s"])
+            for grounding in ("rigid", "viscoelastic")]
+
+
 def _scenario_impact(spec: RunSpec, em: _Emitter):
-    x = spec.extras
     peaks = ["grounding,peak_loadcell_n,peak_deflection_m"]
     curves = []
-    for grounding in ("rigid", "viscoelastic"):
-        cfg = simkit.ImpactConfig(grounding=grounding,
-                                  impulse_ns=x["impulse_ns"],
-                                  pulse_width_s=x["pulse_width_s"])
+    for cfg in _impact_configs(spec.extras):
         trace = simkit.run_impact(cfg, spec.actuator)
-        em.write(f"impact_{grounding}.csv", trace.to_csv())
-        peaks.append(f"{grounding},{np.max(np.abs(trace.f_loadcell)):.10g},"
+        em.write(f"impact_{cfg.grounding}.csv", trace.to_csv())
+        peaks.append(f"{cfg.grounding},{np.max(np.abs(trace.f_loadcell)):.10g},"
                      f"{np.max(np.abs(trace.x_r)):.10g}")
         keep = trace.t <= 0.05
-        curves.append((grounding, trace.t[keep], trace.f_loadcell[keep]))
+        curves.append((cfg.grounding, trace.t[keep], trace.f_loadcell[keep]))
     em.write("impact_peaks.csv", "\n".join(peaks) + "\n")
     em.write("impact.svg", svgplot.line_chart(
         curves, title="Hammer strike load-cell force",
@@ -469,8 +486,8 @@ def _parse_knots(text: str):
     return pts
 
 
-def _scenario_osc(spec: RunSpec, em: _Emitter):
-    x = spec.extras
+def _osc_trajectory(x: dict):
+    simkit.check_duration(x["duration_s"])
     if x["trajectory"] == "bspline":
         pts = _parse_knots(x["knots"])
         if not pts:
@@ -480,12 +497,16 @@ def _scenario_osc(spec: RunSpec, em: _Emitter):
                                f"{x['center_x']},{x['center_y'] + x['amplitude_m']};"
                                f"{x['center_x']},{x['center_y']};"
                                f"{x['center_x']},{x['center_y']}")
-        traj = testbed.BSplineTrajectory(pts, x["duration_s"])
-    else:
-        traj = testbed.SineTrajectory(center=(x["center_x"], x["center_y"]),
-                                      amplitude=(0.0, x["amplitude_m"]),
-                                      freq_hz=x["freq_hz"],
-                                      phase_rad=x["phase_rad"])
+        return testbed.BSplineTrajectory(pts, x["duration_s"])
+    return testbed.SineTrajectory(center=(x["center_x"], x["center_y"]),
+                                  amplitude=(0.0, x["amplitude_m"]),
+                                  freq_hz=x["freq_hz"],
+                                  phase_rad=x["phase_rad"])
+
+
+def _scenario_osc(spec: RunSpec, em: _Emitter):
+    x = spec.extras
+    traj = _osc_trajectory(x)
     metrics = ["mode,max_error_m,saturated_steps"]
     err_curves = []
     y_curves = []
@@ -616,6 +637,16 @@ _SCENARIO_FUNCS = {
     "thermal": _scenario_thermal,
     "efficiency": _scenario_efficiency,
     "materials": _scenario_materials,
+}
+
+
+# builders of the scenario inputs that range-check the extras; validate()
+# runs them so that a config they reject exits 2 instead of failing the run
+_EXTRAS_CHECKS = {
+    "force_tracking": _force_reference,
+    "position_step": lambda x: simkit.check_duration(x["duration_s"]),
+    "impact": _impact_configs,
+    "osc": _osc_trajectory,
 }
 
 

@@ -157,28 +157,26 @@ def tf_eval(tf: DelayedTransferFunction, omega: float) -> complex:
     return h
 
 
-def _eval_array(tf: DelayedTransferFunction, omegas: np.ndarray) -> np.ndarray:
+def _rational_array(tf: DelayedTransferFunction, omegas: np.ndarray) -> np.ndarray:
+    """num/den at each omega, without the delay factor."""
     s = 1j * omegas
     num = np.polyval(tf.num.coefficients[::-1], s)
     den = np.polyval(tf.den.coefficients[::-1], s)
     if np.any(np.abs(den) < _DEN_FLOOR):
         w_bad = float(omegas[np.argmin(np.abs(den))])
         raise PoleOnAxis(f"denominator vanishes at omega={w_bad:g} rad/s")
-    h = num / den
-    if tf.delay_s:
-        h = h * np.exp(-1j * omegas * tf.delay_s)
-    return h
+    return num / den
 
 
-def _low_freq_phase(tf: DelayedTransferFunction, omega: float) -> float:
-    # phase of the low-frequency asymptote: the lowest-order nonzero
-    # coefficients dominate as omega -> 0
+def _low_freq_phase(tf: DelayedTransferFunction) -> float:
+    # phase of the rational part's low-frequency asymptote: the lowest-order
+    # nonzero coefficients dominate as omega -> 0
     n0 = next(i for i, c in enumerate(tf.num.coefficients) if c != 0.0) \
         if not tf.num.is_zero else 0
     d0 = next(i for i, c in enumerate(tf.den.coefficients) if c != 0.0)
     lead = tf.num.coefficients[n0] / tf.den.coefficients[d0] if not tf.num.is_zero else 1.0
     base = 0.0 if lead >= 0.0 else math.pi
-    return base + (n0 - d0) * (math.pi / 2.0) - omega * tf.delay_s
+    return base + (n0 - d0) * (math.pi / 2.0)
 
 
 def _unwrap_with_anchor(phases: np.ndarray, anchor: float) -> np.ndarray:
@@ -187,11 +185,10 @@ def _unwrap_with_anchor(phases: np.ndarray, anchor: float) -> np.ndarray:
     return out + shift
 
 
-def bode_sweep(tf: DelayedTransferFunction, omega_min: float, omega_max: float,
-               points_per_decade: int = 48) -> list:
-    """Log-spaced frequency response; phase unwrapped starting from the
-    low-frequency asymptote of the rational part.
-    """
+def _sweep_grid(omega_min: float, omega_max: float, points_per_decade: int):
+    """Log grid over [omega_min, omega_max] preceded by a chain reaching six
+    decades below omega_min, along which the phase is unwrapped from where
+    its branch is known. Returns (chain + grid, number of chain points)."""
     if not (0.0 < omega_min < omega_max):
         raise ValueError("need 0 < omega_min < omega_max")
     if points_per_decade < 8:
@@ -199,17 +196,28 @@ def bode_sweep(tf: DelayedTransferFunction, omega_min: float, omega_max: float,
     decades = math.log10(omega_max / omega_min)
     n = max(int(round(decades * points_per_decade)) + 1, 2)
     omegas = np.geomspace(omega_min, omega_max, n)
-    # extend a chain below omega_min so the branch of the unwrapped phase is
-    # pinned by the asymptote where it is exact
     n_chain = 6 * max(points_per_decade, 16)
     chain = np.geomspace(omega_min * 1e-6, omega_min, n_chain, endpoint=False)
-    full = np.concatenate([chain, omegas])
-    resp = _eval_array(tf, full)
-    anchor = _low_freq_phase(tf, full[0])
-    phase = _unwrap_with_anchor(np.angle(resp), anchor)[n_chain:]
-    mag = np.abs(resp)[n_chain:]
+    return np.concatenate([chain, omegas]), n_chain
+
+
+def _sweep_points(omegas, resp, phase) -> list:
     return [FrequencyResponsePoint(float(w), float(m), math.degrees(p))
-            for w, m, p in zip(omegas, mag, phase)]
+            for w, m, p in zip(omegas, np.abs(resp), phase)]
+
+
+def bode_sweep(tf: DelayedTransferFunction, omega_min: float, omega_max: float,
+               points_per_decade: int = 48) -> list:
+    """Log-spaced frequency response; phase unwrapped starting from the
+    low-frequency asymptote of the rational part.
+    """
+    full, n_chain = _sweep_grid(omega_min, omega_max, points_per_decade)
+    resp = _rational_array(tf, full)
+    if tf.delay_s:
+        resp = resp * np.exp(-1j * full * tf.delay_s)
+    anchor = _low_freq_phase(tf) - full[0] * tf.delay_s
+    phase = _unwrap_with_anchor(np.angle(resp), anchor)
+    return _sweep_points(full[n_chain:], resp[n_chain:], phase[n_chain:])
 
 
 def sweep_response(eval_fn: Callable[[float], complex], omega_min: float,
@@ -219,130 +227,100 @@ def sweep_response(eval_fn: Callable[[float], complex], omega_min: float,
     The phase branch is anchored at a frequency six decades below omega_min,
     where the principal value is taken as-is.
     """
-    if not (0.0 < omega_min < omega_max):
-        raise ValueError("need 0 < omega_min < omega_max")
-    if points_per_decade < 8:
-        raise ValueError("points_per_decade must be >= 8")
-    decades = math.log10(omega_max / omega_min)
-    n = max(int(round(decades * points_per_decade)) + 1, 2)
-    omegas = np.geomspace(omega_min, omega_max, n)
-    n_chain = 6 * max(points_per_decade, 16)
-    chain = np.geomspace(omega_min * 1e-6, omega_min, n_chain, endpoint=False)
-    full = np.concatenate([chain, omegas])
+    full, n_chain = _sweep_grid(omega_min, omega_max, points_per_decade)
     resp = np.array([eval_fn(float(w)) for w in full])
-    phase = np.unwrap(np.angle(resp))[n_chain:]
-    mag = np.abs(resp)[n_chain:]
-    return [FrequencyResponsePoint(float(w), float(m), math.degrees(p))
-            for w, m, p in zip(omegas, mag, phase)]
+    phase = np.unwrap(np.angle(resp))
+    return _sweep_points(full[n_chain:], resp[n_chain:], phase[n_chain:])
 
 
-def _walk_phase(tf: DelayedTransferFunction, w_from: float, phase_from: float,
-                w_to: float, steps: int = 8) -> float:
-    """Continue the unwrapped phase from (w_from, phase_from) to w_to."""
-    if w_to == w_from:
-        return phase_from
-    ws = np.geomspace(w_from, w_to, steps + 1)[1:]
-    prev = phase_from
-    for w in ws:
-        raw = cmath.phase(tf_eval(tf, float(w)))
-        # pick the branch closest to the running phase
-        k = round((prev - raw) / (2.0 * math.pi))
-        prev = raw + 2.0 * math.pi * k
-    return prev
+def _bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """Refine every bracket [a, b] of a sign change of f at once.
+
+    f(w, idx) evaluates the brackets idx at the trial frequencies w. Each
+    bracket halves in log frequency until (b - a)/a <= MARGIN_REL_TOL;
+    returns the geometric midpoints.
+    """
+    a, b, fa = a.copy(), b.copy(), fa.copy()
+    live = np.flatnonzero((b - a) / a > MARGIN_REL_TOL)
+    while live.size:
+        m = np.sqrt(a[live] * b[live])
+        fm = f(m, live)
+        left = fa[live] * fm <= 0.0
+        b[live[left]] = m[left]
+        a[live[~left]] = m[~left]
+        fa[live[~left]] = fm[~left]
+        live = live[(b[live] - a[live]) / a[live] > MARGIN_REL_TOL]
+    return np.sqrt(a * b)
 
 
 def stability_margins(open_loop: DelayedTransferFunction) -> StabilityReport:
-    """Gain/phase margins from a dense scan of MARGIN_BAND plus bisection.
+    """Gain/phase margins from a scan of MARGIN_BAND plus bisection.
 
     Phase margin is reported at the unity-magnitude crossing with the
     smallest margin; gain margin at the -180 deg (mod 360) crossing with
     the least attenuation. Raises NoCrossover when |L| never crosses 1.
+
+    The delay factor exp(-sT) leaves |L| alone and subtracts omega*T from
+    the phase, so only the rational part is evaluated and unwrapped on the
+    fixed grid (MARGIN_SCAN_PER_DECADE points per decade) and the delay
+    enters by arithmetic. Each grid cell holds as many -180 deg crossings
+    as there are levels 2*pi*k - pi between its endpoint phases. The scan
+    assumes that |L| - 1 changes sign at most once in a cell and that the
+    phase is monotone across every crossing's cell.
     """
-    w_lo, w_hi = MARGIN_BAND
-    per_decade = MARGIN_SCAN_PER_DECADE
-    if open_loop.delay_s > 0.0:
-        # keep per-grid-cell phase change below pi at the top of the band
-        need = 0.8 * w_hi * open_loop.delay_s * math.log(10.0) / math.pi
-        per_decade = max(per_decade, int(math.ceil(need)))
-    decades = math.log10(w_hi / w_lo)
-    n = int(round(decades * per_decade)) + 1
-    omegas = np.geomspace(w_lo, w_hi, n)
-    resp = _eval_array(open_loop, omegas)
-    mag = np.abs(resp)
-    anchor = _low_freq_phase(open_loop, omegas[0] * 1e-6)
-    n_chain = 6 * 32
-    chain = np.geomspace(w_lo * 1e-6, w_lo, n_chain, endpoint=False)
-    resp_chain = _eval_array(open_loop, chain)
-    phase_full = _unwrap_with_anchor(
-        np.angle(np.concatenate([resp_chain, resp])), anchor)
-    phase = phase_full[n_chain:]
+    full, n_chain = _sweep_grid(*MARGIN_BAND, MARGIN_SCAN_PER_DECADE)
+    h_full = _rational_array(open_loop, full)
+    rat_full = _unwrap_with_anchor(np.angle(h_full), _low_freq_phase(open_loop))
+    omegas, rat = full[n_chain:], rat_full[n_chain:]
+    mag = np.abs(h_full[n_chain:])
+    delay = open_loop.delay_s
+    phase = rat - omegas * delay
+
+    def phase_at(w, cell):
+        # the rational phase takes its branch from the cell's left grid point
+        raw = np.angle(_rational_array(open_loop, w))
+        k = np.round((rat[cell] - raw) / (2.0 * math.pi))
+        return raw + 2.0 * math.pi * k - w * delay
 
     # ---- unity-magnitude crossings -> phase margin candidates
-    gm_sign = mag - 1.0
-    pm_candidates = []  # (pm_deg, w_cross)
-    for i in range(n - 1):
-        if gm_sign[i] == 0.0:
-            pm = 180.0 + math.degrees(phase[i])
-            pm_candidates.append((pm, float(omegas[i])))
-            continue
-        if gm_sign[i] * gm_sign[i + 1] < 0.0:
-            a, b = float(omegas[i]), float(omegas[i + 1])
-            fa = gm_sign[i]
-            while (b - a) / a > MARGIN_REL_TOL:
-                m = math.sqrt(a * b)
-                fm = abs(tf_eval(open_loop, m)) - 1.0
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            w_c = math.sqrt(a * b)
-            ph_c = _walk_phase(open_loop, float(omegas[i]), float(phase[i]), w_c)
-            pm_candidates.append((180.0 + math.degrees(ph_c), w_c))
-    if gm_sign[-1] == 0.0:
-        pm_candidates.append((180.0 + math.degrees(phase[-1]), float(omegas[-1])))
-    if not pm_candidates:
+    f = mag - 1.0
+    on_grid = np.flatnonzero(f == 0.0)
+    cells = np.flatnonzero(f[:-1] * f[1:] < 0.0)
+    w_c = _bisect(lambda w, i: np.abs(_rational_array(open_loop, w)) - 1.0,
+                  omegas[cells], omegas[cells + 1], f[cells])
+    w_gc = np.concatenate([omegas[on_grid], w_c])
+    if not w_gc.size:
         raise NoCrossover("loop magnitude never crosses unity in the scan band")
-    pm, w_gc = min(pm_candidates, key=lambda t: t[0])
+    pm = 180.0 + np.degrees(np.concatenate([phase[on_grid], phase_at(w_c, cells)]))
+    best = int(np.argmin(pm))
 
-    # ---- -180 deg (mod 360) crossings -> gain margin candidates
-    gm_candidates = []  # (gm_db, w_cross)
-    ph_lo, ph_hi = float(np.min(phase)), float(np.max(phase))
-    k_min = int(math.floor((-ph_hi - math.pi) / (2.0 * math.pi)))
-    k_max = int(math.ceil((-ph_lo - math.pi) / (2.0 * math.pi)))
-    targets = [-math.pi - 2.0 * math.pi * k for k in range(k_min, k_max + 1)]
-    for target in targets:
-        d = phase - target
-        for i in range(n - 1):
-            hit = d[i] == 0.0 or d[i] * d[i + 1] < 0.0
-            if not hit:
-                continue
-            if d[i] == 0.0:
-                w_pc, m_pc = float(omegas[i]), float(mag[i])
-            else:
-                a, b = float(omegas[i]), float(omegas[i + 1])
-                pa = float(phase[i])
-                fa = pa - target
-                ph_a = pa
-                while (b - a) / a > MARGIN_REL_TOL:
-                    m = math.sqrt(a * b)
-                    ph_m = _walk_phase(open_loop, a, ph_a, m)
-                    fm = ph_m - target
-                    if fa * fm <= 0.0:
-                        b = m
-                    else:
-                        a, fa, ph_a = m, fm, ph_m
-                w_pc = math.sqrt(a * b)
-                m_pc = abs(tf_eval(open_loop, w_pc))
-            if m_pc > 0.0:
-                gm_candidates.append((-20.0 * math.log10(m_pc), w_pc))
-    if gm_candidates:
-        gm_db, w_pc = min(gm_candidates, key=lambda t: t[0])
+    # ---- -180 deg (mod 360) crossings -> gain margin candidates; level k
+    # of u = (phase + pi)/2pi is the target 2*pi*k - pi
+    u = (phase + math.pi) / (2.0 * math.pi)
+    on_level = np.flatnonzero(u[:-1] == np.floor(u[:-1]))
+    lo = np.floor(np.minimum(u[:-1], u[1:]))
+    hi = np.ceil(np.maximum(u[:-1], u[1:]))
+    per_cell = np.maximum(hi - lo - 1.0, 0.0).astype(np.int64)
+    cells = np.repeat(np.arange(per_cell.size), per_cell)
+    first = np.cumsum(per_cell) - per_cell
+    levels = lo[cells] + 1.0 + (np.arange(cells.size) - first[cells])
+    target = 2.0 * math.pi * levels - math.pi
+    w_x = _bisect(lambda w, i: phase_at(w, cells[i]) - target[i],
+                  omegas[cells], omegas[cells + 1], phase[cells] - target)
+    w_pc = np.concatenate([omegas[on_level], w_x])
+    m_pc = np.concatenate([mag[on_level], np.abs(_rational_array(open_loop, w_x))])
+    keep = m_pc > 0.0
+    if keep.any():
+        gm = -20.0 * np.log10(m_pc[keep])
+        i_gm = int(np.argmin(gm))
+        gm_db, w_gm = float(gm[i_gm]), float(w_pc[keep][i_gm])
     else:
-        gm_db, w_pc = math.inf, math.nan
+        gm_db, w_gm = math.inf, math.nan
 
-    return StabilityReport(phase_margin_deg=pm, gain_crossover_rad_s=w_gc,
-                           gain_margin_db=gm_db, phase_crossover_rad_s=w_pc,
-                           crossover_count=len(pm_candidates))
+    return StabilityReport(phase_margin_deg=float(pm[best]),
+                           gain_crossover_rad_s=float(w_gc[best]),
+                           gain_margin_db=gm_db, phase_crossover_rad_s=w_gm,
+                           crossover_count=int(w_gc.size))
 
 
 def _strip_shared_origin_roots(num: Polynomial, den: Polynomial):

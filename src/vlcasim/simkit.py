@@ -386,6 +386,12 @@ def _warn_if_saturated(trace: SimTrace, count: int):
 
 # ----------------------------------------------------------- force loop
 
+def check_duration(duration: float) -> None:
+    """The run-length check every simulator applies before it starts."""
+    if duration <= 0.0:
+        raise ValueError("duration must be > 0")
+
+
 def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
                        reference, duration: float,
                        params: ActuatorParams = VLCA_ACTUATOR,
@@ -397,8 +403,7 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
     is given, a two-node winding model integrates alongside and fills the
     temperature column.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be > 0")
+    check_duration(duration)
     dt = CONTROL_DT
     n = int(round(duration / dt))
     ctrl = DiscreteForceController(kind, params, gains, dt)
@@ -609,8 +614,7 @@ def run_joint_position_control(element: str,
     The position loop reads the output, damps motor speed, and commands
     current to the two_mass_plant.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be > 0")
+    check_duration(duration)
     if load_mass <= 0.0 or moment_arm <= 0.0:
         raise ValueError("load_mass and moment_arm must be > 0")
     k_s, b_s = spring_element(element, params)

@@ -510,8 +510,7 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     """
     if mode not in ("ideal_torque", "cascaded_vlca"):
         raise ValueError("mode must be 'ideal_torque' or 'cascaded_vlca'")
-    if duration <= 0.0:
-        raise ValueError("duration must be > 0")
+    simkit.check_duration(duration)
     params = replace(params, payload_mass=float(payload_kg))
     if profile is None:
         profile = LinkageProfile.constant(DEFAULT_MOMENT_ARM)

@@ -89,6 +89,12 @@ VLCA_ACTUATOR = ActuatorParams(
 )
 
 
+# longest accepted loop delay [s], 1,000 samples of the 1 kHz controller; a
+# margin scan brackets every -180 deg crossing, about 1e5 * delay_t / 2pi of
+# them in MARGIN_BAND
+MAX_DELAY_T = 1.0
+
+
 class ControllerKind(Enum):
     PDF = "pd_f"          # P on force error, filtered force derivative
     PDM = "pd_m"          # P on force error, motor-velocity damping
@@ -118,8 +124,8 @@ class ControllerGains:
                 raise ValueError(f"{name} must be > 0 when set")
         if self.q_taud_zeta <= 0.0:
             raise ValueError("q_taud_zeta must be > 0")
-        if self.delay_t < 0.0:
-            raise ValueError("delay_t must be >= 0")
+        if not 0.0 <= self.delay_t <= MAX_DELAY_T:
+            raise ValueError(f"delay_t must be within [0, {MAX_DELAY_T:g}] s")
 
     def resolved_k_df(self, params: ActuatorParams) -> float:
         """Force-derivative gain equivalent to k_dm motor-velocity damping."""

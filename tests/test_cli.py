@@ -86,6 +86,35 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys, line):
     assert line.split(" ")[0] in out and "finite" in out
 
 
+def test_validate_caps_the_loop_delay(tmp_path, capsys):
+    cfg = _write(tmp_path, "slow.cfg",
+                 "scenario = margins\ngains.delay_t = 1e6\n")
+    assert main(["validate", cfg]) == 2
+    assert "gains.delay_t" in capsys.readouterr().out
+
+
+def test_margins_run_at_the_longest_delay_completes(tmp_path):
+    cfg = _write(tmp_path, "long.cfg",
+                 "scenario = margins\nout = long_out\ngains.delay_t = 1\n")
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg]) == 0
+    assert _read_manifest(tmp_path / "long_out")["status"] == "ok"
+
+
+@pytest.mark.parametrize("lines", [
+    "scenario = impact\nimpact.pulse_width_s = 0.01",
+    "scenario = force_tracking\nforce_tracking.duration_s = -1",
+    "scenario = position_step\nposition_step.duration_s = -1",
+    "scenario = osc\nosc.trajectory = bspline\nosc.knots = 0.18,0.45; 0.2",
+], ids=["impact", "force_tracking", "position_step", "osc"])
+def test_validate_range_checks_scenario_extras(tmp_path, capsys, lines):
+    cfg = _write(tmp_path, "extras.cfg", f"{lines}\nout = extras_out\n")
+    assert main(["validate", cfg]) == 2
+    assert lines.splitlines()[1].split(".")[0] in capsys.readouterr().out
+    assert main(["run", cfg]) == 2
+    assert not (tmp_path / "extras_out").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err

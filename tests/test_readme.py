@@ -1,0 +1,18 @@
+"""The README's python examples run as written."""
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+
+
+def test_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_python_block_runs(code, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, str(README), "exec"), {"__name__": "__readme__"})
