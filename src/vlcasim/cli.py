@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -257,9 +257,10 @@ def validate(raw_config: dict) -> list:
     # range checks through the scenario's own input builders, once every
     # value has the right type
     if not diags and scenario in _EXTRAS_CHECKS:
+        leg = replace(_NAMESPACE_DEFAULTS["testbed"], **ns_overrides["testbed"])
         try:
-            _EXTRAS_CHECKS[scenario](extras)
-        except ValueError as exc:
+            _EXTRAS_CHECKS[scenario](extras, leg)
+        except (ValueError, testbed.WorkspaceViolation) as exc:
             msg = str(exc)
             bad = next((n for n in extras_spec if msg.startswith(n)), None)
             diags.append((f"{scenario}.{bad}" if bad else scenario, msg))
@@ -322,6 +323,7 @@ class _Emitter:
     def __init__(self, outdir: str):
         self.outdir = outdir
         self.files = []
+        self.counters = {}  # simulation name -> deterministic work counts
 
     def write(self, name: str, content: str):
         path = os.path.join(self.outdir, name)
@@ -487,7 +489,6 @@ def _parse_knots(text: str):
 
 
 def _osc_trajectory(x: dict):
-    simkit.check_duration(x["duration_s"])
     if x["trajectory"] == "bspline":
         pts = _parse_knots(x["knots"])
         if not pts:
@@ -504,6 +505,11 @@ def _osc_trajectory(x: dict):
                                   phase_rad=x["phase_rad"])
 
 
+def _check_osc(x: dict, leg: testbed.TwoDofParams):
+    testbed.osc_run_inputs(_osc_trajectory(x), x["payload_kg"],
+                           x["duration_s"], leg)
+
+
 def _scenario_osc(spec: RunSpec, em: _Emitter):
     x = spec.extras
     traj = _osc_trajectory(x)
@@ -514,6 +520,7 @@ def _scenario_osc(spec: RunSpec, em: _Emitter):
         trace = testbed.simulate_osc(traj, x["payload_kg"], mode,
                                      x["duration_s"], params=spec.leg,
                                      actuator=spec.actuator)
+        em.counters[f"osc_{mode}"] = trace.counters()
         em.write(f"osc_{mode}.csv", trace.to_csv())
         err = np.linalg.norm(trace.x - trace.x_des, axis=1)
         metrics.append(f"{mode},{trace.max_tracking_error():.10g},"
@@ -527,6 +534,11 @@ def _scenario_osc(spec: RunSpec, em: _Emitter):
         ylabel="error [m]"))
     em.write("osc_height.svg", svgplot.line_chart(
         y_curves, title="Hip height", xlabel="time [s]", ylabel="y [m]"))
+
+
+def _check_thermal(x: dict, leg: testbed.TwoDofParams):
+    for name in ("burst_duration_s", "hold_duration_s"):
+        simkit.check_duration(x[name], name)
 
 
 def _scenario_thermal(spec: RunSpec, em: _Emitter):
@@ -576,14 +588,26 @@ def _scenario_thermal(spec: RunSpec, em: _Emitter):
         ylabel="temperature [C]"))
 
 
+_LIFT_START = (0.18, 0.30)  # hip position the lift starts from [m]
+_LIFT_HOLD_S = 0.5  # simulated hold at the top of the lift [s]
+
+
+def _lift_trajectory(x: dict):
+    return testbed.BSplineTrajectory.vertical_lift(_LIFT_START, x["lift_m"],
+                                                   x["duration_s"])
+
+
+def _check_efficiency(x: dict, leg: testbed.TwoDofParams):
+    testbed.osc_run_inputs(_lift_trajectory(x), x["payload_kg"],
+                           x["duration_s"] + _LIFT_HOLD_S, leg)
+
+
 def _scenario_efficiency(spec: RunSpec, em: _Emitter):
     x = spec.extras
-    start = (0.18, 0.30)
-    traj = testbed.BSplineTrajectory.vertical_lift(start, x["lift_m"],
-                                                   x["duration_s"])
-    trace = testbed.simulate_osc(traj, x["payload_kg"], "cascaded_vlca",
-                                 x["duration_s"] + 0.5, params=spec.leg,
-                                 actuator=spec.actuator)
+    trace = testbed.simulate_osc(_lift_trajectory(x), x["payload_kg"],
+                                 "cascaded_vlca", x["duration_s"] + _LIFT_HOLD_S,
+                                 params=spec.leg, actuator=spec.actuator)
+    em.counters["efficiency_lift"] = trace.counters()
     em.write("efficiency_lift.csv", trace.to_csv())
     p_joint, p_motor, p_in = powertherm.power_series(trace, spec.actuator)
     summary = powertherm.power_flow(trace, spec.actuator)
@@ -640,13 +664,16 @@ _SCENARIO_FUNCS = {
 }
 
 
-# builders of the scenario inputs that range-check the extras; validate()
-# runs them so that a config they reject exits 2 instead of failing the run
+# builders of the scenario inputs that range-check the extras, called with
+# the extras and the leg parameters; validate() runs them so that a config
+# they reject exits 2 instead of failing the run
 _EXTRAS_CHECKS = {
-    "force_tracking": _force_reference,
-    "position_step": lambda x: simkit.check_duration(x["duration_s"]),
-    "impact": _impact_configs,
-    "osc": _osc_trajectory,
+    "force_tracking": lambda x, leg: _force_reference(x),
+    "position_step": lambda x, leg: simkit.check_duration(x["duration_s"]),
+    "impact": lambda x, leg: _impact_configs(x),
+    "osc": _check_osc,
+    "thermal": _check_thermal,
+    "efficiency": _check_efficiency,
 }
 
 
@@ -660,6 +687,9 @@ class RunManifest:
     status: str
     error: Optional[str] = None
     output_dir: str = ""
+    # per simulation: control steps, RK4 substeps, saturated and
+    # singularity-damped steps
+    counters: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -686,7 +716,8 @@ def run(raw_config: dict) -> RunManifest:
     manifest = RunManifest(version=__version__, scenario=spec.scenario,
                            config_digest=spec.digest,
                            parameters=_resolved_parameters(spec),
-                           files=[], status="ok", output_dir=outdir)
+                           files=[], status="ok", output_dir=outdir,
+                           counters=em.counters)
     try:
         _SCENARIO_FUNCS[spec.scenario](spec, em)
     except Exception as exc:

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .lintf import zoh_discretize
+from .simkit import check_duration
 from .vlca import ActuatorParams, DEFAULT_MOMENT_ARM, VLCA_ACTUATOR
 
 
@@ -146,8 +147,7 @@ def simulate_constant_current(current_a: float, duration_s: float,
                               dt: float = 1e-3,
                               initial: Optional[ThermalState] = None
                               ) -> ThermalTrace:
-    if duration_s <= 0.0:
-        raise ValueError("duration_s must be > 0")
+    check_duration(duration_s, "duration_s")
     if not 0.0 < dt <= 0.010:
         raise ValueError("dt must be within (0, 10 ms]")
     n = int(round(duration_s / dt))

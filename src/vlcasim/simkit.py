@@ -3,9 +3,10 @@
 Controllers run at 1 kHz with a one-period command delay and hold their
 current over each period. The linear plants (force loop, chirp, position
 loop) therefore advance by their exact zero-order-hold update, one affine
-step per period; the pulse-driven hammer strike and the nonlinear leg use
-the shared rk4_step. Saturation clips commanded current at the amplifier
-limit and is recorded, not fatal.
+step per period; the pulse-driven hammer strike uses rk4_step, which is
+also the reference for the leg's unrolled period map in testbed.
+Saturation clips commanded current at the amplifier limit and is
+recorded, not fatal.
 """
 
 from __future__ import annotations
@@ -338,8 +339,18 @@ class DiscreteForceController:
 SIM_CSV_HEADER = "t_s,f_cmd_N,f_meas_N,f_loadcell_N,i_m_A,x_r_m,q_out,temp_C"
 
 
-def _csv_cell(v: float) -> str:
-    return "" if math.isnan(v) else f"{v:.10g}"
+def csv_table(header: str, columns) -> str:
+    """CSV text of equal-length float columns (1-D, or 2-D for several
+    columns side by side): %.10g cells, NaN as an empty cell."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.10g"] * table.shape[1])
+    lines = [header]
+    # a block of rows at a time keeps few cells alive as Python floats;
+    # %.10g writes NaN, and nothing else, as "nan"
+    for i in range(0, len(table), 256):
+        lines += [(row % tuple(r)).replace("nan", "")
+                  for r in table[i:i + 256].tolist()]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -359,13 +370,9 @@ class SimTrace:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = [SIM_CSV_HEADER]
-        for k in range(len(self.t)):
-            cells = (self.t[k], self.f_cmd[k], self.f_meas[k],
-                     self.f_loadcell[k], self.i_m[k], self.x_r[k],
-                     self.q_out[k], self.temp_c[k])
-            lines.append(",".join(_csv_cell(float(c)) for c in cells))
-        return "\n".join(lines) + "\n"
+        return csv_table(SIM_CSV_HEADER, (
+            self.t, self.f_cmd, self.f_meas, self.f_loadcell, self.i_m,
+            self.x_r, self.q_out, self.temp_c))
 
 
 def _blank_trace(n: int, dt: float) -> SimTrace:
@@ -386,10 +393,10 @@ def _warn_if_saturated(trace: SimTrace, count: int):
 
 # ----------------------------------------------------------- force loop
 
-def check_duration(duration: float) -> None:
+def check_duration(duration: float, name: str = "duration") -> None:
     """The run-length check every simulator applies before it starts."""
     if duration <= 0.0:
-        raise ValueError("duration must be > 0")
+        raise ValueError(f"{name} must be > 0")
 
 
 def run_force_tracking(kind: ControllerKind, gains: ControllerGains,

@@ -429,17 +429,16 @@ class TestbedTrace:
         return float(np.max(np.linalg.norm(self.x - self.x_des, axis=1)))
 
     def to_csv(self) -> str:
-        lines = [TESTBED_CSV_HEADER]
-        for k in range(len(self.t)):
-            cells = [self.t[k], self.x[k, 0], self.x[k, 1], self.x_des[k, 0],
-                     self.x_des[k, 1], self.q[k, 0], self.q[k, 1],
-                     self.tau_cmd[k, 0], self.tau_cmd[k, 1],
-                     self.tau_applied[k, 0], self.tau_applied[k, 1],
-                     self.i_m[k, 0], self.i_m[k, 1],
-                     self.f_k[k, 0], self.f_k[k, 1]]
-            lines.append(",".join("" if math.isnan(float(c)) else f"{float(c):.10g}"
-                                  for c in cells))
-        return "\n".join(lines) + "\n"
+        return simkit.csv_table(TESTBED_CSV_HEADER, (
+            self.t, self.x, self.x_des, self.q, self.tau_cmd,
+            self.tau_applied, self.i_m, self.f_k))
+
+    def counters(self) -> dict:
+        """Deterministic work counts of the run that produced this trace."""
+        steps = len(self.t)
+        return {"control_steps": steps, "rk4_substeps": steps * LEG_SUBSTEPS,
+                "saturated_steps": self.saturation_count,
+                "singularity_damped_steps": self.singular_count}
 
 
 def _check_workspace(pos: np.ndarray, params: TwoDofParams,
@@ -490,6 +489,164 @@ DEFAULT_FORCE_GAINS = ControllerGains(q_taud_cutoff=2.0 * math.pi * 60.0)
 LEG_SUBSTEPS = 10  # leg RK4 substeps per control period
 
 
+def leg_period_map(params: TwoDofParams, cascaded: bool,
+                   actuator: ActuatorParams, profile: LinkageProfile,
+                   external_force: Optional[Callable[[float], Sequence[float]]] = None):
+    """The leg's advance over one control period, built once per run.
+
+    Returns advance(state, u0, u1, t) -> state: LEG_SUBSTEPS classical RK4
+    substeps of CONTROL_DT / LEG_SUBSTEPS with u held for the period (the
+    joint torques [N*m] in ideal mode, the motor currents [A] in cascaded
+    mode) and the hip force external_force(t) taken at the period start t.
+    The state is (q0, q1, w0, w1), followed in cascaded mode by the screw
+    position, screw rate and linkage displacement of each joint's actuator
+    (x0, v0, l0, x1, v1, l1).
+
+    The run constants of _dyn_scalars are hoisted in its association order
+    and the stages use rk4_step's 0.5*h, h and h/6 products, so one period
+    equals LEG_SUBSTEPS calls of simkit.rk4_step on the same rates bit for
+    bit. A stage angle outside the profile's range raises OutOfRange.
+    """
+    cos, sin = math.cos, math.sin
+    h = simkit.CONTROL_DT / LEG_SUBSTEPS
+    hh, h6 = 0.5 * h, h / 6.0
+
+    p = params
+    l1, l2, m2, i2, mp, grav = p.l1, p.l2, p.m2, p.i2, p.payload_mass, p.gravity
+    a11_0 = p.i1 + p.i2 + p.m1 * p.c1 ** 2
+    a11_m2, a11_m2c = p.l1 ** 2 + p.c2 ** 2, 2.0 * p.l1 * p.c2
+    a11_mp, a11_mpc = p.l1 ** 2 + p.l2 ** 2, 2.0 * p.l1 * p.l2
+    a12_m2, a12_m2c = p.c2 ** 2, p.l1 * p.c2
+    a12_mp, a12_mpc = p.l2 ** 2, p.l1 * p.l2
+    a22 = p.i2 + p.m2 * p.c2 ** 2 + mp * p.l2 ** 2
+    h_s1 = p.m2 * p.l1 * p.c2 + mp * p.l1 * p.l2
+    g_c0 = p.m1 * p.c1 + (p.m2 + mp) * p.l1
+    g_c01 = p.m2 * p.c2 + mp * p.l2
+    pushed = external_force is not None
+
+    def accel(a, b, wa, wb, t0, t1, fx, fy):
+        """Joint accelerations under joint torques (t0, t1) and hip force
+        (fx, fy); _dyn_scalars and the inverse of its mass matrix."""
+        c1_ = cos(b)
+        a11 = a11_0 + m2 * (a11_m2 + a11_m2c * c1_) + mp * (a11_mp + a11_mpc * c1_)
+        a12 = i2 + m2 * (a12_m2 + a12_m2c * c1_) + mp * (a12_mp + a12_mpc * c1_)
+        hv = h_s1 * sin(b)
+        b1 = -hv * (2.0 * wa * wb + wb * wb)
+        b2 = hv * wa * wa
+        c01 = cos(a + b)
+        g1 = (g_c0 * cos(a) + g_c01 * c01) * grav
+        g2 = g_c01 * c01 * grav
+        if pushed:
+            s0, s01 = sin(a), sin(a + b)
+            te0 = (-l1 * s0 - l2 * s01) * fx + (l1 * cos(a) + l2 * c01) * fy
+            te1 = -l2 * s01 * fx + l2 * c01 * fy
+        else:
+            te0 = te1 = 0.0
+        det = a11 * a22 - a12 * a12
+        r_0 = t0 - b1 - g1 + te0
+        r_1 = t1 - b2 - g2 + te1
+        return (a22 * r_0 - a12 * r_1) / det, (a11 * r_1 - a12 * r_0) / det
+
+    if not cascaded:
+        def advance(state, tau0, tau1, t):
+            fx, fy = external_force(t) if pushed else (0.0, 0.0)
+            a, b, wa, wb = state
+            for _ in range(LEG_SUBSTEPS):
+                pa1, pb1 = accel(a, b, wa, wb, tau0, tau1, fx, fy)
+                a2, b2 = a + hh * wa, b + hh * wb
+                wa2, wb2 = wa + hh * pa1, wb + hh * pb1
+                pa2, pb2 = accel(a2, b2, wa2, wb2, tau0, tau1, fx, fy)
+                a3, b3 = a + hh * wa2, b + hh * wb2
+                wa3, wb3 = wa + hh * pa2, wb + hh * pb2
+                pa3, pb3 = accel(a3, b3, wa3, wb3, tau0, tau1, fx, fy)
+                a4, b4 = a + h * wa3, b + h * wb3
+                wa4, wb4 = wa + h * pa3, wb + h * pb3
+                pa4, pb4 = accel(a4, b4, wa4, wb4, tau0, tau1, fx, fy)
+                a += h6 * (wa + 2.0 * wa2 + 2.0 * wa3 + wa4)
+                b += h6 * (wb + 2.0 * wb2 + 2.0 * wb3 + wb4)
+                wa += h6 * (pa1 + 2.0 * pa2 + 2.0 * pa3 + pa4)
+                wb += h6 * (pb1 + 2.0 * pb2 + 2.0 * pb3 + pb4)
+            return a, b, wa, wb
+        return advance
+
+    k_r, b_r = actuator.k_r, actuator.b_r
+    m_m = actuator.j_m * actuator.n_m ** 2 + actuator.m_r
+    b_dt = actuator.b_m * actuator.n_m ** 2
+    n_drive = actuator.drive_constant
+    arm = profile.arm
+    lo, hi = profile.angles_rad[0], profile.angles_rad[-1]
+    # a profile with one arm value returns it exactly wherever it is defined
+    arm_c = profile.arms_m[0] if len(set(profile.arms_m)) == 1 else None
+
+    def rates(a, b, wa, wb, x0, v0, l0, x1, v1, l1_, fi0, fi1, fx, fy):
+        """(wd0, wd1, vd0, vd1, ld0, ld1) with the screw drive forces
+        fi = n_drive * i held."""
+        if arm_c is not None and lo <= a <= hi and lo <= b <= hi:
+            r0 = r1 = arm_c
+        else:
+            r0, r1 = arm(a), arm(b)
+        ld0, ld1 = r0 * wa, r1 * wb
+        f0 = k_r * (x0 - l0) + b_r * (v0 - ld0)
+        f1 = k_r * (x1 - l1_) + b_r * (v1 - ld1)
+        wd0, wd1 = accel(a, b, wa, wb, r0 * f0, r1 * f1, fx, fy)
+        return (wd0, wd1, (fi0 - b_dt * v0 - f0) / m_m,
+                (fi1 - b_dt * v1 - f1) / m_m, ld0, ld1)
+
+    def advance(state, i0, i1, t):
+        fx, fy = external_force(t) if pushed else (0.0, 0.0)
+        fi0, fi1 = n_drive * i0, n_drive * i1
+        a, b, wa, wb, x0, v0, l0, x1, v1, l1_ = state
+        for _ in range(LEG_SUBSTEPS):
+            pa1, pb1, va1, vb1, la1, lb1 = rates(
+                a, b, wa, wb, x0, v0, l0, x1, v1, l1_, fi0, fi1, fx, fy)
+            a2, b2 = a + hh * wa, b + hh * wb
+            wa2, wb2 = wa + hh * pa1, wb + hh * pb1
+            x02, v02, l02 = x0 + hh * v0, v0 + hh * va1, l0 + hh * la1
+            x12, v12, l12 = x1 + hh * v1, v1 + hh * vb1, l1_ + hh * lb1
+            pa2, pb2, va2, vb2, la2, lb2 = rates(
+                a2, b2, wa2, wb2, x02, v02, l02, x12, v12, l12, fi0, fi1, fx, fy)
+            a3, b3 = a + hh * wa2, b + hh * wb2
+            wa3, wb3 = wa + hh * pa2, wb + hh * pb2
+            x03, v03, l03 = x0 + hh * v02, v0 + hh * va2, l0 + hh * la2
+            x13, v13, l13 = x1 + hh * v12, v1 + hh * vb2, l1_ + hh * lb2
+            pa3, pb3, va3, vb3, la3, lb3 = rates(
+                a3, b3, wa3, wb3, x03, v03, l03, x13, v13, l13, fi0, fi1, fx, fy)
+            a4, b4 = a + h * wa3, b + h * wb3
+            wa4, wb4 = wa + h * pa3, wb + h * pb3
+            x04, v04, l04 = x0 + h * v03, v0 + h * va3, l0 + h * la3
+            x14, v14, l14 = x1 + h * v13, v1 + h * vb3, l1_ + h * lb3
+            pa4, pb4, va4, vb4, la4, lb4 = rates(
+                a4, b4, wa4, wb4, x04, v04, l04, x14, v14, l14, fi0, fi1, fx, fy)
+            a += h6 * (wa + 2.0 * wa2 + 2.0 * wa3 + wa4)
+            b += h6 * (wb + 2.0 * wb2 + 2.0 * wb3 + wb4)
+            wa += h6 * (pa1 + 2.0 * pa2 + 2.0 * pa3 + pa4)
+            wb += h6 * (pb1 + 2.0 * pb2 + 2.0 * pb3 + pb4)
+            x0 += h6 * (v0 + 2.0 * v02 + 2.0 * v03 + v04)
+            v0 += h6 * (va1 + 2.0 * va2 + 2.0 * va3 + va4)
+            l0 += h6 * (la1 + 2.0 * la2 + 2.0 * la3 + la4)
+            x1 += h6 * (v1 + 2.0 * v12 + 2.0 * v13 + v14)
+            v1 += h6 * (vb1 + 2.0 * vb2 + 2.0 * vb3 + vb4)
+            l1_ += h6 * (lb1 + 2.0 * lb2 + 2.0 * lb3 + lb4)
+        return a, b, wa, wb, x0, v0, l0, x1, v1, l1_
+    return advance
+
+
+def osc_run_inputs(trajectory, payload_kg: float, duration: float,
+                   params: TwoDofParams):
+    """The checks every leg run makes before it integrates, and what they
+    yield: (params carrying the payload, sample times, desired positions,
+    velocities, accelerations) at the control rate. Raises ValueError for
+    a bad run length or payload and WorkspaceViolation for a path the leg
+    cannot reach."""
+    simkit.check_duration(duration)
+    params = replace(params, payload_mass=float(payload_kg))
+    dt = simkit.CONTROL_DT
+    times = np.arange(int(round(duration / dt))) * dt
+    pos_des, vel_des, acc_des = trajectory.sample(times)
+    _check_workspace(pos_des, params)
+    return params, times, pos_des, vel_des, acc_des
+
+
 def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
                  task_gains: TaskGains = TaskGains(),
                  params: TwoDofParams = TwoDofParams(),
@@ -510,43 +667,31 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     """
     if mode not in ("ideal_torque", "cascaded_vlca"):
         raise ValueError("mode must be 'ideal_torque' or 'cascaded_vlca'")
-    simkit.check_duration(duration)
-    params = replace(params, payload_mass=float(payload_kg))
+    params, times, pos_des, vel_des, acc_des = osc_run_inputs(
+        trajectory, payload_kg, duration, params)
     if profile is None:
         profile = LinkageProfile.constant(DEFAULT_MOMENT_ARM)
-
     dt = simkit.CONTROL_DT
-    h = dt / LEG_SUBSTEPS
-    n = int(round(duration / dt))
-    times = np.arange(n) * dt
-    pos_des, vel_des, acc_des = trajectory.sample(times)
-    _check_workspace(pos_des, params)
+    n = len(times)
 
     if q_init is None:
         q = inverse_kinematics(pos_des[0], params, knee)
         q0, q1 = float(q[0]), float(q[1])
     else:
         q0, q1 = float(q_init[0]), float(q_init[1])
-    w0 = w1 = 0.0
     cascaded = mode == "cascaded_vlca"
-
+    advance = leg_period_map(params, cascaded, actuator, profile, external_force)
     k_r, b_r = actuator.k_r, actuator.b_r
-    m_m = actuator.j_m * actuator.n_m ** 2 + actuator.m_r
-    b_dt = actuator.b_m * actuator.n_m ** 2
-    n_drive = actuator.drive_constant
 
-    ctrls = None
-    xm = [0.0, 0.0]
-    vm = [0.0, 0.0]
-    ll = [0.0, 0.0]
+    state = (q0, q1, 0.0, 0.0)
     if cascaded:
         ctrls = [simkit.DiscreteForceController(force_kind, actuator,
                                                 force_gains, dt)
                  for _ in range(2)]
         # preload the springs against gravity so the leg starts settled
         _, _, _, _, _, g1, g2 = _dyn_scalars(q0, q1, 0.0, 0.0, params)
-        for j, gj, qj in ((0, g1, q0), (1, g2, q1)):
-            xm[j] = (gj / profile.arm(qj)) / k_r
+        state += ((g1 / profile.arm(q0)) / k_r, 0.0, 0.0,
+                  (g2 / profile.arm(q1)) / k_r, 0.0, 0.0)
 
     trace = TestbedTrace(dt=dt, t=times, x=np.empty((n, 2)), x_des=pos_des,
                          q=np.empty((n, 2)), qdot=np.empty((n, 2)),
@@ -557,47 +702,9 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
                          meta={"mode": mode, "payload_kg": payload_kg})
     singular = 0
 
-    def ext_tau(t, q0_, q1_):
-        if external_force is None:
-            return 0.0, 0.0
-        fx, fy = external_force(t)
-        l1, l2 = params.l1, params.l2
-        s0, c0 = math.sin(q0_), math.cos(q0_)
-        s01, c01 = math.sin(q0_ + q1_), math.cos(q0_ + q1_)
-        t0 = (-l1 * s0 - l2 * s01) * fx + (l1 * c0 + l2 * c01) * fy
-        t1 = -l2 * s01 * fx + l2 * c01 * fy
-        return t0, t1
-
-    def deriv(state, tau_fixed, i_fixed, t):
-        """State rates with the torques, currents and external force held at
-        their values for the control period starting at t."""
-        if cascaded:
-            a, b, wa, wb, x0, v0, l0, x1, v1, l1_ = state
-        else:
-            a, b, wa, wb = state
-        te0, te1 = ext_tau(t, a, b)
-        if cascaded:
-            r0, r1 = profile.arm(a), profile.arm(b)
-            ld0, ld1 = r0 * wa, r1 * wb
-            f0 = k_r * (x0 - l0) + b_r * (v0 - ld0)
-            f1 = k_r * (x1 - l1_) + b_r * (v1 - ld1)
-            t0, t1 = r0 * f0, r1 * f1
-        else:
-            t0, t1 = tau_fixed
-        a11, a12, a22, b1, b2, g1, g2 = _dyn_scalars(a, b, wa, wb, params)
-        det = a11 * a22 - a12 * a12
-        r_0 = t0 - b1 - g1 + te0
-        r_1 = t1 - b2 - g2 + te1
-        wd0 = (a22 * r_0 - a12 * r_1) / det
-        wd1 = (a11 * r_1 - a12 * r_0) / det
-        if cascaded:
-            vd0 = (n_drive * i_fixed[0] - b_dt * v0 - f0) / m_m
-            vd1 = (n_drive * i_fixed[1] - b_dt * v1 - f1) / m_m
-            return (wa, wb, wd0, wd1, v0, vd0, ld0, v1, vd1, ld1)
-        return (wa, wb, wd0, wd1)
-
     for k in range(n):
         t = float(times[k])
+        q0, q1, w0, w1 = state[:4]
         tau0, tau1, damped = _osc_tau(q0, q1, w0, w1,
                                       pos_des[k, 0], pos_des[k, 1],
                                       vel_des[k, 0], vel_des[k, 1],
@@ -605,41 +712,30 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
                                       task_gains, params)
         if damped:
             singular += 1
-        i_now = (0.0, 0.0)
         if cascaded:
+            x0, v0, l0, x1, v1, l1 = state[4:]
             r0, r1 = profile.arm(q0), profile.arm(q1)
-            f_meas0, f_meas1 = k_r * (xm[0] - ll[0]), k_r * (xm[1] - ll[1])
-            i_now = (ctrls[0].step(tau0 / r0, f_meas0, vm[0]),
-                     ctrls[1].step(tau1 / r1, f_meas1, vm[1]))
+            f_meas0, f_meas1 = k_r * (x0 - l0), k_r * (x1 - l1)
+            u = (ctrls[0].step(tau0 / r0, f_meas0, v0),
+                 ctrls[1].step(tau1 / r1, f_meas1, v1))
             ld0, ld1 = r0 * w0, r1 * w1
-            f0 = k_r * (xm[0] - ll[0]) + b_r * (vm[0] - ld0)
-            f1 = k_r * (xm[1] - ll[1]) + b_r * (vm[1] - ld1)
+            f0 = k_r * (x0 - l0) + b_r * (v0 - ld0)
+            f1 = k_r * (x1 - l1) + b_r * (v1 - ld1)
             trace.tau_applied[k] = (r0 * f0, r1 * f1)
-            trace.i_m[k] = i_now
+            trace.i_m[k] = u
             trace.f_k[k] = (f_meas0, f_meas1)
-            trace.motor_speed_rad_s[k] = (actuator.n_m * vm[0],
-                                          actuator.n_m * vm[1])
+            trace.motor_speed_rad_s[k] = (actuator.n_m * v0, actuator.n_m * v1)
         else:
-            trace.tau_applied[k] = (tau0, tau1)
+            u = (tau0, tau1)
+            trace.tau_applied[k] = u
         trace.tau_cmd[k] = (tau0, tau1)
         trace.q[k] = (q0, q1)
         trace.qdot[k] = (w0, w1)
         trace.x[k] = hip_position((q0, q1), params)
 
-        if cascaded:
-            state = (q0, q1, w0, w1, xm[0], vm[0], ll[0], xm[1], vm[1], ll[1])
-        else:
-            state = (q0, q1, w0, w1)
-        tau_fixed = (tau0, tau1)
-        rates = lambda _t, y: deriv(y, tau_fixed, i_now, t)
-        for _ in range(LEG_SUBSTEPS):
-            state = simkit.rk4_step(rates, t, state, h)
-        if not all(math.isfinite(s) for s in state):
+        state = advance(state, u[0], u[1], t)
+        if not all(map(math.isfinite, state)):
             raise simkit.NonFiniteState(f"leg simulation diverged at t={t:.3f} s")
-        if cascaded:
-            q0, q1, w0, w1, xm[0], vm[0], ll[0], xm[1], vm[1], ll[1] = state
-        else:
-            q0, q1, w0, w1 = state
 
     trace.singular_count = singular
     if cascaded:

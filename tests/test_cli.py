@@ -106,7 +106,17 @@ def test_margins_run_at_the_longest_delay_completes(tmp_path):
     "scenario = force_tracking\nforce_tracking.duration_s = -1",
     "scenario = position_step\nposition_step.duration_s = -1",
     "scenario = osc\nosc.trajectory = bspline\nosc.knots = 0.18,0.45; 0.2",
-], ids=["impact", "force_tracking", "position_step", "osc"])
+    "scenario = thermal\nthermal.burst_duration_s = -1",
+    "scenario = thermal\nthermal.hold_duration_s = 0",
+    "scenario = efficiency\nefficiency.duration_s = -1",
+    "scenario = efficiency\nefficiency.payload_kg = -5",
+    "scenario = efficiency\nefficiency.lift_m = 0.9",
+    "scenario = osc\nosc.payload_kg = -3",
+    "scenario = osc\nosc.amplitude_m = 0.5",
+    "scenario = osc\nosc.center_y = 0.9\nosc.duration_s = 1",
+], ids=["impact", "force_tracking", "position_step", "osc", "thermal_burst",
+        "thermal_hold", "efficiency_duration", "efficiency_payload",
+        "efficiency_lift", "osc_payload", "osc_amplitude", "osc_center"])
 def test_validate_range_checks_scenario_extras(tmp_path, capsys, lines):
     cfg = _write(tmp_path, "extras.cfg", f"{lines}\nout = extras_out\n")
     assert main(["validate", cfg]) == 2
@@ -184,15 +194,38 @@ def test_set_overrides_reach_the_manifest(tmp_path):
     assert man["parameters"]["extras"]["impulse_ns"] == 12.5
 
 
-def test_failed_scenario_leaves_a_flagged_manifest(tmp_path, capsys):
+def test_failed_scenario_leaves_a_flagged_manifest(tmp_path, capsys,
+                                                   monkeypatch):
+    # validate() rejects every path the leg cannot reach, so the failure is
+    # raised from inside the run
+    def unreachable(*args, **kwargs):
+        raise cli.testbed.WorkspaceViolation("path reaches radius 1.065 m")
+
+    monkeypatch.setattr(cli.testbed, "simulate_osc", unreachable)
     cfg = _write(tmp_path, "fail.cfg",
                  "scenario = osc\nout = fail_out\nseed = 7\n"
-                 "osc.center_y = 0.9\nosc.duration_s = 1\n")
+                 "osc.duration_s = 1\n")
     assert main(["run", cfg]) == 3
     assert "scenario failed" in capsys.readouterr().err
     man = _read_manifest(tmp_path / "fail_out")
     assert man["status"] == "failed"
     assert "WorkspaceViolation" in man["error"]
+
+
+def test_osc_manifest_counts_each_simulation(tmp_path):
+    cfg = _write(tmp_path, "osc.cfg",
+                 "scenario = osc\nout = osc_out\nosc.duration_s = 0.2\n")
+    assert main(["run", cfg]) == 0
+    counters = _read_manifest(tmp_path / "osc_out")["counters"]
+    assert sorted(counters) == ["osc_cascaded_vlca", "osc_ideal_torque"]
+    metrics = (tmp_path / "osc_out" / "osc_metrics.csv").read_text()
+    for mode, row in zip(("ideal_torque", "cascaded_vlca"),
+                         metrics.splitlines()[1:]):
+        c = counters[f"osc_{mode}"]
+        assert c["control_steps"] == 200
+        assert c["rk4_substeps"] == 200 * cli.testbed.LEG_SUBSTEPS
+        assert c["saturated_steps"] == int(row.split(",")[2])
+        assert c["singularity_damped_steps"] == 0
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):

@@ -434,3 +434,12 @@ def test_trace_csv_layout():
     # channels the scenario never produced serialize as empty cells
     i_q = lines[0].split(",").index("q_out")
     assert first[i_q] == ""
+    # a row holding NaN, -0.0 and a subnormal value, cell by cell
+    tr.f_cmd[2], tr.f_meas[2], tr.x_r[2] = math.nan, -0.0, 5e-324
+    cells = (tr.t[2], tr.f_cmd[2], tr.f_meas[2], tr.f_loadcell[2], tr.i_m[2],
+             tr.x_r[2], tr.q_out[2], tr.temp_c[2])
+    row = tr.to_csv().splitlines()[3]
+    assert row == ",".join("" if math.isnan(c) else f"{float(c):.10g}"
+                           for c in cells)
+    assert row.split(",")[1:3] == ["", "-0"]
+    assert row.split(",")[5] == "4.940656458e-324"

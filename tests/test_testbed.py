@@ -4,8 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vlcasim import simkit
 from vlcasim import testbed as tb
+from vlcasim.vlca import VLCA_ACTUATOR
 
 P = tb.TwoDofParams()
 
@@ -318,3 +321,116 @@ def test_trace_csv_layout():
     assert lines[0] == tb.TESTBED_CSV_HEADER
     assert len(lines) == len(tr.t) + 1
     assert len(lines[1].split(",")) == len(lines[0].split(","))
+    # a row holding NaN, -0.0 and a subnormal value, cell by cell
+    tr.x[3] = (math.nan, -0.0)
+    tr.q[3, 1] = 5e-324
+    cells = [tr.t[3], *tr.x[3], *tr.x_des[3], *tr.q[3], *tr.tau_cmd[3],
+             *tr.tau_applied[3], *tr.i_m[3], *tr.f_k[3]]
+    row = tr.to_csv().splitlines()[4]
+    assert row == ",".join("" if math.isnan(c) else f"{float(c):.10g}"
+                           for c in cells)
+    assert row.split(",")[1:3] == ["", "-0"]
+    assert row.split(",")[6] == "4.940656458e-324"
+
+
+# ---------------------------------------------------------- period map
+
+def _rk4_period(params, cascaded, actuator, profile, external_force,
+                state, u0, u1, t):
+    """One control period as LEG_SUBSTEPS simkit.rk4_step calls on leg
+    rates written from _dyn_scalars and LinkageProfile.arm, with the
+    torques or currents and the hip force held at t."""
+    k_r, b_r = actuator.k_r, actuator.b_r
+    m_m = actuator.j_m * actuator.n_m ** 2 + actuator.m_r
+    b_dt = actuator.b_m * actuator.n_m ** 2
+    n_drive = actuator.drive_constant
+    l1, l2 = params.l1, params.l2
+
+    def rates(_t, y):
+        a, b, wa, wb = y[:4]
+        te0 = te1 = 0.0
+        if external_force is not None:
+            fx, fy = external_force(t)
+            s0, c0 = math.sin(a), math.cos(a)
+            s01, c01 = math.sin(a + b), math.cos(a + b)
+            te0 = (-l1 * s0 - l2 * s01) * fx + (l1 * c0 + l2 * c01) * fy
+            te1 = -l2 * s01 * fx + l2 * c01 * fy
+        if cascaded:
+            x0, v0, ll0, x1, v1, ll1 = y[4:]
+            r0, r1 = profile.arm(a), profile.arm(b)
+            ld0, ld1 = r0 * wa, r1 * wb
+            f0 = k_r * (x0 - ll0) + b_r * (v0 - ld0)
+            f1 = k_r * (x1 - ll1) + b_r * (v1 - ld1)
+            t0, t1 = r0 * f0, r1 * f1
+        else:
+            t0, t1 = u0, u1
+        a11, a12, a22, b1, b2, g1, g2 = tb._dyn_scalars(a, b, wa, wb, params)
+        det = a11 * a22 - a12 * a12
+        r_0 = t0 - b1 - g1 + te0
+        r_1 = t1 - b2 - g2 + te1
+        wd0 = (a22 * r_0 - a12 * r_1) / det
+        wd1 = (a11 * r_1 - a12 * r_0) / det
+        if not cascaded:
+            return wa, wb, wd0, wd1
+        vd0 = (n_drive * u0 - b_dt * v0 - f0) / m_m
+        vd1 = (n_drive * u1 - b_dt * v1 - f1) / m_m
+        return wa, wb, wd0, wd1, v0, vd0, ld0, v1, vd1, ld1
+
+    h = simkit.CONTROL_DT / tb.LEG_SUBSTEPS
+    for _ in range(tb.LEG_SUBSTEPS):
+        state = simkit.rk4_step(rates, t, state, h)
+    return state
+
+
+PROFILES = {"crouch_biased": tb.crouch_biased_profile(),
+            "constant": tb.LinkageProfile.constant(0.05)}
+
+
+@st.composite
+def leg_periods(draw):
+    """A leg state, held inputs, payload, profile and hip force for one
+    control period in either mode."""
+    cascaded = draw(st.booleans())
+    angle, rate = st.floats(-2.4, 2.4), st.floats(-6.0, 6.0)
+    state = (draw(angle), draw(angle), draw(rate), draw(rate))
+    if cascaded:
+        pos, vel = st.floats(-2e-4, 2e-4), st.floats(-0.05, 0.05)
+        for _ in range(2):
+            state += (draw(pos), draw(vel), draw(pos))
+        u = (draw(st.floats(-31.0, 31.0)), draw(st.floats(-31.0, 31.0)))
+    else:
+        u = (draw(st.floats(-300.0, 300.0)), draw(st.floats(-300.0, 300.0)))
+    force = None
+    if draw(st.booleans()):
+        fx, fy = draw(st.floats(-200.0, 200.0)), draw(st.floats(-200.0, 200.0))
+
+        def force(t):
+            return fx * math.cos(3.0 * t), fy
+    return dict(params=replace(P, payload_mass=draw(st.floats(0.0, 30.0))),
+                cascaded=cascaded,
+                profile=PROFILES[draw(st.sampled_from(sorted(PROFILES)))],
+                external_force=force, state=state, u=u,
+                t=draw(st.floats(0.0, 5.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(leg_periods())
+def test_period_map_equals_rk4_step_bit_for_bit(case):
+    args = (case["params"], case["cascaded"], VLCA_ACTUATOR, case["profile"],
+            case["external_force"])
+    got = tb.leg_period_map(*args)(case["state"], *case["u"], case["t"])
+    want = _rk4_period(*args, case["state"], *case["u"], case["t"])
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+def test_period_map_checks_the_range_of_a_constant_profile():
+    # the first stage leaves [-1, 1]: the joint starts 1e-6 rad inside it
+    # and turns outwards at 1 rad/s
+    profile = tb.LinkageProfile.constant(0.05, -1.0, 1.0)
+    advance = tb.leg_period_map(P, True, VLCA_ACTUATOR, profile)
+    state = (1.0 - 1e-6, -0.5, 1.0, 0.0) + (0.0,) * 6
+    with pytest.raises(tb.OutOfRange):
+        advance(state, 0.0, 0.0, 0.0)
+    with pytest.raises(tb.OutOfRange):
+        _rk4_period(P, True, VLCA_ACTUATOR, profile, None, state, 0.0, 0.0,
+                    0.0)
