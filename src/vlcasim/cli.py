@@ -260,7 +260,8 @@ def validate(raw_config: dict) -> list:
         leg = replace(_NAMESPACE_DEFAULTS["testbed"], **ns_overrides["testbed"])
         try:
             _EXTRAS_CHECKS[scenario](extras, leg)
-        except (ValueError, testbed.WorkspaceViolation) as exc:
+        except (ValueError, testbed.WorkspaceViolation,
+                elastomat.AllExcluded) as exc:
             msg = str(exc)
             bad = next((n for n in extras_spec if msg.startswith(n)), None)
             diags.append((f"{scenario}.{bad}" if bad else scenario, msg))
@@ -336,14 +337,17 @@ def _frf_of_tf(tf, omega_lo, omega_hi, per_decade=48):
     return lintf.bode_sweep(tf, omega_lo, omega_hi, per_decade)
 
 
+def _bode_chirp(x: dict):
+    simkit.check_duration(x["chirp_s"], "chirp_s")
+    return simkit.ChirpRef(amplitude=x["chirp_amp_a"], f0_hz=x["f0_hz"],
+                           f1_hz=x["f1_hz"], duration_s=x["chirp_s"])
+
+
 def _scenario_bode(spec: RunSpec, em: _Emitter):
-    x = spec.extras
     plant = force_plant(spec.actuator)
     model = _frf_of_tf(plant, 2.0 * math.pi * 0.05, 2.0 * math.pi * 200.0)
     em.write("plant_model_frf.csv", lintf.frf_to_csv(model))
-    chirp = simkit.ChirpRef(amplitude=x["chirp_amp_a"], f0_hz=x["f0_hz"],
-                            f1_hz=x["f1_hz"], duration_s=x["chirp_s"])
-    trace = simkit.run_plant_chirp(chirp, spec.actuator)
+    trace = simkit.run_plant_chirp(_bode_chirp(spec.extras), spec.actuator)
     emp = simkit.empirical_frequency_response(trace)
     em.write("plant_chirp_frf.csv", lintf.frf_to_csv(emp))
     em.write("bode_magnitude.svg", svgplot.line_chart(
@@ -624,10 +628,7 @@ def _scenario_efficiency(spec: RunSpec, em: _Emitter):
         title="Lift power flow", xlabel="time [s]", ylabel="power [W]"))
 
 
-def _scenario_materials(spec: RunSpec, em: _Emitter):
-    x = spec.extras
-    records = elastomat.builtin_materials()
-    em.write("materials.csv", elastomat.materials_to_csv(records))
+def _material_ranking(x: dict, records):
     weights = {"linearity": x["w_linearity"],
                "compression_set": x["w_compression_set"],
                "creep": x["w_creep"],
@@ -635,7 +636,13 @@ def _scenario_materials(spec: RunSpec, em: _Emitter):
                "cost": x["w_cost"]}
     weights = {k: w for k, w in weights.items() if w > 0.0}
     min_damping = x["min_damping"] if x["min_damping"] >= 0.0 else None
-    result = elastomat.rank_materials(records, weights, min_damping)
+    return elastomat.rank_materials(records, weights, min_damping)
+
+
+def _scenario_materials(spec: RunSpec, em: _Emitter):
+    records = elastomat.builtin_materials()
+    em.write("materials.csv", elastomat.materials_to_csv(records))
+    result = _material_ranking(spec.extras, records)
     rows = ["rank,name,score"]
     for i, (name, score) in enumerate(result.ranked, start=1):
         rows.append(f"{i},{name},{score:.10g}")
@@ -668,12 +675,15 @@ _SCENARIO_FUNCS = {
 # the extras and the leg parameters; validate() runs them so that a config
 # they reject exits 2 instead of failing the run
 _EXTRAS_CHECKS = {
+    "bode": lambda x, leg: _bode_chirp(x),
     "force_tracking": lambda x, leg: _force_reference(x),
     "position_step": lambda x, leg: simkit.check_duration(x["duration_s"]),
     "impact": lambda x, leg: _impact_configs(x),
     "osc": _check_osc,
     "thermal": _check_thermal,
     "efficiency": _check_efficiency,
+    "materials": lambda x, leg: _material_ranking(
+        x, elastomat.builtin_materials()),
 }
 
 

@@ -436,7 +436,8 @@ class TestbedTrace:
     def counters(self) -> dict:
         """Deterministic work counts of the run that produced this trace."""
         steps = len(self.t)
-        return {"control_steps": steps, "rk4_substeps": steps * LEG_SUBSTEPS,
+        return {"control_steps": steps,
+                "rk4_substeps": steps * LEG_SUBSTEPS[self.meta["mode"]],
                 "saturated_steps": self.saturation_count,
                 "singularity_damped_steps": self.singular_count}
 
@@ -486,7 +487,13 @@ def simulate_passive(q_init, qdot_init, duration: float,
 
 DEFAULT_FORCE_GAINS = ControllerGains(q_taud_cutoff=2.0 * math.pi * 60.0)
 
-LEG_SUBSTEPS = 10  # leg RK4 substeps per control period
+# Leg RK4 substeps per control period, per mode: the smallest count whose
+# largest output deviation over the leg_sim benchmark seeds 0-10, against 10
+# and against 20 substeps, stays within half of the tightest relative check
+# on that mode's outputs, with the saturated and averaged step counts exact.
+# Ideal mode, 1e-3 on osc_metrics: 9.4e-10 at 1 substep. Cascaded mode, 1e-6
+# on efficiency_summary: 4.3e-7 at 7 substeps, 8.1e-7 at 6.
+LEG_SUBSTEPS = {"ideal_torque": 1, "cascaded_vlca": 7}
 
 
 def leg_period_map(params: TwoDofParams, cascaded: bool,
@@ -494,8 +501,8 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
                    external_force: Optional[Callable[[float], Sequence[float]]] = None):
     """The leg's advance over one control period, built once per run.
 
-    Returns advance(state, u0, u1, t) -> state: LEG_SUBSTEPS classical RK4
-    substeps of CONTROL_DT / LEG_SUBSTEPS with u held for the period (the
+    Returns advance(state, u0, u1, t) -> state: n = LEG_SUBSTEPS[mode]
+    classical RK4 substeps of CONTROL_DT / n with u held for the period (the
     joint torques [N*m] in ideal mode, the motor currents [A] in cascaded
     mode) and the hip force external_force(t) taken at the period start t.
     The state is (q0, q1, w0, w1), followed in cascaded mode by the screw
@@ -504,11 +511,12 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
 
     The run constants of _dyn_scalars are hoisted in its association order
     and the stages use rk4_step's 0.5*h, h and h/6 products, so one period
-    equals LEG_SUBSTEPS calls of simkit.rk4_step on the same rates bit for
-    bit. A stage angle outside the profile's range raises OutOfRange.
+    equals n calls of simkit.rk4_step on the same rates bit for bit. A
+    stage angle outside the profile's range raises OutOfRange.
     """
     cos, sin = math.cos, math.sin
-    h = simkit.CONTROL_DT / LEG_SUBSTEPS
+    n = LEG_SUBSTEPS["cascaded_vlca" if cascaded else "ideal_torque"]
+    h = simkit.CONTROL_DT / n
     hh, h6 = 0.5 * h, h / 6.0
 
     p = params
@@ -551,7 +559,7 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
         def advance(state, tau0, tau1, t):
             fx, fy = external_force(t) if pushed else (0.0, 0.0)
             a, b, wa, wb = state
-            for _ in range(LEG_SUBSTEPS):
+            for _ in range(n):
                 pa1, pb1 = accel(a, b, wa, wb, tau0, tau1, fx, fy)
                 a2, b2 = a + hh * wa, b + hh * wb
                 wa2, wb2 = wa + hh * pa1, wb + hh * pb1
@@ -596,7 +604,7 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
         fx, fy = external_force(t) if pushed else (0.0, 0.0)
         fi0, fi1 = n_drive * i0, n_drive * i1
         a, b, wa, wb, x0, v0, l0, x1, v1, l1_ = state
-        for _ in range(LEG_SUBSTEPS):
+        for _ in range(n):
             pa1, pb1, va1, vb1, la1, lb1 = rates(
                 a, b, wa, wb, x0, v0, l0, x1, v1, l1_, fi0, fi1, fx, fy)
             a2, b2 = a + hh * wa, b + hh * wb

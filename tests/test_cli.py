@@ -114,9 +114,17 @@ def test_margins_run_at_the_longest_delay_completes(tmp_path):
     "scenario = osc\nosc.payload_kg = -3",
     "scenario = osc\nosc.amplitude_m = 0.5",
     "scenario = osc\nosc.center_y = 0.9\nosc.duration_s = 1",
+    "scenario = bode\nbode.chirp_s = -1",
+    "scenario = bode\nbode.f0_hz = -1",
+    "scenario = materials\n" + "\n".join(
+        f"materials.w_{c} = 0"
+        for c in ("linearity", "compression_set", "creep", "damping", "cost")),
+    "scenario = materials\nmaterials.min_damping = 1e9",
 ], ids=["impact", "force_tracking", "position_step", "osc", "thermal_burst",
         "thermal_hold", "efficiency_duration", "efficiency_payload",
-        "efficiency_lift", "osc_payload", "osc_amplitude", "osc_center"])
+        "efficiency_lift", "osc_payload", "osc_amplitude", "osc_center",
+        "bode_chirp", "bode_f0", "materials_weights",
+        "materials_min_damping"])
 def test_validate_range_checks_scenario_extras(tmp_path, capsys, lines):
     cfg = _write(tmp_path, "extras.cfg", f"{lines}\nout = extras_out\n")
     assert main(["validate", cfg]) == 2
@@ -223,7 +231,7 @@ def test_osc_manifest_counts_each_simulation(tmp_path):
                          metrics.splitlines()[1:]):
         c = counters[f"osc_{mode}"]
         assert c["control_steps"] == 200
-        assert c["rk4_substeps"] == 200 * cli.testbed.LEG_SUBSTEPS
+        assert c["rk4_substeps"] == 200 * cli.testbed.LEG_SUBSTEPS[mode]
         assert c["saturated_steps"] == int(row.split(",")[2])
         assert c["singularity_damped_steps"] == 0
 

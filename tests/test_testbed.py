@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vlcasim import simkit
+from vlcasim import powertherm, simkit
 from vlcasim import testbed as tb
 from vlcasim.vlca import VLCA_ACTUATOR
 
@@ -337,8 +337,8 @@ def test_trace_csv_layout():
 
 def _rk4_period(params, cascaded, actuator, profile, external_force,
                 state, u0, u1, t):
-    """One control period as LEG_SUBSTEPS simkit.rk4_step calls on leg
-    rates written from _dyn_scalars and LinkageProfile.arm, with the
+    """One control period as LEG_SUBSTEPS[mode] simkit.rk4_step calls on
+    leg rates written from _dyn_scalars and LinkageProfile.arm, with the
     torques or currents and the hip force held at t."""
     k_r, b_r = actuator.k_r, actuator.b_r
     m_m = actuator.j_m * actuator.n_m ** 2 + actuator.m_r
@@ -376,8 +376,9 @@ def _rk4_period(params, cascaded, actuator, profile, external_force,
         vd1 = (n_drive * u1 - b_dt * v1 - f1) / m_m
         return wa, wb, wd0, wd1, v0, vd0, ld0, v1, vd1, ld1
 
-    h = simkit.CONTROL_DT / tb.LEG_SUBSTEPS
-    for _ in range(tb.LEG_SUBSTEPS):
+    n = tb.LEG_SUBSTEPS["cascaded_vlca" if cascaded else "ideal_torque"]
+    h = simkit.CONTROL_DT / n
+    for _ in range(n):
         state = simkit.rk4_step(rates, t, state, h)
     return state
 
@@ -434,3 +435,39 @@ def test_period_map_checks_the_range_of_a_constant_profile():
     with pytest.raises(tb.OutOfRange):
         _rk4_period(P, True, VLCA_ACTUATOR, profile, None, state, 0.0, 0.0,
                     0.0)
+
+
+# --------------------------------------------------------- step budget
+
+def test_leg_substeps_meet_error_budget(monkeypatch):
+    """The rule stated at LEG_SUBSTEPS, on short runs near the paper's
+    operating points: against 10 and 20 substeps, each mode's count keeps
+    the tracking error within half of its 1e-3 check and the efficiency
+    averages within half of their 1e-6 check, moves no joint angle by more
+    than 1e-8 rad, and leaves the saturated and averaged step counts
+    exact."""
+    sine = tb.SineTrajectory(center=(0.18, 0.45), amplitude=(0.0, 0.16),
+                             freq_hz=2.0, phase_rad=1.2)
+    lift = tb.BSplineTrajectory.vertical_lift((0.18, 0.30), 0.3, 0.4)
+    chosen = dict(tb.LEG_SUBSTEPS)
+    for mode, traj, payload_kg, duration in (
+            ("ideal_torque", sine, 10.0, 0.4),
+            ("cascaded_vlca", sine, 10.0, 0.4),
+            ("cascaded_vlca", lift, 32.5, 0.5)):
+        def run(substeps):
+            monkeypatch.setitem(tb.LEG_SUBSTEPS, mode, substeps)
+            return tb.simulate_osc(traj, payload_kg, mode, duration)
+
+        got = run(chosen[mode])
+        for ref in (run(10), run(20)):
+            assert np.max(np.abs(got.q - ref.q)) <= 1e-8
+            assert got.max_tracking_error() == pytest.approx(
+                ref.max_tracking_error(), rel=5e-4, abs=0.0)
+            assert got.saturation_count == ref.saturation_count
+            if traj is lift:
+                a, b = powertherm.power_flow(got), powertherm.power_flow(ref)
+                assert a.n_averaged == b.n_averaged
+                for name in ("drivetrain_efficiency_avg",
+                             "electrical_efficiency_avg"):
+                    assert getattr(a, name) == pytest.approx(
+                        getattr(b, name), rel=5e-7, abs=0.0)
