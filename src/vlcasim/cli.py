@@ -3,9 +3,16 @@
 Config files are flat `key = value` lines ('#' comments allowed). The
 `scenario` key picks the experiment; dotted keys override any actuator,
 controller-gain, leg, or thermal-model field plus a small set of
-per-scenario knobs. Every run finishes by writing manifest.json listing
-the emitted files, the resolved parameters, and the config digest; a
-failed run still writes the manifest, flagged failed.
+per-scenario knobs.
+
+Each scenario is a (prepare, execute) pair. One walk over the config
+(`_resolve`) type- and range-checks every key, then runs the scenario's
+prepare step, which builds and checks its inputs before its simulations
+start and leaves them on the RunSpec. `validate` reports what that walk
+rejects; `run` hands the prepared spec to execute, which simulates and
+writes. Every run finishes by writing manifest.json listing the emitted
+files, the resolved parameters, and the config digest; a failed run
+still writes the manifest, flagged failed.
 """
 
 from __future__ import annotations
@@ -47,19 +54,15 @@ SCENARIOS = ("bode", "margins", "force_tracking", "position_step", "impact",
 
 _KIND_BY_NAME = {k.value: k for k in ControllerKind}
 
-# dotted-key namespaces backed by module dataclasses
+# dotted-key namespaces and the instance their overrides replace; the
+# thermal network comes from calibration in the thermal prepare step, so
+# its overrides are first range-checked against a nominal stand-in
 _NAMESPACES = {
-    "actuator": ActuatorParams,
-    "gains": ControllerGains,
-    "testbed": testbed.TwoDofParams,
-    "thermal": powertherm.ThermalParams,
-}
-
-_NAMESPACE_DEFAULTS = {
     "actuator": VLCA_ACTUATOR,
     "gains": ControllerGains(),
     "testbed": testbed.TwoDofParams(),
-    "thermal": None,  # base comes from calibration at run time
+    "thermal": powertherm.ThermalParams(
+        c_winding=0.2, c_housing=4.0, r_wh=0.036, r_ha_on=3.54, r_ha_off=46.0),
 }
 
 # per-scenario extra knobs: name -> (default, kind) where kind is
@@ -170,15 +173,14 @@ class RunSpec:
     extras: dict
     explicit_keys: frozenset
     digest: str
+    inputs: object = None  # what the scenario's prepare step built
 
 
-def _field_map(cls):
-    return {f.name.lower(): f.name for f in fields(cls)}
-
-
-def validate(raw_config: dict) -> list:
-    """Diagnostics (key path, message) that run() would reject; empty
-    means the config is runnable."""
+def _resolve(raw_config: dict):
+    """The one walk from a raw config to a runnable spec: (diagnostics,
+    RunSpec or None). Keys are type-checked, the namespaces range-checked
+    through their dataclasses, and then the scenario's prepare step runs
+    once; its result is the spec's `inputs`."""
     diags = []
     if "scenario" not in raw_config:
         diags.append(("scenario", "missing required key `scenario`"))
@@ -191,9 +193,10 @@ def validate(raw_config: dict) -> list:
                           f"{', '.join(SCENARIOS)}"))
             scenario = None
 
-    ns_overrides = {ns: {} for ns in _NAMESPACES}
+    overrides = {ns: {} for ns in _NAMESPACES}
     extras_spec = _EXTRAS.get(scenario, {})
     extras = {name: default for name, (default, _) in extras_spec.items()}
+    explicit = set()
     for key, raw_val in raw_config.items():
         if key in _GLOBAL_KEYS:
             if key == "seed":
@@ -205,8 +208,8 @@ def validate(raw_config: dict) -> list:
             continue
         prefix, _, leaf = key.partition(".")
         value = _coerce(str(raw_val))
-        if scenario is not None and prefix == scenario and leaf in extras_spec:
-            default, kind = extras_spec[leaf]
+        if prefix == scenario and leaf in extras_spec:
+            kind = extras_spec[leaf][1]
             if kind == "float" and not isinstance(value, (int, float)):
                 diags.append((key, "expected a number"))
             elif kind == "float" and not math.isfinite(value):
@@ -218,97 +221,73 @@ def validate(raw_config: dict) -> list:
             elif isinstance(kind, tuple) and value not in kind:
                 diags.append((key, f"expected one of {', '.join(kind)}"))
             extras[leaf] = value
-            continue
-        if prefix in _NAMESPACES:
-            fmap = _field_map(_NAMESPACES[prefix])
-            name = fmap.get(leaf.lower())
-            if name is None:
-                diags.append((key, "unknown key"))
-                continue
-            if value is not None and not isinstance(value, (int, float)):
-                diags.append((key, "expected a number"))
-                continue
-            if value is not None and not math.isfinite(value):
-                diags.append((key, "expected a finite number"))
-                continue
-            ns_overrides[prefix][name] = value
-            continue
-        diags.append((key, "unknown key"))
-
-    # range checks through the dataclass invariants
-    for ns, overrides in ns_overrides.items():
-        if not overrides:
-            continue
-        base = _NAMESPACE_DEFAULTS[ns]
-        try:
-            if base is None:  # thermal: no default instance; probe a stand-in
-                probe = {f.name: getattr(_NOMINAL_THERMAL, f.name)
-                         for f in fields(powertherm.ThermalParams)}
-                probe.update(overrides)
-                powertherm.ThermalParams(**probe)
-            else:
-                replace(base, **overrides)
-        except (ValueError, TypeError) as exc:
-            msg = str(exc)
-            bad = next((n for n in overrides if msg.startswith(n)), None)
-            key = f"{ns}.{bad}" if bad else ns
-            diags.append((key, msg))
-
-    # range checks through the scenario's own input builders, once every
-    # value has the right type
-    if not diags and scenario in _EXTRAS_CHECKS:
-        leg = replace(_NAMESPACE_DEFAULTS["testbed"], **ns_overrides["testbed"])
-        try:
-            _EXTRAS_CHECKS[scenario](extras, leg)
-        except (ValueError, testbed.WorkspaceViolation,
-                elastomat.AllExcluded) as exc:
-            msg = str(exc)
-            bad = next((n for n in extras_spec if msg.startswith(n)), None)
-            diags.append((f"{scenario}.{bad}" if bad else scenario, msg))
-    return diags
-
-
-# stand-in used only to range-check thermal overrides before calibration
-_NOMINAL_THERMAL = powertherm.ThermalParams(
-    c_winding=0.2, c_housing=4.0, r_wh=0.036, r_ha_on=3.54, r_ha_off=46.0)
-
-
-def build_run_spec(raw_config: dict) -> RunSpec:
-    diags = validate(raw_config)
-    if diags:
-        raise ConfigInvalid(diags)
-    scenario = str(raw_config["scenario"])
-    extras = {name: default for name, (default, _) in _EXTRAS[scenario].items()}
-    ns_values = {ns: {} for ns in _NAMESPACES}
-    explicit = set()
-    for key, raw_val in raw_config.items():
-        if key in _GLOBAL_KEYS:
-            continue
-        prefix, _, leaf = key.partition(".")
-        value = _coerce(str(raw_val))
-        if prefix == scenario and leaf in _EXTRAS[scenario]:
-            extras[leaf] = value
             explicit.add(key)
             continue
-        fmap = _field_map(_NAMESPACES[prefix])
-        ns_values[prefix][fmap[leaf.lower()]] = value
-        explicit.add(f"{prefix}.{fmap[leaf.lower()]}")
+        name = None
+        if prefix in _NAMESPACES:
+            name = {f.name.lower(): f.name
+                    for f in fields(_NAMESPACES[prefix])}.get(leaf.lower())
+        if name is None:
+            diags.append((key, "unknown key"))
+        elif value is not None and not isinstance(value, (int, float)):
+            diags.append((key, "expected a number"))
+        elif value is not None and not math.isfinite(value):
+            diags.append((key, "expected a finite number"))
+        else:
+            overrides[prefix][name] = value
+            explicit.add(f"{prefix}.{name}")
 
-    digest = hashlib.sha256(
-        "\n".join(f"{k}={raw_config[k]}" for k in sorted(raw_config))
-        .encode()).hexdigest()
-    return RunSpec(
+    # range checks through the dataclass invariants
+    resolved = {}
+    for ns, base in _NAMESPACES.items():
+        try:
+            resolved[ns] = replace(base, **overrides[ns])
+        except (ValueError, TypeError) as exc:
+            msg = str(exc)
+            bad = next((n for n in overrides[ns] if msg.startswith(n)), None)
+            diags.append((f"{ns}.{bad}" if bad else ns, msg))
+    if diags:
+        return diags, None
+
+    spec = RunSpec(
         scenario=scenario,
         out=str(raw_config.get("out", f"out_{scenario}")),
         seed=int(_coerce(str(raw_config.get("seed", 0)))),
-        actuator=replace(VLCA_ACTUATOR, **ns_values["actuator"]),
-        gains=replace(ControllerGains(), **ns_values["gains"]),
-        leg=replace(testbed.TwoDofParams(), **ns_values["testbed"]),
-        thermal_overrides=ns_values["thermal"],
+        actuator=resolved["actuator"],
+        gains=resolved["gains"],
+        leg=resolved["testbed"],
+        thermal_overrides=overrides["thermal"],
         extras=extras,
         explicit_keys=frozenset(explicit),
-        digest=digest,
+        digest=hashlib.sha256(
+            "\n".join(f"{k}={raw_config[k]}" for k in sorted(raw_config))
+            .encode()).hexdigest(),
     )
+    # range checks through the scenario's own input builders
+    prepare, _ = _SCENARIO_FUNCS[scenario]
+    try:
+        spec.inputs = prepare(spec)
+    except (ValueError, testbed.WorkspaceViolation, elastomat.AllExcluded,
+            powertherm.CalibrationInfeasible) as exc:
+        msg = str(exc)
+        bad = next((n for n in extras_spec if msg.startswith(n)), None)
+        return [(f"{scenario}.{bad}" if bad else scenario, msg)], None
+    return [], spec
+
+
+def validate(raw_config: dict) -> list:
+    """Diagnostics (key path, message) that run() would reject; empty
+    means the config is runnable."""
+    return _resolve(raw_config)[0]
+
+
+def build_run_spec(raw_config: dict) -> RunSpec:
+    """The checked spec with its scenario inputs prepared; raises
+    ConfigInvalid carrying validate()'s diagnostics."""
+    diags, spec = _resolve(raw_config)
+    if diags:
+        raise ConfigInvalid(diags)
+    return spec
 
 
 def _resolve_outdir(spec_out: str) -> str:
@@ -333,11 +312,14 @@ class _Emitter:
         self.files.append(name)
 
 
-def _frf_of_tf(tf, omega_lo, omega_hi, per_decade=48):
-    return lintf.bode_sweep(tf, omega_lo, omega_hi, per_decade)
+# Each scenario is a (prepare, execute) pair. prepare(spec) builds and
+# checks the scenario's inputs before its simulations start; it raises
+# ValueError, WorkspaceViolation, AllExcluded or CalibrationInfeasible for
+# a config it cannot run, which validate() reports. execute(spec, em) runs
+# the scenario on spec.inputs and writes its files.
 
-
-def _bode_chirp(x: dict):
+def _bode_chirp(spec: RunSpec):
+    x = spec.extras
     simkit.check_duration(x["chirp_s"], "chirp_s")
     return simkit.ChirpRef(amplitude=x["chirp_amp_a"], f0_hz=x["f0_hz"],
                            f1_hz=x["f1_hz"], duration_s=x["chirp_s"])
@@ -345,9 +327,10 @@ def _bode_chirp(x: dict):
 
 def _scenario_bode(spec: RunSpec, em: _Emitter):
     plant = force_plant(spec.actuator)
-    model = _frf_of_tf(plant, 2.0 * math.pi * 0.05, 2.0 * math.pi * 200.0)
+    model = lintf.bode_sweep(plant, 2.0 * math.pi * 0.05,
+                             2.0 * math.pi * 200.0, 48)
     em.write("plant_model_frf.csv", lintf.frf_to_csv(model))
-    trace = simkit.run_plant_chirp(_bode_chirp(spec.extras), spec.actuator)
+    trace = simkit.run_plant_chirp(spec.inputs, spec.actuator)
     emp = simkit.empirical_frequency_response(trace)
     em.write("plant_chirp_frf.csv", lintf.frf_to_csv(emp))
     em.write("bode_magnitude.svg", svgplot.line_chart(
@@ -403,32 +386,35 @@ def _scenario_margins(spec: RunSpec, em: _Emitter):
         em.write("margin_calibration.csv", "\n".join(lines) + "\n")
 
 
-def _force_reference(x: dict):
-    simkit.check_duration(x["duration_s"])
-    full_scale = x["amplitude_nm"] / DEFAULT_MOMENT_ARM
-    ref_name = x["reference"]
-    if ref_name == "ramp":
-        return simkit.RampRef(start_level=1.0 / DEFAULT_MOMENT_ARM,
-                              end_level=full_scale, start_time=0.05,
-                              ramp_time=0.1)
-    if ref_name == "step":
-        return simkit.StepRef(level=full_scale, start_time=0.05)
-    if ref_name == "sine":
-        return simkit.SineRef(amplitude=full_scale, freq_hz=x["freq_hz"])
-    return simkit.ChirpRef(amplitude=full_scale, f0_hz=0.5,
-                           f1_hz=min(x["freq_hz"] * 40.0, 200.0),
-                           duration_s=max(x["duration_s"] - 0.5, 0.5))
-
-
-def _scenario_force_tracking(spec: RunSpec, em: _Emitter):
+def _force_inputs(spec: RunSpec):
     x = spec.extras
+    simkit.check_duration(x["duration_s"])
     gains = spec.gains
     if "gains.q_taud_cutoff" not in spec.explicit_keys:
         # experiments run the observer filter at 60 Hz
         gains = replace(gains, q_taud_cutoff=2.0 * math.pi * 60.0)
-    kind = _KIND_BY_NAME[x["kind"]]
-    trace = simkit.run_force_tracking(kind, gains, _force_reference(x),
-                                      x["duration_s"], params=spec.actuator)
+    full_scale = x["amplitude_nm"] / DEFAULT_MOMENT_ARM
+    ref_name = x["reference"]
+    if ref_name == "ramp":
+        ref = simkit.RampRef(start_level=1.0 / DEFAULT_MOMENT_ARM,
+                             end_level=full_scale, start_time=0.05,
+                             ramp_time=0.1)
+    elif ref_name == "step":
+        ref = simkit.StepRef(level=full_scale, start_time=0.05)
+    elif ref_name == "sine":
+        ref = simkit.SineRef(amplitude=full_scale, freq_hz=x["freq_hz"])
+    else:
+        ref = simkit.ChirpRef(amplitude=full_scale, f0_hz=0.5,
+                              f1_hz=min(x["freq_hz"] * 40.0, 200.0),
+                              duration_s=max(x["duration_s"] - 0.5, 0.5))
+    return _KIND_BY_NAME[x["kind"]], gains, ref
+
+
+def _scenario_force_tracking(spec: RunSpec, em: _Emitter):
+    x = spec.extras
+    kind, gains, ref = spec.inputs
+    trace = simkit.run_force_tracking(kind, gains, ref, x["duration_s"],
+                                      params=spec.actuator)
     em.write("force_tracking.csv", trace.to_csv())
     em.write("force_tracking.svg", svgplot.line_chart(
         [("commanded", trace.t, trace.f_cmd),
@@ -457,7 +443,8 @@ def _scenario_position_step(spec: RunSpec, em: _Emitter):
         xlabel="time [s]", ylabel="joint angle [rad]"))
 
 
-def _impact_configs(x: dict) -> list:
+def _impact_configs(spec: RunSpec) -> list:
+    x = spec.extras
     return [simkit.ImpactConfig(grounding=grounding, impulse_ns=x["impulse_ns"],
                                 pulse_width_s=x["pulse_width_s"])
             for grounding in ("rigid", "viscoelastic")]
@@ -466,7 +453,7 @@ def _impact_configs(x: dict) -> list:
 def _scenario_impact(spec: RunSpec, em: _Emitter):
     peaks = ["grounding,peak_loadcell_n,peak_deflection_m"]
     curves = []
-    for cfg in _impact_configs(spec.extras):
+    for cfg in spec.inputs:
         trace = simkit.run_impact(cfg, spec.actuator)
         em.write(f"impact_{cfg.grounding}.csv", trace.to_csv())
         peaks.append(f"{cfg.grounding},{np.max(np.abs(trace.f_loadcell)):.10g},"
@@ -492,36 +479,30 @@ def _parse_knots(text: str):
     return pts
 
 
-def _osc_trajectory(x: dict):
+def _osc_trajectory(spec: RunSpec):
+    x = spec.extras
     if x["trajectory"] == "bspline":
-        pts = _parse_knots(x["knots"])
-        if not pts:
-            # rest-to-rest hop of amplitude_m above the center point
-            pts = _parse_knots(f"{x['center_x']},{x['center_y']};"
-                               f"{x['center_x']},{x['center_y']};"
-                               f"{x['center_x']},{x['center_y'] + x['amplitude_m']};"
-                               f"{x['center_x']},{x['center_y']};"
-                               f"{x['center_x']},{x['center_y']}")
-        return testbed.BSplineTrajectory(pts, x["duration_s"])
-    return testbed.SineTrajectory(center=(x["center_x"], x["center_y"]),
-                                  amplitude=(0.0, x["amplitude_m"]),
-                                  freq_hz=x["freq_hz"],
-                                  phase_rad=x["phase_rad"])
-
-
-def _check_osc(x: dict, leg: testbed.TwoDofParams):
-    testbed.osc_run_inputs(_osc_trajectory(x), x["payload_kg"],
-                           x["duration_s"], leg)
+        # default: rest-to-rest hop of amplitude_m above the center point
+        c = (x["center_x"], x["center_y"])
+        top = (x["center_x"], x["center_y"] + x["amplitude_m"])
+        pts = _parse_knots(x["knots"]) or [c, c, top, c, c]
+        traj = testbed.BSplineTrajectory(pts, x["duration_s"])
+    else:
+        traj = testbed.SineTrajectory(center=(x["center_x"], x["center_y"]),
+                                      amplitude=(0.0, x["amplitude_m"]),
+                                      freq_hz=x["freq_hz"],
+                                      phase_rad=x["phase_rad"])
+    testbed.osc_run_inputs(traj, x["payload_kg"], x["duration_s"], spec.leg)
+    return traj
 
 
 def _scenario_osc(spec: RunSpec, em: _Emitter):
     x = spec.extras
-    traj = _osc_trajectory(x)
     metrics = ["mode,max_error_m,saturated_steps"]
     err_curves = []
     y_curves = []
     for mode in ("ideal_torque", "cascaded_vlca"):
-        trace = testbed.simulate_osc(traj, x["payload_kg"], mode,
+        trace = testbed.simulate_osc(spec.inputs, x["payload_kg"], mode,
                                      x["duration_s"], params=spec.leg,
                                      actuator=spec.actuator)
         em.counters[f"osc_{mode}"] = trace.counters()
@@ -540,17 +521,17 @@ def _scenario_osc(spec: RunSpec, em: _Emitter):
         y_curves, title="Hip height", xlabel="time [s]", ylabel="y [m]"))
 
 
-def _check_thermal(x: dict, leg: testbed.TwoDofParams):
+def _thermal_params(spec: RunSpec):
+    # the overrides are checked against the calibrated network itself
     for name in ("burst_duration_s", "hold_duration_s"):
-        simkit.check_duration(x[name], name)
+        simkit.check_duration(spec.extras[name], name)
+    report = powertherm.calibrate_thermal(spec.actuator)
+    return report, replace(report.params, **spec.thermal_overrides)
 
 
 def _scenario_thermal(spec: RunSpec, em: _Emitter):
     x = spec.extras
-    report = powertherm.calibrate_thermal(spec.actuator)
-    params = report.params
-    if spec.thermal_overrides:
-        params = replace(params, **spec.thermal_overrides)
+    report, params = spec.inputs
     rows = ["name,value"]
     for f in fields(powertherm.ThermalParams):
         rows.append(f"{f.name},{getattr(params, f.name):.10g}")
@@ -596,19 +577,18 @@ _LIFT_START = (0.18, 0.30)  # hip position the lift starts from [m]
 _LIFT_HOLD_S = 0.5  # simulated hold at the top of the lift [s]
 
 
-def _lift_trajectory(x: dict):
-    return testbed.BSplineTrajectory.vertical_lift(_LIFT_START, x["lift_m"],
+def _lift_trajectory(spec: RunSpec):
+    x = spec.extras
+    traj = testbed.BSplineTrajectory.vertical_lift(_LIFT_START, x["lift_m"],
                                                    x["duration_s"])
-
-
-def _check_efficiency(x: dict, leg: testbed.TwoDofParams):
-    testbed.osc_run_inputs(_lift_trajectory(x), x["payload_kg"],
-                           x["duration_s"] + _LIFT_HOLD_S, leg)
+    testbed.osc_run_inputs(traj, x["payload_kg"],
+                           x["duration_s"] + _LIFT_HOLD_S, spec.leg)
+    return traj
 
 
 def _scenario_efficiency(spec: RunSpec, em: _Emitter):
     x = spec.extras
-    trace = testbed.simulate_osc(_lift_trajectory(x), x["payload_kg"],
+    trace = testbed.simulate_osc(spec.inputs, x["payload_kg"],
                                  "cascaded_vlca", x["duration_s"] + _LIFT_HOLD_S,
                                  params=spec.leg, actuator=spec.actuator)
     em.counters["efficiency_lift"] = trace.counters()
@@ -628,7 +608,8 @@ def _scenario_efficiency(spec: RunSpec, em: _Emitter):
         title="Lift power flow", xlabel="time [s]", ylabel="power [W]"))
 
 
-def _material_ranking(x: dict, records):
+def _material_ranking(spec: RunSpec):
+    x = spec.extras
     weights = {"linearity": x["w_linearity"],
                "compression_set": x["w_compression_set"],
                "creep": x["w_creep"],
@@ -636,13 +617,13 @@ def _material_ranking(x: dict, records):
                "cost": x["w_cost"]}
     weights = {k: w for k, w in weights.items() if w > 0.0}
     min_damping = x["min_damping"] if x["min_damping"] >= 0.0 else None
-    return elastomat.rank_materials(records, weights, min_damping)
+    records = elastomat.builtin_materials()
+    return records, elastomat.rank_materials(records, weights, min_damping)
 
 
 def _scenario_materials(spec: RunSpec, em: _Emitter):
-    records = elastomat.builtin_materials()
+    records, result = spec.inputs
     em.write("materials.csv", elastomat.materials_to_csv(records))
-    result = _material_ranking(spec.extras, records)
     rows = ["rank,name,score"]
     for i, (name, score) in enumerate(result.ranked, start=1):
         rows.append(f"{i},{name},{score:.10g}")
@@ -659,31 +640,16 @@ def _scenario_materials(spec: RunSpec, em: _Emitter):
 
 
 _SCENARIO_FUNCS = {
-    "bode": _scenario_bode,
-    "margins": _scenario_margins,
-    "force_tracking": _scenario_force_tracking,
-    "position_step": _scenario_position_step,
-    "impact": _scenario_impact,
-    "osc": _scenario_osc,
-    "thermal": _scenario_thermal,
-    "efficiency": _scenario_efficiency,
-    "materials": _scenario_materials,
-}
-
-
-# builders of the scenario inputs that range-check the extras, called with
-# the extras and the leg parameters; validate() runs them so that a config
-# they reject exits 2 instead of failing the run
-_EXTRAS_CHECKS = {
-    "bode": lambda x, leg: _bode_chirp(x),
-    "force_tracking": lambda x, leg: _force_reference(x),
-    "position_step": lambda x, leg: simkit.check_duration(x["duration_s"]),
-    "impact": lambda x, leg: _impact_configs(x),
-    "osc": _check_osc,
-    "thermal": _check_thermal,
-    "efficiency": _check_efficiency,
-    "materials": lambda x, leg: _material_ranking(
-        x, elastomat.builtin_materials()),
+    "bode": (_bode_chirp, _scenario_bode),
+    "margins": (lambda spec: None, _scenario_margins),
+    "force_tracking": (_force_inputs, _scenario_force_tracking),
+    "position_step": (lambda spec: simkit.check_duration(
+        spec.extras["duration_s"]), _scenario_position_step),
+    "impact": (_impact_configs, _scenario_impact),
+    "osc": (_osc_trajectory, _scenario_osc),
+    "thermal": (_thermal_params, _scenario_thermal),
+    "efficiency": (_lift_trajectory, _scenario_efficiency),
+    "materials": (_material_ranking, _scenario_materials),
 }
 
 
@@ -726,20 +692,18 @@ def run(raw_config: dict) -> RunManifest:
     manifest = RunManifest(version=__version__, scenario=spec.scenario,
                            config_digest=spec.digest,
                            parameters=_resolved_parameters(spec),
-                           files=[], status="ok", output_dir=outdir,
+                           files=[], status="failed", output_dir=outdir,
                            counters=em.counters)
     try:
-        _SCENARIO_FUNCS[spec.scenario](spec, em)
+        _SCENARIO_FUNCS[spec.scenario][1](spec, em)
+        manifest.status = "ok"
     except Exception as exc:
-        manifest.status = "failed"
         manifest.error = f"{type(exc).__name__}: {exc}"
+        raise ScenarioFailed(manifest.error) from exc
+    finally:
         manifest.files = sorted(em.files)
         with open(os.path.join(outdir, "manifest.json"), "w") as fh:
             fh.write(manifest.to_json())
-        raise ScenarioFailed(manifest.error) from exc
-    manifest.files = sorted(em.files)
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        fh.write(manifest.to_json())
     return manifest
 
 

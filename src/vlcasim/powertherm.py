@@ -376,7 +376,13 @@ def power_flow(trace, actuator: ActuatorParams = VLCA_ACTUATOR,
                min_motor_w: float = 1.0) -> PowerSummary:
     """Efficiency bookkeeping over the samples where the joints do
     positive work and the shafts deliver more than min_motor_w; trace
-    must come from a cascaded leg simulation."""
+    must come from a cascaded leg simulation.
+
+    The averages are means of per-sample power ratios, not ratios of
+    energies, so they can exceed 1: spring energy released at the joints
+    counts against small shaft powers. A 0.6 s lift of the default 23 kg
+    reads a drivetrain efficiency of 1.238, the default 1.5 s lift 0.887.
+    """
     p_joint, p_motor, p_in = power_series(trace, actuator, r_elec_ohm)
     samples = tuple(PowerSample(float(trace.t[k]), float(p_in[k]),
                                 float(p_motor[k]), float(p_joint[k]))

@@ -216,30 +216,6 @@ def crouch_biased_profile() -> LinkageProfile:
     )
 
 
-@dataclass(frozen=True)
-class LinkageMap:
-    """Screw-to-joint transmission at one joint angle."""
-
-    moment_arm: float  # [m]
-
-    def force_to_torque(self, screw_force_n: float) -> float:
-        return self.moment_arm * screw_force_n
-
-    def joint_to_screw_speed(self, joint_rate: float) -> float:
-        return self.moment_arm * joint_rate
-
-
-def linkage_map(q: float, joint_index: int = 0,
-                profile: Optional[LinkageProfile] = None) -> LinkageMap:
-    """Moment-arm map for one joint's screw at the given angle. Both
-    joints of the bench share the profile geometry."""
-    if joint_index not in (0, 1):
-        raise ValueError("joint_index must be 0 or 1")
-    if profile is None:
-        profile = LinkageProfile.constant(DEFAULT_MOMENT_ARM)
-    return LinkageMap(moment_arm=profile.arm(q))
-
-
 # ------------------------------------------------------------- control
 
 @dataclass(frozen=True)

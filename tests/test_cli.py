@@ -133,6 +133,41 @@ def test_validate_range_checks_scenario_extras(tmp_path, capsys, lines):
     assert not (tmp_path / "extras_out").exists()
 
 
+def test_every_scenario_has_one_prepare_and_execute_pair():
+    assert set(cli._SCENARIO_FUNCS) == set(cli.SCENARIOS) == set(cli._EXTRAS)
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_validate_accepts_each_default_scenario(scenario):
+    assert cli.validate({"scenario": scenario}) == []
+
+
+def test_a_prepare_step_that_raises_is_a_config_error(tmp_path, capsys,
+                                                      monkeypatch):
+    def reject(spec):
+        raise ValueError("impulse_ns out of range")
+
+    _, execute = cli._SCENARIO_FUNCS["impact"]
+    monkeypatch.setitem(cli._SCENARIO_FUNCS, "impact", (reject, execute))
+    cfg = _write(tmp_path, "imp.cfg", "scenario = impact\nout = imp_out\n")
+    assert main(["validate", cfg]) == 2
+    assert "impact.impulse_ns" in capsys.readouterr().out
+    assert main(["run", cfg]) == 2
+    assert not (tmp_path / "imp_out").exists()
+
+
+def test_thermal_overrides_are_checked_against_the_calibration(tmp_path,
+                                                               capsys):
+    # the calibrated r_ha_off (45.65 K/W) sits below the nominal stand-in's
+    # 46 K/W, so only the calibrated network rejects this override
+    cfg = _write(tmp_path, "th.cfg", "scenario = thermal\nout = th_out\n"
+                                     "thermal.r_ha_on = 45.8\n")
+    assert main(["validate", cfg]) == 2
+    assert "r_ha_on <= r_ha_off" in capsys.readouterr().out
+    assert main(["run", cfg]) == 2
+    assert not (tmp_path / "th_out").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -164,6 +199,19 @@ def test_materials_run_emits_ranked_table(tmp_path, capsys):
     assert lines[0].startswith("rank,")
     assert lines[1].split(",")[1] == "Polyurethane 90A"
     assert any(n.endswith(".svg") for n in listed)
+
+
+def test_materials_run_ranks_once(tmp_path, monkeypatch):
+    calls = []
+    rank = cli.elastomat.rank_materials
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(cli.elastomat, "rank_materials", counted)
+    cli.run({"scenario": "materials", "out": "mat_out"})
+    assert len(calls) == 1
 
 
 def test_margin_run_matches_the_analytic_table(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vlcasim import powertherm, simkit
 from vlcasim import testbed as tb
-from vlcasim.vlca import VLCA_ACTUATOR
+from vlcasim.vlca import DEFAULT_MOMENT_ARM, VLCA_ACTUATOR
 
 P = tb.TwoDofParams()
 
@@ -147,21 +147,9 @@ def test_inverse_kinematics_round_trip():
 # ------------------------------------------------------------------ linkage
 
 def test_linkage_rated_point():
-    lm = tb.linkage_map(0.0)
-    assert lm.force_to_torque(5900.0) == 270.0
-    assert 91.0 / lm.moment_arm == pytest.approx(1988.5, abs=1.0)
-
-
-def test_linkage_is_power_preserving():
-    rng = np.random.default_rng(21)
-    prof = tb.crouch_biased_profile()
-    lo, hi = prof.angles_rad[0], prof.angles_rad[-1]
-    for _ in range(200):
-        m = tb.linkage_map(float(rng.uniform(lo, hi)), 1, prof)
-        f = float(rng.uniform(-5e3, 5e3))
-        w = float(rng.uniform(-3.0, 3.0))
-        assert m.force_to_torque(f) * w == pytest.approx(
-            f * m.joint_to_screw_speed(w), rel=1e-12, abs=1e-9)
+    arm = tb.LinkageProfile.constant(DEFAULT_MOMENT_ARM).arm(0.0)
+    assert arm * 5900.0 == 270.0
+    assert 91.0 / arm == pytest.approx(1988.5, abs=1.0)
 
 
 def test_linkage_profile_validation():
@@ -174,8 +162,6 @@ def test_linkage_profile_validation():
     prof = tb.crouch_biased_profile()
     with pytest.raises(tb.OutOfRange):
         prof.arm(prof.angles_rad[-1] + 0.5)
-    with pytest.raises(ValueError):
-        tb.linkage_map(0.0, joint_index=2)
 
 
 # -------------------------------------------------------------- osc control
