@@ -321,8 +321,15 @@ class _Emitter:
 def _bode_chirp(spec: RunSpec):
     x = spec.extras
     simkit.check_duration(x["chirp_s"], "chirp_s")
-    return simkit.ChirpRef(amplitude=x["chirp_amp_a"], f0_hz=x["f0_hz"],
-                           f1_hz=x["f1_hz"], duration_s=x["chirp_s"])
+    if x["chirp_amp_a"] == 0.0:
+        raise ValueError("chirp_amp_a must be nonzero")
+    chirp = simkit.ChirpRef(amplitude=x["chirp_amp_a"], f0_hz=x["f0_hz"],
+                            f1_hz=x["f1_hz"], duration_s=x["chirp_s"])
+    n = simkit.chirp_record_samples(chirp)
+    if n < simkit.FRF_MIN_SAMPLES:
+        raise ValueError(f"chirp_s gives a {n}-sample record; the response "
+                         f"estimate needs {simkit.FRF_MIN_SAMPLES}")
+    return chirp
 
 
 def _scenario_bode(spec: RunSpec, em: _Emitter):
@@ -388,7 +395,7 @@ def _scenario_margins(spec: RunSpec, em: _Emitter):
 
 def _force_inputs(spec: RunSpec):
     x = spec.extras
-    simkit.check_duration(x["duration_s"])
+    simkit.check_duration(x["duration_s"], "duration_s")
     gains = spec.gains
     if "gains.q_taud_cutoff" not in spec.explicit_keys:
         # experiments run the observer filter at 60 Hz
@@ -421,6 +428,14 @@ def _scenario_force_tracking(spec: RunSpec, em: _Emitter):
          ("measured", trace.t, trace.f_meas)],
         title=f"Force tracking ({x['kind']}, {x['reference']})",
         xlabel="time [s]", ylabel="force [N]"))
+
+
+def _position_step_check(spec: RunSpec):
+    x = spec.extras
+    simkit.check_duration(x["duration_s"], "duration_s")
+    if x["step_rad"] == 0.0:
+        # the step is the scale of the overshoot and settling metrics
+        raise ValueError("step_rad must be nonzero")
 
 
 def _scenario_position_step(spec: RunSpec, em: _Emitter):
@@ -643,8 +658,7 @@ _SCENARIO_FUNCS = {
     "bode": (_bode_chirp, _scenario_bode),
     "margins": (lambda spec: None, _scenario_margins),
     "force_tracking": (_force_inputs, _scenario_force_tracking),
-    "position_step": (lambda spec: simkit.check_duration(
-        spec.extras["duration_s"]), _scenario_position_step),
+    "position_step": (_position_step_check, _scenario_position_step),
     "impact": (_impact_configs, _scenario_impact),
     "osc": (_osc_trajectory, _scenario_osc),
     "thermal": (_thermal_params, _scenario_thermal),

@@ -284,17 +284,3 @@ def materials_to_csv(records: Sequence[MaterialRecord]) -> str:
                                _cell(r.modulus_n_per_mm2), _cell(r.damping_ns_per_m),
                                _cell(r.creep_pct), _cell(r.cost_usd)]))
     return "\n".join(lines) + "\n"
-
-
-def materials_from_csv(text: str) -> list:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != MATERIALS_CSV_HEADER:
-        raise ValueError("bad materials CSV header")
-    out = []
-    for ln in lines[1:]:
-        toks = ln.split(",")
-        if len(toks) != 8:
-            raise ValueError(f"bad materials CSV row: {ln!r}")
-        vals = [None if tok == "" else float(tok) for tok in toks[1:]]
-        out.append(MaterialRecord(toks[0], *vals))
-    return out

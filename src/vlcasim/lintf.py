@@ -23,10 +23,6 @@ class NoCrossover(Exception):
     """Loop magnitude never crosses unity inside the scanned band."""
 
 
-class DelayNotClosed(Exception):
-    """Composition would need a rational representation of a delay."""
-
-
 class FitDiverged(Exception):
     """Least-squares fit failed to converge."""
 
@@ -323,41 +319,6 @@ def stability_margins(open_loop: DelayedTransferFunction) -> StabilityReport:
                            crossover_count=int(w_gc.size))
 
 
-def _strip_shared_origin_roots(num: Polynomial, den: Polynomial):
-    a, b = list(num.coefficients), list(den.coefficients)
-    while len(a) > 1 and len(b) > 1 and a[0] == 0.0 and b[0] == 0.0:
-        a.pop(0)
-        b.pop(0)
-    return Polynomial(tuple(a)), Polynomial(tuple(b))
-
-
-def compose(kind: str, a: DelayedTransferFunction,
-            b: DelayedTransferFunction) -> DelayedTransferFunction:
-    """series | parallel | unity_feedback composition.
-
-    parallel and unity_feedback require both operands delay-free, since the
-    result could not stay rational otherwise (DelayNotClosed). Exactly-shared
-    factors of s at the origin are cancelled.
-    """
-    if kind == "series":
-        num = a.num * b.num
-        den = a.den * b.den
-        num, den = _strip_shared_origin_roots(num, den)
-        return DelayedTransferFunction(num, den, a.delay_s + b.delay_s)
-    if kind in ("parallel", "unity_feedback"):
-        if a.delay_s != 0.0 or b.delay_s != 0.0:
-            raise DelayNotClosed(f"{kind} composition requires delay-free operands")
-        if kind == "parallel":
-            num = a.num * b.den + b.num * a.den
-            den = a.den * b.den
-        else:  # a / (1 + a*b)
-            num = a.num * b.den
-            den = a.den * b.den + a.num * b.num
-        num, den = _strip_shared_origin_roots(num, den)
-        return DelayedTransferFunction(num, den, 0.0)
-    raise ValueError(f"unknown composition kind: {kind!r}")
-
-
 @dataclass(frozen=True)
 class SecondOrderFit:
     gain: float       # DC gain k
@@ -446,14 +407,3 @@ def frf_to_csv(points: Sequence[FrequencyResponsePoint]) -> str:
     for p in points:
         lines.append(f"{p.omega:.10g},{p.magnitude:.10g},{p.phase_deg:.10g}")
     return "\n".join(lines) + "\n"
-
-
-def frf_from_csv(text: str) -> list:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != FRF_CSV_HEADER:
-        raise ValueError("bad frequency-response CSV header")
-    out = []
-    for ln in lines[1:]:
-        w, m, p = (float(tok) for tok in ln.split(","))
-        out.append(FrequencyResponsePoint(w, m, p))
-    return out

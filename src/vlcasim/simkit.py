@@ -42,31 +42,6 @@ CURRENT_LIMIT_A = 31.0   # amplifier clip [A]
 
 # ---------------------------------------------------------------- plant
 
-@dataclass(frozen=True)
-class PlantState:
-    """Spring deflection state plus the lumped constants acting on it."""
-
-    x_r: float               # deflection [m]
-    v_r: float               # deflection rate [m/s]
-    mass: float              # effective mass [kg]
-    damping: float           # effective damping [N*s/m]
-    stiffness: float         # spring rate [N/m]
-    force_per_amp: float     # screw-axis force per amp [N/A]
-
-    def __post_init__(self):
-        if self.mass <= 0.0 or self.stiffness <= 0.0:
-            raise ValueError("mass and stiffness must be > 0")
-        if self.damping < 0.0:
-            raise ValueError("damping must be >= 0")
-
-    @classmethod
-    def from_params(cls, params: ActuatorParams, x_r: float = 0.0,
-                    v_r: float = 0.0) -> "PlantState":
-        return cls(x_r=x_r, v_r=v_r, mass=params.effective_mass,
-                   damping=params.effective_damping, stiffness=params.k_r,
-                   force_per_amp=params.drive_constant)
-
-
 def rk4_step(f: Callable, t: float, y: Sequence[float], h: float) -> tuple:
     """One classical RK4 step of y' = f(t, y) over h; y and f(t, y) are
     equal-length sequences of floats."""
@@ -76,27 +51,6 @@ def rk4_step(f: Callable, t: float, y: Sequence[float], h: float) -> tuple:
     k4 = f(t + h, tuple(s + h * d for s, d in zip(y, k3)))
     return tuple(s + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                  for s, a, b, c, d in zip(y, k1, k2, k3, k4))
-
-
-def step_plant(state: PlantState, motor_current: float, external_force: float,
-               dt: float) -> PlantState:
-    """One RK4 step with zero-order-held current and external force."""
-    if not 0.0 < dt <= 1e-3:
-        raise ValueError("dt must be in (0, 1e-3]")
-    f_in = state.force_per_amp * motor_current + external_force
-    inv_m = 1.0 / state.mass
-    b, k = state.damping, state.stiffness
-    x, v = rk4_step(lambda _t, y: (y[1], (f_in - b * y[1] - k * y[0]) * inv_m),
-                    0.0, (state.x_r, state.v_r), dt)
-    if not (math.isfinite(x) and math.isfinite(v)):
-        raise NonFiniteState("plant state diverged")
-    return PlantState(x_r=x, v_r=v, mass=state.mass, damping=state.damping,
-                      stiffness=state.stiffness, force_per_amp=state.force_per_amp)
-
-
-def mechanical_energy(state: PlantState) -> float:
-    """Kinetic plus spring potential energy [J]."""
-    return 0.5 * state.mass * state.v_r ** 2 + 0.5 * state.stiffness * state.x_r ** 2
 
 
 def _zoh_step(a, b) -> Callable[[list, float], list]:
@@ -394,9 +348,11 @@ def _warn_if_saturated(trace: SimTrace, count: int):
 # ----------------------------------------------------------- force loop
 
 def check_duration(duration: float, name: str = "duration") -> None:
-    """The run-length check every simulator applies before it starts."""
-    if duration <= 0.0:
-        raise ValueError(f"{name} must be > 0")
+    """The run-length check every simulator applies before it starts: at
+    least one control step, so the run records a sample."""
+    if duration < CONTROL_DT:
+        raise ValueError(
+            f"{name} must be >= {CONTROL_DT:g} s (one control step)")
 
 
 def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
@@ -452,6 +408,11 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
     return trace
 
 
+def chirp_record_samples(chirp: ChirpRef, settle_s: float = 0.5) -> int:
+    """Length of the run_plant_chirp record: the sweep plus its quiet tail."""
+    return int(round((chirp.duration_s + settle_s) / CONTROL_DT))
+
+
 def run_plant_chirp(chirp: ChirpRef, params: ActuatorParams = VLCA_ACTUATOR,
                     settle_s: float = 0.5) -> SimTrace:
     """Open-loop chirp-current drive for identification.
@@ -462,7 +423,7 @@ def run_plant_chirp(chirp: ChirpRef, params: ActuatorParams = VLCA_ACTUATOR,
     the response ring out inside the record.
     """
     dt = CONTROL_DT
-    n = int(round((chirp.duration_s + settle_s) / dt))
+    n = chirp_record_samples(chirp, settle_s)
     trace = _blank_trace(n, dt)
     trace.meta.update(kind="open_loop_chirp", f0_hz=chirp.f0_hz,
                       f1_hz=chirp.f1_hz)
@@ -487,6 +448,10 @@ def run_plant_chirp(chirp: ChirpRef, params: ActuatorParams = VLCA_ACTUATOR,
 
 # ------------------------------------------------- response estimation
 
+# shortest record empirical_frequency_response accepts [samples]
+FRF_MIN_SAMPLES = 1024
+
+
 def empirical_frequency_response(trace: SimTrace,
                                  points_per_decade: int = 24) -> list:
     """Frequency response from the commanded-force column to the measured
@@ -501,8 +466,9 @@ def empirical_frequency_response(trace: SimTrace,
     u = np.asarray(trace.f_cmd, dtype=float)
     y = np.asarray(trace.f_meas, dtype=float)
     n = len(u)
-    if n < 1024:
-        raise InsufficientExcitation("record too short")
+    if n < FRF_MIN_SAMPLES:
+        raise InsufficientExcitation(
+            f"record too short: {n} samples, need {FRF_MIN_SAMPLES}")
     # cosine-taper 2% of each end to suppress edge leakage
     win = np.ones(n)
     m = max(int(0.02 * n), 8)
@@ -526,6 +492,8 @@ def empirical_frequency_response(trace: SimTrace,
     # ignore the mean and its leakage skirt when locating the excited band
     mag_band = mag_u.copy()
     mag_band[:4] = 0.0
+    if not mag_band.any():
+        raise InsufficientExcitation("input spectrum is all zero")
     floor = 0.01 * mag_band.max()
     hot = np.nonzero(mag_band >= floor)[0]
     hot = hot[freqs[hot] > 0.0]

@@ -84,37 +84,6 @@ def _dyn_scalars(q0, q1, w0, w1, p: TwoDofParams):
     return a11, a12, a22, b1, b2, g1, g2
 
 
-@dataclass(frozen=True)
-class DynamicsTerms:
-    mass_matrix: np.ndarray       # 2x2, symmetric positive definite
-    velocity_product: np.ndarray  # length 2
-    gravity: np.ndarray           # length 2
-
-
-def dynamics_terms(q: Sequence[float], qdot: Sequence[float],
-                   params: TwoDofParams) -> DynamicsTerms:
-    a11, a12, a22, b1, b2, g1, g2 = _dyn_scalars(q[0], q[1], qdot[0], qdot[1],
-                                                 params)
-    return DynamicsTerms(mass_matrix=np.array([[a11, a12], [a12, a22]]),
-                         velocity_product=np.array([b1, b2]),
-                         gravity=np.array([g1, g2]))
-
-
-def total_energy(q, qdot, params: TwoDofParams) -> float:
-    """Kinetic plus gravitational potential energy [J]."""
-    a11, a12, a22, _, _, _, _ = _dyn_scalars(q[0], q[1], qdot[0], qdot[1],
-                                             params)
-    w0, w1 = qdot[0], qdot[1]
-    ke = 0.5 * (a11 * w0 * w0 + 2.0 * a12 * w0 * w1 + a22 * w1 * w1)
-    s0, s01 = math.sin(q[0]), math.sin(q[0] + q[1])
-    y1 = params.c1 * s0
-    y2 = params.l1 * s0 + params.c2 * s01
-    yp = params.l1 * s0 + params.l2 * s01
-    pe = params.gravity * (params.m1 * y1 + params.m2 * y2
-                           + params.payload_mass * yp)
-    return ke + pe
-
-
 def hip_position(q: Sequence[float], params: TwoDofParams) -> np.ndarray:
     x = params.l1 * math.cos(q[0]) + params.l2 * math.cos(q[0] + q[1])
     y = params.l1 * math.sin(q[0]) + params.l2 * math.sin(q[0] + q[1])
@@ -429,36 +398,6 @@ def _check_workspace(pos: np.ndarray, params: TwoDofParams,
         raise WorkspaceViolation(
             f"path reaches radius {r.min():.3f} m; inner limit "
             f"{params.inner_radius + margin:.3f} m")
-
-
-def simulate_passive(q_init, qdot_init, duration: float,
-                     params: TwoDofParams, substep_dt: float = 1e-4):
-    """Unactuated swing, RK4; returns (t, q, qdot) at the substep rate."""
-    n = int(round(duration / substep_dt))
-    q0, q1 = float(q_init[0]), float(q_init[1])
-    w0, w1 = float(qdot_init[0]), float(qdot_init[1])
-    out_t = np.empty(n + 1)
-    out_q = np.empty((n + 1, 2))
-    out_w = np.empty((n + 1, 2))
-
-    def deriv(_t, y):
-        a, b, wa, wb = y
-        a11, a12, a22, b1, b2, g1, g2 = _dyn_scalars(a, b, wa, wb, params)
-        det = a11 * a22 - a12 * a12
-        r0 = -b1 - g1
-        r1 = -b2 - g2
-        return wa, wb, (a22 * r0 - a12 * r1) / det, (a11 * r1 - a12 * r0) / det
-
-    h = substep_dt
-    y = (q0, q1, w0, w1)
-    for k in range(n + 1):
-        out_t[k] = k * h
-        out_q[k] = y[:2]
-        out_w[k] = y[2:]
-        if k == n:
-            break
-        y = simkit.rk4_step(deriv, k * h, y, h)
-    return out_t, out_q, out_w
 
 
 DEFAULT_FORCE_GAINS = ControllerGains(q_taud_cutoff=2.0 * math.pi * 60.0)

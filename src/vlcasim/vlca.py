@@ -15,9 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .lintf import (DelayedTransferFunction, FrequencyResponsePoint, NoCrossover,
-                    Polynomial, StabilityReport, stability_margins, sweep_response,
-                    tf_eval)
+from .lintf import (DelayedTransferFunction, NoCrossover, Polynomial,
+                    StabilityReport, stability_margins, sweep_response, tf_eval)
 
 
 class MissingFilterCutoff(Exception):
@@ -159,14 +158,6 @@ def q_taud_tf(gains: ControllerGains) -> DelayedTransferFunction:
                                    Polynomial((w * w, 2.0 * z * w, 1.0)))
 
 
-def q_d_tf(gains: ControllerGains) -> DelayedTransferFunction:
-    """First-order filtered differentiator w*s/(s + w)."""
-    if gains.q_d_cutoff is None:
-        raise MissingFilterCutoff("q_d_cutoff is unset")
-    w = gains.q_d_cutoff
-    return DelayedTransferFunction(Polynomial((0.0, w)), Polynomial((w, 1.0)))
-
-
 def _den_poly(params: ActuatorParams) -> Polynomial:
     return Polynomial((params.k_r, params.effective_damping, params.effective_mass))
 
@@ -196,26 +187,25 @@ def open_loop_tf(kind: ControllerKind, params: ActuatorParams,
         den = den_p * Polynomial((0.0, 1.0))
         return DelayedTransferFunction(num, den, t)
     if kind is ControllerKind.PDM_DOB:
-        if gains.q_taud_cutoff is None:
-            raise MissingFilterCutoff("q_taud_cutoff is unset")
-        w, z = gains.q_taud_cutoff, gains.q_taud_zeta
-        nq = Polynomial((w * w,))
-        dq = Polynomial((w * w, 2.0 * z * w, 1.0))
-        high = Polynomial((0.0, 2.0 * z * w, 1.0))  # dq - nq
+        q = q_taud_tf(gains)
+        nq, dq = q.num, q.den
         ctrl = Polynomial((kr * kp, kdm * nm))
         # the drive constant cancels between the observer path and the
         # motor-side plant, leaving a gain-free loop shape
         num = nq * den_p + ctrl * dq
-        den = high * den_p
+        den = (dq + nq.scaled(-1.0)) * den_p
         return DelayedTransferFunction(num, den, t)
     raise ValueError(f"unknown controller kind: {kind!r}")
 
 
 class ClosedLoopResponse:
-    """Frequency-domain evaluator for a closed force loop.
+    """Frequency-domain evaluator for a closed force loop, FF/(1 + L) with
+    L = open_loop_tf(kind, params, gains) and the command feedforward
+    FF = k_r (k_p + 1)/den_p, or k_r ((k_p + 1) s + k_i)/(s den_p) for PIDM,
+    times dq/(dq - nq) under the disturbance observer Q = nq/dq.
 
-    The transport delay sits inside the loop, so the closed response is not
-    rational; it supports evaluation and sweeps but not composition.
+    The transport delay sits inside L, so the closed response is not
+    rational; it supports evaluation and sweeps.
     """
 
     def __init__(self, kind: ControllerKind, params: ActuatorParams,
@@ -223,41 +213,22 @@ class ClosedLoopResponse:
         self.kind = kind
         self.params = params
         self.gains = gains
-        if kind is ControllerKind.PDF and gains.q_d_cutoff is None:
-            raise MissingFilterCutoff("q_d_cutoff is unset")
-        if kind is ControllerKind.PDM_DOB and gains.q_taud_cutoff is None:
-            raise MissingFilterCutoff("q_taud_cutoff is unset")
+        self.loop = open_loop_tf(kind, params, gains)
+        kr, kp = params.k_r, gains.k_p
+        den = _den_poly(params)
+        if kind is ControllerKind.PIDM:
+            num = Polynomial((kr * gains.k_i, kr * (kp + 1.0)))
+            den = den * Polynomial((0.0, 1.0))
+        else:
+            num = Polynomial((kr * (kp + 1.0),))
+        if kind is ControllerKind.PDM_DOB:
+            q = q_taud_tf(gains)
+            num, den = num * q.den, den * (q.den + q.num.scaled(-1.0))
+        self.feedforward = DelayedTransferFunction(num, den)
 
     def eval(self, omega: float) -> complex:
-        if omega <= 0.0:
-            raise ValueError("omega must be > 0")
-        p, g = self.params, self.gains
-        s = 1j * omega
-        kr, nm, n = p.k_r, p.n_m, p.drive_constant
-        den_p = p.k_r + p.effective_damping * s + p.effective_mass * s * s
-        px = n / den_p
-        e = np.exp(-s * g.delay_t)
-        if self.kind is ControllerKind.PDF:
-            wd = g.q_d_cutoff
-            qd = wd * s / (s + wd)
-            ff = kr * px * (g.k_p + 1.0) / n
-            loop = kr * px * (g.k_p + g.resolved_k_df(p) * qd) / n
-            return ff / (1.0 + e * loop)
-        if self.kind is ControllerKind.PDM:
-            ff = kr * px * (g.k_p + 1.0) / n
-            loop = px * (kr * g.k_p + g.k_dm * s * nm) / n
-            return ff / (1.0 + e * loop)
-        if self.kind is ControllerKind.PIDM:
-            pi = g.k_p + g.k_i / s
-            ff = kr * px * (pi + 1.0) / n
-            loop = px * (kr * pi + g.k_dm * s * nm) / n
-            return ff / (1.0 + e * loop)
-        # disturbance observer wrapped around the PDM loop
-        w, z = g.q_taud_cutoff, g.q_taud_zeta
-        q = w * w / (s * s + 2.0 * z * w * s + w * w)
-        ff = kr * px * (g.k_p + 1.0) / n
-        x = px * (kr * g.k_p + g.k_dm * s * nm) / n
-        return ff / ((1.0 - q) + e * (q + x))
+        return (tf_eval(self.feedforward, omega)
+                / (1.0 + tf_eval(self.loop, omega)))
 
     def sweep(self, omega_min: float, omega_max: float,
               points_per_decade: int = 48) -> list:

@@ -120,11 +120,22 @@ def test_margins_run_at_the_longest_delay_completes(tmp_path):
         f"materials.w_{c} = 0"
         for c in ("linearity", "compression_set", "creep", "damping", "cost")),
     "scenario = materials\nmaterials.min_damping = 1e9",
+    # shorter than one control step, or a record the estimator refuses
+    "scenario = bode\nbode.chirp_s = 1e-9",
+    "scenario = bode\nbode.chirp_s = 1e-3",
+    "scenario = bode\nbode.chirp_s = 0.3",
+    "scenario = bode\nbode.chirp_amp_a = 0",
+    "scenario = force_tracking\nforce_tracking.duration_s = 1e-9",
+    "scenario = position_step\nposition_step.duration_s = 1e-9",
+    "scenario = position_step\nposition_step.step_rad = 0",
 ], ids=["impact", "force_tracking", "position_step", "osc", "thermal_burst",
         "thermal_hold", "efficiency_duration", "efficiency_payload",
         "efficiency_lift", "osc_payload", "osc_amplitude", "osc_center",
         "bode_chirp", "bode_f0", "materials_weights",
-        "materials_min_damping"])
+        "materials_min_damping", "bode_chirp_sub_step", "bode_chirp_1ms",
+        "bode_chirp_short_record", "bode_chirp_silent",
+        "force_tracking_sub_step", "position_step_sub_step",
+        "position_step_zero_step"])
 def test_validate_range_checks_scenario_extras(tmp_path, capsys, lines):
     cfg = _write(tmp_path, "extras.cfg", f"{lines}\nout = extras_out\n")
     assert main(["validate", cfg]) == 2

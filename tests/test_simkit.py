@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import locked_plant_rates, plant_energy
 from vlcasim import simkit as sk
 from vlcasim.vlca import (ControllerGains, ControllerKind, DEFAULT_MOMENT_ARM,
                           VLCA_ACTUATOR, closed_loop_tf, force_plant)
@@ -25,43 +26,43 @@ def _make_trace(t, u, y):
 
 # --------------------------------------------------------------- integrator
 
+def _locked_step():
+    return sk._zoh_step(*sk._locked_plant(P))
+
+
 def test_equilibrium_state_stays_put():
-    st = sk.PlantState.from_params(P)
+    step = _locked_step()
+    y = [0.0, 0.0]
     for _ in range(100):
-        st = sk.step_plant(st, 0.0, 0.0, 1e-3)
-    assert st.x_r == 0.0
-    assert st.v_r == 0.0
+        y = step(y, 0.0)
+    assert y == [0.0, 0.0]
 
 
 def test_constant_current_settles_at_static_deflection():
-    st = sk.PlantState.from_params(P)
+    step = _locked_step()
+    y = [0.0, 0.0]
     for _ in range(3000):
-        st = sk.step_plant(st, 1.0, 0.0, 1e-3)
-    assert st.x_r == pytest.approx(P.drive_constant / P.k_r, rel=1e-9)
+        y = step(y, P.drive_constant * 1.0)
+    assert y[0] == pytest.approx(P.drive_constant / P.k_r, rel=1e-9)
 
 
 def test_free_decay_matches_model_damping_ratio():
-    st = sk.PlantState.from_params(P, x_r=1e-4)
-    xs = []
-    for _ in range(4000):
-        st = sk.step_plant(st, 0.0, 0.0, 2.5e-4)
-        xs.append(st.x_r)
-    xs = np.asarray(xs)
-    peaks = [k for k in range(1, len(xs) - 1)
-             if xs[k] > xs[k - 1] and xs[k] >= xs[k + 1] and xs[k] > 1e-9]
-    decs = [math.log(xs[peaks[i]] / xs[peaks[i + 1]])
-            for i in range(len(peaks) - 1)]
-    delta = float(np.mean(decs[:3]))
-    zeta = delta / math.sqrt(4.0 * math.pi ** 2 + delta ** 2)
-    assert zeta == pytest.approx(P.damping_ratio, rel=0.01)
+    # the exact update's eigenvalues are exp(lambda * dt) of the continuous
+    # poles; their damping ratio is the model's to 7.4e-15 relative
+    ad, _ = sk.zoh_discretize(*sk._locked_plant(P), sk.CONTROL_DT)
+    lam = np.log(np.linalg.eigvals(ad)) / sk.CONTROL_DT
+    zeta = -lam.real / np.abs(lam)
+    assert zeta == pytest.approx([P.damping_ratio] * 2, rel=1e-13)
 
 
 def test_integrator_error_falls_fourth_order():
+    rates = locked_plant_rates(P)
+
     def terminal(dt):
-        st = sk.PlantState.from_params(P, x_r=1e-4)
+        y = (1e-4, 0.0)
         for _ in range(int(round(0.05 / dt))):
-            st = sk.step_plant(st, 0.0, 0.0, dt)
-        return st.x_r, st.v_r
+            y = sk.rk4_step(rates, 0.0, y, dt)
+        return y
 
     ref_x, ref_v = terminal(1e-6)
     for dt in (1e-3, 5e-4, 2.5e-4):
@@ -73,24 +74,23 @@ def test_integrator_error_falls_fourth_order():
 
 
 def test_unforced_energy_never_increases():
-    st = sk.PlantState.from_params(P, x_r=1e-4)
-    e0 = sk.mechanical_energy(st)
+    step = _locked_step()
+    y = [1e-4, 0.0]
+    e0 = plant_energy(P, y)
     prev = e0
     for _ in range(2000):
-        st = sk.step_plant(st, 0.0, 0.0, 1e-3)
-        e = sk.mechanical_energy(st)
+        y = step(y, 0.0)
+        e = plant_energy(P, y)
         assert e - prev <= 1e-9 * e0
         prev = e
 
 
 def test_step_plant_guards():
-    st = sk.PlantState.from_params(P)
-    with pytest.raises(ValueError):
-        sk.step_plant(st, 0.0, 0.0, 2e-3)
-    with pytest.raises(ValueError):
-        sk.step_plant(st, 0.0, 0.0, 0.0)
+    # a force at the edge of the float range drives the loop past it; the
+    # run stops instead of returning a trace of NaNs
     with pytest.raises(sk.NonFiniteState):
-        sk.step_plant(st, 1e308, 0.0, 1e-3)
+        sk.run_force_tracking(ControllerKind.PDM_DOB, G60, sk.StepRef(0.0),
+                              0.5, external_force=lambda t: 1e308)
 
 
 # --------------------------------------------------------------- controller
@@ -200,6 +200,15 @@ def test_underexcited_records_are_refused():
     noise = rng.normal(0.0, 1.0, len(t))
     with pytest.raises(sk.InsufficientExcitation, match="consistent"):
         sk.empirical_frequency_response(_make_trace(t, u, noise))
+
+
+def test_silent_drive_is_refused():
+    # a zero-amplitude chirp records no input, so every ratio would be 0/0
+    chirp = sk.ChirpRef(amplitude=0.0, f0_hz=0.5, f1_hz=150.0, duration_s=2.0)
+    trace = sk.run_plant_chirp(chirp)
+    assert len(trace.t) == sk.chirp_record_samples(chirp) >= sk.FRF_MIN_SAMPLES
+    with pytest.raises(sk.InsufficientExcitation, match="all zero"):
+        sk.empirical_frequency_response(trace)
 
 
 @pytest.fixture(scope="module")
@@ -334,13 +343,14 @@ def rk4_reference(monkeypatch):
 
 
 def test_rk4_discretize_reproduces_step_plant():
-    # the reference map is the same integrator the plant stepper uses
-    st = sk.PlantState.from_params(P, x_r=1e-4, v_r=-0.02)
-    a = [[0.0, 1.0], [-st.stiffness / st.mass, -st.damping / st.mass]]
-    ad, bd = _rk4_discretize(a, [0.0, 1.0 / st.mass], 1e-3, substeps=1)
-    want = sk.step_plant(st, 2.0, 0.0, 1e-3)
-    got = ad @ [st.x_r, st.v_r] + bd[:, 0] * st.force_per_amp * 2.0
-    assert got == pytest.approx([want.x_r, want.v_r], rel=1e-12, abs=1e-18)
+    # the reference map is one rk4_step on the locked plant's rates
+    y = (1e-4, -0.02)
+    force = P.drive_constant * 2.0
+    a, b = sk._locked_plant(P)
+    ad, bd = _rk4_discretize(a, b, 1e-3, substeps=1)
+    want = sk.rk4_step(locked_plant_rates(P, force), 0.0, y, 1e-3)
+    got = ad @ y + bd[:, 0] * force
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-18)
 
 
 # The exact update and 10 RK4 substeps agree to at most 6e-10 of full scale

@@ -6,8 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vlcasim.lintf import (DelayedTransferFunction, Polynomial, compose,
-                           stability_margins)
+from vlcasim.lintf import stability_margins
 from vlcasim.vlca import (ActuatorParams, ControllerGains, ControllerKind,
                           DEFAULT_MOMENT_ARM, MARGIN_CSV_HEADER,
                           MissingFilterCutoff, VLCA_ACTUATOR,
@@ -162,16 +161,13 @@ def test_observer_loop_dc_gain_is_huge():
 
 def test_dropping_integral_gain_recovers_the_simpler_loop():
     # the PI structure carries a 1/s factor; with the integral gain at zero
-    # that factor is shared top and bottom, and series-composing with
-    # identity cancels it, leaving the simpler loop coefficient for
-    # coefficient
+    # that factor is shared top and bottom, leaving the simpler loop
     g0 = replace(G, k_i=0.0)
-    one = DelayedTransferFunction(Polynomial((1.0,)), Polynomial((1.0,)))
-    a = compose("series", open_loop_tf(ControllerKind.PIDM, P, g0), one)
-    b = compose("series", open_loop_tf(ControllerKind.PDM, P, g0), one)
-    assert a.num.coefficients == b.num.coefficients
-    assert a.den.coefficients == b.den.coefficients
+    a = open_loop_tf(ControllerKind.PIDM, P, g0)
+    b = open_loop_tf(ControllerKind.PDM, P, g0)
     assert a.delay_s == b.delay_s
+    for w in np.geomspace(1e-3, 1e5, 41):
+        assert cmath.isclose(a.eval(float(w)), b.eval(float(w)), rel_tol=1e-12)
 
 
 # ------------------------------------------------------------------- margins
@@ -300,23 +296,47 @@ def test_single_point_calibration_is_exact():
 
 # -------------------------------------------------------------- closed loops
 
+def _block_diagram_response(kind, p, g, omega):
+    """Closed force loop read off each structure's block diagram: plant
+    P_x = N/den_p, command feedforward, force and motor-velocity feedback
+    through the delay e, and the observer's filter Q around the PDM loop."""
+    s = 1j * omega
+    kr, nm, n = p.k_r, p.n_m, p.drive_constant
+    px = n / (p.k_r + p.effective_damping * s + p.effective_mass * s * s)
+    e = cmath.exp(-s * g.delay_t)
+    if kind is ControllerKind.PDF:
+        wd = g.q_d_cutoff
+        qd = wd * s / (s + wd)
+        ff = kr * px * (g.k_p + 1.0) / n
+        loop = kr * px * (g.k_p + g.resolved_k_df(p) * qd) / n
+        return ff / (1.0 + e * loop)
+    if kind is ControllerKind.PIDM:
+        pi = g.k_p + g.k_i / s
+        ff = kr * px * (pi + 1.0) / n
+        loop = px * (kr * pi + g.k_dm * s * nm) / n
+        return ff / (1.0 + e * loop)
+    ff = kr * px * (g.k_p + 1.0) / n
+    x = px * (kr * g.k_p + g.k_dm * s * nm) / n
+    if kind is ControllerKind.PDM:
+        return ff / (1.0 + e * x)
+    w, z = g.q_taud_cutoff, g.q_taud_zeta
+    q = w * w / (s * s + 2.0 * z * w * s + w * w)
+    return ff / ((1.0 - q) + e * (q + x))
+
+
 def test_closed_loop_matches_loop_quotient():
-    # each closed response equals feedforward/(1 + open loop); the observer
-    # structure folds its filter into the effective feedforward
-    fp = force_plant(P)
-    for kind in ControllerKind:
-        cl = closed_loop_tf(kind, P, G)
-        lo = open_loop_tf(kind, P, G)
-        for w in np.geomspace(0.5, 500.0, 20):
-            w = float(w)
-            if kind is ControllerKind.PIDM:
-                ff = fp.eval(w) * (G.k_p + G.k_i / (1j * w) + 1.0)
-            else:
-                ff = fp.eval(w) * (G.k_p + 1.0)
-            if kind is ControllerKind.PDM_DOB:
-                ff /= 1.0 - q_taud_tf(G).eval(w)
-            want = ff / (1.0 + lo.eval(w))
-            assert cmath.isclose(cl.eval(w), want, rel_tol=1e-9)
+    # feedforward/(1 + open_loop_tf) equals the block-diagram algebra of
+    # every structure across the analysed band, at the default gains and
+    # at a second set that moves every gain, filter and the delay
+    varied = replace(G, k_p=9.0, k_dm=4.0, k_i=50.0,
+                     q_d_cutoff=2.0 * math.pi * 20.0, q_taud_zeta=0.3,
+                     delay_t=2.5e-3)
+    for gains in (G, varied):
+        for kind in ControllerKind:
+            cl = closed_loop_tf(kind, P, gains)
+            for w in np.geomspace(1e-3, 1e5, 161):
+                want = _block_diagram_response(kind, P, gains, float(w))
+                assert cmath.isclose(cl.eval(float(w)), want, rel_tol=1e-9)
 
 
 def test_closed_loop_dc_is_unity_for_every_structure():
