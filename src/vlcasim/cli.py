@@ -323,6 +323,11 @@ def _bode_chirp(spec: RunSpec):
     simkit.check_duration(x["chirp_s"], "chirp_s")
     if x["chirp_amp_a"] == 0.0:
         raise ValueError("chirp_amp_a must be nonzero")
+    nyquist = 0.5 / simkit.CONTROL_DT
+    if x["f1_hz"] >= nyquist:
+        # a sweep past Nyquist aliases into the band it is meant to measure
+        raise ValueError(f"f1_hz must be below the {nyquist:g} Hz Nyquist "
+                         "frequency of the control-rate record")
     chirp = simkit.ChirpRef(amplitude=x["chirp_amp_a"], f0_hz=x["f0_hz"],
                             f1_hz=x["f1_hz"], duration_s=x["chirp_s"])
     n = simkit.chirp_record_samples(chirp)
@@ -340,20 +345,17 @@ def _scenario_bode(spec: RunSpec, em: _Emitter):
     trace = simkit.run_plant_chirp(spec.inputs, spec.actuator)
     emp = simkit.empirical_frequency_response(trace)
     em.write("plant_chirp_frf.csv", lintf.frf_to_csv(emp))
+
+    def curves(attr):
+        return [(label, [p.omega / (2 * math.pi) for p in pts],
+                 [getattr(p, attr) for p in pts])
+                for label, pts in (("model", model), ("chirp estimate", emp))]
     em.write("bode_magnitude.svg", svgplot.line_chart(
-        [("model", [p.omega / (2 * math.pi) for p in model],
-          [p.magnitude for p in model]),
-         ("chirp estimate", [p.omega / (2 * math.pi) for p in emp],
-          [p.magnitude for p in emp])],
-        title="Force plant magnitude", xlabel="frequency [Hz]",
-        ylabel="|F/Fcmd|", logx=True, logy=True))
+        curves("magnitude"), title="Force plant magnitude",
+        xlabel="frequency [Hz]", ylabel="|F/Fcmd|", logx=True, logy=True))
     em.write("bode_phase.svg", svgplot.line_chart(
-        [("model", [p.omega / (2 * math.pi) for p in model],
-          [p.phase_deg for p in model]),
-         ("chirp estimate", [p.omega / (2 * math.pi) for p in emp],
-          [p.phase_deg for p in emp])],
-        title="Force plant phase", xlabel="frequency [Hz]",
-        ylabel="phase [deg]", logx=True))
+        curves("phase_deg"), title="Force plant phase",
+        xlabel="frequency [Hz]", ylabel="phase [deg]", logx=True))
 
 
 def _scenario_margins(spec: RunSpec, em: _Emitter):
@@ -361,36 +363,33 @@ def _scenario_margins(spec: RunSpec, em: _Emitter):
     em.write("margin_table.csv", margin_table_to_csv(entries))
 
     delays = np.linspace(0.25e-3, 2.5e-3, 10)
-    rows = []
-    series = {k: ([], []) for k in MARGIN_TABLE_ORDER}
+    pms = {k: [] for k in MARGIN_TABLE_ORDER}  # NaN without a crossover
     for t in delays:
         g = replace(spec.gains, delay_t=float(t))
-        row = [f"{t * 1e3:.10g}"]
         for kind in MARGIN_TABLE_ORDER:
             try:
-                pm = lintf.stability_margins(
-                    open_loop_tf(kind, spec.actuator, g)).phase_margin_deg
-                row.append(f"{pm:.10g}")
-                series[kind][0].append(t * 1e3)
-                series[kind][1].append(pm)
+                pms[kind].append(lintf.stability_margins(
+                    open_loop_tf(kind, spec.actuator, g)).phase_margin_deg)
             except lintf.NoCrossover:
-                row.append("")
-        rows.append(",".join(row))
-    header = "delay_ms," + ",".join(k.value for k in MARGIN_TABLE_ORDER)
-    em.write("margins_vs_delay.csv", "\n".join([header] + rows) + "\n")
+                pms[kind].append(math.nan)
+    delay_ms = delays * 1e3
+    em.write("margins_vs_delay.csv", lintf.csv_table(
+        "delay_ms," + ",".join(k.value for k in MARGIN_TABLE_ORDER),
+        [delay_ms, *pms.values()]))
     em.write("margins_vs_delay.svg", svgplot.line_chart(
-        [(k.value, xs, ys) for k, (xs, ys) in series.items() if xs],
+        [(k.value, delay_ms, ys) for k, ys in pms.items()
+         if np.isfinite(ys).any()],
         title="Phase margin vs loop delay", xlabel="delay [ms]",
         ylabel="phase margin [deg]"))
 
     if spec.extras["calibrate"]:
         cal = calibrate_margins(spec.actuator, spec.gains)
-        lines = ["delay_ms,q_d_cutoff_hz,pm_pd_f,pm_pd_m,pm_pid_m,pm_pd_m_dob,objective_deg",
-                 f"{cal.delay_t * 1e3:.10g},{cal.q_d_cutoff / (2 * math.pi):.10g},"
-                 f"{cal.pm_pdf_deg:.10g},{cal.pm_pdm_deg:.10g},"
-                 f"{cal.pm_pidm_deg:.10g},{cal.pm_pdm_dob_deg:.10g},"
-                 f"{cal.objective_deg:.10g}"]
-        em.write("margin_calibration.csv", "\n".join(lines) + "\n")
+        em.write("margin_calibration.csv", lintf.csv_table(
+            "delay_ms,q_d_cutoff_hz,pm_pd_f,pm_pd_m,pm_pid_m,pm_pd_m_dob,"
+            "objective_deg",
+            [[v] for v in (cal.delay_t * 1e3, cal.q_d_cutoff / (2 * math.pi),
+                           cal.pm_pdf_deg, cal.pm_pdm_deg, cal.pm_pidm_deg,
+                           cal.pm_pdm_dob_deg, cal.objective_deg)]))
 
 
 def _force_inputs(spec: RunSpec):
@@ -440,19 +439,18 @@ def _position_step_check(spec: RunSpec):
 
 def _scenario_position_step(spec: RunSpec, em: _Emitter):
     x = spec.extras
-    metrics = ["element,overshoot_frac,settling_s"]
-    curves = []
+    metrics, curves = [], []
     for element in ("elastomer", "steel_spring"):
         trace = simkit.run_joint_position_control(
             element, step_rad=x["step_rad"], duration=x["duration_s"],
             params=spec.actuator)
         em.write(f"position_step_{element}.csv", trace.to_csv())
-        ov = simkit.overshoot_fraction(trace.q_out, x["step_rad"])
-        st = simkit.settling_time(trace.t, trace.q_out, x["step_rad"])
-        st_txt = "" if math.isinf(st) else f"{st:.10g}"
-        metrics.append(f"{element},{ov:.10g},{st_txt}")
+        # settling_time_s is inf, an empty cell, if the run never settles
+        metrics.append((element, trace.meta["overshoot_frac"],
+                        trace.meta["settling_time_s"]))
         curves.append((element, trace.t, trace.q_out))
-    em.write("position_step_metrics.csv", "\n".join(metrics) + "\n")
+    em.write("position_step_metrics.csv", lintf.csv_table(
+        "element,overshoot_frac,settling_s", zip(*metrics)))
     em.write("position_step.svg", svgplot.line_chart(
         curves, title="Joint step response by series element",
         xlabel="time [s]", ylabel="joint angle [rad]"))
@@ -466,16 +464,16 @@ def _impact_configs(spec: RunSpec) -> list:
 
 
 def _scenario_impact(spec: RunSpec, em: _Emitter):
-    peaks = ["grounding,peak_loadcell_n,peak_deflection_m"]
-    curves = []
+    peaks, curves = [], []
     for cfg in spec.inputs:
         trace = simkit.run_impact(cfg, spec.actuator)
         em.write(f"impact_{cfg.grounding}.csv", trace.to_csv())
-        peaks.append(f"{cfg.grounding},{np.max(np.abs(trace.f_loadcell)):.10g},"
-                     f"{np.max(np.abs(trace.x_r)):.10g}")
+        peaks.append((cfg.grounding, np.max(np.abs(trace.f_loadcell)),
+                      np.max(np.abs(trace.x_r))))
         keep = trace.t <= 0.05
         curves.append((cfg.grounding, trace.t[keep], trace.f_loadcell[keep]))
-    em.write("impact_peaks.csv", "\n".join(peaks) + "\n")
+    em.write("impact_peaks.csv", lintf.csv_table(
+        "grounding,peak_loadcell_n,peak_deflection_m", zip(*peaks)))
     em.write("impact.svg", svgplot.line_chart(
         curves, title="Hammer strike load-cell force",
         xlabel="time [s]", ylabel="force [N]"))
@@ -513,9 +511,7 @@ def _osc_trajectory(spec: RunSpec):
 
 def _scenario_osc(spec: RunSpec, em: _Emitter):
     x = spec.extras
-    metrics = ["mode,max_error_m,saturated_steps"]
-    err_curves = []
-    y_curves = []
+    metrics, err_curves, y_curves = [], [], []
     for mode in ("ideal_torque", "cascaded_vlca"):
         trace = testbed.simulate_osc(spec.inputs, x["payload_kg"], mode,
                                      x["duration_s"], params=spec.leg,
@@ -523,12 +519,13 @@ def _scenario_osc(spec: RunSpec, em: _Emitter):
         em.counters[f"osc_{mode}"] = trace.counters()
         em.write(f"osc_{mode}.csv", trace.to_csv())
         err = np.linalg.norm(trace.x - trace.x_des, axis=1)
-        metrics.append(f"{mode},{trace.max_tracking_error():.10g},"
-                       f"{trace.saturation_count}")
+        metrics.append((mode, trace.max_tracking_error(),
+                        trace.saturation_count))
         err_curves.append((mode, trace.t, err))
         y_curves.append((mode, trace.t, trace.x[:, 1]))
     y_curves.append(("command", trace.t, trace.x_des[:, 1]))
-    em.write("osc_metrics.csv", "\n".join(metrics) + "\n")
+    em.write("osc_metrics.csv", lintf.csv_table(
+        "mode,max_error_m,saturated_steps", zip(*metrics)))
     em.write("osc_error.svg", svgplot.line_chart(
         err_curves, title="Hip tracking error", xlabel="time [s]",
         ylabel="error [m]"))
@@ -547,12 +544,11 @@ def _thermal_params(spec: RunSpec):
 def _scenario_thermal(spec: RunSpec, em: _Emitter):
     x = spec.extras
     report, params = spec.inputs
-    rows = ["name,value"]
-    for f in fields(powertherm.ThermalParams):
-        rows.append(f"{f.name},{getattr(params, f.name):.10g}")
-    for name, val in sorted(report.residuals.items()):
-        rows.append(f"residual_{name},{val:.10g}")
-    em.write("thermal_params.csv", "\n".join(rows) + "\n")
+    rows = [(f.name, getattr(params, f.name))
+            for f in fields(powertherm.ThermalParams)]
+    rows += [(f"residual_{name}", val)
+             for name, val in sorted(report.residuals.items())]
+    em.write("thermal_params.csv", lintf.csv_table("name,value", zip(*rows)))
 
     burst = powertherm.simulate_constant_current(
         x["burst_current_a"], x["burst_duration_s"], params)
@@ -573,13 +569,13 @@ def _scenario_thermal(spec: RunSpec, em: _Emitter):
                                                 params, dt=0.01)
     em.write("thermal_hold.csv", powertherm.thermal_trace_to_csv(hold))
 
-    lim = ["cooling,current_a,screw_force_n,joint_torque_nm"]
+    lim = []
     for label, on in (("on", True), ("off", False)):
         r = powertherm.continuous_force_limit(params, spec.actuator,
                                               cooling_on=on)
-        lim.append(f"{label},{r.current_a:.10g},{r.screw_force_n:.10g},"
-                   f"{r.joint_torque_nm:.10g}")
-    em.write("thermal_limits.csv", "\n".join(lim) + "\n")
+        lim.append((label, r.current_a, r.screw_force_n, r.joint_torque_nm))
+    em.write("thermal_limits.csv", lintf.csv_table(
+        "cooling,current_a,screw_force_n,joint_torque_nm", zip(*lim)))
     em.write("thermal.svg", svgplot.line_chart(
         [("burst winding", burst_trace.t, burst_trace.t_winding),
          ("hold winding", hold.t, hold.t_winding),
@@ -608,18 +604,14 @@ def _scenario_efficiency(spec: RunSpec, em: _Emitter):
                                  params=spec.leg, actuator=spec.actuator)
     em.counters["efficiency_lift"] = trace.counters()
     em.write("efficiency_lift.csv", trace.to_csv())
-    p_joint, p_motor, p_in = powertherm.power_series(trace, spec.actuator)
-    summary = powertherm.power_flow(trace, spec.actuator)
-    em.write("efficiency_power.csv",
-             powertherm.power_samples_to_csv(summary.samples))
-    rows = ["name,value",
-            f"drivetrain_efficiency_avg,{summary.drivetrain_efficiency_avg:.10g}",
-            f"electrical_efficiency_avg,{summary.electrical_efficiency_avg:.10g}",
-            f"n_averaged,{summary.n_averaged}"]
-    em.write("efficiency_summary.csv", "\n".join(rows) + "\n")
+    s = powertherm.power_flow(trace, spec.actuator)
+    em.write("efficiency_power.csv", powertherm.power_samples_to_csv(s))
+    names = ("drivetrain_efficiency_avg", "electrical_efficiency_avg", "n_averaged")
+    em.write("efficiency_summary.csv", lintf.csv_table(
+        "name,value", [names, [getattr(s, n) for n in names]]))
     em.write("efficiency.svg", svgplot.line_chart(
-        [("joint", trace.t, p_joint), ("motor shaft", trace.t, p_motor),
-         ("electrical", trace.t, p_in)],
+        [("joint", s.t, s.p_joint), ("motor shaft", s.t, s.p_motor),
+         ("electrical", s.t, s.p_in)],
         title="Lift power flow", xlabel="time [s]", ylabel="power [W]"))
 
 
@@ -639,18 +631,15 @@ def _material_ranking(spec: RunSpec):
 def _scenario_materials(spec: RunSpec, em: _Emitter):
     records, result = spec.inputs
     em.write("materials.csv", elastomat.materials_to_csv(records))
-    rows = ["rank,name,score"]
-    for i, (name, score) in enumerate(result.ranked, start=1):
-        rows.append(f"{i},{name},{score:.10g}")
-    em.write("materials_ranked.csv", "\n".join(rows) + "\n")
+    names, scores = zip(*result.ranked)
+    ranks = list(range(1, len(names) + 1))
+    em.write("materials_ranked.csv", lintf.csv_table(
+        "rank,name,score", [ranks, names, scores]))
     if result.excluded:
-        rows = ["name,reason"]
-        for name, reason in result.excluded:
-            rows.append(f"{name},{reason}")
-        em.write("materials_excluded.csv", "\n".join(rows) + "\n")
+        em.write("materials_excluded.csv", lintf.csv_table(
+            "name,reason", zip(*result.excluded)))
     em.write("materials_scores.svg", svgplot.line_chart(
-        [("score", list(range(1, len(result.ranked) + 1)),
-          [s for _, s in result.ranked])],
+        [("score", ranks, scores)],
         title="Material ranking scores", xlabel="rank", ylabel="score"))
 
 

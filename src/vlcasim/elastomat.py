@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .lintf import FitDiverged, FrequencyResponsePoint, fit_second_order
+from .lintf import (FitDiverged, FrequencyResponsePoint, csv_table,
+                    fit_second_order)
 
 
 class DegenerateData(Exception):
@@ -272,15 +273,8 @@ MATERIALS_CSV_HEADER = ("name,compression_set_pct,linearity_r2,"
                         "damping_ns_per_m,creep_pct,cost_usd")
 
 
-def _cell(v) -> str:
-    return "" if v is None else f"{v:.10g}"
-
-
 def materials_to_csv(records: Sequence[MaterialRecord]) -> str:
-    lines = [MATERIALS_CSV_HEADER]
-    for r in records:
-        lines.append(",".join([r.name, _cell(r.compression_set_pct),
-                               _cell(r.linearity_r2), _cell(r.stiffness_n_per_mm),
-                               _cell(r.modulus_n_per_mm2), _cell(r.damping_ns_per_m),
-                               _cell(r.creep_pct), _cell(r.cost_usd)]))
-    return "\n".join(lines) + "\n"
+    # the header fields are the record's attribute names
+    return csv_table(MATERIALS_CSV_HEADER, [
+        [getattr(r, name) for r in records]
+        for name in MATERIALS_CSV_HEADER.split(",")])

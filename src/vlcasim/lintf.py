@@ -1,6 +1,7 @@
 """Linear-systems core: real polynomials in s, rational transfer functions
 with an optional transport delay, frequency sweeps with consistent phase
-unwrapping, stability margins, and second-order model fitting.
+unwrapping, stability margins, and second-order model fitting; also the
+one CSV table writer that every output file goes through.
 """
 
 from __future__ import annotations
@@ -399,11 +400,41 @@ def zoh_discretize(a, b, dt: float):
     return e[:n, :n], e[:n, n:]
 
 
+# ------------------------------------------------------------------ csv
+
+def csv_table(header: str, columns) -> str:
+    """CSV text of a table given column by column; every output CSV is
+    written here. Each column is a sequence of cells, or a 2-D array for
+    several numeric columns side by side. A float is written as %.10g, an
+    int as is, text as given; None, NaN and +-inf are an empty cell."""
+    def cell(v) -> str:
+        if isinstance(v, str):
+            return v
+        if v is None or not math.isfinite(v):
+            return ""
+        return "%d" % v if isinstance(v, (int, np.integer)) else "%.10g" % v
+
+    arrays = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
+              for c in columns]
+    cols = [col for a in arrays for col in (a.T if a.ndim == 2 else [a])]
+    if len(cols) != header.count(",") + 1 or len({len(c) for c in cols}) > 1:
+        raise ValueError("need one equal-length column per header field")
+    # an all-finite float array is formatted a row at a time, any other column
+    # cell by cell; blocks of rows keep few cells alive as Python objects
+    fast = [c.dtype.kind == "f" and np.isfinite(c).all() for c in cols]
+    row = ",".join("%.10g" if f else "%s" for f in fast)
+    lines = [header]
+    for i in range(0, len(cols[0]), 256):
+        block = [c[i:i + 256].tolist() for c in cols]
+        block = [b if f else [cell(v) for v in b] for b, f in zip(block, fast)]
+        lines += [row % r for r in zip(*block)]
+    return "\n".join(lines) + "\n"
+
+
 FRF_CSV_HEADER = "omega_rad_s,magnitude,phase_deg"
 
 
 def frf_to_csv(points: Sequence[FrequencyResponsePoint]) -> str:
-    lines = [FRF_CSV_HEADER]
-    for p in points:
-        lines.append(f"{p.omega:.10g},{p.magnitude:.10g},{p.phase_deg:.10g}")
-    return "\n".join(lines) + "\n"
+    return csv_table(FRF_CSV_HEADER, [[getattr(p, name) for p in points]
+                                      for name in ("omega", "magnitude",
+                                                   "phase_deg")])

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lintf import zoh_discretize
+from .lintf import csv_table, zoh_discretize
 from .simkit import check_duration
 from .vlca import ActuatorParams, DEFAULT_MOMENT_ARM, VLCA_ACTUATOR
 
@@ -67,12 +67,6 @@ class ThermalState:
     t_housing: float  # [C]
 
 
-def winding_power(state: ThermalState, current_a: float,
-                  params: ThermalParams) -> float:
-    """Copper loss at the present winding temperature [W]."""
-    return current_a ** 2 * params.resistance_at(state.t_winding)
-
-
 @functools.lru_cache(maxsize=64)
 def _propagator(params: ThermalParams, cooling_on: bool, dt: float):
     """Exact zero-order-hold update of the two-node network over dt, as the
@@ -84,22 +78,6 @@ def _propagator(params: ThermalParams, cooling_on: bool, dt: float):
     a = np.array([[-g_wh, g_wh], [g_wh, -(g_wh + g_ha)]]) / caps
     ad, bd = zoh_discretize(a, [1.0 / params.c_winding, 0.0], dt)
     return (*ad.ravel().tolist(), *bd.ravel().tolist())
-
-
-def step_thermal(state: ThermalState, current_a: float, cooling_on: bool,
-                 dt: float, params: ThermalParams) -> ThermalState:
-    """Advance one step with the copper loss frozen at the entry
-    temperature; the two-node linear network itself is integrated
-    exactly."""
-    if not 0.0 < dt <= 0.010:
-        raise ValueError("dt must be within (0, 10 ms]")
-    p = winding_power(state, current_a, params)
-    a00, a01, a10, a11, b0, b1 = _propagator(params, cooling_on, dt)
-    amb = params.ambient_c
-    dw = state.t_winding - amb
-    dh = state.t_housing - amb
-    return ThermalState(t_winding=amb + a00 * dw + a01 * dh + b0 * p,
-                        t_housing=amb + a10 * dw + a11 * dh + b1 * p)
 
 
 def steady_state_winding(current_a: float, params: ThermalParams,
@@ -133,13 +111,9 @@ THERMAL_CSV_HEADER = "t_s,i_A,T_winding_C,T_housing_C,cooling"
 
 
 def thermal_trace_to_csv(trace: ThermalTrace) -> str:
-    flag = "1" if trace.cooling_on else "0"
-    lines = [THERMAL_CSV_HEADER]
-    for k in range(len(trace.t)):
-        lines.append(f"{trace.t[k]:.10g},{trace.current_a[k]:.10g},"
-                     f"{trace.t_winding[k]:.10g},{trace.t_housing[k]:.10g},"
-                     f"{flag}")
-    return "\n".join(lines) + "\n"
+    return csv_table(THERMAL_CSV_HEADER, (
+        trace.t, trace.current_a, trace.t_winding, trace.t_housing,
+        np.full(len(trace.t), float(trace.cooling_on))))
 
 
 def simulate_constant_current(current_a: float, duration_s: float,
@@ -326,35 +300,25 @@ def calibrate_thermal(actuator: ActuatorParams = VLCA_ACTUATOR,
 
 # ----------------------------------------------------------- power flow
 
-@dataclass(frozen=True)
-class PowerSample:
-    t_s: float
-    input_w: float   # electrical input: copper loss + shaft power
-    motor_w: float   # mechanical power at the motor shafts
-    joint_w: float   # mechanical power at the joints
-
-
 POWER_CSV_HEADER = "t_s,input_w,motor_w,joint_w"
-
-
-def power_samples_to_csv(samples) -> str:
-    lines = [POWER_CSV_HEADER]
-    last_t = -math.inf
-    for s in samples:
-        if s.t_s <= last_t:
-            raise ValueError("sample times must strictly increase")
-        last_t = s.t_s
-        lines.append(f"{s.t_s:.10g},{s.input_w:.10g},{s.motor_w:.10g},"
-                     f"{s.joint_w:.10g}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
 class PowerSummary:
-    samples: tuple                    # PowerSample series, full trace
+    t: np.ndarray                     # sample times of the full trace [s]
+    p_in: np.ndarray                  # electrical input: copper loss + shaft [W]
+    p_motor: np.ndarray               # mechanical power at the motor shafts [W]
+    p_joint: np.ndarray               # mechanical power at the joints [W]
     drivetrain_efficiency_avg: float  # mean of joint/motor over the subset
     electrical_efficiency_avg: float  # mean of joint/input over the subset
     n_averaged: int                   # samples in the positive-power subset
+
+
+def power_samples_to_csv(summary: PowerSummary) -> str:
+    if not (np.diff(summary.t) > 0.0).all():
+        raise ValueError("sample times must strictly increase")
+    return csv_table(POWER_CSV_HEADER, (summary.t, summary.p_in,
+                                        summary.p_motor, summary.p_joint))
 
 
 def power_series(trace, actuator: ActuatorParams = VLCA_ACTUATOR,
@@ -384,9 +348,6 @@ def power_flow(trace, actuator: ActuatorParams = VLCA_ACTUATOR,
     reads a drivetrain efficiency of 1.238, the default 1.5 s lift 0.887.
     """
     p_joint, p_motor, p_in = power_series(trace, actuator, r_elec_ohm)
-    samples = tuple(PowerSample(float(trace.t[k]), float(p_in[k]),
-                                float(p_motor[k]), float(p_joint[k]))
-                    for k in range(len(trace.t)))
     mask = (p_joint > 0.0) & (p_motor > min_motor_w)
     n = int(mask.sum())
     if n < 10:
@@ -394,5 +355,7 @@ def power_flow(trace, actuator: ActuatorParams = VLCA_ACTUATOR,
             f"only {n} samples with positive joint and motor power")
     drive = float(np.mean(p_joint[mask] / p_motor[mask]))
     elec = float(np.mean(p_joint[mask] / p_in[mask]))
-    return PowerSummary(samples=samples, drivetrain_efficiency_avg=drive,
+    return PowerSummary(t=np.asarray(trace.t, dtype=float), p_in=p_in,
+                        p_motor=p_motor, p_joint=p_joint,
+                        drivetrain_efficiency_avg=drive,
                         electrical_efficiency_avg=elec, n_averaged=n)

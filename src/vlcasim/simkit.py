@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lintf import zoh_discretize
+from .lintf import csv_table, zoh_discretize
 from .vlca import (ActuatorParams, ControllerGains, ControllerKind,
                    DEFAULT_MOMENT_ARM, VLCA_ACTUATOR)
 
@@ -293,20 +293,6 @@ class DiscreteForceController:
 SIM_CSV_HEADER = "t_s,f_cmd_N,f_meas_N,f_loadcell_N,i_m_A,x_r_m,q_out,temp_C"
 
 
-def csv_table(header: str, columns) -> str:
-    """CSV text of equal-length float columns (1-D, or 2-D for several
-    columns side by side): %.10g cells, NaN as an empty cell."""
-    table = np.column_stack(columns)
-    row = ",".join(["%.10g"] * table.shape[1])
-    lines = [header]
-    # a block of rows at a time keeps few cells alive as Python floats;
-    # %.10g writes NaN, and nothing else, as "nan"
-    for i in range(0, len(table), 256):
-        lines += [(row % tuple(r)).replace("nan", "")
-                  for r in table[i:i + 256].tolist()]
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class SimTrace:
     """Uniformly sampled run record at the controller rate."""
@@ -319,7 +305,7 @@ class SimTrace:
     i_m: np.ndarray          # applied motor current [A]
     x_r: np.ndarray          # spring deflection [m]
     q_out: np.ndarray        # output/joint position when meaningful, else nan
-    temp_c: np.ndarray       # winding temperature when thermal enabled, else nan
+    temp_c: np.ndarray       # always nan: keeps the temp_C column of the CSV
     saturation_count: int = 0
     meta: dict = field(default_factory=dict)
 
@@ -358,13 +344,11 @@ def check_duration(duration: float, name: str = "duration") -> None:
 def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
                        reference, duration: float,
                        params: ActuatorParams = VLCA_ACTUATOR,
-                       external_force: Optional[Callable[[float], float]] = None,
-                       thermal=None, cooling_on: bool = True) -> SimTrace:
+                       external_force: Optional[Callable[[float], float]] = None
+                       ) -> SimTrace:
     """Closed-loop force tracking against the locked-output plant.
 
-    reference is any object with value(t) -> N. When thermal (ThermalParams)
-    is given, a two-node winding model integrates alongside and fills the
-    temperature column.
+    reference is any object with value(t) -> N.
     """
     check_duration(duration)
     dt = CONTROL_DT
@@ -377,11 +361,6 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
     n_drive = params.drive_constant
     step = _zoh_step(*_locked_plant(params))
     y = [0.0, 0.0]
-
-    therm_state = None
-    if thermal is not None:
-        from .powertherm import ThermalState, step_thermal
-        therm_state = ThermalState(thermal.ambient_c, thermal.ambient_c)
 
     # the reference generator lives on the same clock as the controller,
     # so each command is computed for the instant it takes effect
@@ -397,10 +376,6 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
         trace.f_loadcell[k] = f_meas + b_r * v
         trace.i_m[k] = i_applied
         trace.x_r[k] = x
-        if therm_state is not None:
-            trace.temp_c[k] = therm_state.t_winding
-            therm_state = step_thermal(therm_state, i_applied, cooling_on,
-                                       dt, thermal)
         y = step(y, n_drive * i_applied + f_ext)
         if not all(map(math.isfinite, y)):
             raise NonFiniteState(f"plant state diverged at t={t:.3f} s")

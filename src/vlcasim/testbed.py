@@ -15,6 +15,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 
 from . import simkit
+from .lintf import csv_table
 from .vlca import (ActuatorParams, ControllerGains, ControllerKind,
                    DEFAULT_MOMENT_ARM, VLCA_ACTUATOR)
 
@@ -374,7 +375,7 @@ class TestbedTrace:
         return float(np.max(np.linalg.norm(self.x - self.x_des, axis=1)))
 
     def to_csv(self) -> str:
-        return simkit.csv_table(TESTBED_CSV_HEADER, (
+        return csv_table(TESTBED_CSV_HEADER, (
             self.t, self.x, self.x_des, self.q, self.tau_cmd,
             self.tau_applied, self.i_m, self.f_k))
 

@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .lintf import (DelayedTransferFunction, NoCrossover, Polynomial,
-                    StabilityReport, stability_margins, sweep_response, tf_eval)
+                    StabilityReport, csv_table, stability_margins,
+                    sweep_response, tf_eval)
 
 
 class MissingFilterCutoff(Exception):
@@ -276,16 +277,12 @@ MARGIN_CSV_HEADER = "controller,phase_margin_deg,gain_crossover_hz,gain_margin_d
 
 
 def margin_table_to_csv(entries) -> str:
-    lines = [MARGIN_CSV_HEADER]
-    for e in entries:
-        if e.report is None:
-            lines.append(f"{e.label},,,")
-            continue
-        r = e.report
-        gm = "" if math.isinf(r.gain_margin_db) else f"{r.gain_margin_db:.10g}"
-        f_hz = r.gain_crossover_rad_s / (2.0 * math.pi)
-        lines.append(f"{e.label},{r.phase_margin_deg:.10g},{f_hz:.10g},{gm}")
-    return "\n".join(lines) + "\n"
+    rows = [(e.label, None, None, None) if e.report is None else
+            (e.label, e.report.phase_margin_deg,
+             e.report.gain_crossover_rad_s / (2.0 * math.pi),
+             e.report.gain_margin_db)
+            for e in entries]
+    return csv_table(MARGIN_CSV_HEADER, zip(*rows))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 """Scenario runner: config validation, manifests, reruns, sweeps."""
+import csv
+import io
 import json
 import math
 import os
@@ -128,6 +130,9 @@ def test_margins_run_at_the_longest_delay_completes(tmp_path):
     "scenario = force_tracking\nforce_tracking.duration_s = 1e-9",
     "scenario = position_step\nposition_step.duration_s = 1e-9",
     "scenario = position_step\nposition_step.step_rad = 0",
+    # at or above the Nyquist frequency of the 1 kHz record
+    "scenario = bode\nbode.f1_hz = 500",
+    "scenario = bode\nbode.f1_hz = 1000",
 ], ids=["impact", "force_tracking", "position_step", "osc", "thermal_burst",
         "thermal_hold", "efficiency_duration", "efficiency_payload",
         "efficiency_lift", "osc_payload", "osc_amplitude", "osc_center",
@@ -135,7 +140,7 @@ def test_margins_run_at_the_longest_delay_completes(tmp_path):
         "materials_min_damping", "bode_chirp_sub_step", "bode_chirp_1ms",
         "bode_chirp_short_record", "bode_chirp_silent",
         "force_tracking_sub_step", "position_step_sub_step",
-        "position_step_zero_step"])
+        "position_step_zero_step", "bode_f1_nyquist", "bode_f1_above_nyquist"])
 def test_validate_range_checks_scenario_extras(tmp_path, capsys, lines):
     cfg = _write(tmp_path, "extras.cfg", f"{lines}\nout = extras_out\n")
     assert main(["validate", cfg]) == 2
@@ -251,6 +256,45 @@ def test_reruns_are_byte_identical(tmp_path):
         a = (tmp_path / "first" / name).read_bytes()
         b = (tmp_path / "second" / name).read_bytes()
         assert a == b, name
+
+
+# short runs of every scenario; the position step ends before it settles,
+# so its settling time is a missing value
+_SHORT_RUNS = {
+    "bode": {"bode.chirp_s": "2"},
+    "margins": {},
+    "force_tracking": {"force_tracking.duration_s": "0.2"},
+    "position_step": {"position_step.duration_s": "0.2"},
+    "impact": {},
+    "osc": {"osc.duration_s": "0.2"},
+    "thermal": {"thermal.burst_duration_s": "0.05",
+                "thermal.hold_duration_s": "1"},
+    "efficiency": {"efficiency.duration_s": "0.2"},
+    "materials": {},
+}
+
+
+def _non_finite_number(cell: str) -> bool:
+    try:
+        return not math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def test_every_csv_is_a_rectangular_table(tmp_path):
+    assert set(_SHORT_RUNS) == set(cli.SCENARIOS)
+    for scenario, extras in _SHORT_RUNS.items():
+        man = cli.run({"scenario": scenario, "out": scenario, **extras})
+        names = [n for n in man.files if n.endswith(".csv")]
+        assert names, scenario
+        for name in names:
+            text = (tmp_path / scenario / name).read_text()
+            assert text.endswith("\n"), name
+            rows = list(csv.reader(io.StringIO(text)))
+            header = rows[0]
+            assert len(rows) > 1 and header not in rows[1:], name
+            assert {len(r) for r in rows} == {len(header)}, name
+            assert not any(_non_finite_number(c) for r in rows for c in r), name
 
 
 def test_set_overrides_reach_the_manifest(tmp_path):

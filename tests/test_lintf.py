@@ -9,7 +9,7 @@ import pytest
 
 from vlcasim.lintf import (DelayedTransferFunction, FitDiverged,
                            FRF_CSV_HEADER, FrequencyResponsePoint, NoCrossover,
-                           PoleOnAxis, Polynomial, bode_sweep,
+                           PoleOnAxis, Polynomial, bode_sweep, csv_table,
                            fit_second_order, frf_to_csv, stability_margins,
                            sweep_response, tf_eval, zoh_discretize)
 from vlcasim.vlca import VLCA_ACTUATOR, force_plant, plant_px
@@ -345,3 +345,53 @@ def test_frf_csv_round_trip():
         assert omega == pytest.approx(a.omega, rel=1e-9)
         assert magnitude == pytest.approx(a.magnitude, rel=1e-9)
         assert phase_deg == pytest.approx(a.phase_deg, rel=1e-9, abs=1e-9)
+
+
+def test_csv_cells_follow_one_rule():
+    text = csv_table("name,count,value", [
+        ["a b", "x;y", "", "c"],
+        [7, 12345678901, True, -3],
+        [None, math.nan, math.inf, -math.inf],
+    ])
+    assert text == ("name,count,value\n"
+                    "a b,7,\n"
+                    "x;y,12345678901,\n"
+                    ",1,\n"
+                    "c,-3,\n")
+
+
+def test_csv_numbers_are_ten_significant_digits():
+    col = np.array([-0.0, 5e-324, 1.0 / 3.0, 2.0 ** 70, 42.0])
+    assert csv_table("v", [col]).splitlines()[1:] == [
+        "-0", "4.940656458e-324", "0.3333333333", "1.180591621e+21", "42"]
+    # a non-finite cell blanks only itself, in an array as in a list
+    col[1] = math.nan
+    assert csv_table("v", [col]) == csv_table("v", [col.tolist()])
+    assert csv_table("v", [col]).splitlines()[2] == ""
+
+
+def test_csv_two_dimensional_column_splits_into_columns():
+    pairs = np.array([[1.0, 2.0], [3.0, math.nan]])
+    text = csv_table("t,a,b,flag", [np.array([0.0, 0.5]), pairs,
+                                    np.array([1, 0])])
+    assert text == "t,a,b,flag\n0,1,2,1\n0.5,3,,0\n"
+
+
+def test_csv_blocks_match_a_row_by_row_rendering():
+    rng = np.random.default_rng(3)
+    t = np.arange(600) * 1e-3
+    xy = rng.normal(size=(600, 2)) * 10.0 ** rng.integers(-8, 8, size=(600, 2))
+    xy[[0, 255, 256, 599], 1] = [math.nan, math.inf, -math.inf, math.nan]
+    expected = ["t,x,y"] + [
+        ",".join("" if not math.isfinite(v) else f"{v:.10g}"
+                 for v in (t[k], *xy[k]))
+        for k in range(600)]
+    assert csv_table("t,x,y", [t, xy]) == "\n".join(expected) + "\n"
+
+
+def test_csv_columns_must_match_the_header():
+    with pytest.raises(ValueError):
+        csv_table("a,b", [[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        csv_table("a,b", [[1.0, 2.0], [3.0]])
+    assert csv_table("a,b", [[], []]) == "a,b\n"

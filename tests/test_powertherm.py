@@ -88,13 +88,12 @@ def test_cooling_off_runs_hotter(calibrated):
 
 def test_unpowered_decay_is_monotone(calibrated):
     p = calibrated.params
-    st = pt.ThermalState(120.0, 80.0)
-    prev = st.t_winding
-    for _ in range(20000):
-        st = pt.step_thermal(st, 0.0, True, 0.01, p)
-        assert st.t_winding <= prev + 1e-12
-        prev = st.t_winding
-    assert st.t_winding == pytest.approx(p.ambient_c, abs=0.01)
+    tr = pt.simulate_constant_current(0.0, 200.0, p, dt=0.01,
+                                      initial=pt.ThermalState(120.0, 80.0))
+    assert len(tr.t) == 20001
+    assert tr.t_winding[0] == 120.0
+    assert np.all(np.diff(tr.t_winding) <= 1e-12)
+    assert tr.t_winding[-1] == pytest.approx(p.ambient_c, abs=0.01)
 
 
 def test_hold_current_settles_at_target(calibrated):
@@ -187,12 +186,15 @@ def test_power_flow_needs_positive_intervals():
 
 def test_power_csv_layout():
     summary = pt.power_flow(_fake_trace(), min_motor_w=0.0)
-    text = pt.power_samples_to_csv(summary.samples[:5])
-    assert text.splitlines()[0] == pt.POWER_CSV_HEADER
-    assert len(text.strip().splitlines()) == 6
-    with pytest.raises(ValueError):
-        pt.power_samples_to_csv([pt.PowerSample(1.0, 1.0, 1.0, 1.0),
-                                 pt.PowerSample(1.0, 2.0, 2.0, 2.0)])
+    text = pt.power_samples_to_csv(summary)
+    lines = text.splitlines()
+    assert lines[0] == pt.POWER_CSV_HEADER
+    assert len(lines) == 1 + 501
+    assert lines[1].split(",")[0] == "0"
+    repeated = summary.t.copy()
+    repeated[3] = repeated[2]
+    with pytest.raises(ValueError, match="strictly increase"):
+        pt.power_samples_to_csv(replace(summary, t=repeated))
 
 
 def test_thermal_trace_csv(calibrated):
