@@ -32,9 +32,10 @@ import numpy as np
 
 from . import __version__, elastomat, lintf, powertherm, simkit, svgplot, testbed
 from .vlca import (ActuatorParams, ControllerGains, ControllerKind,
-                   DEFAULT_MOMENT_ARM, MARGIN_TABLE_ORDER, VLCA_ACTUATOR,
-                   calibrate_margins, force_plant, margin_table,
-                   margin_table_to_csv, open_loop_tf)
+                   DEFAULT_MOMENT_ARM, EXPERIMENT_GAINS, MARGIN_TABLE_ORDER,
+                   MissingFilterCutoff, VLCA_ACTUATOR, calibrate_margins,
+                   force_plant, margin_table, margin_table_to_csv,
+                   open_loop_tf)
 
 
 class ConfigInvalid(Exception):
@@ -64,6 +65,10 @@ _NAMESPACES = {
     "thermal": powertherm.ThermalParams(
         c_winding=0.2, c_housing=4.0, r_wh=0.036, r_ha_on=3.54, r_ha_off=46.0),
 }
+
+# scenarios that simulate a closed force loop: their gains.* overrides
+# replace the experiment gains, every other scenario's the nominal ones
+_EXPERIMENT_LOOPS = ("force_tracking", "osc", "efficiency")
 
 # per-scenario extra knobs: name -> (default, kind) where kind is
 # "float", "int", or a tuple of allowed strings
@@ -171,7 +176,6 @@ class RunSpec:
     leg: testbed.TwoDofParams
     thermal_overrides: dict
     extras: dict
-    explicit_keys: frozenset
     digest: str
     inputs: object = None  # what the scenario's prepare step built
 
@@ -196,7 +200,6 @@ def _resolve(raw_config: dict):
     overrides = {ns: {} for ns in _NAMESPACES}
     extras_spec = _EXTRAS.get(scenario, {})
     extras = {name: default for name, (default, _) in extras_spec.items()}
-    explicit = set()
     for key, raw_val in raw_config.items():
         if key in _GLOBAL_KEYS:
             if key == "seed":
@@ -221,7 +224,6 @@ def _resolve(raw_config: dict):
             elif isinstance(kind, tuple) and value not in kind:
                 diags.append((key, f"expected one of {', '.join(kind)}"))
             extras[leaf] = value
-            explicit.add(key)
             continue
         name = None
         if prefix in _NAMESPACES:
@@ -235,11 +237,12 @@ def _resolve(raw_config: dict):
             diags.append((key, "expected a finite number"))
         else:
             overrides[prefix][name] = value
-            explicit.add(f"{prefix}.{name}")
 
     # range checks through the dataclass invariants
     resolved = {}
     for ns, base in _NAMESPACES.items():
+        if ns == "gains" and scenario in _EXPERIMENT_LOOPS:
+            base = EXPERIMENT_GAINS
         try:
             resolved[ns] = replace(base, **overrides[ns])
         except (ValueError, TypeError) as exc:
@@ -258,7 +261,6 @@ def _resolve(raw_config: dict):
         leg=resolved["testbed"],
         thermal_overrides=overrides["thermal"],
         extras=extras,
-        explicit_keys=frozenset(explicit),
         digest=hashlib.sha256(
             "\n".join(f"{k}={raw_config[k]}" for k in sorted(raw_config))
             .encode()).hexdigest(),
@@ -268,10 +270,14 @@ def _resolve(raw_config: dict):
     try:
         spec.inputs = prepare(spec)
     except (ValueError, testbed.WorkspaceViolation, elastomat.AllExcluded,
-            powertherm.CalibrationInfeasible) as exc:
+            powertherm.CalibrationInfeasible, simkit.InsufficientExcitation,
+            MissingFilterCutoff) as exc:
         msg = str(exc)
-        bad = next((n for n in extras_spec if msg.startswith(n)), None)
-        return [(f"{scenario}.{bad}" if bad else scenario, msg)], None
+        keys = [f"{scenario}.{n}" for n in extras_spec]
+        keys += [f"gains.{f.name}" for f in fields(ControllerGains)]
+        bad = next((k for k in keys if msg.startswith(k.split(".")[1])),
+                   scenario)
+        return [(bad, msg)], None
     return [], spec
 
 
@@ -314,9 +320,10 @@ class _Emitter:
 
 # Each scenario is a (prepare, execute) pair. prepare(spec) builds and
 # checks the scenario's inputs before its simulations start; it raises
-# ValueError, WorkspaceViolation, AllExcluded or CalibrationInfeasible for
-# a config it cannot run, which validate() reports. execute(spec, em) runs
-# the scenario on spec.inputs and writes its files.
+# ValueError, WorkspaceViolation, AllExcluded, CalibrationInfeasible,
+# InsufficientExcitation or MissingFilterCutoff for a config it cannot
+# run, which validate() reports. execute(spec, em) runs the scenario on
+# spec.inputs and writes its files.
 
 def _bode_chirp(spec: RunSpec):
     x = spec.extras
@@ -334,6 +341,9 @@ def _bode_chirp(spec: RunSpec):
     if n < simkit.FRF_MIN_SAMPLES:
         raise ValueError(f"chirp_s gives a {n}-sample record; the response "
                          f"estimate needs {simkit.FRF_MIN_SAMPLES}")
+    # the band the estimator will find in the commanded-force column
+    drive = spec.actuator.drive_constant * simkit.chirp_drive(chirp)
+    simkit.excited_band(drive, simkit.CONTROL_DT, held=True)
     return chirp
 
 
@@ -392,13 +402,18 @@ def _scenario_margins(spec: RunSpec, em: _Emitter):
                            cal.pm_pdm_dob_deg, cal.objective_deg)]))
 
 
+def _check_force_loop(spec: RunSpec, kind: ControllerKind):
+    """Build the scenario's force controller once, so that a loop delay of
+    a fraction of a control period or an unset filter cutoff the loop
+    needs is a config error."""
+    simkit.DiscreteForceController(kind, spec.actuator, spec.gains)
+
+
 def _force_inputs(spec: RunSpec):
     x = spec.extras
     simkit.check_duration(x["duration_s"], "duration_s")
-    gains = spec.gains
-    if "gains.q_taud_cutoff" not in spec.explicit_keys:
-        # experiments run the observer filter at 60 Hz
-        gains = replace(gains, q_taud_cutoff=2.0 * math.pi * 60.0)
+    kind = _KIND_BY_NAME[x["kind"]]
+    _check_force_loop(spec, kind)
     full_scale = x["amplitude_nm"] / DEFAULT_MOMENT_ARM
     ref_name = x["reference"]
     if ref_name == "ramp":
@@ -413,13 +428,13 @@ def _force_inputs(spec: RunSpec):
         ref = simkit.ChirpRef(amplitude=full_scale, f0_hz=0.5,
                               f1_hz=min(x["freq_hz"] * 40.0, 200.0),
                               duration_s=max(x["duration_s"] - 0.5, 0.5))
-    return _KIND_BY_NAME[x["kind"]], gains, ref
+    return kind, ref
 
 
 def _scenario_force_tracking(spec: RunSpec, em: _Emitter):
     x = spec.extras
-    kind, gains, ref = spec.inputs
-    trace = simkit.run_force_tracking(kind, gains, ref, x["duration_s"],
+    kind, ref = spec.inputs
+    trace = simkit.run_force_tracking(kind, spec.gains, ref, x["duration_s"],
                                       params=spec.actuator)
     em.write("force_tracking.csv", trace.to_csv())
     em.write("force_tracking.svg", svgplot.line_chart(
@@ -506,6 +521,7 @@ def _osc_trajectory(spec: RunSpec):
                                       freq_hz=x["freq_hz"],
                                       phase_rad=x["phase_rad"])
     testbed.osc_run_inputs(traj, x["payload_kg"], x["duration_s"], spec.leg)
+    _check_force_loop(spec, ControllerKind.PDM_DOB)
     return traj
 
 
@@ -515,7 +531,8 @@ def _scenario_osc(spec: RunSpec, em: _Emitter):
     for mode in ("ideal_torque", "cascaded_vlca"):
         trace = testbed.simulate_osc(spec.inputs, x["payload_kg"], mode,
                                      x["duration_s"], params=spec.leg,
-                                     actuator=spec.actuator)
+                                     actuator=spec.actuator,
+                                     force_gains=spec.gains)
         em.counters[f"osc_{mode}"] = trace.counters()
         em.write(f"osc_{mode}.csv", trace.to_csv())
         err = np.linalg.norm(trace.x - trace.x_des, axis=1)
@@ -594,6 +611,7 @@ def _lift_trajectory(spec: RunSpec):
                                                    x["duration_s"])
     testbed.osc_run_inputs(traj, x["payload_kg"],
                            x["duration_s"] + _LIFT_HOLD_S, spec.leg)
+    _check_force_loop(spec, ControllerKind.PDM_DOB)
     return traj
 
 
@@ -601,7 +619,8 @@ def _scenario_efficiency(spec: RunSpec, em: _Emitter):
     x = spec.extras
     trace = testbed.simulate_osc(spec.inputs, x["payload_kg"],
                                  "cascaded_vlca", x["duration_s"] + _LIFT_HOLD_S,
-                                 params=spec.leg, actuator=spec.actuator)
+                                 params=spec.leg, actuator=spec.actuator,
+                                 force_gains=spec.gains)
     em.counters["efficiency_lift"] = trace.counters()
     em.write("efficiency_lift.csv", trace.to_csv())
     s = powertherm.power_flow(trace, spec.actuator)

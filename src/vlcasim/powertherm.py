@@ -5,7 +5,6 @@ accounting for lift experiments.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -67,7 +66,6 @@ class ThermalState:
     t_housing: float  # [C]
 
 
-@functools.lru_cache(maxsize=64)
 def _propagator(params: ThermalParams, cooling_on: bool, dt: float):
     """Exact zero-order-hold update of the two-node network over dt, as the
     flat entries (a00, a01, a10, a11, b0, b1) of rise' = Ad rise + Bd power,
@@ -222,22 +220,23 @@ def _golden_min(f, lo: float, hi: float, iters: int = 60):
 
 
 def calibrate_thermal(actuator: ActuatorParams = VLCA_ACTUATOR,
-                      targets: ThermalTargets = ThermalTargets(),
-                      r_elec_25: float = 0.45, alpha: float = 0.0039,
-                      ambient_c: float = 25.0, limit_c: float = 155.0
+                      targets: ThermalTargets = ThermalTargets()
                       ) -> CalibrationReport:
     """Fit the network to the bench targets.
 
     The settled-temperature target fixes the cooled loop resistance in
     closed form and the coolant gain pins the ambient-path ratio exactly
     (r_ha_off = ratio^2 * r_ha_on); the burst-peak target is then closed
-    by coordinate descent on the two log-capacities.
+    by coordinate descent on the two log-capacities. The electrical
+    resistance, ambient and limit keep ThermalParams' defaults.
     """
+    defaults = ThermalParams  # its class attributes hold the field defaults
     i_hold = targets.hold_force_n / actuator.drive_constant
-    rise = targets.hold_settle_c - ambient_c
+    rise = targets.hold_settle_c - defaults.ambient_c
     if rise <= 0.0:
         raise CalibrationInfeasible("settle target below ambient")
-    r_hold = r_elec_25 * (1.0 + alpha * (targets.hold_settle_c - 25.0))
+    r_hold = defaults.r_elec_25 * (
+        1.0 + defaults.alpha * (targets.hold_settle_c - 25.0))
     s_on = rise / (i_hold ** 2 * r_hold)
     r_wh = _WH_SHARE * s_on
     r_ha_on = s_on - r_wh
@@ -245,9 +244,7 @@ def calibrate_thermal(actuator: ActuatorParams = VLCA_ACTUATOR,
 
     def make(c_w: float, c_h: float) -> ThermalParams:
         return ThermalParams(c_winding=c_w, c_housing=c_h, r_wh=r_wh,
-                             r_ha_on=r_ha_on, r_ha_off=r_ha_off,
-                             r_elec_25=r_elec_25, alpha=alpha,
-                             ambient_c=ambient_c, limit_c=limit_c)
+                             r_ha_on=r_ha_on, r_ha_off=r_ha_off)
 
     def burst_peak(c_w: float, c_h: float) -> float:
         tr = simulate_constant_current(targets.burst_current_a,
@@ -321,22 +318,22 @@ def power_samples_to_csv(summary: PowerSummary) -> str:
                                         summary.p_motor, summary.p_joint))
 
 
-def power_series(trace, actuator: ActuatorParams = VLCA_ACTUATOR,
-                 r_elec_ohm: float = 0.45):
+def power_series(trace, actuator: ActuatorParams = VLCA_ACTUATOR):
     """Instantaneous (joint, motor shaft, electrical input) power arrays
-    [W] along a cascaded leg trace."""
+    [W] along a cascaded leg trace; the copper loss at the 25 C
+    resistance ThermalParams.r_elec_25."""
     i = np.asarray(trace.i_m, dtype=float)
     if not np.isfinite(i).all():
         raise ValueError("trace has no motor currents; run the cascaded mode")
     omega = np.asarray(trace.motor_speed_rad_s, dtype=float)
     p_joint = np.sum(trace.tau_applied * trace.qdot, axis=1)
     p_motor = np.sum(actuator.k_tau * i * omega, axis=1)
-    p_in = np.sum(i ** 2 * r_elec_ohm + actuator.k_tau * i * omega, axis=1)
+    p_in = np.sum(i ** 2 * ThermalParams.r_elec_25 + actuator.k_tau * i * omega,
+                  axis=1)
     return p_joint, p_motor, p_in
 
 
 def power_flow(trace, actuator: ActuatorParams = VLCA_ACTUATOR,
-               r_elec_ohm: float = 0.45,
                min_motor_w: float = 1.0) -> PowerSummary:
     """Efficiency bookkeeping over the samples where the joints do
     positive work and the shafts deliver more than min_motor_w; trace
@@ -347,7 +344,7 @@ def power_flow(trace, actuator: ActuatorParams = VLCA_ACTUATOR,
     counts against small shaft powers. A 0.6 s lift of the default 23 kg
     reads a drivetrain efficiency of 1.238, the default 1.5 s lift 0.887.
     """
-    p_joint, p_motor, p_in = power_series(trace, actuator, r_elec_ohm)
+    p_joint, p_motor, p_in = power_series(trace, actuator)
     mask = (p_joint > 0.0) & (p_motor > min_motor_w)
     n = int(mask.sum())
     if n < 10:

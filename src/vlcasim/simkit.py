@@ -21,7 +21,7 @@ import numpy as np
 
 from .lintf import csv_table, zoh_discretize
 from .vlca import (ActuatorParams, ControllerGains, ControllerKind,
-                   DEFAULT_MOMENT_ARM, VLCA_ACTUATOR)
+                   DEFAULT_MOMENT_ARM, MissingFilterCutoff, VLCA_ACTUATOR)
 
 
 class NonFiniteState(Exception):
@@ -128,8 +128,13 @@ class ChirpRef:
         if self.duration_s <= 0.0:
             raise ValueError("duration_s must be > 0")
 
+    @property
+    def rate(self) -> float:
+        """Frequency growth per second of the sweep, f1/f0 ** (1/duration)."""
+        return (self.f1_hz / self.f0_hz) ** (1.0 / self.duration_s)
+
     def value(self, t: float) -> float:
-        r = (self.f1_hz / self.f0_hz) ** (1.0 / self.duration_s)
+        r = self.rate
         phase = 2.0 * math.pi * self.f0_hz * (r ** t - 1.0) / math.log(r)
         return self.offset + self.amplitude * math.sin(phase)
 
@@ -139,8 +144,8 @@ class ChirpRef:
 class _TustinDeriv:
     """Bilinear discretization of w*s/(s+w)."""
 
-    def __init__(self, cutoff_rad_s: float, dt: float):
-        k = 2.0 / dt
+    def __init__(self, cutoff_rad_s: float):
+        k = 2.0 / CONTROL_DT
         self._a = (k - cutoff_rad_s) / (k + cutoff_rad_s)
         self._b = cutoff_rad_s * k / (k + cutoff_rad_s)
         self._y = 0.0
@@ -156,10 +161,10 @@ class _TustinBiquad:
     """Bilinear discretization of (B2 s^2 + B1 s + B0)/(A2 s^2 + A1 s + A0),
     direct form II transposed."""
 
-    def __init__(self, num, den, dt: float):
+    def __init__(self, num, den):
         b2, b1, b0 = num[2], num[1], num[0]
         a2, a1, a0 = den[2], den[1], den[0]
-        k = 2.0 / dt
+        k = 2.0 / CONTROL_DT
         k2 = k * k
         d0 = a2 * k2 + a1 * k + a0
         self.b0 = (b2 * k2 + b1 * k + b0) / d0
@@ -184,8 +189,7 @@ class _DobShaper:
     extra sample of delay is introduced beyond the loop's own.
     """
 
-    def __init__(self, params: ActuatorParams, gains: ControllerGains, dt: float):
-        from .vlca import MissingFilterCutoff
+    def __init__(self, params: ActuatorParams, gains: ControllerGains):
         if gains.q_taud_cutoff is None:
             raise MissingFilterCutoff("q_taud_cutoff is unset")
         w, z = gains.q_taud_cutoff, gains.q_taud_zeta
@@ -193,9 +197,9 @@ class _DobShaper:
         b = params.effective_damping + gains.k_dm * params.n_m
         k = params.k_r * (1.0 + gains.k_p)
         den = (w * w, 2.0 * z * w, 1.0)
-        self._q = _TustinBiquad((w * w, 0.0, 0.0), den, dt)
+        self._q = _TustinBiquad((w * w, 0.0, 0.0), den)
         scale = w * w / k
-        self._g = _TustinBiquad((k * scale, b * scale, m * scale), den, dt)
+        self._g = _TustinBiquad((k * scale, b * scale, m * scale), den)
 
     def shape(self, f_desired: float, f_meas: float) -> float:
         """Solve this period's corrected reference; commit() must follow."""
@@ -225,8 +229,19 @@ class _DelayLine:
         return out
 
 
+def delay_samples(delay_t: float) -> int:
+    """The loop delay in whole control periods; ValueError for a delay the
+    1 kHz controller cannot realise (1e-9 relative tolerance)."""
+    periods = delay_t / CONTROL_DT
+    n = round(periods)
+    if abs(periods - n) > 1e-9 * periods:
+        raise ValueError(f"delay_t must be a whole number of {CONTROL_DT:g} s "
+                         f"control periods, got {delay_t:g} s")
+    return n
+
+
 class DiscreteForceController:
-    """One force-loop controller stepping at a fixed rate.
+    """One force-loop controller stepping at CONTROL_DT.
 
     step() takes the raw force target, the measured spring force, and the
     motor-side velocity in screw coordinates; it returns the current that
@@ -234,30 +249,28 @@ class DiscreteForceController:
     """
 
     def __init__(self, kind: ControllerKind, params: ActuatorParams,
-                 gains: ControllerGains, dt: float = CONTROL_DT):
-        from .vlca import MissingFilterCutoff
+                 gains: ControllerGains):
         self.kind = kind
         self.params = params
         self.gains = gains
-        self.dt = dt
         self.saturation_count = 0
         self._n = params.drive_constant
         self._integ = 0.0
-        self._delay = _DelayLine(int(round(gains.delay_t / dt)))
+        self._delay = _DelayLine(delay_samples(gains.delay_t))
         self._deriv = None
         self._dob = None
         if kind is ControllerKind.PDF:
             if gains.q_d_cutoff is None:
                 raise MissingFilterCutoff("q_d_cutoff is unset")
-            self._deriv = _TustinDeriv(gains.q_d_cutoff, dt)
+            self._deriv = _TustinDeriv(gains.q_d_cutoff)
             self._k_df = gains.resolved_k_df(params)
         if kind is ControllerKind.PDM_DOB:
-            self._dob = _DobShaper(params, gains, dt)
+            self._dob = _DobShaper(params, gains)
 
     @property
     def latency_s(self) -> float:
         """Time between computing a command and it reaching the amplifier."""
-        return self._delay.length * self.dt
+        return self._delay.length * CONTROL_DT
 
     def step(self, f_target: float, f_meas: float, motor_velocity: float) -> float:
         g = self.gains
@@ -267,7 +280,7 @@ class DiscreteForceController:
         if self.kind is ControllerKind.PDF:
             u = g.k_p * err + f_ref - self._k_df * self._deriv.step(f_meas)
         elif self.kind is ControllerKind.PIDM:
-            integ_next = self._integ + err * self.dt
+            integ_next = self._integ + err * CONTROL_DT
             u = g.k_p * err + g.k_i * integ_next + f_ref - damp
         else:  # PDM and the DOB's inner loop
             u = g.k_p * err + f_ref - damp
@@ -353,7 +366,7 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
     check_duration(duration)
     dt = CONTROL_DT
     n = int(round(duration / dt))
-    ctrl = DiscreteForceController(kind, params, gains, dt)
+    ctrl = DiscreteForceController(kind, params, gains)
     trace = _blank_trace(n, dt)
     trace.meta.update(kind=kind.value, reference=type(reference).__name__)
 
@@ -388,6 +401,21 @@ def chirp_record_samples(chirp: ChirpRef, settle_s: float = 0.5) -> int:
     return int(round((chirp.duration_s + settle_s) / CONTROL_DT))
 
 
+def chirp_drive(chirp: ChirpRef, settle_s: float = 0.5) -> np.ndarray:
+    """The run_plant_chirp drive current at each control step: the sweep,
+    then zero over the quiet tail. Each sample is chirp.value's arithmetic
+    in Python floats, so the two agree bit for bit; numpy's r ** t rounds
+    differently in about 5% of the samples of the default bode record."""
+    t = np.arange(chirp_record_samples(chirp, settle_s)) * CONTROL_DT
+    on = t <= chirp.duration_s
+    r, w, log_r = chirp.rate, 2.0 * math.pi * chirp.f0_hz, math.log(chirp.rate)
+    off, amp, sin = chirp.offset, chirp.amplitude, math.sin
+    drive = np.zeros(len(t))
+    drive[on] = np.fromiter((off + amp * sin(w * (r ** tk - 1.0) / log_r)
+                             for tk in t[on].tolist()), float)
+    return drive
+
+
 def run_plant_chirp(chirp: ChirpRef, params: ActuatorParams = VLCA_ACTUATOR,
                     settle_s: float = 0.5) -> SimTrace:
     """Open-loop chirp-current drive for identification.
@@ -398,18 +426,18 @@ def run_plant_chirp(chirp: ChirpRef, params: ActuatorParams = VLCA_ACTUATOR,
     the response ring out inside the record.
     """
     dt = CONTROL_DT
-    n = chirp_record_samples(chirp, settle_s)
-    trace = _blank_trace(n, dt)
+    drive = chirp_drive(chirp, settle_s)
+    trace = _blank_trace(len(drive), dt)
     trace.meta.update(kind="open_loop_chirp", f0_hz=chirp.f0_hz,
                       f1_hz=chirp.f1_hz)
     k_r, b_r = params.k_r, params.b_r
     n_drive = params.drive_constant
     step = _zoh_step(*_locked_plant(params))
     y = [0.0, 0.0]
-    for k in range(n):
+    for k in range(len(drive)):
         t = k * dt
         x, v = y
-        i = chirp.value(t) if t <= chirp.duration_s else 0.0
+        i = drive.item(k)
         trace.f_cmd[k] = n_drive * i
         trace.f_meas[k] = k_r * x
         trace.f_loadcell[k] = k_r * x + b_r * v
@@ -427,23 +455,13 @@ def run_plant_chirp(chirp: ChirpRef, params: ActuatorParams = VLCA_ACTUATOR,
 FRF_MIN_SAMPLES = 1024
 
 
-def empirical_frequency_response(trace: SimTrace,
-                                 points_per_decade: int = 24) -> list:
-    """Frequency response from the commanded-force column to the measured
-    spring force, by windowed FFT ratio at log-spaced target frequencies.
-
-    The excited band is inferred from the input spectrum and must span at
-    least two decades; a local-consistency proxy below 0.9 raises
-    InsufficientExcitation.
-    """
-    from .lintf import FrequencyResponsePoint
-
-    u = np.asarray(trace.f_cmd, dtype=float)
-    y = np.asarray(trace.f_meas, dtype=float)
+def excited_band(u: np.ndarray, dt: float, held: bool):
+    """The estimator's view of a drive record u sampled every dt: (window,
+    frequencies, input spectrum, f_lo, f_hi). The spectrum is of the
+    cosine-tapered record, with a zero-order hold's response divided back
+    out when held; the band is where it stays above 1% of its peak, and it
+    must span at least two decades, else InsufficientExcitation."""
     n = len(u)
-    if n < FRF_MIN_SAMPLES:
-        raise InsufficientExcitation(
-            f"record too short: {n} samples, need {FRF_MIN_SAMPLES}")
     # cosine-taper 2% of each end to suppress edge leakage
     win = np.ones(n)
     m = max(int(0.02 * n), 8)
@@ -451,21 +469,17 @@ def empirical_frequency_response(trace: SimTrace,
     win[:m] = ramp
     win[-m:] = ramp[::-1]
     spec_u = np.fft.rfft(u * win)
-    spec_y = np.fft.rfft(y * win)
-    freqs = np.fft.rfftfreq(n, trace.dt)
+    freqs = np.fft.rfftfreq(n, dt)
 
-    if trace.meta.get("kind") == "open_loop_chirp":
-        # the drive column is a zero-order-held current record; divide the
-        # hold's half-sample response back out so the estimate lands on the
+    if held:
+        # the drive is a zero-order-held current record; divide the hold's
+        # half-sample response back out so the estimate lands on the
         # continuous plant
-        wdt = 2.0 * math.pi * freqs[1:] * trace.dt
-        hold = (1.0 - np.exp(-1j * wdt)) / (1j * wdt)
-        spec_u = spec_u.copy()
-        spec_u[1:] *= hold
+        wdt = 2.0 * math.pi * freqs[1:] * dt
+        spec_u[1:] *= (1.0 - np.exp(-1j * wdt)) / (1j * wdt)
 
-    mag_u = np.abs(spec_u)
     # ignore the mean and its leakage skirt when locating the excited band
-    mag_band = mag_u.copy()
+    mag_band = np.abs(spec_u)
     mag_band[:4] = 0.0
     if not mag_band.any():
         raise InsufficientExcitation("input spectrum is all zero")
@@ -478,10 +492,31 @@ def empirical_frequency_response(trace: SimTrace,
     if f_hi / f_lo < 100.0:
         raise InsufficientExcitation(
             f"excited band {f_lo:.3g}-{f_hi:.3g} Hz spans under two decades")
+    return win, freqs, spec_u, f_lo, f_hi
+
+
+def empirical_frequency_response(trace: SimTrace) -> list:
+    """Frequency response from the commanded-force column to the measured
+    spring force, by windowed FFT ratio at 24 log-spaced target
+    frequencies per decade of the excited band (excited_band).
+
+    A local-consistency proxy below 0.9 raises InsufficientExcitation.
+    """
+    from .lintf import FrequencyResponsePoint
+
+    u = np.asarray(trace.f_cmd, dtype=float)
+    y = np.asarray(trace.f_meas, dtype=float)
+    n = len(u)
+    if n < FRF_MIN_SAMPLES:
+        raise InsufficientExcitation(
+            f"record too short: {n} samples, need {FRF_MIN_SAMPLES}")
+    win, freqs, spec_u, f_lo, f_hi = excited_band(
+        u, trace.dt, held=trace.meta.get("kind") == "open_loop_chirp")
+    spec_y = np.fft.rfft(y * win)
 
     # keep clear of the rolloff at the band edges
     targets = np.geomspace(f_lo * 1.26, f_hi / 1.26,
-                           max(int(math.log10(f_hi / f_lo) * points_per_decade), 8))
+                           max(int(math.log10(f_hi / f_lo) * 24), 8))
     bins = np.unique(np.searchsorted(freqs, targets))
     bins = bins[(bins > 0) & (bins < len(freqs) - 4)]
     h = spec_y[bins] / spec_u[bins]
@@ -505,17 +540,8 @@ def empirical_frequency_response(trace: SimTrace,
 
 # ------------------------------------------- joint position comparison
 
-@dataclass(frozen=True)
-class PositionLoopGains:
-    k_p: float   # commanded force per meter of output error [N/m]
-    k_d: float   # commanded force per m/s of motor-side speed [N*s/m]
-
-    def __post_init__(self):
-        if self.k_p <= 0.0 or self.k_d < 0.0:
-            raise ValueError("k_p must be > 0 and k_d >= 0")
-
-
-DEFAULT_POSITION_GAINS = PositionLoopGains(k_p=4.0e5, k_d=6.0e4)
+POSITION_KP = 4.0e5  # commanded force per meter of output error [N/m]
+POSITION_KD = 6.0e4  # commanded force per m/s of motor-side speed [N*s/m]
 
 # reflected inertia seen at the screw by a loaded leg joint, mid-range [kg]
 DEFAULT_REFLECTED_LOAD_KG = 2000.0
@@ -536,15 +562,13 @@ def spring_element(element: str, params: ActuatorParams):
     return share * params.k_r, params.b_r if damping is None else damping
 
 
-def two_mass_plant(element: str, params: ActuatorParams = VLCA_ACTUATOR,
-                   load_mass: float = DEFAULT_REFLECTED_LOAD_KG):
+def two_mass_plant(element: str, params: ActuatorParams = VLCA_ACTUATOR):
     """Open-loop (A, B) of the position-loop plant in screw coordinates:
     state (x_m, v_m, x_l, v_l), input motor force [N]. The drivetrain mass
     drives the reflected joint load through the series spring/damper."""
     k_s, b_s = spring_element(element, params)
-    m_m = params.j_m * params.n_m ** 2 + params.m_r  # drivetrain side [kg]
-    b_dt = params.b_m * params.n_m ** 2   # drivetrain drag [N*s/m]
-    m_l = load_mass
+    m_m, b_dt = params.effective_mass, params.drivetrain_damping
+    m_l = DEFAULT_REFLECTED_LOAD_KG
     a = np.array([[0.0, 1.0, 0.0, 0.0],
                   [-k_s / m_m, -(b_dt + b_s) / m_m, k_s / m_m, b_s / m_m],
                   [0.0, 0.0, 0.0, 1.0],
@@ -552,24 +576,18 @@ def two_mass_plant(element: str, params: ActuatorParams = VLCA_ACTUATOR,
     return a, np.array([[0.0], [1.0 / m_m], [0.0], [0.0]])
 
 
-def run_joint_position_control(element: str,
-                               position_gains: PositionLoopGains = DEFAULT_POSITION_GAINS,
-                               step_rad: float = 0.05,
+def run_joint_position_control(element: str, step_rad: float = 0.05,
                                duration: float = 3.0,
-                               params: ActuatorParams = VLCA_ACTUATOR,
-                               load_mass: float = DEFAULT_REFLECTED_LOAD_KG,
-                               moment_arm: float = DEFAULT_MOMENT_ARM) -> SimTrace:
+                               params: ActuatorParams = VLCA_ACTUATOR) -> SimTrace:
     """Joint step response through the chosen series element.
 
     The position loop reads the output, damps motor speed, and commands
     current to the two_mass_plant.
     """
     check_duration(duration)
-    if load_mass <= 0.0 or moment_arm <= 0.0:
-        raise ValueError("load_mass and moment_arm must be > 0")
     k_s, b_s = spring_element(element, params)
     n_drive = params.drive_constant
-    x_des = moment_arm * step_rad
+    x_des = DEFAULT_MOMENT_ARM * step_rad
 
     dt = CONTROL_DT
     n = int(round(duration / dt))
@@ -578,12 +596,12 @@ def run_joint_position_control(element: str,
                       step_rad=step_rad)
     delay = _DelayLine(int(round(1e-3 / dt)))
     sat = 0
-    step = _zoh_step(*two_mass_plant(element, params, load_mass))
+    step = _zoh_step(*two_mass_plant(element, params))
     y = [0.0] * 4
 
     for k in range(n):
         xm, vm, xl, vl = y
-        f_cmd = position_gains.k_p * (x_des - xl) - position_gains.k_d * vm
+        f_cmd = POSITION_KP * (x_des - xl) - POSITION_KD * vm
         i_cmd = f_cmd / n_drive
         if abs(i_cmd) > CURRENT_LIMIT_A:
             i_cmd = math.copysign(CURRENT_LIMIT_A, i_cmd)
@@ -595,7 +613,7 @@ def run_joint_position_control(element: str,
         trace.f_loadcell[k] = k_s * defl + b_s * (vm - vl)
         trace.i_m[k] = i_applied
         trace.x_r[k] = defl
-        trace.q_out[k] = xl / moment_arm
+        trace.q_out[k] = xl / DEFAULT_MOMENT_ARM
         y = step(y, n_drive * i_applied)
         if not all(map(math.isfinite, y)):
             raise NonFiniteState(f"position loop diverged at t={k * dt:.3f} s")
@@ -609,14 +627,12 @@ def run_joint_position_control(element: str,
 
 
 def position_loop_matrix(element: str,
-                         position_gains: PositionLoopGains = DEFAULT_POSITION_GAINS,
-                         params: ActuatorParams = VLCA_ACTUATOR,
-                         load_mass: float = DEFAULT_REFLECTED_LOAD_KG) -> np.ndarray:
+                         params: ActuatorParams = VLCA_ACTUATOR) -> np.ndarray:
     """Continuous closed-loop state matrix A - B K of the two_mass_plant
     under the position law f = k_p (x_des - x_l) - k_d v_m, delay and
     sampling ignored; handy for modal damping analysis."""
-    a, b = two_mass_plant(element, params, load_mass)
-    k = np.array([[0.0, position_gains.k_d, position_gains.k_p, 0.0]])
+    a, b = two_mass_plant(element, params)
+    k = np.array([[0.0, POSITION_KD, POSITION_KP, 0.0]])
     return a - b @ k
 
 
@@ -656,7 +672,7 @@ def run_impact(config: ImpactConfig,
     w = config.pulse_width_s
     f_peak = config.impulse_ns * math.pi / (2.0 * w)
     m_tot = params.effective_mass + config.sensor_mass_kg
-    b_dt = params.b_m * params.n_m ** 2
+    b_dt = params.drivetrain_damping
     visco = config.grounding == "viscoelastic"
     k_s = params.k_r if visco else 0.0
     b_s = params.b_r if visco else 0.0
@@ -711,15 +727,15 @@ def overshoot_fraction(y: Sequence[float], y_final: float) -> float:
     return max(peak - abs(y_final), 0.0) / abs(y_final)
 
 
-def settling_time(t: Sequence[float], y: Sequence[float], y_final: float,
-                  band: float = 0.02) -> float:
-    """Time after which |y - y_final| stays within band*|y_final|; inf if
+def settling_time(t: Sequence[float], y: Sequence[float],
+                  y_final: float) -> float:
+    """Time after which |y - y_final| stays within 2% of |y_final|; inf if
     it never does."""
     if y_final == 0.0:
         raise ValueError("y_final must be nonzero")
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    outside = np.abs(y - y_final) > band * abs(y_final)
+    outside = np.abs(y - y_final) > 0.02 * abs(y_final)
     if not outside.any():
         return float(t[0])
     last = int(np.nonzero(outside)[0][-1])

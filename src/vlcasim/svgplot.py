@@ -8,12 +8,13 @@ document as a string. Output is byte-stable for identical inputs.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 
+_WIDTH, _HEIGHT = 720, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 34, 46
 
 
@@ -58,10 +59,9 @@ def _esc(s: str) -> str:
 
 
 def line_chart(series: Sequence[tuple], title: str = "", xlabel: str = "",
-               ylabel: str = "", logx: bool = False, logy: bool = False,
-               width: int = 720, height: int = 440,
-               ylim: Optional[tuple] = None) -> str:
-    """Render (label, x, y) series to an SVG document string."""
+               ylabel: str = "", logx: bool = False,
+               logy: bool = False) -> str:
+    """Render (label, x, y) series to a 720x440 SVG document string."""
     if not series:
         raise ValueError("need at least one series")
     cleaned = []
@@ -83,28 +83,26 @@ def line_chart(series: Sequence[tuple], title: str = "", xlabel: str = "",
     x_hi = max(float(x.max()) for x, _ in pts)
     y_lo = min(float(y.min()) for _, y in pts)
     y_hi = max(float(y.max()) for _, y in pts)
-    if ylim is not None:
-        y_lo, y_hi = float(ylim[0]), float(ylim[1])
     if x_hi <= x_lo:
         x_hi = x_lo + (abs(x_lo) or 1.0) * 1e-3
     if y_hi <= y_lo:
         pad = (abs(y_lo) or 1.0) * 1e-3
         y_lo, y_hi = y_lo - pad, y_hi + pad
-    if not logy and ylim is None:
+    if not logy:
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    px0, px1 = _MARGIN_L, width - _MARGIN_R
-    py0, py1 = height - _MARGIN_B, _MARGIN_T
+    px0, px1 = _MARGIN_L, _WIDTH - _MARGIN_R
+    py0, py1 = _HEIGHT - _MARGIN_B, _MARGIN_T
 
     def to_px(v, lo, hi, p_lo, p_hi, log):
         if log:
             v, lo, hi = math.log10(v), math.log10(lo), math.log10(hi)
         return p_lo + (v - lo) / (hi - lo) * (p_hi - p_lo)
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-           f'height="{height}" viewBox="0 0 {width} {height}">',
-           f'<rect width="{width}" height="{height}" fill="white"/>',
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+           f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+           f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
            '<g font-family="sans-serif" font-size="12" fill="#222">']
     if title:
         out.append(f'<text x="{(px0 + px1) / 2:.1f}" y="20" '
@@ -131,7 +129,7 @@ def line_chart(series: Sequence[tuple], title: str = "", xlabel: str = "",
     out.append(f'<rect x="{px0}" y="{py1}" width="{px1 - px0}" '
                f'height="{py0 - py1}" fill="none" stroke="#444"/>')
     if xlabel:
-        out.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{height - 10}" '
+        out.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{_HEIGHT - 10}" '
                    f'text-anchor="middle">{_esc(xlabel)}</text>')
     if ylabel:
         out.append(f'<text x="16" y="{(py0 + py1) / 2:.1f}" text-anchor="middle" '
@@ -142,11 +140,10 @@ def line_chart(series: Sequence[tuple], title: str = "", xlabel: str = "",
         color = PALETTE[idx % len(PALETTE)]
         if len(x) == 0:
             continue
-        yc = np.clip(y, y_lo, y_hi) if ylim is not None else y
         coords = " ".join(
             f"{to_px(float(xv), x_lo, x_hi, px0, px1, logx):.2f},"
             f"{to_px(float(yv), y_lo, y_hi, py0, py1, logy):.2f}"
-            for xv, yv in zip(x, yc))
+            for xv, yv in zip(x, y))
         out.append(f'<polyline points="{coords}" fill="none" '
                    f'stroke="{color}" stroke-width="1.5"/>')
     ly = py1 + 14

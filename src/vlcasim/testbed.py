@@ -17,7 +17,7 @@ from scipy.interpolate import BSpline
 from . import simkit
 from .lintf import csv_table
 from .vlca import (ActuatorParams, ControllerGains, ControllerKind,
-                   DEFAULT_MOMENT_ARM, VLCA_ACTUATOR)
+                   DEFAULT_MOMENT_ARM, EXPERIMENT_GAINS, VLCA_ACTUATOR)
 
 
 class WorkspaceViolation(Exception):
@@ -401,8 +401,6 @@ def _check_workspace(pos: np.ndarray, params: TwoDofParams,
             f"{params.inner_radius + margin:.3f} m")
 
 
-DEFAULT_FORCE_GAINS = ControllerGains(q_taud_cutoff=2.0 * math.pi * 60.0)
-
 # Leg RK4 substeps per control period, per mode: the smallest count whose
 # largest output deviation over the leg_sim benchmark seeds 0-10, against 10
 # and against 20 substeps, stays within half of the tightest relative check
@@ -494,8 +492,7 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
         return advance
 
     k_r, b_r = actuator.k_r, actuator.b_r
-    m_m = actuator.j_m * actuator.n_m ** 2 + actuator.m_r
-    b_dt = actuator.b_m * actuator.n_m ** 2
+    m_m, b_dt = actuator.effective_mass, actuator.drivetrain_damping
     n_drive = actuator.drive_constant
     arm = profile.arm
     lo, hi = profile.angles_rad[0], profile.angles_rad[-1]
@@ -575,19 +572,18 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
                  task_gains: TaskGains = TaskGains(),
                  params: TwoDofParams = TwoDofParams(),
                  actuator: ActuatorParams = VLCA_ACTUATOR,
-                 force_gains: ControllerGains = DEFAULT_FORCE_GAINS,
-                 force_kind: ControllerKind = ControllerKind.PDM_DOB,
+                 force_gains: ControllerGains = EXPERIMENT_GAINS,
                  profile: Optional[LinkageProfile] = None,
                  external_force: Optional[Callable[[float], Sequence[float]]] = None,
-                 knee: str = "down",
                  q_init: Optional[Sequence[float]] = None) -> TestbedTrace:
     """Track a hip trajectory under operational-space control.
 
     mode 'ideal_torque' applies the commanded torques directly;
     'cascaded_vlca' closes a force loop per joint through the series
-    actuator, including current saturation and command delay. The leg
-    starts at rest on the trajectory's initial point (or at q_init when
-    given) with the spring preloaded against gravity.
+    actuator, the PDM loop with its disturbance observer, including current
+    saturation and command delay. The leg starts at rest on the
+    trajectory's initial point, knee down (or at q_init when given), with
+    the spring preloaded against gravity.
     """
     if mode not in ("ideal_torque", "cascaded_vlca"):
         raise ValueError("mode must be 'ideal_torque' or 'cascaded_vlca'")
@@ -599,7 +595,7 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     n = len(times)
 
     if q_init is None:
-        q = inverse_kinematics(pos_des[0], params, knee)
+        q = inverse_kinematics(pos_des[0], params)
         q0, q1 = float(q[0]), float(q[1])
     else:
         q0, q1 = float(q_init[0]), float(q_init[1])
@@ -609,8 +605,8 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
 
     state = (q0, q1, 0.0, 0.0)
     if cascaded:
-        ctrls = [simkit.DiscreteForceController(force_kind, actuator,
-                                                force_gains, dt)
+        ctrls = [simkit.DiscreteForceController(ControllerKind.PDM_DOB,
+                                                actuator, force_gains)
                  for _ in range(2)]
         # preload the springs against gravity so the leg starts settled
         _, _, _, _, _, g1, g2 = _dyn_scalars(q0, q1, 0.0, 0.0, params)

@@ -56,9 +56,14 @@ class ActuatorParams:
         return self.j_m * self.n_m ** 2 + self.m_r
 
     @property
+    def drivetrain_damping(self) -> float:
+        """Reflected motor drag [N*s/m]."""
+        return self.b_m * self.n_m ** 2
+
+    @property
     def effective_damping(self) -> float:
         """Reflected motor drag plus spring damping [N*s/m]."""
-        return self.b_m * self.n_m ** 2 + self.b_r
+        return self.drivetrain_damping + self.b_r
 
     @property
     def resonance_rad_s(self) -> float:
@@ -134,20 +139,23 @@ class ControllerGains:
         return self.k_dm * params.n_m / params.k_r
 
 
+# the gains of the paper's experiments: the observer filter at 60 Hz
+EXPERIMENT_GAINS = ControllerGains(q_taud_cutoff=2.0 * math.pi * 60.0)
+
+
+def _den_poly(params: ActuatorParams) -> Polynomial:
+    return Polynomial((params.k_r, params.effective_damping, params.effective_mass))
+
+
 def plant_px(params: ActuatorParams) -> DelayedTransferFunction:
     """Screw position per amp: N / (M s^2 + B s + k_r)."""
-    return DelayedTransferFunction(
-        Polynomial((params.drive_constant,)),
-        Polynomial((params.k_r, params.effective_damping, params.effective_mass)),
-    )
+    return DelayedTransferFunction(Polynomial((params.drive_constant,)),
+                                   _den_poly(params))
 
 
 def force_plant(params: ActuatorParams) -> DelayedTransferFunction:
     """Spring force per commanded motor force, k_r*P_x/N; unit DC gain."""
-    return DelayedTransferFunction(
-        Polynomial((params.k_r,)),
-        Polynomial((params.k_r, params.effective_damping, params.effective_mass)),
-    )
+    return DelayedTransferFunction(Polynomial((params.k_r,)), _den_poly(params))
 
 
 def q_taud_tf(gains: ControllerGains) -> DelayedTransferFunction:
@@ -157,10 +165,6 @@ def q_taud_tf(gains: ControllerGains) -> DelayedTransferFunction:
     w, z = gains.q_taud_cutoff, gains.q_taud_zeta
     return DelayedTransferFunction(Polynomial((w * w,)),
                                    Polynomial((w * w, 2.0 * z * w, 1.0)))
-
-
-def _den_poly(params: ActuatorParams) -> Polynomial:
-    return Polynomial((params.k_r, params.effective_damping, params.effective_mass))
 
 
 def open_loop_tf(kind: ControllerKind, params: ActuatorParams,

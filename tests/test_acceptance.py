@@ -79,7 +79,7 @@ def test_criterion_2_plant_identity_analytic_and_empirical():
 
 def test_criterion_3_full_scale_ramp_tracking():
     t0 = time.perf_counter()
-    gains = replace(ControllerGains(), q_taud_cutoff=2.0 * math.pi * 60.0)
+    gains = vlca.EXPERIMENT_GAINS
     f_lo = 1.0 / DEFAULT_MOMENT_ARM
     f_hi = 25.0 / DEFAULT_MOMENT_ARM
     ramp = simkit.RampRef(start_level=f_lo, end_level=f_hi, start_time=0.2,

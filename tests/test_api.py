@@ -1,4 +1,7 @@
-"""The public names of the package."""
+"""The public names of the package and their call signatures."""
+import enum
+import inspect
+
 import vlcasim
 
 PUBLIC = [
@@ -12,6 +15,58 @@ PUBLIC = [
     "sweep_response",
 ]
 
+# str(inspect.signature(...)) of every public callable; an enum is pinned by
+# its members instead, since its call signature is the interpreter's
+SIGNATURES = {
+    "ActuatorParams":
+        "(eta: 'float', k_tau: 'float', n_m: 'float', j_m: 'float', "
+        "b_m: 'float', m_r: 'float', b_r: 'float', k_r: 'float') -> None",
+    "ControllerGains":
+        "(k_p: 'float' = 4.0, k_dm: 'float' = 15.0, "
+        "k_df: 'Optional[float]' = None, k_i: 'float' = 300.0, "
+        "q_d_cutoff: 'Optional[float]' = 314.1592653589793, "
+        "q_taud_cutoff: 'Optional[float]' = 94.24777960769379, "
+        "q_taud_zeta: 'float' = 0.7071067811865476, "
+        "delay_t: 'float' = 0.001) -> None",
+    "ControllerKind":
+        "[('PDF', 'pd_f'), ('PDM', 'pd_m'), ('PIDM', 'pid_m'), "
+        "('PDM_DOB', 'pd_m_dob')]",
+    "DelayedTransferFunction":
+        "(num: 'Polynomial', den: 'Polynomial', delay_s: 'float' = 0.0) "
+        "-> None",
+    "FrequencyResponsePoint":
+        "(omega: 'float', magnitude: 'float', phase_deg: 'float') -> None",
+    "Polynomial": "(coefficients: 'tuple') -> None",
+    "SecondOrderFit":
+        "(gain: 'float', omega_n: 'float', zeta: 'float') -> None",
+    "StabilityReport":
+        "(phase_margin_deg: 'float', gain_crossover_rad_s: 'float', "
+        "gain_margin_db: 'float', phase_crossover_rad_s: 'float', "
+        "crossover_count: 'int') -> None",
+    "calibrate_margins":
+        "(params: 'ActuatorParams', gains: 'ControllerGains', "
+        "pm_pdf_target: 'float' = 17.1, pm_pdm_target: 'float' = 47.6, "
+        "delay_grid=None, q_d_grid=None) -> 'MarginCalibration'",
+    "closed_loop_tf":
+        "(kind: 'ControllerKind', params: 'ActuatorParams', "
+        "gains: 'ControllerGains') -> 'ClosedLoopResponse'",
+    "fit_second_order":
+        "(points: 'Sequence[FrequencyResponsePoint]', "
+        "phase_weight: 'float' = 0.5) -> 'SecondOrderFit'",
+    "force_plant": "(params: 'ActuatorParams') -> 'DelayedTransferFunction'",
+    "margin_table":
+        "(params: 'ActuatorParams', gains: 'ControllerGains') -> 'list'",
+    "open_loop_tf":
+        "(kind: 'ControllerKind', params: 'ActuatorParams', "
+        "gains: 'ControllerGains') -> 'DelayedTransferFunction'",
+    "plant_px": "(params: 'ActuatorParams') -> 'DelayedTransferFunction'",
+    "stability_margins":
+        "(open_loop: 'DelayedTransferFunction') -> 'StabilityReport'",
+    "sweep_response":
+        "(eval_fn: 'Callable[[float], complex]', omega_min: 'float', "
+        "omega_max: 'float', points_per_decade: 'int' = 48) -> 'list'",
+}
+
 
 def test_public_names_are_stable_and_import():
     assert vlcasim.__all__ == PUBLIC
@@ -19,3 +74,17 @@ def test_public_names_are_stable_and_import():
     exec("from vlcasim import *", namespace)
     for name in PUBLIC:
         assert namespace[name] is getattr(vlcasim, name)
+
+
+def _signature(obj) -> str:
+    if isinstance(obj, enum.EnumMeta):
+        return str([(m.name, m.value) for m in obj])
+    return str(inspect.signature(obj))
+
+
+def test_public_signatures_are_pinned():
+    callables = {name: getattr(vlcasim, name) for name in PUBLIC
+                 if callable(getattr(vlcasim, name))}
+    assert set(callables) == set(SIGNATURES)
+    for name, obj in callables.items():
+        assert _signature(obj) == SIGNATURES[name], name

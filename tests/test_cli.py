@@ -9,6 +9,7 @@ import pytest
 
 from vlcasim import cli
 from vlcasim.cli import main
+from vlcasim.vlca import EXPERIMENT_GAINS, ControllerGains
 
 
 @pytest.fixture(autouse=True)
@@ -133,6 +134,17 @@ def test_margins_run_at_the_longest_delay_completes(tmp_path):
     # at or above the Nyquist frequency of the 1 kHz record
     "scenario = bode\nbode.f1_hz = 500",
     "scenario = bode\nbode.f1_hz = 1000",
+    # a chirp whose excited band spans under two decades
+    "scenario = bode\nbode.chirp_s = 0.6\nbode.f1_hz = 2",
+    "scenario = bode\nbode.f0_hz = 100\nbode.f1_hz = 150",
+    # a loop delay the 1 kHz controller cannot realise
+    *(f"scenario = {sc}\ngains.delay_t = {d}"
+      for sc in ("force_tracking", "osc", "efficiency")
+      for d in ("0.00025", "0.0015")),
+    # a filter cutoff the simulated loop needs, left unset
+    "scenario = osc\ngains.q_taud_cutoff = none",
+    "scenario = force_tracking\ngains.q_d_cutoff = none\n"
+    "force_tracking.kind = pd_f",
 ], ids=["impact", "force_tracking", "position_step", "osc", "thermal_burst",
         "thermal_hold", "efficiency_duration", "efficiency_payload",
         "efficiency_lift", "osc_payload", "osc_amplitude", "osc_center",
@@ -140,13 +152,26 @@ def test_margins_run_at_the_longest_delay_completes(tmp_path):
         "materials_min_damping", "bode_chirp_sub_step", "bode_chirp_1ms",
         "bode_chirp_short_record", "bode_chirp_silent",
         "force_tracking_sub_step", "position_step_sub_step",
-        "position_step_zero_step", "bode_f1_nyquist", "bode_f1_above_nyquist"])
+        "position_step_zero_step", "bode_f1_nyquist", "bode_f1_above_nyquist",
+        "bode_short_narrow_chirp", "bode_high_narrow_chirp",
+        *(f"{sc}_delay_{d}" for sc in ("force_tracking", "osc", "efficiency")
+          for d in ("quarter_ms", "1.5ms")),
+        "osc_observer_cutoff_unset", "force_tracking_derivative_cutoff_unset"])
 def test_validate_range_checks_scenario_extras(tmp_path, capsys, lines):
     cfg = _write(tmp_path, "extras.cfg", f"{lines}\nout = extras_out\n")
     assert main(["validate", cfg]) == 2
     assert lines.splitlines()[1].split(".")[0] in capsys.readouterr().out
     assert main(["run", cfg]) == 2
     assert not (tmp_path / "extras_out").exists()
+
+
+@pytest.mark.parametrize("delay_t", ["0.00025", "0.0015"])
+def test_margins_accept_a_fractional_delay(tmp_path, delay_t):
+    # the margin scans analyse the continuous loop, not the 1 kHz controller
+    cfg = _write(tmp_path, "frac.cfg", "scenario = margins\nout = frac_out\n"
+                                       f"gains.delay_t = {delay_t}\n")
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg]) == 0
 
 
 def test_every_scenario_has_one_prepare_and_execute_pair():
@@ -295,6 +320,54 @@ def test_every_csv_is_a_rectangular_table(tmp_path):
             assert len(rows) > 1 and header not in rows[1:], name
             assert {len(r) for r in rows} == {len(header)}, name
             assert not any(_non_finite_number(c) for r in rows for c in r), name
+
+
+@pytest.mark.parametrize("scenario, cascaded, ideal", [
+    ("osc", "osc_cascaded_vlca.csv", "osc_ideal_torque.csv"),
+    ("efficiency", "efficiency_lift.csv", None),
+])
+def test_gains_overrides_reach_the_leg_force_loops(tmp_path, scenario,
+                                                   cascaded, ideal):
+    base = {"scenario": scenario, **_SHORT_RUNS[scenario]}
+    cli.run(dict(base, out="nominal"))
+    cli.run(dict(base, out="stiff", **{"gains.k_p": "8"}))
+
+    def same(name):
+        return ((tmp_path / "nominal" / name).read_bytes()
+                == (tmp_path / "stiff" / name).read_bytes())
+    assert not same(cascaded)
+    if ideal:
+        assert same(ideal)  # no force loop in the ideal-torque leg
+
+
+@pytest.mark.parametrize("cutoff", [None, "150"], ids=["default", "explicit"])
+@pytest.mark.parametrize("scenario", ["force_tracking", "osc", "efficiency"])
+def test_manifest_records_the_simulated_gains(tmp_path, monkeypatch,
+                                              scenario, cutoff):
+    simulated = []
+
+    class Recording(cli.simkit.DiscreteForceController):
+        def __init__(self, kind, params, gains):
+            simulated.append(gains)
+            super().__init__(kind, params, gains)
+
+    monkeypatch.setattr(cli.simkit, "DiscreteForceController", Recording)
+    raw = {"scenario": scenario, "out": "run", **_SHORT_RUNS[scenario]}
+    if cutoff is not None:
+        raw["gains.q_taud_cutoff"] = cutoff
+    cli.run(raw)
+    recorded = ControllerGains(**_read_manifest(tmp_path / "run")
+                               ["parameters"]["gains"])
+    assert simulated and set(simulated) == {recorded}
+    assert recorded.q_taud_cutoff == (
+        EXPERIMENT_GAINS.q_taud_cutoff if cutoff is None else float(cutoff))
+
+
+def test_margins_manifest_keeps_the_nominal_gains(tmp_path):
+    cli.run({"scenario": "margins", "out": "run"})
+    recorded = _read_manifest(tmp_path / "run")["parameters"]["gains"]
+    assert ControllerGains(**recorded) == ControllerGains()
+    assert recorded["q_taud_cutoff"] == 2.0 * math.pi * 15.0
 
 
 def test_set_overrides_reach_the_manifest(tmp_path):

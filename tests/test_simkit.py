@@ -9,11 +9,12 @@ import pytest
 from oracles import locked_plant_rates, plant_energy
 from vlcasim import simkit as sk
 from vlcasim.vlca import (ControllerGains, ControllerKind, DEFAULT_MOMENT_ARM,
-                          VLCA_ACTUATOR, closed_loop_tf, force_plant)
+                          EXPERIMENT_GAINS, VLCA_ACTUATOR, closed_loop_tf,
+                          force_plant)
 
 P = VLCA_ACTUATOR
 G = ControllerGains()
-G60 = replace(G, q_taud_cutoff=2.0 * math.pi * 60.0)
+G60 = EXPERIMENT_GAINS
 
 
 def _make_trace(t, u, y):
@@ -104,6 +105,15 @@ def test_controller_transport_delay_in_samples():
                 for k in range(5)]
         nonzero = [k for k, o in enumerate(outs) if abs(o) > 0.0]
         assert nonzero[0] == first_live
+
+
+def test_loop_delay_must_be_whole_control_periods():
+    assert sk.delay_samples(0.0) == 0
+    assert sk.delay_samples(3e-3) == 3  # 2.9999999999999996 periods
+    for delay_t in (0.25e-3, 0.4e-3, 1.5e-3, 2.5e-3):
+        with pytest.raises(ValueError, match="delay_t"):
+            sk.DiscreteForceController(ControllerKind.PDM, P,
+                                       replace(G, delay_t=delay_t))
 
 
 def test_observer_with_vanishing_cutoff_reduces_to_inner_loop():
@@ -200,6 +210,18 @@ def test_underexcited_records_are_refused():
     noise = rng.normal(0.0, 1.0, len(t))
     with pytest.raises(sk.InsufficientExcitation, match="consistent"):
         sk.empirical_frequency_response(_make_trace(t, u, noise))
+
+
+@pytest.mark.parametrize("chirp", [
+    sk.ChirpRef(amplitude=2.0, f0_hz=0.5, f1_hz=150.0, duration_s=40.0),
+    sk.ChirpRef(amplitude=200.0, f0_hz=0.3, f1_hz=60.0, duration_s=90.0),
+], ids=["bode_default", "closed_loop_90s"])
+def test_chirp_drive_equals_the_reference_bit_for_bit(chirp):
+    n = sk.chirp_record_samples(chirp)
+    want = np.array([chirp.value(k * sk.CONTROL_DT)
+                     if k * sk.CONTROL_DT <= chirp.duration_s else 0.0
+                     for k in range(n)])
+    assert sk.chirp_drive(chirp).tobytes() == want.tobytes()
 
 
 def test_silent_drive_is_refused():
@@ -388,8 +410,7 @@ def test_position_step_matches_rk4_reference(element, rk4_reference):
 
 
 def test_position_loop_matrix_closes_the_two_mass_plant():
-    g = sk.DEFAULT_POSITION_GAINS
-    gain_row = np.array([[0.0, g.k_d, g.k_p, 0.0]])
+    gain_row = np.array([[0.0, sk.POSITION_KD, sk.POSITION_KP, 0.0]])
     for element in ("elastomer", "steel_spring"):
         a, b = sk.two_mass_plant(element)
         # moving both masses together stretches nothing

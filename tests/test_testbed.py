@@ -341,8 +341,7 @@ def _rk4_period(params, cascaded, actuator, profile, external_force,
     leg rates written from _dyn_scalars and LinkageProfile.arm, with the
     torques or currents and the hip force held at t."""
     k_r, b_r = actuator.k_r, actuator.b_r
-    m_m = actuator.j_m * actuator.n_m ** 2 + actuator.m_r
-    b_dt = actuator.b_m * actuator.n_m ** 2
+    m_m, b_dt = actuator.effective_mass, actuator.drivetrain_damping
     n_drive = actuator.drive_constant
     l1, l2 = params.l1, params.l2
 

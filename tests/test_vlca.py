@@ -34,8 +34,9 @@ def test_drive_constant():
 def test_reflected_mass_and_damping():
     assert P.effective_mass == pytest.approx(419.13019086553595, rel=1e-12)
     assert P.effective_damping == pytest.approx(22199.10626771335, rel=1e-12)
+    assert P.drivetrain_damping == pytest.approx(2199.10626771335, rel=1e-12)
     # the reflected rotor inertia dominates the translating hardware
-    assert P.j_m * P.n_m ** 2 > 100.0 * P.m_r
+    assert P.effective_mass - P.m_r > 100.0 * P.m_r
 
 
 def test_resonance_and_damping_ratio():
