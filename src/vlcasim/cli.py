@@ -341,10 +341,12 @@ def _bode_chirp(spec: RunSpec):
     if n < simkit.FRF_MIN_SAMPLES:
         raise ValueError(f"chirp_s gives a {n}-sample record; the response "
                          f"estimate needs {simkit.FRF_MIN_SAMPLES}")
-    # the band the estimator will find in the commanded-force column
-    drive = spec.actuator.drive_constant * simkit.chirp_drive(chirp)
-    simkit.excited_band(drive, simkit.CONTROL_DT, held=True)
-    return chirp
+    # the run steps this drive; the band check sees the commanded-force
+    # column the estimator will find
+    drive = simkit.chirp_drive(chirp)
+    simkit.excited_band(spec.actuator.drive_constant * drive,
+                        simkit.CONTROL_DT, held=True)
+    return drive
 
 
 def _scenario_bode(spec: RunSpec, em: _Emitter):
@@ -402,18 +404,12 @@ def _scenario_margins(spec: RunSpec, em: _Emitter):
                            cal.pm_pdm_dob_deg, cal.objective_deg)]))
 
 
-def _check_force_loop(spec: RunSpec, kind: ControllerKind):
-    """Build the scenario's force controller once, so that a loop delay of
-    a fraction of a control period or an unset filter cutoff the loop
-    needs is a config error."""
-    simkit.DiscreteForceController(kind, spec.actuator, spec.gains)
-
-
 def _force_inputs(spec: RunSpec):
     x = spec.extras
     simkit.check_duration(x["duration_s"], "duration_s")
     kind = _KIND_BY_NAME[x["kind"]]
-    _check_force_loop(spec, kind)
+    # a fractional-sample delay or an unset cutoff is a config error
+    simkit.DiscreteForceController(kind, spec.actuator, spec.gains)
     full_scale = x["amplitude_nm"] / DEFAULT_MOMENT_ARM
     ref_name = x["reference"]
     if ref_name == "ramp":
@@ -521,7 +517,9 @@ def _osc_trajectory(spec: RunSpec):
                                       freq_hz=x["freq_hz"],
                                       phase_rad=x["phase_rad"])
     testbed.osc_run_inputs(traj, x["payload_kg"], x["duration_s"], spec.leg)
-    _check_force_loop(spec, ControllerKind.PDM_DOB)
+    # a fractional-sample delay or an unset cutoff is a config error
+    simkit.DiscreteForceController(ControllerKind.PDM_DOB, spec.actuator,
+                                   spec.gains)
     return traj
 
 
@@ -611,7 +609,9 @@ def _lift_trajectory(spec: RunSpec):
                                                    x["duration_s"])
     testbed.osc_run_inputs(traj, x["payload_kg"],
                            x["duration_s"] + _LIFT_HOLD_S, spec.leg)
-    _check_force_loop(spec, ControllerKind.PDM_DOB)
+    # a fractional-sample delay or an unset cutoff is a config error
+    simkit.DiscreteForceController(ControllerKind.PDM_DOB, spec.actuator,
+                                   spec.gains)
     return traj
 
 

@@ -230,13 +230,12 @@ def calibrate_thermal(actuator: ActuatorParams = VLCA_ACTUATOR,
     by coordinate descent on the two log-capacities. The electrical
     resistance, ambient and limit keep ThermalParams' defaults.
     """
-    defaults = ThermalParams  # its class attributes hold the field defaults
     i_hold = targets.hold_force_n / actuator.drive_constant
-    rise = targets.hold_settle_c - defaults.ambient_c
+    rise = targets.hold_settle_c - ThermalParams.ambient_c
     if rise <= 0.0:
         raise CalibrationInfeasible("settle target below ambient")
-    r_hold = defaults.r_elec_25 * (
-        1.0 + defaults.alpha * (targets.hold_settle_c - 25.0))
+    r_hold = ThermalParams.r_elec_25 * (
+        1.0 + ThermalParams.alpha * (targets.hold_settle_c - 25.0))
     s_on = rise / (i_hold ** 2 * r_hold)
     r_wh = _WH_SHARE * s_on
     r_ha_on = s_on - r_wh

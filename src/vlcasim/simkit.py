@@ -38,6 +38,7 @@ class SaturationWarning(UserWarning):
 
 CONTROL_DT = 1e-3        # controller period [s]
 CURRENT_LIMIT_A = 31.0   # amplifier clip [A]
+CHIRP_SETTLE_S = 0.5     # quiet tail letting a chirp's response ring out [s]
 
 
 # ---------------------------------------------------------------- plant
@@ -396,17 +397,17 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
     return trace
 
 
-def chirp_record_samples(chirp: ChirpRef, settle_s: float = 0.5) -> int:
-    """Length of the run_plant_chirp record: the sweep plus its quiet tail."""
-    return int(round((chirp.duration_s + settle_s) / CONTROL_DT))
+def chirp_record_samples(chirp: ChirpRef) -> int:
+    """Length of a chirp_drive record: the sweep plus its quiet tail."""
+    return int(round((chirp.duration_s + CHIRP_SETTLE_S) / CONTROL_DT))
 
 
-def chirp_drive(chirp: ChirpRef, settle_s: float = 0.5) -> np.ndarray:
-    """The run_plant_chirp drive current at each control step: the sweep,
+def chirp_drive(chirp: ChirpRef) -> np.ndarray:
+    """The identification drive current at each control step: the sweep,
     then zero over the quiet tail. Each sample is chirp.value's arithmetic
     in Python floats, so the two agree bit for bit; numpy's r ** t rounds
     differently in about 5% of the samples of the default bode record."""
-    t = np.arange(chirp_record_samples(chirp, settle_s)) * CONTROL_DT
+    t = np.arange(chirp_record_samples(chirp)) * CONTROL_DT
     on = t <= chirp.duration_s
     r, w, log_r = chirp.rate, 2.0 * math.pi * chirp.f0_hz, math.log(chirp.rate)
     off, amp, sin = chirp.offset, chirp.amplitude, math.sin
@@ -416,20 +417,18 @@ def chirp_drive(chirp: ChirpRef, settle_s: float = 0.5) -> np.ndarray:
     return drive
 
 
-def run_plant_chirp(chirp: ChirpRef, params: ActuatorParams = VLCA_ACTUATOR,
-                    settle_s: float = 0.5) -> SimTrace:
-    """Open-loop chirp-current drive for identification.
+def run_plant_chirp(drive: np.ndarray,
+                    params: ActuatorParams = VLCA_ACTUATOR) -> SimTrace:
+    """Open-loop current drive for identification, one sample of drive
+    (a chirp_drive record) per control step.
 
     The commanded-force column holds the motor force (drive constant times
     current), so a response estimate against the measured spring force
-    yields the force plant directly. A quiet tail of settle_s seconds lets
-    the response ring out inside the record.
+    yields the force plant directly.
     """
     dt = CONTROL_DT
-    drive = chirp_drive(chirp, settle_s)
     trace = _blank_trace(len(drive), dt)
-    trace.meta.update(kind="open_loop_chirp", f0_hz=chirp.f0_hz,
-                      f1_hz=chirp.f1_hz)
+    trace.meta["kind"] = "open_loop_chirp"
     k_r, b_r = params.k_r, params.b_r
     n_drive = params.drive_constant
     step = _zoh_step(*_locked_plant(params))

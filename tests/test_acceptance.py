@@ -57,7 +57,8 @@ def test_criterion_2_plant_identity_analytic_and_empirical():
 
     chirp = simkit.ChirpRef(amplitude=2.0, f0_hz=0.5, f1_hz=150.0,
                             duration_s=120.0)
-    pts = simkit.empirical_frequency_response(simkit.run_plant_chirp(chirp))
+    pts = simkit.empirical_frequency_response(
+        simkit.run_plant_chirp(simkit.chirp_drive(chirp)))
     worst_mag, worst_ph, n_band = 0.0, 0.0, 0
     for p in pts:
         f_hz = p.omega / (2.0 * math.pi)

@@ -227,7 +227,7 @@ def test_chirp_drive_equals_the_reference_bit_for_bit(chirp):
 def test_silent_drive_is_refused():
     # a zero-amplitude chirp records no input, so every ratio would be 0/0
     chirp = sk.ChirpRef(amplitude=0.0, f0_hz=0.5, f1_hz=150.0, duration_s=2.0)
-    trace = sk.run_plant_chirp(chirp)
+    trace = sk.run_plant_chirp(sk.chirp_drive(chirp))
     assert len(trace.t) == sk.chirp_record_samples(chirp) >= sk.FRF_MIN_SAMPLES
     with pytest.raises(sk.InsufficientExcitation, match="all zero"):
         sk.empirical_frequency_response(trace)
@@ -237,7 +237,8 @@ def test_silent_drive_is_refused():
 def plant_chirp_points():
     chirp = sk.ChirpRef(amplitude=2.0, f0_hz=0.5, f1_hz=150.0,
                         duration_s=120.0)
-    return sk.empirical_frequency_response(sk.run_plant_chirp(chirp))
+    return sk.empirical_frequency_response(
+        sk.run_plant_chirp(sk.chirp_drive(chirp)))
 
 
 def test_plant_chirp_matches_rational_model(plant_chirp_points):
@@ -392,8 +393,9 @@ def test_force_tracking_matches_rk4_reference(kind, rk4_reference):
 
 def test_plant_chirp_matches_rk4_reference(rk4_reference):
     chirp = sk.ChirpRef(amplitude=2.0, f0_hz=0.5, f1_hz=150.0, duration_s=2.0)
-    exact = sk.run_plant_chirp(chirp)
-    ref = rk4_reference(sk.run_plant_chirp, chirp)
+    drive = sk.chirp_drive(chirp)
+    exact = sk.run_plant_chirp(drive)
+    ref = rk4_reference(sk.run_plant_chirp, drive)
     peak = float(np.max(np.abs(ref.f_meas)))
     assert np.max(np.abs(exact.f_meas - ref.f_meas)) < 1e-8 * peak
 
