@@ -1,17 +1,18 @@
 """Scenario runner: declarative configs in, CSV tables + SVG charts out.
 
 Config files are flat `key = value` lines ('#' comments allowed). The
-`scenario` key picks the experiment; dotted keys override any actuator,
-controller-gain, leg, or thermal-model field plus a small set of
-per-scenario knobs.
+`scenario` key picks the experiment; dotted keys set one of its own knobs
+or override a field of a namespace it reads (actuator, controller gains,
+leg, thermal model). A key outside those is unknown.
 
-Each scenario is a (prepare, execute) pair. One walk over the config
+Each scenario is one `_SCENARIOS` record: its knobs, the namespaces it
+reads, and a (prepare, execute) pair. One walk over the config
 (`_resolve`) type- and range-checks every key, then runs the scenario's
 prepare step, which builds and checks its inputs before its simulations
 start and leaves them on the RunSpec. `validate` reports what that walk
 rejects; `run` hands the prepared spec to execute, which simulates and
 writes. Every run finishes by writing manifest.json listing the emitted
-files, the resolved parameters, and the config digest; a failed run
+files, the parameters it read, and the config digest; a failed run
 still writes the manifest, flagged failed.
 """
 
@@ -26,7 +27,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,85 +51,7 @@ class ScenarioFailed(Exception):
     """A scenario raised while running; the manifest records the error."""
 
 
-SCENARIOS = ("bode", "margins", "force_tracking", "position_step", "impact",
-             "osc", "thermal", "efficiency", "materials")
-
 _KIND_BY_NAME = {k.value: k for k in ControllerKind}
-
-# dotted-key namespaces and the instance their overrides replace; the
-# thermal network comes from calibration in the thermal prepare step, so
-# its overrides are first range-checked against a nominal stand-in
-_NAMESPACES = {
-    "actuator": VLCA_ACTUATOR,
-    "gains": ControllerGains(),
-    "testbed": testbed.TwoDofParams(),
-    "thermal": powertherm.ThermalParams(
-        c_winding=0.2, c_housing=4.0, r_wh=0.036, r_ha_on=3.54, r_ha_off=46.0),
-}
-
-# scenarios that simulate a closed force loop: their gains.* overrides
-# replace the experiment gains, every other scenario's the nominal ones
-_EXPERIMENT_LOOPS = ("force_tracking", "osc", "efficiency")
-
-# per-scenario extra knobs: name -> (default, kind) where kind is
-# "float", "int", or a tuple of allowed strings
-_EXTRAS = {
-    "bode": {
-        "f0_hz": (0.5, "float"),
-        "f1_hz": (150.0, "float"),
-        "chirp_s": (40.0, "float"),
-        "chirp_amp_a": (2.0, "float"),
-    },
-    "margins": {
-        "calibrate": (0, "int"),
-    },
-    "force_tracking": {
-        "kind": ("pd_m_dob", tuple(_KIND_BY_NAME)),
-        "reference": ("ramp", ("step", "ramp", "sine", "chirp")),
-        "amplitude_nm": (25.0, "float"),
-        "duration_s": (1.0, "float"),
-        "freq_hz": (5.0, "float"),
-    },
-    "position_step": {
-        "step_rad": (0.05, "float"),
-        "duration_s": (3.0, "float"),
-    },
-    "impact": {
-        "impulse_ns": (20.0, "float"),
-        "pulse_width_s": (2e-3, "float"),
-    },
-    "osc": {
-        "trajectory": ("sine", ("sine", "bspline")),
-        "freq_hz": (1.7, "float"),
-        "amplitude_m": (0.15, "float"),
-        "payload_kg": (10.0, "float"),
-        "duration_s": (3.0, "float"),
-        "phase_rad": (1.2, "float"),
-        "center_x": (0.18, "float"),
-        "center_y": (0.45, "float"),
-        # bspline knot list as "x0,y0; x1,y1; ..." control points
-        "knots": ("", "str"),
-    },
-    "thermal": {
-        "burst_current_a": (31.0, "float"),
-        "burst_duration_s": (0.5, "float"),
-        "hold_force_n": (860.0, "float"),
-        "hold_duration_s": (120.0, "float"),
-    },
-    "efficiency": {
-        "payload_kg": (23.0, "float"),
-        "lift_m": (0.3, "float"),
-        "duration_s": (1.5, "float"),
-    },
-    "materials": {
-        "min_damping": (-1.0, "float"),  # negative disables the floor
-        "w_linearity": (1.0, "float"),
-        "w_compression_set": (1.0, "float"),
-        "w_creep": (1.0, "float"),
-        "w_damping": (1.0, "float"),
-        "w_cost": (1.0, "float"),
-    },
-}
 
 _GLOBAL_KEYS = ("scenario", "out", "seed")
 
@@ -168,51 +91,48 @@ def _coerce(raw: str):
 
 @dataclass
 class RunSpec:
+    """A checked config. Only the namespaces its scenario reads are set, so
+    a scenario cannot read one it did not declare."""
     scenario: str
     out: str
-    seed: int
-    actuator: ActuatorParams
-    gains: ControllerGains
-    leg: testbed.TwoDofParams
-    thermal_overrides: dict
     extras: dict
     digest: str
+    actuator: Optional[ActuatorParams] = None
+    gains: Optional[ControllerGains] = None
+    testbed: Optional[testbed.TwoDofParams] = None
+    # the thermal.* overrides: the network they apply to is calibrated in
+    # the thermal prepare step
+    thermal: Optional[dict] = None
     inputs: object = None  # what the scenario's prepare step built
 
 
 def _resolve(raw_config: dict):
     """The one walk from a raw config to a runnable spec: (diagnostics,
-    RunSpec or None). Keys are type-checked, the namespaces range-checked
-    through their dataclasses, and then the scenario's prepare step runs
-    once; its result is the spec's `inputs`."""
-    diags = []
+    RunSpec or None). Keys are type-checked, the namespaces the scenario
+    reads range-checked through their dataclasses, and then the scenario's
+    prepare step runs once; its result is the spec's `inputs`. A key that
+    is neither a knob of the scenario nor a field of a namespace it reads
+    is unknown."""
     if "scenario" not in raw_config:
-        diags.append(("scenario", "missing required key `scenario`"))
-        scenario = None
-    else:
-        scenario = str(raw_config["scenario"])
-        if scenario not in SCENARIOS:
-            diags.append(("scenario",
-                          f"unknown scenario {scenario!r}; expected one of "
-                          f"{', '.join(SCENARIOS)}"))
-            scenario = None
+        return [("scenario", "missing required key `scenario`")], None
+    scenario = str(raw_config["scenario"])
+    if scenario not in _SCENARIOS:
+        return [("scenario", f"unknown scenario {scenario!r}; expected one "
+                             f"of {', '.join(SCENARIOS)}")], None
+    sc = _SCENARIOS[scenario]
 
-    overrides = {ns: {} for ns in _NAMESPACES}
-    extras_spec = _EXTRAS.get(scenario, {})
-    extras = {name: default for name, (default, _) in extras_spec.items()}
+    diags = []
+    overrides = {ns: {} for ns in sc.reads}
+    extras = {name: default for name, (default, _) in sc.extras.items()}
     for key, raw_val in raw_config.items():
         if key in _GLOBAL_KEYS:
-            if key == "seed":
-                if not isinstance(_coerce(str(raw_val)), int):
-                    diags.append((key, "expected an integer"))
-            continue
-        if "." not in key:
-            diags.append((key, "unknown key"))
+            if key == "seed" and not isinstance(_coerce(str(raw_val)), int):
+                diags.append((key, "expected an integer"))
             continue
         prefix, _, leaf = key.partition(".")
         value = _coerce(str(raw_val))
-        if prefix == scenario and leaf in extras_spec:
-            kind = extras_spec[leaf][1]
+        if prefix == scenario and leaf in sc.extras:
+            kind = sc.extras[leaf][1]
             if kind == "float" and not isinstance(value, (int, float)):
                 diags.append((key, "expected a number"))
             elif kind == "float" and not math.isfinite(value):
@@ -226,11 +146,14 @@ def _resolve(raw_config: dict):
             extras[leaf] = value
             continue
         name = None
-        if prefix in _NAMESPACES:
+        if prefix in sc.reads:
             name = {f.name.lower(): f.name
-                    for f in fields(_NAMESPACES[prefix])}.get(leaf.lower())
+                    for f in fields(sc.reads[prefix])}.get(leaf.lower())
         if name is None:
             diags.append((key, "unknown key"))
+        elif (prefix, name) == ("testbed", "payload_mass"):
+            # both leg scenarios carry their payload as a knob of their own
+            diags.append((key, f"the payload is {scenario}.payload_kg"))
         elif value is not None and not isinstance(value, (int, float)):
             diags.append((key, "expected a number"))
         elif value is not None and not math.isfinite(value):
@@ -240,9 +163,7 @@ def _resolve(raw_config: dict):
 
     # range checks through the dataclass invariants
     resolved = {}
-    for ns, base in _NAMESPACES.items():
-        if ns == "gains" and scenario in _EXPERIMENT_LOOPS:
-            base = EXPERIMENT_GAINS
+    for ns, base in sc.reads.items():
         try:
             resolved[ns] = replace(base, **overrides[ns])
         except (ValueError, TypeError) as exc:
@@ -251,29 +172,26 @@ def _resolve(raw_config: dict):
             diags.append((f"{ns}.{bad}" if bad else ns, msg))
     if diags:
         return diags, None
+    if "thermal" in resolved:
+        resolved["thermal"] = overrides["thermal"]
 
     spec = RunSpec(
         scenario=scenario,
         out=str(raw_config.get("out", f"out_{scenario}")),
-        seed=int(_coerce(str(raw_config.get("seed", 0)))),
-        actuator=resolved["actuator"],
-        gains=resolved["gains"],
-        leg=resolved["testbed"],
-        thermal_overrides=overrides["thermal"],
         extras=extras,
         digest=hashlib.sha256(
             "\n".join(f"{k}={raw_config[k]}" for k in sorted(raw_config))
             .encode()).hexdigest(),
+        **resolved,
     )
     # range checks through the scenario's own input builders
-    prepare, _ = _SCENARIO_FUNCS[scenario]
     try:
-        spec.inputs = prepare(spec)
+        spec.inputs = sc.prepare(spec)
     except (ValueError, testbed.WorkspaceViolation, elastomat.AllExcluded,
             powertherm.CalibrationInfeasible, simkit.InsufficientExcitation,
             MissingFilterCutoff) as exc:
         msg = str(exc)
-        keys = [f"{scenario}.{n}" for n in extras_spec]
+        keys = [f"{scenario}.{n}" for n in sc.extras]
         keys += [f"gains.{f.name}" for f in fields(ControllerGains)]
         bad = next((k for k in keys if msg.startswith(k.split(".")[1])),
                    scenario)
@@ -322,8 +240,9 @@ class _Emitter:
 # checks the scenario's inputs before its simulations start; it raises
 # ValueError, WorkspaceViolation, AllExcluded, CalibrationInfeasible,
 # InsufficientExcitation or MissingFilterCutoff for a config it cannot
-# run, which validate() reports. execute(spec, em) runs the scenario on
-# spec.inputs and writes its files.
+# run, which validate() reports. The two leg scenarios' prepare steps also
+# set spec.testbed to the leg they simulate, payload included. execute(spec,
+# em) runs the scenario on spec.inputs and writes its files.
 
 def _bode_chirp(spec: RunSpec):
     x = spec.extras
@@ -368,6 +287,13 @@ def _scenario_bode(spec: RunSpec, em: _Emitter):
     em.write("bode_phase.svg", svgplot.line_chart(
         curves("phase_deg"), title="Force plant phase",
         xlabel="frequency [Hz]", ylabel="phase [deg]", logx=True))
+
+
+def _margin_loops(spec: RunSpec):
+    # a filter cutoff that one of the four loops needs, left unset, is a
+    # config error
+    for kind in MARGIN_TABLE_ORDER:
+        open_loop_tf(kind, spec.actuator, spec.gains)
 
 
 def _scenario_margins(spec: RunSpec, em: _Emitter):
@@ -516,7 +442,8 @@ def _osc_trajectory(spec: RunSpec):
                                       amplitude=(0.0, x["amplitude_m"]),
                                       freq_hz=x["freq_hz"],
                                       phase_rad=x["phase_rad"])
-    testbed.osc_run_inputs(traj, x["payload_kg"], x["duration_s"], spec.leg)
+    spec.testbed = testbed.osc_run_inputs(traj, x["payload_kg"],
+                                          x["duration_s"], spec.testbed)[0]
     # a fractional-sample delay or an unset cutoff is a config error
     simkit.DiscreteForceController(ControllerKind.PDM_DOB, spec.actuator,
                                    spec.gains)
@@ -528,7 +455,7 @@ def _scenario_osc(spec: RunSpec, em: _Emitter):
     metrics, err_curves, y_curves = [], [], []
     for mode in ("ideal_torque", "cascaded_vlca"):
         trace = testbed.simulate_osc(spec.inputs, x["payload_kg"], mode,
-                                     x["duration_s"], params=spec.leg,
+                                     x["duration_s"], params=spec.testbed,
                                      actuator=spec.actuator,
                                      force_gains=spec.gains)
         em.counters[f"osc_{mode}"] = trace.counters()
@@ -553,7 +480,7 @@ def _thermal_params(spec: RunSpec):
     for name in ("burst_duration_s", "hold_duration_s"):
         simkit.check_duration(spec.extras[name], name)
     report = powertherm.calibrate_thermal(spec.actuator)
-    return report, replace(report.params, **spec.thermal_overrides)
+    return report, replace(report.params, **spec.thermal)
 
 
 def _scenario_thermal(spec: RunSpec, em: _Emitter):
@@ -607,8 +534,8 @@ def _lift_trajectory(spec: RunSpec):
     x = spec.extras
     traj = testbed.BSplineTrajectory.vertical_lift(_LIFT_START, x["lift_m"],
                                                    x["duration_s"])
-    testbed.osc_run_inputs(traj, x["payload_kg"],
-                           x["duration_s"] + _LIFT_HOLD_S, spec.leg)
+    spec.testbed = testbed.osc_run_inputs(
+        traj, x["payload_kg"], x["duration_s"] + _LIFT_HOLD_S, spec.testbed)[0]
     # a fractional-sample delay or an unset cutoff is a config error
     simkit.DiscreteForceController(ControllerKind.PDM_DOB, spec.actuator,
                                    spec.gains)
@@ -619,7 +546,7 @@ def _scenario_efficiency(spec: RunSpec, em: _Emitter):
     x = spec.extras
     trace = testbed.simulate_osc(spec.inputs, x["payload_kg"],
                                  "cascaded_vlca", x["duration_s"] + _LIFT_HOLD_S,
-                                 params=spec.leg, actuator=spec.actuator,
+                                 params=spec.testbed, actuator=spec.actuator,
                                  force_gains=spec.gains)
     em.counters["efficiency_lift"] = trace.counters()
     em.write("efficiency_lift.csv", trace.to_csv())
@@ -662,17 +589,78 @@ def _scenario_materials(spec: RunSpec, em: _Emitter):
         title="Material ranking scores", xlabel="rank", ylabel="score"))
 
 
-_SCENARIO_FUNCS = {
-    "bode": (_bode_chirp, _scenario_bode),
-    "margins": (lambda spec: None, _scenario_margins),
-    "force_tracking": (_force_inputs, _scenario_force_tracking),
-    "position_step": (_position_step_check, _scenario_position_step),
-    "impact": (_impact_configs, _scenario_impact),
-    "osc": (_osc_trajectory, _scenario_osc),
-    "thermal": (_thermal_params, _scenario_thermal),
-    "efficiency": (_lift_trajectory, _scenario_efficiency),
-    "materials": (_material_ranking, _scenario_materials),
+@dataclass(frozen=True)
+class _Scenario:
+    # knob name -> (default, kind); kind is "float", "int", "str" or a
+    # tuple of allowed strings
+    extras: dict
+    # each namespace the scenario reads -> the instance its overrides replace
+    reads: dict
+    prepare: Callable[[RunSpec], object]
+    execute: Callable[[RunSpec, _Emitter], None]
+
+
+# the thermal network comes from calibration in the thermal prepare step,
+# so its overrides are first range-checked against a nominal stand-in
+_THERMAL_STANDIN = powertherm.ThermalParams(
+    c_winding=0.2, c_housing=4.0, r_wh=0.036, r_ha_on=3.54, r_ha_off=46.0)
+
+# a scenario that simulates a closed force loop starts from the experiment
+# gains, `margins` from the nominal ones
+_SCENARIOS = {
+    "bode": _Scenario(
+        {"f0_hz": (0.5, "float"), "f1_hz": (150.0, "float"),
+         "chirp_s": (40.0, "float"), "chirp_amp_a": (2.0, "float")},
+        {"actuator": VLCA_ACTUATOR}, _bode_chirp, _scenario_bode),
+    "margins": _Scenario(
+        {"calibrate": (0, "int")},
+        {"actuator": VLCA_ACTUATOR, "gains": ControllerGains()},
+        _margin_loops, _scenario_margins),
+    "force_tracking": _Scenario(
+        {"kind": ("pd_m_dob", tuple(_KIND_BY_NAME)),
+         "reference": ("ramp", ("step", "ramp", "sine", "chirp")),
+         "amplitude_nm": (25.0, "float"), "duration_s": (1.0, "float"),
+         "freq_hz": (5.0, "float")},
+        {"actuator": VLCA_ACTUATOR, "gains": EXPERIMENT_GAINS},
+        _force_inputs, _scenario_force_tracking),
+    "position_step": _Scenario(
+        {"step_rad": (0.05, "float"), "duration_s": (3.0, "float")},
+        {"actuator": VLCA_ACTUATOR},
+        _position_step_check, _scenario_position_step),
+    "impact": _Scenario(
+        {"impulse_ns": (20.0, "float"), "pulse_width_s": (2e-3, "float")},
+        {"actuator": VLCA_ACTUATOR}, _impact_configs, _scenario_impact),
+    "osc": _Scenario(
+        {"trajectory": ("sine", ("sine", "bspline")),
+         "freq_hz": (1.7, "float"), "amplitude_m": (0.15, "float"),
+         "payload_kg": (10.0, "float"), "duration_s": (3.0, "float"),
+         "phase_rad": (1.2, "float"), "center_x": (0.18, "float"),
+         "center_y": (0.45, "float"),
+         # bspline knot list as "x0,y0; x1,y1; ..." control points
+         "knots": ("", "str")},
+        {"actuator": VLCA_ACTUATOR, "gains": EXPERIMENT_GAINS,
+         "testbed": testbed.TwoDofParams()},
+        _osc_trajectory, _scenario_osc),
+    "thermal": _Scenario(
+        {"burst_current_a": (31.0, "float"), "burst_duration_s": (0.5, "float"),
+         "hold_force_n": (860.0, "float"),
+         "hold_duration_s": (120.0, "float")},
+        {"actuator": VLCA_ACTUATOR, "thermal": _THERMAL_STANDIN},
+        _thermal_params, _scenario_thermal),
+    "efficiency": _Scenario(
+        {"payload_kg": (23.0, "float"), "lift_m": (0.3, "float"),
+         "duration_s": (1.5, "float")},
+        {"actuator": VLCA_ACTUATOR, "gains": EXPERIMENT_GAINS,
+         "testbed": testbed.TwoDofParams()},
+        _lift_trajectory, _scenario_efficiency),
+    "materials": _Scenario(
+        {"min_damping": (-1.0, "float"),  # negative disables the floor
+         "w_linearity": (1.0, "float"), "w_compression_set": (1.0, "float"),
+         "w_creep": (1.0, "float"), "w_damping": (1.0, "float"),
+         "w_cost": (1.0, "float")},
+        {}, _material_ranking, _scenario_materials),
 }
+SCENARIOS = tuple(_SCENARIOS)
 
 
 @dataclass
@@ -694,14 +682,14 @@ class RunManifest:
 
 
 def _resolved_parameters(spec: RunSpec) -> dict:
-    return {
-        "actuator": asdict(spec.actuator),
-        "gains": asdict(spec.gains),
-        "testbed": asdict(spec.leg),
-        "thermal_overrides": dict(spec.thermal_overrides),
-        "extras": dict(spec.extras),
-        "seed": spec.seed,
-    }
+    """What the run read: each declared namespace, and the extras."""
+    params = {"extras": dict(spec.extras)}
+    for ns in _SCENARIOS[spec.scenario].reads:
+        if ns == "thermal":
+            params["thermal_overrides"] = dict(spec.thermal)
+        else:
+            params[ns] = asdict(getattr(spec, ns))
+    return params
 
 
 def run(raw_config: dict) -> RunManifest:
@@ -717,7 +705,7 @@ def run(raw_config: dict) -> RunManifest:
                            files=[], status="failed", output_dir=outdir,
                            counters=em.counters)
     try:
-        _SCENARIO_FUNCS[spec.scenario][1](spec, em)
+        _SCENARIOS[spec.scenario].execute(spec, em)
         manifest.status = "ok"
     except Exception as exc:
         manifest.error = f"{type(exc).__name__}: {exc}"

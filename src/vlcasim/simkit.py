@@ -625,24 +625,16 @@ def run_joint_position_control(element: str, step_rad: float = 0.05,
     return trace
 
 
-def position_loop_matrix(element: str,
-                         params: ActuatorParams = VLCA_ACTUATOR) -> np.ndarray:
-    """Continuous closed-loop state matrix A - B K of the two_mass_plant
-    under the position law f = k_p (x_des - x_l) - k_d v_m, delay and
-    sampling ignored; handy for modal damping analysis."""
-    a, b = two_mass_plant(element, params)
-    k = np.array([[0.0, POSITION_KD, POSITION_KP, 0.0]])
-    return a - b @ k
-
-
 # --------------------------------------------------------------- impact
+
+IMPACT_SENSOR_MASS_KG = 0.5  # struck cap and cell mass [kg]
+
 
 @dataclass(frozen=True)
 class ImpactConfig:
     grounding: str = "viscoelastic"  # or "rigid"
     impulse_ns: float = 20.0         # hammer impulse [N*s]
     pulse_width_s: float = 2e-3      # half-sine width [s]
-    sensor_mass_kg: float = 0.5      # struck cap and cell mass [kg]
     duration_s: float = 0.3
 
     def __post_init__(self):
@@ -652,8 +644,6 @@ class ImpactConfig:
             raise ValueError("impulse_ns must be >= 0")
         if not 0.5e-3 <= self.pulse_width_s <= 5e-3:
             raise ValueError("pulse_width_s must be within [0.5, 5] ms")
-        if self.sensor_mass_kg <= 0.0:
-            raise ValueError("sensor_mass_kg must be > 0")
         if self.duration_s <= self.pulse_width_s:
             raise ValueError("duration_s must exceed the pulse width")
 
@@ -670,7 +660,7 @@ def run_impact(config: ImpactConfig,
     """
     w = config.pulse_width_s
     f_peak = config.impulse_ns * math.pi / (2.0 * w)
-    m_tot = params.effective_mass + config.sensor_mass_kg
+    m_tot = params.effective_mass + IMPACT_SENSOR_MASS_KG
     b_dt = params.drivetrain_damping
     visco = config.grounding == "viscoelastic"
     k_s = params.k_r if visco else 0.0
@@ -702,7 +692,7 @@ def run_impact(config: ImpactConfig,
         x, acc = y[0], deriv(t, y)[1]
         trace.f_cmd[k] = 0.0
         trace.f_meas[k] = k_s * x
-        trace.f_loadcell[k] = hammer(t) - config.sensor_mass_kg * acc
+        trace.f_loadcell[k] = hammer(t) - IMPACT_SENSOR_MASS_KG * acc
         trace.i_m[k] = 0.0
         trace.x_r[k] = x if visco else 0.0
         if t < w:

@@ -1,6 +1,6 @@
-"""Planar ankle/knee leg testbed: closed-form rigid-body dynamics, hip
-Jacobians, moment-arm linkage mapping, operational-space control, and
-coupled simulation with either ideal torque sources or the full actuator
+"""Planar ankle/knee leg testbed: closed-form rigid-body dynamics,
+moment-arm linkage mapping, operational-space control, and coupled
+simulation with either ideal torque sources or the full actuator
 force loops in series.
 """
 
@@ -91,44 +91,16 @@ def hip_position(q: Sequence[float], params: TwoDofParams) -> np.ndarray:
     return np.array([x, y])
 
 
-@dataclass(frozen=True)
-class JacobianInfo:
-    j: np.ndarray       # 2x2 hip Jacobian
-    jdot: np.ndarray    # its time derivative at the given joint rates
-    det: float
-    singular: bool      # |det| under 1e-6 * reach^2
-
-
-def hip_jacobian(q: Sequence[float], params: TwoDofParams,
-                 qdot: Sequence[float] = (0.0, 0.0)) -> JacobianInfo:
-    l1, l2 = params.l1, params.l2
-    s0, c0 = math.sin(q[0]), math.cos(q[0])
-    s01, c01 = math.sin(q[0] + q[1]), math.cos(q[0] + q[1])
-    j = np.array([[-l1 * s0 - l2 * s01, -l2 * s01],
-                  [l1 * c0 + l2 * c01, l2 * c01]])
-    wsum = qdot[0] + qdot[1]
-    jdot = np.array([[-l1 * c0 * qdot[0] - l2 * c01 * wsum, -l2 * c01 * wsum],
-                     [-l1 * s0 * qdot[0] - l2 * s01 * wsum, -l2 * s01 * wsum]])
-    det = l1 * l2 * math.sin(q[1])
-    return JacobianInfo(j=j, jdot=jdot, det=det,
-                        singular=abs(det) < 1e-6 * params.reach ** 2)
-
-
-def inverse_kinematics(x: Sequence[float], params: TwoDofParams,
-                       knee: str = "down") -> np.ndarray:
-    """Closed-form joint angles reaching hip position x; knee picks the
-    elbow branch ('down' bends q1 negative)."""
-    if knee not in ("down", "up"):
-        raise ValueError("knee must be 'down' or 'up'")
+def inverse_kinematics(x: Sequence[float], params: TwoDofParams) -> np.ndarray:
+    """Closed-form joint angles reaching hip position x on the knee-down
+    branch (q1 <= 0)."""
     px, py = float(x[0]), float(x[1])
     rho2 = px * px + py * py
     l1, l2 = params.l1, params.l2
     cos_q1 = (rho2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
     if not -1.0 <= cos_q1 <= 1.0:
         raise WorkspaceViolation(f"point ({px:.3g}, {py:.3g}) is unreachable")
-    q1 = math.acos(cos_q1)
-    if knee == "down":
-        q1 = -q1
+    q1 = -math.acos(cos_q1)
     q0 = math.atan2(py, px) - math.atan2(l2 * math.sin(q1),
                                          l1 + l2 * math.cos(q1))
     return np.array([q0, q1])
@@ -177,15 +149,6 @@ class LinkageProfile:
         return r0 + (r1 - r0) * (q - a0) / (a1 - a0)
 
 
-def crouch_biased_profile() -> LinkageProfile:
-    """Nonconstant example profile: the linkage gains leverage as the
-    joint flexes."""
-    return LinkageProfile(
-        angles_rad=(-2.6, -1.3, 0.0, 1.3, 2.6),
-        arms_m=(0.0540, 0.0500, 0.0458, 0.0500, 0.0540),
-    )
-
-
 # ------------------------------------------------------------- control
 
 @dataclass(frozen=True)
@@ -198,12 +161,6 @@ class TaskGains:
             raise ValueError("kp and kd must have two entries")
         if min(self.kp) < 0.0 or min(self.kd) < 0.0:
             raise ValueError("gains must be >= 0")
-
-
-@dataclass(frozen=True)
-class OscCommand:
-    tau: np.ndarray
-    singularity_damped: bool
 
 
 def _osc_tau(q0, q1, w0, w1, xd, yd, vxd, vyd, axd, ayd, gains: TaskGains,
@@ -253,15 +210,6 @@ def _osc_tau(q0, q1, w0, w1, xd, yd, vxd, vyd, axd, ayd, gains: TaskGains,
     tau0 = a11 * qdd0 + a12 * qdd1 + b1 + g1
     tau1 = a12 * qdd0 + a22 * qdd1 + b2 + g2
     return tau0, tau1, damped
-
-
-def osc_torque(q, qdot, x_des, xd_des, xdd_des, gains: TaskGains,
-               params: TwoDofParams) -> OscCommand:
-    """Task-space computed torque with damped inversion near singularity."""
-    t0, t1, damped = _osc_tau(q[0], q[1], qdot[0], qdot[1],
-                              x_des[0], x_des[1], xd_des[0], xd_des[1],
-                              xdd_des[0], xdd_des[1], gains, params)
-    return OscCommand(tau=np.array([t0, t1]), singularity_damped=damped)
 
 
 # -------------------------------------------------------- trajectories
@@ -388,17 +336,19 @@ class TestbedTrace:
                 "singularity_damped_steps": self.singular_count}
 
 
-def _check_workspace(pos: np.ndarray, params: TwoDofParams,
-                     margin: float = 0.02):
+_WORKSPACE_MARGIN = 0.02  # clearance kept from both workspace radii [m]
+
+
+def _check_workspace(pos: np.ndarray, params: TwoDofParams):
     r = np.linalg.norm(pos, axis=1)
-    if float(r.max()) > params.reach - margin:
+    outer = params.reach - _WORKSPACE_MARGIN
+    inner = params.inner_radius + _WORKSPACE_MARGIN
+    if float(r.max()) > outer:
         raise WorkspaceViolation(
-            f"path reaches radius {r.max():.3f} m; limit "
-            f"{params.reach - margin:.3f} m")
-    if float(r.min()) < params.inner_radius + margin:
+            f"path reaches radius {r.max():.3f} m; limit {outer:.3f} m")
+    if float(r.min()) < inner:
         raise WorkspaceViolation(
-            f"path reaches radius {r.min():.3f} m; inner limit "
-            f"{params.inner_radius + margin:.3f} m")
+            f"path reaches radius {r.min():.3f} m; inner limit {inner:.3f} m")
 
 
 # Leg RK4 substeps per control period, per mode: the smallest count whose

@@ -1,7 +1,35 @@
 """Reference formulas the tests hold the live kernels against."""
 import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from vlcasim.testbed import TwoDofParams, _dyn_scalars
+
+
+@dataclass(frozen=True)
+class JacobianInfo:
+    j: np.ndarray       # 2x2 hip Jacobian
+    jdot: np.ndarray    # its time derivative at the given joint rates
+    det: float
+    singular: bool      # |det| under 1e-6 * reach^2
+
+
+def hip_jacobian(q: Sequence[float], params: TwoDofParams,
+                 qdot: Sequence[float] = (0.0, 0.0)) -> JacobianInfo:
+    """The hip Jacobian in matrix form, with its rate and determinant."""
+    l1, l2 = params.l1, params.l2
+    s0, c0 = math.sin(q[0]), math.cos(q[0])
+    s01, c01 = math.sin(q[0] + q[1]), math.cos(q[0] + q[1])
+    j = np.array([[-l1 * s0 - l2 * s01, -l2 * s01],
+                  [l1 * c0 + l2 * c01, l2 * c01]])
+    wsum = qdot[0] + qdot[1]
+    jdot = np.array([[-l1 * c0 * qdot[0] - l2 * c01 * wsum, -l2 * c01 * wsum],
+                     [-l1 * s0 * qdot[0] - l2 * s01 * wsum, -l2 * s01 * wsum]])
+    det = l1 * l2 * math.sin(q[1])
+    return JacobianInfo(j=j, jdot=jdot, det=det,
+                        singular=abs(det) < 1e-6 * params.reach ** 2)
 
 
 def total_energy(q, qdot, params: TwoDofParams) -> float:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -145,6 +146,8 @@ def test_margins_run_at_the_longest_delay_completes(tmp_path):
     "scenario = osc\ngains.q_taud_cutoff = none",
     "scenario = force_tracking\ngains.q_d_cutoff = none\n"
     "force_tracking.kind = pd_f",
+    "scenario = margins\ngains.q_d_cutoff = none",
+    "scenario = margins\ngains.q_taud_cutoff = none",
 ], ids=["impact", "force_tracking", "position_step", "osc", "thermal_burst",
         "thermal_hold", "efficiency_duration", "efficiency_payload",
         "efficiency_lift", "osc_payload", "osc_amplitude", "osc_center",
@@ -156,7 +159,8 @@ def test_margins_run_at_the_longest_delay_completes(tmp_path):
         "bode_short_narrow_chirp", "bode_high_narrow_chirp",
         *(f"{sc}_delay_{d}" for sc in ("force_tracking", "osc", "efficiency")
           for d in ("quarter_ms", "1.5ms")),
-        "osc_observer_cutoff_unset", "force_tracking_derivative_cutoff_unset"])
+        "osc_observer_cutoff_unset", "force_tracking_derivative_cutoff_unset",
+        "margins_derivative_cutoff_unset", "margins_observer_cutoff_unset"])
 def test_validate_range_checks_scenario_extras(tmp_path, capsys, lines):
     cfg = _write(tmp_path, "extras.cfg", f"{lines}\nout = extras_out\n")
     assert main(["validate", cfg]) == 2
@@ -174,13 +178,45 @@ def test_margins_accept_a_fractional_delay(tmp_path, delay_t):
     assert main(["run", cfg]) == 0
 
 
-def test_every_scenario_has_one_prepare_and_execute_pair():
-    assert set(cli._SCENARIO_FUNCS) == set(cli.SCENARIOS) == set(cli._EXTRAS)
-
-
 @pytest.mark.parametrize("scenario", cli.SCENARIOS)
 def test_validate_accepts_each_default_scenario(scenario):
     assert cli.validate({"scenario": scenario}) == []
+
+
+# one field of each namespace, set to a value inside its range
+_NAMESPACE_KEYS = {"actuator": ("actuator.k_r", "5.5e6"),
+                   "gains": ("gains.k_p", "4"),
+                   "testbed": ("testbed.l1", "0.4"),
+                   "thermal": ("thermal.c_winding", "0.2")}
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_a_namespace_the_scenario_does_not_read_is_unknown(tmp_path, capsys,
+                                                          scenario):
+    reads = cli._SCENARIOS[scenario].reads
+    read_keys = dict(v for ns, v in _NAMESPACE_KEYS.items() if ns in reads)
+    assert cli.validate({"scenario": scenario, **read_keys}) == []
+    for ns, (key, value) in _NAMESPACE_KEYS.items():
+        if ns in reads:
+            continue
+        cfg = _write(tmp_path, "unread.cfg",
+                     f"scenario = {scenario}\nout = unread_out\n"
+                     f"{key} = {value}\n")
+        assert main(["validate", cfg]) == 2
+        assert capsys.readouterr().out == f"{key}: unknown key\n"
+        assert main(["run", cfg]) == 2
+        assert not (tmp_path / "unread_out").exists()
+
+
+@pytest.mark.parametrize("scenario", ["osc", "efficiency"])
+def test_the_leg_payload_is_a_scenario_knob(tmp_path, capsys, scenario):
+    cfg = _write(tmp_path, "payload.cfg", f"scenario = {scenario}\n"
+                                          "out = payload_out\n"
+                                          "testbed.payload_mass = 30\n")
+    assert main(["validate", cfg]) == 2
+    assert f"{scenario}.payload_kg" in capsys.readouterr().out
+    assert main(["run", cfg]) == 2
+    assert not (tmp_path / "payload_out").exists()
 
 
 def test_a_prepare_step_that_raises_is_a_config_error(tmp_path, capsys,
@@ -188,8 +224,8 @@ def test_a_prepare_step_that_raises_is_a_config_error(tmp_path, capsys,
     def reject(spec):
         raise ValueError("impulse_ns out of range")
 
-    _, execute = cli._SCENARIO_FUNCS["impact"]
-    monkeypatch.setitem(cli._SCENARIO_FUNCS, "impact", (reject, execute))
+    monkeypatch.setitem(cli._SCENARIOS, "impact",
+                        replace(cli._SCENARIOS["impact"], prepare=reject))
     cfg = _write(tmp_path, "imp.cfg", "scenario = impact\nout = imp_out\n")
     assert main(["validate", cfg]) == 2
     assert "impact.impulse_ns" in capsys.readouterr().out
@@ -368,6 +404,51 @@ def test_margins_manifest_keeps_the_nominal_gains(tmp_path):
     recorded = _read_manifest(tmp_path / "run")["parameters"]["gains"]
     assert ControllerGains(**recorded) == ControllerGains()
     assert recorded["q_taud_cutoff"] == 2.0 * math.pi * 15.0
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_manifest_records_only_the_namespaces_the_scenario_reads(tmp_path,
+                                                                scenario):
+    man = cli.run({"scenario": scenario, "out": "run",
+                   **_SHORT_RUNS[scenario]})
+    declared = {"thermal_overrides" if ns == "thermal" else ns
+                for ns in cli._SCENARIOS[scenario].reads}
+    assert set(man.parameters) == declared | {"extras"}
+
+
+@pytest.mark.parametrize("scenario, payload_kg", [
+    ("efficiency", None), ("efficiency", "30"), ("osc", None), ("osc", "5")])
+def test_manifest_records_the_simulated_payload(tmp_path, monkeypatch,
+                                                scenario, payload_kg):
+    simulated = []
+    simulate = cli.testbed.simulate_osc
+
+    def recording(trajectory, payload, *args, **kwargs):
+        simulated.append(payload)
+        return simulate(trajectory, payload, *args, **kwargs)
+
+    monkeypatch.setattr(cli.testbed, "simulate_osc", recording)
+    raw = {"scenario": scenario, "out": "run", **_SHORT_RUNS[scenario]}
+    if payload_kg is not None:
+        raw[f"{scenario}.payload_kg"] = payload_kg
+    cli.run(raw)
+    recorded = _read_manifest(tmp_path / "run")["parameters"]["testbed"]
+    assert simulated and set(simulated) == {recorded["payload_mass"]}
+    if scenario == "efficiency" and payload_kg is None:
+        assert recorded["payload_mass"] == 23.0
+
+
+def test_seed_is_digested_but_not_recorded(tmp_path, monkeypatch):
+    # same `out` under two roots, so only the seed differs in the config
+    for seed in ("7", "8"):
+        monkeypatch.setenv("VLCA_OUT", str(tmp_path / seed))
+        cli.run({"scenario": "materials", "out": "run", "seed": seed})
+    first, second = (_read_manifest(tmp_path / s / "run") for s in ("7", "8"))
+    assert "seed" not in first["parameters"]
+    assert first["config_digest"] != second["config_digest"]
+    for name in first["files"]:
+        assert ((tmp_path / "7" / "run" / name).read_bytes()
+                == (tmp_path / "8" / "run" / name).read_bytes()), name
 
 
 def test_set_overrides_reach_the_manifest(tmp_path):

@@ -16,3 +16,17 @@ def test_readme_has_python_examples():
 def test_readme_python_block_runs(code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(code, str(README), "exec"), {"__name__": "__readme__"})
+
+
+def test_readme_namespace_table_matches_the_scenario_table():
+    from vlcasim import cli
+
+    text = README.read_text()
+    table = text[text.index("| scenario | namespaces |"):].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        scenario, namespaces = (c.strip() for c in row.strip("|").split("|"))
+        documented[scenario.strip("`")] = tuple(
+            n.strip(" `") for n in namespaces.split(",") if n != "none")
+    assert documented == {name: tuple(sc.reads)
+                          for name, sc in cli._SCENARIOS.items()}

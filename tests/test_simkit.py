@@ -302,9 +302,17 @@ def test_viscoelastic_element_softens_the_step_response():
     assert over_s == pytest.approx(0.0846, abs=0.005)
 
 
+def _position_loop_matrix(element):
+    """Continuous closed-loop state matrix A - B K of the two_mass_plant
+    under the position law f = k_p (x_des - x_l) - k_d v_m, delay and
+    sampling ignored."""
+    a, b = sk.two_mass_plant(element)
+    return a - b @ np.array([[0.0, sk.POSITION_KD, sk.POSITION_KP, 0.0]])
+
+
 def test_position_loop_dominant_damping():
     def dominant_zeta(element):
-        ev = np.linalg.eigvals(sk.position_loop_matrix(element))
+        ev = np.linalg.eigvals(_position_loop_matrix(element))
         osc = ev[np.abs(ev.imag) > 1e-6]
         return min(-lam.real / abs(lam) for lam in osc)
 
@@ -412,13 +420,20 @@ def test_position_step_matches_rk4_reference(element, rk4_reference):
 
 
 def test_position_loop_matrix_closes_the_two_mass_plant():
-    gain_row = np.array([[0.0, sk.POSITION_KD, sk.POSITION_KP, 0.0]])
+    m_m = VLCA_ACTUATOR.effective_mass
     for element in ("elastomer", "steel_spring"):
-        a, b = sk.two_mass_plant(element)
+        a, _ = sk.two_mass_plant(element)
         # moving both masses together stretches nothing
         assert np.all(a @ [1.0, 0.0, 1.0, 0.0] == 0.0)
-        np.testing.assert_array_equal(sk.position_loop_matrix(element),
-                                      a - b @ gain_row)
+        # the loop feeds back the load position and the motor speed into
+        # the motor force, and nothing else
+        closed = _position_loop_matrix(element)
+        np.testing.assert_array_equal(np.delete(closed, 1, 0),
+                                      np.delete(a, 1, 0))
+        np.testing.assert_allclose(
+            a[1] - closed[1],
+            [0.0, sk.POSITION_KD / m_m, sk.POSITION_KP / m_m, 0.0],
+            rtol=1e-12)
 
 
 # ------------------------------------------------------------------- impact

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import total_energy
+from oracles import hip_jacobian, total_energy
 from vlcasim import powertherm, simkit
 from vlcasim import testbed as tb
 from vlcasim.vlca import DEFAULT_MOMENT_ARM, VLCA_ACTUATOR
@@ -121,7 +121,7 @@ def test_passive_swing_conserves_energy():
 
 def test_jacobian_columns_are_turn_levers():
     q = np.array([0.7, -1.1])
-    info = tb.hip_jacobian(q, P)
+    info = hip_jacobian(q, P)
     hip = tb.hip_position(q, P)
     knee = np.array([P.l1 * math.cos(q[0]), P.l1 * math.sin(q[0])])
     np.testing.assert_allclose(info.j[:, 0], [-hip[1], hip[0]], atol=1e-12)
@@ -132,15 +132,15 @@ def test_jacobian_columns_are_turn_levers():
 def test_jacobian_rate_matches_finite_difference():
     q = np.array([0.7, -1.1])
     qd = np.array([0.3, -0.5])
-    info = tb.hip_jacobian(q, P, qd)
+    info = hip_jacobian(q, P, qd)
     h = 1e-6
-    fd = (tb.hip_jacobian(q + h * qd, P).j - info.j) / h
+    fd = (hip_jacobian(q + h * qd, P).j - info.j) / h
     np.testing.assert_allclose(info.jdot, fd, atol=1e-6)
 
 
 def test_jacobian_flags_the_straight_leg():
-    assert tb.hip_jacobian((0.3, 0.0), P).singular
-    assert not tb.hip_jacobian((0.3, -0.9), P).singular
+    assert hip_jacobian((0.3, 0.0), P).singular
+    assert not hip_jacobian((0.3, -0.9), P).singular
 
 
 def test_inverse_kinematics_round_trip():
@@ -154,11 +154,15 @@ def test_inverse_kinematics_round_trip():
         assert q[1] <= 0.0  # knee-down branch
     with pytest.raises(tb.WorkspaceViolation):
         tb.inverse_kinematics((1.0, 0.5), P)
-    with pytest.raises(ValueError):
-        tb.inverse_kinematics((0.2, 0.4), P, knee="sideways")
 
 
 # ------------------------------------------------------------------ linkage
+
+# a nonconstant profile: the linkage gains leverage as the joint flexes
+CROUCH_BIASED = tb.LinkageProfile(
+    angles_rad=(-2.6, -1.3, 0.0, 1.3, 2.6),
+    arms_m=(0.0540, 0.0500, 0.0458, 0.0500, 0.0540))
+
 
 def test_linkage_rated_point():
     arm = tb.LinkageProfile.constant(DEFAULT_MOMENT_ARM).arm(0.0)
@@ -173,7 +177,7 @@ def test_linkage_profile_validation():
         tb.LinkageProfile((0.0, 1.0), (0.04, 0.06))  # 50 percent jump
     with pytest.raises(ValueError):
         tb.LinkageProfile((0.0,), (0.04,))
-    prof = tb.crouch_biased_profile()
+    prof = CROUCH_BIASED
     with pytest.raises(tb.OutOfRange):
         prof.arm(prof.angles_rad[-1] + 0.5)
 
@@ -183,20 +187,41 @@ def test_linkage_profile_validation():
 def test_rest_on_target_commands_gravity_support():
     q = np.array([1.2, -0.9])
     x_here = tb.hip_position(q, P)
-    cmd = tb.osc_torque(q, (0.0, 0.0), x_here, (0.0, 0.0), (0.0, 0.0),
-                        tb.TaskGains(), P)
+    *tau, damped = tb._osc_tau(*q, 0.0, 0.0, *x_here, 0.0, 0.0, 0.0, 0.0,
+                               tb.TaskGains(), P)
     want = _terms(q, (0.0, 0.0), P)[2]
-    np.testing.assert_allclose(cmd.tau, want, atol=1e-9)
-    assert not cmd.singularity_damped
+    np.testing.assert_allclose(tau, want, atol=1e-9)
+    assert not damped
+
+
+def test_osc_torque_is_the_computed_torque_law():
+    # away from the singular band the kernel is M J^-1 (a - Jdot qdot) + b + g
+    # with a = xdd_des + kp (x_des - x) + kd (xd_des - J qdot)
+    rng = np.random.default_rng(17)
+    gains = tb.TaskGains(kp=(625.0, 400.0), kd=(40.0, 30.0))
+    for _ in range(200):
+        q = np.array([rng.uniform(-1.0, 2.5), -rng.uniform(0.3, 2.6)])
+        qdot = rng.uniform(-4.0, 4.0, 2)
+        x_des = tb.hip_position(q, P) + rng.uniform(-0.05, 0.05, 2)
+        xd_des, xdd_des = rng.uniform(-1.0, 1.0, 2), rng.uniform(-5.0, 5.0, 2)
+        jac = hip_jacobian(q, P, qdot)
+        a = (xdd_des + np.multiply(gains.kp, x_des - tb.hip_position(q, P))
+             + np.multiply(gains.kd, xd_des - jac.j @ qdot))
+        m, b, g = _terms(q, qdot, P)
+        want = m @ np.linalg.solve(jac.j, a - jac.jdot @ qdot) + b + g
+        *tau, damped = tb._osc_tau(*q, *qdot, *x_des, *xd_des, *xdd_des,
+                                   gains, P)
+        assert not damped
+        np.testing.assert_allclose(tau, want, rtol=1e-9, atol=1e-9)
 
 
 def test_crouch_torques_stay_inside_the_joint_rating():
     p23 = tb.TwoDofParams(payload_mass=23.0)
     q = tb.inverse_kinematics((0.15, 0.45), p23)
-    cmd = tb.osc_torque(q, (0.0, 0.0), tb.hip_position(q, p23),
-                        (0.0, 0.0), (0.0, 0.0), tb.TaskGains(), p23)
-    assert np.max(np.abs(cmd.tau)) < 270.0
-    assert cmd.tau[1] == pytest.approx(89.60, abs=0.5)
+    *tau, _ = tb._osc_tau(*q, 0.0, 0.0, *tb.hip_position(q, p23),
+                          0.0, 0.0, 0.0, 0.0, tb.TaskGains(), p23)
+    assert np.max(np.abs(tau)) < 270.0
+    assert tau[1] == pytest.approx(89.60, abs=0.5)
 
 
 def test_task_stiffness_acts_linearly_on_error():
@@ -204,8 +229,8 @@ def test_task_stiffness_acts_linearly_on_error():
     x_des = tb.hip_position(q, P) + np.array([0.03, -0.02])
 
     def tau(kp):
-        return tb.osc_torque(q, (0.0, 0.0), x_des, (0.0, 0.0), (0.0, 0.0),
-                             tb.TaskGains(kp=(kp, kp)), P).tau
+        return np.array(tb._osc_tau(*q, 0.0, 0.0, *x_des, 0.0, 0.0, 0.0, 0.0,
+                                    tb.TaskGains(kp=(kp, kp)), P)[:2])
 
     base, one, two = tau(0.0), tau(400.0), tau(800.0)
     np.testing.assert_allclose(two - base, 2.0 * (one - base),
@@ -382,7 +407,7 @@ def _rk4_period(params, cascaded, actuator, profile, external_force,
     return state
 
 
-PROFILES = {"crouch_biased": tb.crouch_biased_profile(),
+PROFILES = {"crouch_biased": CROUCH_BIASED,
             "constant": tb.LinkageProfile.constant(0.05)}
 
 
