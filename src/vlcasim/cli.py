@@ -33,10 +33,10 @@ import numpy as np
 
 from . import __version__, elastomat, lintf, powertherm, simkit, svgplot, testbed
 from .vlca import (ActuatorParams, ControllerGains, ControllerKind,
-                   DEFAULT_MOMENT_ARM, EXPERIMENT_GAINS, MARGIN_TABLE_ORDER,
-                   MissingFilterCutoff, VLCA_ACTUATOR, calibrate_margins,
-                   force_plant, margin_table, margin_table_to_csv,
-                   open_loop_tf)
+                   DEFAULT_MOMENT_ARM, EXPERIMENT_GAINS, MARGIN_DELAY_GRID,
+                   MARGIN_TABLE_ORDER, MissingFilterCutoff, VLCA_ACTUATOR,
+                   calibrate_margins, force_plant, margin_table,
+                   margin_table_to_csv, open_loop_tf, phase_margin)
 
 
 class ConfigInvalid(Exception):
@@ -101,7 +101,7 @@ class RunSpec:
     gains: Optional[ControllerGains] = None
     testbed: Optional[testbed.TwoDofParams] = None
     # the thermal.* overrides: the network they apply to is calibrated in
-    # the thermal prepare step
+    # the thermal prepare step, which also range-checks them
     thermal: Optional[dict] = None
     inputs: object = None  # what the scenario's prepare step built
 
@@ -145,35 +145,46 @@ def _resolve(raw_config: dict):
                 diags.append((key, f"expected one of {', '.join(kind)}"))
             extras[leaf] = value
             continue
-        name = None
+        fld = None
         if prefix in sc.reads:
-            name = {f.name.lower(): f.name
-                    for f in fields(sc.reads[prefix])}.get(leaf.lower())
-        if name is None:
+            fld = {f.name.lower(): f
+                   for f in fields(sc.reads[prefix])}.get(leaf.lower())
+        if fld is None:
             diags.append((key, "unknown key"))
-        elif (prefix, name) == ("testbed", "payload_mass"):
+        elif (prefix, fld.name) == ("testbed", "payload_mass"):
             # both leg scenarios carry their payload as a knob of their own
             diags.append((key, f"the payload is {scenario}.payload_kg"))
-        elif value is not None and not isinstance(value, (int, float)):
+        elif value is None and "Optional" in str(fld.type):
+            overrides[prefix][fld.name] = None  # an unset filter cutoff
+        elif not isinstance(value, (int, float)):
             diags.append((key, "expected a number"))
-        elif value is not None and not math.isfinite(value):
+        elif not math.isfinite(value):
             diags.append((key, "expected a finite number"))
         else:
-            overrides[prefix][name] = value
+            overrides[prefix][fld.name] = value
 
-    # range checks through the dataclass invariants
+    # a range error goes to the declared key that its message starts with,
+    # else to the namespace or scenario whose check raised
+    keys = [(scenario, n) for n in sc.extras]
+    keys += [(ns, f.name) for ns in sc.reads for f in fields(sc.reads[ns])]
+
+    def error_key(exc, fallback):
+        word = str(exc).split(" ", 1)[0]
+        return next((f"{ns}.{n}" for ns, n in keys if n == word), fallback)
+
+    # range checks through the dataclass invariants; a namespace declared
+    # by its class is built, and checked, by the prepare step
     resolved = {}
     for ns, base in sc.reads.items():
+        if isinstance(base, type):
+            resolved[ns] = overrides[ns]
+            continue
         try:
             resolved[ns] = replace(base, **overrides[ns])
-        except (ValueError, TypeError) as exc:
-            msg = str(exc)
-            bad = next((n for n in overrides[ns] if msg.startswith(n)), None)
-            diags.append((f"{ns}.{bad}" if bad else ns, msg))
+        except ValueError as exc:
+            diags.append((error_key(exc, ns), str(exc)))
     if diags:
         return diags, None
-    if "thermal" in resolved:
-        resolved["thermal"] = overrides["thermal"]
 
     spec = RunSpec(
         scenario=scenario,
@@ -190,12 +201,7 @@ def _resolve(raw_config: dict):
     except (ValueError, testbed.WorkspaceViolation, elastomat.AllExcluded,
             powertherm.CalibrationInfeasible, simkit.InsufficientExcitation,
             MissingFilterCutoff) as exc:
-        msg = str(exc)
-        keys = [f"{scenario}.{n}" for n in sc.extras]
-        keys += [f"gains.{f.name}" for f in fields(ControllerGains)]
-        bad = next((k for k in keys if msg.startswith(k.split(".")[1])),
-                   scenario)
-        return [(bad, msg)], None
+        return [(error_key(exc, scenario), str(exc))], None
     return [], spec
 
 
@@ -246,7 +252,6 @@ class _Emitter:
 
 def _bode_chirp(spec: RunSpec):
     x = spec.extras
-    simkit.check_duration(x["chirp_s"], "chirp_s")
     if x["chirp_amp_a"] == 0.0:
         raise ValueError("chirp_amp_a must be nonzero")
     nyquist = 0.5 / simkit.CONTROL_DT
@@ -254,12 +259,12 @@ def _bode_chirp(spec: RunSpec):
         # a sweep past Nyquist aliases into the band it is meant to measure
         raise ValueError(f"f1_hz must be below the {nyquist:g} Hz Nyquist "
                          "frequency of the control-rate record")
-    chirp = simkit.ChirpRef(amplitude=x["chirp_amp_a"], f0_hz=x["f0_hz"],
-                            f1_hz=x["f1_hz"], duration_s=x["chirp_s"])
-    n = simkit.chirp_record_samples(chirp)
+    n = simkit.chirp_record_samples(x["chirp_s"])
     if n < simkit.FRF_MIN_SAMPLES:
         raise ValueError(f"chirp_s gives a {n}-sample record; the response "
                          f"estimate needs {simkit.FRF_MIN_SAMPLES}")
+    chirp = simkit.ChirpRef(amplitude=x["chirp_amp_a"], f0_hz=x["f0_hz"],
+                            f1_hz=x["f1_hz"], duration_s=x["chirp_s"])
     # the run steps this drive; the band check sees the commanded-force
     # column the estimator will find
     drive = simkit.chirp_drive(chirp)
@@ -300,25 +305,19 @@ def _scenario_margins(spec: RunSpec, em: _Emitter):
     entries = margin_table(spec.actuator, spec.gains)
     em.write("margin_table.csv", margin_table_to_csv(entries))
 
-    delays = np.linspace(0.25e-3, 2.5e-3, 10)
-    pms = {k: [] for k in MARGIN_TABLE_ORDER}  # NaN without a crossover
-    for t in delays:
-        g = replace(spec.gains, delay_t=float(t))
-        for kind in MARGIN_TABLE_ORDER:
-            try:
-                pms[kind].append(lintf.stability_margins(
-                    open_loop_tf(kind, spec.actuator, g)).phase_margin_deg)
-            except lintf.NoCrossover:
-                pms[kind].append(math.nan)
-    delay_ms = delays * 1e3
+    pms = {k: [phase_margin(k, spec.actuator,
+                            replace(spec.gains, delay_t=float(t)))
+               for t in MARGIN_DELAY_GRID] for k in MARGIN_TABLE_ORDER}
+    delay_ms = MARGIN_DELAY_GRID * 1e3
     em.write("margins_vs_delay.csv", lintf.csv_table(
         "delay_ms," + ",".join(k.value for k in MARGIN_TABLE_ORDER),
         [delay_ms, *pms.values()]))
-    em.write("margins_vs_delay.svg", svgplot.line_chart(
-        [(k.value, delay_ms, ys) for k, ys in pms.items()
-         if np.isfinite(ys).any()],
-        title="Phase margin vs loop delay", xlabel="delay [ms]",
-        ylabel="phase margin [deg]"))
+    curves = [(k.value, delay_ms, ys) for k, ys in pms.items()
+              if np.isfinite(ys).any()]
+    if curves:
+        em.write("margins_vs_delay.svg", svgplot.line_chart(
+            curves, title="Phase margin vs loop delay", xlabel="delay [ms]",
+            ylabel="phase margin [deg]"))
 
     if spec.extras["calibrate"]:
         cal = calibrate_margins(spec.actuator, spec.gains)
@@ -332,7 +331,7 @@ def _scenario_margins(spec: RunSpec, em: _Emitter):
 
 def _force_inputs(spec: RunSpec):
     x = spec.extras
-    simkit.check_duration(x["duration_s"], "duration_s")
+    simkit.control_steps(x["duration_s"], "duration_s")
     kind = _KIND_BY_NAME[x["kind"]]
     # a fractional-sample delay or an unset cutoff is a config error
     simkit.DiscreteForceController(kind, spec.actuator, spec.gains)
@@ -368,7 +367,7 @@ def _scenario_force_tracking(spec: RunSpec, em: _Emitter):
 
 def _position_step_check(spec: RunSpec):
     x = spec.extras
-    simkit.check_duration(x["duration_s"], "duration_s")
+    simkit.control_steps(x["duration_s"], "duration_s")
     if x["step_rad"] == 0.0:
         # the step is the scale of the overshoot and settling metrics
         raise ValueError("step_rad must be nonzero")
@@ -442,11 +441,9 @@ def _osc_trajectory(spec: RunSpec):
                                       amplitude=(0.0, x["amplitude_m"]),
                                       freq_hz=x["freq_hz"],
                                       phase_rad=x["phase_rad"])
-    spec.testbed = testbed.osc_run_inputs(traj, x["payload_kg"],
-                                          x["duration_s"], spec.testbed)[0]
-    # a fractional-sample delay or an unset cutoff is a config error
-    simkit.DiscreteForceController(ControllerKind.PDM_DOB, spec.actuator,
-                                   spec.gains)
+    spec.testbed = testbed.osc_run_inputs(
+        traj, x["payload_kg"], x["duration_s"], spec.testbed, spec.actuator,
+        spec.gains)[0]
     return traj
 
 
@@ -475,10 +472,14 @@ def _scenario_osc(spec: RunSpec, em: _Emitter):
         y_curves, title="Hip height", xlabel="time [s]", ylabel="y [m]"))
 
 
+_HOLD_DT = 0.01  # step of the long thermal hold [s]
+
+
 def _thermal_params(spec: RunSpec):
+    simkit.control_steps(spec.extras["burst_duration_s"], "burst_duration_s")
+    simkit.control_steps(spec.extras["hold_duration_s"], "hold_duration_s",
+                         _HOLD_DT)
     # the overrides are checked against the calibrated network itself
-    for name in ("burst_duration_s", "hold_duration_s"):
-        simkit.check_duration(spec.extras[name], name)
     report = powertherm.calibrate_thermal(spec.actuator)
     return report, replace(report.params, **spec.thermal)
 
@@ -508,7 +509,7 @@ def _scenario_thermal(spec: RunSpec, em: _Emitter):
 
     i_hold = x["hold_force_n"] / spec.actuator.drive_constant
     hold = powertherm.simulate_constant_current(i_hold, x["hold_duration_s"],
-                                                params, dt=0.01)
+                                                params, dt=_HOLD_DT)
     em.write("thermal_hold.csv", powertherm.thermal_trace_to_csv(hold))
 
     lim = []
@@ -535,10 +536,8 @@ def _lift_trajectory(spec: RunSpec):
     traj = testbed.BSplineTrajectory.vertical_lift(_LIFT_START, x["lift_m"],
                                                    x["duration_s"])
     spec.testbed = testbed.osc_run_inputs(
-        traj, x["payload_kg"], x["duration_s"] + _LIFT_HOLD_S, spec.testbed)[0]
-    # a fractional-sample delay or an unset cutoff is a config error
-    simkit.DiscreteForceController(ControllerKind.PDM_DOB, spec.actuator,
-                                   spec.gains)
+        traj, x["payload_kg"], x["duration_s"] + _LIFT_HOLD_S, spec.testbed,
+        spec.actuator, spec.gains)[0]
     return traj
 
 
@@ -563,12 +562,7 @@ def _scenario_efficiency(spec: RunSpec, em: _Emitter):
 
 def _material_ranking(spec: RunSpec):
     x = spec.extras
-    weights = {"linearity": x["w_linearity"],
-               "compression_set": x["w_compression_set"],
-               "creep": x["w_creep"],
-               "damping": x["w_damping"],
-               "cost": x["w_cost"]}
-    weights = {k: w for k, w in weights.items() if w > 0.0}
+    weights = {c: x[f"w_{c}"] for c in elastomat.RANK_CRITERIA}
     min_damping = x["min_damping"] if x["min_damping"] >= 0.0 else None
     records = elastomat.builtin_materials()
     return records, elastomat.rank_materials(records, weights, min_damping)
@@ -594,16 +588,12 @@ class _Scenario:
     # knob name -> (default, kind); kind is "float", "int", "str" or a
     # tuple of allowed strings
     extras: dict
-    # each namespace the scenario reads -> the instance its overrides replace
+    # each namespace the scenario reads -> the instance its overrides
+    # replace, or its class when the prepare step builds the instance
     reads: dict
     prepare: Callable[[RunSpec], object]
     execute: Callable[[RunSpec, _Emitter], None]
 
-
-# the thermal network comes from calibration in the thermal prepare step,
-# so its overrides are first range-checked against a nominal stand-in
-_THERMAL_STANDIN = powertherm.ThermalParams(
-    c_winding=0.2, c_housing=4.0, r_wh=0.036, r_ha_on=3.54, r_ha_off=46.0)
 
 # a scenario that simulates a closed force loop starts from the experiment
 # gains, `margins` from the nominal ones
@@ -645,7 +635,7 @@ _SCENARIOS = {
         {"burst_current_a": (31.0, "float"), "burst_duration_s": (0.5, "float"),
          "hold_force_n": (860.0, "float"),
          "hold_duration_s": (120.0, "float")},
-        {"actuator": VLCA_ACTUATOR, "thermal": _THERMAL_STANDIN},
+        {"actuator": VLCA_ACTUATOR, "thermal": powertherm.ThermalParams},
         _thermal_params, _scenario_thermal),
     "efficiency": _Scenario(
         {"payload_kg": (23.0, "float"), "lift_m": (0.3, "float"),
@@ -655,9 +645,7 @@ _SCENARIOS = {
         _lift_trajectory, _scenario_efficiency),
     "materials": _Scenario(
         {"min_damping": (-1.0, "float"),  # negative disables the floor
-         "w_linearity": (1.0, "float"), "w_compression_set": (1.0, "float"),
-         "w_creep": (1.0, "float"), "w_damping": (1.0, "float"),
-         "w_cost": (1.0, "float")},
+         **{f"w_{c}": (1.0, "float") for c in elastomat.RANK_CRITERIA}},
         {}, _material_ranking, _scenario_materials),
 }
 SCENARIOS = tuple(_SCENARIOS)

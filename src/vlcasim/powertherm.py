@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .lintf import csv_table, zoh_discretize
-from .simkit import check_duration
+from .simkit import control_steps
 from .vlca import ActuatorParams, DEFAULT_MOMENT_ARM, VLCA_ACTUATOR
 
 
@@ -119,10 +119,9 @@ def simulate_constant_current(current_a: float, duration_s: float,
                               dt: float = 1e-3,
                               initial: Optional[ThermalState] = None
                               ) -> ThermalTrace:
-    check_duration(duration_s, "duration_s")
     if not 0.0 < dt <= 0.010:
         raise ValueError("dt must be within (0, 10 ms]")
-    n = int(round(duration_s / dt))
+    n = control_steps(duration_s, "duration_s", dt)
     state = initial or ThermalState(params.ambient_c, params.ambient_c)
     a00, a01, a10, a11, b0, b1 = _propagator(params, cooling_on, dt)
     amb = params.ambient_c

@@ -39,6 +39,19 @@ class SaturationWarning(UserWarning):
 CONTROL_DT = 1e-3        # controller period [s]
 CURRENT_LIMIT_A = 31.0   # amplifier clip [A]
 CHIRP_SETTLE_S = 0.5     # quiet tail letting a chirp's response ring out [s]
+# longest run any simulator accepts [steps], so that no run length can hang
+# a run; the longest a test or the benchmark makes is a 250,000-step hold
+MAX_RUN_SAMPLES = 300_000
+
+
+def control_steps(duration: float, name: str, dt: float = CONTROL_DT) -> int:
+    """The run clock: the number of dt steps in a run of `duration` seconds,
+    rounded to the nearest. ValueError, naming `name`, for a run shorter
+    than one step or longer than MAX_RUN_SAMPLES steps."""
+    if not (duration >= dt and duration / dt <= MAX_RUN_SAMPLES):
+        raise ValueError(f"{name} must give 1 to {MAX_RUN_SAMPLES:,} steps "
+                         f"of {dt:g} s, got a {duration:g} s run")
+    return int(round(duration / dt))
 
 
 # ---------------------------------------------------------------- plant
@@ -347,14 +360,6 @@ def _warn_if_saturated(trace: SimTrace, count: int):
 
 # ----------------------------------------------------------- force loop
 
-def check_duration(duration: float, name: str = "duration") -> None:
-    """The run-length check every simulator applies before it starts: at
-    least one control step, so the run records a sample."""
-    if duration < CONTROL_DT:
-        raise ValueError(
-            f"{name} must be >= {CONTROL_DT:g} s (one control step)")
-
-
 def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
                        reference, duration: float,
                        params: ActuatorParams = VLCA_ACTUATOR,
@@ -364,9 +369,8 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
 
     reference is any object with value(t) -> N.
     """
-    check_duration(duration)
     dt = CONTROL_DT
-    n = int(round(duration / dt))
+    n = control_steps(duration, "duration")
     ctrl = DiscreteForceController(kind, params, gains)
     trace = _blank_trace(n, dt)
     trace.meta.update(kind=kind.value, reference=type(reference).__name__)
@@ -397,9 +401,9 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
     return trace
 
 
-def chirp_record_samples(chirp: ChirpRef) -> int:
-    """Length of a chirp_drive record: the sweep plus its quiet tail."""
-    return int(round((chirp.duration_s + CHIRP_SETTLE_S) / CONTROL_DT))
+def chirp_record_samples(duration_s: float) -> int:
+    """chirp_drive's record length: a duration_s sweep plus its quiet tail."""
+    return control_steps(duration_s + CHIRP_SETTLE_S, "chirp_s")
 
 
 def chirp_drive(chirp: ChirpRef) -> np.ndarray:
@@ -407,7 +411,7 @@ def chirp_drive(chirp: ChirpRef) -> np.ndarray:
     then zero over the quiet tail. Each sample is chirp.value's arithmetic
     in Python floats, so the two agree bit for bit; numpy's r ** t rounds
     differently in about 5% of the samples of the default bode record."""
-    t = np.arange(chirp_record_samples(chirp)) * CONTROL_DT
+    t = np.arange(chirp_record_samples(chirp.duration_s)) * CONTROL_DT
     on = t <= chirp.duration_s
     r, w, log_r = chirp.rate, 2.0 * math.pi * chirp.f0_hz, math.log(chirp.rate)
     off, amp, sin = chirp.offset, chirp.amplitude, math.sin
@@ -583,17 +587,16 @@ def run_joint_position_control(element: str, step_rad: float = 0.05,
     The position loop reads the output, damps motor speed, and commands
     current to the two_mass_plant.
     """
-    check_duration(duration)
+    n = control_steps(duration, "duration")
     k_s, b_s = spring_element(element, params)
     n_drive = params.drive_constant
     x_des = DEFAULT_MOMENT_ARM * step_rad
 
     dt = CONTROL_DT
-    n = int(round(duration / dt))
     trace = _blank_trace(n, dt)
     trace.meta.update(kind="position_step", element=element,
                       step_rad=step_rad)
-    delay = _DelayLine(int(round(1e-3 / dt)))
+    delay = _DelayLine(control_steps(1e-3, "delay"))
     sat = 0
     step = _zoh_step(*two_mass_plant(element, params))
     y = [0.0] * 4
@@ -682,7 +685,7 @@ def run_impact(config: ImpactConfig,
     h = dt / sub
     free_step = _zoh_step([[0.0, 1.0], [-k_s * inv_m, -(b_dt + b_s) * inv_m]],
                           [0.0, 0.0])
-    n = int(round(config.duration_s / dt))
+    n = control_steps(config.duration_s, "duration_s")
     trace = _blank_trace(n, dt)
     trace.meta.update(kind="impact", grounding=config.grounding,
                       f_peak_n=f_peak)

@@ -503,19 +503,21 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
 
 
 def osc_run_inputs(trajectory, payload_kg: float, duration: float,
-                   params: TwoDofParams):
+                   params: TwoDofParams, actuator: ActuatorParams,
+                   force_gains: ControllerGains):
     """The checks every leg run makes before it integrates, and what they
     yield: (params carrying the payload, sample times, desired positions,
-    velocities, accelerations) at the control rate. Raises ValueError for
-    a bad run length or payload and WorkspaceViolation for a path the leg
-    cannot reach."""
-    simkit.check_duration(duration)
+    velocities, accelerations, each joint's PDM_DOB force controller).
+    Raises ValueError or MissingFilterCutoff for a bad run length, payload
+    or force loop and WorkspaceViolation for a path the leg cannot reach."""
+    n = simkit.control_steps(duration, "duration_s")
     params = replace(params, payload_mass=float(payload_kg))
-    dt = simkit.CONTROL_DT
-    times = np.arange(int(round(duration / dt))) * dt
+    ctrls = [simkit.DiscreteForceController(ControllerKind.PDM_DOB, actuator,
+                                            force_gains) for _ in range(2)]
+    times = np.arange(n) * simkit.CONTROL_DT
     pos_des, vel_des, acc_des = trajectory.sample(times)
     _check_workspace(pos_des, params)
-    return params, times, pos_des, vel_des, acc_des
+    return params, times, pos_des, vel_des, acc_des, ctrls
 
 
 def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
@@ -537,8 +539,8 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     """
     if mode not in ("ideal_torque", "cascaded_vlca"):
         raise ValueError("mode must be 'ideal_torque' or 'cascaded_vlca'")
-    params, times, pos_des, vel_des, acc_des = osc_run_inputs(
-        trajectory, payload_kg, duration, params)
+    params, times, pos_des, vel_des, acc_des, ctrls = osc_run_inputs(
+        trajectory, payload_kg, duration, params, actuator, force_gains)
     if profile is None:
         profile = LinkageProfile.constant(DEFAULT_MOMENT_ARM)
     dt = simkit.CONTROL_DT
@@ -555,9 +557,6 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
 
     state = (q0, q1, 0.0, 0.0)
     if cascaded:
-        ctrls = [simkit.DiscreteForceController(ControllerKind.PDM_DOB,
-                                                actuator, force_gains)
-                 for _ in range(2)]
         # preload the springs against gravity so the leg starts settled
         _, _, _, _, _, g1, g2 = _dyn_scalars(q0, q1, 0.0, 0.0, params)
         state += ((g1 / profile.arm(q0)) / k_r, 0.0, 0.0,

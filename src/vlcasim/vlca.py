@@ -245,36 +245,41 @@ def closed_loop_tf(kind: ControllerKind, params: ActuatorParams,
     return ClosedLoopResponse(kind, params, gains)
 
 
+def loop_margins(loop: DelayedTransferFunction) -> Optional[StabilityReport]:
+    """The loop's stability margins; None when |L| never crosses unity."""
+    try:
+        return stability_margins(loop)
+    except NoCrossover:
+        return None
+
+
+def phase_margin(kind: ControllerKind, params: ActuatorParams,
+                 gains: ControllerGains) -> float:
+    """The loop's phase margin [deg]; NaN without a unity crossing."""
+    rep = loop_margins(open_loop_tf(kind, params, gains))
+    return math.nan if rep is None else rep.phase_margin_deg
+
+
 @dataclass(frozen=True)
 class MarginEntry:
     label: str
-    report: Optional[StabilityReport]
-    error: Optional[str] = None
+    report: Optional[StabilityReport]  # None without a unity crossing
 
 
 MARGIN_TABLE_ORDER = (ControllerKind.PDF, ControllerKind.PDM,
                       ControllerKind.PIDM, ControllerKind.PDM_DOB)
 
+# the loop delays that the margins-vs-delay sweep and calibrate_margins scan [s]
+MARGIN_DELAY_GRID = np.linspace(0.25e-3, 2.5e-3, 10)
+
 
 def margin_table(params: ActuatorParams, gains: ControllerGains) -> list:
-    """Stability margins for each loop structure plus the bare force plant.
-
-    A loop without a unity crossing gets an error entry instead of aborting
-    the whole table.
-    """
-    entries = []
-    for kind in MARGIN_TABLE_ORDER:
-        try:
-            rep = stability_margins(open_loop_tf(kind, params, gains))
-            entries.append(MarginEntry(kind.value, rep))
-        except NoCrossover as exc:
-            entries.append(MarginEntry(kind.value, None, str(exc)))
-    plant = replace(force_plant(params), delay_s=gains.delay_t)
-    try:
-        entries.append(MarginEntry("plant", stability_margins(plant)))
-    except NoCrossover as exc:
-        entries.append(MarginEntry("plant", None, str(exc)))
-    return entries
+    """Stability margins for each loop structure plus the bare force plant;
+    a loop without a unity crossing gets an entry without a report."""
+    loops = [(kind.value, open_loop_tf(kind, params, gains))
+             for kind in MARGIN_TABLE_ORDER]
+    loops.append(("plant", replace(force_plant(params), delay_s=gains.delay_t)))
+    return [MarginEntry(label, loop_margins(loop)) for label, loop in loops]
 
 
 MARGIN_CSV_HEADER = "controller,phase_margin_deg,gain_crossover_hz,gain_margin_db"
@@ -307,30 +312,33 @@ def calibrate_margins(params: ActuatorParams, gains: ControllerGains,
     the PDF and PDM phase margins closest to the given targets.
 
     Returns the best grid point; the caller decides whether the residual
-    miss is acceptable.
+    miss is acceptable. Grid points where the PDF or PDM loop has no unity
+    crossing are skipped; with none left, every field is NaN.
     """
     if delay_grid is None:
-        delay_grid = np.linspace(0.25e-3, 2.5e-3, 10)
+        delay_grid = MARGIN_DELAY_GRID
     if q_d_grid is None:
         q_d_grid = 2.0 * math.pi * np.geomspace(20.0, 200.0, 16)
     best = None
     for t in delay_grid:
         g_t = replace(gains, delay_t=float(t))
-        pm_pdm = stability_margins(
-            open_loop_tf(ControllerKind.PDM, params, g_t)).phase_margin_deg
+        pm_pdm = phase_margin(ControllerKind.PDM, params, g_t)
+        if math.isnan(pm_pdm):
+            continue
         for wd in q_d_grid:
             g = replace(g_t, q_d_cutoff=float(wd))
-            pm_pdf = stability_margins(
-                open_loop_tf(ControllerKind.PDF, params, g)).phase_margin_deg
+            pm_pdf = phase_margin(ControllerKind.PDF, params, g)
+            if math.isnan(pm_pdf):
+                continue
             obj = max(abs(pm_pdf - pm_pdf_target), abs(pm_pdm - pm_pdm_target))
             if best is None or obj < best[0]:
                 best = (obj, float(t), float(wd), pm_pdf, pm_pdm)
+    if best is None:
+        return MarginCalibration(*(math.nan,) * 7)
     obj, t, wd, pm_pdf, pm_pdm = best
     g = replace(gains, delay_t=t, q_d_cutoff=wd)
-    pm_pidm = stability_margins(
-        open_loop_tf(ControllerKind.PIDM, params, g)).phase_margin_deg
-    pm_dob = stability_margins(
-        open_loop_tf(ControllerKind.PDM_DOB, params, g)).phase_margin_deg
-    return MarginCalibration(delay_t=t, q_d_cutoff=wd, pm_pdf_deg=pm_pdf,
-                             pm_pdm_deg=pm_pdm, pm_pidm_deg=pm_pidm,
-                             pm_pdm_dob_deg=pm_dob, objective_deg=obj)
+    return MarginCalibration(
+        delay_t=t, q_d_cutoff=wd, pm_pdf_deg=pm_pdf, pm_pdm_deg=pm_pdm,
+        pm_pidm_deg=phase_margin(ControllerKind.PIDM, params, g),
+        pm_pdm_dob_deg=phase_margin(ControllerKind.PDM_DOB, params, g),
+        objective_deg=obj)

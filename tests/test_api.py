@@ -1,6 +1,9 @@
 """The public names of the package and their call signatures."""
 import enum
+import importlib
+import importlib.util
 import inspect
+import pathlib
 
 import vlcasim
 
@@ -88,3 +91,27 @@ def test_public_signatures_are_pinned():
     assert set(callables) == set(SIGNATURES)
     for name, obj in callables.items():
         assert _signature(obj) == SIGNATURES[name], name
+
+
+def _bench_tracing():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_tracer_still_finds_its_targets():
+    # bench/run.py --trace 1 wraps each target by name: a function on its
+    # module, a method in its class's own namespace
+    for target in _bench_tracing().TARGETS:
+        mod_name, _, attr = target.partition(".")
+        owner = importlib.import_module(f"vlcasim.{mod_name}")
+        *classes, name = attr.split(".")
+        for cls_name in classes:
+            owner = getattr(owner, cls_name)
+        found = vars(owner).get(name)
+        assert callable(found), target
+    # the tracer reads the leg mode from the third positional argument
+    from vlcasim import testbed
+    assert list(inspect.signature(testbed.simulate_osc).parameters)[2] == "mode"

@@ -105,6 +105,25 @@ def test_margins_run_at_the_longest_delay_completes(tmp_path):
     assert _read_manifest(tmp_path / "long_out")["status"] == "ok"
 
 
+# each run-length key and the longest value it accepts [s]: the ceiling of
+# the run clock, less the quiet tail of a chirp or the hold after a lift
+_RUN_LENGTHS = {"bode.chirp_s": 299.5, "force_tracking.duration_s": 300.0,
+                "position_step.duration_s": 300.0, "osc.duration_s": 300.0,
+                "efficiency.duration_s": 299.5,
+                "thermal.burst_duration_s": 300.0,
+                "thermal.hold_duration_s": 3000.0}
+
+
+@pytest.mark.parametrize("key", _RUN_LENGTHS)
+def test_run_lengths_stop_at_the_ceiling(key):
+    scenario = key.split(".")[0]
+    longest = _RUN_LENGTHS[key]
+    assert cli.validate({"scenario": scenario, key: str(longest)}) == []
+    diags = cli.validate({"scenario": scenario, key: str(longest * 1.001)})
+    assert [k for k, _ in diags] == [key]
+    assert "300,000 steps" in diags[0][1]
+
+
 @pytest.mark.parametrize("lines", [
     "scenario = impact\nimpact.pulse_width_s = 0.01",
     "scenario = force_tracking\nforce_tracking.duration_s = -1",
@@ -148,6 +167,13 @@ def test_margins_run_at_the_longest_delay_completes(tmp_path):
     "force_tracking.kind = pd_f",
     "scenario = margins\ngains.q_d_cutoff = none",
     "scenario = margins\ngains.q_taud_cutoff = none",
+    # a run longer than the run clock's ceiling
+    "scenario = bode\nbode.chirp_s = 1e9",
+    *(f"scenario = {key.split('.')[0]}\n{key} = 1e9" for key in _RUN_LENGTHS
+      if key.endswith("duration_s")),
+    "scenario = materials\nmaterials.w_cost = -1",
+    # the thermal network has no optional field
+    "scenario = thermal\nthermal.c_winding = none",
 ], ids=["impact", "force_tracking", "position_step", "osc", "thermal_burst",
         "thermal_hold", "efficiency_duration", "efficiency_payload",
         "efficiency_lift", "osc_payload", "osc_amplitude", "osc_center",
@@ -160,13 +186,34 @@ def test_margins_run_at_the_longest_delay_completes(tmp_path):
         *(f"{sc}_delay_{d}" for sc in ("force_tracking", "osc", "efficiency")
           for d in ("quarter_ms", "1.5ms")),
         "osc_observer_cutoff_unset", "force_tracking_derivative_cutoff_unset",
-        "margins_derivative_cutoff_unset", "margins_observer_cutoff_unset"])
+        "margins_derivative_cutoff_unset", "margins_observer_cutoff_unset",
+        "bode_chirp_1e9", *(f"{key}_1e9" for key in _RUN_LENGTHS
+                            if key.endswith("duration_s")),
+        "materials_negative_weight", "thermal_capacity_unset"])
 def test_validate_range_checks_scenario_extras(tmp_path, capsys, lines):
     cfg = _write(tmp_path, "extras.cfg", f"{lines}\nout = extras_out\n")
     assert main(["validate", cfg]) == 2
     assert lines.splitlines()[1].split(".")[0] in capsys.readouterr().out
     assert main(["run", cfg]) == 2
     assert not (tmp_path / "extras_out").exists()
+
+
+@pytest.mark.parametrize("lines, name, charted", [
+    ("gains.k_p = 1e9", "margin_table.csv", False),
+    ("margins.calibrate = 1\ngains.k_p = 0\ngains.k_dm = 0",
+     "margin_calibration.csv", True),
+], ids=["stiff", "calibrate_without_feedback"])
+def test_loops_without_a_crossing_leave_empty_cells(tmp_path, lines, name,
+                                                    charted):
+    cfg = _write(tmp_path, "flat.cfg",
+                 f"scenario = margins\nout = flat_out\n{lines}\n")
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg]) == 0
+    first_row = (tmp_path / "flat_out" / name).read_text().splitlines()[1]
+    assert set(first_row.split(",")[1:]) == {""}
+    # no loop crosses at any delay when k_p is huge, so there is no chart
+    files = _read_manifest(tmp_path / "flat_out")["files"]
+    assert ("margins_vs_delay.svg" in files) == charted
 
 
 @pytest.mark.parametrize("delay_t", ["0.00025", "0.0015"])
@@ -235,8 +282,8 @@ def test_a_prepare_step_that_raises_is_a_config_error(tmp_path, capsys,
 
 def test_thermal_overrides_are_checked_against_the_calibration(tmp_path,
                                                                capsys):
-    # the calibrated r_ha_off (45.65 K/W) sits below the nominal stand-in's
-    # 46 K/W, so only the calibrated network rejects this override
+    # the calibrated r_ha_off is 45.65 K/W: the override is checked against
+    # the calibrated network, not against a nominal one
     cfg = _write(tmp_path, "th.cfg", "scenario = thermal\nout = th_out\n"
                                      "thermal.r_ha_on = 45.8\n")
     assert main(["validate", cfg]) == 2

@@ -94,6 +94,18 @@ def test_step_plant_guards():
                               0.5, external_force=lambda t: 1e308)
 
 
+def test_run_clock_rounds_and_bounds_the_step_count():
+    assert sk.control_steps(0.0025, "d") == 2  # round half to even
+    assert sk.control_steps(2.5, "d", dt=0.01) == 250
+    for dt in (sk.CONTROL_DT, 0.01):
+        assert (sk.control_steps(sk.MAX_RUN_SAMPLES * dt, "d", dt)
+                == sk.MAX_RUN_SAMPLES)
+        for duration in (0.5 * dt, 1.001 * sk.MAX_RUN_SAMPLES * dt,
+                         math.inf, math.nan):
+            with pytest.raises(ValueError, match="^hold_s must give 1 to"):
+                sk.control_steps(duration, "hold_s", dt)
+
+
 # --------------------------------------------------------------- controller
 
 def test_controller_transport_delay_in_samples():
@@ -217,7 +229,7 @@ def test_underexcited_records_are_refused():
     sk.ChirpRef(amplitude=200.0, f0_hz=0.3, f1_hz=60.0, duration_s=90.0),
 ], ids=["bode_default", "closed_loop_90s"])
 def test_chirp_drive_equals_the_reference_bit_for_bit(chirp):
-    n = sk.chirp_record_samples(chirp)
+    n = sk.chirp_record_samples(chirp.duration_s)
     want = np.array([chirp.value(k * sk.CONTROL_DT)
                      if k * sk.CONTROL_DT <= chirp.duration_s else 0.0
                      for k in range(n)])
@@ -228,7 +240,8 @@ def test_silent_drive_is_refused():
     # a zero-amplitude chirp records no input, so every ratio would be 0/0
     chirp = sk.ChirpRef(amplitude=0.0, f0_hz=0.5, f1_hz=150.0, duration_s=2.0)
     trace = sk.run_plant_chirp(sk.chirp_drive(chirp))
-    assert len(trace.t) == sk.chirp_record_samples(chirp) >= sk.FRF_MIN_SAMPLES
+    assert (len(trace.t) == sk.chirp_record_samples(chirp.duration_s)
+            >= sk.FRF_MIN_SAMPLES)
     with pytest.raises(sk.InsufficientExcitation, match="all zero"):
         sk.empirical_frequency_response(trace)
 

@@ -251,7 +251,6 @@ def test_margin_table_reports_errors_without_aborting():
     by_label = {e.label: e for e in entries}
     for label in ("pd_f", "pd_m", "pid_m"):
         assert by_label[label].report is None
-        assert "unity" in by_label[label].error
     # the observer path keeps infinite DC gain regardless of the feedback
     # gains, so its loop still crosses unity; so does the bare plant through
     # its resonant peak
