@@ -1,10 +1,11 @@
 """Fixed-step time-domain simulation of the actuator force loops.
 
 Controllers run at 1 kHz with a one-period command delay and hold their
-current over each period. The linear plants (force loop, chirp, position
-loop) therefore advance by their exact zero-order-hold update, one affine
-step per period; the pulse-driven hammer strike uses rk4_step, which is
-also the reference for the leg's unrolled period map in testbed.
+current over each period. Every plant here is linear, so each advances
+by its exact zero-order-hold map, one step per period: the force loop, the
+chirp and the position loop under their held current, and the hammer
+strike with its half-sine pulse carried as an oscillator in the state.
+The only RK4 in the package is the nonlinear leg's, in testbed.
 Saturation clips commanded current at the amplifier limit and is
 recorded, not fatal.
 """
@@ -55,17 +56,6 @@ def control_steps(duration: float, name: str, dt: float = CONTROL_DT) -> int:
 
 
 # ---------------------------------------------------------------- plant
-
-def rk4_step(f: Callable, t: float, y: Sequence[float], h: float) -> tuple:
-    """One classical RK4 step of y' = f(t, y) over h; y and f(t, y) are
-    equal-length sequences of floats."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, tuple(s + 0.5 * h * d for s, d in zip(y, k1)))
-    k3 = f(t + 0.5 * h, tuple(s + 0.5 * h * d for s, d in zip(y, k2)))
-    k4 = f(t + h, tuple(s + h * d for s, d in zip(y, k3)))
-    return tuple(s + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                 for s, a, b, c, d in zip(y, k1, k2, k3, k4))
-
 
 def _zoh_step(a, b) -> Callable[[list, float], list]:
     """Exact per-period update y -> Ad y + Bd u of the linear plant
@@ -596,7 +586,7 @@ def run_joint_position_control(element: str, step_rad: float = 0.05,
     trace = _blank_trace(n, dt)
     trace.meta.update(kind="position_step", element=element,
                       step_rad=step_rad)
-    delay = _DelayLine(control_steps(1e-3, "delay"))
+    delay = _DelayLine(1)
     sat = 0
     step = _zoh_step(*two_mass_plant(element, params))
     y = [0.0] * 4
@@ -631,6 +621,7 @@ def run_joint_position_control(element: str, step_rad: float = 0.05,
 # --------------------------------------------------------------- impact
 
 IMPACT_SENSOR_MASS_KG = 0.5  # struck cap and cell mass [kg]
+IMPACT_DURATION_S = 0.3      # length of an impact record [s]
 
 
 @dataclass(frozen=True)
@@ -638,7 +629,6 @@ class ImpactConfig:
     grounding: str = "viscoelastic"  # or "rigid"
     impulse_ns: float = 20.0         # hammer impulse [N*s]
     pulse_width_s: float = 2e-3      # half-sine width [s]
-    duration_s: float = 0.3
 
     def __post_init__(self):
         if self.grounding not in ("rigid", "viscoelastic"):
@@ -647,8 +637,6 @@ class ImpactConfig:
             raise ValueError("impulse_ns must be >= 0")
         if not 0.5e-3 <= self.pulse_width_s <= 5e-3:
             raise ValueError("pulse_width_s must be within [0.5, 5] ms")
-        if self.duration_s <= self.pulse_width_s:
-            raise ValueError("duration_s must exceed the pulse width")
 
 
 def run_impact(config: ImpactConfig,
@@ -660,6 +648,11 @@ def run_impact(config: ImpactConfig,
     element; with the rigid mount the spring is bypassed and the assembly
     only sees drivetrain drag. The load-cell column holds the force
     transmitted past the cap: hammer force minus the cap's inertial share.
+
+    The pulse is the first output of the oscillator (sin pi*t/w,
+    cos pi*t/w) carried in the state after (x, v), so each control period
+    is one exact map: struck while the hammer acts, free after it, and the
+    two composed in a period where the pulse ends part way.
     """
     w = config.pulse_width_s
     f_peak = config.impulse_ns * math.pi / (2.0 * w)
@@ -672,39 +665,42 @@ def run_impact(config: ImpactConfig,
     def hammer(t: float) -> float:
         return f_peak * math.sin(math.pi * t / w) if 0.0 <= t <= w else 0.0
 
-    inv_m = 1.0 / m_tot
+    inv_m, om = 1.0 / m_tot, math.pi / w
+    struck = np.array([[0.0, 1.0, 0.0, 0.0],
+                       [-k_s * inv_m, -(b_dt + b_s) * inv_m, f_peak * inv_m, 0.0],
+                       [0.0, 0.0, 0.0, om],
+                       [0.0, 0.0, -om, 0.0]])
+    free = struck.copy()
+    free[1, 2] = 0.0  # the hammer has left; the oscillator runs on unheard
 
-    def deriv(t: float, y: tuple) -> tuple:
-        x, v = y
-        return v, (hammer(t) - (b_dt + b_s) * v - k_s * x) * inv_m
+    def period(a, h):
+        return zoh_discretize(a, np.zeros((4, 1)), h)[0]
 
     dt = CONTROL_DT
-    # resolve the short pulse: RK4 substeps while the hammer acts, then the
-    # unforced plant's exact step
-    sub = 50
-    h = dt / sub
-    free_step = _zoh_step([[0.0, 1.0], [-k_s * inv_m, -(b_dt + b_s) * inv_m]],
-                          [0.0, 0.0])
-    n = control_steps(config.duration_s, "duration_s")
+    n_on = int(w / dt + 1e-9)  # whole periods under the pulse
+    tail = w - n_on * dt       # the pulse's share of the period it ends in
+    maps = [period(struck, dt)] * n_on
+    if tail > 1e-9 * dt:
+        maps.append(period(free, dt - tail) @ period(struck, tail))
+    maps.append(period(free, dt))
+
+    n = control_steps(IMPACT_DURATION_S, "IMPACT_DURATION_S")
+    states = [np.array([0.0, 0.0, 0.0, 1.0])]
+    for k in range(n - 1):
+        states.append(maps[min(k, len(maps) - 1)] @ states[-1])
+    x, v = np.array(states)[:, :2].T
+    if not np.isfinite([x, v]).all():
+        raise NonFiniteState("impact response diverged")
+
     trace = _blank_trace(n, dt)
     trace.meta.update(kind="impact", grounding=config.grounding,
                       f_peak_n=f_peak)
-    y = (0.0, 0.0)
-    for k in range(n):
-        t = k * dt
-        x, acc = y[0], deriv(t, y)[1]
-        trace.f_cmd[k] = 0.0
-        trace.f_meas[k] = k_s * x
-        trace.f_loadcell[k] = hammer(t) - IMPACT_SENSOR_MASS_KG * acc
-        trace.i_m[k] = 0.0
-        trace.x_r[k] = x if visco else 0.0
-        if t < w:
-            for j in range(sub):
-                y = rk4_step(deriv, t + j * h, y, h)
-        else:
-            y = free_step(y, 0.0)
-        if not all(map(math.isfinite, y)):
-            raise NonFiniteState(f"impact response diverged at t={t:.3f} s")
+    f_hammer = np.array([hammer(t) for t in trace.t.tolist()])
+    acc = (f_hammer - (b_dt + b_s) * v - k_s * x) * inv_m
+    trace.f_meas = k_s * x
+    trace.f_loadcell = f_hammer - IMPACT_SENSOR_MASS_KG * acc
+    if visco:
+        trace.x_r = x
     return trace
 
 

@@ -374,9 +374,9 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
     (x0, v0, l0, x1, v1, l1).
 
     The run constants of _dyn_scalars are hoisted in its association order
-    and the stages use rk4_step's 0.5*h, h and h/6 products, so one period
-    equals n calls of simkit.rk4_step on the same rates bit for bit. A
-    stage angle outside the profile's range raises OutOfRange.
+    and the stages use the 0.5*h, h and h/6 products of tests/oracles.py's
+    RK4 step, so one period equals n of its steps on the same rates bit
+    for bit. A stage angle outside the profile's range raises OutOfRange.
     """
     cos, sin = math.cos, math.sin
     n = LEG_SUBSTEPS["cascaded_vlca" if cascaded else "ideal_torque"]

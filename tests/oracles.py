@@ -1,7 +1,7 @@
 """Reference formulas the tests hold the live kernels against."""
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,6 +45,17 @@ def total_energy(q, qdot, params: TwoDofParams) -> float:
     pe = params.gravity * (params.m1 * y1 + params.m2 * y2
                            + params.payload_mass * yp)
     return ke + pe
+
+
+def rk4_step(f: Callable, t: float, y: Sequence[float], h: float) -> tuple:
+    """One classical RK4 step of y' = f(t, y) over h; y and f(t, y) are
+    equal-length sequences of floats."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, tuple(s + 0.5 * h * d for s, d in zip(y, k1)))
+    k3 = f(t + 0.5 * h, tuple(s + 0.5 * h * d for s, d in zip(y, k2)))
+    k4 = f(t + h, tuple(s + h * d for s, d in zip(y, k3)))
+    return tuple(s + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                 for s, a, b, c, d in zip(y, k1, k2, k3, k4))
 
 
 def plant_energy(params, y) -> float:

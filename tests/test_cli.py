@@ -230,6 +230,37 @@ def test_validate_accepts_each_default_scenario(scenario):
     assert cli.validate({"scenario": scenario}) == []
 
 
+def _fails_with(exc, why):
+    return pytest.mark.xfail(raises=exc, strict=True, reason=why)
+
+
+# Edge values from a boundary scan of the numeric keys. A config that still
+# fails its run is marked with the exception it raises, so mending it turns
+# the mark into a failure that asks for the mark to go.
+@pytest.mark.parametrize("scenario, key, value", [
+    ("impact", "actuator.b_m", "10"),
+    ("impact", "actuator.b_m", "1e3"),
+    pytest.param("osc", "testbed.gravity", "1e3", marks=_fails_with(
+        cli.testbed.OutOfRange, "the leg swings past the linkage profile")),
+    pytest.param("efficiency", "actuator.k_tau", "1e-9", marks=_fails_with(
+        cli.powertherm.NoPositivePowerInterval,
+        "no sample has positive joint and motor power")),
+    pytest.param("bode", "actuator.j_m", "1e3", marks=_fails_with(
+        cli.simkit.InsufficientExcitation,
+        "the estimate fails its local-consistency test")),
+    pytest.param("osc", "actuator.b_m", "1", marks=_fails_with(
+        cli.testbed.OutOfRange,
+        "the drag is past the stability limit of 7 cascaded RK4 substeps")),
+])
+def test_a_validated_boundary_config_runs(scenario, key, value):
+    raw = {"scenario": scenario, "out": "edge_out", key: value}
+    assert cli.validate(raw) == []
+    try:
+        assert cli.run(raw).status == "ok"
+    except cli.ScenarioFailed as exc:
+        raise exc.__cause__
+
+
 # one field of each namespace, set to a value inside its range
 _NAMESPACE_KEYS = {"actuator": ("actuator.k_r", "5.5e6"),
                    "gains": ("gains.k_p", "4"),

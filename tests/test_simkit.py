@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import locked_plant_rates, plant_energy
+from oracles import locked_plant_rates, plant_energy, rk4_step
 from vlcasim import simkit as sk
 from vlcasim.vlca import (ControllerGains, ControllerKind, DEFAULT_MOMENT_ARM,
                           EXPERIMENT_GAINS, VLCA_ACTUATOR, closed_loop_tf,
@@ -62,7 +62,7 @@ def test_integrator_error_falls_fourth_order():
     def terminal(dt):
         y = (1e-4, 0.0)
         for _ in range(int(round(0.05 / dt))):
-            y = sk.rk4_step(rates, 0.0, y, dt)
+            y = rk4_step(rates, 0.0, y, dt)
         return y
 
     ref_x, ref_v = terminal(1e-6)
@@ -361,7 +361,7 @@ def _rk4_discretize(a, b, dt, substeps=10):
     for unit in np.eye(n + b.shape[1]):
         z = tuple(unit)
         for j in range(substeps):
-            z = sk.rk4_step(rates, j * h, z, h)
+            z = rk4_step(rates, j * h, z, h)
         cols.append(z[:n])
     m = np.array(cols).T
     return m[:, :n], m[:, n:]
@@ -392,7 +392,7 @@ def test_rk4_discretize_reproduces_step_plant():
     force = P.drive_constant * 2.0
     a, b = sk._locked_plant(P)
     ad, bd = _rk4_discretize(a, b, 1e-3, substeps=1)
-    want = sk.rk4_step(locked_plant_rates(P, force), 0.0, y, 1e-3)
+    want = rk4_step(locked_plant_rates(P, force), 0.0, y, 1e-3)
     got = ad @ y + bd[:, 0] * force
     assert got == pytest.approx(want, rel=1e-12, abs=1e-18)
 
@@ -478,8 +478,68 @@ def test_impact_config_validation():
         sk.ImpactConfig(impulse_ns=-1.0)
     with pytest.raises(ValueError):
         sk.ImpactConfig(pulse_width_s=10e-3)
-    with pytest.raises(ValueError):
-        sk.ImpactConfig(duration_s=1e-3, pulse_width_s=2e-3)
+
+
+def _impact_rk4_reference(config, params=P, substeps=500):
+    """(load cell, deflection) of run_impact's strike with every control
+    period taken as `substeps` rk4_step calls: on the hammer-forced rates
+    while the pulse acts, then as the free plant's RK4 period map."""
+    w = config.pulse_width_s
+    f_peak = config.impulse_ns * math.pi / (2.0 * w)
+    m_tot = params.effective_mass + sk.IMPACT_SENSOR_MASS_KG
+    visco = config.grounding == "viscoelastic"
+    k = params.k_r if visco else 0.0
+    b = params.drivetrain_damping + (params.b_r if visco else 0.0)
+
+    def hammer(t):
+        return f_peak * math.sin(math.pi * t / w) if 0.0 <= t <= w else 0.0
+
+    def rates(t, y):
+        return y[1], (hammer(t) - b * y[1] - k * y[0]) / m_tot
+
+    dt = sk.CONTROL_DT
+    h = dt / substeps
+    free, _ = _rk4_discretize([[0.0, 1.0], [-k / m_tot, -b / m_tot]],
+                              [0.0, 0.0], dt, substeps)
+    n = int(round(sk.IMPACT_DURATION_S / dt))
+    y, load, defl = (0.0, 0.0), np.empty(n), np.empty(n)
+    for i in range(n):
+        t = i * dt
+        load[i] = hammer(t) - sk.IMPACT_SENSOR_MASS_KG * rates(t, y)[1]
+        defl[i] = y[0] if visco else 0.0
+        if t < w:
+            for j in range(substeps):
+                y = rk4_step(rates, t + j * h, y, h)
+        else:
+            y = tuple(free @ y)
+    return load, defl
+
+
+# The exact strike and 500 RK4 substeps per period agree to 8.7e-12 of the
+# peak or better (0.5 ms pulse). A bound of 1e-9 leaves room for rounding,
+# while 50 substeps miss the exact map by 8.7e-8 of the peak at 0.5 ms.
+@pytest.mark.parametrize("grounding", ["rigid", "viscoelastic"])
+@pytest.mark.parametrize("width", [0.5e-3, 0.7e-3, 1.5e-3, 2e-3, 5e-3])
+def test_impact_matches_rk4_reference(grounding, width):
+    cfg = sk.ImpactConfig(grounding=grounding, pulse_width_s=width)
+    tr = sk.run_impact(cfg)
+    load, defl = _impact_rk4_reference(cfg)
+    assert len(tr.t) == len(load) == 300
+    assert (np.max(np.abs(tr.f_loadcell - load))
+            <= 1e-9 * np.max(np.abs(load)))
+    assert (np.max(np.abs(tr.x_r - defl))
+            <= 1e-9 * np.max(np.abs(defl)))
+
+
+@pytest.mark.parametrize("b_m", [10.0, 1e3])
+def test_heavy_drag_strike_reads_the_hammer_force(b_m):
+    # the drag holds the assembly still, so the cap passes the whole hammer
+    # force; 50 RK4 substeps per period are unstable at b_m = 10
+    for grounding in ("rigid", "viscoelastic"):
+        tr = sk.run_impact(sk.ImpactConfig(grounding=grounding),
+                           replace(P, b_m=b_m))
+        assert (np.max(tr.f_loadcell)
+                == pytest.approx(tr.meta["f_peak_n"], rel=1e-6))
 
 
 # ---------------------------------------------------------------------- csv

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import hip_jacobian, total_energy
+from oracles import hip_jacobian, rk4_step, total_energy
 from vlcasim import powertherm, simkit
 from vlcasim import testbed as tb
 from vlcasim.vlca import DEFAULT_MOMENT_ARM, VLCA_ACTUATOR
@@ -403,7 +403,7 @@ def _rk4_period(params, cascaded, actuator, profile, external_force,
     n = tb.LEG_SUBSTEPS["cascaded_vlca" if cascaded else "ideal_torque"]
     h = simkit.CONTROL_DT / n
     for _ in range(n):
-        state = simkit.rk4_step(rates, t, state, h)
+        state = rk4_step(rates, t, state, h)
     return state
 
 
