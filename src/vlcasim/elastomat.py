@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
+import scipy
 
 from .lintf import (FitDiverged, FrequencyResponsePoint, csv_table,
                     fit_second_order)
@@ -153,8 +153,9 @@ def fit_stress_relaxation(t_s: Sequence[float],
         return model - f
 
     try:
-        res = least_squares(residual, (f0_guess, c_guess, math.log(tau_guess)),
-                            method="lm", xtol=1e-14, ftol=1e-14, max_nfev=5000)
+        res = scipy.optimize.least_squares(
+            residual, (f0_guess, c_guess, math.log(tau_guess)), method="lm",
+            xtol=1e-14, ftol=1e-14, max_nfev=5000)
     except ValueError as exc:
         raise FitDiverged(f"relaxation fit could not proceed: {exc}") from exc
     if not res.success or not np.all(np.isfinite(res.x)):

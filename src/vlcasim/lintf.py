@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import least_squares
+import scipy
 
 
 class PoleOnAxis(Exception):
@@ -374,8 +373,9 @@ def fit_second_order(points: Sequence[FrequencyResponsePoint],
                                    phase_weight * (p_m - ph)])
 
     try:
-        res = least_squares(residual, np.log([k0, wn0, z0]), method="lm",
-                            xtol=1e-14, ftol=1e-14, max_nfev=5000)
+        res = scipy.optimize.least_squares(
+            residual, np.log([k0, wn0, z0]), method="lm", xtol=1e-14,
+            ftol=1e-14, max_nfev=5000)
     except ValueError as exc:
         # the solver cannot even start descending on this data
         raise FitDiverged(f"second-order fit could not proceed: {exc}") from exc
@@ -396,7 +396,7 @@ def zoh_discretize(a, b, dt: float):
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = a
     aug[:n, n:] = b
-    e = expm(aug * dt)
+    e = scipy.linalg.expm(aug * dt)
     return e[:n, :n], e[:n, n:]
 
 
@@ -419,15 +419,26 @@ def csv_table(header: str, columns) -> str:
     cols = [col for a in arrays for col in (a.T if a.ndim == 2 else [a])]
     if len(cols) != header.count(",") + 1 or len({len(c) for c in cols}) > 1:
         raise ValueError("need one equal-length column per header field")
-    # an all-finite float array is formatted a row at a time, any other column
-    # cell by cell; blocks of rows keep few cells alive as Python objects
-    fast = [c.dtype.kind == "f" and np.isfinite(c).all() for c in cols]
-    row = ",".join("%.10g" if f else "%s" for f in fast)
+    # an all-finite float array is formatted a row at a time, an all-NaN/inf
+    # one is an empty field of the row template, any other column cell by
+    # cell; blocks of rows keep few cells alive as Python objects
+    def field(c) -> str:
+        if c.dtype.kind != "f":
+            return "%s"
+        finite = np.isfinite(c)
+        return "%.10g" if finite.all() else "%s" if finite.any() else ""
+
+    fields = [field(c) for c in cols]
+    row = ",".join(fields)
+    live = [(c, f == "%s") for c, f in zip(cols, fields) if f]
     lines = [header]
-    for i in range(0, len(cols[0]), 256):
-        block = [c[i:i + 256].tolist() for c in cols]
-        block = [b if f else [cell(v) for v in b] for b, f in zip(block, fast)]
-        lines += [row % r for r in zip(*block)]
+    n = len(cols[0])
+    for i in range(0, n, 256):
+        block = [c[i:i + 256].tolist() for c, _ in live]
+        block = [[cell(v) for v in b] if per_cell else b
+                 for b, (_, per_cell) in zip(block, live)]
+        lines += ([row % r for r in zip(*block)] if block
+                  else [row] * min(256, n - i))
     return "\n".join(lines) + "\n"
 
 

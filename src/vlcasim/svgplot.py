@@ -58,6 +58,39 @@ def _esc(s: str) -> str:
     return (s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
+def _limits(series, logy: bool):
+    """Axis limits (x_lo, x_hi, y_lo, y_hi) that hold every cleaned (x, y)
+    series: a flat range is widened, and a linear y axis gets 5% headroom."""
+    pts = [(x, y) for x, y in series if len(x)]
+    if not pts:
+        raise ValueError("no finite data points to plot")
+    x_lo = min(float(x.min()) for x, _ in pts)
+    x_hi = max(float(x.max()) for x, _ in pts)
+    y_lo = min(float(y.min()) for _, y in pts)
+    y_hi = max(float(y.max()) for _, y in pts)
+    if x_hi <= x_lo:
+        x_hi = x_lo + (abs(x_lo) or 1.0) * 1e-3
+    if y_hi <= y_lo:
+        pad = (abs(y_lo) or 1.0) * 1e-3
+        y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not logy:
+        pad = 0.05 * (y_hi - y_lo)
+        y_lo, y_hi = y_lo - pad, y_hi + pad
+    return x_lo, x_hi, y_lo, y_hi
+
+
+def _to_px(v, lo: float, hi: float, p_lo: float, p_hi: float, log: bool):
+    """Pixel position of a value, or of each value of a 1-d array, on an
+    axis from lo to hi drawn from p_lo to p_hi. A log axis takes
+    math.log10 of each sample: np.log10 differs from it by 1 ulp on a few
+    percent of samples, which can move a written digit."""
+    if log:
+        v = (math.log10(v) if np.ndim(v) == 0
+             else np.array([math.log10(s) for s in v.tolist()]))
+        lo, hi = math.log10(lo), math.log10(hi)
+    return p_lo + (v - lo) / (hi - lo) * (p_hi - p_lo)
+
+
 def line_chart(series: Sequence[tuple], title: str = "", xlabel: str = "",
                ylabel: str = "", logx: bool = False,
                logy: bool = False) -> str:
@@ -76,29 +109,9 @@ def line_chart(series: Sequence[tuple], title: str = "", xlabel: str = "",
         if logy:
             keep &= y > 0.0
         cleaned.append((str(label), x[keep], y[keep]))
-    pts = [(x, y) for _, x, y in cleaned if len(x)]
-    if not pts:
-        raise ValueError("no finite data points to plot")
-    x_lo = min(float(x.min()) for x, _ in pts)
-    x_hi = max(float(x.max()) for x, _ in pts)
-    y_lo = min(float(y.min()) for _, y in pts)
-    y_hi = max(float(y.max()) for _, y in pts)
-    if x_hi <= x_lo:
-        x_hi = x_lo + (abs(x_lo) or 1.0) * 1e-3
-    if y_hi <= y_lo:
-        pad = (abs(y_lo) or 1.0) * 1e-3
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-    if not logy:
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-
+    x_lo, x_hi, y_lo, y_hi = _limits([(x, y) for _, x, y in cleaned], logy)
     px0, px1 = _MARGIN_L, _WIDTH - _MARGIN_R
     py0, py1 = _HEIGHT - _MARGIN_B, _MARGIN_T
-
-    def to_px(v, lo, hi, p_lo, p_hi, log):
-        if log:
-            v, lo, hi = math.log10(v), math.log10(lo), math.log10(hi)
-        return p_lo + (v - lo) / (hi - lo) * (p_hi - p_lo)
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -113,7 +126,7 @@ def line_chart(series: Sequence[tuple], title: str = "", xlabel: str = "",
     for tv in xticks:
         if not x_lo <= tv <= x_hi:
             continue
-        xp = to_px(tv, x_lo, x_hi, px0, px1, logx)
+        xp = _to_px(tv, x_lo, x_hi, px0, px1, logx)
         out.append(f'<line x1="{xp:.1f}" y1="{py0}" x2="{xp:.1f}" '
                    f'y2="{py1}" stroke="#ddd" stroke-width="1"/>')
         out.append(f'<text x="{xp:.1f}" y="{py0 + 16}" '
@@ -121,7 +134,7 @@ def line_chart(series: Sequence[tuple], title: str = "", xlabel: str = "",
     for tv in yticks:
         if not y_lo <= tv <= y_hi:
             continue
-        yp = to_px(tv, y_lo, y_hi, py0, py1, logy)
+        yp = _to_px(tv, y_lo, y_hi, py0, py1, logy)
         out.append(f'<line x1="{px0}" y1="{yp:.1f}" x2="{px1}" '
                    f'y2="{yp:.1f}" stroke="#ddd" stroke-width="1"/>')
         out.append(f'<text x="{px0 - 6}" y="{yp + 4:.1f}" '
@@ -140,10 +153,9 @@ def line_chart(series: Sequence[tuple], title: str = "", xlabel: str = "",
         color = PALETTE[idx % len(PALETTE)]
         if len(x) == 0:
             continue
-        coords = " ".join(
-            f"{to_px(float(xv), x_lo, x_hi, px0, px1, logx):.2f},"
-            f"{to_px(float(yv), y_lo, y_hi, py0, py1, logy):.2f}"
-            for xv, yv in zip(x, y))
+        xs = _to_px(x, x_lo, x_hi, px0, px1, logx).tolist()
+        ys = _to_px(y, y_lo, y_hi, py0, py1, logy).tolist()
+        coords = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
         out.append(f'<polyline points="{coords}" fill="none" '
                    f'stroke="{color}" stroke-width="1.5"/>')
     ly = py1 + 14

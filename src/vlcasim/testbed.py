@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import BSpline
+import scipy
 
 from . import simkit
 from .lintf import csv_table
@@ -270,7 +270,7 @@ class BSplineTrajectory:
         k = 2
         inner = np.linspace(0.0, duration_s, n - k + 1)
         knots = np.concatenate([[0.0] * k, inner, [duration_s] * k])
-        self._spl = BSpline(knots, pts, k, extrapolate=False)
+        self._spl = scipy.interpolate.BSpline(knots, pts, k, extrapolate=False)
         self._dspl = self._spl.derivative(1)
         self._ddspl = self._spl.derivative(2)
 

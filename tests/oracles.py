@@ -70,3 +70,37 @@ def locked_plant_rates(params, force: float = 0.0):
     inv_m = 1.0 / params.effective_mass
     b, k = params.effective_damping, params.k_r
     return lambda _t, y: (y[1], (force - b * y[1] - k * y[0]) * inv_m)
+
+
+def polyline_points(x, y, limits, logx: bool = False, logy: bool = False,
+                    frame=(64, 704, 394, 34)) -> str:
+    """The points attribute of an SVG polyline, mapped and formatted one
+    point at a time: x and y are the cleaned samples, limits the axis
+    limits (x_lo, x_hi, y_lo, y_hi), frame the pixel span (px0, px1, py0,
+    py1) of the 720x440 chart."""
+    def to_px(v, lo, hi, p_lo, p_hi, log):
+        if log:
+            v, lo, hi = math.log10(v), math.log10(lo), math.log10(hi)
+        return p_lo + (v - lo) / (hi - lo) * (p_hi - p_lo)
+
+    x_lo, x_hi, y_lo, y_hi = limits
+    px0, px1, py0, py1 = frame
+    return " ".join(
+        f"{to_px(float(xv), x_lo, x_hi, px0, px1, logx):.2f},"
+        f"{to_px(float(yv), y_lo, y_hi, py0, py1, logy):.2f}"
+        for xv, yv in zip(x, y))
+
+
+def csv_per_cell(header: str, columns) -> str:
+    """CSV text with every cell formatted on its own: a float as %.10g, an
+    int as is, text as given, None, NaN and +-inf as an empty cell."""
+    def cell(v) -> str:
+        if isinstance(v, str):
+            return v
+        if v is None or not math.isfinite(v):
+            return ""
+        return "%d" % v if isinstance(v, (int, np.integer)) else "%.10g" % v
+
+    cols = [list(c) for c in columns]
+    return "\n".join([header] + [",".join(cell(v) for v in r)
+                                 for r in zip(*cols)]) + "\n"

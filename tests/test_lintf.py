@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import csv_per_cell
 from vlcasim.lintf import (DelayedTransferFunction, FitDiverged,
                            FRF_CSV_HEADER, FrequencyResponsePoint, NoCrossover,
                            PoleOnAxis, Polynomial, bode_sweep, csv_table,
@@ -387,6 +388,28 @@ def test_csv_blocks_match_a_row_by_row_rendering():
                  for v in (t[k], *xy[k]))
         for k in range(600)]
     assert csv_table("t,x,y", [t, xy]) == "\n".join(expected) + "\n"
+
+
+def test_csv_matches_the_per_cell_rule_for_every_kind_of_float_column():
+    n = 700  # crosses the 256-row blocks
+    rng = np.random.default_rng(11)
+    finite = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+    mixed = finite.copy()
+    mixed[rng.random(n) < 0.3] = math.nan
+    kinds = {"nan": np.full(n, math.nan),
+             "inf": np.where(rng.random(n) < 0.5, math.inf, -math.inf),
+             "mixed": mixed, "finite": finite}
+    for header, cols in [(",".join(kinds), list(kinds.values())),
+                         ("t,nan,flag,inf", [np.arange(n) * 1e-3, kinds["nan"],
+                                             np.arange(n) % 2,
+                                             kinds["inf"]]),
+                         ("nan,inf", [kinds["nan"], kinds["inf"]])]:
+        text = csv_table(header, cols)
+        assert text == csv_per_cell(header, cols), header
+        rows = text.splitlines()[1:]
+        assert len(rows) == n
+        where = header.split(",").index("nan")
+        assert all(r.split(",")[where] == "" for r in rows)
 
 
 def test_csv_columns_must_match_the_header():
