@@ -5,6 +5,8 @@ current over each period. Every plant here is linear, so each advances
 by its exact zero-order-hold map, one step per period: the force loop, the
 chirp and the position loop under their held current, and the hammer
 strike with its half-sine pulse carried as an oscillator in the state.
+The first three share one run loop, _run_linear, which records the state
+history; each run builds its trace columns from it after the loop.
 The only RK4 in the package is the nonlinear leg's, in testbed.
 Saturation clips commanded current at the amplifier limit and is
 recorded, not fatal.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -57,12 +60,23 @@ def control_steps(duration: float, name: str, dt: float = CONTROL_DT) -> int:
 
 # ---------------------------------------------------------------- plant
 
-def _zoh_step(a, b) -> Callable[[list, float], list]:
-    """Exact per-period update y -> Ad y + Bd u of the linear plant
-    x' = A x + B u, with the scalar input u held over CONTROL_DT. States
-    are lists of floats."""
-    adb = np.hstack(zoh_discretize(a, b, CONTROL_DT))
-    return lambda y, u: adb.dot((*y, u)).tolist()
+def _run_linear(plant, n: int, command: Callable[[int, list], float]
+                ) -> np.ndarray:
+    """State history of the linear plant (A, B) = plant over n control
+    periods from rest: row k is the state at the start of period k, a list
+    x of floats, and command(k, x) is the scalar input held over that
+    period. Each period advances by the exact zero-order-hold map
+    x -> Ad x + Bd u. NonFiniteState when a state leaves the floats."""
+    adb = np.hstack(zoh_discretize(*plant, CONTROL_DT))
+    x = [0.0] * adb.shape[0]
+    history = array("d")  # packed doubles: no float object outlives its step
+    for k in range(n):
+        history.extend(x)
+        x = adb.dot((*x, command(k, x))).tolist()
+        if not all(map(math.isfinite, x)):
+            raise NonFiniteState(
+                f"plant state diverged at t={k * CONTROL_DT:.3f} s")
+    return np.frombuffer(history).reshape(n, -1)
 
 
 def _locked_plant(params: ActuatorParams):
@@ -321,23 +335,20 @@ class SimTrace:
     f_loadcell: np.ndarray   # spring plus damper reaction, or contact force [N]
     i_m: np.ndarray          # applied motor current [A]
     x_r: np.ndarray          # spring deflection [m]
-    q_out: np.ndarray        # output/joint position when meaningful, else nan
-    temp_c: np.ndarray       # always nan: keeps the temp_C column of the CSV
+    # output/joint position of a position run; None fills it with nan
+    q_out: Optional[np.ndarray] = None
     saturation_count: int = 0
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.q_out is None:
+            self.q_out = np.full(len(self.t), math.nan)
+
     def to_csv(self) -> str:
+        # no model here has a temperature: temp_C is an empty column
         return csv_table(SIM_CSV_HEADER, (
             self.t, self.f_cmd, self.f_meas, self.f_loadcell, self.i_m,
-            self.x_r, self.q_out, self.temp_c))
-
-
-def _blank_trace(n: int, dt: float) -> SimTrace:
-    nan = np.full(n, math.nan)
-    return SimTrace(dt=dt, t=np.arange(n) * dt, f_cmd=np.zeros(n),
-                    f_meas=np.zeros(n), f_loadcell=np.zeros(n),
-                    i_m=np.zeros(n), x_r=np.zeros(n), q_out=nan.copy(),
-                    temp_c=nan.copy())
+            self.x_r, self.q_out, np.full(len(self.t), math.nan)))
 
 
 def _warn_if_saturated(trace: SimTrace, count: int):
@@ -359,34 +370,30 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
 
     reference is any object with value(t) -> N.
     """
-    dt = CONTROL_DT
     n = control_steps(duration, "duration")
     ctrl = DiscreteForceController(kind, params, gains)
-    trace = _blank_trace(n, dt)
-    trace.meta.update(kind=kind.value, reference=type(reference).__name__)
-
-    k_r, b_r = params.k_r, params.b_r
-    n_drive = params.drive_constant
-    step = _zoh_step(*_locked_plant(params))
-    y = [0.0, 0.0]
+    k_r, n_drive = params.k_r, params.drive_constant
+    currents = array("d")
 
     # the reference generator lives on the same clock as the controller,
     # so each command is computed for the instant it takes effect
     preview = ctrl.latency_s
-    for k in range(n):
-        t = k * dt
-        x, v = y
-        f_meas = k_r * x
-        i_applied = ctrl.step(reference.value(t + preview), f_meas, v)
-        f_ext = external_force(t) if external_force else 0.0
-        trace.f_cmd[k] = reference.value(t)
-        trace.f_meas[k] = f_meas
-        trace.f_loadcell[k] = f_meas + b_r * v
-        trace.i_m[k] = i_applied
-        trace.x_r[k] = x
-        y = step(y, n_drive * i_applied + f_ext)
-        if not all(map(math.isfinite, y)):
-            raise NonFiniteState(f"plant state diverged at t={t:.3f} s")
+
+    def command(k, y):
+        t = k * CONTROL_DT
+        i = ctrl.step(reference.value(t + preview), k_r * y[0], y[1])
+        currents.append(i)
+        return n_drive * i + (external_force(t) if external_force else 0.0)
+
+    x, v = _run_linear(_locked_plant(params), n, command).T
+    t = np.arange(n) * CONTROL_DT
+    f_meas = k_r * x
+    trace = SimTrace(CONTROL_DT, t,
+                     f_cmd=np.array([reference.value(tk) for tk in t.tolist()]),
+                     f_meas=f_meas, f_loadcell=f_meas + params.b_r * v,
+                     i_m=np.frombuffer(currents), x_r=x,
+                     meta={"kind": kind.value,
+                           "reference": type(reference).__name__})
     _warn_if_saturated(trace, ctrl.saturation_count)
     return trace
 
@@ -420,26 +427,14 @@ def run_plant_chirp(drive: np.ndarray,
     current), so a response estimate against the measured spring force
     yields the force plant directly.
     """
-    dt = CONTROL_DT
-    trace = _blank_trace(len(drive), dt)
-    trace.meta["kind"] = "open_loop_chirp"
-    k_r, b_r = params.k_r, params.b_r
     n_drive = params.drive_constant
-    step = _zoh_step(*_locked_plant(params))
-    y = [0.0, 0.0]
-    for k in range(len(drive)):
-        t = k * dt
-        x, v = y
-        i = drive.item(k)
-        trace.f_cmd[k] = n_drive * i
-        trace.f_meas[k] = k_r * x
-        trace.f_loadcell[k] = k_r * x + b_r * v
-        trace.i_m[k] = i
-        trace.x_r[k] = x
-        y = step(y, n_drive * i)
-        if not all(map(math.isfinite, y)):
-            raise NonFiniteState(f"plant state diverged at t={t:.3f} s")
-    return trace
+    x, v = _run_linear(_locked_plant(params), len(drive),
+                       lambda k, y: n_drive * drive.item(k)).T
+    f_meas = params.k_r * x
+    return SimTrace(CONTROL_DT, np.arange(len(drive)) * CONTROL_DT,
+                    n_drive * drive,
+                    f_meas=f_meas, f_loadcell=f_meas + params.b_r * v,
+                    i_m=drive, x_r=x, meta={"kind": "open_loop_chirp"})
 
 
 # ------------------------------------------------- response estimation
@@ -581,40 +576,32 @@ def run_joint_position_control(element: str, step_rad: float = 0.05,
     k_s, b_s = spring_element(element, params)
     n_drive = params.drive_constant
     x_des = DEFAULT_MOMENT_ARM * step_rad
-
-    dt = CONTROL_DT
-    trace = _blank_trace(n, dt)
-    trace.meta.update(kind="position_step", element=element,
-                      step_rad=step_rad)
     delay = _DelayLine(1)
-    sat = 0
-    step = _zoh_step(*two_mass_plant(element, params))
-    y = [0.0] * 4
+    currents = array("d")
 
-    for k in range(n):
-        xm, vm, xl, vl = y
-        f_cmd = POSITION_KP * (x_des - xl) - POSITION_KD * vm
-        i_cmd = f_cmd / n_drive
+    def command(k, y):
+        i_cmd = (POSITION_KP * (x_des - y[2]) - POSITION_KD * y[1]) / n_drive
         if abs(i_cmd) > CURRENT_LIMIT_A:
             i_cmd = math.copysign(CURRENT_LIMIT_A, i_cmd)
-            sat += 1
-        i_applied = delay.push(i_cmd)
-        defl = xm - xl
-        trace.f_cmd[k] = f_cmd
-        trace.f_meas[k] = k_s * defl
-        trace.f_loadcell[k] = k_s * defl + b_s * (vm - vl)
-        trace.i_m[k] = i_applied
-        trace.x_r[k] = defl
-        trace.q_out[k] = xl / DEFAULT_MOMENT_ARM
-        y = step(y, n_drive * i_applied)
-        if not all(map(math.isfinite, y)):
-            raise NonFiniteState(f"position loop diverged at t={k * dt:.3f} s")
-    trace.meta["x_des_m"] = x_des
+        currents.append(delay.push(i_cmd))
+        return n_drive * currents[-1]
+
+    xm, vm, xl, vl = _run_linear(two_mass_plant(element, params), n,
+                                 command).T
+    f_cmd = POSITION_KP * (x_des - xl) - POSITION_KD * vm
+    defl = xm - xl
+    trace = SimTrace(CONTROL_DT, np.arange(n) * CONTROL_DT, f_cmd,
+                     f_meas=k_s * defl, f_loadcell=k_s * defl + b_s * (vm - vl),
+                     i_m=np.frombuffer(currents), x_r=defl,
+                     q_out=xl / DEFAULT_MOMENT_ARM,
+                     meta={"kind": "position_step", "element": element,
+                           "step_rad": step_rad, "x_des_m": x_des})
     if step_rad != 0.0:
         trace.meta["overshoot_frac"] = overshoot_fraction(trace.q_out, step_rad)
         trace.meta["settling_time_s"] = settling_time(trace.t, trace.q_out,
                                                       step_rad)
-    _warn_if_saturated(trace, sat)
+    _warn_if_saturated(
+        trace, int(np.count_nonzero(np.abs(f_cmd / n_drive) > CURRENT_LIMIT_A)))
     return trace
 
 
@@ -692,16 +679,14 @@ def run_impact(config: ImpactConfig,
     if not np.isfinite([x, v]).all():
         raise NonFiniteState("impact response diverged")
 
-    trace = _blank_trace(n, dt)
-    trace.meta.update(kind="impact", grounding=config.grounding,
-                      f_peak_n=f_peak)
-    f_hammer = np.array([hammer(t) for t in trace.t.tolist()])
+    t = np.arange(n) * dt
+    f_hammer = np.array([hammer(tk) for tk in t.tolist()])
     acc = (f_hammer - (b_dt + b_s) * v - k_s * x) * inv_m
-    trace.f_meas = k_s * x
-    trace.f_loadcell = f_hammer - IMPACT_SENSOR_MASS_KG * acc
-    if visco:
-        trace.x_r = x
-    return trace
+    return SimTrace(dt, t, f_cmd=np.zeros(n), f_meas=k_s * x,
+                    f_loadcell=f_hammer - IMPACT_SENSOR_MASS_KG * acc,
+                    i_m=np.zeros(n), x_r=x if visco else np.zeros(n),
+                    meta={"kind": "impact", "grounding": config.grounding,
+                          "f_peak_n": f_peak})
 
 
 # -------------------------------------------------------------- metrics

@@ -7,6 +7,7 @@ force loops in series.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -85,10 +86,12 @@ def _dyn_scalars(q0, q1, w0, w1, p: TwoDofParams):
     return a11, a12, a22, b1, b2, g1, g2
 
 
-def hip_position(q: Sequence[float], params: TwoDofParams) -> np.ndarray:
-    x = params.l1 * math.cos(q[0]) + params.l2 * math.cos(q[0] + q[1])
-    y = params.l1 * math.sin(q[0]) + params.l2 * math.sin(q[0] + q[1])
-    return np.array([x, y])
+def hip_position(q, params: TwoDofParams) -> np.ndarray:
+    """Hip (x, y) of one joint pair q, or row by row of an (n, 2) array."""
+    q = np.asarray(q, dtype=float)
+    q0, q01 = q[..., 0], q[..., 0] + q[..., 1]
+    return np.stack([params.l1 * np.cos(q0) + params.l2 * np.cos(q01),
+                     params.l1 * np.sin(q0) + params.l2 * np.sin(q01)], -1)
 
 
 def inverse_kinematics(x: Sequence[float], params: TwoDofParams) -> np.ndarray:
@@ -543,72 +546,62 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
         trajectory, payload_kg, duration, params, actuator, force_gains)
     if profile is None:
         profile = LinkageProfile.constant(DEFAULT_MOMENT_ARM)
-    dt = simkit.CONTROL_DT
-    n = len(times)
-
-    if q_init is None:
-        q = inverse_kinematics(pos_des[0], params)
-        q0, q1 = float(q[0]), float(q[1])
-    else:
-        q0, q1 = float(q_init[0]), float(q_init[1])
+    q0, q1 = map(float, inverse_kinematics(pos_des[0], params)
+                 if q_init is None else q_init)
     cascaded = mode == "cascaded_vlca"
     advance = leg_period_map(params, cascaded, actuator, profile, external_force)
     k_r, b_r = actuator.k_r, actuator.b_r
 
+    arm = profile.arm
     state = (q0, q1, 0.0, 0.0)
     if cascaded:
         # preload the springs against gravity so the leg starts settled
         _, _, _, _, _, g1, g2 = _dyn_scalars(q0, q1, 0.0, 0.0, params)
-        state += ((g1 / profile.arm(q0)) / k_r, 0.0, 0.0,
-                  (g2 / profile.arm(q1)) / k_r, 0.0, 0.0)
+        state += ((g1 / arm(q0)) / k_r, 0.0, 0.0,
+                  (g2 / arm(q1)) / k_r, 0.0, 0.0)
 
-    trace = TestbedTrace(dt=dt, t=times, x=np.empty((n, 2)), x_des=pos_des,
-                         q=np.empty((n, 2)), qdot=np.empty((n, 2)),
-                         tau_cmd=np.empty((n, 2)), tau_applied=np.empty((n, 2)),
-                         i_m=np.full((n, 2), math.nan),
-                         f_k=np.full((n, 2), math.nan),
-                         motor_speed_rad_s=np.full((n, 2), math.nan),
-                         meta={"mode": mode, "payload_kg": payload_kg})
+    pos, vel, acc = pos_des.tolist(), vel_des.tolist(), acc_des.tolist()
+    # packed doubles: no float object outlives its step
+    states, held, tau_cmd = array("d"), array("d"), array("d")
     singular = 0
-
-    for k in range(n):
-        t = float(times[k])
+    for k, t in enumerate(times.tolist()):
         q0, q1, w0, w1 = state[:4]
-        tau0, tau1, damped = _osc_tau(q0, q1, w0, w1,
-                                      pos_des[k, 0], pos_des[k, 1],
-                                      vel_des[k, 0], vel_des[k, 1],
-                                      acc_des[k, 0], acc_des[k, 1],
-                                      task_gains, params)
-        if damped:
-            singular += 1
+        tau0, tau1, damped = _osc_tau(q0, q1, w0, w1, *pos[k], *vel[k],
+                                      *acc[k], task_gains, params)
+        singular += damped
         if cascaded:
             x0, v0, l0, x1, v1, l1 = state[4:]
-            r0, r1 = profile.arm(q0), profile.arm(q1)
-            f_meas0, f_meas1 = k_r * (x0 - l0), k_r * (x1 - l1)
-            u = (ctrls[0].step(tau0 / r0, f_meas0, v0),
-                 ctrls[1].step(tau1 / r1, f_meas1, v1))
-            ld0, ld1 = r0 * w0, r1 * w1
-            f0 = k_r * (x0 - l0) + b_r * (v0 - ld0)
-            f1 = k_r * (x1 - l1) + b_r * (v1 - ld1)
-            trace.tau_applied[k] = (r0 * f0, r1 * f1)
-            trace.i_m[k] = u
-            trace.f_k[k] = (f_meas0, f_meas1)
-            trace.motor_speed_rad_s[k] = (actuator.n_m * v0, actuator.n_m * v1)
+            u = (ctrls[0].step(tau0 / arm(q0), k_r * (x0 - l0), v0),
+                 ctrls[1].step(tau1 / arm(q1), k_r * (x1 - l1), v1))
         else:
             u = (tau0, tau1)
-            trace.tau_applied[k] = u
-        trace.tau_cmd[k] = (tau0, tau1)
-        trace.q[k] = (q0, q1)
-        trace.qdot[k] = (w0, w1)
-        trace.x[k] = hip_position((q0, q1), params)
-
-        state = advance(state, u[0], u[1], t)
+        states.extend(state)
+        held.extend(u)
+        tau_cmd.extend((tau0, tau1))
+        state = advance(state, *u, t)
         if not all(map(math.isfinite, state)):
             raise simkit.NonFiniteState(f"leg simulation diverged at t={t:.3f} s")
 
-    trace.singular_count = singular
+    states = np.frombuffer(states).reshape(len(times), -1)
+    held, tau_cmd = (np.frombuffer(a).reshape(-1, 2) for a in (held, tau_cmd))
+    q, qdot = states[:, :2], states[:, 2:4]
     if cascaded:
-        trace.saturation_count = sum(c.saturation_count for c in ctrls)
-        if trace.saturation_count:
-            trace.meta["saturated"] = True
+        # screw position, rate and linkage displacement of both actuators
+        x_s, v_s, l_s = states[:, 4::3], states[:, 5::3], states[:, 6::3]
+        r = np.array([[arm(a), arm(b)] for a, b in q.tolist()])
+        f_k = k_r * (x_s - l_s)
+        tau_applied = r * (f_k + b_r * (v_s - r * qdot))
+        i_m, motor_speed = held, actuator.n_m * v_s
+    else:
+        tau_applied = held
+        i_m, f_k, motor_speed = (np.full(q.shape, math.nan) for _ in range(3))
+    trace = TestbedTrace(dt=simkit.CONTROL_DT, t=times, x=hip_position(q, params),
+                         x_des=pos_des, q=q, qdot=qdot,
+                         tau_cmd=tau_cmd, tau_applied=tau_applied,
+                         i_m=i_m, f_k=f_k, motor_speed_rad_s=motor_speed,
+                         saturation_count=sum(c.saturation_count for c in ctrls),
+                         singular_count=singular,
+                         meta={"mode": mode, "payload_kg": payload_kg})
+    if trace.saturation_count:  # only the cascaded mode steps its controllers
+        trace.meta["saturated"] = True
     return trace

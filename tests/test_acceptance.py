@@ -200,16 +200,13 @@ def test_criterion_9_property_suites():
     G = ControllerGains()
     checks = []
 
-    # passive plant energy never increases under the exact plant update
-    step = simkit._zoh_step(*simkit._locked_plant(P))
-    y = [1e-4, 0.0]
-    e0 = plant_energy(P, y)
-    prev, mono = e0, True
-    for _ in range(1500):
-        y = step(y, 0.0)
-        e = plant_energy(P, y)
-        mono = mono and (e - prev <= 1e-9 * e0)
-        prev = e
+    # passive plant energy never increases under the exact plant update:
+    # one period's push from rest, then 1500 unforced periods
+    states = simkit._run_linear(simkit._locked_plant(P), 1502,
+                                lambda k, y: 1e3 if k == 0 else 0.0)
+    e = [plant_energy(P, y) for y in states[1:].tolist()]
+    mono = e[0] > 0.0 and all(cur - prev <= 1e-9 * e[0]
+                              for prev, cur in zip(e, e[1:]))
     checks.append(("plant energy non-increasing", mono))
 
     # the leg's period map, unactuated in zero gravity, conserves energy

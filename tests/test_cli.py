@@ -384,19 +384,6 @@ def test_margin_run_matches_the_analytic_table(tmp_path):
         270.06778155620424 / (2.0 * math.pi), rel=1e-8)
 
 
-def test_reruns_are_byte_identical(tmp_path):
-    for out in ("first", "second"):
-        cfg = _write(tmp_path, f"imp_{out}.cfg",
-                     f"scenario = impact\nout = {out}\nseed = 3\n")
-        assert main(["run", cfg]) == 0
-    names = _read_manifest(tmp_path / "first")["files"]
-    assert names == _read_manifest(tmp_path / "second")["files"]
-    for name in names:
-        a = (tmp_path / "first" / name).read_bytes()
-        b = (tmp_path / "second" / name).read_bytes()
-        assert a == b, name
-
-
 # short runs of every scenario; the position step ends before it settles,
 # so its settling time is a missing value
 _SHORT_RUNS = {
@@ -411,6 +398,22 @@ _SHORT_RUNS = {
     "efficiency": {"efficiency.duration_s": "0.2"},
     "materials": {},
 }
+
+
+@pytest.mark.parametrize("scenario", _SHORT_RUNS)
+def test_reruns_are_byte_identical(tmp_path, scenario):
+    for out in ("first", "second"):
+        lines = {"scenario": scenario, "out": out, "seed": "3",
+                 **_SHORT_RUNS[scenario]}
+        cfg = _write(tmp_path, f"{out}.cfg",
+                     "".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert main(["run", cfg]) == 0
+    names = _read_manifest(tmp_path / "first")["files"]
+    assert names == _read_manifest(tmp_path / "second")["files"]
+    for name in names:
+        a = (tmp_path / "first" / name).read_bytes()
+        b = (tmp_path / "second" / name).read_bytes()
+        assert a == b, name
 
 
 def _non_finite_number(cell: str) -> bool:

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import hip_jacobian, rk4_step, total_energy
 from vlcasim import powertherm, simkit
 from vlcasim import testbed as tb
-from vlcasim.vlca import DEFAULT_MOMENT_ARM, VLCA_ACTUATOR
+from vlcasim.vlca import (ControllerGains, ControllerKind,
+                          DEFAULT_MOMENT_ARM, VLCA_ACTUATOR)
 
 P = tb.TwoDofParams()
 
@@ -154,6 +155,20 @@ def test_inverse_kinematics_round_trip():
         assert q[1] <= 0.0  # knee-down branch
     with pytest.raises(tb.WorkspaceViolation):
         tb.inverse_kinematics((1.0, 0.5), P)
+
+
+def test_hip_position_maps_an_array_row_by_row():
+    # the array form equals the one-pair arithmetic in math.cos/math.sin
+    # bit for bit
+    q = np.random.default_rng(5).uniform(-2.0 * math.pi, 2.0 * math.pi,
+                                         (2000, 2))
+    expect = [[P.l1 * math.cos(a) + P.l2 * math.cos(a + b),
+               P.l1 * math.sin(a) + P.l2 * math.sin(a + b)]
+              for a, b in q.tolist()]
+    hips = tb.hip_position(q, P)
+    assert hips.shape == (2000, 2)
+    assert hips.tolist() == expect
+    assert [tb.hip_position(row, P).tolist() for row in q[:50]] == expect[:50]
 
 
 # ------------------------------------------------------------------ linkage
@@ -336,6 +351,45 @@ def test_simulate_osc_argument_guards():
         tb.simulate_osc(traj, 10.0, "open_loop", 1.0)
     with pytest.raises(ValueError):
         tb.simulate_osc(traj, 10.0, "ideal_torque", 0.0)
+
+
+@pytest.mark.parametrize("run", ["force_tracking", "ideal_torque",
+                                 "cascaded_vlca"])
+def test_loop_state_is_plain_floats(monkeypatch, run):
+    # every value the controllers and the leg's period map take and return
+    # is a Python float, not a numpy scalar
+    calls = {"step": [], "advance": []}
+    step = simkit.DiscreteForceController.step
+    period_map = tb.leg_period_map
+
+    def spy_step(self, *args):
+        out = step(self, *args)
+        calls["step"].append((*args, out))
+        return out
+
+    def spy_map(*args, **kwargs):
+        advance = period_map(*args, **kwargs)
+
+        def spy_advance(state, *args):
+            out = advance(state, *args)
+            calls["advance"].append((*state, *args, *out))
+            return out
+        return spy_advance
+
+    monkeypatch.setattr(simkit.DiscreteForceController, "step", spy_step)
+    monkeypatch.setattr(tb, "leg_period_map", spy_map)
+    if run == "force_tracking":
+        simkit.run_force_tracking(ControllerKind.PDM_DOB, ControllerGains(),
+                                  simkit.SineRef(20.0, 5.0), 0.05)
+    else:
+        traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.05, 0.05),
+                                 freq_hz=2.0)
+        tb.simulate_osc(traj, 10.0, run, 0.05)
+    assert calls["step"] or run == "ideal_torque"
+    assert calls["advance"] or run == "force_tracking"
+    leaked = {type(v).__name__ for seen in calls.values() for args in seen
+              for v in args if type(v) is not float}
+    assert not leaked
 
 
 def test_trace_csv_layout():
