@@ -36,7 +36,7 @@ from .vlca import (ActuatorParams, ControllerGains, ControllerKind,
                    DEFAULT_MOMENT_ARM, EXPERIMENT_GAINS, MARGIN_DELAY_GRID,
                    MARGIN_TABLE_ORDER, MissingFilterCutoff, VLCA_ACTUATOR,
                    calibrate_margins, force_plant, margin_table,
-                   margin_table_to_csv, open_loop_tf, phase_margin)
+                   margin_table_to_csv, open_loop_tf)
 
 
 class ConfigInvalid(Exception):
@@ -305,9 +305,9 @@ def _scenario_margins(spec: RunSpec, em: _Emitter):
     entries = margin_table(spec.actuator, spec.gains)
     em.write("margin_table.csv", margin_table_to_csv(entries))
 
-    pms = {k: [phase_margin(k, spec.actuator,
-                            replace(spec.gains, delay_t=float(t)))
-               for t in MARGIN_DELAY_GRID] for k in MARGIN_TABLE_ORDER}
+    pms = {k: lintf.phase_margins(open_loop_tf(k, spec.actuator, spec.gains),
+                                  MARGIN_DELAY_GRID)
+           for k in MARGIN_TABLE_ORDER}
     delay_ms = MARGIN_DELAY_GRID * 1e3
     em.write("margins_vs_delay.csv", lintf.csv_table(
         "delay_ms," + ",".join(k.value for k in MARGIN_TABLE_ORDER),
@@ -707,6 +707,9 @@ def run(raw_config: dict) -> RunManifest:
 
 # ---------------------------------------------------------------- sweep
 
+_MAX_RUNS = f"{simkit.MAX_SWEEP_RUNS:,} runs"
+
+
 def _parse_set(expr: str):
     """--set KEY=VALUE or KEY=A:B:STEP; returns (key, [values])."""
     if "=" not in expr:
@@ -719,46 +722,45 @@ def _parse_set(expr: str):
             a, b, step = (float(p) for p in parts)
         except ValueError:
             return key, [val]
-        if step <= 0.0 or b < a:
+        if not (step > 0.0 and b >= a):
             raise ConfigInvalid([(key, "range must be a:b:step with step > 0 "
                                        "and b >= a")])
-        n = int(math.floor((b - a) / step + 1e-9)) + 1
-        return key, [f"{a + i * step:.12g}" for i in range(n)]
+        span = (b - a) / step + 1e-9
+        if not span < simkit.MAX_SWEEP_RUNS:  # an infinite span included
+            raise ConfigInvalid([(key, f"range gives more than {_MAX_RUNS}")])
+        return key, [f"{a + i * step:.12g}" for i in range(int(span) + 1)]
     return key, [val.strip()]
 
 
-def _sweep_worker(args):
-    raw, outdir = args
-    raw = dict(raw)
-    raw["out"] = outdir
+def _sweep_worker(raw):
     try:
-        manifest = run(raw)
-        return outdir, manifest.status, None
+        return raw["out"], run(raw).status, None
     except (ConfigInvalid, ScenarioFailed) as exc:
-        return outdir, "failed", str(exc)
+        return raw["out"], "failed", str(exc)
 
 
 def run_sweep(raw_config: dict, set_exprs, jobs: int = 1) -> dict:
-    base = dict(raw_config)
-    axes = []
-    for expr in set_exprs:
-        key, values = _parse_set(expr)
-        axes.append((key, values))
+    axes = [_parse_set(expr) for expr in set_exprs]
     if not axes:
         raise ConfigInvalid([("--set", "sweep needs at least one --set "
                                        "key=a:b:step")])
-    root = _resolve_outdir(base.get("out", "sweep_out"))
-    os.makedirs(root, exist_ok=True)
+    if math.prod(len(v) for _, v in axes) > simkit.MAX_SWEEP_RUNS:
+        raise ConfigInvalid([("--set", f"sweep gives more than {_MAX_RUNS}")])
+    root = _resolve_outdir(raw_config.get("out", "sweep_out"))
 
-    combos = []
+    # every combination is checked before the sweep writes anything
+    keys = [key for key, _ in axes]
+    combos, diags = [], []
     for idx, values in enumerate(itertools.product(*(v for _, v in axes))):
-        raw = dict(base)
-        tag_parts = []
-        for (key, _), value in zip(axes, values):
-            raw[key] = value
-            tag_parts.append(f"{key.rsplit('.', 1)[-1]}={value}")
-        subdir = os.path.join(root, f"{idx:03d}_" + "_".join(tag_parts))
-        combos.append((raw, subdir))
+        tag = f"{idx:03d}_" + "_".join(f"{k.rsplit('.', 1)[-1]}={v}"
+                                       for k, v in zip(keys, values))
+        raw = {**raw_config, **dict(zip(keys, values)),
+               "out": os.path.join(root, tag)}
+        diags += [(f"{tag}: {k}", m) for k, m in validate(raw)]
+        combos.append(raw)
+    if diags:
+        raise ConfigInvalid(diags)
+    os.makedirs(root, exist_ok=True)
 
     # the pool starts all its workers at once; more than one per core only
     # costs memory

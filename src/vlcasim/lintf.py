@@ -249,6 +249,39 @@ def _bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
     return np.sqrt(a * b)
 
 
+def _rational_phase(tf: DelayedTransferFunction, w, rat_left) -> np.ndarray:
+    # the rational phase takes its branch from the cell's left grid point
+    raw = np.angle(_rational_array(tf, w))
+    return raw + 2.0 * math.pi * np.round((rat_left - raw) / (2.0 * math.pi))
+
+
+def _margin_scan(open_loop: DelayedTransferFunction):
+    """The one crossing search, which no delay enters: (grid omegas, their
+    unwrapped rational phase, |L|, unity crossings, rational phase there)."""
+    full, n_chain = _sweep_grid(*MARGIN_BAND, MARGIN_SCAN_PER_DECADE)
+    h_full = _rational_array(open_loop, full)
+    rat_full = _unwrap_with_anchor(np.angle(h_full), _low_freq_phase(open_loop))
+    omegas, rat = full[n_chain:], rat_full[n_chain:]
+    mag = np.abs(h_full[n_chain:])
+    f = mag - 1.0
+    on_grid = np.flatnonzero(f == 0.0)
+    cells = np.flatnonzero(f[:-1] * f[1:] < 0.0)
+    w_c = _bisect(lambda w, i: np.abs(_rational_array(open_loop, w)) - 1.0,
+                  omegas[cells], omegas[cells + 1], f[cells])
+    return (omegas, rat, mag, np.concatenate([omegas[on_grid], w_c]),
+            np.concatenate([rat[on_grid],
+                            _rational_phase(open_loop, w_c, rat[cells])]))
+
+
+def phase_margins(open_loop: DelayedTransferFunction, delays) -> np.ndarray:
+    """Phase margin [deg] behind each delay [s] in place of the loop's own,
+    from one crossing search; bit-equal to stability_margins(replace(
+    open_loop, delay_s=T)).phase_margin_deg, NaN without a unity crossing."""
+    *_, w_gc, rat_gc = _margin_scan(open_loop)
+    pm = 180.0 + np.degrees(rat_gc - w_gc * np.asarray(delays, float)[..., None])
+    return pm.min(axis=-1) if w_gc.size else np.full(pm.shape[:-1], math.nan)
+
+
 def stability_margins(open_loop: DelayedTransferFunction) -> StabilityReport:
     """Gain/phase margins from a scan of MARGIN_BAND plus bisection.
 
@@ -264,30 +297,14 @@ def stability_margins(open_loop: DelayedTransferFunction) -> StabilityReport:
     assumes that |L| - 1 changes sign at most once in a cell and that the
     phase is monotone across every crossing's cell.
     """
-    full, n_chain = _sweep_grid(*MARGIN_BAND, MARGIN_SCAN_PER_DECADE)
-    h_full = _rational_array(open_loop, full)
-    rat_full = _unwrap_with_anchor(np.angle(h_full), _low_freq_phase(open_loop))
-    omegas, rat = full[n_chain:], rat_full[n_chain:]
-    mag = np.abs(h_full[n_chain:])
+    omegas, rat, mag, w_gc, rat_gc = _margin_scan(open_loop)
     delay = open_loop.delay_s
     phase = rat - omegas * delay
 
-    def phase_at(w, cell):
-        # the rational phase takes its branch from the cell's left grid point
-        raw = np.angle(_rational_array(open_loop, w))
-        k = np.round((rat[cell] - raw) / (2.0 * math.pi))
-        return raw + 2.0 * math.pi * k - w * delay
-
     # ---- unity-magnitude crossings -> phase margin candidates
-    f = mag - 1.0
-    on_grid = np.flatnonzero(f == 0.0)
-    cells = np.flatnonzero(f[:-1] * f[1:] < 0.0)
-    w_c = _bisect(lambda w, i: np.abs(_rational_array(open_loop, w)) - 1.0,
-                  omegas[cells], omegas[cells + 1], f[cells])
-    w_gc = np.concatenate([omegas[on_grid], w_c])
     if not w_gc.size:
         raise NoCrossover("loop magnitude never crosses unity in the scan band")
-    pm = 180.0 + np.degrees(np.concatenate([phase[on_grid], phase_at(w_c, cells)]))
+    pm = 180.0 + np.degrees(rat_gc - w_gc * delay)
     best = int(np.argmin(pm))
 
     # ---- -180 deg (mod 360) crossings -> gain margin candidates; level k
@@ -301,7 +318,8 @@ def stability_margins(open_loop: DelayedTransferFunction) -> StabilityReport:
     first = np.cumsum(per_cell) - per_cell
     levels = lo[cells] + 1.0 + (np.arange(cells.size) - first[cells])
     target = 2.0 * math.pi * levels - math.pi
-    w_x = _bisect(lambda w, i: phase_at(w, cells[i]) - target[i],
+    w_x = _bisect(lambda w, i: _rational_phase(open_loop, w, rat[cells[i]])
+                  - w * delay - target[i],
                   omegas[cells], omegas[cells + 1], phase[cells] - target)
     w_pc = np.concatenate([omegas[on_level], w_x])
     m_pc = np.concatenate([mag[on_level], np.abs(_rational_array(open_loop, w_x))])

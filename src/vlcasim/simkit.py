@@ -46,6 +46,8 @@ CHIRP_SETTLE_S = 0.5     # quiet tail letting a chirp's response ring out [s]
 # longest run any simulator accepts [steps], so that no run length can hang
 # a run; the longest a test or the benchmark makes is a 250,000-step hold
 MAX_RUN_SAMPLES = 300_000
+# most runs one sweep starts, checked before any is built or run
+MAX_SWEEP_RUNS = 1_000
 
 
 def control_steps(duration: float, name: str, dt: float = CONTROL_DT) -> int:

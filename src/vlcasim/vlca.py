@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .lintf import (DelayedTransferFunction, NoCrossover, Polynomial,
-                    StabilityReport, csv_table, stability_margins,
-                    sweep_response, tf_eval)
+                    StabilityReport, csv_table, phase_margins,
+                    stability_margins, sweep_response, tf_eval)
 
 
 class MissingFilterCutoff(Exception):
@@ -319,23 +319,21 @@ def calibrate_margins(params: ActuatorParams, gains: ControllerGains,
         delay_grid = MARGIN_DELAY_GRID
     if q_d_grid is None:
         q_d_grid = 2.0 * math.pi * np.geomspace(20.0, 200.0, 16)
-    best = None
-    for t in delay_grid:
-        g_t = replace(gains, delay_t=float(t))
-        pm_pdm = phase_margin(ControllerKind.PDM, params, g_t)
-        if math.isnan(pm_pdm):
-            continue
-        for wd in q_d_grid:
-            g = replace(g_t, q_d_cutoff=float(wd))
-            pm_pdf = phase_margin(ControllerKind.PDF, params, g)
-            if math.isnan(pm_pdf):
-                continue
-            obj = max(abs(pm_pdf - pm_pdf_target), abs(pm_pdm - pm_pdm_target))
-            if best is None or obj < best[0]:
-                best = (obj, float(t), float(wd), pm_pdf, pm_pdm)
-    if best is None:
+    # one crossing search per loop shape serves every range-checked delay
+    delays = [replace(gains, delay_t=float(t)).delay_t for t in delay_grid]
+    pdm = phase_margins(open_loop_tf(ControllerKind.PDM, params, gains),
+                        delays).tolist()
+    pdf_by_cutoff = [(float(wd), phase_margins(open_loop_tf(
+        ControllerKind.PDF, params, replace(gains, q_d_cutoff=float(wd))),
+        delays).tolist()) for wd in q_d_grid]
+    # delay-major, as the grid is walked; min keeps the first of tied points
+    points = [(max(abs(pdf[i] - pm_pdf_target), abs(pdm[i] - pm_pdm_target)),
+               t, wd, pdf[i], pdm[i])
+              for i, t in enumerate(delays) if not math.isnan(pdm[i])
+              for wd, pdf in pdf_by_cutoff if not math.isnan(pdf[i])]
+    if not points:
         return MarginCalibration(*(math.nan,) * 7)
-    obj, t, wd, pm_pdf, pm_pdm = best
+    obj, t, wd, pm_pdf, pm_pdm = min(points, key=lambda p: p[0])
     g = replace(gains, delay_t=t, q_d_cutoff=wd)
     return MarginCalibration(
         delay_t=t, q_d_cutoff=wd, pm_pdf_deg=pm_pdf, pm_pdm_deg=pm_pdm,

@@ -1,11 +1,13 @@
 """Reference formulas the tests hold the live kernels against."""
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from vlcasim.testbed import TwoDofParams, _dyn_scalars
+from vlcasim.vlca import (MARGIN_DELAY_GRID, ControllerKind, MarginCalibration,
+                          phase_margin)
 
 
 @dataclass(frozen=True)
@@ -104,3 +106,38 @@ def csv_per_cell(header: str, columns) -> str:
     cols = [list(c) for c in columns]
     return "\n".join([header] + [",".join(cell(v) for v in r)
                                  for r in zip(*cols)]) + "\n"
+
+
+def calibrate_margins_grid(params, gains, pm_pdf_target: float = 17.1,
+                           pm_pdm_target: float = 47.6, delay_grid=None,
+                           q_d_grid=None) -> MarginCalibration:
+    """calibrate_margins by brute force: a full margin scan of the PDM loop
+    at every delay and of the PDF loop at every (delay, cutoff) point,
+    walked delay-major; a strict < keeps the first of tied points."""
+    if delay_grid is None:
+        delay_grid = MARGIN_DELAY_GRID
+    if q_d_grid is None:
+        q_d_grid = 2.0 * math.pi * np.geomspace(20.0, 200.0, 16)
+    best = None
+    for t in delay_grid:
+        g_t = replace(gains, delay_t=float(t))
+        pm_pdm = phase_margin(ControllerKind.PDM, params, g_t)
+        if math.isnan(pm_pdm):
+            continue
+        for wd in q_d_grid:
+            g = replace(g_t, q_d_cutoff=float(wd))
+            pm_pdf = phase_margin(ControllerKind.PDF, params, g)
+            if math.isnan(pm_pdf):
+                continue
+            obj = max(abs(pm_pdf - pm_pdf_target), abs(pm_pdm - pm_pdm_target))
+            if best is None or obj < best[0]:
+                best = (obj, float(t), float(wd), pm_pdf, pm_pdm)
+    if best is None:
+        return MarginCalibration(*(math.nan,) * 7)
+    obj, t, wd, pm_pdf, pm_pdm = best
+    g = replace(gains, delay_t=t, q_d_cutoff=wd)
+    return MarginCalibration(
+        delay_t=t, q_d_cutoff=wd, pm_pdf_deg=pm_pdf, pm_pdm_deg=pm_pdm,
+        pm_pidm_deg=phase_margin(ControllerKind.PIDM, params, g),
+        pm_pdm_dob_deg=phase_margin(ControllerKind.PDM_DOB, params, g),
+        objective_deg=obj)

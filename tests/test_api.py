@@ -122,7 +122,8 @@ def test_the_benchmark_tracer_still_finds_its_targets():
 
 
 # Run in a fresh interpreter: prints which SciPy modules are loaded after
-# `import vlcasim.cli` and again after a default margins run into argv[1].
+# `import vlcasim.cli`, after a default margins run into argv[1] and after a
+# calibrating one into argv[2].
 _IMPORT_PROBE = """
 import json, sys
 import vlcasim.cli
@@ -131,22 +132,26 @@ def loaded():
     return ["scipy"] * ("scipy" in sys.modules) + [
         m for m in subs if m in sys.modules]
 seen = {"import": loaded()}
-status = vlcasim.cli.run({"scenario": "margins", "out": sys.argv[1]}).status
+statuses = [vlcasim.cli.run({"scenario": "margins", "out": sys.argv[1]}).status]
 seen["margins"] = loaded()
-print(json.dumps([status, seen]))
+statuses.append(vlcasim.cli.run({"scenario": "margins", "out": sys.argv[2],
+                                 "margins.calibrate": "1"}).status)
+seen["calibrate"] = loaded()
+print(json.dumps([statuses, seen]))
 """
 
 
 def test_importing_the_cli_loads_scipy_but_none_of_its_subpackages(tmp_path):
     # the benchmark worker reads sys.modules["scipy"].__version__ right
     # after importing the CLI; linalg, optimize and interpolate load on
-    # first use, and a margins run uses none of them
+    # first use, and a margins run, calibrating or not, uses none of them
     src = str(pathlib.Path(vlcasim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
-                           str(tmp_path / "out")], env=env,
-                          capture_output=True, text=True, check=True)
-    status, seen = json.loads(done.stdout)
-    assert status == "ok"
-    assert seen == {"import": ["scipy"], "margins": ["scipy"]}
+                           str(tmp_path / "out"), str(tmp_path / "cal")],
+                          env=env, capture_output=True, text=True, check=True)
+    statuses, seen = json.loads(done.stdout)
+    assert statuses == ["ok", "ok"]
+    assert seen == {"import": ["scipy"], "margins": ["scipy"],
+                    "calibrate": ["scipy"]}

@@ -8,9 +8,12 @@ from dataclasses import replace
 
 import pytest
 
-from vlcasim import cli
+from oracles import csv_per_cell
+from vlcasim import cli, simkit
 from vlcasim.cli import main
-from vlcasim.vlca import EXPERIMENT_GAINS, ControllerGains
+from vlcasim.vlca import (MARGIN_DELAY_GRID, MARGIN_TABLE_ORDER,
+                          EXPERIMENT_GAINS, VLCA_ACTUATOR, ControllerGains,
+                          phase_margin)
 
 
 @pytest.fixture(autouse=True)
@@ -214,6 +217,29 @@ def test_loops_without_a_crossing_leave_empty_cells(tmp_path, lines, name,
     # no loop crosses at any delay when k_p is huge, so there is no chart
     files = _read_manifest(tmp_path / "flat_out")["files"]
     assert ("margins_vs_delay.svg" in files) == charted
+
+
+# k_p = 0.41 with a weak derivative behind a 200 Hz filter leaves the PDF
+# loop's resonant peak below unity at every delay; the other loops cross
+@pytest.mark.parametrize("overrides", [
+    {}, {"gains.k_p": "0.41", "gains.k_df": "0.001",
+         "gains.q_d_cutoff": "1256.6"}], ids=["default", "pd_f_flat"])
+def test_margins_vs_delay_matches_a_phase_margin_per_delay(tmp_path,
+                                                           overrides):
+    cli.run({"scenario": "margins", "out": "mvd_out", **overrides})
+    gains = replace(ControllerGains(),
+                    **{k.split(".")[1]: float(v) for k, v in overrides.items()})
+    pms = [[phase_margin(kind, VLCA_ACTUATOR, replace(gains, delay_t=float(t)))
+            for t in MARGIN_DELAY_GRID] for kind in MARGIN_TABLE_ORDER]
+    assert (tmp_path / "mvd_out" / "margins_vs_delay.csv").read_text() == \
+        csv_per_cell("delay_ms," + ",".join(k.value for k in MARGIN_TABLE_ORDER),
+                     [MARGIN_DELAY_GRID * 1e3, *pms])
+    svg = (tmp_path / "mvd_out" / "margins_vs_delay.svg").read_text()
+    crossing = [k.value for k, col in zip(MARGIN_TABLE_ORDER, pms)
+                if not all(map(math.isnan, col))]
+    assert len(crossing) == (3 if overrides else 4)
+    assert svg.count("<polyline") == len(crossing)
+    assert ("pd_f" in svg) == ("pd_f" in crossing)
 
 
 @pytest.mark.parametrize("delay_t", ["0.00025", "0.0015"])
@@ -639,3 +665,44 @@ def test_sweep_rejects_a_backwards_range(tmp_path, capsys):
     cfg = _write(tmp_path, "sw.cfg", "scenario = impact\nout = x\nseed = 3\n")
     assert main(["sweep", cfg, "--set", "impact.impulse_ns=30:10:10"]) == 2
     assert "step > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["gains.delay_t=0:1:1e-5",
+                                  "gains.delay_t=0:1:1e-12",
+                                  "gains.delay_t=0:1e300:1e-300"])
+def test_sweep_ranges_stop_at_the_run_ceiling(expr):
+    # checked from (b - a)/step before any value is made
+    with pytest.raises(cli.ConfigInvalid, match="more than 1,000 runs"):
+        cli._parse_set(expr)
+
+
+def test_sweep_ranges_reach_the_run_ceiling():
+    n = simkit.MAX_SWEEP_RUNS
+    assert cli._parse_set(f"k=1:{n}:1")[1] == [str(i) for i in range(1, n + 1)]
+    with pytest.raises(cli.ConfigInvalid):
+        cli._parse_set(f"k=1:{n + 1}:1")
+
+
+@pytest.mark.parametrize("expr", ["k=0:1:nan", "k=nan:1:0.1", "k=0:inf:1"])
+def test_sweep_rejects_a_non_finite_range(expr):
+    with pytest.raises(cli.ConfigInvalid):
+        cli._parse_set(expr)
+
+
+def test_sweep_product_of_axes_is_checked_before_any_run(tmp_path, capsys):
+    # two 100-value axes: 10,000 combinations
+    cfg = _write(tmp_path, "sw.cfg", "scenario = impact\nout = sw_out\n")
+    assert main(["sweep", cfg, "--set", "impact.impulse_ns=1:100:1",
+                 "--set", "impact.pulse_width_s=0.001:0.1:0.001"]) == 2
+    assert "more than 1,000 runs" in capsys.readouterr().err
+    assert not (tmp_path / "sw_out").exists()
+
+
+def test_sweep_with_a_bad_combination_writes_nothing(tmp_path, capsys):
+    # 1.5 s is past the longest accepted loop delay
+    cfg = _write(tmp_path, "sw.cfg", "scenario = margins\nout = sw_out\n")
+    assert main(["sweep", cfg, "--set", "gains.delay_t=0.5:1.5:0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "002_delay_t=1.5: gains.delay_t" in err
+    assert "000_" not in err and "001_" not in err
+    assert not (tmp_path / "sw_out").exists()

@@ -10,15 +10,17 @@ loops are not filtered for it.
 """
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vlcasim.lintf import (MARGIN_BAND, MARGIN_REL_TOL, DelayedTransferFunction,
-                           NoCrossover, Polynomial, stability_margins, tf_eval)
-from vlcasim.vlca import (VLCA_ACTUATOR, ControllerGains, ControllerKind,
-                          open_loop_tf)
+                           NoCrossover, Polynomial, phase_margins,
+                           stability_margins, tf_eval)
+from vlcasim.vlca import (MAX_DELAY_T, VLCA_ACTUATOR, ControllerGains,
+                          ControllerKind, force_plant, open_loop_tf)
 
 BRUTE_PER_DECADE = 20_000
 
@@ -134,3 +136,44 @@ def test_margins_agree_with_a_dense_brute_force_scan(tf):
         < 1e-6 + slack
     assert rep.gain_margin_db == pytest.approx(min(gm for _, gm in phase_x),
                                                abs=1e-5)
+
+
+@st.composite
+def plant_and_gain_loops(draw):
+    """A VLCA plant with its mass, damping and stiffness 0.5-2x nominal, and
+    one of its four force loops, each gain 0.5-2x a common level of 1e-3 to
+    3x nominal, or the bare force plant; the lowest levels leave the loop
+    without a unity crossing."""
+    scale = st.floats(0.5, 2.0)
+    p = replace(VLCA_ACTUATOR, j_m=VLCA_ACTUATOR.j_m * draw(scale),
+                b_r=VLCA_ACTUATOR.b_r * draw(scale),
+                k_r=VLCA_ACTUATOR.k_r * draw(scale))
+    level = 10.0 ** draw(st.floats(-3.0, 0.5))
+    g = ControllerGains(k_p=4.0 * level * draw(scale),
+                        k_dm=15.0 * level * draw(scale),
+                        k_i=300.0 * level * draw(scale),
+                        q_d_cutoff=2.0 * math.pi * draw(st.floats(20.0, 200.0)),
+                        delay_t=draw(st.floats(0.0, MAX_DELAY_T)))
+    kind = draw(st.sampled_from([*ControllerKind, None]))
+    if kind is None:
+        return replace(force_plant(p), delay_s=g.delay_t)
+    return open_loop_tf(kind, p, g)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(plant_and_gain_loops(),
+       st.lists(st.one_of(st.floats(0.0, 10e-3), st.floats(0.0, MAX_DELAY_T)),
+                min_size=1, max_size=3))
+def test_phase_margins_equal_a_full_scan_at_each_delay(loop, delays):
+    # one crossing search serves every delay, with the loop's own delay
+    # replaced; a loop that never crosses unity gives NaN at every delay
+    expected = []
+    for t in delays:
+        try:
+            rep = stability_margins(replace(loop, delay_s=t))
+            expected.append(rep.phase_margin_deg)
+        except NoCrossover:
+            expected.append(math.nan)
+    got = phase_margins(loop, delays)
+    assert got.shape == (len(delays),)
+    assert got.tobytes() == np.array(expected).tobytes()

@@ -1,14 +1,16 @@
 """Actuator model, force-control loop shapes, and the margin table."""
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from oracles import calibrate_margins_grid
 from vlcasim.lintf import stability_margins
 from vlcasim.vlca import (ActuatorParams, ControllerGains, ControllerKind,
                           DEFAULT_MOMENT_ARM, MARGIN_CSV_HEADER,
+                          MARGIN_DELAY_GRID, MarginCalibration,
                           MissingFilterCutoff, VLCA_ACTUATOR,
                           VLCA_SPEED_REDUCTION, calibrate_margins,
                           closed_loop_tf, force_plant, margin_table,
@@ -292,6 +294,60 @@ def test_single_point_calibration_is_exact():
     assert cal.pm_pdm_dob_deg == pytest.approx(36.29612038, abs=1e-6)
     assert cal.objective_deg == pytest.approx(
         max(abs(cal.pm_pdf_deg - 17.1), abs(cal.pm_pdm_deg - 47.6)), rel=1e-12)
+
+
+def _assert_same_calibration(cal, ref):
+    for f in fields(MarginCalibration):
+        a, b = getattr(cal, f.name), getattr(ref, f.name)
+        assert type(a) is float and type(b) is float, f.name
+        assert a == b or (math.isnan(a) and math.isnan(b)), f.name
+
+
+@pytest.mark.parametrize("b_r", [0.0, 2.0e4, 2.8e4, 3.2e4])
+def test_calibration_equals_the_per_point_grid_search(b_r):
+    # one crossing search per loop shape gives every grid point's margins
+    # bit for bit, so the search lands where the per-point scans land
+    p = replace(P, b_r=b_r)
+    _assert_same_calibration(calibrate_margins(p, G),
+                             calibrate_margins_grid(p, G))
+
+
+# k_p = 0.41 puts the PDF loop's resonant peak near unity: the weakly
+# filtered derivative of the low cutoffs leaves it above, the higher
+# cutoffs damp it below, where the loop has no unity crossing
+SPARSE_PDF = replace(G, k_p=0.41, k_df=1e-3)
+PDF_CUTOFFS = 2.0 * math.pi * np.geomspace(20.0, 200.0, 16)
+
+
+def test_calibration_skips_cutoffs_without_a_pdf_crossing():
+    pdf = [calibrate_margins_grid(P, SPARSE_PDF, delay_grid=[1e-3],
+                                  q_d_grid=[wd]).pm_pdf_deg
+           for wd in PDF_CUTOFFS]
+    assert 0 < sum(map(math.isnan, pdf)) < len(pdf)
+    # crossing-free cutoffs first: a NaN objective kept as the first best
+    # would never be beaten
+    kw = dict(delay_grid=MARGIN_DELAY_GRID[:3], q_d_grid=PDF_CUTOFFS[::-1])
+    cal = calibrate_margins(P, SPARSE_PDF, **kw)
+    _assert_same_calibration(cal, calibrate_margins_grid(P, SPARSE_PDF, **kw))
+    assert not math.isnan(cal.pm_pdf_deg)
+
+
+def test_calibration_without_any_crossing_is_all_nan():
+    flat = replace(G, k_p=0.0, k_dm=0.0)
+    cal = calibrate_margins(P, flat)
+    _assert_same_calibration(cal, calibrate_margins_grid(P, flat))
+    assert all(math.isnan(getattr(cal, f.name)) for f in fields(cal))
+
+
+def test_calibration_keeps_the_first_of_tied_points():
+    # a PDM target no loop comes near makes the PDM miss the objective at
+    # every cutoff: each delay's row ties, and the first cutoff must win
+    kw = dict(pm_pdm_target=1e3, delay_grid=MARGIN_DELAY_GRID[:4],
+              q_d_grid=PDF_CUTOFFS[:5])
+    cal = calibrate_margins(P, G, **kw)
+    _assert_same_calibration(cal, calibrate_margins_grid(P, G, **kw))
+    assert cal.q_d_cutoff == float(PDF_CUTOFFS[0])
+    assert cal.delay_t == float(MARGIN_DELAY_GRID[0])
 
 
 # -------------------------------------------------------------- closed loops
