@@ -618,12 +618,14 @@ _SCENARIOS = {
         {"actuator": VLCA_ACTUATOR},
         _position_step_check, _scenario_position_step),
     "impact": _Scenario(
-        {"impulse_ns": (20.0, "float"), "pulse_width_s": (2e-3, "float")},
+        {"impulse_ns": (simkit.ImpactConfig.impulse_ns, "float"),
+         "pulse_width_s": (simkit.ImpactConfig.pulse_width_s, "float")},
         {"actuator": VLCA_ACTUATOR}, _impact_configs, _scenario_impact),
     "osc": _Scenario(
         {"trajectory": ("sine", ("sine", "bspline")),
          "freq_hz": (1.7, "float"), "amplitude_m": (0.15, "float"),
-         "payload_kg": (10.0, "float"), "duration_s": (3.0, "float"),
+         "payload_kg": (testbed.TwoDofParams.payload_mass, "float"),
+         "duration_s": (3.0, "float"),
          "phase_rad": (1.2, "float"), "center_x": (0.18, "float"),
          "center_y": (0.45, "float"),
          # bspline knot list as "x0,y0; x1,y1; ..." control points
@@ -632,8 +634,8 @@ _SCENARIOS = {
          "testbed": testbed.TwoDofParams()},
         _osc_trajectory, _scenario_osc),
     "thermal": _Scenario(
-        {"burst_current_a": (31.0, "float"), "burst_duration_s": (0.5, "float"),
-         "hold_force_n": (860.0, "float"),
+        {**{k: (getattr(powertherm.ThermalTargets, k), "float")
+            for k in ("burst_current_a", "burst_duration_s", "hold_force_n")},
          "hold_duration_s": (120.0, "float")},
         {"actuator": VLCA_ACTUATOR, "thermal": powertherm.ThermalParams},
         _thermal_params, _scenario_thermal),
@@ -684,7 +686,12 @@ def run(raw_config: dict) -> RunManifest:
     """Execute the configured scenario; always leaves a manifest behind
     once the output directory exists."""
     spec = build_run_spec(raw_config)
-    outdir = _resolve_outdir(spec.out)
+    return _run_into(spec, _resolve_outdir(spec.out))
+
+
+def _run_into(spec: RunSpec, outdir: str) -> RunManifest:
+    """run() into outdir, already resolved: a sweep hands each of its runs
+    the directory its sweep manifest lists."""
     os.makedirs(outdir, exist_ok=True)
     em = _Emitter(outdir)
     manifest = RunManifest(version=__version__, scenario=spec.scenario,
@@ -734,7 +741,8 @@ def _parse_set(expr: str):
 
 def _sweep_worker(raw):
     try:
-        return raw["out"], run(raw).status, None
+        status = _run_into(build_run_spec(raw), raw["out"]).status
+        return raw["out"], status, None
     except (ConfigInvalid, ScenarioFailed) as exc:
         return raw["out"], "failed", str(exc)
 

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy
 
-from .lintf import (FitDiverged, FrequencyResponsePoint, csv_table,
-                    fit_second_order)
+from .lintf import (FrequencyResponsePoint, csv_table, fit_second_order,
+                    least_squares_lm, require_finite)
 
 
 class DegenerateData(Exception):
@@ -93,6 +92,7 @@ def fit_linear_stiffness(displacement_m: Sequence[float],
     f = np.asarray(force_n, dtype=float)
     if x.shape != f.shape or x.ndim != 1:
         raise ValueError("displacement and force must be equal-length vectors")
+    require_finite(displacement_m=x, force_n=f)
     if float(np.ptp(x)) == 0.0:
         raise DegenerateData("displacement samples are all identical")
     if len(x) < 5:
@@ -132,6 +132,7 @@ def fit_stress_relaxation(t_s: Sequence[float],
     f = np.asarray(force_n, dtype=float)
     if t.shape != f.shape or t.ndim != 1 or len(t) < 8:
         raise ValueError("need matching vectors of at least 8 samples")
+    require_finite(t_s=t, force_n=f)
     if t[0] > 1.0 or (t[-1] - t[0]) < 100.0:
         raise ValueError("record must start near the hold and span >= 100 s")
     if np.any(np.diff(t) <= 0.0):
@@ -152,15 +153,8 @@ def fit_stress_relaxation(t_s: Sequence[float],
         model = f0 * (1.0 - c * (1.0 - np.exp(-t / math.exp(log_tau))))
         return model - f
 
-    try:
-        res = scipy.optimize.least_squares(
-            residual, (f0_guess, c_guess, math.log(tau_guess)), method="lm",
-            xtol=1e-14, ftol=1e-14, max_nfev=5000)
-    except ValueError as exc:
-        raise FitDiverged(f"relaxation fit could not proceed: {exc}") from exc
-    if not res.success or not np.all(np.isfinite(res.x)):
-        raise FitDiverged("relaxation fit did not converge")
-    f0, c, log_tau = res.x
+    f0, c, log_tau = least_squares_lm(
+        residual, (f0_guess, c_guess, math.log(tau_guess)), "relaxation")
     return RelaxationFit(f0=float(f0), creep_fraction=float(c),
                          tau_s=float(math.exp(log_tau)))
 
@@ -230,12 +224,8 @@ def rank_materials(records: Sequence[MaterialRecord], weights: dict,
     excluded = []
     kept = []
     for rec in records:
-        reason = None
-        for crit in active:
-            attr, _ = RANK_CRITERIA[crit]
-            if getattr(rec, attr) is None:
-                reason = f"missing {crit}"
-                break
+        reason = next((f"missing {crit}" for crit in active
+                       if getattr(rec, RANK_CRITERIA[crit][0]) is None), None)
         if reason is None and min_damping is not None and "damping" in active:
             if (rec.damping_ns_per_m or 0.0) < min_damping:
                 reason = f"damping below {min_damping:g} N*s/m"
@@ -246,22 +236,19 @@ def rank_materials(records: Sequence[MaterialRecord], weights: dict,
     if not kept:
         raise AllExcluded("no record satisfies the weighted criteria")
 
-    total_w = sum(active.values())
-    norms = {}
-    for crit in active:
+    scores = np.zeros(len(kept))
+    for crit, w in active.items():
         attr, higher = RANK_CRITERIA[crit]
         vals = np.array([getattr(r, attr) for r in kept], dtype=float)
         span = float(vals.max() - vals.min())
         if span == 0.0:
-            norms[crit] = np.ones(len(kept))
+            norm = np.ones(len(kept))
         elif higher:
-            norms[crit] = (vals - vals.min()) / span
+            norm = (vals - vals.min()) / span
         else:
-            norms[crit] = (vals.max() - vals) / span
-    scores = np.zeros(len(kept))
-    for crit, w in active.items():
-        scores += w * norms[crit]
-    scores /= total_w
+            norm = (vals.max() - vals) / span
+        scores += w * norm
+    scores /= sum(active.values())
     order = sorted(range(len(kept)), key=lambda i: (-scores[i], kept[i].name))
     ranked = tuple((kept[i].name, float(scores[i])) for i in order)
     return RankingResult(ranked=ranked, excluded=tuple(excluded))

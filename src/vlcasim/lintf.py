@@ -355,6 +355,28 @@ def _second_order_response(k, wn, zeta, w):
     return mag, ph
 
 
+def require_finite(**samples):
+    """ValueError naming the first sample vector with a NaN or an inf."""
+    for name, values in samples.items():
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
+
+
+def least_squares_lm(residual: Callable, x0, what: str) -> np.ndarray:
+    """argmin sum(residual(x)**2) by Levenberg-Marquardt from x0, as every
+    fit here runs it; FitDiverged, naming the `what` fit, when the solver
+    cannot start, does not converge or leaves the finite floats."""
+    try:
+        res = scipy.optimize.least_squares(
+            residual, x0, method="lm", xtol=1e-14, ftol=1e-14, max_nfev=5000)
+    except ValueError as exc:
+        # the solver cannot even start descending on this data
+        raise FitDiverged(f"{what} fit could not proceed: {exc}") from exc
+    if not res.success or not np.all(np.isfinite(res.x)):
+        raise FitDiverged(f"{what} fit did not converge")
+    return res.x
+
+
 def fit_second_order(points: Sequence[FrequencyResponsePoint],
                      phase_weight: float = 0.5) -> SecondOrderFit:
     """Fit k*wn^2/(s^2 + 2*zeta*wn*s + wn^2) to measured response points.
@@ -367,6 +389,7 @@ def fit_second_order(points: Sequence[FrequencyResponsePoint],
     w = np.array([p.omega for p in points], dtype=float)
     mag = np.array([p.magnitude for p in points], dtype=float)
     ph = np.radians([p.phase_deg for p in points])
+    require_finite(omega=w, magnitude=mag, phase_deg=ph)
     if np.any(w <= 0.0) or np.any(mag <= 0.0):
         raise ValueError("frequencies and magnitudes must be positive")
     if w.max() / w.min() < 10.0:
@@ -390,16 +413,8 @@ def fit_second_order(points: Sequence[FrequencyResponsePoint],
             return np.concatenate([np.log(m_m / mag),
                                    phase_weight * (p_m - ph)])
 
-    try:
-        res = scipy.optimize.least_squares(
-            residual, np.log([k0, wn0, z0]), method="lm", xtol=1e-14,
-            ftol=1e-14, max_nfev=5000)
-    except ValueError as exc:
-        # the solver cannot even start descending on this data
-        raise FitDiverged(f"second-order fit could not proceed: {exc}") from exc
-    if not res.success or not np.all(np.isfinite(res.x)):
-        raise FitDiverged("second-order fit did not converge")
-    k, wn, zeta = np.exp(res.x)
+    k, wn, zeta = np.exp(least_squares_lm(residual, np.log([k0, wn0, z0]),
+                                          "second-order"))
     return SecondOrderFit(gain=float(k), omega_n=float(wn), zeta=float(zeta))
 
 

@@ -23,9 +23,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lintf import csv_table, zoh_discretize
+from .lintf import FrequencyResponsePoint, csv_table, zoh_discretize
 from .vlca import (ActuatorParams, ControllerGains, ControllerKind,
-                   DEFAULT_MOMENT_ARM, MissingFilterCutoff, VLCA_ACTUATOR)
+                   DEFAULT_MOMENT_ARM, VLCA_ACTUATOR, q_taud_tf)
 
 
 class NonFiniteState(Exception):
@@ -210,15 +210,13 @@ class _DobShaper:
     """
 
     def __init__(self, params: ActuatorParams, gains: ControllerGains):
-        if gains.q_taud_cutoff is None:
-            raise MissingFilterCutoff("q_taud_cutoff is unset")
-        w, z = gains.q_taud_cutoff, gains.q_taud_zeta
+        q = q_taud_tf(gains)  # the margin model's observer filter, monic
+        w2, den = q.num.coefficients[0], q.den.coefficients
         m = params.effective_mass
         b = params.effective_damping + gains.k_dm * params.n_m
         k = params.k_r * (1.0 + gains.k_p)
-        den = (w * w, 2.0 * z * w, 1.0)
-        self._q = _TustinBiquad((w * w, 0.0, 0.0), den)
-        scale = w * w / k
+        self._q = _TustinBiquad((w2, 0.0, 0.0), den)
+        scale = w2 / k
         self._g = _TustinBiquad((k * scale, b * scale, m * scale), den)
 
     def shape(self, f_desired: float, f_meas: float) -> float:
@@ -232,21 +230,6 @@ class _DobShaper:
         (back-calculated under current clipping, to keep the integral-like
         observer from winding up)."""
         self._q.step(f_ref)
-
-
-class _DelayLine:
-    """Fixed-length FIFO modeling the loop's command transport delay."""
-
-    def __init__(self, n: int):
-        self.length = max(n, 0)
-        self._buf = deque([0.0] * n, maxlen=n) if n > 0 else None
-
-    def push(self, u: float) -> float:
-        if self._buf is None:
-            return u
-        out = self._buf[0]
-        self._buf.append(u)  # a full deque drops the oldest entry
-        return out
 
 
 def delay_samples(delay_t: float) -> int:
@@ -276,13 +259,12 @@ class DiscreteForceController:
         self.saturation_count = 0
         self._n = params.drive_constant
         self._integ = 0.0
-        self._delay = _DelayLine(delay_samples(gains.delay_t))
+        # the commands in flight, oldest first: the transport delay's FIFO
+        self._delay = deque([0.0] * delay_samples(gains.delay_t))
         self._deriv = None
         self._dob = None
         if kind is ControllerKind.PDF:
-            if gains.q_d_cutoff is None:
-                raise MissingFilterCutoff("q_d_cutoff is unset")
-            self._deriv = _TustinDeriv(gains.q_d_cutoff)
+            self._deriv = _TustinDeriv(gains.cutoff("q_d_cutoff"))
             self._k_df = gains.resolved_k_df(params)
         if kind is ControllerKind.PDM_DOB:
             self._dob = _DobShaper(params, gains)
@@ -290,7 +272,7 @@ class DiscreteForceController:
     @property
     def latency_s(self) -> float:
         """Time between computing a command and it reaching the amplifier."""
-        return self._delay.length * CONTROL_DT
+        return len(self._delay) * CONTROL_DT
 
     def step(self, f_target: float, f_meas: float, motor_velocity: float) -> float:
         g = self.gains
@@ -318,7 +300,8 @@ class DiscreteForceController:
                 # command so the observer tracks the plant's real input
                 f_ref = (i_cmd * self._n + g.k_p * f_meas + damp) / (1.0 + g.k_p)
             self._dob.commit(f_ref)
-        return self._delay.push(i_cmd)
+        self._delay.append(i_cmd)
+        return self._delay.popleft()
 
 
 # --------------------------------------------------------------- traces
@@ -492,8 +475,6 @@ def empirical_frequency_response(trace: SimTrace) -> list:
 
     A local-consistency proxy below 0.9 raises InsufficientExcitation.
     """
-    from .lintf import FrequencyResponsePoint
-
     u = np.asarray(trace.f_cmd, dtype=float)
     y = np.asarray(trace.f_meas, dtype=float)
     n = len(u)
@@ -578,14 +559,15 @@ def run_joint_position_control(element: str, step_rad: float = 0.05,
     k_s, b_s = spring_element(element, params)
     n_drive = params.drive_constant
     x_des = DEFAULT_MOMENT_ARM * step_rad
-    delay = _DelayLine(1)
+    delay = deque([0.0])  # one period of command delay
     currents = array("d")
 
     def command(k, y):
         i_cmd = (POSITION_KP * (x_des - y[2]) - POSITION_KD * y[1]) / n_drive
         if abs(i_cmd) > CURRENT_LIMIT_A:
             i_cmd = math.copysign(CURRENT_LIMIT_A, i_cmd)
-        currents.append(delay.push(i_cmd))
+        delay.append(i_cmd)
+        currents.append(delay.popleft())
         return n_drive * currents[-1]
 
     xm, vm, xl, vl = _run_linear(two_mass_plant(element, params), n,

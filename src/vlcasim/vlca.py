@@ -138,6 +138,13 @@ class ControllerGains:
             return self.k_df
         return self.k_dm * params.n_m / params.k_r
 
+    def cutoff(self, name: str) -> float:
+        """The filter cutoff `name` [rad/s]; MissingFilterCutoff when unset."""
+        value = getattr(self, name)
+        if value is None:
+            raise MissingFilterCutoff(f"{name} is unset")
+        return value
+
 
 # the gains of the paper's experiments: the observer filter at 60 Hz
 EXPERIMENT_GAINS = ControllerGains(q_taud_cutoff=2.0 * math.pi * 60.0)
@@ -160,9 +167,7 @@ def force_plant(params: ActuatorParams) -> DelayedTransferFunction:
 
 def q_taud_tf(gains: ControllerGains) -> DelayedTransferFunction:
     """Second-order low-pass used by the disturbance observer."""
-    if gains.q_taud_cutoff is None:
-        raise MissingFilterCutoff("q_taud_cutoff is unset")
-    w, z = gains.q_taud_cutoff, gains.q_taud_zeta
+    w, z = gains.cutoff("q_taud_cutoff"), gains.q_taud_zeta
     return DelayedTransferFunction(Polynomial((w * w,)),
                                    Polynomial((w * w, 2.0 * z * w, 1.0)))
 
@@ -176,9 +181,7 @@ def open_loop_tf(kind: ControllerKind, params: ActuatorParams,
     t = gains.delay_t
 
     if kind is ControllerKind.PDF:
-        if gains.q_d_cutoff is None:
-            raise MissingFilterCutoff("q_d_cutoff is unset")
-        wd = gains.q_d_cutoff
+        wd = gains.cutoff("q_d_cutoff")
         kdf = gains.resolved_k_df(params)
         # kr*(kp + kdf*wd*s/(s+wd)) / den_p
         num = Polynomial((kr * kp * wd, kr * (kp + kdf * wd)))

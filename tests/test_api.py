@@ -1,4 +1,5 @@
 """The public names of the package and their call signatures."""
+import ast
 import enum
 import importlib
 import importlib.util
@@ -155,3 +156,18 @@ def test_importing_the_cli_loads_scipy_but_none_of_its_subpackages(tmp_path):
     assert statuses == ["ok", "ok"]
     assert seen == {"import": ["scipy"], "margins": ["scipy"],
                     "calibrate": ["scipy"]}
+
+
+def test_only_lintf_and_testbed_import_scipy():
+    importers = set()
+    for path in pathlib.Path(vlcasim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n.partition(".")[0] == "scipy" for n in names):
+                importers.add(path.stem)
+    assert importers == {"lintf", "testbed"}

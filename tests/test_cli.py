@@ -628,6 +628,23 @@ def test_sweep_fans_out_a_range(tmp_path, capsys):
     assert dirs[0].startswith("000_impulse_ns=10")
 
 
+def test_a_sweep_under_vlca_out_writes_where_its_manifest_says(
+        tmp_path, monkeypatch):
+    root = tmp_path / "root"
+    monkeypatch.setenv("VLCA_OUT", str(root))
+    cfg = _write(tmp_path, "sw.cfg",
+                 "scenario = materials\nout = sw_out\nseed = 3\n")
+    assert main(["sweep", cfg, "--set", "materials.w_cost=1:2:1"]) == 0
+    with open(root / "sw_out" / "sweep_manifest.json") as fh:
+        runs = json.load(fh)["runs"]
+    assert len(runs) == 2
+    for rec in runs:
+        assert os.path.dirname(rec["output_dir"]) == str(root / "sw_out")
+        assert _read_manifest(rec["output_dir"])["status"] == "ok"
+    # nothing lands beside the sweep root
+    assert os.listdir(root) == ["sw_out"]
+
+
 def test_sweep_jobs_are_clamped_to_the_core_count(tmp_path, monkeypatch):
     started = []
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from vlcasim import elastomat as em
-from vlcasim.lintf import FitDiverged, FrequencyResponsePoint
+from vlcasim.lintf import (FitDiverged, FrequencyResponsePoint,
+                           fit_second_order)
 
 
 # ------------------------------------------------------------------ records
@@ -176,6 +177,49 @@ def test_damping_estimate_guards():
             for w in np.geomspace(1.0, 100.0, 30)]
     with pytest.raises(FitDiverged):
         em.estimate_damping_from_chirp(junk, 10.0)
+
+
+def test_relaxation_fit_names_its_divergence():
+    with pytest.raises(FitDiverged, match="^relaxation fit did not converge$"):
+        em.fit_stress_relaxation(np.linspace(0.0, 200.0, 20),
+                                 np.linspace(1.0, 0.0, 20) * 1e308)
+
+
+def _second_order_from_columns(omega, magnitude, phase_deg):
+    return fit_second_order([FrequencyResponsePoint(*p)
+                             for p in zip(omega, magnitude, phase_deg)])
+
+
+def _fit_cases():
+    """Each fit with clean inputs it accepts, by input name."""
+    x = np.linspace(-5e-3, 5e-3, 41)
+    t = np.linspace(0.0, 300.0, 601)
+    pts = _bench_response(24000.0)
+    return {
+        "stiffness": (em.fit_linear_stiffness,
+                      {"displacement_m": x, "force_n": 8.109e6 * x}),
+        "relaxation": (em.fit_stress_relaxation,
+                       {"t_s": t, "force_n": em.RelaxationFit(
+                           1000.0, 0.2, 30.0).eval(t)}),
+        "second_order": (_second_order_from_columns,
+                         {f: np.array([getattr(p, f) for p in pts])
+                          for f in ("omega", "magnitude", "phase_deg")}),
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("fit,name", [
+    ("stiffness", "displacement_m"), ("stiffness", "force_n"),
+    ("relaxation", "t_s"), ("relaxation", "force_n"),
+    ("second_order", "omega"), ("second_order", "magnitude"),
+    ("second_order", "phase_deg")])
+def test_fits_reject_a_non_finite_sample(fit, name, bad):
+    fn, inputs = _fit_cases()[fit]
+    fn(**inputs)  # the clean inputs fit
+    spoiled = {**inputs, name: inputs[name].copy()}
+    spoiled[name][len(spoiled[name]) // 2] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        fn(**spoiled)
 
 
 # ------------------------------------------------------------------ ranking

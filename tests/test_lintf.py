@@ -305,7 +305,8 @@ def test_fit_diverges_on_pathological_magnitudes():
     pts = [FrequencyResponsePoint(float(wi),
                                   1e-280 if wi < 10.0 else 1e280, 0.0)
            for wi in w]
-    with pytest.raises(FitDiverged):
+    with pytest.raises(FitDiverged,
+                       match="^second-order fit could not proceed: "):
         fit_second_order(pts)
 
 

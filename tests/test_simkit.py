@@ -117,14 +117,23 @@ def test_run_clock_rounds_and_bounds_the_step_count():
 # --------------------------------------------------------------- controller
 
 def test_controller_transport_delay_in_samples():
-    for delay_t, first_live in ((0.0, 0), (1e-3, 1), (2e-3, 2)):
+    # a command that changes every period: the delay must carry each
+    # value, not just its timing
+    targets = [100.0, -40.0, 7.0, 0.0, 0.0, 0.0]
+
+    def outputs(delay_t):
         ctrl = sk.DiscreteForceController(ControllerKind.PDM, P,
                                           replace(G, delay_t=delay_t))
         assert ctrl.latency_s == pytest.approx(delay_t)
-        outs = [ctrl.step(100.0 if k == 0 else 0.0, 0.0, 0.0)
-                for k in range(5)]
+        return [ctrl.step(f, 0.0, 0.0) for f in targets]
+
+    undelayed = outputs(0.0)
+    for delay_t, first_live in ((0.0, 0), (1e-3, 1), (2e-3, 2), (3e-3, 3)):
+        outs = outputs(delay_t)
         nonzero = [k for k, o in enumerate(outs) if abs(o) > 0.0]
         assert nonzero[0] == first_live
+        assert outs == ([0.0] * first_live
+                        + undelayed[:len(targets) - first_live])
 
 
 def test_loop_delay_must_be_whole_control_periods():
