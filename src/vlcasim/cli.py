@@ -614,7 +614,8 @@ _SCENARIOS = {
         {"actuator": VLCA_ACTUATOR, "gains": EXPERIMENT_GAINS},
         _force_inputs, _scenario_force_tracking),
     "position_step": _Scenario(
-        {"step_rad": (0.05, "float"), "duration_s": (3.0, "float")},
+        {"step_rad": (simkit.POSITION_STEP_RAD, "float"),
+         "duration_s": (simkit.POSITION_STEP_DURATION_S, "float")},
         {"actuator": VLCA_ACTUATOR},
         _position_step_check, _scenario_position_step),
     "impact": _Scenario(

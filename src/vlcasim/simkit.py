@@ -547,8 +547,13 @@ def two_mass_plant(element: str, params: ActuatorParams = VLCA_ACTUATOR):
     return a, np.array([[0.0], [1.0 / m_m], [0.0], [0.0]])
 
 
-def run_joint_position_control(element: str, step_rad: float = 0.05,
-                               duration: float = 3.0,
+POSITION_STEP_RAD = 0.05       # default joint step [rad]
+POSITION_STEP_DURATION_S = 3.0  # default length of a step record [s]
+
+
+def run_joint_position_control(element: str,
+                               step_rad: float = POSITION_STEP_RAD,
+                               duration: float = POSITION_STEP_DURATION_S,
                                params: ActuatorParams = VLCA_ACTUATOR) -> SimTrace:
     """Joint step response through the chosen series element.
 
@@ -561,11 +566,14 @@ def run_joint_position_control(element: str, step_rad: float = 0.05,
     x_des = DEFAULT_MOMENT_ARM * step_rad
     delay = deque([0.0])  # one period of command delay
     currents = array("d")
+    clipped = 0
 
     def command(k, y):
+        nonlocal clipped
         i_cmd = (POSITION_KP * (x_des - y[2]) - POSITION_KD * y[1]) / n_drive
         if abs(i_cmd) > CURRENT_LIMIT_A:
             i_cmd = math.copysign(CURRENT_LIMIT_A, i_cmd)
+            clipped += 1
         delay.append(i_cmd)
         currents.append(delay.popleft())
         return n_drive * currents[-1]
@@ -584,8 +592,7 @@ def run_joint_position_control(element: str, step_rad: float = 0.05,
         trace.meta["overshoot_frac"] = overshoot_fraction(trace.q_out, step_rad)
         trace.meta["settling_time_s"] = settling_time(trace.t, trace.q_out,
                                                       step_rad)
-    _warn_if_saturated(
-        trace, int(np.count_nonzero(np.abs(f_cmd / n_drive) > CURRENT_LIMIT_A)))
+    _warn_if_saturated(trace, clipped)
     return trace
 
 

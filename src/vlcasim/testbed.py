@@ -145,8 +145,6 @@ class LinkageProfile:
         i = bisect_right(self.angles_rad, q)
         if i >= len(self.angles_rad):
             return self.arms_m[-1]
-        if i == 0:
-            return self.arms_m[0]
         a0, a1 = self.angles_rad[i - 1], self.angles_rad[i]
         r0, r1 = self.arms_m[i - 1], self.arms_m[i]
         return r0 + (r1 - r0) * (q - a0) / (a1 - a0)
@@ -346,10 +344,11 @@ def _check_workspace(pos: np.ndarray, params: TwoDofParams):
     r = np.linalg.norm(pos, axis=1)
     outer = params.reach - _WORKSPACE_MARGIN
     inner = params.inner_radius + _WORKSPACE_MARGIN
-    if float(r.max()) > outer:
+    # negated so that a NaN radius fails both checks
+    if not float(r.max()) <= outer:
         raise WorkspaceViolation(
             f"path reaches radius {r.max():.3f} m; limit {outer:.3f} m")
-    if float(r.min()) < inner:
+    if not float(r.min()) >= inner:
         raise WorkspaceViolation(
             f"path reaches radius {r.min():.3f} m; inner limit {inner:.3f} m")
 
@@ -372,9 +371,9 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
     classical RK4 substeps of CONTROL_DT / n with u held for the period (the
     joint torques [N*m] in ideal mode, the motor currents [A] in cascaded
     mode) and the hip force external_force(t) taken at the period start t.
-    The state is (q0, q1, w0, w1), followed in cascaded mode by the screw
-    position, screw rate and linkage displacement of each joint's actuator
-    (x0, v0, l0, x1, v1, l1).
+    Both modes step the state (q0, q1, w0, w1, x0, v0, l0, x1, v1, l1): the
+    joint angles and rates, then each actuator's screw position, screw rate
+    and linkage displacement, whose rates are zero in ideal mode.
 
     The run constants of _dyn_scalars are hoisted in its association order
     and the stages use the 0.5*h, h and h/6 products of tests/oracles.py's
@@ -422,37 +421,16 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
         r_1 = t1 - b2 - g2 + te1
         return (a22 * r_0 - a12 * r_1) / det, (a11 * r_1 - a12 * r_0) / det
 
-    if not cascaded:
-        def advance(state, tau0, tau1, t):
-            fx, fy = external_force(t) if pushed else (0.0, 0.0)
-            a, b, wa, wb = state
-            for _ in range(n):
-                pa1, pb1 = accel(a, b, wa, wb, tau0, tau1, fx, fy)
-                a2, b2 = a + hh * wa, b + hh * wb
-                wa2, wb2 = wa + hh * pa1, wb + hh * pb1
-                pa2, pb2 = accel(a2, b2, wa2, wb2, tau0, tau1, fx, fy)
-                a3, b3 = a + hh * wa2, b + hh * wb2
-                wa3, wb3 = wa + hh * pa2, wb + hh * pb2
-                pa3, pb3 = accel(a3, b3, wa3, wb3, tau0, tau1, fx, fy)
-                a4, b4 = a + h * wa3, b + h * wb3
-                wa4, wb4 = wa + h * pa3, wb + h * pb3
-                pa4, pb4 = accel(a4, b4, wa4, wb4, tau0, tau1, fx, fy)
-                a += h6 * (wa + 2.0 * wa2 + 2.0 * wa3 + wa4)
-                b += h6 * (wb + 2.0 * wb2 + 2.0 * wb3 + wb4)
-                wa += h6 * (pa1 + 2.0 * pa2 + 2.0 * pa3 + pa4)
-                wb += h6 * (pb1 + 2.0 * pb2 + 2.0 * pb3 + pb4)
-            return a, b, wa, wb
-        return advance
-
     k_r, b_r = actuator.k_r, actuator.b_r
     m_m, b_dt = actuator.effective_mass, actuator.drivetrain_damping
-    n_drive = actuator.drive_constant
+    # the held inputs are motor currents in cascaded mode, torques in ideal
+    n_drive = actuator.drive_constant if cascaded else 1.0
     arm = profile.arm
     lo, hi = profile.angles_rad[0], profile.angles_rad[-1]
     # a profile with one arm value returns it exactly wherever it is defined
     arm_c = profile.arms_m[0] if len(set(profile.arms_m)) == 1 else None
 
-    def rates(a, b, wa, wb, x0, v0, l0, x1, v1, l1_, fi0, fi1, fx, fy):
+    def vlca_rates(a, b, wa, wb, x0, v0, l0, x1, v1, l1_, fi0, fi1, fx, fy):
         """(wd0, wd1, vd0, vd1, ld0, ld1) with the screw drive forces
         fi = n_drive * i held."""
         if arm_c is not None and lo <= a <= hi and lo <= b <= hi:
@@ -465,6 +443,12 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
         wd0, wd1 = accel(a, b, wa, wb, r0 * f0, r1 * f1, fx, fy)
         return (wd0, wd1, (fi0 - b_dt * v0 - f0) / m_m,
                 (fi1 - b_dt * v1 - f1) / m_m, ld0, ld1)
+
+    def torque_rates(a, b, wa, wb, x0, v0, l0, x1, v1, l1_, t0, t1, fx, fy):
+        """(wd0, wd1) under the held joint torques, then zero actuator rates."""
+        return accel(a, b, wa, wb, t0, t1, fx, fy) + (0.0, 0.0, 0.0, 0.0)
+
+    rates = vlca_rates if cascaded else torque_rates
 
     def advance(state, i0, i1, t):
         fx, fy = external_force(t) if pushed else (0.0, 0.0)
@@ -553,12 +537,12 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     k_r, b_r = actuator.k_r, actuator.b_r
 
     arm = profile.arm
-    state = (q0, q1, 0.0, 0.0)
+    x0 = x1 = 0.0  # the actuator entries stay at zero in ideal mode
     if cascaded:
         # preload the springs against gravity so the leg starts settled
         _, _, _, _, _, g1, g2 = _dyn_scalars(q0, q1, 0.0, 0.0, params)
-        state += ((g1 / arm(q0)) / k_r, 0.0, 0.0,
-                  (g2 / arm(q1)) / k_r, 0.0, 0.0)
+        x0, x1 = (g1 / arm(q0)) / k_r, (g2 / arm(q1)) / k_r
+    state = (q0, q1, 0.0, 0.0, x0, 0.0, 0.0, x1, 0.0, 0.0)
 
     pos, vel, acc = pos_des.tolist(), vel_des.tolist(), acc_des.tolist()
     # packed doubles: no float object outlives its step

@@ -338,8 +338,9 @@ def calibrate_margins(params: ActuatorParams, gains: ControllerGains,
         return MarginCalibration(*(math.nan,) * 7)
     obj, t, wd, pm_pdf, pm_pdm = min(points, key=lambda p: p[0])
     g = replace(gains, delay_t=t, q_d_cutoff=wd)
+    pm_pidm, pm_dob = (phase_margins(open_loop_tf(kind, params, g), [t])[0]
+                       for kind in (ControllerKind.PIDM, ControllerKind.PDM_DOB))
     return MarginCalibration(
         delay_t=t, q_d_cutoff=wd, pm_pdf_deg=pm_pdf, pm_pdm_deg=pm_pdm,
-        pm_pidm_deg=phase_margin(ControllerKind.PIDM, params, g),
-        pm_pdm_dob_deg=phase_margin(ControllerKind.PDM_DOB, params, g),
+        pm_pidm_deg=float(pm_pidm), pm_pdm_dob_deg=float(pm_dob),
         objective_deg=obj)

@@ -1,5 +1,6 @@
 """Scenario runner: config validation, manifests, reruns, sweeps."""
 import csv
+import inspect
 import io
 import json
 import math
@@ -132,6 +133,11 @@ def test_run_lengths_stop_at_the_ceiling(key):
     "scenario = force_tracking\nforce_tracking.duration_s = -1",
     "scenario = position_step\nposition_step.duration_s = -1",
     "scenario = osc\nosc.trajectory = bspline\nosc.knots = 0.18,0.45; 0.2",
+    # a NaN knot puts NaN radii on the path, which no limit may let pass
+    "scenario = osc\nosc.trajectory = bspline\n"
+    "osc.knots = nan,0.45; 0.18,0.45; 0.18,0.5",
+    "scenario = osc\nosc.trajectory = bspline\n"
+    "osc.knots = 0.18,0.45; 0.18,nan; 0.18,0.5",
     "scenario = thermal\nthermal.burst_duration_s = -1",
     "scenario = thermal\nthermal.hold_duration_s = 0",
     "scenario = efficiency\nefficiency.duration_s = -1",
@@ -177,7 +183,8 @@ def test_run_lengths_stop_at_the_ceiling(key):
     "scenario = materials\nmaterials.w_cost = -1",
     # the thermal network has no optional field
     "scenario = thermal\nthermal.c_winding = none",
-], ids=["impact", "force_tracking", "position_step", "osc", "thermal_burst",
+], ids=["impact", "force_tracking", "position_step", "osc",
+        "osc_first_knot_nan", "osc_middle_knot_nan", "thermal_burst",
         "thermal_hold", "efficiency_duration", "efficiency_payload",
         "efficiency_lift", "osc_payload", "osc_amplitude", "osc_center",
         "bode_chirp", "bode_f0", "materials_weights",
@@ -254,6 +261,13 @@ def test_margins_accept_a_fractional_delay(tmp_path, delay_t):
 @pytest.mark.parametrize("scenario", cli.SCENARIOS)
 def test_validate_accepts_each_default_scenario(scenario):
     assert cli.validate({"scenario": scenario}) == []
+
+
+def test_position_step_defaults_are_the_library_defaults():
+    params = inspect.signature(simkit.run_joint_position_control).parameters
+    extras = cli._SCENARIOS["position_step"].extras
+    assert extras["step_rad"][0] == params["step_rad"].default
+    assert extras["duration_s"][0] == params["duration"].default
 
 
 def _fails_with(exc, why):

@@ -360,6 +360,21 @@ def test_zero_step_position_command_stays_at_rest():
     assert "overshoot_frac" not in tr.meta
 
 
+@pytest.mark.parametrize("element,clipped", [("elastomer", 108),
+                                             ("steel_spring", 185)])
+def test_a_saturating_position_step_counts_its_clipped_periods(element,
+                                                              clipped):
+    with pytest.warns(sk.SaturationWarning):
+        tr = sk.run_joint_position_control(element, step_rad=1.0,
+                                           duration=1.0)
+    # one count per command the clip changed; the motor holds each one,
+    # a period late, at the limit
+    assert tr.saturation_count == clipped
+    assert clipped == np.count_nonzero(np.abs(tr.i_m) == sk.CURRENT_LIMIT_A)
+    assert clipped == np.count_nonzero(
+        np.abs(tr.f_cmd / P.drive_constant) > sk.CURRENT_LIMIT_A)
+
+
 # ------------------------------------------------- exact linear stepping
 
 def _rk4_discretize(a, b, dt, substeps=10):

@@ -109,7 +109,7 @@ def test_passive_swing_conserves_energy():
     zero_g = replace(P, gravity=0.0)
     advance = tb.leg_period_map(zero_g, False, VLCA_ACTUATOR,
                                 tb.LinkageProfile.constant(DEFAULT_MOMENT_ARM))
-    state = (0.4, -0.8, 1.0, -0.5)
+    state = (0.4, -0.8, 1.0, -0.5) + (0.0,) * 6
     e0 = total_energy(state[:2], state[2:], zero_g)
     drift = 0.0
     for k in range(1000):
@@ -449,7 +449,7 @@ def _rk4_period(params, cascaded, actuator, profile, external_force,
         wd0 = (a22 * r_0 - a12 * r_1) / det
         wd1 = (a11 * r_1 - a12 * r_0) / det
         if not cascaded:
-            return wa, wb, wd0, wd1
+            return (wa, wb, wd0, wd1) + (0.0,) * 6
         vd0 = (n_drive * u0 - b_dt * v0 - f0) / m_m
         vd1 = (n_drive * u1 - b_dt * v1 - f1) / m_m
         return wa, wb, wd0, wd1, v0, vd0, ld0, v1, vd1, ld1
@@ -478,6 +478,7 @@ def leg_periods(draw):
             state += (draw(pos), draw(vel), draw(pos))
         u = (draw(st.floats(-31.0, 31.0)), draw(st.floats(-31.0, 31.0)))
     else:
+        state += (0.0,) * 6
         u = (draw(st.floats(-300.0, 300.0)), draw(st.floats(-300.0, 300.0)))
     force = None
     if draw(st.booleans()):

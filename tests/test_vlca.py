@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import calibrate_margins_grid
+from vlcasim import lintf, vlca
 from vlcasim.lintf import stability_margins
 from vlcasim.vlca import (ActuatorParams, ControllerGains, ControllerKind,
                           DEFAULT_MOMENT_ARM, MARGIN_CSV_HEADER,
@@ -310,6 +311,21 @@ def test_calibration_equals_the_per_point_grid_search(b_r):
     p = replace(P, b_r=b_r)
     _assert_same_calibration(calibrate_margins(p, G),
                              calibrate_margins_grid(p, G))
+
+
+def test_calibration_makes_no_full_margin_scan(monkeypatch):
+    # every margin of a calibration, the best point's PIDM and PDM_DOB
+    # margins included, comes from one crossing search per loop shape
+    calls = []
+
+    def counted(loop):
+        calls.append(loop)
+        return stability_margins(loop)
+    for module in (lintf, vlca):
+        monkeypatch.setattr(module, "stability_margins", counted)
+    cal = calibrate_margins(P, G)
+    assert not calls
+    assert not math.isnan(cal.pm_pidm_deg + cal.pm_pdm_dob_deg)
 
 
 # k_p = 0.41 puts the PDF loop's resonant peak near unity: the weakly
