@@ -147,8 +147,7 @@ def _resolve(raw_config: dict):
             continue
         fld = None
         if prefix in sc.reads:
-            fld = {f.name.lower(): f
-                   for f in fields(sc.reads[prefix])}.get(leaf.lower())
+            fld = {f.name: f for f in fields(sc.reads[prefix])}.get(leaf)
         if fld is None:
             diags.append((key, "unknown key"))
         elif (prefix, fld.name) == ("testbed", "payload_mass"):

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .lintf import csv_table, zoh_discretize
-from .simkit import control_steps
+from .simkit import NonFiniteState, control_steps
 from .vlca import ActuatorParams, DEFAULT_MOMENT_ARM, VLCA_ACTUATOR
 
 
@@ -135,6 +135,9 @@ def simulate_constant_current(current_a: float, duration_s: float,
             break
         p = current_a ** 2 * params.resistance_at(amb + w)
         w, h = a00 * w + a01 * h + b0 * p, a10 * w + a11 * h + b1 * p
+    bad = ~(np.isfinite(tw) & np.isfinite(th))
+    if bad.any():
+        raise NonFiniteState(f"thermal model diverged at t={t[bad.argmax()]:.3f} s")
     return ThermalTrace(t=t, current_a=np.full(n + 1, current_a),
                         t_winding=tw, t_housing=th, cooling_on=cooling_on)
 

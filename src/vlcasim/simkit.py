@@ -339,7 +339,6 @@ class SimTrace:
 def _warn_if_saturated(trace: SimTrace, count: int):
     trace.saturation_count = count
     if count > 0:
-        trace.meta["saturated"] = True
         warnings.warn(f"current clipped at {CURRENT_LIMIT_A:g} A on {count} "
                       f"control steps", SaturationWarning, stacklevel=3)
 

@@ -65,25 +65,32 @@ class TwoDofParams:
         return abs(self.l1 - self.l2)
 
 
-def _dyn_scalars(q0, q1, w0, w1, p: TwoDofParams):
-    """Mass-matrix entries, velocity-product vector, gravity vector."""
-    c1_, s1_ = math.cos(q1), math.sin(q1)
-    mp = p.payload_mass
-    a11 = (p.i1 + p.i2 + p.m1 * p.c1 ** 2
-           + p.m2 * (p.l1 ** 2 + p.c2 ** 2 + 2.0 * p.l1 * p.c2 * c1_)
-           + mp * (p.l1 ** 2 + p.l2 ** 2 + 2.0 * p.l1 * p.l2 * c1_))
-    a12 = (p.i2 + p.m2 * (p.c2 ** 2 + p.l1 * p.c2 * c1_)
-           + mp * (p.l2 ** 2 + p.l1 * p.l2 * c1_))
+def _leg_dynamics(p: TwoDofParams):
+    """The leg's rigid-body dynamics with the run constants of p hoisted:
+    dyn(q0, q1, w0, w1) -> (a11, a12, a22, b1, b2, g1, g2), the mass-matrix
+    entries, the velocity-product vector and the gravity vector, equal bit
+    for bit to the reference _dyn_scalars in tests/oracles.py."""
+    cos, sin = math.cos, math.sin
+    m2, i2, mp, grav = p.m2, p.i2, p.payload_mass, p.gravity
+    a11_0 = p.i1 + p.i2 + p.m1 * p.c1 ** 2
+    a11_m2, a11_m2c = p.l1 ** 2 + p.c2 ** 2, 2.0 * p.l1 * p.c2
+    a11_mp, a11_mpc = p.l1 ** 2 + p.l2 ** 2, 2.0 * p.l1 * p.l2
+    a12_m2, a12_m2c = p.c2 ** 2, p.l1 * p.c2
+    a12_mp, a12_mpc = p.l2 ** 2, p.l1 * p.l2
     a22 = p.i2 + p.m2 * p.c2 ** 2 + mp * p.l2 ** 2
-    h = (p.m2 * p.l1 * p.c2 + mp * p.l1 * p.l2) * s1_
-    b1 = -h * (2.0 * w0 * w1 + w1 * w1)
-    b2 = h * w0 * w0
-    c0_ = math.cos(q0)
-    c01 = math.cos(q0 + q1)
-    g1 = ((p.m1 * p.c1 + (p.m2 + mp) * p.l1) * c0_
-          + (p.m2 * p.c2 + mp * p.l2) * c01) * p.gravity
-    g2 = (p.m2 * p.c2 + mp * p.l2) * c01 * p.gravity
-    return a11, a12, a22, b1, b2, g1, g2
+    h_s1 = p.m2 * p.l1 * p.c2 + mp * p.l1 * p.l2
+    g_c0 = p.m1 * p.c1 + (p.m2 + mp) * p.l1
+    g_c01 = p.m2 * p.c2 + mp * p.l2
+
+    def dyn(q0, q1, w0, w1):
+        c1_ = cos(q1)
+        a11 = a11_0 + m2 * (a11_m2 + a11_m2c * c1_) + mp * (a11_mp + a11_mpc * c1_)
+        a12 = i2 + m2 * (a12_m2 + a12_m2c * c1_) + mp * (a12_mp + a12_mpc * c1_)
+        hv = h_s1 * sin(q1)
+        c01 = cos(q0 + q1)
+        return (a11, a12, a22, -hv * (2.0 * w0 * w1 + w1 * w1), hv * w0 * w0,
+                (g_c0 * cos(q0) + g_c01 * c01) * grav, g_c01 * c01 * grav)
+    return dyn
 
 
 def hip_position(q, params: TwoDofParams) -> np.ndarray:
@@ -165,8 +172,9 @@ class TaskGains:
 
 
 def _osc_tau(q0, q1, w0, w1, xd, yd, vxd, vyd, axd, ayd, gains: TaskGains,
-             p: TwoDofParams):
-    """Scalar core of the operational-space torque law."""
+             p: TwoDofParams, dyn):
+    """Scalar core of the operational-space torque law; dyn is
+    _leg_dynamics(p)."""
     l1, l2 = p.l1, p.l2
     s0, c0 = math.sin(q0), math.cos(q0)
     s01, c01 = math.sin(q0 + q1), math.cos(q0 + q1)
@@ -207,7 +215,7 @@ def _osc_tau(q0, q1, w0, w1, xd, yd, vxd, vyd, axd, ayd, gains: TaskGains,
         qdd0 = j00 * ux + j10 * uy
         qdd1 = j01 * ux + j11 * uy
 
-    a11, a12, a22, b1, b2, g1, g2 = _dyn_scalars(q0, q1, w0, w1, p)
+    a11, a12, a22, b1, b2, g1, g2 = dyn(q0, q1, w0, w1)
     tau0 = a11 * qdd0 + a12 * qdd1 + b1 + g1
     tau1 = a12 * qdd0 + a22 * qdd1 + b2 + g2
     return tau0, tau1, damped
@@ -375,51 +383,21 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
     joint angles and rates, then each actuator's screw position, screw rate
     and linkage displacement, whose rates are zero in ideal mode.
 
-    The run constants of _dyn_scalars are hoisted in its association order
-    and the stages use the 0.5*h, h and h/6 products of tests/oracles.py's
-    RK4 step, so one period equals n of its steps on the same rates bit
-    for bit. A stage angle outside the profile's range raises OutOfRange.
+    One rates function serves both modes, on the dynamics of
+    _leg_dynamics(params): in cascaded mode the springs drive the joints, in
+    ideal mode the held torques do and the actuator rates are zero. The
+    stages use the 0.5*h, h and h/6 products of tests/oracles.py's RK4 step,
+    so one period equals n of its steps on the rates written from the
+    reference _dyn_scalars there bit for bit. A stage angle outside the
+    profile's range raises OutOfRange.
     """
     cos, sin = math.cos, math.sin
     n = LEG_SUBSTEPS["cascaded_vlca" if cascaded else "ideal_torque"]
     h = simkit.CONTROL_DT / n
     hh, h6 = 0.5 * h, h / 6.0
-
-    p = params
-    l1, l2, m2, i2, mp, grav = p.l1, p.l2, p.m2, p.i2, p.payload_mass, p.gravity
-    a11_0 = p.i1 + p.i2 + p.m1 * p.c1 ** 2
-    a11_m2, a11_m2c = p.l1 ** 2 + p.c2 ** 2, 2.0 * p.l1 * p.c2
-    a11_mp, a11_mpc = p.l1 ** 2 + p.l2 ** 2, 2.0 * p.l1 * p.l2
-    a12_m2, a12_m2c = p.c2 ** 2, p.l1 * p.c2
-    a12_mp, a12_mpc = p.l2 ** 2, p.l1 * p.l2
-    a22 = p.i2 + p.m2 * p.c2 ** 2 + mp * p.l2 ** 2
-    h_s1 = p.m2 * p.l1 * p.c2 + mp * p.l1 * p.l2
-    g_c0 = p.m1 * p.c1 + (p.m2 + mp) * p.l1
-    g_c01 = p.m2 * p.c2 + mp * p.l2
+    dyn = _leg_dynamics(params)
+    l1, l2 = params.l1, params.l2
     pushed = external_force is not None
-
-    def accel(a, b, wa, wb, t0, t1, fx, fy):
-        """Joint accelerations under joint torques (t0, t1) and hip force
-        (fx, fy); _dyn_scalars and the inverse of its mass matrix."""
-        c1_ = cos(b)
-        a11 = a11_0 + m2 * (a11_m2 + a11_m2c * c1_) + mp * (a11_mp + a11_mpc * c1_)
-        a12 = i2 + m2 * (a12_m2 + a12_m2c * c1_) + mp * (a12_mp + a12_mpc * c1_)
-        hv = h_s1 * sin(b)
-        b1 = -hv * (2.0 * wa * wb + wb * wb)
-        b2 = hv * wa * wa
-        c01 = cos(a + b)
-        g1 = (g_c0 * cos(a) + g_c01 * c01) * grav
-        g2 = g_c01 * c01 * grav
-        if pushed:
-            s0, s01 = sin(a), sin(a + b)
-            te0 = (-l1 * s0 - l2 * s01) * fx + (l1 * cos(a) + l2 * c01) * fy
-            te1 = -l2 * s01 * fx + l2 * c01 * fy
-        else:
-            te0 = te1 = 0.0
-        det = a11 * a22 - a12 * a12
-        r_0 = t0 - b1 - g1 + te0
-        r_1 = t1 - b2 - g2 + te1
-        return (a22 * r_0 - a12 * r_1) / det, (a11 * r_1 - a12 * r_0) / det
 
     k_r, b_r = actuator.k_r, actuator.b_r
     m_m, b_dt = actuator.effective_mass, actuator.drivetrain_damping
@@ -430,25 +408,35 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
     # a profile with one arm value returns it exactly wherever it is defined
     arm_c = profile.arms_m[0] if len(set(profile.arms_m)) == 1 else None
 
-    def vlca_rates(a, b, wa, wb, x0, v0, l0, x1, v1, l1_, fi0, fi1, fx, fy):
-        """(wd0, wd1, vd0, vd1, ld0, ld1) with the screw drive forces
-        fi = n_drive * i held."""
-        if arm_c is not None and lo <= a <= hi and lo <= b <= hi:
-            r0 = r1 = arm_c
+    def rates(a, b, wa, wb, x0, v0, l0, x1, v1, l1_, fi0, fi1, fx, fy):
+        """(wd0, wd1, vd0, vd1, ld0, ld1) under the held fi: the screw drive
+        forces n_drive * i in cascaded mode, the joint torques in ideal."""
+        if cascaded:
+            if arm_c is not None and lo <= a <= hi and lo <= b <= hi:
+                r0 = r1 = arm_c
+            else:
+                r0, r1 = arm(a), arm(b)
+            ld0, ld1 = r0 * wa, r1 * wb
+            f0 = k_r * (x0 - l0) + b_r * (v0 - ld0)
+            f1 = k_r * (x1 - l1_) + b_r * (v1 - ld1)
+            t0, t1 = r0 * f0, r1 * f1
         else:
-            r0, r1 = arm(a), arm(b)
-        ld0, ld1 = r0 * wa, r1 * wb
-        f0 = k_r * (x0 - l0) + b_r * (v0 - ld0)
-        f1 = k_r * (x1 - l1_) + b_r * (v1 - ld1)
-        wd0, wd1 = accel(a, b, wa, wb, r0 * f0, r1 * f1, fx, fy)
+            t0, t1 = fi0, fi1
+        a11, a12, a22, b1, b2, g1, g2 = dyn(a, b, wa, wb)
+        if pushed:
+            s0, s01, c01 = sin(a), sin(a + b), cos(a + b)
+            te0 = (-l1 * s0 - l2 * s01) * fx + (l1 * cos(a) + l2 * c01) * fy
+            te1 = -l2 * s01 * fx + l2 * c01 * fy
+        else:
+            te0 = te1 = 0.0
+        det = a11 * a22 - a12 * a12
+        r_0 = t0 - b1 - g1 + te0
+        r_1 = t1 - b2 - g2 + te1
+        wd0, wd1 = (a22 * r_0 - a12 * r_1) / det, (a11 * r_1 - a12 * r_0) / det
+        if not cascaded:
+            return wd0, wd1, 0.0, 0.0, 0.0, 0.0
         return (wd0, wd1, (fi0 - b_dt * v0 - f0) / m_m,
                 (fi1 - b_dt * v1 - f1) / m_m, ld0, ld1)
-
-    def torque_rates(a, b, wa, wb, x0, v0, l0, x1, v1, l1_, t0, t1, fx, fy):
-        """(wd0, wd1) under the held joint torques, then zero actuator rates."""
-        return accel(a, b, wa, wb, t0, t1, fx, fy) + (0.0, 0.0, 0.0, 0.0)
-
-    rates = vlca_rates if cascaded else torque_rates
 
     def advance(state, i0, i1, t):
         fx, fy = external_force(t) if pushed else (0.0, 0.0)
@@ -534,13 +522,14 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
                  if q_init is None else q_init)
     cascaded = mode == "cascaded_vlca"
     advance = leg_period_map(params, cascaded, actuator, profile, external_force)
+    dyn = _leg_dynamics(params)
     k_r, b_r = actuator.k_r, actuator.b_r
 
     arm = profile.arm
     x0 = x1 = 0.0  # the actuator entries stay at zero in ideal mode
     if cascaded:
         # preload the springs against gravity so the leg starts settled
-        _, _, _, _, _, g1, g2 = _dyn_scalars(q0, q1, 0.0, 0.0, params)
+        g1, g2 = dyn(q0, q1, 0.0, 0.0)[5:]
         x0, x1 = (g1 / arm(q0)) / k_r, (g2 / arm(q1)) / k_r
     state = (q0, q1, 0.0, 0.0, x0, 0.0, 0.0, x1, 0.0, 0.0)
 
@@ -551,7 +540,7 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     for k, t in enumerate(times.tolist()):
         q0, q1, w0, w1 = state[:4]
         tau0, tau1, damped = _osc_tau(q0, q1, w0, w1, *pos[k], *vel[k],
-                                      *acc[k], task_gains, params)
+                                      *acc[k], task_gains, params, dyn)
         singular += damped
         if cascaded:
             x0, v0, l0, x1, v1, l1 = state[4:]
@@ -579,13 +568,10 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     else:
         tau_applied = held
         i_m, f_k, motor_speed = (np.full(q.shape, math.nan) for _ in range(3))
-    trace = TestbedTrace(dt=simkit.CONTROL_DT, t=times, x=hip_position(q, params),
-                         x_des=pos_des, q=q, qdot=qdot,
-                         tau_cmd=tau_cmd, tau_applied=tau_applied,
-                         i_m=i_m, f_k=f_k, motor_speed_rad_s=motor_speed,
-                         saturation_count=sum(c.saturation_count for c in ctrls),
-                         singular_count=singular,
-                         meta={"mode": mode, "payload_kg": payload_kg})
-    if trace.saturation_count:  # only the cascaded mode steps its controllers
-        trace.meta["saturated"] = True
-    return trace
+    return TestbedTrace(dt=simkit.CONTROL_DT, t=times, x=hip_position(q, params),
+                        x_des=pos_des, q=q, qdot=qdot,
+                        tau_cmd=tau_cmd, tau_applied=tau_applied,
+                        i_m=i_m, f_k=f_k, motor_speed_rad_s=motor_speed,
+                        saturation_count=sum(c.saturation_count for c in ctrls),
+                        singular_count=singular,
+                        meta={"mode": mode, "payload_kg": payload_kg})

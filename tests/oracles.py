@@ -5,7 +5,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from vlcasim.testbed import TwoDofParams, _dyn_scalars
+from vlcasim.testbed import TwoDofParams
 from vlcasim.vlca import (MARGIN_DELAY_GRID, ControllerKind, MarginCalibration,
                           phase_margin)
 
@@ -32,6 +32,27 @@ def hip_jacobian(q: Sequence[float], params: TwoDofParams,
     det = l1 * l2 * math.sin(q[1])
     return JacobianInfo(j=j, jdot=jdot, det=det,
                         singular=abs(det) < 1e-6 * params.reach ** 2)
+
+
+def _dyn_scalars(q0, q1, w0, w1, p: TwoDofParams):
+    """Mass-matrix entries, velocity-product vector, gravity vector."""
+    c1_, s1_ = math.cos(q1), math.sin(q1)
+    mp = p.payload_mass
+    a11 = (p.i1 + p.i2 + p.m1 * p.c1 ** 2
+           + p.m2 * (p.l1 ** 2 + p.c2 ** 2 + 2.0 * p.l1 * p.c2 * c1_)
+           + mp * (p.l1 ** 2 + p.l2 ** 2 + 2.0 * p.l1 * p.l2 * c1_))
+    a12 = (p.i2 + p.m2 * (p.c2 ** 2 + p.l1 * p.c2 * c1_)
+           + mp * (p.l2 ** 2 + p.l1 * p.l2 * c1_))
+    a22 = p.i2 + p.m2 * p.c2 ** 2 + mp * p.l2 ** 2
+    h = (p.m2 * p.l1 * p.c2 + mp * p.l1 * p.l2) * s1_
+    b1 = -h * (2.0 * w0 * w1 + w1 * w1)
+    b2 = h * w0 * w0
+    c0_ = math.cos(q0)
+    c01 = math.cos(q0 + q1)
+    g1 = ((p.m1 * p.c1 + (p.m2 + mp) * p.l1) * c0_
+          + (p.m2 * p.c2 + mp * p.l2) * c01) * p.gravity
+    g2 = (p.m2 * p.c2 + mp * p.l2) * c01 * p.gravity
+    return a11, a12, a22, b1, b2, g1, g2
 
 
 def total_energy(q, qdot, params: TwoDofParams) -> float:

@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (locked_plant_rates, plant_energy, rk4_step,
-                     total_energy)
+from oracles import (_dyn_scalars, locked_plant_rates, plant_energy,
+                     rk4_step, total_energy)
 from vlcasim import elastomat, lintf, powertherm, simkit, testbed, vlca
 from vlcasim.vlca import (ControllerGains, ControllerKind, VLCA_ACTUATOR,
                           DEFAULT_MOMENT_ARM, force_plant, open_loop_tf)
@@ -228,8 +228,7 @@ def test_criterion_9_property_suites():
         params = testbed.TwoDofParams(
             payload_mass=float(rng.uniform(0.0, 30.0)))
         qk = rng.uniform(-2.6, 2.6, 2)
-        a11, a12, a22 = testbed._dyn_scalars(qk[0], qk[1], 0.0, 0.0,
-                                             params)[:3]
+        a11, a12, a22 = _dyn_scalars(qk[0], qk[1], 0.0, 0.0, params)[:3]
         spd = spd and np.linalg.eigvalsh([[a11, a12], [a12, a22]])[0] > 0.0
     checks.append(("mass matrix SPD at 1000 configurations", spd))
 

@@ -74,6 +74,12 @@ def test_validate_flags_typos_and_bad_types(tmp_path, capsys):
     assert "seed" in out and "integer" in out
 
 
+def test_a_key_matches_its_field_name_exactly(tmp_path, capsys):
+    cfg = _write(tmp_path, "case.cfg", "scenario = margins\ngains.K_P = 4\n")
+    assert main(["validate", cfg]) == 2
+    assert capsys.readouterr().out == "gains.K_P: unknown key\n"
+
+
 def test_validate_applies_set_overrides(tmp_path, capsys):
     cfg = _write(tmp_path, "ok.cfg", "scenario = margins\n")
     assert main(["validate", cfg, "--set", "gains.delay_t=-1"]) == 2
@@ -291,6 +297,11 @@ def _fails_with(exc, why):
     pytest.param("osc", "actuator.b_m", "1", marks=_fails_with(
         cli.testbed.OutOfRange,
         "the drag is past the stability limit of 7 cascaded RK4 substeps")),
+    pytest.param("thermal", "thermal.alpha", "1", marks=_fails_with(
+        cli.simkit.NonFiniteState,
+        "the winding resistance runs away with its temperature")),
+    pytest.param("thermal", "thermal.r_elec_25", "1e300", marks=_fails_with(
+        cli.simkit.NonFiniteState, "the winding power overflows")),
 ])
 def test_a_validated_boundary_config_runs(scenario, key, value):
     raw = {"scenario": scenario, "out": "edge_out", key: value}

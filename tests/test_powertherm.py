@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vlcasim import powertherm as pt
+from vlcasim.simkit import NonFiniteState
 from vlcasim.vlca import VLCA_ACTUATOR
 
 
@@ -110,6 +111,14 @@ def test_burst_peak_matches_target(calibrated):
     tr = pt.simulate_constant_current(31.0, 0.5, p, cooling_on=True, dt=1e-3)
     assert tr.peak_winding == pytest.approx(107.0, abs=0.01)
     assert np.max(tr.t_winding) == tr.peak_winding
+
+
+def test_a_diverging_run_names_its_first_non_finite_time(calibrated):
+    # the winding power overflows on the first step, so the first recorded
+    # non-finite temperature is the second step's
+    p = replace(calibrated.params, r_elec_25=1e300)
+    with pytest.raises(NonFiniteState, match=r"diverged at t=0\.002 s"):
+        pt.simulate_constant_current(31.0, 0.5, p, dt=1e-3)
 
 
 # -------------------------------------------------------------- rating

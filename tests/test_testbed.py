@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import hip_jacobian, rk4_step, total_energy
+from oracles import _dyn_scalars, hip_jacobian, rk4_step, total_energy
 from vlcasim import powertherm, simkit
 from vlcasim import testbed as tb
 from vlcasim.vlca import (ControllerGains, ControllerKind,
@@ -29,11 +29,36 @@ def test_param_validation_and_reach():
 
 
 def _terms(q, qdot, params):
-    """(mass matrix, velocity product, gravity) from tb._dyn_scalars."""
-    a11, a12, a22, b1, b2, g1, g2 = tb._dyn_scalars(q[0], q[1], qdot[0],
-                                                    qdot[1], params)
+    """(mass matrix, velocity product, gravity) from _dyn_scalars."""
+    a11, a12, a22, b1, b2, g1, g2 = _dyn_scalars(q[0], q[1], qdot[0], qdot[1],
+                                                 params)
     return (np.array([[a11, a12], [a12, a22]]), np.array([b1, b2]),
             np.array([g1, g2]))
+
+
+@st.composite
+def legs_and_states(draw):
+    """Random link geometry, masses, inertias, payload, gravity and a joint
+    state (q0, q1, w0, w1)."""
+    length, mass = st.floats(0.05, 1.0), st.floats(0.1, 10.0)
+    l1, l2 = draw(length), draw(length)
+    params = tb.TwoDofParams(
+        l1=l1, l2=l2, m1=draw(mass), m2=draw(mass),
+        c1=l1 * draw(st.floats(0.0, 1.0)), c2=l2 * draw(st.floats(0.0, 1.0)),
+        i1=draw(st.floats(0.0, 1.0)), i2=draw(st.floats(0.0, 1.0)),
+        payload_mass=draw(st.floats(0.0, 40.0)),
+        gravity=draw(st.floats(0.0, 20.0)))
+    angle, rate = st.floats(-2.0 * math.pi, 2.0 * math.pi), st.floats(-20.0, 20.0)
+    return params, (draw(angle), draw(angle), draw(rate), draw(rate))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(legs_and_states())
+def test_leg_dynamics_equals_the_reference_bit_for_bit(case):
+    params, state = case
+    got = tb._leg_dynamics(params)(*state)
+    want = _dyn_scalars(*state, params)
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 def test_mass_matrix_symmetric_positive_definite():
@@ -203,7 +228,7 @@ def test_rest_on_target_commands_gravity_support():
     q = np.array([1.2, -0.9])
     x_here = tb.hip_position(q, P)
     *tau, damped = tb._osc_tau(*q, 0.0, 0.0, *x_here, 0.0, 0.0, 0.0, 0.0,
-                               tb.TaskGains(), P)
+                               tb.TaskGains(), P, tb._leg_dynamics(P))
     want = _terms(q, (0.0, 0.0), P)[2]
     np.testing.assert_allclose(tau, want, atol=1e-9)
     assert not damped
@@ -214,6 +239,7 @@ def test_osc_torque_is_the_computed_torque_law():
     # with a = xdd_des + kp (x_des - x) + kd (xd_des - J qdot)
     rng = np.random.default_rng(17)
     gains = tb.TaskGains(kp=(625.0, 400.0), kd=(40.0, 30.0))
+    dyn = tb._leg_dynamics(P)
     for _ in range(200):
         q = np.array([rng.uniform(-1.0, 2.5), -rng.uniform(0.3, 2.6)])
         qdot = rng.uniform(-4.0, 4.0, 2)
@@ -225,7 +251,7 @@ def test_osc_torque_is_the_computed_torque_law():
         m, b, g = _terms(q, qdot, P)
         want = m @ np.linalg.solve(jac.j, a - jac.jdot @ qdot) + b + g
         *tau, damped = tb._osc_tau(*q, *qdot, *x_des, *xd_des, *xdd_des,
-                                   gains, P)
+                                   gains, P, dyn)
         assert not damped
         np.testing.assert_allclose(tau, want, rtol=1e-9, atol=1e-9)
 
@@ -234,7 +260,8 @@ def test_crouch_torques_stay_inside_the_joint_rating():
     p23 = tb.TwoDofParams(payload_mass=23.0)
     q = tb.inverse_kinematics((0.15, 0.45), p23)
     *tau, _ = tb._osc_tau(*q, 0.0, 0.0, *tb.hip_position(q, p23),
-                          0.0, 0.0, 0.0, 0.0, tb.TaskGains(), p23)
+                          0.0, 0.0, 0.0, 0.0, tb.TaskGains(), p23,
+                          tb._leg_dynamics(p23))
     assert np.max(np.abs(tau)) < 270.0
     assert tau[1] == pytest.approx(89.60, abs=0.5)
 
@@ -245,7 +272,8 @@ def test_task_stiffness_acts_linearly_on_error():
 
     def tau(kp):
         return np.array(tb._osc_tau(*q, 0.0, 0.0, *x_des, 0.0, 0.0, 0.0, 0.0,
-                                    tb.TaskGains(kp=(kp, kp)), P)[:2])
+                                    tb.TaskGains(kp=(kp, kp)), P,
+                                    tb._leg_dynamics(P))[:2])
 
     base, one, two = tau(0.0), tau(400.0), tau(800.0)
     np.testing.assert_allclose(two - base, 2.0 * (one - base),
@@ -442,7 +470,7 @@ def _rk4_period(params, cascaded, actuator, profile, external_force,
             t0, t1 = r0 * f0, r1 * f1
         else:
             t0, t1 = u0, u1
-        a11, a12, a22, b1, b2, g1, g2 = tb._dyn_scalars(a, b, wa, wb, params)
+        a11, a12, a22, b1, b2, g1, g2 = _dyn_scalars(a, b, wa, wb, params)
         det = a11 * a22 - a12 * a12
         r_0 = t0 - b1 - g1 + te0
         r_1 = t1 - b2 - g2 + te1
