@@ -663,8 +663,8 @@ class RunManifest:
     status: str
     error: Optional[str] = None
     output_dir: str = ""
-    # per simulation: control steps, RK4 substeps, saturated and
-    # singularity-damped steps
+    # per simulation: control steps, leg substeps, rate evaluations,
+    # saturated and singularity-damped steps
     counters: dict = field(default_factory=dict)
 
     def to_json(self) -> str:

@@ -7,7 +7,8 @@ chirp and the position loop under their held current, and the hammer
 strike with its half-sine pulse carried as an oscillator in the state.
 The first three share one run loop, _run_linear, which records the state
 history; each run builds its trace columns from it after the loop.
-The only RK4 in the package is the nonlinear leg's, in testbed.
+The package's only Runge-Kutta integration is the nonlinear leg's
+fixed-step Dormand-Prince map, in testbed.
 Saturation clips commanded current at the amplifier limit and is
 recorded, not fatal.
 """

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import simkit
 from .lintf import csv_table
@@ -259,6 +258,27 @@ class SineTrajectory:
         return pos, vel, acc
 
 
+def _bspline_eval(t: np.ndarray, c: np.ndarray, k: int, x: np.ndarray):
+    """The spline of knots t, coefficient rows c and degree k at each x in
+    [t[k], t[-k-1]], by de Boor: the k + 1 non-zero Cox-de Boor basis values
+    of x's knot interval, built and summed in the order of SciPy's
+    BSpline.__call__, so the values equal it bit for bit."""
+    n = len(t) - k - 1
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
+    basis = [np.ones_like(x)]
+    for j in range(1, k + 1):
+        prev, basis = basis, [np.zeros_like(x)] + [None] * j
+        for m in range(1, j + 1):
+            xb, xa = t[ell + m], t[ell + m - j]
+            w = prev[m - 1] / (xb - xa)
+            basis[m - 1] = basis[m - 1] + w * (xb - x)
+            basis[m] = w * (x - xa)
+    out = np.zeros((len(x), c.shape[1]))
+    for m, b in enumerate(basis):
+        out = out + c[ell + m - k] * b[:, None]
+    return out
+
+
 class BSplineTrajectory:
     """Clamped quadratic B-spline through planar control points over a
     fixed duration; holds the final point afterwards.
@@ -278,10 +298,16 @@ class BSplineTrajectory:
         n = pts.shape[0]
         k = 2
         inner = np.linspace(0.0, duration_s, n - k + 1)
-        knots = np.concatenate([[0.0] * k, inner, [duration_s] * k])
-        self._spl = scipy.interpolate.BSpline(knots, pts, k, extrapolate=False)
-        self._dspl = self._spl.derivative(1)
-        self._ddspl = self._spl.derivative(2)
+        t = np.concatenate([[0.0] * k, inner, [duration_s] * k])
+        # position, velocity and acceleration splines; each derivative's
+        # coefficients as SciPy's splder forms them, on the knots less one
+        # at each end
+        self._splines = [(t, pts, k)]
+        c = pts
+        for deg in (k, k - 1):
+            c = (c[1:] - c[:-1]) * deg / (t[deg + 1:-1] - t[1:-deg - 1])[:, None]
+            t = t[1:-1]
+            self._splines.append((t, c, deg - 1))
 
     @classmethod
     def vertical_lift(cls, start_xy: Sequence[float], height: float,
@@ -294,9 +320,7 @@ class BSplineTrajectory:
     def sample(self, t: np.ndarray):
         t = np.asarray(t, dtype=float)
         tc = np.clip(t, 0.0, self.duration_s)
-        pos = self._spl(tc)
-        vel = self._dspl(tc)
-        acc = self._ddspl(tc)
+        pos, vel, acc = (_bspline_eval(*spl, tc) for spl in self._splines)
         held = t > self.duration_s
         if held.any():
             vel[held] = 0.0
@@ -338,9 +362,10 @@ class TestbedTrace:
 
     def counters(self) -> dict:
         """Deterministic work counts of the run that produced this trace."""
-        steps = len(self.t)
+        steps, substeps = len(self.t), self.meta["substeps"]
         return {"control_steps": steps,
-                "rk4_substeps": steps * LEG_SUBSTEPS[self.meta["mode"]],
+                "leg_substeps": steps * substeps,
+                "rate_evaluations": steps * substeps * len(_DP5_B),
                 "saturated_steps": self.saturation_count,
                 "singularity_damped_steps": self.singular_count}
 
@@ -361,13 +386,67 @@ def _check_workspace(pos: np.ndarray, params: TwoDofParams):
             f"path reaches radius {r.min():.3f} m; inner limit {inner:.3f} m")
 
 
-# Leg RK4 substeps per control period, per mode: the smallest count whose
+# Leg DP5 substeps per control period, per mode: the smallest count whose
 # largest output deviation over the leg_sim benchmark seeds 0-10, against 10
 # and against 20 substeps, stays within half of the tightest relative check
 # on that mode's outputs, with the saturated and averaged step counts exact.
-# Ideal mode, 1e-3 on osc_metrics: 9.4e-10 at 1 substep. Cascaded mode, 1e-6
-# on efficiency_summary: 4.3e-7 at 7 substeps, 8.1e-7 at 6.
-LEG_SUBSTEPS = {"ideal_torque": 1, "cascaded_vlca": 7}
+# Ideal mode, 1e-3 on osc_metrics: 3.4e-10 at 1 substep. Cascaded mode, 1e-6
+# on efficiency_summary: 4.2e-8 at 2 substeps, 1.8e-6 at 1. leg_substeps
+# raises the cascaded count where the actuators need it for stability.
+LEG_SUBSTEPS = {"ideal_torque": 1, "cascaded_vlca": 2}
+
+# at most 50 times a nominal cascaded period's work: a run whose actuators
+# need more is rejected before it starts
+MAX_LEG_SUBSTEPS = 100
+
+# The 6-stage 5th-order solution of the Dormand-Prince 5(4) pair (Dormand &
+# Prince, J. Comput. Appl. Math. 6, 1980) as fixed steps: the stage rows
+# a_ij and the weights b_j, without the step-size control and the FSAL
+# error stage. Its stability region holds the negative real axis down to
+# -3.3066 and the left half-disk of radius 0.9972, which the imaginary axis
+# bounds; the floor in leg_substeps keeps h*lambda inside the two.
+_DP5_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP5_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP5_REAL_LIMIT, _DP5_DISK_RADIUS = 3.306, 0.997
+
+
+def leg_substeps(params: TwoDofParams, cascaded: bool,
+                 actuator: ActuatorParams, profile: LinkageProfile) -> int:
+    """DP5 substeps per control period: LEG_SUBSTEPS[mode], raised in
+    cascaded mode to the smallest count that keeps h*lambda inside DP5's
+    stability region for every eigenvalue lambda of the linear
+    actuator-joint block.
+
+    That block is M x'' + C x' + K x = 0 over the screw positions and joint
+    angles: the effective mass and the leg's mass matrix, the motor drag
+    plus the spring damping b_r across each screw and its linkage, and the
+    spring k_r across them. Each lambda solves lambda^2 + c lambda + k = 0
+    with c <= (b_dt + b_r)/m_m + b_r r^2/I and k <= k_r (1/m_m + r^2/I),
+    r the profile's largest arm and I a floor on the mass matrix's smallest
+    eigenvalue, so a real lambda lies in [-c, 0] and a complex one within
+    sqrt(k) of 0. Raises ValueError above MAX_LEG_SUBSTEPS."""
+    if not cascaded:
+        return LEG_SUBSTEPS["ideal_torque"]
+    # det / trace at the straight and the folded knee: the determinant is
+    # concave in cos(q1) and the trace linear, so this bounds the smallest
+    # eigenvalue over every knee angle from below
+    dyn = _leg_dynamics(params)
+    mass = [dyn(0.0, q1, 0.0, 0.0)[:3] for q1 in (0.0, math.pi)]
+    i_min = (min(a11 * a22 - a12 * a12 for a11, a12, a22 in mass)
+             / max(a11 + a22 for a11, _, a22 in mass))
+    r2, m_m = max(profile.arms_m) ** 2, actuator.effective_mass
+    c_max = actuator.effective_damping / m_m + actuator.b_r * r2 / i_min
+    k_max = actuator.k_r * (1.0 / m_m + r2 / i_min)
+    n = max(LEG_SUBSTEPS["cascaded_vlca"],
+            math.ceil(simkit.CONTROL_DT * c_max / _DP5_REAL_LIMIT),
+            math.ceil(simkit.CONTROL_DT * math.sqrt(k_max) / _DP5_DISK_RADIUS))
+    if n > MAX_LEG_SUBSTEPS:
+        raise ValueError(
+            f"the actuators' damping and stiffness need {n} leg substeps per "
+            f"control period, more than {MAX_LEG_SUBSTEPS}")
+    return n
 
 
 def leg_period_map(params: TwoDofParams, cascaded: bool,
@@ -375,26 +454,29 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
                    external_force: Optional[Callable[[float], Sequence[float]]] = None):
     """The leg's advance over one control period, built once per run.
 
-    Returns advance(state, u0, u1, t) -> state: n = LEG_SUBSTEPS[mode]
-    classical RK4 substeps of CONTROL_DT / n with u held for the period (the
-    joint torques [N*m] in ideal mode, the motor currents [A] in cascaded
-    mode) and the hip force external_force(t) taken at the period start t.
-    Both modes step the state (q0, q1, w0, w1, x0, v0, l0, x1, v1, l1): the
+    Returns advance(state, u0, u1, t) -> state: n = leg_substeps(...) fixed
+    DP5 substeps of CONTROL_DT / n with u held for the period (the joint
+    torques [N*m] in ideal mode, the motor currents [A] in cascaded mode)
+    and the hip force external_force(t) taken at the period start t. Both
+    modes step the state (q0, q1, w0, w1, x0, v0, l0, x1, v1, l1): the
     joint angles and rates, then each actuator's screw position, screw rate
     and linkage displacement, whose rates are zero in ideal mode.
 
     One rates function serves both modes, on the dynamics of
     _leg_dynamics(params): in cascaded mode the springs drive the joints, in
-    ideal mode the held torques do and the actuator rates are zero. The
-    stages use the 0.5*h, h and h/6 products of tests/oracles.py's RK4 step,
-    so one period equals n of its steps on the rates written from the
-    reference _dyn_scalars there bit for bit. A stage angle outside the
-    profile's range raises OutOfRange.
+    ideal mode the held torques do and the actuator rates are zero. Each
+    stage adds to the state the sum of the (h * a_ij) * k_j products in
+    order of j, as tests/oracles.py's DP5 step does, so one period equals n
+    of its steps on the rates written from the reference _dyn_scalars there
+    bit for bit. A stage angle outside the profile's range raises
+    OutOfRange.
     """
     cos, sin = math.cos, math.sin
-    n = LEG_SUBSTEPS["cascaded_vlca" if cascaded else "ideal_torque"]
+    n = leg_substeps(params, cascaded, actuator, profile)
     h = simkit.CONTROL_DT / n
-    hh, h6 = 0.5 * h, h / 6.0
+    (h21,), (h31, h32), (h41, h42, h43), (h51, h52, h53, h54), \
+        (h61, h62, h63, h64, h65) = ([h * a for a in row] for row in _DP5_A)
+    hb1, _, hb3, hb4, hb5, hb6 = (h * b for b in _DP5_B)
     dyn = _leg_dynamics(params)
     l1, l2 = params.l1, params.l2
     pushed = external_force is not None
@@ -445,50 +527,87 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
         for _ in range(n):
             pa1, pb1, va1, vb1, la1, lb1 = rates(
                 a, b, wa, wb, x0, v0, l0, x1, v1, l1_, fi0, fi1, fx, fy)
-            a2, b2 = a + hh * wa, b + hh * wb
-            wa2, wb2 = wa + hh * pa1, wb + hh * pb1
-            x02, v02, l02 = x0 + hh * v0, v0 + hh * va1, l0 + hh * la1
-            x12, v12, l12 = x1 + hh * v1, v1 + hh * vb1, l1_ + hh * lb1
+            a2, b2 = a + h21 * wa, b + h21 * wb
+            wa2, wb2 = wa + h21 * pa1, wb + h21 * pb1
+            x02, v02, l02 = x0 + h21 * v0, v0 + h21 * va1, l0 + h21 * la1
+            x12, v12, l12 = x1 + h21 * v1, v1 + h21 * vb1, l1_ + h21 * lb1
             pa2, pb2, va2, vb2, la2, lb2 = rates(
                 a2, b2, wa2, wb2, x02, v02, l02, x12, v12, l12, fi0, fi1, fx, fy)
-            a3, b3 = a + hh * wa2, b + hh * wb2
-            wa3, wb3 = wa + hh * pa2, wb + hh * pb2
-            x03, v03, l03 = x0 + hh * v02, v0 + hh * va2, l0 + hh * la2
-            x13, v13, l13 = x1 + hh * v12, v1 + hh * vb2, l1_ + hh * lb2
+            a3, b3 = a + (h31 * wa + h32 * wa2), b + (h31 * wb + h32 * wb2)
+            wa3, wb3 = wa + (h31 * pa1 + h32 * pa2), wb + (h31 * pb1 + h32 * pb2)
+            x03, v03 = x0 + (h31 * v0 + h32 * v02), v0 + (h31 * va1 + h32 * va2)
+            x13, v13 = x1 + (h31 * v1 + h32 * v12), v1 + (h31 * vb1 + h32 * vb2)
+            l03, l13 = l0 + (h31 * la1 + h32 * la2), l1_ + (h31 * lb1 + h32 * lb2)
             pa3, pb3, va3, vb3, la3, lb3 = rates(
                 a3, b3, wa3, wb3, x03, v03, l03, x13, v13, l13, fi0, fi1, fx, fy)
-            a4, b4 = a + h * wa3, b + h * wb3
-            wa4, wb4 = wa + h * pa3, wb + h * pb3
-            x04, v04, l04 = x0 + h * v03, v0 + h * va3, l0 + h * la3
-            x14, v14, l14 = x1 + h * v13, v1 + h * vb3, l1_ + h * lb3
+            a4 = a + (h41 * wa + h42 * wa2 + h43 * wa3)
+            b4 = b + (h41 * wb + h42 * wb2 + h43 * wb3)
+            wa4 = wa + (h41 * pa1 + h42 * pa2 + h43 * pa3)
+            wb4 = wb + (h41 * pb1 + h42 * pb2 + h43 * pb3)
+            x04 = x0 + (h41 * v0 + h42 * v02 + h43 * v03)
+            v04 = v0 + (h41 * va1 + h42 * va2 + h43 * va3)
+            l04 = l0 + (h41 * la1 + h42 * la2 + h43 * la3)
+            x14 = x1 + (h41 * v1 + h42 * v12 + h43 * v13)
+            v14 = v1 + (h41 * vb1 + h42 * vb2 + h43 * vb3)
+            l14 = l1_ + (h41 * lb1 + h42 * lb2 + h43 * lb3)
             pa4, pb4, va4, vb4, la4, lb4 = rates(
                 a4, b4, wa4, wb4, x04, v04, l04, x14, v14, l14, fi0, fi1, fx, fy)
-            a += h6 * (wa + 2.0 * wa2 + 2.0 * wa3 + wa4)
-            b += h6 * (wb + 2.0 * wb2 + 2.0 * wb3 + wb4)
-            wa += h6 * (pa1 + 2.0 * pa2 + 2.0 * pa3 + pa4)
-            wb += h6 * (pb1 + 2.0 * pb2 + 2.0 * pb3 + pb4)
-            x0 += h6 * (v0 + 2.0 * v02 + 2.0 * v03 + v04)
-            v0 += h6 * (va1 + 2.0 * va2 + 2.0 * va3 + va4)
-            l0 += h6 * (la1 + 2.0 * la2 + 2.0 * la3 + la4)
-            x1 += h6 * (v1 + 2.0 * v12 + 2.0 * v13 + v14)
-            v1 += h6 * (vb1 + 2.0 * vb2 + 2.0 * vb3 + vb4)
-            l1_ += h6 * (lb1 + 2.0 * lb2 + 2.0 * lb3 + lb4)
+            a5 = a + (h51 * wa + h52 * wa2 + h53 * wa3 + h54 * wa4)
+            b5 = b + (h51 * wb + h52 * wb2 + h53 * wb3 + h54 * wb4)
+            wa5 = wa + (h51 * pa1 + h52 * pa2 + h53 * pa3 + h54 * pa4)
+            wb5 = wb + (h51 * pb1 + h52 * pb2 + h53 * pb3 + h54 * pb4)
+            x05 = x0 + (h51 * v0 + h52 * v02 + h53 * v03 + h54 * v04)
+            v05 = v0 + (h51 * va1 + h52 * va2 + h53 * va3 + h54 * va4)
+            l05 = l0 + (h51 * la1 + h52 * la2 + h53 * la3 + h54 * la4)
+            x15 = x1 + (h51 * v1 + h52 * v12 + h53 * v13 + h54 * v14)
+            v15 = v1 + (h51 * vb1 + h52 * vb2 + h53 * vb3 + h54 * vb4)
+            l15 = l1_ + (h51 * lb1 + h52 * lb2 + h53 * lb3 + h54 * lb4)
+            pa5, pb5, va5, vb5, la5, lb5 = rates(
+                a5, b5, wa5, wb5, x05, v05, l05, x15, v15, l15, fi0, fi1, fx, fy)
+            a6 = a + (h61 * wa + h62 * wa2 + h63 * wa3 + h64 * wa4 + h65 * wa5)
+            b6 = b + (h61 * wb + h62 * wb2 + h63 * wb3 + h64 * wb4 + h65 * wb5)
+            wa6 = wa + (h61 * pa1 + h62 * pa2 + h63 * pa3 + h64 * pa4 + h65 * pa5)
+            wb6 = wb + (h61 * pb1 + h62 * pb2 + h63 * pb3 + h64 * pb4 + h65 * pb5)
+            x06 = x0 + (h61 * v0 + h62 * v02 + h63 * v03 + h64 * v04 + h65 * v05)
+            v06 = v0 + (h61 * va1 + h62 * va2 + h63 * va3 + h64 * va4 + h65 * va5)
+            l06 = l0 + (h61 * la1 + h62 * la2 + h63 * la3 + h64 * la4 + h65 * la5)
+            x16 = x1 + (h61 * v1 + h62 * v12 + h63 * v13 + h64 * v14 + h65 * v15)
+            v16 = v1 + (h61 * vb1 + h62 * vb2 + h63 * vb3 + h64 * vb4 + h65 * vb5)
+            l16 = l1_ + (h61 * lb1 + h62 * lb2 + h63 * lb3 + h64 * lb4 + h65 * lb5)
+            pa6, pb6, va6, vb6, la6, lb6 = rates(
+                a6, b6, wa6, wb6, x06, v06, l06, x16, v16, l16, fi0, fi1, fx, fy)
+            # b_2 = 0: the second stage enters only the later stages
+            a += hb1 * wa + hb3 * wa3 + hb4 * wa4 + hb5 * wa5 + hb6 * wa6
+            b += hb1 * wb + hb3 * wb3 + hb4 * wb4 + hb5 * wb5 + hb6 * wb6
+            wa += hb1 * pa1 + hb3 * pa3 + hb4 * pa4 + hb5 * pa5 + hb6 * pa6
+            wb += hb1 * pb1 + hb3 * pb3 + hb4 * pb4 + hb5 * pb5 + hb6 * pb6
+            x0 += hb1 * v0 + hb3 * v03 + hb4 * v04 + hb5 * v05 + hb6 * v06
+            v0 += hb1 * va1 + hb3 * va3 + hb4 * va4 + hb5 * va5 + hb6 * va6
+            l0 += hb1 * la1 + hb3 * la3 + hb4 * la4 + hb5 * la5 + hb6 * la6
+            x1 += hb1 * v1 + hb3 * v13 + hb4 * v14 + hb5 * v15 + hb6 * v16
+            v1 += hb1 * vb1 + hb3 * vb3 + hb4 * vb4 + hb5 * vb5 + hb6 * vb6
+            l1_ += hb1 * lb1 + hb3 * lb3 + hb4 * lb4 + hb5 * lb5 + hb6 * lb6
         return a, b, wa, wb, x0, v0, l0, x1, v1, l1_
     return advance
 
 
 def osc_run_inputs(trajectory, payload_kg: float, duration: float,
                    params: TwoDofParams, actuator: ActuatorParams,
-                   force_gains: ControllerGains):
+                   force_gains: ControllerGains,
+                   profile: Optional[LinkageProfile] = None):
     """The checks every leg run makes before it integrates, and what they
     yield: (params carrying the payload, sample times, desired positions,
     velocities, accelerations, each joint's PDM_DOB force controller).
-    Raises ValueError or MissingFilterCutoff for a bad run length, payload
-    or force loop and WorkspaceViolation for a path the leg cannot reach."""
+    Raises ValueError or MissingFilterCutoff for a bad run length, payload,
+    force loop or actuator block (leg_substeps, on the profile or the
+    default constant arm) and WorkspaceViolation for a path the leg cannot
+    reach."""
     n = simkit.control_steps(duration, "duration_s")
     params = replace(params, payload_mass=float(payload_kg))
     ctrls = [simkit.DiscreteForceController(ControllerKind.PDM_DOB, actuator,
                                             force_gains) for _ in range(2)]
+    leg_substeps(params, True, actuator, profile or
+                 LinkageProfile.constant(DEFAULT_MOMENT_ARM))
     times = np.arange(n) * simkit.CONTROL_DT
     pos_des, vel_des, acc_des = trajectory.sample(times)
     _check_workspace(pos_des, params)
@@ -514,10 +633,11 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     """
     if mode not in ("ideal_torque", "cascaded_vlca"):
         raise ValueError("mode must be 'ideal_torque' or 'cascaded_vlca'")
-    params, times, pos_des, vel_des, acc_des, ctrls = osc_run_inputs(
-        trajectory, payload_kg, duration, params, actuator, force_gains)
     if profile is None:
         profile = LinkageProfile.constant(DEFAULT_MOMENT_ARM)
+    params, times, pos_des, vel_des, acc_des, ctrls = osc_run_inputs(
+        trajectory, payload_kg, duration, params, actuator, force_gains,
+        profile)
     q0, q1 = map(float, inverse_kinematics(pos_des[0], params)
                  if q_init is None else q_init)
     cascaded = mode == "cascaded_vlca"
@@ -574,4 +694,6 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
                         i_m=i_m, f_k=f_k, motor_speed_rad_s=motor_speed,
                         saturation_count=sum(c.saturation_count for c in ctrls),
                         singular_count=singular,
-                        meta={"mode": mode, "payload_kg": payload_kg})
+                        meta={"mode": mode, "payload_kg": payload_kg,
+                              "substeps": leg_substeps(params, cascaded,
+                                                       actuator, profile)})

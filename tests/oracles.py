@@ -1,6 +1,9 @@
 """Reference formulas the tests hold the live kernels against."""
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction as Fr
+from functools import reduce
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,6 +82,37 @@ def rk4_step(f: Callable, t: float, y: Sequence[float], h: float) -> tuple:
     k4 = f(t + h, tuple(s + h * d for s, d in zip(y, k3)))
     return tuple(s + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                  for s, a, b, c, d in zip(y, k1, k2, k3, k4))
+
+
+# Dormand & Prince, J. Comput. Appl. Math. 6 (1980): the nodes, the stage
+# rows and the weights of the 5th-order solution of their 5(4) pair
+_DP5_C = tuple(map(float, (Fr(1, 5), Fr(3, 10), Fr(4, 5), Fr(8, 9), Fr(1))))
+_DP5_A = tuple(tuple(map(float, row)) for row in (
+    (Fr(1, 5),),
+    (Fr(3, 40), Fr(9, 40)),
+    (Fr(44, 45), Fr(-56, 15), Fr(32, 9)),
+    (Fr(19372, 6561), Fr(-25360, 2187), Fr(64448, 6561), Fr(-212, 729)),
+    (Fr(9017, 3168), Fr(-355, 33), Fr(46732, 5247), Fr(49, 176),
+     Fr(-5103, 18656))))
+_DP5_B = tuple(map(float, (Fr(35, 384), Fr(0), Fr(500, 1113), Fr(125, 192),
+                           Fr(-2187, 6784), Fr(11, 84))))
+
+
+def dp5_step(f: Callable, t: float, y: Sequence[float], h: float) -> tuple:
+    """One fixed step of the 5th-order Dormand-Prince solution of
+    y' = f(t, y) over h, without error estimate; y and f(t, y) are
+    equal-length sequences of floats. Each stage adds to y the sum of the
+    (h * a_ij) * k_j products, left to right in j, zero weights left out."""
+    def incr(coeffs, ks):
+        hc = [h * c for c in coeffs]
+        return [reduce(add, (c * k for c, k in zip(hc, col) if c))
+                for col in zip(*ks)]
+
+    ks = [f(t, y)]
+    for c, row in zip(_DP5_C, _DP5_A):
+        stage = tuple(s + d for s, d in zip(y, incr(row, ks)))
+        ks.append(f(t + c * h, stage))
+    return tuple(s + d for s, d in zip(y, incr(_DP5_B, ks)))
 
 
 def plant_energy(params, y) -> float:

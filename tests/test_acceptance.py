@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (_dyn_scalars, locked_plant_rates, plant_energy,
-                     rk4_step, total_energy)
+from oracles import (_dyn_scalars, dp5_step, locked_plant_rates,
+                     plant_energy, total_energy)
 from vlcasim import elastomat, lintf, powertherm, simkit, testbed, vlca
 from vlcasim.vlca import (ControllerGains, ControllerKind, VLCA_ACTUATOR,
                           DEFAULT_MOMENT_ARM, force_plant, open_loop_tf)
@@ -232,14 +232,14 @@ def test_criterion_9_property_suites():
         spd = spd and np.linalg.eigvalsh([[a11, a12], [a12, a22]])[0] > 0.0
     checks.append(("mass matrix SPD at 1000 configurations", spd))
 
-    # the leg's integrator converges at fourth order, checked on the RK4
+    # the leg's integrator converges at fifth order, checked on the DP5
     # step its period map equals bit for bit
     rates = locked_plant_rates(P)
 
     def terminal(dt):
         s = (1e-4, 0.0)
         for _ in range(int(round(0.05 / dt))):
-            s = rk4_step(rates, 0.0, s, dt)
+            s = dp5_step(rates, 0.0, s, dt)
         return s
 
     ref_x, ref_v = terminal(1e-6)
@@ -247,8 +247,8 @@ def test_criterion_9_property_suites():
     x2, v2 = terminal(5e-4)
     e1 = math.hypot(x1 - ref_x, (v1 - ref_v) / 1e3)
     e2 = math.hypot(x2 - ref_x, (v2 - ref_v) / 1e3)
-    checks.append(("RK4 order (halving dt shrinks error >= 8x)",
-                   e1 / e2 >= 8.0))
+    checks.append(("DP5 order (halving dt shrinks error >= 16x)",
+                   e1 / e2 >= 16.0))
 
     # observer with a vanishing cutoff reduces to the inner loop
     ref = simkit.SineRef(amplitude=300.0, freq_hz=3.0)

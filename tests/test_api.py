@@ -123,8 +123,9 @@ def test_the_benchmark_tracer_still_finds_its_targets():
 
 
 # Run in a fresh interpreter: prints which SciPy modules are loaded after
-# `import vlcasim.cli`, after a default margins run into argv[1] and after a
-# calibrating one into argv[2].
+# `import vlcasim.cli` and after each run of a list of configs, run in turn
+# into argv[1]/<name>: a default margins run, a calibrating one, a B-spline
+# osc run and an efficiency run.
 _IMPORT_PROBE = """
 import json, sys
 import vlcasim.cli
@@ -132,12 +133,16 @@ subs = ("scipy.linalg", "scipy.optimize", "scipy.interpolate")
 def loaded():
     return ["scipy"] * ("scipy" in sys.modules) + [
         m for m in subs if m in sys.modules]
-seen = {"import": loaded()}
-statuses = [vlcasim.cli.run({"scenario": "margins", "out": sys.argv[1]}).status]
-seen["margins"] = loaded()
-statuses.append(vlcasim.cli.run({"scenario": "margins", "out": sys.argv[2],
-                                 "margins.calibrate": "1"}).status)
-seen["calibrate"] = loaded()
+runs = {"margins": {"scenario": "margins"},
+        "calibrate": {"scenario": "margins", "margins.calibrate": "1"},
+        "bspline": {"scenario": "osc", "osc.trajectory": "bspline",
+                    "osc.duration_s": "0.2"},
+        "efficiency": {"scenario": "efficiency", "efficiency.duration_s": "0.6"}}
+seen, statuses = {"import": loaded()}, []
+for name, cfg in runs.items():
+    cfg["out"] = sys.argv[1] + "/" + name
+    statuses.append(vlcasim.cli.run(cfg).status)
+    seen[name] = loaded()
 print(json.dumps([statuses, seen]))
 """
 
@@ -145,20 +150,20 @@ print(json.dumps([statuses, seen]))
 def test_importing_the_cli_loads_scipy_but_none_of_its_subpackages(tmp_path):
     # the benchmark worker reads sys.modules["scipy"].__version__ right
     # after importing the CLI; linalg, optimize and interpolate load on
-    # first use, and a margins run, calibrating or not, uses none of them
+    # first use, and a margins run, calibrating or not, a B-spline osc run
+    # and an efficiency run use none of them
     src = str(pathlib.Path(vlcasim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
-                           str(tmp_path / "out"), str(tmp_path / "cal")],
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
                           env=env, capture_output=True, text=True, check=True)
     statuses, seen = json.loads(done.stdout)
-    assert statuses == ["ok", "ok"]
-    assert seen == {"import": ["scipy"], "margins": ["scipy"],
-                    "calibrate": ["scipy"]}
+    assert statuses == ["ok"] * 4
+    assert seen == {name: ["scipy"] for name in (
+        "import", "margins", "calibrate", "bspline", "efficiency")}
 
 
-def test_only_lintf_and_testbed_import_scipy():
+def test_only_lintf_imports_scipy():
     importers = set()
     for path in pathlib.Path(vlcasim.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -170,4 +175,4 @@ def test_only_lintf_and_testbed_import_scipy():
                 continue
             if any(n.partition(".")[0] == "scipy" for n in names):
                 importers.add(path.stem)
-    assert importers == {"lintf", "testbed"}
+    assert importers == {"lintf"}

@@ -189,6 +189,9 @@ def test_run_lengths_stop_at_the_ceiling(key):
     "scenario = materials\nmaterials.w_cost = -1",
     # the thermal network has no optional field
     "scenario = thermal\nthermal.c_winding = none",
+    # actuators that need more leg substeps per period than the ceiling
+    "scenario = osc\nactuator.b_m = 1e3",
+    "scenario = efficiency\nactuator.b_r = 1e9",
 ], ids=["impact", "force_tracking", "position_step", "osc",
         "osc_first_knot_nan", "osc_middle_knot_nan", "thermal_burst",
         "thermal_hold", "efficiency_duration", "efficiency_payload",
@@ -205,7 +208,9 @@ def test_run_lengths_stop_at_the_ceiling(key):
         "margins_derivative_cutoff_unset", "margins_observer_cutoff_unset",
         "bode_chirp_1e9", *(f"{key}_1e9" for key in _RUN_LENGTHS
                             if key.endswith("duration_s")),
-        "materials_negative_weight", "thermal_capacity_unset"])
+        "materials_negative_weight", "thermal_capacity_unset",
+        "osc_drag_past_substep_ceiling",
+        "efficiency_damping_past_substep_ceiling"])
 def test_validate_range_checks_scenario_extras(tmp_path, capsys, lines):
     cfg = _write(tmp_path, "extras.cfg", f"{lines}\nout = extras_out\n")
     assert main(["validate", cfg]) == 2
@@ -294,9 +299,13 @@ def _fails_with(exc, why):
     pytest.param("bode", "actuator.j_m", "1e3", marks=_fails_with(
         cli.simkit.InsufficientExcitation,
         "the estimate fails its local-consistency test")),
-    pytest.param("osc", "actuator.b_m", "1", marks=_fails_with(
-        cli.testbed.OutOfRange,
-        "the drag is past the stability limit of 7 cascaded RK4 substeps")),
+    # the leg's substep floor keeps each of these heavily damped actuators
+    # stable; a fixed 2 substeps per period diverges on every one
+    ("osc", "actuator.b_m", "0.3"),
+    ("osc", "actuator.b_m", "0.5"),
+    ("osc", "actuator.b_m", "0.7"),
+    ("osc", "actuator.b_m", "1"),
+    ("osc", "actuator.b_r", "1.2e6"),
     pytest.param("thermal", "thermal.alpha", "1", marks=_fails_with(
         cli.simkit.NonFiniteState,
         "the winding resistance runs away with its temperature")),
@@ -620,7 +629,8 @@ def test_osc_manifest_counts_each_simulation(tmp_path):
                          metrics.splitlines()[1:]):
         c = counters[f"osc_{mode}"]
         assert c["control_steps"] == 200
-        assert c["rk4_substeps"] == 200 * cli.testbed.LEG_SUBSTEPS[mode]
+        assert c["leg_substeps"] == 200 * cli.testbed.LEG_SUBSTEPS[mode]
+        assert c["rate_evaluations"] == 6 * c["leg_substeps"]
         assert c["saturated_steps"] == int(row.split(",")[2])
         assert c["singularity_damped_steps"] == 0
 

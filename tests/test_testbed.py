@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import _dyn_scalars, hip_jacobian, rk4_step, total_energy
+from oracles import _dyn_scalars, dp5_step, hip_jacobian, total_energy
 from vlcasim import powertherm, simkit
 from vlcasim import testbed as tb
 from vlcasim.vlca import (ControllerGains, ControllerKind,
@@ -312,6 +312,31 @@ def test_bspline_lift_is_rest_to_rest():
         tb.BSplineTrajectory(((0.2, 0.4), (0.2, 0.5), (0.2, 0.6)), 0.0)
 
 
+def _scipy_bspline_sample(traj, t):
+    """BSplineTrajectory.sample written with scipy.interpolate.BSpline."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    pts, duration, k = traj.control_points, traj.duration_s, 2
+    inner = np.linspace(0.0, duration, len(pts) - k + 1)
+    knots = np.concatenate([[0.0] * k, inner, [duration] * k])
+    spl = interpolate.BSpline(knots, pts, k, extrapolate=False)
+    tc = np.clip(t, 0.0, duration)
+    pos, vel, acc = spl(tc), spl.derivative(1)(tc), spl.derivative(2)(tc)
+    vel[t > duration] = 0.0
+    acc[t > duration] = 0.0
+    return pos, vel, acc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                min_size=3, max_size=8),
+       st.floats(0.05, 3.0))
+def test_bspline_equals_scipy_bit_for_bit(points, duration):
+    traj = tb.BSplineTrajectory(points, duration)
+    t = np.arange(int((duration + 0.2) / 1e-3)) * 1e-3
+    for got, want in zip(traj.sample(t), _scipy_bspline_sample(traj, t)):
+        assert got.tobytes() == want.tobytes()
+
+
 # --------------------------------------------------------------- simulation
 
 def test_zero_amplitude_regulation_holds_position():
@@ -442,11 +467,11 @@ def test_trace_csv_layout():
 
 # ---------------------------------------------------------- period map
 
-def _rk4_period(params, cascaded, actuator, profile, external_force,
+def _dp5_period(params, cascaded, actuator, profile, external_force,
                 state, u0, u1, t):
-    """One control period as LEG_SUBSTEPS[mode] simkit.rk4_step calls on
-    leg rates written from _dyn_scalars and LinkageProfile.arm, with the
-    torques or currents and the hip force held at t."""
+    """One control period as leg_substeps(...) dp5_step calls on leg rates
+    written from _dyn_scalars and LinkageProfile.arm, with the torques or
+    currents and the hip force held at t."""
     k_r, b_r = actuator.k_r, actuator.b_r
     m_m, b_dt = actuator.effective_mass, actuator.drivetrain_damping
     n_drive = actuator.drive_constant
@@ -482,10 +507,10 @@ def _rk4_period(params, cascaded, actuator, profile, external_force,
         vd1 = (n_drive * u1 - b_dt * v1 - f1) / m_m
         return wa, wb, wd0, wd1, v0, vd0, ld0, v1, vd1, ld1
 
-    n = tb.LEG_SUBSTEPS["cascaded_vlca" if cascaded else "ideal_torque"]
+    n = tb.leg_substeps(params, cascaded, actuator, profile)
     h = simkit.CONTROL_DT / n
     for _ in range(n):
-        state = rk4_step(rates, t, state, h)
+        state = dp5_step(rates, t, state, h)
     return state
 
 
@@ -523,11 +548,11 @@ def leg_periods(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(leg_periods())
-def test_period_map_equals_rk4_step_bit_for_bit(case):
+def test_period_map_equals_dp5_step_bit_for_bit(case):
     args = (case["params"], case["cascaded"], VLCA_ACTUATOR, case["profile"],
             case["external_force"])
     got = tb.leg_period_map(*args)(case["state"], *case["u"], case["t"])
-    want = _rk4_period(*args, case["state"], *case["u"], case["t"])
+    want = _dp5_period(*args, case["state"], *case["u"], case["t"])
     assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
@@ -540,11 +565,71 @@ def test_period_map_checks_the_range_of_a_constant_profile():
     with pytest.raises(tb.OutOfRange):
         advance(state, 0.0, 0.0, 0.0)
     with pytest.raises(tb.OutOfRange):
-        _rk4_period(P, True, VLCA_ACTUATOR, profile, None, state, 0.0, 0.0,
+        _dp5_period(P, True, VLCA_ACTUATOR, profile, None, state, 0.0, 0.0,
                     0.0)
 
 
 # --------------------------------------------------------- step budget
+
+def _block_growth(params, actuator, arm, q1, n):
+    """Largest |R(h*lambda)| over the eigenvalues lambda of the linear
+    actuator-joint block at knee angle q1, R the gain of one dp5_step of
+    h = CONTROL_DT / n on y' = lambda*y. The block: the screws and joints
+    (x0, x1, q0, q1) under the effective mass and the mass matrix, the
+    motor drag, and the spring and its damping across each screw and its
+    linkage."""
+    a11, a12, a22 = _dyn_scalars(0.0, q1, 0.0, 0.0, params)[:3]
+    mass = np.diag([actuator.effective_mass] * 2 + [0.0, 0.0])
+    mass[2:, 2:] = [[a11, a12], [a12, a22]]
+    g = np.array([[1.0, 0.0, -arm, 0.0], [0.0, 1.0, 0.0, -arm]])
+    damp = (actuator.b_r * g.T @ g
+            + np.diag([actuator.drivetrain_damping] * 2 + [0.0, 0.0]))
+    minv = np.linalg.inv(mass)
+    a = np.block([[np.zeros((4, 4)), np.eye(4)],
+                  [-minv @ (actuator.k_r * g.T @ g), -minv @ damp]])
+    h = simkit.CONTROL_DT / n
+    return max(abs(dp5_step(lambda _t, y: (lam * y[0],), 0.0, (1.0,), h)[0])
+               for lam in np.linalg.eigvals(a))
+
+
+@pytest.mark.parametrize("change", [
+    {}, {"b_m": 0.3}, {"b_m": 1.0}, {"b_m": 12.0}, {"b_r": 1.2e6},
+    {"k_r": 5.5e8}], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items())
+    or "nominal")
+def test_leg_substeps_keep_the_actuator_block_stable(change):
+    # the floor comes from the run's parameters: the nominal actuator needs
+    # only the accuracy count, and at every payload and knee angle no mode
+    # of the linear block grows over a substep
+    actuator = replace(VLCA_ACTUATOR, **change)
+    profile = tb.LinkageProfile.constant(DEFAULT_MOMENT_ARM)
+    for payload in (0.0, 10.0, 32.5):
+        params = replace(P, payload_mass=payload)
+        n = tb.leg_substeps(params, True, actuator, profile)
+        assert n >= tb.LEG_SUBSTEPS["cascaded_vlca"]
+        assert change or n == tb.LEG_SUBSTEPS["cascaded_vlca"]
+        for q1 in np.linspace(-math.pi, math.pi, 9):
+            assert _block_growth(params, actuator, DEFAULT_MOMENT_ARM, q1,
+                                 n) <= 1.0 + 1e-12
+    assert tb.leg_substeps(P, False, actuator, profile) == 1
+
+
+def test_heavy_motor_drag_needs_the_substep_floor():
+    # at the accuracy count alone the b_m = 1 block grows, and the run dies
+    actuator = replace(VLCA_ACTUATOR, b_m=1.0)
+    assert _block_growth(P, actuator, DEFAULT_MOMENT_ARM, -1.0,
+                         tb.LEG_SUBSTEPS["cascaded_vlca"]) > 1.0
+
+
+def test_leg_substeps_have_a_ceiling():
+    profile = tb.LinkageProfile.constant(DEFAULT_MOMENT_ARM)
+    with pytest.raises(ValueError, match="more than 100"):
+        tb.leg_substeps(P, True, replace(VLCA_ACTUATOR, b_m=1e3), profile)
+    traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.0, 0.05),
+                             freq_hz=1.0)
+    with pytest.raises(ValueError, match="leg substeps"):
+        tb.simulate_osc(traj, 10.0, "cascaded_vlca", 0.1,
+                        actuator=replace(VLCA_ACTUATOR, b_r=1e9))
+
 
 def test_leg_substeps_meet_error_budget(monkeypatch):
     """The rule stated at LEG_SUBSTEPS, on short runs near the paper's
