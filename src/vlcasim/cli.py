@@ -480,7 +480,15 @@ def _thermal_params(spec: RunSpec):
                          _HOLD_DT)
     # the overrides are checked against the calibrated network itself
     report = powertherm.calibrate_thermal(spec.actuator)
-    return report, replace(report.params, **spec.thermal)
+    params = replace(report.params, **spec.thermal)
+    # a short burst may pass thermal runaway, the held current may not
+    hold_n = spec.extras["hold_force_n"]
+    i_hold = hold_n / spec.actuator.drive_constant
+    if not math.isfinite(powertherm.steady_state_winding(i_hold, params)):
+        raise ValueError(f"the {hold_n:g} N hold draws {i_hold:.4g} A, past "
+                         "thermal runaway: the winding heats faster than the "
+                         "coolant removes heat at any temperature")
+    return report, params
 
 
 def _scenario_thermal(spec: RunSpec, em: _Emitter):

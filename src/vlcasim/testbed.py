@@ -1,14 +1,13 @@
-"""Planar ankle/knee leg testbed: closed-form rigid-body dynamics,
-moment-arm linkage mapping, operational-space control, and coupled
-simulation with either ideal torque sources or the full actuator
-force loops in series.
+"""Planar ankle/knee leg testbed: closed-form rigid-body dynamics, a
+screw linkage of constant moment arm (vlca.DEFAULT_MOMENT_ARM) at each
+joint, operational-space control, and coupled simulation with either
+ideal torque sources or the full actuator force loops in series.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -22,10 +21,6 @@ from .vlca import (ActuatorParams, ControllerGains, ControllerKind,
 
 class WorkspaceViolation(Exception):
     """Requested hip path leaves the reachable annulus."""
-
-
-class OutOfRange(Exception):
-    """Joint angle outside the linkage profile's tabulated range."""
 
 
 # slender-rod link defaults: 0.4 m, 2 kg, centroid mid-link
@@ -113,47 +108,6 @@ def inverse_kinematics(x: Sequence[float], params: TwoDofParams) -> np.ndarray:
     q0 = math.atan2(py, px) - math.atan2(l2 * math.sin(q1),
                                          l1 + l2 * math.cos(q1))
     return np.array([q0, q1])
-
-
-# ------------------------------------------------------------- linkage
-
-@dataclass(frozen=True)
-class LinkageProfile:
-    """Moment arm of the screw axis about a joint, tabulated over angle.
-
-    Linear interpolation between knots; querying outside the tabulated
-    range raises OutOfRange. Adjacent arms may differ by at most 20%.
-    """
-
-    angles_rad: tuple
-    arms_m: tuple
-
-    def __post_init__(self):
-        if len(self.angles_rad) != len(self.arms_m) or len(self.angles_rad) < 2:
-            raise ValueError("need matching angle/arm tables of length >= 2")
-        if any(b <= a for a, b in zip(self.angles_rad, self.angles_rad[1:])):
-            raise ValueError("angles must strictly increase")
-        if any(r <= 0.0 for r in self.arms_m):
-            raise ValueError("moment arms must be > 0")
-        for a, b in zip(self.arms_m, self.arms_m[1:]):
-            if abs(b - a) / a > 0.20:
-                raise ValueError("adjacent moment arms differ by more than 20%")
-
-    @classmethod
-    def constant(cls, arm_m: float, q_min: float = -2.0 * math.pi,
-                 q_max: float = 2.0 * math.pi) -> "LinkageProfile":
-        return cls((q_min, q_max), (arm_m, arm_m))
-
-    def arm(self, q: float) -> float:
-        if not self.angles_rad[0] <= q <= self.angles_rad[-1]:
-            raise OutOfRange(f"angle {q:.4g} rad outside profile range "
-                             f"[{self.angles_rad[0]:.4g}, {self.angles_rad[-1]:.4g}]")
-        i = bisect_right(self.angles_rad, q)
-        if i >= len(self.angles_rad):
-            return self.arms_m[-1]
-        a0, a1 = self.angles_rad[i - 1], self.angles_rad[i]
-        r0, r1 = self.arms_m[i - 1], self.arms_m[i]
-        return r0 + (r1 - r0) * (q - a0) / (a1 - a0)
 
 
 # ------------------------------------------------------------- control
@@ -413,7 +367,7 @@ _DP5_REAL_LIMIT, _DP5_DISK_RADIUS = 3.306, 0.997
 
 
 def leg_substeps(params: TwoDofParams, cascaded: bool,
-                 actuator: ActuatorParams, profile: LinkageProfile) -> int:
+                 actuator: ActuatorParams) -> int:
     """DP5 substeps per control period: LEG_SUBSTEPS[mode], raised in
     cascaded mode to the smallest count that keeps h*lambda inside DP5's
     stability region for every eigenvalue lambda of the linear
@@ -424,9 +378,9 @@ def leg_substeps(params: TwoDofParams, cascaded: bool,
     plus the spring damping b_r across each screw and its linkage, and the
     spring k_r across them. Each lambda solves lambda^2 + c lambda + k = 0
     with c <= (b_dt + b_r)/m_m + b_r r^2/I and k <= k_r (1/m_m + r^2/I),
-    r the profile's largest arm and I a floor on the mass matrix's smallest
-    eigenvalue, so a real lambda lies in [-c, 0] and a complex one within
-    sqrt(k) of 0. Raises ValueError above MAX_LEG_SUBSTEPS."""
+    r the moment arm DEFAULT_MOMENT_ARM and I a floor on the mass matrix's
+    smallest eigenvalue, so a real lambda lies in [-c, 0] and a complex one
+    within sqrt(k) of 0. Raises ValueError above MAX_LEG_SUBSTEPS."""
     if not cascaded:
         return LEG_SUBSTEPS["ideal_torque"]
     # det / trace at the straight and the folded knee: the determinant is
@@ -436,7 +390,7 @@ def leg_substeps(params: TwoDofParams, cascaded: bool,
     mass = [dyn(0.0, q1, 0.0, 0.0)[:3] for q1 in (0.0, math.pi)]
     i_min = (min(a11 * a22 - a12 * a12 for a11, a12, a22 in mass)
              / max(a11 + a22 for a11, _, a22 in mass))
-    r2, m_m = max(profile.arms_m) ** 2, actuator.effective_mass
+    r2, m_m = DEFAULT_MOMENT_ARM ** 2, actuator.effective_mass
     c_max = actuator.effective_damping / m_m + actuator.b_r * r2 / i_min
     k_max = actuator.k_r * (1.0 / m_m + r2 / i_min)
     n = max(LEG_SUBSTEPS["cascaded_vlca"],
@@ -450,7 +404,7 @@ def leg_substeps(params: TwoDofParams, cascaded: bool,
 
 
 def leg_period_map(params: TwoDofParams, cascaded: bool,
-                   actuator: ActuatorParams, profile: LinkageProfile,
+                   actuator: ActuatorParams,
                    external_force: Optional[Callable[[float], Sequence[float]]] = None):
     """The leg's advance over one control period, built once per run.
 
@@ -468,11 +422,10 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
     stage adds to the state the sum of the (h * a_ij) * k_j products in
     order of j, as tests/oracles.py's DP5 step does, so one period equals n
     of its steps on the rates written from the reference _dyn_scalars there
-    bit for bit. A stage angle outside the profile's range raises
-    OutOfRange.
+    bit for bit.
     """
     cos, sin = math.cos, math.sin
-    n = leg_substeps(params, cascaded, actuator, profile)
+    n = leg_substeps(params, cascaded, actuator)
     h = simkit.CONTROL_DT / n
     (h21,), (h31, h32), (h41, h42, h43), (h51, h52, h53, h54), \
         (h61, h62, h63, h64, h65) = ([h * a for a in row] for row in _DP5_A)
@@ -485,23 +438,16 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
     m_m, b_dt = actuator.effective_mass, actuator.drivetrain_damping
     # the held inputs are motor currents in cascaded mode, torques in ideal
     n_drive = actuator.drive_constant if cascaded else 1.0
-    arm = profile.arm
-    lo, hi = profile.angles_rad[0], profile.angles_rad[-1]
-    # a profile with one arm value returns it exactly wherever it is defined
-    arm_c = profile.arms_m[0] if len(set(profile.arms_m)) == 1 else None
+    r = DEFAULT_MOMENT_ARM
 
     def rates(a, b, wa, wb, x0, v0, l0, x1, v1, l1_, fi0, fi1, fx, fy):
         """(wd0, wd1, vd0, vd1, ld0, ld1) under the held fi: the screw drive
         forces n_drive * i in cascaded mode, the joint torques in ideal."""
         if cascaded:
-            if arm_c is not None and lo <= a <= hi and lo <= b <= hi:
-                r0 = r1 = arm_c
-            else:
-                r0, r1 = arm(a), arm(b)
-            ld0, ld1 = r0 * wa, r1 * wb
+            ld0, ld1 = r * wa, r * wb
             f0 = k_r * (x0 - l0) + b_r * (v0 - ld0)
             f1 = k_r * (x1 - l1_) + b_r * (v1 - ld1)
-            t0, t1 = r0 * f0, r1 * f1
+            t0, t1 = r * f0, r * f1
         else:
             t0, t1 = fi0, fi1
         a11, a12, a22, b1, b2, g1, g2 = dyn(a, b, wa, wb)
@@ -593,21 +539,18 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
 
 def osc_run_inputs(trajectory, payload_kg: float, duration: float,
                    params: TwoDofParams, actuator: ActuatorParams,
-                   force_gains: ControllerGains,
-                   profile: Optional[LinkageProfile] = None):
+                   force_gains: ControllerGains):
     """The checks every leg run makes before it integrates, and what they
     yield: (params carrying the payload, sample times, desired positions,
     velocities, accelerations, each joint's PDM_DOB force controller).
     Raises ValueError or MissingFilterCutoff for a bad run length, payload,
-    force loop or actuator block (leg_substeps, on the profile or the
-    default constant arm) and WorkspaceViolation for a path the leg cannot
-    reach."""
+    force loop or actuator block (leg_substeps) and WorkspaceViolation for
+    a path the leg cannot reach."""
     n = simkit.control_steps(duration, "duration_s")
     params = replace(params, payload_mass=float(payload_kg))
     ctrls = [simkit.DiscreteForceController(ControllerKind.PDM_DOB, actuator,
                                             force_gains) for _ in range(2)]
-    leg_substeps(params, True, actuator, profile or
-                 LinkageProfile.constant(DEFAULT_MOMENT_ARM))
+    leg_substeps(params, True, actuator)
     times = np.arange(n) * simkit.CONTROL_DT
     pos_des, vel_des, acc_des = trajectory.sample(times)
     _check_workspace(pos_des, params)
@@ -619,7 +562,6 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
                  params: TwoDofParams = TwoDofParams(),
                  actuator: ActuatorParams = VLCA_ACTUATOR,
                  force_gains: ControllerGains = EXPERIMENT_GAINS,
-                 profile: Optional[LinkageProfile] = None,
                  external_force: Optional[Callable[[float], Sequence[float]]] = None,
                  q_init: Optional[Sequence[float]] = None) -> TestbedTrace:
     """Track a hip trajectory under operational-space control.
@@ -633,24 +575,20 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     """
     if mode not in ("ideal_torque", "cascaded_vlca"):
         raise ValueError("mode must be 'ideal_torque' or 'cascaded_vlca'")
-    if profile is None:
-        profile = LinkageProfile.constant(DEFAULT_MOMENT_ARM)
     params, times, pos_des, vel_des, acc_des, ctrls = osc_run_inputs(
-        trajectory, payload_kg, duration, params, actuator, force_gains,
-        profile)
+        trajectory, payload_kg, duration, params, actuator, force_gains)
     q0, q1 = map(float, inverse_kinematics(pos_des[0], params)
                  if q_init is None else q_init)
     cascaded = mode == "cascaded_vlca"
-    advance = leg_period_map(params, cascaded, actuator, profile, external_force)
+    advance = leg_period_map(params, cascaded, actuator, external_force)
     dyn = _leg_dynamics(params)
-    k_r, b_r = actuator.k_r, actuator.b_r
+    k_r, b_r, r = actuator.k_r, actuator.b_r, DEFAULT_MOMENT_ARM
 
-    arm = profile.arm
     x0 = x1 = 0.0  # the actuator entries stay at zero in ideal mode
     if cascaded:
         # preload the springs against gravity so the leg starts settled
         g1, g2 = dyn(q0, q1, 0.0, 0.0)[5:]
-        x0, x1 = (g1 / arm(q0)) / k_r, (g2 / arm(q1)) / k_r
+        x0, x1 = (g1 / r) / k_r, (g2 / r) / k_r
     state = (q0, q1, 0.0, 0.0, x0, 0.0, 0.0, x1, 0.0, 0.0)
 
     pos, vel, acc = pos_des.tolist(), vel_des.tolist(), acc_des.tolist()
@@ -664,8 +602,8 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
         singular += damped
         if cascaded:
             x0, v0, l0, x1, v1, l1 = state[4:]
-            u = (ctrls[0].step(tau0 / arm(q0), k_r * (x0 - l0), v0),
-                 ctrls[1].step(tau1 / arm(q1), k_r * (x1 - l1), v1))
+            u = (ctrls[0].step(tau0 / r, k_r * (x0 - l0), v0),
+                 ctrls[1].step(tau1 / r, k_r * (x1 - l1), v1))
         else:
             u = (tau0, tau1)
         states.extend(state)
@@ -681,7 +619,6 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     if cascaded:
         # screw position, rate and linkage displacement of both actuators
         x_s, v_s, l_s = states[:, 4::3], states[:, 5::3], states[:, 6::3]
-        r = np.array([[arm(a), arm(b)] for a, b in q.tolist()])
         f_k = k_r * (x_s - l_s)
         tau_applied = r * (f_k + b_r * (v_s - r * qdot))
         i_m, motor_speed = held, actuator.n_m * v_s
@@ -696,4 +633,4 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
                         singular_count=singular,
                         meta={"mode": mode, "payload_kg": payload_kg,
                               "substeps": leg_substeps(params, cascaded,
-                                                       actuator, profile)})
+                                                       actuator)})

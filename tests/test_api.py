@@ -122,6 +122,14 @@ def test_the_benchmark_tracer_still_finds_its_targets():
     assert list(inspect.signature(testbed.simulate_osc).parameters)[2] == "mode"
 
 
+def test_the_leg_simulation_takes_its_pinned_arguments():
+    # the whole list, so that a removed option cannot come back unnoticed
+    from vlcasim import testbed
+    assert list(inspect.signature(testbed.simulate_osc).parameters) == [
+        "trajectory", "payload_kg", "mode", "duration", "task_gains",
+        "params", "actuator", "force_gains", "external_force", "q_init"]
+
+
 # Run in a fresh interpreter: prints which SciPy modules are loaded after
 # `import vlcasim.cli` and after each run of a list of configs, run in turn
 # into argv[1]/<name>: a default margins run, a calibrating one, a B-spline

@@ -132,8 +132,7 @@ def test_velocity_product_vanishes_at_rest_and_is_power_neutral():
 def test_passive_swing_conserves_energy():
     # the leg's own period map, unactuated in zero gravity, for 1 s
     zero_g = replace(P, gravity=0.0)
-    advance = tb.leg_period_map(zero_g, False, VLCA_ACTUATOR,
-                                tb.LinkageProfile.constant(DEFAULT_MOMENT_ARM))
+    advance = tb.leg_period_map(zero_g, False, VLCA_ACTUATOR)
     state = (0.4, -0.8, 1.0, -0.5) + (0.0,) * 6
     e0 = total_energy(state[:2], state[2:], zero_g)
     drift = 0.0
@@ -194,32 +193,6 @@ def test_hip_position_maps_an_array_row_by_row():
     assert hips.shape == (2000, 2)
     assert hips.tolist() == expect
     assert [tb.hip_position(row, P).tolist() for row in q[:50]] == expect[:50]
-
-
-# ------------------------------------------------------------------ linkage
-
-# a nonconstant profile: the linkage gains leverage as the joint flexes
-CROUCH_BIASED = tb.LinkageProfile(
-    angles_rad=(-2.6, -1.3, 0.0, 1.3, 2.6),
-    arms_m=(0.0540, 0.0500, 0.0458, 0.0500, 0.0540))
-
-
-def test_linkage_rated_point():
-    arm = tb.LinkageProfile.constant(DEFAULT_MOMENT_ARM).arm(0.0)
-    assert arm * 5900.0 == 270.0
-    assert 91.0 / arm == pytest.approx(1988.5, abs=1.0)
-
-
-def test_linkage_profile_validation():
-    with pytest.raises(ValueError):
-        tb.LinkageProfile((0.0, 0.0, 1.0), (0.04, 0.04, 0.04))
-    with pytest.raises(ValueError):
-        tb.LinkageProfile((0.0, 1.0), (0.04, 0.06))  # 50 percent jump
-    with pytest.raises(ValueError):
-        tb.LinkageProfile((0.0,), (0.04,))
-    prof = CROUCH_BIASED
-    with pytest.raises(tb.OutOfRange):
-        prof.arm(prof.angles_rad[-1] + 0.5)
 
 
 # -------------------------------------------------------------- osc control
@@ -467,10 +440,9 @@ def test_trace_csv_layout():
 
 # ---------------------------------------------------------- period map
 
-def _dp5_period(params, cascaded, actuator, profile, external_force,
-                state, u0, u1, t):
+def _dp5_period(params, cascaded, actuator, external_force, state, u0, u1, t):
     """One control period as leg_substeps(...) dp5_step calls on leg rates
-    written from _dyn_scalars and LinkageProfile.arm, with the torques or
+    written from _dyn_scalars and DEFAULT_MOMENT_ARM, with the torques or
     currents and the hip force held at t."""
     k_r, b_r = actuator.k_r, actuator.b_r
     m_m, b_dt = actuator.effective_mass, actuator.drivetrain_damping
@@ -488,11 +460,11 @@ def _dp5_period(params, cascaded, actuator, profile, external_force,
             te1 = -l2 * s01 * fx + l2 * c01 * fy
         if cascaded:
             x0, v0, ll0, x1, v1, ll1 = y[4:]
-            r0, r1 = profile.arm(a), profile.arm(b)
-            ld0, ld1 = r0 * wa, r1 * wb
+            r = DEFAULT_MOMENT_ARM
+            ld0, ld1 = r * wa, r * wb
             f0 = k_r * (x0 - ll0) + b_r * (v0 - ld0)
             f1 = k_r * (x1 - ll1) + b_r * (v1 - ld1)
-            t0, t1 = r0 * f0, r1 * f1
+            t0, t1 = r * f0, r * f1
         else:
             t0, t1 = u0, u1
         a11, a12, a22, b1, b2, g1, g2 = _dyn_scalars(a, b, wa, wb, params)
@@ -507,21 +479,17 @@ def _dp5_period(params, cascaded, actuator, profile, external_force,
         vd1 = (n_drive * u1 - b_dt * v1 - f1) / m_m
         return wa, wb, wd0, wd1, v0, vd0, ld0, v1, vd1, ld1
 
-    n = tb.leg_substeps(params, cascaded, actuator, profile)
+    n = tb.leg_substeps(params, cascaded, actuator)
     h = simkit.CONTROL_DT / n
     for _ in range(n):
         state = dp5_step(rates, t, state, h)
     return state
 
 
-PROFILES = {"crouch_biased": CROUCH_BIASED,
-            "constant": tb.LinkageProfile.constant(0.05)}
-
-
 @st.composite
 def leg_periods(draw):
-    """A leg state, held inputs, payload, profile and hip force for one
-    control period in either mode."""
+    """A leg state, held inputs, payload and hip force for one control
+    period in either mode."""
     cascaded = draw(st.booleans())
     angle, rate = st.floats(-2.4, 2.4), st.floats(-6.0, 6.0)
     state = (draw(angle), draw(angle), draw(rate), draw(rate))
@@ -540,33 +508,18 @@ def leg_periods(draw):
         def force(t):
             return fx * math.cos(3.0 * t), fy
     return dict(params=replace(P, payload_mass=draw(st.floats(0.0, 30.0))),
-                cascaded=cascaded,
-                profile=PROFILES[draw(st.sampled_from(sorted(PROFILES)))],
-                external_force=force, state=state, u=u,
+                cascaded=cascaded, external_force=force, state=state, u=u,
                 t=draw(st.floats(0.0, 5.0)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(leg_periods())
 def test_period_map_equals_dp5_step_bit_for_bit(case):
-    args = (case["params"], case["cascaded"], VLCA_ACTUATOR, case["profile"],
+    args = (case["params"], case["cascaded"], VLCA_ACTUATOR,
             case["external_force"])
     got = tb.leg_period_map(*args)(case["state"], *case["u"], case["t"])
     want = _dp5_period(*args, case["state"], *case["u"], case["t"])
     assert list(map(float.hex, got)) == list(map(float.hex, want))
-
-
-def test_period_map_checks_the_range_of_a_constant_profile():
-    # the first stage leaves [-1, 1]: the joint starts 1e-6 rad inside it
-    # and turns outwards at 1 rad/s
-    profile = tb.LinkageProfile.constant(0.05, -1.0, 1.0)
-    advance = tb.leg_period_map(P, True, VLCA_ACTUATOR, profile)
-    state = (1.0 - 1e-6, -0.5, 1.0, 0.0) + (0.0,) * 6
-    with pytest.raises(tb.OutOfRange):
-        advance(state, 0.0, 0.0, 0.0)
-    with pytest.raises(tb.OutOfRange):
-        _dp5_period(P, True, VLCA_ACTUATOR, profile, None, state, 0.0, 0.0,
-                    0.0)
 
 
 # --------------------------------------------------------- step budget
@@ -601,16 +554,15 @@ def test_leg_substeps_keep_the_actuator_block_stable(change):
     # only the accuracy count, and at every payload and knee angle no mode
     # of the linear block grows over a substep
     actuator = replace(VLCA_ACTUATOR, **change)
-    profile = tb.LinkageProfile.constant(DEFAULT_MOMENT_ARM)
     for payload in (0.0, 10.0, 32.5):
         params = replace(P, payload_mass=payload)
-        n = tb.leg_substeps(params, True, actuator, profile)
+        n = tb.leg_substeps(params, True, actuator)
         assert n >= tb.LEG_SUBSTEPS["cascaded_vlca"]
         assert change or n == tb.LEG_SUBSTEPS["cascaded_vlca"]
         for q1 in np.linspace(-math.pi, math.pi, 9):
             assert _block_growth(params, actuator, DEFAULT_MOMENT_ARM, q1,
                                  n) <= 1.0 + 1e-12
-    assert tb.leg_substeps(P, False, actuator, profile) == 1
+    assert tb.leg_substeps(P, False, actuator) == 1
 
 
 def test_heavy_motor_drag_needs_the_substep_floor():
@@ -621,9 +573,8 @@ def test_heavy_motor_drag_needs_the_substep_floor():
 
 
 def test_leg_substeps_have_a_ceiling():
-    profile = tb.LinkageProfile.constant(DEFAULT_MOMENT_ARM)
     with pytest.raises(ValueError, match="more than 100"):
-        tb.leg_substeps(P, True, replace(VLCA_ACTUATOR, b_m=1e3), profile)
+        tb.leg_substeps(P, True, replace(VLCA_ACTUATOR, b_m=1e3))
     traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.0, 0.05),
                              freq_hz=1.0)
     with pytest.raises(ValueError, match="leg substeps"):
