@@ -488,12 +488,12 @@ def _thermal_params(spec: RunSpec):
         raise ValueError(f"the {hold_n:g} N hold draws {i_hold:.4g} A, past "
                          "thermal runaway: the winding heats faster than the "
                          "coolant removes heat at any temperature")
-    return report, params
+    return report, params, i_hold
 
 
 def _scenario_thermal(spec: RunSpec, em: _Emitter):
     x = spec.extras
-    report, params = spec.inputs
+    report, params, i_hold = spec.inputs
     rows = [(f.name, getattr(params, f.name))
             for f in fields(powertherm.ThermalParams)]
     rows += [(f"residual_{name}", val)
@@ -514,7 +514,6 @@ def _scenario_thermal(spec: RunSpec, em: _Emitter):
         cooling_on=True)
     em.write("thermal_burst.csv", powertherm.thermal_trace_to_csv(burst_trace))
 
-    i_hold = x["hold_force_n"] / spec.actuator.drive_constant
     hold = powertherm.simulate_constant_current(i_hold, x["hold_duration_s"],
                                                 params, dt=_HOLD_DT)
     em.write("thermal_hold.csv", powertherm.thermal_trace_to_csv(hold))
