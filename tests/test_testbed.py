@@ -195,6 +195,14 @@ def test_hip_position_maps_an_array_row_by_row():
     assert [tb.hip_position(row, P).tolist() for row in q[:50]] == expect[:50]
 
 
+# ------------------------------------------------------------------ linkage
+
+def test_linkage_rated_point():
+    arm = tb.DEFAULT_MOMENT_ARM  # the one arm the leg's rates and trace read
+    assert arm * 5900.0 == 270.0
+    assert 91.0 / arm == pytest.approx(1988.5, abs=1.0)
+
+
 # -------------------------------------------------------------- osc control
 
 def test_rest_on_target_commands_gravity_support():

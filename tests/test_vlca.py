@@ -61,9 +61,7 @@ def test_param_validation():
 
 
 def test_default_moment_arm_maps_rated_force_to_rated_torque():
-    assert DEFAULT_MOMENT_ARM * 5900.0 == 270.0
-    # the screw force behind a 91 N*m joint torque
-    assert 91.0 / DEFAULT_MOMENT_ARM == pytest.approx(1988.5, abs=1.0)
+    assert DEFAULT_MOMENT_ARM * 5900.0 == pytest.approx(270.0, rel=1e-12)
 
 
 def test_gain_validation():
