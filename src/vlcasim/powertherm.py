@@ -160,14 +160,11 @@ class ContinuousRating:
 
 def continuous_force_limit(params: ThermalParams,
                            actuator: ActuatorParams = VLCA_ACTUATOR,
-                           moment_arm_m: float = DEFAULT_MOMENT_ARM,
                            cooling_on: bool = True) -> ContinuousRating:
-    if moment_arm_m < 0.0:
-        raise ValueError("moment_arm_m must be >= 0")
     i = continuous_current_limit(params, cooling_on)
     f = actuator.drive_constant * i
     return ContinuousRating(current_a=i, screw_force_n=f,
-                            joint_torque_nm=f * moment_arm_m)
+                            joint_torque_nm=f * DEFAULT_MOMENT_ARM)
 
 
 # ---------------------------------------------------------- calibration

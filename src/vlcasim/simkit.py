@@ -125,12 +125,9 @@ class RampRef:
 class SineRef:
     amplitude: float
     freq_hz: float
-    offset: float = 0.0
-    phase_rad: float = 0.0
 
     def value(self, t: float) -> float:
-        return self.offset + self.amplitude * math.sin(
-            2.0 * math.pi * self.freq_hz * t + self.phase_rad)
+        return self.amplitude * math.sin(2.0 * math.pi * self.freq_hz * t)
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,6 @@ class ChirpRef:
     f0_hz: float
     f1_hz: float
     duration_s: float
-    offset: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.f0_hz < self.f1_hz):
@@ -157,7 +153,7 @@ class ChirpRef:
     def value(self, t: float) -> float:
         r = self.rate
         phase = 2.0 * math.pi * self.f0_hz * (r ** t - 1.0) / math.log(r)
-        return self.offset + self.amplitude * math.sin(phase)
+        return self.amplitude * math.sin(phase)
 
 
 # ------------------------------------------------------------- filters
@@ -396,9 +392,9 @@ def chirp_drive(chirp: ChirpRef) -> np.ndarray:
     t = np.arange(chirp_record_samples(chirp.duration_s)) * CONTROL_DT
     on = t <= chirp.duration_s
     r, w, log_r = chirp.rate, 2.0 * math.pi * chirp.f0_hz, math.log(chirp.rate)
-    off, amp, sin = chirp.offset, chirp.amplitude, math.sin
+    amp, sin = chirp.amplitude, math.sin
     drive = np.zeros(len(t))
-    drive[on] = np.fromiter((off + amp * sin(w * (r ** tk - 1.0) / log_r)
+    drive[on] = np.fromiter((amp * sin(w * (r ** tk - 1.0) / log_r)
                              for tk in t[on].tolist()), float)
     return drive
 

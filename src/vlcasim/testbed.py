@@ -412,17 +412,18 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
     DP5 substeps of CONTROL_DT / n with u held for the period (the joint
     torques [N*m] in ideal mode, the motor currents [A] in cascaded mode)
     and the hip force external_force(t) taken at the period start t. Both
-    modes step the state (q0, q1, w0, w1, x0, v0, l0, x1, v1, l1): the
-    joint angles and rates, then each actuator's screw position, screw rate
-    and linkage displacement, whose rates are zero in ideal mode.
+    modes step the state (q0, q1, w0, w1, d0, v0, d1, v1): the joint angles
+    and rates, then each actuator's spring deflection and screw rate. The
+    deflection d is the screw position less the linkage displacement, so
+    its rate is v - r*w and the spring force k_r*d + b_r*(v - r*w), r the
+    moment arm; in ideal mode both actuator rates are zero.
 
     One rates function serves both modes, on the dynamics of
     _leg_dynamics(params): in cascaded mode the springs drive the joints, in
-    ideal mode the held torques do and the actuator rates are zero. Each
-    stage adds to the state the sum of the (h * a_ij) * k_j products in
-    order of j, as tests/oracles.py's DP5 step does, so one period equals n
-    of its steps on the rates written from the reference _dyn_scalars there
-    bit for bit.
+    ideal mode the held torques do. Each stage adds to the state the sum of
+    the (h * a_ij) * k_j products in order of j, as tests/oracles.py's DP5
+    step does, so one period equals n of its steps on the rates written
+    from the reference _dyn_scalars there bit for bit.
     """
     cos, sin = math.cos, math.sin
     n = leg_substeps(params, cascaded, actuator)
@@ -440,13 +441,12 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
     n_drive = actuator.drive_constant if cascaded else 1.0
     r = DEFAULT_MOMENT_ARM
 
-    def rates(a, b, wa, wb, x0, v0, l0, x1, v1, l1_, fi0, fi1, fx, fy):
-        """(wd0, wd1, vd0, vd1, ld0, ld1) under the held fi: the screw drive
+    def rates(a, b, wa, wb, d0, v0, d1, v1, fi0, fi1, fx, fy):
+        """(wd0, wd1, dd0, vd0, dd1, vd1) under the held fi: the screw drive
         forces n_drive * i in cascaded mode, the joint torques in ideal."""
         if cascaded:
-            ld0, ld1 = r * wa, r * wb
-            f0 = k_r * (x0 - l0) + b_r * (v0 - ld0)
-            f1 = k_r * (x1 - l1_) + b_r * (v1 - ld1)
+            dd0, dd1 = v0 - r * wa, v1 - r * wb
+            f0, f1 = k_r * d0 + b_r * dd0, k_r * d1 + b_r * dd1
             t0, t1 = r * f0, r * f1
         else:
             t0, t1 = fi0, fi1
@@ -463,77 +463,68 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
         wd0, wd1 = (a22 * r_0 - a12 * r_1) / det, (a11 * r_1 - a12 * r_0) / det
         if not cascaded:
             return wd0, wd1, 0.0, 0.0, 0.0, 0.0
-        return (wd0, wd1, (fi0 - b_dt * v0 - f0) / m_m,
-                (fi1 - b_dt * v1 - f1) / m_m, ld0, ld1)
+        return (wd0, wd1, dd0, (fi0 - b_dt * v0 - f0) / m_m,
+                dd1, (fi1 - b_dt * v1 - f1) / m_m)
 
     def advance(state, i0, i1, t):
         fx, fy = external_force(t) if pushed else (0.0, 0.0)
         fi0, fi1 = n_drive * i0, n_drive * i1
-        a, b, wa, wb, x0, v0, l0, x1, v1, l1_ = state
+        a, b, wa, wb, d0, v0, d1, v1 = state
         for _ in range(n):
-            pa1, pb1, va1, vb1, la1, lb1 = rates(
-                a, b, wa, wb, x0, v0, l0, x1, v1, l1_, fi0, fi1, fx, fy)
+            pa1, pb1, da1, va1, db1, vb1 = rates(
+                a, b, wa, wb, d0, v0, d1, v1, fi0, fi1, fx, fy)
             a2, b2 = a + h21 * wa, b + h21 * wb
             wa2, wb2 = wa + h21 * pa1, wb + h21 * pb1
-            x02, v02, l02 = x0 + h21 * v0, v0 + h21 * va1, l0 + h21 * la1
-            x12, v12, l12 = x1 + h21 * v1, v1 + h21 * vb1, l1_ + h21 * lb1
-            pa2, pb2, va2, vb2, la2, lb2 = rates(
-                a2, b2, wa2, wb2, x02, v02, l02, x12, v12, l12, fi0, fi1, fx, fy)
+            d02, v02 = d0 + h21 * da1, v0 + h21 * va1
+            d12, v12 = d1 + h21 * db1, v1 + h21 * vb1
+            pa2, pb2, da2, va2, db2, vb2 = rates(
+                a2, b2, wa2, wb2, d02, v02, d12, v12, fi0, fi1, fx, fy)
             a3, b3 = a + (h31 * wa + h32 * wa2), b + (h31 * wb + h32 * wb2)
             wa3, wb3 = wa + (h31 * pa1 + h32 * pa2), wb + (h31 * pb1 + h32 * pb2)
-            x03, v03 = x0 + (h31 * v0 + h32 * v02), v0 + (h31 * va1 + h32 * va2)
-            x13, v13 = x1 + (h31 * v1 + h32 * v12), v1 + (h31 * vb1 + h32 * vb2)
-            l03, l13 = l0 + (h31 * la1 + h32 * la2), l1_ + (h31 * lb1 + h32 * lb2)
-            pa3, pb3, va3, vb3, la3, lb3 = rates(
-                a3, b3, wa3, wb3, x03, v03, l03, x13, v13, l13, fi0, fi1, fx, fy)
+            d03, v03 = d0 + (h31 * da1 + h32 * da2), v0 + (h31 * va1 + h32 * va2)
+            d13, v13 = d1 + (h31 * db1 + h32 * db2), v1 + (h31 * vb1 + h32 * vb2)
+            pa3, pb3, da3, va3, db3, vb3 = rates(
+                a3, b3, wa3, wb3, d03, v03, d13, v13, fi0, fi1, fx, fy)
             a4 = a + (h41 * wa + h42 * wa2 + h43 * wa3)
             b4 = b + (h41 * wb + h42 * wb2 + h43 * wb3)
             wa4 = wa + (h41 * pa1 + h42 * pa2 + h43 * pa3)
             wb4 = wb + (h41 * pb1 + h42 * pb2 + h43 * pb3)
-            x04 = x0 + (h41 * v0 + h42 * v02 + h43 * v03)
+            d04 = d0 + (h41 * da1 + h42 * da2 + h43 * da3)
             v04 = v0 + (h41 * va1 + h42 * va2 + h43 * va3)
-            l04 = l0 + (h41 * la1 + h42 * la2 + h43 * la3)
-            x14 = x1 + (h41 * v1 + h42 * v12 + h43 * v13)
+            d14 = d1 + (h41 * db1 + h42 * db2 + h43 * db3)
             v14 = v1 + (h41 * vb1 + h42 * vb2 + h43 * vb3)
-            l14 = l1_ + (h41 * lb1 + h42 * lb2 + h43 * lb3)
-            pa4, pb4, va4, vb4, la4, lb4 = rates(
-                a4, b4, wa4, wb4, x04, v04, l04, x14, v14, l14, fi0, fi1, fx, fy)
+            pa4, pb4, da4, va4, db4, vb4 = rates(
+                a4, b4, wa4, wb4, d04, v04, d14, v14, fi0, fi1, fx, fy)
             a5 = a + (h51 * wa + h52 * wa2 + h53 * wa3 + h54 * wa4)
             b5 = b + (h51 * wb + h52 * wb2 + h53 * wb3 + h54 * wb4)
             wa5 = wa + (h51 * pa1 + h52 * pa2 + h53 * pa3 + h54 * pa4)
             wb5 = wb + (h51 * pb1 + h52 * pb2 + h53 * pb3 + h54 * pb4)
-            x05 = x0 + (h51 * v0 + h52 * v02 + h53 * v03 + h54 * v04)
+            d05 = d0 + (h51 * da1 + h52 * da2 + h53 * da3 + h54 * da4)
             v05 = v0 + (h51 * va1 + h52 * va2 + h53 * va3 + h54 * va4)
-            l05 = l0 + (h51 * la1 + h52 * la2 + h53 * la3 + h54 * la4)
-            x15 = x1 + (h51 * v1 + h52 * v12 + h53 * v13 + h54 * v14)
+            d15 = d1 + (h51 * db1 + h52 * db2 + h53 * db3 + h54 * db4)
             v15 = v1 + (h51 * vb1 + h52 * vb2 + h53 * vb3 + h54 * vb4)
-            l15 = l1_ + (h51 * lb1 + h52 * lb2 + h53 * lb3 + h54 * lb4)
-            pa5, pb5, va5, vb5, la5, lb5 = rates(
-                a5, b5, wa5, wb5, x05, v05, l05, x15, v15, l15, fi0, fi1, fx, fy)
+            pa5, pb5, da5, va5, db5, vb5 = rates(
+                a5, b5, wa5, wb5, d05, v05, d15, v15, fi0, fi1, fx, fy)
             a6 = a + (h61 * wa + h62 * wa2 + h63 * wa3 + h64 * wa4 + h65 * wa5)
             b6 = b + (h61 * wb + h62 * wb2 + h63 * wb3 + h64 * wb4 + h65 * wb5)
             wa6 = wa + (h61 * pa1 + h62 * pa2 + h63 * pa3 + h64 * pa4 + h65 * pa5)
             wb6 = wb + (h61 * pb1 + h62 * pb2 + h63 * pb3 + h64 * pb4 + h65 * pb5)
-            x06 = x0 + (h61 * v0 + h62 * v02 + h63 * v03 + h64 * v04 + h65 * v05)
+            d06 = d0 + (h61 * da1 + h62 * da2 + h63 * da3 + h64 * da4 + h65 * da5)
             v06 = v0 + (h61 * va1 + h62 * va2 + h63 * va3 + h64 * va4 + h65 * va5)
-            l06 = l0 + (h61 * la1 + h62 * la2 + h63 * la3 + h64 * la4 + h65 * la5)
-            x16 = x1 + (h61 * v1 + h62 * v12 + h63 * v13 + h64 * v14 + h65 * v15)
+            d16 = d1 + (h61 * db1 + h62 * db2 + h63 * db3 + h64 * db4 + h65 * db5)
             v16 = v1 + (h61 * vb1 + h62 * vb2 + h63 * vb3 + h64 * vb4 + h65 * vb5)
-            l16 = l1_ + (h61 * lb1 + h62 * lb2 + h63 * lb3 + h64 * lb4 + h65 * lb5)
-            pa6, pb6, va6, vb6, la6, lb6 = rates(
-                a6, b6, wa6, wb6, x06, v06, l06, x16, v16, l16, fi0, fi1, fx, fy)
+            pa6, pb6, da6, va6, db6, vb6 = rates(
+                a6, b6, wa6, wb6, d06, v06, d16, v16, fi0, fi1, fx, fy)
             # b_2 = 0: the second stage enters only the later stages
             a += hb1 * wa + hb3 * wa3 + hb4 * wa4 + hb5 * wa5 + hb6 * wa6
             b += hb1 * wb + hb3 * wb3 + hb4 * wb4 + hb5 * wb5 + hb6 * wb6
             wa += hb1 * pa1 + hb3 * pa3 + hb4 * pa4 + hb5 * pa5 + hb6 * pa6
             wb += hb1 * pb1 + hb3 * pb3 + hb4 * pb4 + hb5 * pb5 + hb6 * pb6
-            x0 += hb1 * v0 + hb3 * v03 + hb4 * v04 + hb5 * v05 + hb6 * v06
+            d0 += hb1 * da1 + hb3 * da3 + hb4 * da4 + hb5 * da5 + hb6 * da6
             v0 += hb1 * va1 + hb3 * va3 + hb4 * va4 + hb5 * va5 + hb6 * va6
-            l0 += hb1 * la1 + hb3 * la3 + hb4 * la4 + hb5 * la5 + hb6 * la6
-            x1 += hb1 * v1 + hb3 * v13 + hb4 * v14 + hb5 * v15 + hb6 * v16
+            d1 += hb1 * db1 + hb3 * db3 + hb4 * db4 + hb5 * db5 + hb6 * db6
             v1 += hb1 * vb1 + hb3 * vb3 + hb4 * vb4 + hb5 * vb5 + hb6 * vb6
-            l1_ += hb1 * lb1 + hb3 * lb3 + hb4 * lb4 + hb5 * lb5 + hb6 * lb6
-        return a, b, wa, wb, x0, v0, l0, x1, v1, l1_
+        return a, b, wa, wb, d0, v0, d1, v1
     return advance
 
 
@@ -584,12 +575,12 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     dyn = _leg_dynamics(params)
     k_r, b_r, r = actuator.k_r, actuator.b_r, DEFAULT_MOMENT_ARM
 
-    x0 = x1 = 0.0  # the actuator entries stay at zero in ideal mode
+    d0 = d1 = 0.0  # the actuator entries stay at zero in ideal mode
     if cascaded:
         # preload the springs against gravity so the leg starts settled
         g1, g2 = dyn(q0, q1, 0.0, 0.0)[5:]
-        x0, x1 = (g1 / r) / k_r, (g2 / r) / k_r
-    state = (q0, q1, 0.0, 0.0, x0, 0.0, 0.0, x1, 0.0, 0.0)
+        d0, d1 = (g1 / r) / k_r, (g2 / r) / k_r
+    state = (q0, q1, 0.0, 0.0, d0, 0.0, d1, 0.0)
 
     pos, vel, acc = pos_des.tolist(), vel_des.tolist(), acc_des.tolist()
     # packed doubles: no float object outlives its step
@@ -601,9 +592,9 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
                                       *acc[k], task_gains, params, dyn)
         singular += damped
         if cascaded:
-            x0, v0, l0, x1, v1, l1 = state[4:]
-            u = (ctrls[0].step(tau0 / r, k_r * (x0 - l0), v0),
-                 ctrls[1].step(tau1 / r, k_r * (x1 - l1), v1))
+            d0, v0, d1, v1 = state[4:]
+            u = (ctrls[0].step(tau0 / r, k_r * d0, v0),
+                 ctrls[1].step(tau1 / r, k_r * d1, v1))
         else:
             u = (tau0, tau1)
         states.extend(state)
@@ -617,9 +608,8 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     held, tau_cmd = (np.frombuffer(a).reshape(-1, 2) for a in (held, tau_cmd))
     q, qdot = states[:, :2], states[:, 2:4]
     if cascaded:
-        # screw position, rate and linkage displacement of both actuators
-        x_s, v_s, l_s = states[:, 4::3], states[:, 5::3], states[:, 6::3]
-        f_k = k_r * (x_s - l_s)
+        # spring deflection and screw rate of both actuators
+        f_k, v_s = k_r * states[:, 4::2], states[:, 5::2]
         tau_applied = r * (f_k + b_r * (v_s - r * qdot))
         i_m, motor_speed = held, actuator.n_m * v_s
     else:

@@ -212,7 +212,7 @@ def test_criterion_9_property_suites():
     # the leg's period map, unactuated in zero gravity, conserves energy
     zero_g = replace(testbed.TwoDofParams(), gravity=0.0)
     advance = testbed.leg_period_map(zero_g, False, P)
-    state = (0.4, -0.8, 1.0, -0.5) + (0.0,) * 6
+    state = (0.4, -0.8, 1.0, -0.5) + (0.0,) * 4
     e = [total_energy(state[:2], state[2:], zero_g)]
     for k in range(1000):
         state = advance(state, 0.0, 0.0, k * simkit.CONTROL_DT)

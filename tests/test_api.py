@@ -1,5 +1,6 @@
 """The public names of the package and their call signatures."""
 import ast
+import dataclasses
 import enum
 import importlib
 import importlib.util
@@ -128,6 +129,18 @@ def test_the_leg_simulation_takes_its_pinned_arguments():
     assert list(inspect.signature(testbed.simulate_osc).parameters) == [
         "trajectory", "payload_kg", "mode", "duration", "task_gains",
         "params", "actuator", "force_gains", "external_force", "q_init"]
+
+
+def test_the_references_and_the_force_rating_take_their_pinned_fields():
+    # the whole lists, as for the leg simulation above
+    from vlcasim import powertherm, simkit
+    assert [f.name for f in dataclasses.fields(simkit.SineRef)] == [
+        "amplitude", "freq_hz"]
+    assert [f.name for f in dataclasses.fields(simkit.ChirpRef)] == [
+        "amplitude", "f0_hz", "f1_hz", "duration_s"]
+    assert list(inspect.signature(
+        powertherm.continuous_force_limit).parameters) == [
+        "params", "actuator", "cooling_on"]
 
 
 # Run in a fresh interpreter: prints which SciPy modules are loaded after

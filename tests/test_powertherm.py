@@ -151,9 +151,6 @@ def test_continuous_force_ratings(calibrated):
     assert off.screw_force_n == pytest.approx(273.866, abs=0.01)
     assert off.joint_torque_nm == pytest.approx(12.533, abs=0.01)
     assert on.screw_force_n > off.screw_force_n
-    zero_arm = pt.continuous_force_limit(p, VLCA_ACTUATOR, moment_arm_m=0.0)
-    assert zero_arm.joint_torque_nm == 0.0
-    assert zero_arm.screw_force_n == pytest.approx(on.screw_force_n)
 
 
 # ---------------------------------------------------------------- power
