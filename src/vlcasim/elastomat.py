@@ -36,8 +36,6 @@ class MaterialRecord:
     damping_ns_per_m: Optional[float]      # identified damping [N*s/m]
     creep_pct: Optional[float]             # load loss over the dwell test [%]
     cost_usd: Optional[float]              # per tested pad set [USD]
-    diameter_mm: float = 46.0              # puck geometry as tested
-    thickness_mm: float = 27.0
 
     def __post_init__(self):
         if not self.name:
@@ -54,8 +52,6 @@ class MaterialRecord:
             v = getattr(self, attr)
             if v is not None and v < 0.0:
                 raise ValueError(f"{attr} must be >= 0 when present")
-        if self.diameter_mm <= 0.0 or self.thickness_mm <= 0.0:
-            raise ValueError("geometry must be > 0")
 
 
 def builtin_materials() -> list:
@@ -150,8 +146,7 @@ def fit_stress_relaxation(t_s: Sequence[float],
 
     def residual(theta):
         f0, c, log_tau = theta
-        model = f0 * (1.0 - c * (1.0 - np.exp(-t / math.exp(log_tau))))
-        return model - f
+        return RelaxationFit(f0, c, math.exp(log_tau)).eval(t) - f
 
     f0, c, log_tau = least_squares_lm(
         residual, (f0_guess, c_guess, math.log(tau_guess)), "relaxation")

@@ -6,7 +6,6 @@ one CSV table writer that every output file goes through.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -54,36 +53,21 @@ class Polynomial:
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
     def is_zero(self) -> bool:
         return self.coefficients == (0.0,)
 
-    def __call__(self, s: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coefficients):
-            acc = acc * s + c
-        return acc
+    def __call__(self, s):
+        """Value at s, a complex number or an array of them."""
+        return np.polyval(self.coefficients[::-1], s)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        out = [0.0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Polynomial(tuple(out))
+        return Polynomial(np.convolve(self.coefficients, other.coefficients))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        n = max(len(a), len(b))
-        out = [0.0] * n
-        for i, c in enumerate(a):
-            out[i] += c
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(tuple(out))
+        # numpy.polynomial's ascending polyadd is a lazily imported
+        # subpackage of its own; np.polyadd takes descending coefficients
+        return Polynomial(np.polyadd(self.coefficients[::-1],
+                                     other.coefficients[::-1])[::-1])
 
     def scaled(self, k: float) -> "Polynomial":
         return Polynomial(tuple(k * c for c in self.coefficients))
@@ -111,7 +95,7 @@ class DelayedTransferFunction:
             object.__setattr__(self, "num", self.num.scaled(1.0 / lead))
             object.__setattr__(self, "den", self.den.scaled(1.0 / lead))
 
-    def eval(self, omega: float) -> complex:
+    def eval(self, omega):
         return tf_eval(self, omega)
 
     def dc_gain(self) -> float:
@@ -139,29 +123,23 @@ class StabilityReport:
     crossover_count: int
 
 
-def tf_eval(tf: DelayedTransferFunction, omega: float) -> complex:
-    """Frequency response at omega [rad/s], omega > 0."""
-    if omega <= 0.0:
+def tf_eval(tf: DelayedTransferFunction, omega):
+    """Frequency response at omega [rad/s], a float or an array of them,
+    each > 0."""
+    if np.any(np.asarray(omega) <= 0.0):
         raise ValueError("omega must be > 0")
-    s = 1j * omega
-    d = tf.den(s)
-    if abs(d) < _DEN_FLOOR:
-        raise PoleOnAxis(f"denominator vanishes at omega={omega:g} rad/s")
-    h = tf.num(s) / d
-    if tf.delay_s:
-        h *= cmath.exp(-1j * omega * tf.delay_s)
-    return h
+    h = _rational_array(tf, omega)
+    return h * np.exp(-1j * omega * tf.delay_s) if tf.delay_s else h
 
 
-def _rational_array(tf: DelayedTransferFunction, omegas: np.ndarray) -> np.ndarray:
+def _rational_array(tf: DelayedTransferFunction, omegas):
     """num/den at each omega, without the delay factor."""
     s = 1j * omegas
-    num = np.polyval(tf.num.coefficients[::-1], s)
-    den = np.polyval(tf.den.coefficients[::-1], s)
+    den = tf.den(s)
     if np.any(np.abs(den) < _DEN_FLOOR):
-        w_bad = float(omegas[np.argmin(np.abs(den))])
+        w_bad = float(np.ravel(omegas)[np.argmin(np.abs(den))])
         raise PoleOnAxis(f"denominator vanishes at omega={w_bad:g} rad/s")
-    return num / den
+    return tf.num(s) / den
 
 
 def _low_freq_phase(tf: DelayedTransferFunction) -> float:
@@ -208,9 +186,7 @@ def bode_sweep(tf: DelayedTransferFunction, omega_min: float, omega_max: float,
     low-frequency asymptote of the rational part.
     """
     full, n_chain = _sweep_grid(omega_min, omega_max, points_per_decade)
-    resp = _rational_array(tf, full)
-    if tf.delay_s:
-        resp = resp * np.exp(-1j * full * tf.delay_s)
+    resp = tf_eval(tf, full)
     anchor = _low_freq_phase(tf) - full[0] * tf.delay_s
     phase = _unwrap_with_anchor(np.angle(resp), anchor)
     return _sweep_points(full[n_chain:], resp[n_chain:], phase[n_chain:])
@@ -343,16 +319,10 @@ class SecondOrderFit:
     omega_n: float    # [rad/s]
     zeta: float       # damping ratio
 
-    def eval(self, omega: float) -> complex:
+    def eval(self, omega):
         s = 1j * omega
         wn = self.omega_n
         return self.gain * wn * wn / (s * s + 2.0 * self.zeta * wn * s + wn * wn)
-
-
-def _second_order_response(k, wn, zeta, w):
-    mag = k * wn * wn / np.sqrt((wn * wn - w * w) ** 2 + (2.0 * zeta * wn * w) ** 2)
-    ph = -np.arctan2(2.0 * zeta * wn * w, wn * wn - w * w)  # in (-pi, 0)
-    return mag, ph
 
 
 def require_finite(**samples):
@@ -407,11 +377,10 @@ def fit_second_order(points: Sequence[FrequencyResponsePoint],
         wn0 = float(w[np.argmin(np.abs(ph + math.pi / 2.0))])
 
     def residual(theta):
-        k, wn, zeta = np.exp(theta)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            m_m, p_m = _second_order_response(k, wn, zeta, w)
-            return np.concatenate([np.log(m_m / mag),
-                                   phase_weight * (p_m - ph)])
+            h = SecondOrderFit(*np.exp(theta)).eval(w)
+            return np.concatenate([np.log(np.abs(h) / mag),
+                                   phase_weight * (np.angle(h) - ph)])
 
     k, wn, zeta = np.exp(least_squares_lm(residual, np.log([k0, wn0, z0]),
                                           "second-order"))

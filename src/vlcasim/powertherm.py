@@ -25,10 +25,6 @@ class CalibrationInfeasible(Exception):
         self.residuals = dict(residuals or {})
 
 
-class NoPositivePowerInterval(Exception):
-    """Trace never delivers positive mechanical power at the joints."""
-
-
 @dataclass(frozen=True)
 class ThermalParams:
     c_winding: float       # winding lump heat capacity [J/K]
@@ -335,7 +331,8 @@ def power_flow(trace, actuator: ActuatorParams = VLCA_ACTUATOR,
                min_motor_w: float = 1.0) -> PowerSummary:
     """Efficiency bookkeeping over the samples where the joints do
     positive work and the shafts deliver more than min_motor_w; trace
-    must come from a cascaded leg simulation.
+    must come from a cascaded leg simulation. Both averages are NaN when
+    fewer than 10 samples qualify.
 
     The averages are means of per-sample power ratios, not ratios of
     energies, so they can exceed 1: spring energy released at the joints
@@ -345,11 +342,10 @@ def power_flow(trace, actuator: ActuatorParams = VLCA_ACTUATOR,
     p_joint, p_motor, p_in = power_series(trace, actuator)
     mask = (p_joint > 0.0) & (p_motor > min_motor_w)
     n = int(mask.sum())
-    if n < 10:
-        raise NoPositivePowerInterval(
-            f"only {n} samples with positive joint and motor power")
-    drive = float(np.mean(p_joint[mask] / p_motor[mask]))
-    elec = float(np.mean(p_joint[mask] / p_in[mask]))
+    drive = elec = math.nan
+    if n >= 10:
+        drive = float(np.mean(p_joint[mask] / p_motor[mask]))
+        elec = float(np.mean(p_joint[mask] / p_in[mask]))
     return PowerSummary(t=np.asarray(trace.t, dtype=float), p_in=p_in,
                         p_motor=p_motor, p_joint=p_joint,
                         drivetrain_efficiency_avg=drive,

@@ -344,9 +344,7 @@ def _warn_if_saturated(trace: SimTrace, count: int):
 
 def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
                        reference, duration: float,
-                       params: ActuatorParams = VLCA_ACTUATOR,
-                       external_force: Optional[Callable[[float], float]] = None
-                       ) -> SimTrace:
+                       params: ActuatorParams = VLCA_ACTUATOR) -> SimTrace:
     """Closed-loop force tracking against the locked-output plant.
 
     reference is any object with value(t) -> N.
@@ -364,7 +362,7 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
         t = k * CONTROL_DT
         i = ctrl.step(reference.value(t + preview), k_r * y[0], y[1])
         currents.append(i)
-        return n_drive * i + (external_force(t) if external_force else 0.0)
+        return n_drive * i
 
     x, v = _run_linear(_locked_plant(params), n, command).T
     t = np.arange(n) * CONTROL_DT

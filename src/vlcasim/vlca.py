@@ -234,7 +234,7 @@ class ClosedLoopResponse:
             num, den = num * q.den, den * (q.den + q.num.scaled(-1.0))
         self.feedforward = DelayedTransferFunction(num, den)
 
-    def eval(self, omega: float) -> complex:
+    def eval(self, omega):
         return (tf_eval(self.feedforward, omega)
                 / (1.0 + tf_eval(self.loop, omega)))
 

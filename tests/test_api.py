@@ -143,6 +143,16 @@ def test_the_references_and_the_force_rating_take_their_pinned_fields():
         "params", "actuator", "cooling_on"]
 
 
+def test_the_force_loop_and_the_material_record_take_their_pinned_fields():
+    # the whole lists, as for the leg simulation above
+    from vlcasim import elastomat, simkit
+    assert list(inspect.signature(simkit.run_force_tracking).parameters) == [
+        "kind", "gains", "reference", "duration", "params"]
+    assert [f.name for f in dataclasses.fields(elastomat.MaterialRecord)] == [
+        "name", "compression_set_pct", "linearity_r2", "stiffness_n_per_mm",
+        "modulus_n_per_mm2", "damping_ns_per_m", "creep_pct", "cost_usd"]
+
+
 # Run in a fresh interpreter: prints which SciPy modules are loaded after
 # `import vlcasim.cli` and after each run of a list of configs, run in turn
 # into argv[1]/<name>: a default margins run, a calibrating one, a B-spline

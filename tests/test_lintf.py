@@ -56,12 +56,16 @@ def test_eval_rejects_nonpositive_frequency():
         tf_eval(g, 0.0)
     with pytest.raises(ValueError):
         tf_eval(g, -2.0)
+    with pytest.raises(ValueError):
+        tf_eval(g, np.array([1.0, 0.0, 2.0]))
 
 
 def test_eval_pole_on_axis_raises():
     g = _tf((1.0,), (1.0, 0.0, 1.0))  # undamped unit resonance
     with pytest.raises(PoleOnAxis):
         tf_eval(g, 1.0)
+    with pytest.raises(PoleOnAxis):
+        tf_eval(g, np.array([0.5, 1.0, 2.0]))
 
 
 def test_denominator_normalization_preserves_response():

@@ -186,8 +186,10 @@ def test_power_flow_is_time_scale_invariant():
 def test_power_flow_needs_positive_intervals():
     fake = _fake_trace()
     fake.tau_applied = -fake.tau_applied
-    with pytest.raises(pt.NoPositivePowerInterval):
-        pt.power_flow(fake)
+    summary = pt.power_flow(fake)
+    assert summary.n_averaged == 0
+    assert math.isnan(summary.drivetrain_efficiency_avg)
+    assert math.isnan(summary.electrical_efficiency_avg)
 
 
 def test_power_csv_layout():

@@ -406,9 +406,13 @@ def test_closed_loop_matches_loop_quotient():
     for gains in (G, varied):
         for kind in ControllerKind:
             cl = closed_loop_tf(kind, P, gains)
-            for w in np.geomspace(1e-3, 1e5, 161):
+            grid = np.geomspace(1e-3, 1e5, 161)
+            each = np.array([cl.eval(float(w)) for w in grid])
+            for w, h in zip(grid, each):
                 want = _block_diagram_response(kind, P, gains, float(w))
-                assert cmath.isclose(cl.eval(float(w)), want, rel_tol=1e-9)
+                assert cmath.isclose(h, want, rel_tol=1e-9)
+            # the whole grid in one call gives the point-by-point values
+            assert np.all(np.abs(cl.eval(grid) - each) <= 1e-14 * np.abs(each))
 
 
 def test_closed_loop_dc_is_unity_for_every_structure():
