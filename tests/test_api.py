@@ -161,14 +161,24 @@ _IMPORT_PROBE = """
 import json, sys
 import vlcasim.cli
 subs = ("scipy.linalg", "scipy.optimize", "scipy.interpolate")
+at_import = set(sys.modules)
 def loaded():
-    return ["scipy"] * ("scipy" in sys.modules) + [
-        m for m in subs if m in sys.modules]
+    return ["scipy"] * ("scipy" in sys.modules) + sorted(
+        m for m in sys.modules if m in subs
+        or m.startswith("scipy.") and m not in at_import)
 runs = {"margins": {"scenario": "margins"},
         "calibrate": {"scenario": "margins", "margins.calibrate": "1"},
         "bspline": {"scenario": "osc", "osc.trajectory": "bspline",
                     "osc.duration_s": "0.2"},
-        "efficiency": {"scenario": "efficiency", "efficiency.duration_s": "0.6"}}
+        "efficiency": {"scenario": "efficiency", "efficiency.duration_s": "0.6"},
+        "bode": {"scenario": "bode", "bode.chirp_s": "2"},
+        "force_tracking": {"scenario": "force_tracking",
+                           "force_tracking.duration_s": "0.2"},
+        "position_step": {"scenario": "position_step",
+                          "position_step.duration_s": "0.2"},
+        "impact": {"scenario": "impact"},
+        "thermal": {"scenario": "thermal", "thermal.hold_duration_s": "1",
+                    "thermal.burst_duration_s": "1"}}
 seen, statuses = {"import": loaded()}, []
 for name, cfg in runs.items():
     cfg["out"] = sys.argv[1] + "/" + name
@@ -180,18 +190,18 @@ print(json.dumps([statuses, seen]))
 
 def test_importing_the_cli_loads_scipy_but_none_of_its_subpackages(tmp_path):
     # the benchmark worker reads sys.modules["scipy"].__version__ right
-    # after importing the CLI; linalg, optimize and interpolate load on
-    # first use, and a margins run, calibrating or not, a B-spline osc run
-    # and an efficiency run use none of them
+    # after importing the CLI; no scenario loads a SciPy module past those
+    # that `import scipy` loads, the linear plants' exponentials included
     src = str(pathlib.Path(vlcasim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
                           env=env, capture_output=True, text=True, check=True)
     statuses, seen = json.loads(done.stdout)
-    assert statuses == ["ok"] * 4
+    assert statuses == ["ok"] * 9
     assert seen == {name: ["scipy"] for name in (
-        "import", "margins", "calibrate", "bspline", "efficiency")}
+        "import", "margins", "calibrate", "bspline", "efficiency", "bode",
+        "force_tracking", "position_step", "impact", "thermal")}
 
 
 def test_only_lintf_imports_scipy():

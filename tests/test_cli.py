@@ -321,6 +321,16 @@ def test_a_validated_boundary_config_runs(scenario, key, value):
         raise exc.__cause__
 
 
+def test_a_plant_past_the_floats_is_reported_as_diverged():
+    # the struck plant's 1-norm overflows: its exponential is all NaN, and
+    # the run reports the diverged response rather than failing inside it
+    raw = {"scenario": "impact", "out": "edge_out", "actuator.b_m": "1e308"}
+    assert cli.validate(raw) == []
+    with pytest.raises(cli.ScenarioFailed) as failed:
+        cli.run(raw)
+    assert isinstance(failed.value.__cause__, simkit.NonFiniteState)
+
+
 # one field of each namespace, set to a value inside its range
 _NAMESPACE_KEYS = {"actuator": ("actuator.k_r", "5.5e6"),
                    "gains": ("gains.k_p", "4"),

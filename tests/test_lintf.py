@@ -3,11 +3,14 @@ import cmath
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import csv_per_cell
+from vlcasim import lintf, powertherm, simkit
 from vlcasim.lintf import (DelayedTransferFunction, FitDiverged,
                            FRF_CSV_HEADER, FrequencyResponsePoint, NoCrossover,
                            PoleOnAxis, Polynomial, bode_sweep, csv_table,
@@ -336,6 +339,136 @@ def test_zoh_double_integrator():
     ad, bd = zoh_discretize([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], dt)
     np.testing.assert_allclose(ad, [[1.0, dt], [0.0, 1.0]], rtol=0, atol=1e-15)
     np.testing.assert_allclose(bd, [[0.5 * dt * dt], [dt]], rtol=1e-12)
+
+
+def _norm1(a) -> float:
+    return float(np.abs(a).sum(axis=0).max())
+
+
+@pytest.fixture(scope="module")
+def scenario_exponent_arguments():
+    """Every matrix the default scenarios exponentiate: the locked plant
+    (force_tracking, bode), the two position-step plants, the hammer strike's
+    struck and free oscillators on both mounts, and the thermal network at
+    each step of its calibration and with coolant on and off."""
+    seen = []
+    expm = lintf._expm
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lintf, "_expm", lambda a: seen.append(a) or expm(a))
+        zoh_discretize(*simkit._locked_plant(VLCA_ACTUATOR), simkit.CONTROL_DT)
+        for element in ("elastomer", "steel_spring"):
+            zoh_discretize(*simkit.two_mass_plant(element), simkit.CONTROL_DT)
+        for grounding in ("viscoelastic", "rigid"):
+            simkit.run_impact(simkit.ImpactConfig(grounding))
+        params = powertherm.calibrate_thermal().params
+        for cooling_on in (True, False):
+            powertherm._propagator(params, cooling_on, 1e-3)
+    return seen
+
+
+def test_expm_equals_scipy_on_the_scenario_matrices(
+        scenario_exponent_arguments):
+    # measured: 6.2e-16 of the map's 1-norm at worst, on the elastomer
+    # position-step plant
+    linalg = pytest.importorskip("scipy.linalg")
+    for a in scenario_exponent_arguments:
+        want = linalg.expm(a)
+        assert _norm1(lintf._expm(a) - want) <= 1e-15 * _norm1(want)
+
+
+@st.composite
+def _decaying_matrices(draw):
+    """n x n, n from 1 to 5: entries in [-1, 1] shifted left by the 1-norm,
+    so that the exponential's 1-norm is at most 1, then scaled by 1e-4 to
+    1e3. The 1-norms run from 0 to about 4e3, 0 to 10 squarings."""
+    n = draw(st.integers(1, 5))
+    m = np.reshape(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
+                                 max_size=n * n)), (n, n))
+    scale = 10.0 ** draw(st.floats(-4.0, 3.0))
+    return scale * (m - _norm1(m) * np.eye(n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_decaying_matrices())
+def test_expm_equals_scipy_on_decaying_matrices(a):
+    # measured: 13.4 eps * max(1, |A|_1) at worst over 2,000 examples; the
+    # squarings scale the rounding error with the 1-norm
+    linalg = pytest.importorskip("scipy.linalg")
+    eps = np.finfo(float).eps
+    err = _norm1(lintf._expm(a) - linalg.expm(a))
+    assert err <= 32.0 * eps * max(1.0, _norm1(a))
+
+
+def test_expm_closed_forms():
+    for n in range(1, 6):
+        assert lintf._expm(np.zeros((n, n))).tolist() == np.eye(n).tolist()
+    # the rotation generator at w*dt = 10 rad, past theta_13: one squaring
+    w = 10.0
+    np.testing.assert_allclose(
+        lintf._expm(np.array([[0.0, w], [-w, 0.0]])),
+        [[math.cos(w), math.sin(w)], [-math.sin(w), math.cos(w)]],
+        rtol=0, atol=4 * np.finfo(float).eps)
+
+
+def test_expm_of_a_non_finite_norm_is_non_finite():
+    # the scaling exponent of an infinite 1-norm is not an integer; the
+    # callers' divergence checks report the NaN map instead
+    for a in ([[math.inf]], [[1e308, 0.0], [1e308, 0.0]], [[math.nan]]):
+        assert np.isnan(lintf._expm(np.array(a))).all()
+
+
+def _locked_map(scale, *names):
+    params = replace(VLCA_ACTUATOR, **{k: getattr(VLCA_ACTUATOR, k) * scale
+                                       for k in names})
+    return zoh_discretize(*simkit._locked_plant(params), simkit.CONTROL_DT)[0]
+
+
+@pytest.fixture(scope="module")
+def thermal_params():
+    return powertherm.calibrate_thermal().params
+
+
+def _thermal_map(base, scale, cooling_on, *names):
+    params = replace(base, **{k: getattr(base, k) / scale for k in names})
+    return np.reshape(powertherm._propagator(params, cooling_on, 1e-3)[:4],
+                      (2, 2))
+
+
+def _diverges(scale):
+    return pytest.mark.xfail(strict=True, reason=(
+        "the squarings amplify rounding by 2^s: non-finite maps, or finite "
+        f"ones with spectral radius above 1, from about {scale:g} on"))
+
+
+# each plant stiffened by f: the named fields of the locked plant multiplied
+# by f, or those of the thermal network, coolant on or off, divided by f
+@pytest.mark.parametrize("plant, stiffened", [
+    # a damper stiffer by f: slow mode -k/b, fast mode -b/m
+    ("locked", ("b_r",)),
+    # the winding node faster than the housing by f, coolant on
+    ("thermal_on", ("c_winding",)),
+    # the housing pinned to ambient, coolant on and off
+    ("thermal_on", ("r_ha_on", "r_ha_off")),
+    ("thermal_off", ("r_ha_on", "r_ha_off")),
+    pytest.param("locked", ("k_r",), marks=_diverges(1e13)),
+    pytest.param("locked", ("k_r", "b_r"), marks=_diverges(1e14)),
+    pytest.param("thermal_off", ("c_winding",), marks=_diverges(1e13)),
+    pytest.param("thermal_on", ("c_housing",), marks=_diverges(1e15)),
+    pytest.param("thermal_on", ("r_wh",), marks=_diverges(1e13)),
+], ids=lambda v: v if isinstance(v, str) else "+".join(v))
+def test_zoh_of_a_stiff_stable_plant_does_not_expand(thermal_params, plant,
+                                                     stiffened):
+    # every quarter decade of f from 1 to 1e200: the map stays finite and
+    # its spectral radius stays at or below 1 up to rounding
+    for e in np.arange(0.0, 200.01, 0.25):
+        if plant == "locked":
+            ad = _locked_map(10.0 ** e, *stiffened)
+        else:
+            ad = _thermal_map(thermal_params, 10.0 ** e,
+                              plant == "thermal_on", *stiffened)
+        assert np.isfinite(ad).all(), e
+        rho = max(abs(np.linalg.eigvals(ad)))
+        assert rho <= 1.0 + 4 * np.finfo(float).eps, e
 
 
 # ----------------------------------------------------------------------- csv
