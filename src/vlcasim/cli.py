@@ -201,6 +201,9 @@ def _resolve(raw_config: dict):
             powertherm.CalibrationInfeasible, simkit.InsufficientExcitation,
             MissingFilterCutoff) as exc:
         return [(error_key(exc, scenario), str(exc))], None
+    except ArithmeticError as exc:
+        return [(scenario, f"the config's values leave the float range "
+                           f"({type(exc).__name__}: {exc})")], None
     return [], spec
 
 
@@ -243,11 +246,12 @@ class _Emitter:
 
 # Each scenario is a (prepare, execute) pair. prepare(spec) builds and
 # checks the scenario's inputs before its simulations start; it raises
-# ValueError, WorkspaceViolation, AllExcluded, CalibrationInfeasible,
-# InsufficientExcitation or MissingFilterCutoff for a config it cannot
-# run, which validate() reports. The two leg scenarios' prepare steps also
-# set spec.testbed to the leg they simulate, payload included. execute(spec,
-# em) runs the scenario on spec.inputs and writes its files.
+# ValueError, ArithmeticError, WorkspaceViolation, AllExcluded,
+# CalibrationInfeasible, InsufficientExcitation or MissingFilterCutoff for
+# a config it cannot run, which validate() reports. The two leg scenarios'
+# prepare steps also set spec.testbed to the leg they simulate, payload
+# included. execute(spec, em) runs the scenario on spec.inputs and writes
+# its files.
 
 def _bode_chirp(spec: RunSpec):
     x = spec.extras

@@ -6,6 +6,7 @@ accounting for lift experiments.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -121,16 +122,19 @@ def simulate_constant_current(current_a: float, duration_s: float,
     state = initial or ThermalState(params.ambient_c, params.ambient_c)
     a00, a01, a10, a11, b0, b1 = _propagator(params, cooling_on, dt)
     amb = params.ambient_c
-    t = np.arange(n + 1) * dt
-    tw = np.empty(n + 1)
-    th = np.empty(n + 1)
+    i2, r25, alpha = current_a ** 2, params.r_elec_25, params.alpha
+    rise_w, rise_h = array("d"), array("d")  # each node's rise above ambient
     w, h = state.t_winding - amb, state.t_housing - amb
-    for k in range(n + 1):
-        tw[k], th[k] = amb + w, amb + h
-        if k == n:
-            break
-        p = current_a ** 2 * params.resistance_at(amb + w)
+    for _ in range(n):
+        rise_w.append(w)
+        rise_h.append(h)
+        # the power at resistance_at(amb + w), in its operation order
+        p = i2 * (r25 * (1.0 + alpha * (amb + w - 25.0)))
         w, h = a00 * w + a01 * h + b0 * p, a10 * w + a11 * h + b1 * p
+    rise_w.append(w)
+    rise_h.append(h)
+    tw, th = amb + np.frombuffer(rise_w), amb + np.frombuffer(rise_h)
+    t = np.arange(n + 1) * dt
     bad = ~(np.isfinite(tw) & np.isfinite(th))
     if bad.any():
         raise NonFiniteState(f"thermal model diverged at t={t[bad.argmax()]:.3f} s")

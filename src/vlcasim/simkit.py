@@ -5,8 +5,10 @@ current over each period. Every plant here is linear, so each advances
 by its exact zero-order-hold map, one step per period: the force loop, the
 chirp and the position loop under their held current, and the hammer
 strike with its half-sine pulse carried as an oscillator in the state.
-The first three share one run loop, _run_linear, which records the state
-history; each run builds its trace columns from it after the loop.
+Each map is built once per plant into a function of Python floats
+(_affine_map), so a period makes no numpy call. The first three plants
+share one run loop, _run_linear, which records the state history; each
+run builds its trace columns from it after the loop.
 The package's only Runge-Kutta integration is the nonlinear leg's
 fixed-step Dormand-Prince map, in testbed.
 Saturation clips commanded current at the amplifier limit and is
@@ -20,6 +22,7 @@ import warnings
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -63,19 +66,49 @@ def control_steps(duration: float, name: str, dt: float = CONTROL_DT) -> int:
 
 # ---------------------------------------------------------------- plant
 
+@lru_cache(maxsize=None)
+def _affine_factory(n: int):
+    """factory(*entries) -> step(x, u) for n states, the entries of the
+    n x (n+1) map row-major. The source is generated and compiled once per
+    n, as dataclasses and namedtuple build their methods; the entries
+    arrive as arguments, so each float, non-finite ones included, reaches
+    the closure unchanged."""
+    cols = [f"x{j}" for j in range(n)] + ["u"]
+    rows = [[f"a{i}_{j}" for j in range(n + 1)] for i in range(n)]
+    sums = ", ".join(" + ".join(f"{a} * {c}" for a, c in zip(row, cols))
+                     for row in rows)
+    src = (f"def factory({', '.join(a for row in rows for a in row)}):\n"
+           f"    def step(x, u):\n"
+           f"        {''.join(c + ', ' for c in cols[:-1])}= x\n"
+           f"        return [{sums}]\n"
+           f"    return step\n")
+    namespace = {}
+    exec(src, namespace)
+    return namespace["factory"]
+
+
+def _affine_map(adb: np.ndarray) -> Callable[[Sequence[float], float], list]:
+    """The map (x, u) -> [Ad | Bd] (x, u) of the n x (n+1) matrix adb as
+    one function of Python floats: x holds n floats, u is a float, and each
+    row is summed left to right in column order. It returns a list."""
+    return _affine_factory(adb.shape[0])(*adb.ravel().tolist())
+
+
 def _run_linear(plant, n: int, command: Callable[[int, list], float]
                 ) -> np.ndarray:
     """State history of the linear plant (A, B) = plant over n control
     periods from rest: row k is the state at the start of period k, a list
-    x of floats, and command(k, x) is the scalar input held over that
-    period. Each period advances by the exact zero-order-hold map
-    x -> Ad x + Bd u. NonFiniteState when a state leaves the floats."""
+    x of floats, and command(k, x) is the scalar input, a float, held over
+    that period. Each period advances by the exact zero-order-hold map
+    x -> Ad x + Bd u (_affine_map). NonFiniteState when a state leaves the
+    floats."""
     adb = np.hstack(zoh_discretize(*plant, CONTROL_DT))
+    step = _affine_map(adb)
     x = [0.0] * adb.shape[0]
     history = array("d")  # packed doubles: no float object outlives its step
     for k in range(n):
         history.extend(x)
-        x = adb.dot((*x, command(k, x))).tolist()
+        x = step(x, command(k, x))
         if not all(map(math.isfinite, x)):
             raise NonFiniteState(
                 f"plant state diverged at t={k * CONTROL_DT:.3f} s")
@@ -648,19 +681,24 @@ def run_impact(config: ImpactConfig,
     def period(a, h):
         return zoh_discretize(a, np.zeros((4, 1)), h)[0]
 
+    def stepper(ad):  # the strike has no input: a zero column for u
+        return _affine_map(np.hstack((ad, np.zeros((4, 1)))))
+
     dt = CONTROL_DT
     n_on = int(w / dt + 1e-9)  # whole periods under the pulse
     tail = w - n_on * dt       # the pulse's share of the period it ends in
-    maps = [period(struck, dt)] * n_on
+    steps = [stepper(period(struck, dt))] * n_on
     if tail > 1e-9 * dt:
-        maps.append(period(free, dt - tail) @ period(struck, tail))
-    maps.append(period(free, dt))
+        steps.append(stepper(period(free, dt - tail) @ period(struck, tail)))
+    steps.append(stepper(period(free, dt)))
 
     n = control_steps(IMPACT_DURATION_S, "IMPACT_DURATION_S")
-    states = [np.array([0.0, 0.0, 0.0, 1.0])]
+    y = [0.0, 0.0, 0.0, 1.0]
+    history = array("d", y)
     for k in range(n - 1):
-        states.append(maps[min(k, len(maps) - 1)] @ states[-1])
-    x, v = np.array(states)[:, :2].T
+        y = steps[min(k, len(steps) - 1)](y, 0.0)
+        history.extend(y)
+    x, v = np.frombuffer(history).reshape(n, 4)[:, :2].T
     if not np.isfinite([x, v]).all():
         raise NonFiniteState("impact response diverged")
 

@@ -411,6 +411,28 @@ def test_a_hold_past_thermal_runaway_is_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "runaway_out").exists()
 
 
+@pytest.mark.parametrize("scenario, key, value, error", [
+    # n_m ** 2 in the effective mass, reached from the observer's filter
+    ("force_tracking", "actuator.n_m", "1e200", "OverflowError"),
+    # the square of the hold current, which the calibration divides by,
+    # underflows to zero or overflows
+    ("thermal", "actuator.k_tau", "1e200", "ZeroDivisionError"),
+    ("thermal", "actuator.eta", "1e-300", "OverflowError"),
+])
+def test_a_config_whose_arithmetic_leaves_the_floats_is_a_config_error(
+        tmp_path, capsys, scenario, key, value, error):
+    [(where, why)] = cli.validate({"scenario": scenario, key: value})
+    assert where == scenario
+    assert why.startswith("the config's values leave the float range")
+    assert error in why
+    cfg = _write(tmp_path, "floats.cfg", f"scenario = {scenario}\n"
+                 f"out = floats_out\n{key} = {value}\n")
+    assert main(["validate", cfg]) == 2
+    assert "leave the float range" in capsys.readouterr().out
+    assert main(["run", cfg]) == 2
+    assert not (tmp_path / "floats_out").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import locked_plant_rates, plant_energy, rk4_step
 from vlcasim import simkit as sk
@@ -41,20 +42,104 @@ def test_constant_current_settles_at_static_deflection():
 
 def test_run_loop_holds_each_command_over_its_period():
     # row k is the state the command of period k sees; the history is
-    # the exact map applied to the held inputs
-    seen = []
+    # the exact map applied to the held inputs, for the 2-state locked
+    # plant and the 4-state position-loop plant
+    for plant in (sk._locked_plant(P), sk.two_mass_plant("elastomer")):
+        seen = []
 
-    def command(k, y):
-        seen.append(list(y))
-        return 100.0 * math.sin(0.3 * k)
+        def command(k, y):
+            seen.append(list(y))
+            return 100.0 * math.sin(0.3 * k)
 
-    states = _locked_run(50, command)
-    assert states.tolist() == seen
-    ad, bd = sk.zoh_discretize(*sk._locked_plant(P), sk.CONTROL_DT)
-    for k in range(49):
-        np.testing.assert_allclose(
-            states[k + 1], ad @ states[k] + bd[:, 0] * 100.0 * math.sin(0.3 * k),
-            rtol=1e-12, atol=1e-18)
+        states = sk._run_linear(plant, 50, command)
+        assert states.tolist() == seen
+        ad, bd = sk.zoh_discretize(*plant, sk.CONTROL_DT)
+        for k in range(49):
+            np.testing.assert_allclose(
+                states[k + 1],
+                ad @ states[k] + bd[:, 0] * 100.0 * math.sin(0.3 * k),
+                rtol=1e-12, atol=1e-18)
+
+
+def _column_order_sum(row, v):
+    total = row[0] * v[0]
+    for a, b in zip(row[1:], v[1:]):
+        total = total + a * b
+    return total
+
+
+_ENTRIES = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 4]).flatmap(lambda n: st.tuples(
+    st.lists(_ENTRIES, min_size=n * (n + 1), max_size=n * (n + 1)),
+    st.lists(_ENTRIES, min_size=n + 1, max_size=n + 1))))
+def test_the_scalar_map_sums_each_row_in_column_order(case):
+    entries, v = case
+    n = len(v) - 1
+    adb = np.array(entries).reshape(n, n + 1)
+    got = sk._affine_map(adb)(v[:n], v[n])
+    assert [type(g) for g in got] == [float] * n
+    want = [_column_order_sum(row, v) for row in adb.tolist()]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    # and it is the matrix product up to rounding in its summation order
+    product = adb[:, :n] @ v[:n] + adb[:, n] * v[n]
+    assert (np.abs(np.array(got) - product) <= 1e-14 * (np.abs(adb) @ np.abs(v))).all()
+
+
+def _gemv_divergence(adb, n, command):
+    """The period in which stepping x -> adb (x, u) by numpy's matrix
+    product first leaves the floats, or None."""
+    x = np.zeros(adb.shape[0])
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            x = adb @ np.append(x, command(k, x.tolist()))
+            if not np.isfinite(x).all():
+                return k
+    return None
+
+
+@pytest.mark.parametrize("adb", [
+    [[1.0, math.inf, 0.0], [0.0, 1.0, 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, math.nan]],
+    [[1.0, 0.0, 0.0], [-math.inf, 1.0, 1.0]],
+    # finite but expanding: the state overflows after about 1,000 periods
+    [[2.0, 0.0, 1.0], [0.0, 1.5, 1.0]],
+], ids=["inf_in_ad", "nan_in_bd", "negative_inf_in_ad", "expanding"])
+def test_a_non_finite_state_stops_the_run_in_the_period_numpy_would(
+        monkeypatch, adb):
+    adb = np.array(adb)
+    monkeypatch.setattr(sk, "zoh_discretize",
+                        lambda a, b, dt: (adb[:, :2], adb[:, 2:]))
+    k = _gemv_divergence(adb, 2000, lambda k, y: 1.0)
+    assert k is not None
+    with pytest.raises(sk.NonFiniteState,
+                       match=rf"^plant state diverged at t={k * 1e-3:.3f} s$"):
+        _locked_run(2000, lambda k, y: 1.0)
+
+
+def test_every_period_steps_python_floats(monkeypatch):
+    # each history row the commands see, and each input they return, is
+    # Python floats: no numpy scalar enters the scalar map
+    run_linear = sk._run_linear
+    seen = set()
+
+    def checked(plant, n, command):
+        def recorded(k, y):
+            u = command(k, y)
+            seen.update(map(type, y))
+            seen.add(type(u))
+            return u
+        return run_linear(plant, n, recorded)
+
+    monkeypatch.setattr(sk, "_run_linear", checked)
+    for kind in ControllerKind:
+        sk.run_force_tracking(kind, G, sk.StepRef(500.0), 0.2)
+    sk.run_plant_chirp(np.full(200, 1.0))
+    for element in ("elastomer", "steel_spring"):
+        sk.run_joint_position_control(element, duration=0.2)
+    assert seen == {float}
 
 
 def test_free_decay_matches_model_damping_ratio():
