@@ -1,4 +1,4 @@
-"""Candidate spring-element materials: bench-test records, stiffness and
+"""Candidate spring-element materials: bench-test records,
 stress-relaxation fitting, chirp-based damping estimation, and weighted
 ranking for selection.
 """
@@ -13,10 +13,6 @@ import numpy as np
 
 from .lintf import (FrequencyResponsePoint, csv_table, fit_second_order,
                     least_squares_lm, require_finite)
-
-
-class DegenerateData(Exception):
-    """Samples carry no information for the requested fit."""
 
 
 class AllExcluded(Exception):
@@ -70,35 +66,6 @@ def builtin_materials() -> list:
 
 
 # ------------------------------------------------------------- fitting
-
-@dataclass(frozen=True)
-class StiffnessFit:
-    stiffness_n_per_m: float
-    r_square: float
-
-
-def fit_linear_stiffness(displacement_m: Sequence[float],
-                         force_n: Sequence[float]) -> StiffnessFit:
-    """Least-squares line through force-deflection samples.
-
-    Hysteresis loops are fine: the slope averages the branches and r^2
-    reports how linear the sample really was.
-    """
-    x = np.asarray(displacement_m, dtype=float)
-    f = np.asarray(force_n, dtype=float)
-    if x.shape != f.shape or x.ndim != 1:
-        raise ValueError("displacement and force must be equal-length vectors")
-    require_finite(displacement_m=x, force_n=f)
-    if float(np.ptp(x)) == 0.0:
-        raise DegenerateData("displacement samples are all identical")
-    if len(x) < 5:
-        raise ValueError("need at least 5 samples")
-    slope, intercept = np.polyfit(x, f, 1)
-    resid = f - (slope * x + intercept)
-    ss_tot = float(np.sum((f - f.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return StiffnessFit(stiffness_n_per_m=float(slope), r_square=r2)
-
 
 @dataclass(frozen=True)
 class RelaxationFit:

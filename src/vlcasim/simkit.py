@@ -10,7 +10,9 @@ Each map is built once per plant into a function of Python floats
 share one run loop, _run_linear, which records the state history; each
 run builds its trace columns from it after the loop.
 The package's only Runge-Kutta integration is the nonlinear leg's
-fixed-step Dormand-Prince map, in testbed.
+fixed-step Dormand-Prince map, in testbed; its substep body is the second
+generated kernel (testbed._dp5_factory), built from the DP5 tableau as
+_affine_map's steppers are from [Ad | Bd].
 Saturation clips commanded current at the amplifier limit and is
 recorded, not fatal.
 """

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -403,6 +404,39 @@ def leg_substeps(params: TwoDofParams, cascaded: bool,
     return n
 
 
+@lru_cache(maxsize=None)
+def _dp5_factory(m: int):
+    """factory(n, rates, *hc) -> period(x, u0, u1, u2, u3): n fixed DP5
+    substeps over the m state floats x, with rates(*x, u0, u1, u2, u3) ->
+    m rates and the inputs held, returning the m floats as a tuple. hc are
+    the products h * a_ij of the non-zero entries of _DP5_A, then of
+    _DP5_B, row by row. Each stage adds to x the sum of its (h * a_ij) * k_j
+    products, left to right in j, as tests/oracles.py's dp5_step does. The
+    source is generated and compiled once per m, as simkit._affine_factory
+    builds the linear plant steppers."""
+    xs = [f"x{i}" for i in range(m)]
+    rows = [[j for j, a in enumerate(row, 1) if a] for row in (*_DP5_A, _DP5_B)]
+    body, stage = [], xs
+    for s, row in enumerate(rows, 2):
+        # k_{s-1} at the previous stage, then stage s (the weights: x itself)
+        body.append(f"{''.join(f'k{s - 1}_{i}, ' for i in range(m))}"
+                    f"= rates({', '.join(stage)}, u0, u1, u2, u3)")
+        stage = xs if s == len(rows) + 1 else [f"y{s}_{i}" for i in range(m)]
+        body += [f"{y} = {x} + ({' + '.join(f'h{s}_{j} * k{j}_{i}' for j in row)})"
+                 for i, (x, y) in enumerate(zip(xs, stage))]
+    coeffs = ", ".join(f"h{s}_{j}" for s, row in enumerate(rows, 2) for j in row)
+    src = (f"def factory(n, rates, {coeffs}):\n"
+           f"    def period(x, u0, u1, u2, u3):\n"
+           f"        {''.join(x + ', ' for x in xs)}= x\n"
+           f"        for _ in range(n):\n"
+           + "".join(f"            {line}\n" for line in body)
+           + f"        return {', '.join(xs)}\n"
+           f"    return period\n")
+    namespace = {}
+    exec(src, namespace)
+    return namespace["factory"]
+
+
 def leg_period_map(params: TwoDofParams, cascaded: bool,
                    actuator: ActuatorParams,
                    external_force: Optional[Callable[[float], Sequence[float]]] = None):
@@ -411,45 +445,31 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
     Returns advance(state, u0, u1, t) -> state: n = leg_substeps(...) fixed
     DP5 substeps of CONTROL_DT / n with u held for the period (the joint
     torques [N*m] in ideal mode, the motor currents [A] in cascaded mode)
-    and the hip force external_force(t) taken at the period start t. Both
-    modes step the state (q0, q1, w0, w1, d0, v0, d1, v1): the joint angles
-    and rates, then each actuator's spring deflection and screw rate. The
-    deflection d is the screw position less the linkage displacement, so
-    its rate is v - r*w and the spring force k_r*d + b_r*(v - r*w), r the
-    moment arm; in ideal mode both actuator rates are zero.
+    and the hip force external_force(t) taken at the period start t. The
+    state is (q0, q1, w0, w1, d0, v0, d1, v1): the joint angles and rates,
+    then each actuator's spring deflection and screw rate. The deflection d
+    is the screw position less the linkage displacement, so its rate is
+    v - r*w and the spring force k_r*d + b_r*(v - r*w), r the moment arm.
 
-    One rates function serves both modes, on the dynamics of
-    _leg_dynamics(params): in cascaded mode the springs drive the joints, in
-    ideal mode the held torques do. Each stage adds to the state the sum of
-    the (h * a_ij) * k_j products in order of j, as tests/oracles.py's DP5
-    step does, so one period equals n of its steps on the rates written
-    from the reference _dyn_scalars there bit for bit.
+    The substep body is generated from the tableau (_dp5_factory). Ideal
+    mode integrates (q0, q1, w0, w1) only, under the held joint torques,
+    and returns the actuator entries as given. Cascaded mode integrates all
+    eight: its rates add the spring torques and the screw rates to the same
+    joint solve on the dynamics of _leg_dynamics(params). One period equals
+    n steps of tests/oracles.py's dp5_step on rates written from the
+    reference _dyn_scalars there bit for bit.
     """
     cos, sin = math.cos, math.sin
     n = leg_substeps(params, cascaded, actuator)
     h = simkit.CONTROL_DT / n
-    (h21,), (h31, h32), (h41, h42, h43), (h51, h52, h53, h54), \
-        (h61, h62, h63, h64, h65) = ([h * a for a in row] for row in _DP5_A)
-    hb1, _, hb3, hb4, hb5, hb6 = (h * b for b in _DP5_B)
+    hc = [h * a for row in (*_DP5_A, _DP5_B) for a in row if a]
     dyn = _leg_dynamics(params)
     l1, l2 = params.l1, params.l2
     pushed = external_force is not None
 
-    k_r, b_r = actuator.k_r, actuator.b_r
-    m_m, b_dt = actuator.effective_mass, actuator.drivetrain_damping
-    # the held inputs are motor currents in cascaded mode, torques in ideal
-    n_drive = actuator.drive_constant if cascaded else 1.0
-    r = DEFAULT_MOMENT_ARM
-
-    def rates(a, b, wa, wb, d0, v0, d1, v1, fi0, fi1, fx, fy):
-        """(wd0, wd1, dd0, vd0, dd1, vd1) under the held fi: the screw drive
-        forces n_drive * i in cascaded mode, the joint torques in ideal."""
-        if cascaded:
-            dd0, dd1 = v0 - r * wa, v1 - r * wb
-            f0, f1 = k_r * d0 + b_r * dd0, k_r * d1 + b_r * dd1
-            t0, t1 = r * f0, r * f1
-        else:
-            t0, t1 = fi0, fi1
+    def joint_rates(a, b, wa, wb, t0, t1, fx, fy):
+        """(q0, q1, w0, w1) rates under the joint torques t and the hip
+        force f."""
         a11, a12, a22, b1, b2, g1, g2 = dyn(a, b, wa, wb)
         if pushed:
             s0, s01, c01 = sin(a), sin(a + b), cos(a + b)
@@ -460,71 +480,33 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
         det = a11 * a22 - a12 * a12
         r_0 = t0 - b1 - g1 + te0
         r_1 = t1 - b2 - g2 + te1
-        wd0, wd1 = (a22 * r_0 - a12 * r_1) / det, (a11 * r_1 - a12 * r_0) / det
-        if not cascaded:
-            return wd0, wd1, 0.0, 0.0, 0.0, 0.0
-        return (wd0, wd1, dd0, (fi0 - b_dt * v0 - f0) / m_m,
-                dd1, (fi1 - b_dt * v1 - f1) / m_m)
+        return (wa, wb, (a22 * r_0 - a12 * r_1) / det,
+                (a11 * r_1 - a12 * r_0) / det)
+
+    if not cascaded:
+        period = _dp5_factory(4)(n, joint_rates, *hc)
+
+        def advance(state, tau0, tau1, t):
+            fx, fy = external_force(t) if pushed else (0.0, 0.0)
+            return (*period(state[:4], tau0, tau1, fx, fy), *state[4:])
+        return advance
+
+    k_r, b_r, r = actuator.k_r, actuator.b_r, DEFAULT_MOMENT_ARM
+    m_m, b_dt = actuator.effective_mass, actuator.drivetrain_damping
+    n_drive = actuator.drive_constant
+
+    def rates(a, b, wa, wb, d0, v0, d1, v1, fi0, fi1, fx, fy):
+        """The eight rates under the held screw drive forces fi."""
+        dd0, dd1 = v0 - r * wa, v1 - r * wb
+        f0, f1 = k_r * d0 + b_r * dd0, k_r * d1 + b_r * dd1
+        return joint_rates(a, b, wa, wb, r * f0, r * f1, fx, fy) + (
+            dd0, (fi0 - b_dt * v0 - f0) / m_m, dd1, (fi1 - b_dt * v1 - f1) / m_m)
+
+    period = _dp5_factory(8)(n, rates, *hc)
 
     def advance(state, i0, i1, t):
         fx, fy = external_force(t) if pushed else (0.0, 0.0)
-        fi0, fi1 = n_drive * i0, n_drive * i1
-        a, b, wa, wb, d0, v0, d1, v1 = state
-        for _ in range(n):
-            pa1, pb1, da1, va1, db1, vb1 = rates(
-                a, b, wa, wb, d0, v0, d1, v1, fi0, fi1, fx, fy)
-            a2, b2 = a + h21 * wa, b + h21 * wb
-            wa2, wb2 = wa + h21 * pa1, wb + h21 * pb1
-            d02, v02 = d0 + h21 * da1, v0 + h21 * va1
-            d12, v12 = d1 + h21 * db1, v1 + h21 * vb1
-            pa2, pb2, da2, va2, db2, vb2 = rates(
-                a2, b2, wa2, wb2, d02, v02, d12, v12, fi0, fi1, fx, fy)
-            a3, b3 = a + (h31 * wa + h32 * wa2), b + (h31 * wb + h32 * wb2)
-            wa3, wb3 = wa + (h31 * pa1 + h32 * pa2), wb + (h31 * pb1 + h32 * pb2)
-            d03, v03 = d0 + (h31 * da1 + h32 * da2), v0 + (h31 * va1 + h32 * va2)
-            d13, v13 = d1 + (h31 * db1 + h32 * db2), v1 + (h31 * vb1 + h32 * vb2)
-            pa3, pb3, da3, va3, db3, vb3 = rates(
-                a3, b3, wa3, wb3, d03, v03, d13, v13, fi0, fi1, fx, fy)
-            a4 = a + (h41 * wa + h42 * wa2 + h43 * wa3)
-            b4 = b + (h41 * wb + h42 * wb2 + h43 * wb3)
-            wa4 = wa + (h41 * pa1 + h42 * pa2 + h43 * pa3)
-            wb4 = wb + (h41 * pb1 + h42 * pb2 + h43 * pb3)
-            d04 = d0 + (h41 * da1 + h42 * da2 + h43 * da3)
-            v04 = v0 + (h41 * va1 + h42 * va2 + h43 * va3)
-            d14 = d1 + (h41 * db1 + h42 * db2 + h43 * db3)
-            v14 = v1 + (h41 * vb1 + h42 * vb2 + h43 * vb3)
-            pa4, pb4, da4, va4, db4, vb4 = rates(
-                a4, b4, wa4, wb4, d04, v04, d14, v14, fi0, fi1, fx, fy)
-            a5 = a + (h51 * wa + h52 * wa2 + h53 * wa3 + h54 * wa4)
-            b5 = b + (h51 * wb + h52 * wb2 + h53 * wb3 + h54 * wb4)
-            wa5 = wa + (h51 * pa1 + h52 * pa2 + h53 * pa3 + h54 * pa4)
-            wb5 = wb + (h51 * pb1 + h52 * pb2 + h53 * pb3 + h54 * pb4)
-            d05 = d0 + (h51 * da1 + h52 * da2 + h53 * da3 + h54 * da4)
-            v05 = v0 + (h51 * va1 + h52 * va2 + h53 * va3 + h54 * va4)
-            d15 = d1 + (h51 * db1 + h52 * db2 + h53 * db3 + h54 * db4)
-            v15 = v1 + (h51 * vb1 + h52 * vb2 + h53 * vb3 + h54 * vb4)
-            pa5, pb5, da5, va5, db5, vb5 = rates(
-                a5, b5, wa5, wb5, d05, v05, d15, v15, fi0, fi1, fx, fy)
-            a6 = a + (h61 * wa + h62 * wa2 + h63 * wa3 + h64 * wa4 + h65 * wa5)
-            b6 = b + (h61 * wb + h62 * wb2 + h63 * wb3 + h64 * wb4 + h65 * wb5)
-            wa6 = wa + (h61 * pa1 + h62 * pa2 + h63 * pa3 + h64 * pa4 + h65 * pa5)
-            wb6 = wb + (h61 * pb1 + h62 * pb2 + h63 * pb3 + h64 * pb4 + h65 * pb5)
-            d06 = d0 + (h61 * da1 + h62 * da2 + h63 * da3 + h64 * da4 + h65 * da5)
-            v06 = v0 + (h61 * va1 + h62 * va2 + h63 * va3 + h64 * va4 + h65 * va5)
-            d16 = d1 + (h61 * db1 + h62 * db2 + h63 * db3 + h64 * db4 + h65 * db5)
-            v16 = v1 + (h61 * vb1 + h62 * vb2 + h63 * vb3 + h64 * vb4 + h65 * vb5)
-            pa6, pb6, da6, va6, db6, vb6 = rates(
-                a6, b6, wa6, wb6, d06, v06, d16, v16, fi0, fi1, fx, fy)
-            # b_2 = 0: the second stage enters only the later stages
-            a += hb1 * wa + hb3 * wa3 + hb4 * wa4 + hb5 * wa5 + hb6 * wa6
-            b += hb1 * wb + hb3 * wb3 + hb4 * wb4 + hb5 * wb5 + hb6 * wb6
-            wa += hb1 * pa1 + hb3 * pa3 + hb4 * pa4 + hb5 * pa5 + hb6 * pa6
-            wb += hb1 * pb1 + hb3 * pb3 + hb4 * pb4 + hb5 * pb5 + hb6 * pb6
-            d0 += hb1 * da1 + hb3 * da3 + hb4 * da4 + hb5 * da5 + hb6 * da6
-            v0 += hb1 * va1 + hb3 * va3 + hb4 * va4 + hb5 * va5 + hb6 * va6
-            d1 += hb1 * db1 + hb3 * db3 + hb4 * db4 + hb5 * db5 + hb6 * db6
-            v1 += hb1 * vb1 + hb3 * vb3 + hb4 * vb4 + hb5 * vb5 + hb6 * vb6
-        return a, b, wa, wb, d0, v0, d1, v1
+        return period(state, n_drive * i0, n_drive * i1, fx, fy)
     return advance
 
 

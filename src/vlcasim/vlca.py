@@ -256,13 +256,6 @@ def loop_margins(loop: DelayedTransferFunction) -> Optional[StabilityReport]:
         return None
 
 
-def phase_margin(kind: ControllerKind, params: ActuatorParams,
-                 gains: ControllerGains) -> float:
-    """The loop's phase margin [deg]; NaN without a unity crossing."""
-    rep = loop_margins(open_loop_tf(kind, params, gains))
-    return math.nan if rep is None else rep.phase_margin_deg
-
-
 @dataclass(frozen=True)
 class MarginEntry:
     label: str

@@ -10,7 +10,7 @@ import numpy as np
 
 from vlcasim.testbed import TwoDofParams
 from vlcasim.vlca import (MARGIN_DELAY_GRID, ControllerKind, MarginCalibration,
-                          phase_margin)
+                          loop_margins, open_loop_tf)
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,12 @@ def csv_per_cell(header: str, columns) -> str:
     cols = [list(c) for c in columns]
     return "\n".join([header] + [",".join(cell(v) for v in r)
                                  for r in zip(*cols)]) + "\n"
+
+
+def phase_margin(kind: ControllerKind, params, gains) -> float:
+    """The loop's phase margin [deg]; NaN without a unity crossing."""
+    rep = loop_margins(open_loop_tf(kind, params, gains))
+    return math.nan if rep is None else rep.phase_margin_deg
 
 
 def calibrate_margins_grid(params, gains, pm_pdf_target: float = 17.1,

@@ -9,12 +9,11 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import csv_per_cell
+from oracles import csv_per_cell, phase_margin
 from vlcasim import cli, simkit
 from vlcasim.cli import main
 from vlcasim.vlca import (MARGIN_DELAY_GRID, MARGIN_TABLE_ORDER,
-                          EXPERIMENT_GAINS, VLCA_ACTUATOR, ControllerGains,
-                          phase_margin)
+                          EXPERIMENT_GAINS, VLCA_ACTUATOR, ControllerGains)
 
 
 @pytest.fixture(autouse=True)

@@ -45,48 +45,6 @@ def test_record_validation():
 
 # ------------------------------------------------------------------ fitting
 
-def test_stiffness_fit_recovers_a_clean_line():
-    x = np.linspace(-5e-3, 5e-3, 41)
-    fit = em.fit_linear_stiffness(x, 8.109e6 * x)
-    assert fit.stiffness_n_per_m == pytest.approx(8.109e6, rel=1e-12)
-    assert fit.r_square == pytest.approx(1.0, abs=1e-12)
-
-
-def test_stiffness_fit_scale_equivariance():
-    rng = np.random.default_rng(2)
-    x = np.linspace(-5e-3, 5e-3, 60)
-    f = 2.2e6 * x + 50.0 * rng.standard_normal(len(x))
-    a = em.fit_linear_stiffness(x, f)
-    b = em.fit_linear_stiffness(x, 3.7 * f)
-    assert b.stiffness_n_per_m == pytest.approx(3.7 * a.stiffness_n_per_m,
-                                                rel=1e-12)
-    assert b.r_square == pytest.approx(a.r_square, abs=1e-12)
-
-
-def test_stiffness_fit_splits_a_hysteresis_loop():
-    # symmetric loop: the slope lands on the centerline, r^2 reports the
-    # loop width
-    k0 = 8.109e6
-    x = np.concatenate([np.linspace(-5e-3, 5e-3, 50),
-                        np.linspace(5e-3, -5e-3, 50)])
-    width = 0.05 * k0 * 5e-3
-    offsets = np.concatenate([np.full(50, -width / 2.0),
-                              np.full(50, width / 2.0)])
-    fit = em.fit_linear_stiffness(x, k0 * x + offsets)
-    assert fit.stiffness_n_per_m == pytest.approx(k0, rel=1e-9)
-    assert 0.99 < fit.r_square < 1.0
-    assert fit.r_square == pytest.approx(0.99820, abs=1e-4)
-
-
-def test_stiffness_fit_rejects_degenerate_input():
-    with pytest.raises(em.DegenerateData):
-        em.fit_linear_stiffness([1e-3, 1e-3], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        em.fit_linear_stiffness([1e-3, 2e-3, 3e-3], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        em.fit_linear_stiffness([1e-3, 2e-3], [1.0, 2.0, 3.0])
-
-
 def test_relaxation_round_trip():
     t = np.linspace(0.0, 300.0, 601)
     truth = em.RelaxationFit(f0=1000.0, creep_fraction=0.153, tau_s=30.0)
@@ -190,12 +148,9 @@ def _second_order_from_columns(omega, magnitude, phase_deg):
 
 def _fit_cases():
     """Each fit with clean inputs it accepts, by input name."""
-    x = np.linspace(-5e-3, 5e-3, 41)
     t = np.linspace(0.0, 300.0, 601)
     pts = _bench_response(24000.0)
     return {
-        "stiffness": (em.fit_linear_stiffness,
-                      {"displacement_m": x, "force_n": 8.109e6 * x}),
         "relaxation": (em.fit_stress_relaxation,
                        {"t_s": t, "force_n": em.RelaxationFit(
                            1000.0, 0.2, 30.0).eval(t)}),
@@ -207,7 +162,6 @@ def _fit_cases():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("fit,name", [
-    ("stiffness", "displacement_m"), ("stiffness", "force_n"),
     ("relaxation", "t_s"), ("relaxation", "force_n"),
     ("second_order", "omega"), ("second_order", "magnitude"),
     ("second_order", "phase_deg")])

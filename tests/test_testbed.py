@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import _dyn_scalars, dp5_step, hip_jacobian, total_energy
 from vlcasim import powertherm, simkit
@@ -539,6 +539,26 @@ def test_period_map_equals_dp5_step_bit_for_bit(case):
     got = tb.leg_period_map(*args)(case["state"], *case["u"], case["t"])
     want = _dp5_period(*args, case["state"], *case["u"], case["t"])
     assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(leg_periods().filter(lambda case: not case["cascaded"]),
+       st.tuples(*[st.floats()] * 4))
+@example(dict(params=P, cascaded=False, external_force=None, t=0.0,
+              state=(0.6, -1.2, 0.3, -0.4), u=(20.0, -5.0)),
+         (-0.0, 5e-324, math.inf, math.nan))
+def test_ideal_period_returns_the_actuator_entries_as_given(case, entries):
+    # ideal mode integrates the joints only: any actuator entries, -0.0 and
+    # non-finite ones included, come back bit for bit (a zero-rate stage sum
+    # would turn -0.0 into 0.0) and leave the joints as from rest
+    advance = tb.leg_period_map(case["params"], False, VLCA_ACTUATOR,
+                                case["external_force"])
+    joints = case["state"][:4]
+    got = advance(joints + entries, *case["u"], case["t"])
+    at_rest = advance(joints + (0.0,) * 4, *case["u"], case["t"])
+    assert list(map(float.hex, got[4:])) == list(map(float.hex, entries))
+    assert list(map(float.hex, got[:4])) == list(map(float.hex, at_rest[:4]))
+    assert at_rest[4:] == (0.0,) * 4
 
 
 # --------------------------------------------------------- step budget
