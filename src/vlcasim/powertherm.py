@@ -6,14 +6,14 @@ accounting for lift experiments.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
+from . import simkit
 from .lintf import csv_table, zoh_discretize
-from .simkit import NonFiniteState, control_steps
 from .vlca import ActuatorParams, DEFAULT_MOMENT_ARM, VLCA_ACTUATOR
 
 
@@ -65,14 +65,13 @@ class ThermalState:
 
 def _propagator(params: ThermalParams, cooling_on: bool, dt: float):
     """Exact zero-order-hold update of the two-node network over dt, as the
-    flat entries (a00, a01, a10, a11, b0, b1) of rise' = Ad rise + Bd power,
-    where rise is each node's temperature above ambient."""
+    2 x 3 block [Ad | Bd] of rise' = Ad rise + Bd power, where rise is each
+    node's temperature above ambient."""
     g_wh = 1.0 / params.r_wh
     g_ha = 1.0 / params.r_ha(cooling_on)
     caps = np.array([[params.c_winding], [params.c_housing]])
     a = np.array([[-g_wh, g_wh], [g_wh, -(g_wh + g_ha)]]) / caps
-    ad, bd = zoh_discretize(a, [1.0 / params.c_winding, 0.0], dt)
-    return (*ad.ravel().tolist(), *bd.ravel().tolist())
+    return np.hstack(zoh_discretize(a, [1.0 / params.c_winding, 0.0], dt))
 
 
 def steady_state_winding(current_a: float, params: ThermalParams,
@@ -118,28 +117,22 @@ def simulate_constant_current(current_a: float, duration_s: float,
                               ) -> ThermalTrace:
     if not 0.0 < dt <= 0.010:
         raise ValueError("dt must be within (0, 10 ms]")
-    n = control_steps(duration_s, "duration_s", dt)
+    n = simkit.control_steps(duration_s, "duration_s", dt)
     state = initial or ThermalState(params.ambient_c, params.ambient_c)
-    a00, a01, a10, a11, b0, b1 = _propagator(params, cooling_on, dt)
     amb = params.ambient_c
     i2, r25, alpha = current_a ** 2, params.r_elec_25, params.alpha
-    rise_w, rise_h = array("d"), array("d")  # each node's rise above ambient
-    w, h = state.t_winding - amb, state.t_housing - amb
-    for _ in range(n):
-        rise_w.append(w)
-        rise_h.append(h)
-        # the power at resistance_at(amb + w), in its operation order
-        p = i2 * (r25 * (1.0 + alpha * (amb + w - 25.0)))
-        w, h = a00 * w + a01 * h + b0 * p, a10 * w + a11 * h + b1 * p
-    rise_w.append(w)
-    rise_h.append(h)
-    tw, th = amb + np.frombuffer(rise_w), amb + np.frombuffer(rise_h)
-    t = np.arange(n + 1) * dt
-    bad = ~(np.isfinite(tw) & np.isfinite(th))
-    if bad.any():
-        raise NonFiniteState(f"thermal model diverged at t={t[bad.argmax()]:.3f} s")
-    return ThermalTrace(t=t, current_a=np.full(n + 1, current_a),
-                        t_winding=tw, t_housing=th, cooling_on=cooling_on)
+
+    def power(k, x):  # at resistance_at(amb + x[0]), in its operation order
+        return i2 * (r25 * (1.0 + alpha * (amb + x[0] - 25.0)))
+
+    # x is each node's rise above ambient; the power is held over a period
+    rise = simkit._step_linear(
+        repeat(simkit._affine_map(_propagator(params, cooling_on, dt)), n),
+        [state.t_winding - amb, state.t_housing - amb], power, dt)
+    return ThermalTrace(t=np.arange(n + 1) * dt,
+                        current_a=np.full(n + 1, current_a),
+                        t_winding=amb + rise[:, 0], t_housing=amb + rise[:, 1],
+                        cooling_on=cooling_on)
 
 
 def continuous_current_limit(params: ThermalParams,

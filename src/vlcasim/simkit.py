@@ -6,9 +6,9 @@ by its exact zero-order-hold map, one step per period: the force loop, the
 chirp and the position loop under their held current, and the hammer
 strike with its half-sine pulse carried as an oscillator in the state.
 Each map is built once per plant into a function of Python floats
-(_affine_map), so a period makes no numpy call. The first three plants
-share one run loop, _run_linear, which records the state history; each
-run builds its trace columns from it after the loop.
+(_affine_map), so a period makes no numpy call. Every linear recurrence,
+powertherm's thermal network too, steps through one loop, _step_linear,
+which records the states and checks them once, after the loop.
 The package's only Runge-Kutta integration is the nonlinear leg's
 fixed-step Dormand-Prince map, in testbed; its substep body is the second
 generated kernel (testbed._dp5_factory), built from the DP5 tableau as
@@ -25,7 +25,8 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -96,25 +97,37 @@ def _affine_map(adb: np.ndarray) -> Callable[[Sequence[float], float], list]:
     return _affine_factory(adb.shape[0])(*adb.ravel().tolist())
 
 
+def _step_linear(steps: Iterable[Callable], x0: Sequence[float],
+                 command: Callable[[int, list], float], dt: float
+                 ) -> np.ndarray:
+    """The one loop that advances a linear recurrence: x0, then the state
+    after each period, one row each. Period k starts at k * dt and maps its
+    state x, a list of floats, by steps' k-th _affine_map under the scalar
+    input command(k, x), a float held over the period. The rows are checked
+    once, after the loop: NonFiniteState names the start of the period
+    whose step first left the floats, or t=0 for a non-finite x0."""
+    x = list(x0)
+    history = array("d", x)  # packed: no float object outlives its step
+    for k, step in enumerate(steps):
+        x = step(x, command(k, x))
+        history.extend(x)
+    states = np.frombuffer(history).reshape(-1, len(x0))
+    bad = ~np.isfinite(states).all(axis=1)
+    if bad.any():
+        raise NonFiniteState(f"plant state diverged at "
+                             f"t={max(bad.argmax() - 1, 0) * dt:.3f} s")
+    return states
+
+
 def _run_linear(plant, n: int, command: Callable[[int, list], float]
                 ) -> np.ndarray:
     """State history of the linear plant (A, B) = plant over n control
-    periods from rest: row k is the state at the start of period k, a list
-    x of floats, and command(k, x) is the scalar input, a float, held over
-    that period. Each period advances by the exact zero-order-hold map
-    x -> Ad x + Bd u (_affine_map). NonFiniteState when a state leaves the
-    floats."""
+    periods from rest: row k is the state at the start of period k, and
+    command(k, x) is the input held over that period (_step_linear). Each
+    period advances by the exact zero-order-hold map x -> Ad x + Bd u."""
     adb = np.hstack(zoh_discretize(*plant, CONTROL_DT))
-    step = _affine_map(adb)
-    x = [0.0] * adb.shape[0]
-    history = array("d")  # packed doubles: no float object outlives its step
-    for k in range(n):
-        history.extend(x)
-        x = step(x, command(k, x))
-        if not all(map(math.isfinite, x)):
-            raise NonFiniteState(
-                f"plant state diverged at t={k * CONTROL_DT:.3f} s")
-    return np.frombuffer(history).reshape(n, -1)
+    return _step_linear(repeat(_affine_map(adb), n), [0.0] * adb.shape[0],
+                        command, CONTROL_DT)[:n]
 
 
 def _locked_plant(params: ActuatorParams):
@@ -687,22 +700,16 @@ def run_impact(config: ImpactConfig,
         return _affine_map(np.hstack((ad, np.zeros((4, 1)))))
 
     dt = CONTROL_DT
+    n = control_steps(IMPACT_DURATION_S, "IMPACT_DURATION_S")
     n_on = int(w / dt + 1e-9)  # whole periods under the pulse
     tail = w - n_on * dt       # the pulse's share of the period it ends in
-    steps = [stepper(period(struck, dt))] * n_on
+    strike = [stepper(period(struck, dt))] * n_on
     if tail > 1e-9 * dt:
-        steps.append(stepper(period(free, dt - tail) @ period(struck, tail)))
-    steps.append(stepper(period(free, dt)))
-
-    n = control_steps(IMPACT_DURATION_S, "IMPACT_DURATION_S")
-    y = [0.0, 0.0, 0.0, 1.0]
-    history = array("d", y)
-    for k in range(n - 1):
-        y = steps[min(k, len(steps) - 1)](y, 0.0)
-        history.extend(y)
-    x, v = np.frombuffer(history).reshape(n, 4)[:, :2].T
-    if not np.isfinite([x, v]).all():
-        raise NonFiniteState("impact response diverged")
+        strike.append(stepper(period(free, dt - tail) @ period(struck, tail)))
+    steps = chain(strike, repeat(stepper(period(free, dt)),
+                                 n - 1 - len(strike)))
+    x, v = _step_linear(steps, [0.0, 0.0, 0.0, 1.0], lambda k, y: 0.0,
+                        dt)[:, :2].T
 
     t = np.arange(n) * dt
     f_hammer = np.array([hammer(tk) for tk in t.tolist()])

@@ -129,6 +129,25 @@ def locked_plant_rates(params, force: float = 0.0):
     return lambda _t, y: (y[1], (force - b * y[1] - k * y[0]) * inv_m)
 
 
+def thermal_rises(adb, params, current_a: float, rise_w: float,
+                  rise_h: float, n: int):
+    """The two-node thermal recurrence in Python floats: the winding and
+    housing rises above ambient, from (rise_w, rise_h) and then after each
+    of n periods, under the 2 x 3 update [Ad | Bd] adb. The winding power
+    is held over each period at its value at the period start."""
+    (a00, a01, b0), (a10, a11, b1) = np.asarray(adb).tolist()
+    amb, r25, alpha = params.ambient_c, params.r_elec_25, params.alpha
+    i2 = current_a ** 2
+    w, h = rise_w, rise_h
+    ws, hs = [w], [h]
+    for _ in range(n):
+        p = i2 * (r25 * (1.0 + alpha * (amb + w - 25.0)))
+        w, h = a00 * w + a01 * h + b0 * p, a10 * w + a11 * h + b1 * p
+        ws.append(w)
+        hs.append(h)
+    return np.array(ws), np.array(hs)
+
+
 def polyline_points(x, y, limits, logx: bool = False, logy: bool = False,
                     frame=(64, 704, 394, 34)) -> str:
     """The points attribute of an SVG polyline, mapped and formatted one

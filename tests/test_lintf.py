@@ -430,8 +430,7 @@ def thermal_params():
 
 def _thermal_map(base, scale, cooling_on, *names):
     params = replace(base, **{k: getattr(base, k) / scale for k in names})
-    return np.reshape(powertherm._propagator(params, cooling_on, 1e-3)[:4],
-                      (2, 2))
+    return powertherm._propagator(params, cooling_on, 1e-3)[:, :2]
 
 
 def _diverges(scale):

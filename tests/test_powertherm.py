@@ -5,7 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import thermal_rises
 from vlcasim import powertherm as pt
 from vlcasim.simkit import NonFiniteState
 from vlcasim.vlca import VLCA_ACTUATOR
@@ -115,10 +117,37 @@ def test_burst_peak_matches_target(calibrated):
 
 def test_a_diverging_run_names_its_first_non_finite_time(calibrated):
     # the winding power overflows on the first step, so the first recorded
-    # non-finite temperature is the second step's
+    # non-finite temperature is the second step's; the run names the start
+    # of the period that produced it
     p = replace(calibrated.params, r_elec_25=1e300)
-    with pytest.raises(NonFiniteState, match=r"diverged at t=0\.002 s"):
+    with pytest.raises(NonFiniteState, match=r"diverged at t=0\.001 s"):
         pt.simulate_constant_current(31.0, 0.5, p, dt=1e-3)
+
+
+@pytest.mark.parametrize("initial", [pt.ThermalState(math.inf, 25.0),
+                                     pt.ThermalState(40.0, math.nan)],
+                         ids=["inf_winding", "nan_housing"])
+def test_a_non_finite_initial_state_is_named_at_the_run_start(calibrated,
+                                                              initial):
+    with pytest.raises(NonFiniteState,
+                       match=r"^plant state diverged at t=0\.000 s$"):
+        pt.simulate_constant_current(5.0, 0.5, calibrated.params, dt=1e-2,
+                                     initial=initial)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(current=st.floats(0.0, 40.0), dt=st.sampled_from([1e-3, 1e-2]),
+       cooling_on=st.booleans(), n=st.integers(1, 400),
+       start=st.tuples(st.floats(-20.0, 150.0), st.floats(-20.0, 150.0)))
+def test_constant_current_equals_the_float_recurrence_bit_for_bit(
+        calibrated, current, dt, cooling_on, n, start):
+    p = calibrated.params
+    tr = pt.simulate_constant_current(current, n * dt, p, cooling_on, dt,
+                                      initial=pt.ThermalState(*start))
+    ws, hs = thermal_rises(pt._propagator(p, cooling_on, dt), p, current,
+                           start[0] - p.ambient_c, start[1] - p.ambient_c, n)
+    assert tr.t_winding.tobytes() == (p.ambient_c + ws).tobytes()
+    assert tr.t_housing.tobytes() == (p.ambient_c + hs).tobytes()
 
 
 # -------------------------------------------------------------- rating

@@ -30,3 +30,36 @@ def test_readme_namespace_table_matches_the_scenario_table():
             n.strip(" `") for n in namespaces.split(",") if n != "none")
     assert documented == {name: tuple(sc.reads)
                           for name, sc in cli._SCENARIOS.items()}
+
+
+def test_readme_names_of_package_modules_resolve():
+    # a backticked `module.name` whose module is a vlcasim module names an
+    # attribute of that module, or a config key that a scenario declares
+    import importlib
+    import pkgutil
+    from dataclasses import fields
+
+    import vlcasim
+    from vlcasim import cli
+
+    modules = {m.name: importlib.import_module(f"vlcasim.{m.name}")
+               for m in pkgutil.iter_modules(vlcasim.__path__)}
+    modules["vlcasim"] = vlcasim
+    keys = {f"{name}.{knob}" for name, sc in cli._SCENARIOS.items()
+            for knob in sc.extras}
+    keys |= {f"{ns}.{f.name}" for sc in cli._SCENARIOS.values()
+             for ns, base in sc.reads.items() for f in fields(base)}
+
+    def resolves(ref):
+        head, *path = ref.split(".")
+        obj = modules[head]
+        for name in path:
+            if not hasattr(obj, name):
+                return ref in keys
+            obj = getattr(obj, name)
+        return True
+
+    refs = set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README.read_text()))
+    refs = {r for r in refs if r.split(".")[0] in modules}
+    assert refs
+    assert [r for r in sorted(refs) if not resolves(r)] == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import locked_plant_rates, plant_energy, rk4_step
-from vlcasim import simkit as sk
+from vlcasim import powertherm as pt, simkit as sk
 from vlcasim.vlca import (ControllerGains, ControllerKind, DEFAULT_MOMENT_ARM,
                           EXPERIMENT_GAINS, VLCA_ACTUATOR, closed_loop_tf,
                           force_plant)
@@ -120,26 +120,45 @@ def test_a_non_finite_state_stops_the_run_in_the_period_numpy_would(
 
 
 def test_every_period_steps_python_floats(monkeypatch):
-    # each history row the commands see, and each input they return, is
-    # Python floats: no numpy scalar enters the scalar map
-    run_linear = sk._run_linear
-    seen = set()
+    # each state the commands see, and each input they return, is Python
+    # floats: no numpy scalar enters the scalar map, in any of the five
+    # runs that step through the one loop
+    step_linear = sk._step_linear
+    seen, runs = set(), []
 
-    def checked(plant, n, command):
+    def checked(steps, x0, command, dt):
         def recorded(k, y):
             u = command(k, y)
             seen.update(map(type, y))
             seen.add(type(u))
             return u
-        return run_linear(plant, n, recorded)
+        runs.append(command.__qualname__.split(".")[0])
+        return step_linear(steps, x0, recorded, dt)
 
-    monkeypatch.setattr(sk, "_run_linear", checked)
+    monkeypatch.setattr(sk, "_step_linear", checked)
     for kind in ControllerKind:
         sk.run_force_tracking(kind, G, sk.StepRef(500.0), 0.2)
     sk.run_plant_chirp(np.full(200, 1.0))
     for element in ("elastomer", "steel_spring"):
         sk.run_joint_position_control(element, duration=0.2)
+    for grounding in ("viscoelastic", "rigid"):
+        sk.run_impact(sk.ImpactConfig(grounding))
+    thermal = pt.ThermalParams(c_winding=1.0, c_housing=2.5, r_wh=0.036,
+                               r_ha_on=3.5, r_ha_off=45.7)
+    for cooling_on in (True, False):
+        pt.simulate_constant_current(20.0, 0.2, thermal, cooling_on)
     assert seen == {float}
+    assert runs == (["run_force_tracking"] * len(ControllerKind)
+                    + ["run_plant_chirp"] + ["run_joint_position_control"] * 2
+                    + ["run_impact"] * 2 + ["simulate_constant_current"] * 2)
+
+
+def test_an_impact_past_the_floats_names_its_first_period():
+    # the struck plant's 1-norm overflows: its map is all NaN, so the first
+    # period's step leaves the floats
+    with pytest.raises(sk.NonFiniteState,
+                       match=r"^plant state diverged at t=0\.000 s$"):
+        sk.run_impact(sk.ImpactConfig(), replace(P, b_m=1e308))
 
 
 def test_free_decay_matches_model_damping_ratio():
