@@ -10,15 +10,16 @@ Each map is built once per plant into a function of Python floats
 powertherm's thermal network too, steps through one loop, _step_linear,
 which records the states and checks them once, after the loop.
 The package's only Runge-Kutta integration is the nonlinear leg's
-fixed-step Dormand-Prince map, in testbed; its substep body is the second
-generated kernel (testbed._dp5_factory), built from the DP5 tableau as
-_affine_map's steppers are from [Ad | Bd].
+fixed-step Dormand-Prince map, in testbed; its period body is the second
+generated kernel (testbed._leg_kernel), built from the DP5 tableau and the
+leg's rate lines as _affine_map's steppers are from [Ad | Bd].
 Saturation clips commanded current at the amplifier limit and is
 recorded, not fatal.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 import warnings
 from array import array
@@ -85,8 +86,15 @@ def _affine_factory(n: int):
            f"        {''.join(c + ', ' for c in cols[:-1])}= x\n"
            f"        return [{sums}]\n"
            f"    return step\n")
-    namespace = {}
-    exec(src, namespace)
+    return _compile_factory(src, f"<simkit._affine_factory n={n}>")
+
+
+def _compile_factory(src: str, filename: str, **namespace):
+    """The function `factory` that the generated source src defines,
+    compiled under filename with the globals namespace. src is registered
+    in linecache under filename, so that a traceback shows its lines."""
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    exec(compile(src, filename, "exec"), namespace)
     return namespace["factory"]
 
 

@@ -7,6 +7,7 @@ ideal torque sources or the full actuator force loops in series.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -60,32 +61,67 @@ class TwoDofParams:
         return abs(self.l1 - self.l2)
 
 
+# The leg's rates as source lines, each tagged with the kernels that take
+# it: "dyn" (mass matrix, velocity product, gravity) in _leg_dynamics and in
+# every period body; "joint" (the joint solve) in every period body; "push"
+# (the hip force's joint torques te0, te1, else 0.0) under a hip force;
+# "spring" and "screw" in cascaded mode. They read the state (_LEG_STATE),
+# the joint torques t0, t1, the screw drive forces fi0, fi1, the hip force
+# fx, fy and run constants.
+_LEG_LINES = [line.split(" ", 1) for line in """\
+dyn c0, c1_ = cos(q0), cos(q1)
+dyn a11 = a11_0 + m2 * (a11_m2 + a11_m2c * c1_) + mp * (a11_mp + a11_mpc * c1_)
+dyn a12 = i2 + m2 * (a12_m2 + a12_m2c * c1_) + mp * (a12_mp + a12_mpc * c1_)
+dyn hv, c01 = h_s1 * sin(q1), cos(q0 + q1)
+dyn b1, b2 = -hv * (2.0 * w0 * w1 + w1 * w1), hv * w0 * w0
+dyn g1, g2 = (g_c0 * c0 + g_c01 * c01) * grav, g_c01 * c01 * grav
+push s01 = sin(q0 + q1)
+push te0 = (-l1 * sin(q0) - l2 * s01) * fx + (l1 * c0 + l2 * c01) * fy
+push te1 = -l2 * s01 * fx + l2 * c01 * fy
+spring dd0, dd1 = v0 - r * w0, v1 - r * w1
+spring f0, f1 = k_r * d0 + b_r * dd0, k_r * d1 + b_r * dd1
+spring t0, t1 = r * f0, r * f1
+joint det = a11 * a22 - a12 * a12
+joint r_0, r_1 = t0 - b1 - g1 + te0, t1 - b2 - g2 + te1
+joint wd0, wd1 = (a22 * r_0 - a12 * r_1) / det, (a11 * r_1 - a12 * r_0) / det
+screw vd0, vd1 = (fi0 - b_dt * v0 - f0) / m_m, (fi1 - b_dt * v1 - f1) / m_m""".splitlines()]
+# the state's names, and its rates' in the same order
+_LEG_STATE = ("q0", "q1", "w0", "w1", "d0", "v0", "d1", "v1")
+_LEG_RATES = ("w0", "w1", "wd0", "wd1", "dd0", "vd0", "dd1", "vd1")
+
+
+def _leg_constants(p: TwoDofParams) -> dict:
+    """The run constants of p that _LEG_LINES reads, by name."""
+    mp = p.payload_mass
+    return dict(
+        l1=p.l1, l2=p.l2, m2=p.m2, i2=p.i2, mp=mp, grav=p.gravity,
+        a11_0=p.i1 + p.i2 + p.m1 * p.c1 ** 2, a11_m2=p.l1 ** 2 + p.c2 ** 2,
+        a11_m2c=2.0 * p.l1 * p.c2, a11_mp=p.l1 ** 2 + p.l2 ** 2,
+        a11_mpc=2.0 * p.l1 * p.l2, a12_m2=p.c2 ** 2, a12_m2c=p.l1 * p.c2,
+        a12_mp=p.l2 ** 2, a12_mpc=p.l1 * p.l2,
+        a22=p.i2 + p.m2 * p.c2 ** 2 + mp * p.l2 ** 2,
+        h_s1=p.m2 * p.l1 * p.c2 + mp * p.l1 * p.l2,
+        g_c0=p.m1 * p.c1 + (p.m2 + mp) * p.l1, g_c01=p.m2 * p.c2 + mp * p.l2)
+
+
+@lru_cache(maxsize=None)
+def _dyn_factory(constants: tuple):
+    """factory(*constants) -> dyn: the "dyn" lines, compiled once."""
+    body = "".join(f"        {line}\n" for tag, line in _LEG_LINES if tag == "dyn")
+    return simkit._compile_factory(
+        f"def factory({', '.join(constants)}):\n    def dyn(q0, q1, w0, w1):\n"
+        f"{body}        return a11, a12, a22, b1, b2, g1, g2\n    return dyn\n",
+        "<testbed._dyn_factory>", cos=math.cos, sin=math.sin)
+
+
 def _leg_dynamics(p: TwoDofParams):
     """The leg's rigid-body dynamics with the run constants of p hoisted:
     dyn(q0, q1, w0, w1) -> (a11, a12, a22, b1, b2, g1, g2), the mass-matrix
     entries, the velocity-product vector and the gravity vector, equal bit
-    for bit to the reference _dyn_scalars in tests/oracles.py."""
-    cos, sin = math.cos, math.sin
-    m2, i2, mp, grav = p.m2, p.i2, p.payload_mass, p.gravity
-    a11_0 = p.i1 + p.i2 + p.m1 * p.c1 ** 2
-    a11_m2, a11_m2c = p.l1 ** 2 + p.c2 ** 2, 2.0 * p.l1 * p.c2
-    a11_mp, a11_mpc = p.l1 ** 2 + p.l2 ** 2, 2.0 * p.l1 * p.l2
-    a12_m2, a12_m2c = p.c2 ** 2, p.l1 * p.c2
-    a12_mp, a12_mpc = p.l2 ** 2, p.l1 * p.l2
-    a22 = p.i2 + p.m2 * p.c2 ** 2 + mp * p.l2 ** 2
-    h_s1 = p.m2 * p.l1 * p.c2 + mp * p.l1 * p.l2
-    g_c0 = p.m1 * p.c1 + (p.m2 + mp) * p.l1
-    g_c01 = p.m2 * p.c2 + mp * p.l2
-
-    def dyn(q0, q1, w0, w1):
-        c1_ = cos(q1)
-        a11 = a11_0 + m2 * (a11_m2 + a11_m2c * c1_) + mp * (a11_mp + a11_mpc * c1_)
-        a12 = i2 + m2 * (a12_m2 + a12_m2c * c1_) + mp * (a12_mp + a12_mpc * c1_)
-        hv = h_s1 * sin(q1)
-        c01 = cos(q0 + q1)
-        return (a11, a12, a22, -hv * (2.0 * w0 * w1 + w1 * w1), hv * w0 * w0,
-                (g_c0 * cos(q0) + g_c01 * c01) * grav, g_c01 * c01 * grav)
-    return dyn
+    for bit to the reference _dyn_scalars in tests/oracles.py. It runs the
+    "dyn" lines of _LEG_LINES, which every leg period body inlines."""
+    constants = _leg_constants(p)
+    return _dyn_factory(tuple(constants))(*constants.values())
 
 
 def hip_position(q, params: TwoDofParams) -> np.ndarray:
@@ -125,54 +161,62 @@ class TaskGains:
             raise ValueError("gains must be >= 0")
 
 
-def _osc_tau(q0, q1, w0, w1, xd, yd, vxd, vyd, axd, ayd, gains: TaskGains,
-             p: TwoDofParams, dyn):
-    """Scalar core of the operational-space torque law; dyn is
-    _leg_dynamics(p)."""
+def _osc_law(gains: TaskGains, p: TwoDofParams):
+    """The operational-space torque law of one run, its constants hoisted:
+    law(q0, q1, w0, w1, xd, yd, vxd, vyd, axd, ayd) -> (tau0, tau1, damped)
+    for the joint state and the desired hip position, velocity and
+    acceleration, equal bit for bit to the reference osc_tau in
+    tests/oracles.py."""
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+    (kp0, kp1), (kd0, kd1) = gains.kp, gains.kd
     l1, l2 = p.l1, p.l2
-    s0, c0 = math.sin(q0), math.cos(q0)
-    s01, c01 = math.sin(q0 + q1), math.cos(q0 + q1)
-    px = l1 * c0 + l2 * c01
-    py = l1 * s0 + l2 * s01
-    j00 = -l1 * s0 - l2 * s01
-    j01 = -l2 * s01
-    j10 = l1 * c0 + l2 * c01
-    j11 = l2 * c01
-    wsum = w0 + w1
-    jd00 = -l1 * c0 * w0 - l2 * c01 * wsum
-    jd01 = -l2 * c01 * wsum
-    jd10 = -l1 * s0 * w0 - l2 * s01 * wsum
-    jd11 = -l2 * s01 * wsum
-
-    ax = axd + gains.kp[0] * (xd - px) + gains.kd[0] * (vxd - (j00 * w0 + j01 * w1))
-    ay = ayd + gains.kp[1] * (yd - py) + gains.kd[1] * (vyd - (j10 * w0 + j11 * w1))
-    rx = ax - (jd00 * w0 + jd01 * w1)
-    ry = ay - (jd10 * w0 + jd11 * w1)
-
-    det = j00 * j11 - j01 * j10
     damp_at = 1e-3 * p.reach ** 2
-    damped = abs(det) < damp_at
-    if not damped:
-        inv = 1.0 / det
-        qdd0 = inv * (j11 * rx - j01 * ry)
-        qdd1 = inv * (-j10 * rx + j00 * ry)
-    else:
-        # damped least-squares through J^T (J J^T + lam^2 I)^-1
-        fro = math.sqrt(j00 * j00 + j01 * j01 + j10 * j10 + j11 * j11)
-        lam = 0.01 * fro * (1.0 - abs(det) / damp_at)
-        m00 = j00 * j00 + j01 * j01 + lam * lam
-        m01 = j00 * j10 + j01 * j11
-        m11 = j10 * j10 + j11 * j11 + lam * lam
-        mdet = m00 * m11 - m01 * m01
-        ux = (m11 * rx - m01 * ry) / mdet
-        uy = (-m01 * rx + m00 * ry) / mdet
-        qdd0 = j00 * ux + j10 * uy
-        qdd1 = j01 * ux + j11 * uy
+    dyn = _leg_dynamics(p)
 
-    a11, a12, a22, b1, b2, g1, g2 = dyn(q0, q1, w0, w1)
-    tau0 = a11 * qdd0 + a12 * qdd1 + b1 + g1
-    tau1 = a12 * qdd0 + a22 * qdd1 + b2 + g2
-    return tau0, tau1, damped
+    def law(q0, q1, w0, w1, xd, yd, vxd, vyd, axd, ayd):
+        s0, c0 = sin(q0), cos(q0)
+        s01, c01 = sin(q0 + q1), cos(q0 + q1)
+        px = l1 * c0 + l2 * c01
+        py = l1 * s0 + l2 * s01
+        j00 = -l1 * s0 - l2 * s01
+        j01 = -l2 * s01
+        j10 = l1 * c0 + l2 * c01
+        j11 = l2 * c01
+        wsum = w0 + w1
+        jd00 = -l1 * c0 * w0 - l2 * c01 * wsum
+        jd01 = -l2 * c01 * wsum
+        jd10 = -l1 * s0 * w0 - l2 * s01 * wsum
+        jd11 = -l2 * s01 * wsum
+
+        ax = axd + kp0 * (xd - px) + kd0 * (vxd - (j00 * w0 + j01 * w1))
+        ay = ayd + kp1 * (yd - py) + kd1 * (vyd - (j10 * w0 + j11 * w1))
+        rx = ax - (jd00 * w0 + jd01 * w1)
+        ry = ay - (jd10 * w0 + jd11 * w1)
+
+        det = j00 * j11 - j01 * j10
+        damped = abs(det) < damp_at
+        if not damped:
+            inv = 1.0 / det
+            qdd0 = inv * (j11 * rx - j01 * ry)
+            qdd1 = inv * (-j10 * rx + j00 * ry)
+        else:
+            # damped least-squares through J^T (J J^T + lam^2 I)^-1
+            fro = sqrt(j00 * j00 + j01 * j01 + j10 * j10 + j11 * j11)
+            lam = 0.01 * fro * (1.0 - abs(det) / damp_at)
+            m00 = j00 * j00 + j01 * j01 + lam * lam
+            m01 = j00 * j10 + j01 * j11
+            m11 = j10 * j10 + j11 * j11 + lam * lam
+            mdet = m00 * m11 - m01 * m01
+            ux = (m11 * rx - m01 * ry) / mdet
+            uy = (-m01 * rx + m00 * ry) / mdet
+            qdd0 = j00 * ux + j10 * uy
+            qdd1 = j01 * ux + j11 * uy
+
+        a11, a12, a22, b1, b2, g1, g2 = dyn(q0, q1, w0, w1)
+        tau0 = a11 * qdd0 + a12 * qdd1 + b1 + g1
+        tau1 = a12 * qdd0 + a22 * qdd1 + b2 + g2
+        return tau0, tau1, damped
+    return law
 
 
 # -------------------------------------------------------- trajectories
@@ -405,36 +449,47 @@ def leg_substeps(params: TwoDofParams, cascaded: bool,
 
 
 @lru_cache(maxsize=None)
-def _dp5_factory(m: int):
-    """factory(n, rates, *hc) -> period(x, u0, u1, u2, u3): n fixed DP5
-    substeps over the m state floats x, with rates(*x, u0, u1, u2, u3) ->
-    m rates and the inputs held, returning the m floats as a tuple. hc are
-    the products h * a_ij of the non-zero entries of _DP5_A, then of
-    _DP5_B, row by row. Each stage adds to x the sum of its (h * a_ij) * k_j
-    products, left to right in j, as tests/oracles.py's dp5_step does. The
-    source is generated and compiled once per m, as simkit._affine_factory
-    builds the linear plant steppers."""
-    xs = [f"x{i}" for i in range(m)]
+def _leg_kernel(m: int, pushed: bool, constants: tuple):
+    """factory(n, external_force, *constants) -> advance(state, u0, u1, t):
+    n fixed DP5 substeps over the first m of the eight state floats (the
+    rest returned as given) with the inputs held and the hip force
+    external_force(t) taken once. Every
+    stage runs the mode's lines of _LEG_LINES on its own names, so a period
+    is one call, and adds to the state the sum of its (h * a_ij) * k_j
+    products (constants h<row>_<j>), left to right in j, as
+    tests/oracles.py's dp5_step does. Generated and compiled once per
+    (m, pushed), as simkit._affine_factory builds the linear steppers."""
+    tags = {"dyn", "joint", *["push"] * pushed, *["spring", "screw"] * (m == 8)}
+    lines = [line for tag, line in _LEG_LINES if tag in tags]
+    xs = [f"x{i}" for i in range(8)]
     rows = [[j for j, a in enumerate(row, 1) if a] for row in (*_DP5_A, _DP5_B)]
-    body, stage = [], xs
-    for s, row in enumerate(rows, 2):
-        # k_{s-1} at the previous stage, then stage s (the weights: x itself)
-        body.append(f"{''.join(f'k{s - 1}_{i}, ' for i in range(m))}"
-                    f"= rates({', '.join(stage)}, u0, u1, u2, u3)")
-        stage = xs if s == len(rows) + 1 else [f"y{s}_{i}" for i in range(m)]
-        body += [f"{y} = {x} + ({' + '.join(f'h{s}_{j} * k{j}_{i}' for j in row)})"
-                 for i, (x, y) in enumerate(zip(xs, stage))]
-    coeffs = ", ".join(f"h{s}_{j}" for s, row in enumerate(rows, 2) for j in row)
-    src = (f"def factory(n, rates, {coeffs}):\n"
-           f"    def period(x, u0, u1, u2, u3):\n"
-           f"        {''.join(x + ', ' for x in xs)}= x\n"
-           f"        for _ in range(n):\n"
+    body, ks, stage = [], [], xs
+    for s, row in enumerate(rows, 1):
+        # stage s: its rates k_s, then the next stage (after the last: x)
+        names = dict(zip(_LEG_STATE, stage))
+        ks.append([names.get(k, f"k{s}_{i}") for i, k in enumerate(_LEG_RATES[:m])])
+        names.update(zip(_LEG_RATES, ks[-1]))
+        body += [re.sub(r"\w+", lambda w: names.get(w[0], w[0]), line)
+                 for line in lines]
+        sums = [f"{x} + ({' + '.join(f'h{s}_{j} * {ks[j - 1][i]}' for j in row)})"
+                for i, x in enumerate(xs[:m])]
+        if s < len(rows):
+            stage = [f"y{s + 1}_{i}" for i in range(m)] + xs[m:]
+            body += [f"{y} = {sum_}" for y, sum_ in zip(stage, sums)]
+        else:  # at once: the sums read the first stage's rates, x among them
+            body.append(f"{', '.join(xs[:m])} = {', '.join(sums)}")
+    src = (f"def factory(n, external_force, {', '.join(constants)}):\n"
+           f"    def advance(state, {'i0, i1' if m == 8 else 't0, t1'}, t):\n"
+           f"        {', '.join(xs)} = state\n"
+           + "        fi0, fi1 = n_drive * i0, n_drive * i1\n" * (m == 8)
+           + ("        fx, fy = external_force(t)\n" if pushed
+              else "        te0 = te1 = 0.0\n")
+           + "        for _ in range(n):\n"
            + "".join(f"            {line}\n" for line in body)
-           + f"        return {', '.join(xs)}\n"
-           f"    return period\n")
-    namespace = {}
-    exec(src, namespace)
-    return namespace["factory"]
+           + f"        return {', '.join(xs)}\n    return advance\n")
+    return simkit._compile_factory(
+        src, f"<testbed._leg_kernel m={m} pushed={pushed}>",
+        cos=math.cos, sin=math.sin)
 
 
 def leg_period_map(params: TwoDofParams, cascaded: bool,
@@ -451,63 +506,26 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
     is the screw position less the linkage displacement, so its rate is
     v - r*w and the spring force k_r*d + b_r*(v - r*w), r the moment arm.
 
-    The substep body is generated from the tableau (_dp5_factory). Ideal
-    mode integrates (q0, q1, w0, w1) only, under the held joint torques,
-    and returns the actuator entries as given. Cascaded mode integrates all
-    eight: its rates add the spring torques and the screw rates to the same
-    joint solve on the dynamics of _leg_dynamics(params). One period equals
+    advance is one generated function (_leg_kernel) that writes the leg's
+    rates, _LEG_LINES, into every stage; the dynamics among them are the
+    lines that _leg_dynamics runs. Ideal mode integrates (q0, q1, w0, w1)
+    only, under the held joint torques, and returns the actuator entries as
+    given. Cascaded mode integrates all eight: its rates add the spring
+    torques and the screw rates to the same joint solve. One period equals
     n steps of tests/oracles.py's dp5_step on rates written from the
     reference _dyn_scalars there bit for bit.
     """
-    cos, sin = math.cos, math.sin
     n = leg_substeps(params, cascaded, actuator)
     h = simkit.CONTROL_DT / n
-    hc = [h * a for row in (*_DP5_A, _DP5_B) for a in row if a]
-    dyn = _leg_dynamics(params)
-    l1, l2 = params.l1, params.l2
-    pushed = external_force is not None
-
-    def joint_rates(a, b, wa, wb, t0, t1, fx, fy):
-        """(q0, q1, w0, w1) rates under the joint torques t and the hip
-        force f."""
-        a11, a12, a22, b1, b2, g1, g2 = dyn(a, b, wa, wb)
-        if pushed:
-            s0, s01, c01 = sin(a), sin(a + b), cos(a + b)
-            te0 = (-l1 * s0 - l2 * s01) * fx + (l1 * cos(a) + l2 * c01) * fy
-            te1 = -l2 * s01 * fx + l2 * c01 * fy
-        else:
-            te0 = te1 = 0.0
-        det = a11 * a22 - a12 * a12
-        r_0 = t0 - b1 - g1 + te0
-        r_1 = t1 - b2 - g2 + te1
-        return (wa, wb, (a22 * r_0 - a12 * r_1) / det,
-                (a11 * r_1 - a12 * r_0) / det)
-
-    if not cascaded:
-        period = _dp5_factory(4)(n, joint_rates, *hc)
-
-        def advance(state, tau0, tau1, t):
-            fx, fy = external_force(t) if pushed else (0.0, 0.0)
-            return (*period(state[:4], tau0, tau1, fx, fy), *state[4:])
-        return advance
-
-    k_r, b_r, r = actuator.k_r, actuator.b_r, DEFAULT_MOMENT_ARM
-    m_m, b_dt = actuator.effective_mass, actuator.drivetrain_damping
-    n_drive = actuator.drive_constant
-
-    def rates(a, b, wa, wb, d0, v0, d1, v1, fi0, fi1, fx, fy):
-        """The eight rates under the held screw drive forces fi."""
-        dd0, dd1 = v0 - r * wa, v1 - r * wb
-        f0, f1 = k_r * d0 + b_r * dd0, k_r * d1 + b_r * dd1
-        return joint_rates(a, b, wa, wb, r * f0, r * f1, fx, fy) + (
-            dd0, (fi0 - b_dt * v0 - f0) / m_m, dd1, (fi1 - b_dt * v1 - f1) / m_m)
-
-    period = _dp5_factory(8)(n, rates, *hc)
-
-    def advance(state, i0, i1, t):
-        fx, fy = external_force(t) if pushed else (0.0, 0.0)
-        return period(state, n_drive * i0, n_drive * i1, fx, fy)
-    return advance
+    constants = {
+        **_leg_constants(params), "k_r": actuator.k_r, "b_r": actuator.b_r,
+        "r": DEFAULT_MOMENT_ARM, "m_m": actuator.effective_mass,
+        "b_dt": actuator.drivetrain_damping, "n_drive": actuator.drive_constant,
+        **{f"h{s}_{j}": h * a for s, row in enumerate((*_DP5_A, _DP5_B), 1)
+           for j, a in enumerate(row, 1) if a}}
+    factory = _leg_kernel(8 if cascaded else 4, external_force is not None,
+                          tuple(constants))
+    return factory(n, external_force, *constants.values())
 
 
 def osc_run_inputs(trajectory, payload_kg: float, duration: float,
@@ -554,13 +572,13 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
                  if q_init is None else q_init)
     cascaded = mode == "cascaded_vlca"
     advance = leg_period_map(params, cascaded, actuator, external_force)
-    dyn = _leg_dynamics(params)
+    law = _osc_law(task_gains, params)
     k_r, b_r, r = actuator.k_r, actuator.b_r, DEFAULT_MOMENT_ARM
 
     d0 = d1 = 0.0  # the actuator entries stay at zero in ideal mode
     if cascaded:
         # preload the springs against gravity so the leg starts settled
-        g1, g2 = dyn(q0, q1, 0.0, 0.0)[5:]
+        g1, g2 = _leg_dynamics(params)(q0, q1, 0.0, 0.0)[5:]
         d0, d1 = (g1 / r) / k_r, (g2 / r) / k_r
     state = (q0, q1, 0.0, 0.0, d0, 0.0, d1, 0.0)
 
@@ -569,9 +587,7 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     states, held, tau_cmd = array("d"), array("d"), array("d")
     singular = 0
     for k, t in enumerate(times.tolist()):
-        q0, q1, w0, w1 = state[:4]
-        tau0, tau1, damped = _osc_tau(q0, q1, w0, w1, *pos[k], *vel[k],
-                                      *acc[k], task_gains, params, dyn)
+        tau0, tau1, damped = law(*state[:4], *pos[k], *vel[k], *acc[k])
         singular += damped
         if cascaded:
             d0, v0, d1, v1 = state[4:]

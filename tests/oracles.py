@@ -58,6 +58,57 @@ def _dyn_scalars(q0, q1, w0, w1, p: TwoDofParams):
     return a11, a12, a22, b1, b2, g1, g2
 
 
+def osc_tau(q0, q1, w0, w1, xd, yd, vxd, vyd, axd, ayd, gains,
+            p: TwoDofParams):
+    """The operational-space torque law at one state, unhoisted:
+    (tau0, tau1, damped) for the joint state, the desired hip position,
+    velocity and acceleration, the TaskGains gains and the leg p."""
+    l1, l2 = p.l1, p.l2
+    s0, c0 = math.sin(q0), math.cos(q0)
+    s01, c01 = math.sin(q0 + q1), math.cos(q0 + q1)
+    px = l1 * c0 + l2 * c01
+    py = l1 * s0 + l2 * s01
+    j00 = -l1 * s0 - l2 * s01
+    j01 = -l2 * s01
+    j10 = l1 * c0 + l2 * c01
+    j11 = l2 * c01
+    wsum = w0 + w1
+    jd00 = -l1 * c0 * w0 - l2 * c01 * wsum
+    jd01 = -l2 * c01 * wsum
+    jd10 = -l1 * s0 * w0 - l2 * s01 * wsum
+    jd11 = -l2 * s01 * wsum
+
+    ax = axd + gains.kp[0] * (xd - px) + gains.kd[0] * (vxd - (j00 * w0 + j01 * w1))
+    ay = ayd + gains.kp[1] * (yd - py) + gains.kd[1] * (vyd - (j10 * w0 + j11 * w1))
+    rx = ax - (jd00 * w0 + jd01 * w1)
+    ry = ay - (jd10 * w0 + jd11 * w1)
+
+    det = j00 * j11 - j01 * j10
+    damp_at = 1e-3 * p.reach ** 2
+    damped = abs(det) < damp_at
+    if not damped:
+        inv = 1.0 / det
+        qdd0 = inv * (j11 * rx - j01 * ry)
+        qdd1 = inv * (-j10 * rx + j00 * ry)
+    else:
+        # damped least-squares through J^T (J J^T + lam^2 I)^-1
+        fro = math.sqrt(j00 * j00 + j01 * j01 + j10 * j10 + j11 * j11)
+        lam = 0.01 * fro * (1.0 - abs(det) / damp_at)
+        m00 = j00 * j00 + j01 * j01 + lam * lam
+        m01 = j00 * j10 + j01 * j11
+        m11 = j10 * j10 + j11 * j11 + lam * lam
+        mdet = m00 * m11 - m01 * m01
+        ux = (m11 * rx - m01 * ry) / mdet
+        uy = (-m01 * rx + m00 * ry) / mdet
+        qdd0 = j00 * ux + j10 * uy
+        qdd1 = j01 * ux + j11 * uy
+
+    a11, a12, a22, b1, b2, g1, g2 = _dyn_scalars(q0, q1, w0, w1, p)
+    tau0 = a11 * qdd0 + a12 * qdd1 + b1 + g1
+    tau1 = a12 * qdd0 + a22 * qdd1 + b2 + g2
+    return tau0, tau1, damped
+
+
 def total_energy(q, qdot, params: TwoDofParams) -> float:
     """Kinetic plus gravitational potential energy of the leg [J]."""
     a11, a12, a22, _, _, _, _ = _dyn_scalars(q[0], q[1], qdot[0], qdot[1],

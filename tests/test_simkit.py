@@ -1,5 +1,6 @@
 """Fixed-step time-domain simulation against the rational models."""
 import math
+import traceback
 import warnings
 from dataclasses import replace
 
@@ -86,6 +87,15 @@ def test_the_scalar_map_sums_each_row_in_column_order(case):
     # and it is the matrix product up to rounding in its summation order
     product = adb[:, :n] @ v[:n] + adb[:, n] * v[n]
     assert (np.abs(np.array(got) - product) <= 1e-14 * (np.abs(adb) @ np.abs(v))).all()
+
+
+def test_a_scalar_map_traceback_shows_its_generated_line():
+    step = sk._affine_map(np.eye(2, 3))
+    with pytest.raises(TypeError) as info:
+        step([1.0, 2.0], None)
+    last = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert last.filename == "<simkit._affine_factory n=2>"
+    assert last.line.startswith("return [a0_0 * x0 + a0_1 * x1 + a0_2 * u")
 
 
 def _gemv_divergence(adb, n, command):

@@ -1,12 +1,15 @@
 """Two-link leg dynamics, linkage kinematics, and task-space control."""
 import math
+import sys
+import traceback
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import _dyn_scalars, dp5_step, hip_jacobian, total_energy
+from oracles import (_dyn_scalars, dp5_step, hip_jacobian, osc_tau,
+                     total_energy)
 from vlcasim import powertherm, simkit
 from vlcasim import testbed as tb
 from vlcasim.vlca import (ControllerGains, ControllerKind,
@@ -219,8 +222,8 @@ def test_linkage_rated_point():
 def test_rest_on_target_commands_gravity_support():
     q = np.array([1.2, -0.9])
     x_here = tb.hip_position(q, P)
-    *tau, damped = tb._osc_tau(*q, 0.0, 0.0, *x_here, 0.0, 0.0, 0.0, 0.0,
-                               tb.TaskGains(), P, tb._leg_dynamics(P))
+    *tau, damped = tb._osc_law(tb.TaskGains(), P)(*q, 0.0, 0.0, *x_here,
+                                                   0.0, 0.0, 0.0, 0.0)
     want = _terms(q, (0.0, 0.0), P)[2]
     np.testing.assert_allclose(tau, want, atol=1e-9)
     assert not damped
@@ -231,7 +234,7 @@ def test_osc_torque_is_the_computed_torque_law():
     # with a = xdd_des + kp (x_des - x) + kd (xd_des - J qdot)
     rng = np.random.default_rng(17)
     gains = tb.TaskGains(kp=(625.0, 400.0), kd=(40.0, 30.0))
-    dyn = tb._leg_dynamics(P)
+    law = tb._osc_law(gains, P)
     for _ in range(200):
         q = np.array([rng.uniform(-1.0, 2.5), -rng.uniform(0.3, 2.6)])
         qdot = rng.uniform(-4.0, 4.0, 2)
@@ -242,8 +245,7 @@ def test_osc_torque_is_the_computed_torque_law():
              + np.multiply(gains.kd, xd_des - jac.j @ qdot))
         m, b, g = _terms(q, qdot, P)
         want = m @ np.linalg.solve(jac.j, a - jac.jdot @ qdot) + b + g
-        *tau, damped = tb._osc_tau(*q, *qdot, *x_des, *xd_des, *xdd_des,
-                                   gains, P, dyn)
+        *tau, damped = law(*q, *qdot, *x_des, *xd_des, *xdd_des)
         assert not damped
         np.testing.assert_allclose(tau, want, rtol=1e-9, atol=1e-9)
 
@@ -251,9 +253,8 @@ def test_osc_torque_is_the_computed_torque_law():
 def test_crouch_torques_stay_inside_the_joint_rating():
     p23 = tb.TwoDofParams(payload_mass=23.0)
     q = tb.inverse_kinematics((0.15, 0.45), p23)
-    *tau, _ = tb._osc_tau(*q, 0.0, 0.0, *tb.hip_position(q, p23),
-                          0.0, 0.0, 0.0, 0.0, tb.TaskGains(), p23,
-                          tb._leg_dynamics(p23))
+    *tau, _ = tb._osc_law(tb.TaskGains(), p23)(
+        *q, 0.0, 0.0, *tb.hip_position(q, p23), 0.0, 0.0, 0.0, 0.0)
     assert np.max(np.abs(tau)) < 270.0
     assert tau[1] == pytest.approx(89.60, abs=0.5)
 
@@ -263,13 +264,31 @@ def test_task_stiffness_acts_linearly_on_error():
     x_des = tb.hip_position(q, P) + np.array([0.03, -0.02])
 
     def tau(kp):
-        return np.array(tb._osc_tau(*q, 0.0, 0.0, *x_des, 0.0, 0.0, 0.0, 0.0,
-                                    tb.TaskGains(kp=(kp, kp)), P,
-                                    tb._leg_dynamics(P))[:2])
+        return np.array(tb._osc_law(tb.TaskGains(kp=(kp, kp)), P)(
+            *q, 0.0, 0.0, *x_des, 0.0, 0.0, 0.0, 0.0)[:2])
 
     base, one, two = tau(0.0), tau(400.0), tau(800.0)
     np.testing.assert_allclose(two - base, 2.0 * (one - base),
                                rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(legs_and_states(), st.sampled_from([True, False]),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 6),
+       st.tuples(*[st.floats(0.0, 1e3)] * 4))
+def test_osc_law_equals_the_reference_bit_for_bit(case, damped, targets,
+                                                  gains):
+    # near a straight knee (|sin q1| <= 1e-3) the law takes its damped
+    # branch, since l1 l2 1e-3 < 1e-3 (l1 + l2)^2; from |q1| = 0.1 on its
+    # undamped one
+    params, (q0, q1, w0, w1) = case
+    q1 = math.copysign(1e-3 * math.sin(q1) if damped
+                       else 0.1 + abs(q1) % 2.3, q1)
+    gains = tb.TaskGains(kp=gains[:2], kd=gains[2:])
+    got = tb._osc_law(gains, params)(q0, q1, w0, w1, *targets)
+    want = osc_tau(q0, q1, w0, w1, *targets, gains, params)
+    assert got[2] is want[2] is damped
+    assert list(map(float.hex, got[:2])) == list(map(float.hex, want[:2]))
 
 
 def test_task_gain_validation():
@@ -559,6 +578,51 @@ def test_ideal_period_returns_the_actuator_entries_as_given(case, entries):
     assert list(map(float.hex, got[4:])) == list(map(float.hex, entries))
     assert list(map(float.hex, got[:4])) == list(map(float.hex, at_rest[:4]))
     assert at_rest[4:] == (0.0,) * 4
+
+
+@pytest.mark.parametrize("pushed", [False, True], ids=["free", "pushed"])
+@pytest.mark.parametrize("cascaded", [False, True], ids=["ideal", "cascaded"])
+def test_a_period_is_one_python_call(cascaded, pushed):
+    # the rates are written into the period body: stepping a period calls
+    # no Python function but the hip force, and a second run compiles no
+    # kernel
+    def push(t):
+        return 10.0 * math.cos(t), -5.0
+
+    force = push if pushed else None
+    advance = tb.leg_period_map(P, cascaded, VLCA_ACTUATOR, force)
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is not push.__code__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        advance((0.6, -1.2, 0.3, -0.4, 1e-4, 0.01, -1e-4, 0.02), 3.0, -2.0,
+                0.1)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["advance"]
+
+    mode = "cascaded_vlca" if cascaded else "ideal_torque"
+    traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.05, 0.05),
+                             freq_hz=2.0)
+    kernels = (tb._leg_kernel, tb._dyn_factory, simkit._affine_factory)
+    tb.simulate_osc(traj, 10.0, mode, 0.01, external_force=force)
+    misses = [kernel.cache_info().misses for kernel in kernels]
+    tb.simulate_osc(traj, 23.0, mode, 0.01, external_force=force)
+    assert [kernel.cache_info().misses for kernel in kernels] == misses
+
+
+def test_a_leg_kernel_traceback_shows_its_generated_line():
+    advance = tb.leg_period_map(P, False, VLCA_ACTUATOR)
+    with pytest.raises(ValueError, match="math domain error") as info:
+        advance((math.inf, -1.2, 0.0, 0.0) + (0.0,) * 4, 0.0, 0.0, 0.0)
+    last = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert last.filename == "<testbed._leg_kernel m=4 pushed=False>"
+    assert last.name == "advance"
+    assert last.line == "c0, c1_ = cos(x0), cos(x1)"
 
 
 # --------------------------------------------------------- step budget
