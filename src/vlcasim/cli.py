@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__, elastomat, lintf, powertherm, simkit, svgplot, testbed
 from .vlca import (ActuatorParams, ControllerGains, ControllerKind,
                    DEFAULT_MOMENT_ARM, EXPERIMENT_GAINS, MARGIN_DELAY_GRID,
-                   MARGIN_TABLE_ORDER, MissingFilterCutoff, VLCA_ACTUATOR,
+                   MARGIN_TABLE_ORDER, VLCA_ACTUATOR,
                    calibrate_margins, force_plant, margin_table,
                    margin_table_to_csv, open_loop_tf)
 
@@ -50,8 +50,6 @@ class ConfigInvalid(Exception):
 class ScenarioFailed(Exception):
     """A scenario raised while running; the manifest records the error."""
 
-
-_KIND_BY_NAME = {k.value: k for k in ControllerKind}
 
 _GLOBAL_KEYS = ("scenario", "out", "seed")
 
@@ -75,17 +73,11 @@ def parse_config_text(text: str) -> dict:
 
 
 def _coerce(raw: str):
-    low = raw.lower()
-    if low in ("none", "null"):
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    for number in (int, float):
+        try:
+            return number(raw)
+        except ValueError:
+            pass
     return raw
 
 
@@ -153,8 +145,6 @@ def _resolve(raw_config: dict):
         elif (prefix, fld.name) == ("testbed", "payload_mass"):
             # both leg scenarios carry their payload as a knob of their own
             diags.append((key, f"the payload is {scenario}.payload_kg"))
-        elif value is None and "Optional" in str(fld.type):
-            overrides[prefix][fld.name] = None  # an unset filter cutoff
         elif not isinstance(value, (int, float)):
             diags.append((key, "expected a number"))
         elif not math.isfinite(value):
@@ -197,9 +187,7 @@ def _resolve(raw_config: dict):
     # range checks through the scenario's own input builders
     try:
         spec.inputs = sc.prepare(spec)
-    except (ValueError, testbed.WorkspaceViolation, elastomat.AllExcluded,
-            powertherm.CalibrationInfeasible, simkit.InsufficientExcitation,
-            MissingFilterCutoff) as exc:
+    except ValueError as exc:
         return [(error_key(exc, scenario), str(exc))], None
     except ArithmeticError as exc:
         return [(scenario, f"the config's values leave the float range "
@@ -245,13 +233,11 @@ class _Emitter:
 
 
 # Each scenario is a (prepare, execute) pair. prepare(spec) builds and
-# checks the scenario's inputs before its simulations start; it raises
-# ValueError, ArithmeticError, WorkspaceViolation, AllExcluded,
-# CalibrationInfeasible, InsufficientExcitation or MissingFilterCutoff for
-# a config it cannot run, which validate() reports. The two leg scenarios'
-# prepare steps also set spec.testbed to the leg they simulate, payload
-# included. execute(spec, em) runs the scenario on spec.inputs and writes
-# its files.
+# checks the scenario's inputs before its simulations start; a config it
+# cannot run raises ValueError or ArithmeticError, which validate() reports.
+# The two leg scenarios' prepare steps also set spec.testbed to the leg
+# they simulate, payload included. execute(spec, em) runs the scenario on
+# spec.inputs and writes its files.
 
 def _bode_chirp(spec: RunSpec):
     x = spec.extras
@@ -298,19 +284,17 @@ def _scenario_bode(spec: RunSpec, em: _Emitter):
 
 
 def _margin_loops(spec: RunSpec):
-    # a filter cutoff that one of the four loops needs, left unset, is a
-    # config error
-    for kind in MARGIN_TABLE_ORDER:
-        open_loop_tf(kind, spec.actuator, spec.gains)
+    # a loop whose coefficients leave the floats is a config error
+    return {k: open_loop_tf(k, spec.actuator, spec.gains)
+            for k in MARGIN_TABLE_ORDER}
 
 
 def _scenario_margins(spec: RunSpec, em: _Emitter):
     entries = margin_table(spec.actuator, spec.gains)
     em.write("margin_table.csv", margin_table_to_csv(entries))
 
-    pms = {k: lintf.phase_margins(open_loop_tf(k, spec.actuator, spec.gains),
-                                  MARGIN_DELAY_GRID)
-           for k in MARGIN_TABLE_ORDER}
+    pms = {k: lintf.phase_margins(loop, MARGIN_DELAY_GRID)
+           for k, loop in spec.inputs.items()}
     delay_ms = MARGIN_DELAY_GRID * 1e3
     em.write("margins_vs_delay.csv", lintf.csv_table(
         "delay_ms," + ",".join(k.value for k in MARGIN_TABLE_ORDER),
@@ -335,8 +319,8 @@ def _scenario_margins(spec: RunSpec, em: _Emitter):
 def _force_inputs(spec: RunSpec):
     x = spec.extras
     simkit.control_steps(x["duration_s"], "duration_s")
-    kind = _KIND_BY_NAME[x["kind"]]
-    # a fractional-sample delay or an unset cutoff is a config error
+    kind = ControllerKind(x["kind"])
+    # a fractional-sample delay is a config error
     simkit.DiscreteForceController(kind, spec.actuator, spec.gains)
     full_scale = x["amplitude_nm"] / DEFAULT_MOMENT_ARM
     ref_name = x["reference"]
@@ -617,7 +601,7 @@ _SCENARIOS = {
         {"actuator": VLCA_ACTUATOR, "gains": ControllerGains()},
         _margin_loops, _scenario_margins),
     "force_tracking": _Scenario(
-        {"kind": ("pd_m_dob", tuple(_KIND_BY_NAME)),
+        {"kind": ("pd_m_dob", tuple(k.value for k in ControllerKind)),
          "reference": ("ramp", ("step", "ramp", "sine", "chirp")),
          "amplitude_nm": (25.0, "float"), "duration_s": (1.0, "float"),
          "freq_hz": (5.0, "float")},

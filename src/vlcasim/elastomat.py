@@ -15,8 +15,8 @@ from .lintf import (FrequencyResponsePoint, csv_table, fit_second_order,
                     least_squares_lm, require_finite)
 
 
-class AllExcluded(Exception):
-    """Every record was excluded from the ranking."""
+class AllExcluded(ValueError):
+    """Every record was excluded from the ranking: bad input."""
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from .lintf import csv_table, zoh_discretize
 from .vlca import ActuatorParams, DEFAULT_MOMENT_ARM, VLCA_ACTUATOR
 
 
-class CalibrationInfeasible(Exception):
-    """No parameter set inside the search bounds meets the targets;
-    carries the residuals of the best point found."""
+class CalibrationInfeasible(ValueError):
+    """No parameter set inside the search bounds meets the targets: bad
+    input. Carries the residuals of the best point found."""
 
     def __init__(self, message: str, residuals: Optional[dict] = None):
         super().__init__(message)

@@ -40,8 +40,8 @@ class NonFiniteState(Exception):
     """Integration produced NaN or infinity."""
 
 
-class InsufficientExcitation(Exception):
-    """Recorded data cannot support the requested frequency estimate."""
+class InsufficientExcitation(ValueError):
+    """Recorded data cannot support the frequency estimate: bad input."""
 
 
 class SaturationWarning(UserWarning):

@@ -32,6 +32,8 @@ def _nice_ticks(lo: float, hi: float, n: int = 5):
     v = first
     while v <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:  # an axis a few ulps wide: rounding loses the step
+            return [lo, hi]
         v += step
     return ticks or [lo, hi]
 

@@ -21,8 +21,8 @@ from .vlca import (ActuatorParams, ControllerGains, ControllerKind,
                    DEFAULT_MOMENT_ARM, EXPERIMENT_GAINS, VLCA_ACTUATOR)
 
 
-class WorkspaceViolation(Exception):
-    """Requested hip path leaves the reachable annulus."""
+class WorkspaceViolation(ValueError):
+    """Requested hip path leaves the reachable annulus: bad input."""
 
 
 # slender-rod link defaults: 0.4 m, 2 kg, centroid mid-link
@@ -534,8 +534,8 @@ def osc_run_inputs(trajectory, payload_kg: float, duration: float,
     """The checks every leg run makes before it integrates, and what they
     yield: (params carrying the payload, sample times, desired positions,
     velocities, accelerations, each joint's PDM_DOB force controller).
-    Raises ValueError or MissingFilterCutoff for a bad run length, payload,
-    force loop or actuator block (leg_substeps) and WorkspaceViolation for
+    Raises ValueError for a bad run length, payload, force loop or
+    actuator block (leg_substeps), and its subclass WorkspaceViolation for
     a path the leg cannot reach."""
     n = simkit.control_steps(duration, "duration_s")
     params = replace(params, payload_mass=float(payload_kg))

@@ -20,8 +20,8 @@ from .lintf import (DelayedTransferFunction, NoCrossover, Polynomial,
                     stability_margins, sweep_response, tf_eval)
 
 
-class MissingFilterCutoff(Exception):
-    """Controller structure needs a filter cutoff that was left unset."""
+class MissingFilterCutoff(ValueError):
+    """A loop needs a filter cutoff that was left unset: bad input."""
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ from dataclasses import replace
 import pytest
 
 from oracles import csv_per_cell, phase_margin
-from vlcasim import cli, simkit
+from vlcasim import cli, elastomat, powertherm, simkit, testbed
 from vlcasim.cli import main
 from vlcasim.vlca import (MARGIN_DELAY_GRID, MARGIN_TABLE_ORDER,
-                          EXPERIMENT_GAINS, VLCA_ACTUATOR, ControllerGains)
+                          EXPERIMENT_GAINS, VLCA_ACTUATOR, ControllerGains,
+                          MissingFilterCutoff)
 
 
 @pytest.fixture(autouse=True)
@@ -77,6 +78,48 @@ def test_a_key_matches_its_field_name_exactly(tmp_path, capsys):
     cfg = _write(tmp_path, "case.cfg", "scenario = margins\ngains.K_P = 4\n")
     assert main(["validate", cfg]) == 2
     assert capsys.readouterr().out == "gains.K_P: unknown key\n"
+
+
+# a value is a number or a knob's text, so no spelling unsets an optional
+# gain, whether or not the scenario's loop reads it
+@pytest.mark.parametrize("spelling", ["none", "null"])
+@pytest.mark.parametrize("name", ["k_df", "q_d_cutoff", "q_taud_cutoff"])
+@pytest.mark.parametrize("scenario", [name for name, sc in cli._SCENARIOS.items()
+                                      if "gains" in sc.reads])
+def test_an_optional_gain_spelled_none_is_not_a_number(tmp_path, capsys,
+                                                       scenario, name,
+                                                       spelling):
+    cfg = _write(tmp_path, "none.cfg", f"scenario = {scenario}\n"
+                 f"gains.{name} = {spelling}\nout = none_out\n")
+    assert main(["validate", cfg]) == 2
+    assert capsys.readouterr().out == f"gains.{name}: expected a number\n"
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == \
+        f"config error at gains.{name}: expected a number\n"
+    assert not (tmp_path / "none_out").exists()
+
+
+# margins builds its four loops before it scans them: a loop whose
+# coefficients leave the floats is a config error, not a failed run
+@pytest.mark.parametrize("key", ["actuator.n_m", "actuator.k_r", "gains.k_p",
+                                 "gains.q_taud_zeta"])
+def test_a_margins_loop_past_the_floats_is_a_config_error(tmp_path, capsys,
+                                                          key):
+    cfg = _write(tmp_path, "huge.cfg",
+                 f"scenario = margins\n{key} = 1e308\nout = huge_out\n")
+    assert main(["validate", cfg]) == 2
+    assert capsys.readouterr().out.startswith("margins: ")
+    assert main(["run", cfg]) == 2
+    assert not (tmp_path / "huge_out").exists()
+
+
+# every error a prepare step raises for bad input is one type to catch
+@pytest.mark.parametrize("exc", [
+    testbed.WorkspaceViolation, elastomat.AllExcluded,
+    powertherm.CalibrationInfeasible, simkit.InsufficientExcitation,
+    MissingFilterCutoff], ids=lambda exc: exc.__name__)
+def test_a_bad_input_error_is_a_value_error(exc):
+    assert issubclass(exc, ValueError)
 
 
 def test_validate_applies_set_overrides(tmp_path, capsys):
@@ -175,7 +218,8 @@ def test_run_lengths_stop_at_the_ceiling(key):
     *(f"scenario = {sc}\ngains.delay_t = {d}"
       for sc in ("force_tracking", "osc", "efficiency")
       for d in ("0.00025", "0.0015")),
-    # a filter cutoff the simulated loop needs, left unset
+    # a filter cutoff the simulated loop needs, spelled `none`, which is
+    # not a number
     "scenario = osc\ngains.q_taud_cutoff = none",
     "scenario = force_tracking\ngains.q_d_cutoff = none\n"
     "force_tracking.kind = pd_f",

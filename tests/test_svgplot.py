@@ -1,7 +1,12 @@
 """The SVG writer maps whole series at once; each polyline must keep the
 bytes of the point-by-point mapping in tests/oracles.py."""
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,3 +95,29 @@ def test_the_pair_format_writes_each_coordinate_as_the_f_string_does():
     for a in values:
         for b in values:
             assert "%.2f,%.2f" % (a, b) == f"{a:.2f},{b:.2f}"
+
+
+# run in a child capped at 1 GiB of address space and 10 s: a tick loop
+# that never advances fails the test instead of hanging the suite
+_ULP_AXIS = """
+import math
+from vlcasim import svgplot
+near = [1.0, math.nextafter(1.0, 2.0)]
+for series in [("a", [0.0, 1.0], near), ("a", near, [0.0, 1.0])]:
+    print(svgplot.line_chart([series]).count("<polyline"))
+"""
+
+
+def _capped():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def test_an_axis_a_few_ulps_wide_gets_its_end_ticks():
+    src = str(Path(svgplot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _ULP_AXIS], env=env,
+                          preexec_fn=_capped, capture_output=True, text=True,
+                          timeout=10)
+    assert (done.returncode, done.stdout) == (0, "1\n1\n"), done.stderr
+    ticks = svgplot._nice_ticks(1.0, math.nextafter(1.0, 2.0))
+    assert ticks == [1.0, math.nextafter(1.0, 2.0)]
