@@ -7,13 +7,15 @@ leg, thermal model). A key outside those is unknown.
 
 Each scenario is one `_SCENARIOS` record: its knobs, the namespaces it
 reads, and a (prepare, execute) pair. One walk over the config
-(`_resolve`) type- and range-checks every key, then runs the scenario's
-prepare step, which builds and checks its inputs before its simulations
-start and leaves them on the RunSpec. `validate` reports what that walk
-rejects; `run` hands the prepared spec to execute, which simulates and
-writes. Every run finishes by writing manifest.json listing the emitted
-files, the parameters it read, and the config digest; a failed run
-still writes the manifest, flagged failed.
+(`_resolve`) checks every key against one table of the keys the scenario
+declares, then runs the scenario's prepare step, which builds and checks
+its inputs before its simulations start and leaves them on the RunSpec;
+`thermal`'s prepare step runs its three short simulations itself, so a
+trace that leaves the floats is a config error. `validate` reports what
+that walk rejects; `run` hands the prepared spec to execute, which
+simulates and writes. Every run finishes by writing manifest.json listing
+the emitted files, the parameters it read, and the config digest; a
+failed run still writes the manifest, flagged failed.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ class ConfigInvalid(Exception):
 
 class ScenarioFailed(Exception):
     """A scenario raised while running; the manifest records the error."""
-
-
-_GLOBAL_KEYS = ("scenario", "out", "seed")
 
 
 def parse_config_text(text: str) -> dict:
@@ -113,53 +112,43 @@ def _resolve(raw_config: dict):
                              f"of {', '.join(SCENARIOS)}")], None
     sc = _SCENARIOS[scenario]
 
-    diags = []
-    overrides = {ns: {} for ns in sc.reads}
+    # every key the config may set -> (the dict its value goes to, its name
+    # there, its kind); the scenario's knobs come first, so a range error
+    # names a knob before a field of the same name
     extras = {name: default for name, (default, _) in sc.extras.items()}
+    overrides = {ns: {} for ns in sc.reads}
+    declared = {"scenario": (None, None, "str"), "out": (None, None, "str"),
+                "seed": (None, None, "int")}
+    declared.update({f"{scenario}.{n}": (extras, n, kind)
+                     for n, (_, kind) in sc.extras.items()})
+    declared.update({f"{ns}.{f.name}": (overrides[ns], f.name, "float")
+                     for ns in sc.reads for f in fields(sc.reads[ns])})
+    diags = []
     for key, raw_val in raw_config.items():
-        if key in _GLOBAL_KEYS:
-            if key == "seed" and not isinstance(_coerce(str(raw_val)), int):
-                diags.append((key, "expected an integer"))
-            continue
-        prefix, _, leaf = key.partition(".")
+        target, name, kind = declared.get(key, (None, None, None))
         value = _coerce(str(raw_val))
-        if prefix == scenario and leaf in sc.extras:
-            kind = sc.extras[leaf][1]
-            if kind == "float" and not isinstance(value, (int, float)):
-                diags.append((key, "expected a number"))
-            elif kind == "float" and not math.isfinite(value):
-                diags.append((key, "expected a finite number"))
-            elif kind == "int" and not isinstance(value, int):
-                diags.append((key, "expected an integer"))
-            elif kind == "str":
-                pass  # free-form text, parsed by the scenario
-            elif isinstance(kind, tuple) and value not in kind:
-                diags.append((key, f"expected one of {', '.join(kind)}"))
-            extras[leaf] = value
-            continue
-        fld = None
-        if prefix in sc.reads:
-            fld = {f.name: f for f in fields(sc.reads[prefix])}.get(leaf)
-        if fld is None:
+        if kind is None:
             diags.append((key, "unknown key"))
-        elif (prefix, fld.name) == ("testbed", "payload_mass"):
+        elif key == "testbed.payload_mass":
             # both leg scenarios carry their payload as a knob of their own
             diags.append((key, f"the payload is {scenario}.payload_kg"))
-        elif not isinstance(value, (int, float)):
+        elif kind == "float" and not isinstance(value, (int, float)):
             diags.append((key, "expected a number"))
-        elif not math.isfinite(value):
+        elif kind == "float" and not math.isfinite(value):
             diags.append((key, "expected a finite number"))
-        else:
-            overrides[prefix][fld.name] = value
+        elif kind == "int" and not isinstance(value, int):
+            diags.append((key, "expected an integer"))
+        elif isinstance(kind, tuple) and value not in kind:
+            diags.append((key, f"expected one of {', '.join(kind)}"))
+        elif target is not None:
+            target[name] = value
 
     # a range error goes to the declared key that its message starts with,
     # else to the namespace or scenario whose check raised
-    keys = [(scenario, n) for n in sc.extras]
-    keys += [(ns, f.name) for ns in sc.reads for f in fields(sc.reads[ns])]
-
     def error_key(exc, fallback):
         word = str(exc).split(" ", 1)[0]
-        return next((f"{ns}.{n}" for ns, n in keys if n == word), fallback)
+        return next((key for key, (_, name, _) in declared.items()
+                     if name == word), fallback)
 
     # range checks through the dataclass invariants; a namespace declared
     # by its class is built, and checked, by the prepare step
@@ -236,7 +225,8 @@ class _Emitter:
 # checks the scenario's inputs before its simulations start; a config it
 # cannot run raises ValueError or ArithmeticError, which validate() reports.
 # The two leg scenarios' prepare steps also set spec.testbed to the leg
-# they simulate, payload included. execute(spec, em) runs the scenario on
+# they simulate, payload included; `thermal`'s runs its simulations, which
+# its execute step only writes. execute(spec, em) runs the scenario on
 # spec.inputs and writes its files.
 
 def _bode_chirp(spec: RunSpec):
@@ -463,31 +453,21 @@ _HOLD_DT = 0.01  # step of the long thermal hold [s]
 
 
 def _thermal_params(spec: RunSpec):
-    simkit.control_steps(spec.extras["burst_duration_s"], "burst_duration_s")
-    simkit.control_steps(spec.extras["hold_duration_s"], "hold_duration_s",
-                         _HOLD_DT)
+    x = spec.extras
+    simkit.control_steps(x["burst_duration_s"], "burst_duration_s")
+    simkit.control_steps(x["hold_duration_s"], "hold_duration_s", _HOLD_DT)
     # the overrides are checked against the calibrated network itself
     report = powertherm.calibrate_thermal(spec.actuator)
     params = replace(report.params, **spec.thermal)
     # a short burst may pass thermal runaway, the held current may not
-    hold_n = spec.extras["hold_force_n"]
+    hold_n = x["hold_force_n"]
     i_hold = hold_n / spec.actuator.drive_constant
     if not math.isfinite(powertherm.steady_state_winding(i_hold, params)):
         raise ValueError(f"the {hold_n:g} N hold draws {i_hold:.4g} A, past "
                          "thermal runaway: the winding heats faster than the "
                          "coolant removes heat at any temperature")
-    return report, params, i_hold
-
-
-def _scenario_thermal(spec: RunSpec, em: _Emitter):
-    x = spec.extras
-    report, params, i_hold = spec.inputs
-    rows = [(f.name, getattr(params, f.name))
-            for f in fields(powertherm.ThermalParams)]
-    rows += [(f"residual_{name}", val)
-             for name, val in sorted(report.residuals.items())]
-    em.write("thermal_params.csv", lintf.csv_table("name,value", zip(*rows)))
-
+    # a trace that leaves the floats is a config error, so the burst, its
+    # tail and the hold are simulated here
     burst = powertherm.simulate_constant_current(
         x["burst_current_a"], x["burst_duration_s"], params)
     tail = powertherm.simulate_constant_current(
@@ -500,10 +480,19 @@ def _scenario_thermal(spec: RunSpec, em: _Emitter):
         t_winding=np.concatenate([burst.t_winding, tail.t_winding[1:]]),
         t_housing=np.concatenate([burst.t_housing, tail.t_housing[1:]]),
         cooling_on=True)
-    em.write("thermal_burst.csv", powertherm.thermal_trace_to_csv(burst_trace))
-
     hold = powertherm.simulate_constant_current(i_hold, x["hold_duration_s"],
                                                 params, dt=_HOLD_DT)
+    return report, params, burst_trace, hold
+
+
+def _scenario_thermal(spec: RunSpec, em: _Emitter):
+    report, params, burst_trace, hold = spec.inputs
+    rows = [(f.name, getattr(params, f.name))
+            for f in fields(powertherm.ThermalParams)]
+    rows += [(f"residual_{name}", val)
+             for name, val in sorted(report.residuals.items())]
+    em.write("thermal_params.csv", lintf.csv_table("name,value", zip(*rows)))
+    em.write("thermal_burst.csv", powertherm.thermal_trace_to_csv(burst_trace))
     em.write("thermal_hold.csv", powertherm.thermal_trace_to_csv(hold))
 
     lim = []

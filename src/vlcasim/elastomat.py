@@ -182,6 +182,9 @@ def rank_materials(records: Sequence[MaterialRecord], weights: dict,
     active = {k: w for k, w in weights.items() if w > 0.0}
     if not active:
         raise ValueError("at least one weight must be > 0")
+    if not math.isfinite(sum(active.values())):
+        # the scores are normalized by the total, which must be a number
+        raise ValueError("the weights must sum to a finite total")
 
     excluded = []
     kept = []

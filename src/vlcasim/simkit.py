@@ -36,7 +36,7 @@ from .vlca import (ActuatorParams, ControllerGains, ControllerKind,
                    DEFAULT_MOMENT_ARM, VLCA_ACTUATOR, q_taud_tf)
 
 
-class NonFiniteState(Exception):
+class NonFiniteState(ArithmeticError):
     """Integration produced NaN or infinity."""
 
 
@@ -665,6 +665,14 @@ class ImpactConfig:
             raise ValueError("impulse_ns must be >= 0")
         if not 0.5e-3 <= self.pulse_width_s <= 5e-3:
             raise ValueError("pulse_width_s must be within [0.5, 5] ms")
+        if not math.isfinite(self.f_peak_n):
+            raise ValueError(f"impulse_ns = {self.impulse_ns:g} N*s gives a "
+                             "half-sine peak force past the float range")
+
+    @property
+    def f_peak_n(self) -> float:
+        """Peak of the half-sine hammer force that delivers the impulse."""
+        return self.impulse_ns * math.pi / (2.0 * self.pulse_width_s)
 
 
 def run_impact(config: ImpactConfig,
@@ -682,8 +690,7 @@ def run_impact(config: ImpactConfig,
     is one exact map: struck while the hammer acts, free after it, and the
     two composed in a period where the pulse ends part way.
     """
-    w = config.pulse_width_s
-    f_peak = config.impulse_ns * math.pi / (2.0 * w)
+    w, f_peak = config.pulse_width_s, config.f_peak_n
     m_tot = params.effective_mass + IMPACT_SENSOR_MASS_KG
     b_dt = params.drivetrain_damping
     visco = config.grounding == "viscoelastic"

@@ -598,7 +598,11 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
         states.extend(state)
         held.extend(u)
         tau_cmd.extend((tau0, tau1))
-        state = advance(state, *u, t)
+        try:
+            state = advance(state, *u, t)
+        except ValueError as exc:  # math.cos of a stage state past the floats
+            raise simkit.NonFiniteState(
+                f"leg simulation diverged at t={t:.3f} s") from exc
         if not all(map(math.isfinite, state)):
             raise simkit.NonFiniteState(f"leg simulation diverged at t={t:.3f} s")
 

@@ -5,7 +5,7 @@ import io
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -122,6 +122,43 @@ def test_a_bad_input_error_is_a_value_error(exc):
     assert issubclass(exc, ValueError)
 
 
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_no_knob_shares_its_key_with_a_field_the_scenario_reads(scenario):
+    # knobs and fields are one table of keys: a shared key would route
+    # every value to one of the two
+    sc = cli._SCENARIOS[scenario]
+    fields_read = {f"{ns}.{f.name}" for ns, base in sc.reads.items()
+                   for f in fields(base)}
+    assert not fields_read & {f"{scenario}.{name}" for name in sc.extras}
+
+
+# one value of each wrong kind per scenario: a text that is no choice, a
+# fraction for an integer, and infinity for a knob and for a field
+@pytest.mark.parametrize("scenario, key, value, message", [
+    ("force_tracking", "force_tracking.kind", "pd",
+     "expected one of pd_f, pd_m, pid_m, pd_m_dob"),
+    ("force_tracking", "force_tracking.reference", "square",
+     "expected one of step, ramp, sine, chirp"),
+    ("osc", "osc.trajectory", "circle", "expected one of sine, bspline"),
+    ("margins", "margins.calibrate", "1.5", "expected an integer"),
+    ("margins", "gains.k_dm", "inf", "expected a finite number"),
+    *((sc, key, "inf", "expected a finite number")
+      for sc, keys in (("bode", ("bode.f1_hz", "actuator.k_r")),
+                       ("position_step", ("position_step.step_rad",
+                                          "actuator.b_m")),
+                       ("impact", ("impact.pulse_width_s", "actuator.m_r")),
+                       ("osc", ("osc.freq_hz", "testbed.l1")),
+                       ("thermal", ("thermal.hold_force_n",
+                                    "thermal.c_winding")),
+                       ("efficiency", ("efficiency.lift_m", "testbed.m1")),
+                       ("materials", ("materials.w_cost",)))
+      for key in keys),
+])
+def test_a_value_of_the_wrong_kind_is_reported_at_its_key(scenario, key,
+                                                          value, message):
+    assert cli.validate({"scenario": scenario, key: value}) == [(key, message)]
+
+
 def test_validate_applies_set_overrides(tmp_path, capsys):
     cfg = _write(tmp_path, "ok.cfg", "scenario = margins\n")
     assert main(["validate", cfg, "--set", "gains.delay_t=-1"]) == 2
@@ -235,6 +272,10 @@ def test_run_lengths_stop_at_the_ceiling(key):
     # actuators that need more leg substeps per period than the ceiling
     "scenario = osc\nactuator.b_m = 1e3",
     "scenario = efficiency\nactuator.b_r = 1e9",
+    # a hammer peak, or a weight total, past the floats
+    "scenario = impact\nimpact.impulse_ns = 1e308",
+    "scenario = materials\nmaterials.w_cost = 1e308\n"
+    "materials.w_creep = 1e308",
 ], ids=["impact", "force_tracking", "position_step", "osc",
         "osc_first_knot_nan", "osc_middle_knot_nan", "thermal_burst",
         "thermal_hold", "efficiency_duration", "efficiency_payload",
@@ -253,7 +294,9 @@ def test_run_lengths_stop_at_the_ceiling(key):
                             if key.endswith("duration_s")),
         "materials_negative_weight", "thermal_capacity_unset",
         "osc_drag_past_substep_ceiling",
-        "efficiency_damping_past_substep_ceiling"])
+        "efficiency_damping_past_substep_ceiling",
+        "impact_peak_past_the_floats",
+        "materials_weight_total_past_the_floats"])
 def test_validate_range_checks_scenario_extras(tmp_path, capsys, lines):
     cfg = _write(tmp_path, "extras.cfg", f"{lines}\nout = extras_out\n")
     assert main(["validate", cfg]) == 2
@@ -374,6 +417,20 @@ def test_a_plant_past_the_floats_is_reported_as_diverged():
     assert isinstance(failed.value.__cause__, simkit.NonFiniteState)
 
 
+@pytest.mark.parametrize("scenario, key", [
+    ("osc", "testbed.m1"), ("osc", "testbed.i1"),
+    ("efficiency", "testbed.m1")])
+def test_a_leg_past_the_floats_is_reported_as_diverged(scenario, key):
+    # the leg's period map takes cos of a stage angle past the floats
+    raw = {"scenario": scenario, "out": "edge_out", key: "1e308"}
+    assert cli.validate(raw) == []
+    with pytest.raises(cli.ScenarioFailed) as failed:
+        cli.run(raw)
+    assert isinstance(failed.value.__cause__, simkit.NonFiniteState)
+    assert _read_manifest("edge_out")["error"] == \
+        "NonFiniteState: leg simulation diverged at t=0.000 s"
+
+
 # one field of each namespace, set to a value inside its range
 _NAMESPACE_KEYS = {"actuator": ("actuator.k_r", "5.5e6"),
                    "gains": ("gains.k_p", "4"),
@@ -461,6 +518,15 @@ def test_a_hold_past_thermal_runaway_is_a_config_error(tmp_path, capsys,
     # underflows to zero or overflows
     ("thermal", "actuator.k_tau", "1e200", "ZeroDivisionError"),
     ("thermal", "actuator.eta", "1e-300", "OverflowError"),
+    # the prepare step runs the thermal traces: the burst current's square
+    # overflows, or a trace leaves the floats
+    ("thermal", "thermal.burst_current_a", "1e308", "OverflowError"),
+    ("thermal", "thermal.burst_current_a", "-1e308", "OverflowError"),
+    ("thermal", "thermal.burst_current_a", "1e10", "NonFiniteState"),
+    ("thermal", "thermal.ambient_c", "-1e308", "NonFiniteState"),
+    ("thermal", "thermal.c_winding", "1e-308", "NonFiniteState"),
+    ("thermal", "thermal.c_housing", "1e-308", "NonFiniteState"),
+    ("thermal", "thermal.r_wh", "1e-308", "NonFiniteState"),
 ])
 def test_a_config_whose_arithmetic_leaves_the_floats_is_a_config_error(
         tmp_path, capsys, scenario, key, value, error):

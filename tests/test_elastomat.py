@@ -233,6 +233,10 @@ def test_ranking_input_validation():
         em.rank_materials(mats, {"cost": -1.0})
     with pytest.raises(ValueError):
         em.rank_materials(mats, {"cost": 0.0})
+    # each weight is finite but their total, which divides every score,
+    # is not
+    with pytest.raises(ValueError, match="sum to a finite total"):
+        em.rank_materials(mats, {"cost": 1e308, "creep": 1e308})
     with pytest.raises(em.AllExcluded):
         em.rank_materials(mats, {c: 1.0 for c in em.RANK_CRITERIA},
                           min_damping=1e12)

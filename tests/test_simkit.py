@@ -623,6 +623,10 @@ def test_impact_config_validation():
         sk.ImpactConfig(impulse_ns=-1.0)
     with pytest.raises(ValueError):
         sk.ImpactConfig(pulse_width_s=10e-3)
+    # a finite impulse whose half-sine peak is not; the message names the
+    # impulse
+    with pytest.raises(ValueError, match=r"^impulse_ns = 1e\+308 N\*s "):
+        sk.ImpactConfig(impulse_ns=1e308)
 
 
 def _impact_rk4_reference(config, params=P, substeps=500):

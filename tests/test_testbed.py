@@ -408,6 +408,20 @@ def test_trajectory_leaving_the_workspace_is_refused():
         tb.simulate_osc(traj, 10.0, "ideal_torque", 1.0)
 
 
+@pytest.mark.parametrize("mode", ["ideal_torque", "cascaded_vlca"])
+@pytest.mark.parametrize("name", ["m1", "i1"])
+def test_a_stage_state_past_the_floats_is_a_divergence(mode, name):
+    # the period map takes cos of a stage angle that has left the floats;
+    # the run reports that as the divergence it is, with the cause chained
+    traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.0, 0.05),
+                             freq_hz=1.0)
+    params = replace(tb.TwoDofParams(), **{name: 1e308})
+    diverged = r"^leg simulation diverged at t=0\.000 s$"
+    with pytest.raises(simkit.NonFiniteState, match=diverged) as err:
+        tb.simulate_osc(traj, 10.0, mode, 0.05, params=params)
+    assert isinstance(err.value.__cause__, ValueError)
+
+
 def test_simulate_osc_argument_guards():
     traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.0, 0.05),
                              freq_hz=1.0)
