@@ -44,6 +44,9 @@ class ActuatorParams:
                 raise ValueError(f"{name} must be >= 0")
         if self.eta > 1.0:
             raise ValueError("eta must be <= 1 (passive drivetrain)")
+        if not math.isfinite(self.n_m * self.n_m):
+            # the reflected inertia and drag scale with n_m ** 2
+            raise ValueError("n_m must have a finite square")
 
     @property
     def drive_constant(self) -> float:

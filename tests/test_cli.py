@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import warnings
 from dataclasses import fields, replace
 
 import pytest
@@ -101,7 +102,7 @@ def test_an_optional_gain_spelled_none_is_not_a_number(tmp_path, capsys,
 
 # margins builds its four loops before it scans them: a loop whose
 # coefficients leave the floats is a config error, not a failed run
-@pytest.mark.parametrize("key", ["actuator.n_m", "actuator.k_r", "gains.k_p",
+@pytest.mark.parametrize("key", ["actuator.k_r", "gains.k_p",
                                  "gains.q_taud_zeta"])
 def test_a_margins_loop_past_the_floats_is_a_config_error(tmp_path, capsys,
                                                           key):
@@ -111,6 +112,23 @@ def test_a_margins_loop_past_the_floats_is_a_config_error(tmp_path, capsys,
     assert capsys.readouterr().out.startswith("margins: ")
     assert main(["run", cfg]) == 2
     assert not (tmp_path / "huge_out").exists()
+
+
+# the reflected inertia and drag scale with n_m ** 2: an n_m whose square
+# leaves the floats is a range error at its key in every scenario
+@pytest.mark.parametrize("value", ["1e200", "1e308"])
+@pytest.mark.parametrize("scenario", [s for s in cli.SCENARIOS
+                                      if "actuator" in cli._SCENARIOS[s].reads])
+def test_an_n_m_past_the_floats_is_a_config_error(tmp_path, capsys, scenario,
+                                                  value):
+    assert cli.validate({"scenario": scenario, "actuator.n_m": value}) == [
+        ("actuator.n_m", "n_m must have a finite square")]
+    cfg = _write(tmp_path, "n_m.cfg", f"scenario = {scenario}\n"
+                 f"actuator.n_m = {value}\nout = n_m_out\n")
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == \
+        "config error at actuator.n_m: n_m must have a finite square\n"
+    assert not (tmp_path / "n_m_out").exists()
 
 
 # every error a prepare step raises for bad input is one type to catch
@@ -512,8 +530,6 @@ def test_a_hold_past_thermal_runaway_is_a_config_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("scenario, key, value, error", [
-    # n_m ** 2 in the effective mass, reached from the observer's filter
-    ("force_tracking", "actuator.n_m", "1e200", "OverflowError"),
     # the square of the hold current, which the calibration divides by,
     # underflows to zero or overflows
     ("thermal", "actuator.k_tau", "1e200", "ZeroDivisionError"),
@@ -540,6 +556,18 @@ def test_a_config_whose_arithmetic_leaves_the_floats_is_a_config_error(
     assert "leave the float range" in capsys.readouterr().out
     assert main(["run", cfg]) == 2
     assert not (tmp_path / "floats_out").exists()
+
+
+# a thermal map whose coefficients leave the floats is reported once, by
+# the stepper, with no numpy warning printed ahead of the diagnostic
+@pytest.mark.parametrize("key", ["thermal.c_winding", "thermal.c_housing",
+                                 "thermal.r_wh"])
+def test_a_thermal_map_past_the_floats_warns_nothing(key):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        [(where, why)] = cli.validate({"scenario": "thermal", key: "1e-308"})
+    assert where == "thermal"
+    assert "NonFiniteState" in why
 
 
 def test_missing_config_file(tmp_path, capsys):

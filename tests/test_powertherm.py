@@ -34,6 +34,38 @@ def test_calibration_hits_its_targets(calibrated):
     assert abs(res["cooled_ratio"]) < 0.05
 
 
+# the fit as the coordinate descent on both log-capacities left it, which
+# the root find along the path reproduces: c_winding below 1 J/K with
+# c_housing at its floor, c_housing alone, and c_housing at its ceiling
+@pytest.mark.parametrize("k_tau, c_winding, c_housing", [
+    (0.00907, 0.6594350969385133, 0.050000000001575236),
+    (0.0448, 1.0, 2.463471830473756),
+    (0.1344, 2.2629227514141244, 4999.999999993654),
+    (448.0, 3.038211305995828, 4999.999999993654),
+])
+def test_calibration_keeps_the_descents_fit(k_tau, c_winding, c_housing):
+    p = pt.calibrate_thermal(replace(VLCA_ACTUATOR, k_tau=k_tau)).params
+    assert p.c_winding == pytest.approx(c_winding, rel=1e-10)
+    assert p.c_housing == pytest.approx(c_housing, rel=1e-10)
+
+
+def test_a_drive_too_weak_for_the_burst_is_infeasible():
+    # the burst peak misses its target at every point of the path
+    with pytest.raises(pt.CalibrationInfeasible,
+                       match=r"misses burst_peak_c by 61\.25%"):
+        pt.calibrate_thermal(replace(VLCA_ACTUATOR, k_tau=0.00448))
+
+
+def test_calibration_is_one_short_root_find(monkeypatch):
+    # the coordinate descent took 64 simulations at the defaults
+    calls = []
+    simulate = pt.simulate_constant_current
+    monkeypatch.setattr(pt, "simulate_constant_current",
+                        lambda *a, **kw: calls.append(a) or simulate(*a, **kw))
+    pt.calibrate_thermal()
+    assert len(calls) <= 24
+
+
 def test_resistance_split_encodes_the_cooling_ratio(calibrated):
     p = calibrated.params
     # steady state is capacitance-free, so the cooled/uncooled current
