@@ -337,8 +337,11 @@ def least_squares_lm(residual: Callable, x0, what: str) -> np.ndarray:
     fit here runs it; FitDiverged, naming the `what` fit, when the solver
     cannot start, does not converge or leaves the finite floats."""
     try:
-        res = scipy.optimize.least_squares(
-            residual, x0, method="lm", xtol=1e-14, ftol=1e-14, max_nfev=5000)
+        # a descent that leaves the floats is reported below, not warned of
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            res = scipy.optimize.least_squares(
+                residual, x0, method="lm", xtol=1e-14, ftol=1e-14,
+                max_nfev=5000)
     except ValueError as exc:
         # the solver cannot even start descending on this data
         raise FitDiverged(f"{what} fit could not proceed: {exc}") from exc
@@ -419,7 +422,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     Alg. 2.3 without its lower degrees). A matrix whose 1-norm is not
     finite gives an all-NaN matrix, which the callers' divergence checks
     report."""
-    norm = float(np.abs(a).sum(axis=0).max())
+    with np.errstate(over="ignore"):
+        norm = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(norm):
         return np.full(a.shape, math.nan)
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0

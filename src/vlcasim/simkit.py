@@ -214,22 +214,6 @@ class ChirpRef:
 
 # ------------------------------------------------------------- filters
 
-class _TustinDeriv:
-    """Bilinear discretization of w*s/(s+w)."""
-
-    def __init__(self, cutoff_rad_s: float):
-        k = 2.0 / CONTROL_DT
-        self._a = (k - cutoff_rad_s) / (k + cutoff_rad_s)
-        self._b = cutoff_rad_s * k / (k + cutoff_rad_s)
-        self._y = 0.0
-        self._u = 0.0
-
-    def step(self, u: float) -> float:
-        y = self._a * self._y + self._b * (u - self._u)
-        self._y, self._u = y, u
-        return y
-
-
 class _TustinBiquad:
     """Bilinear discretization of (B2 s^2 + B1 s + B0)/(A2 s^2 + A1 s + A0),
     direct form II transposed."""
@@ -255,36 +239,6 @@ class _TustinBiquad:
         return y
 
 
-class _DobShaper:
-    """Reference correction from a filtered plant-inverse force estimate.
-
-    Solves the observer's direct-feedthrough algebraically each step, so no
-    extra sample of delay is introduced beyond the loop's own.
-    """
-
-    def __init__(self, params: ActuatorParams, gains: ControllerGains):
-        q = q_taud_tf(gains)  # the margin model's observer filter, monic
-        w2, den = q.num.coefficients[0], q.den.coefficients
-        m = params.effective_mass
-        b = params.effective_damping + gains.k_dm * params.n_m
-        k = params.k_r * (1.0 + gains.k_p)
-        self._q = _TustinBiquad((w2, 0.0, 0.0), den)
-        scale = w2 / k
-        self._g = _TustinBiquad((k * scale, b * scale, m * scale), den)
-
-    def shape(self, f_desired: float, f_meas: float) -> float:
-        """Solve this period's corrected reference; commit() must follow."""
-        g_out = self._g.step(f_meas)
-        # f_ref = f_d + Q(f_ref) - G(f_meas); Q has feedthrough b0 < 1
-        return (f_desired + self._q.z1 - g_out) / (1.0 - self._q.b0)
-
-    def commit(self, f_ref: float) -> None:
-        """Advance the observer filter with the reference actually acted on
-        (back-calculated under current clipping, to keep the integral-like
-        observer from winding up)."""
-        self._q.step(f_ref)
-
-
 def delay_samples(delay_t: float) -> int:
     """The loop delay in whole control periods; ValueError for a delay the
     1 kHz controller cannot realise (1e-9 relative tolerance)."""
@@ -302,6 +256,16 @@ class DiscreteForceController:
     step() takes the raw force target, the measured spring force, and the
     motor-side velocity in screw coordinates; it returns the current that
     reaches the amplifier this period (after the command delay and clip).
+
+    PDF differentiates the measured force through the bilinear map of
+    w*s/(s+w). PDM_DOB runs the PDM law on the observer's reference
+    f_ref = f_target + Q(f_ref) - G(f_meas), where Q is the margin model's
+    low-pass (q_taud_tf) and G is Q over the PDM loop's closed-loop force
+    response. Q's direct feedthrough is solved algebraically each period,
+    so the observer adds no sample of delay beyond the loop's own. Q then
+    advances on the reference the amplifier acted on: under current
+    clipping, the one back-calculated from the clipped command, which keeps
+    the integral-like observer from winding up.
     """
 
     def __init__(self, kind: ControllerKind, params: ActuatorParams,
@@ -314,13 +278,24 @@ class DiscreteForceController:
         self._integ = 0.0
         # the commands in flight, oldest first: the transport delay's FIFO
         self._delay = deque([0.0] * delay_samples(gains.delay_t))
-        self._deriv = None
-        self._dob = None
-        if kind is ControllerKind.PDF:
-            self._deriv = _TustinDeriv(gains.cutoff("q_d_cutoff"))
+        self._pdf = kind is ControllerKind.PDF
+        self._pidm = kind is ControllerKind.PIDM
+        self._q = self._g = None
+        if self._pdf:
+            w, k = gains.cutoff("q_d_cutoff"), 2.0 / CONTROL_DT
+            self._da = (k - w) / (k + w)
+            self._db = w * k / (k + w)
+            self._dy = self._du = 0.0  # the filter's last output and input
             self._k_df = gains.resolved_k_df(params)
         if kind is ControllerKind.PDM_DOB:
-            self._dob = _DobShaper(params, gains)
+            q = q_taud_tf(gains)  # the margin model's observer filter, monic
+            w2, den = q.num.coefficients[0], q.den.coefficients
+            m = params.effective_mass
+            b = params.effective_damping + gains.k_dm * params.n_m
+            k = params.k_r * (1.0 + gains.k_p)
+            self._q = _TustinBiquad((w2, 0.0, 0.0), den)
+            scale = w2 / k
+            self._g = _TustinBiquad((k * scale, b * scale, m * scale), den)
 
     @property
     def latency_s(self) -> float:
@@ -329,12 +304,19 @@ class DiscreteForceController:
 
     def step(self, f_target: float, f_meas: float, motor_velocity: float) -> float:
         g = self.gains
-        f_ref = self._dob.shape(f_target, f_meas) if self._dob else f_target
+        q = self._q
+        if q is None:
+            f_ref = f_target
+        else:
+            # f_ref = f_target + Q(f_ref) - G(f_meas); Q has feedthrough b0 < 1
+            f_ref = (f_target + q.z1 - self._g.step(f_meas)) / (1.0 - q.b0)
         err = f_ref - f_meas
         damp = g.k_dm * self.params.n_m * motor_velocity
-        if self.kind is ControllerKind.PDF:
-            u = g.k_p * err + f_ref - self._k_df * self._deriv.step(f_meas)
-        elif self.kind is ControllerKind.PIDM:
+        if self._pdf:
+            deriv = self._da * self._dy + self._db * (f_meas - self._du)
+            self._dy, self._du = deriv, f_meas
+            u = g.k_p * err + f_ref - self._k_df * deriv
+        elif self._pidm:
             integ_next = self._integ + err * CONTROL_DT
             u = g.k_p * err + g.k_i * integ_next + f_ref - damp
         else:  # PDM and the DOB's inner loop
@@ -344,15 +326,15 @@ class DiscreteForceController:
         if clipped:
             i_cmd = math.copysign(CURRENT_LIMIT_A, i_cmd)
             self.saturation_count += 1
-        if self.kind is ControllerKind.PIDM:
+        if self._pidm:
             # hold the integrator while the amplifier is at its rail
             self._integ = self._integ if clipped else integ_next
-        if self._dob is not None:
+        if q is not None:
             if clipped:
                 # back-calculate the reference consistent with the clipped
                 # command so the observer tracks the plant's real input
                 f_ref = (i_cmd * self._n + g.k_p * f_meas + damp) / (1.0 + g.k_p)
-            self._dob.commit(f_ref)
+            q.step(f_ref)
         self._delay.append(i_cmd)
         return self._delay.popleft()
 
@@ -614,19 +596,19 @@ def run_joint_position_control(element: str,
     k_s, b_s = spring_element(element, params)
     n_drive = params.drive_constant
     x_des = DEFAULT_MOMENT_ARM * step_rad
-    delay = deque([0.0])  # one period of command delay
+    held = 0.0  # the last period's command: one period of command delay
     currents = array("d")
     clipped = 0
 
     def command(k, y):
-        nonlocal clipped
+        nonlocal clipped, held
         i_cmd = (POSITION_KP * (x_des - y[2]) - POSITION_KD * y[1]) / n_drive
         if abs(i_cmd) > CURRENT_LIMIT_A:
             i_cmd = math.copysign(CURRENT_LIMIT_A, i_cmd)
             clipped += 1
-        delay.append(i_cmd)
-        currents.append(delay.popleft())
-        return n_drive * currents[-1]
+        i_out, held = held, i_cmd
+        currents.append(i_out)
+        return n_drive * i_out
 
     xm, vm, xl, vl = _run_linear(two_mass_plant(element, params), n,
                                  command).T

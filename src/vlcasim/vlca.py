@@ -47,6 +47,9 @@ class ActuatorParams:
         if not math.isfinite(self.n_m * self.n_m):
             # the reflected inertia and drag scale with n_m ** 2
             raise ValueError("n_m must have a finite square")
+        if not math.isfinite(self.drive_constant):
+            raise ValueError("k_tau must give a finite drive constant "
+                             "eta * k_tau * n_m")
 
     @property
     def drive_constant(self) -> float:

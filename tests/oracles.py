@@ -1,5 +1,6 @@
 """Reference formulas the tests hold the live kernels against."""
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction as Fr
 from functools import reduce
@@ -8,9 +9,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from vlcasim.simkit import CONTROL_DT, CURRENT_LIMIT_A, delay_samples
 from vlcasim.testbed import TwoDofParams
-from vlcasim.vlca import (MARGIN_DELAY_GRID, ControllerKind, MarginCalibration,
-                          loop_margins, open_loop_tf)
+from vlcasim.vlca import (MARGIN_DELAY_GRID, ActuatorParams, ControllerGains,
+                          ControllerKind, MarginCalibration, loop_margins,
+                          open_loop_tf, q_taud_tf)
 
 
 @dataclass(frozen=True)
@@ -272,3 +275,136 @@ def calibrate_margins_grid(params, gains, pm_pdf_target: float = 17.1,
         pm_pidm_deg=phase_margin(ControllerKind.PIDM, params, g),
         pm_pdm_dob_deg=phase_margin(ControllerKind.PDM_DOB, params, g),
         objective_deg=obj)
+
+
+class _TustinDeriv:
+    """Bilinear discretization of w*s/(s+w)."""
+
+    def __init__(self, cutoff_rad_s: float):
+        k = 2.0 / CONTROL_DT
+        self._a = (k - cutoff_rad_s) / (k + cutoff_rad_s)
+        self._b = cutoff_rad_s * k / (k + cutoff_rad_s)
+        self._y = 0.0
+        self._u = 0.0
+
+    def step(self, u: float) -> float:
+        y = self._a * self._y + self._b * (u - self._u)
+        self._y, self._u = y, u
+        return y
+
+
+class _TustinBiquad:
+    """Bilinear discretization of (B2 s^2 + B1 s + B0)/(A2 s^2 + A1 s + A0),
+    direct form II transposed."""
+
+    def __init__(self, num, den):
+        b2, b1, b0 = num[2], num[1], num[0]
+        a2, a1, a0 = den[2], den[1], den[0]
+        k = 2.0 / CONTROL_DT
+        k2 = k * k
+        d0 = a2 * k2 + a1 * k + a0
+        self.b0 = (b2 * k2 + b1 * k + b0) / d0
+        self.b1 = (2.0 * b0 - 2.0 * b2 * k2) / d0
+        self.b2 = (b2 * k2 - b1 * k + b0) / d0
+        self.a1 = (2.0 * a0 - 2.0 * a2 * k2) / d0
+        self.a2 = (a2 * k2 - a1 * k + a0) / d0
+        self.z1 = 0.0
+        self.z2 = 0.0
+
+    def step(self, u: float) -> float:
+        y = self.b0 * u + self.z1
+        self.z1 = self.b1 * u - self.a1 * y + self.z2
+        self.z2 = self.b2 * u - self.a2 * y
+        return y
+
+
+class _DobShaper:
+    """Reference correction from a filtered plant-inverse force estimate.
+
+    Solves the observer's direct-feedthrough algebraically each step, so no
+    extra sample of delay is introduced beyond the loop's own.
+    """
+
+    def __init__(self, params: ActuatorParams, gains: ControllerGains):
+        q = q_taud_tf(gains)  # the margin model's observer filter, monic
+        w2, den = q.num.coefficients[0], q.den.coefficients
+        m = params.effective_mass
+        b = params.effective_damping + gains.k_dm * params.n_m
+        k = params.k_r * (1.0 + gains.k_p)
+        self._q = _TustinBiquad((w2, 0.0, 0.0), den)
+        scale = w2 / k
+        self._g = _TustinBiquad((k * scale, b * scale, m * scale), den)
+
+    def shape(self, f_desired: float, f_meas: float) -> float:
+        """Solve this period's corrected reference; commit() must follow."""
+        g_out = self._g.step(f_meas)
+        # f_ref = f_d + Q(f_ref) - G(f_meas); Q has feedthrough b0 < 1
+        return (f_desired + self._q.z1 - g_out) / (1.0 - self._q.b0)
+
+    def commit(self, f_ref: float) -> None:
+        """Advance the observer filter with the reference actually acted on
+        (back-calculated under current clipping, to keep the integral-like
+        observer from winding up)."""
+        self._q.step(f_ref)
+
+
+class ReferenceForceController:
+    """simkit.DiscreteForceController as four classes: the derivative
+    filter, the biquad and the observer's shape/commit protocol apart.
+
+    step() takes the raw force target, the measured spring force, and the
+    motor-side velocity in screw coordinates; it returns the current that
+    reaches the amplifier this period (after the command delay and clip).
+    """
+
+    def __init__(self, kind: ControllerKind, params: ActuatorParams,
+                 gains: ControllerGains):
+        self.kind = kind
+        self.params = params
+        self.gains = gains
+        self.saturation_count = 0
+        self._n = params.drive_constant
+        self._integ = 0.0
+        # the commands in flight, oldest first: the transport delay's FIFO
+        self._delay = deque([0.0] * delay_samples(gains.delay_t))
+        self._deriv = None
+        self._dob = None
+        if kind is ControllerKind.PDF:
+            self._deriv = _TustinDeriv(gains.cutoff("q_d_cutoff"))
+            self._k_df = gains.resolved_k_df(params)
+        if kind is ControllerKind.PDM_DOB:
+            self._dob = _DobShaper(params, gains)
+
+    @property
+    def latency_s(self) -> float:
+        """Time between computing a command and it reaching the amplifier."""
+        return len(self._delay) * CONTROL_DT
+
+    def step(self, f_target: float, f_meas: float, motor_velocity: float) -> float:
+        g = self.gains
+        f_ref = self._dob.shape(f_target, f_meas) if self._dob else f_target
+        err = f_ref - f_meas
+        damp = g.k_dm * self.params.n_m * motor_velocity
+        if self.kind is ControllerKind.PDF:
+            u = g.k_p * err + f_ref - self._k_df * self._deriv.step(f_meas)
+        elif self.kind is ControllerKind.PIDM:
+            integ_next = self._integ + err * CONTROL_DT
+            u = g.k_p * err + g.k_i * integ_next + f_ref - damp
+        else:  # PDM and the DOB's inner loop
+            u = g.k_p * err + f_ref - damp
+        i_cmd = u / self._n
+        clipped = abs(i_cmd) > CURRENT_LIMIT_A
+        if clipped:
+            i_cmd = math.copysign(CURRENT_LIMIT_A, i_cmd)
+            self.saturation_count += 1
+        if self.kind is ControllerKind.PIDM:
+            # hold the integrator while the amplifier is at its rail
+            self._integ = self._integ if clipped else integ_next
+        if self._dob is not None:
+            if clipped:
+                # back-calculate the reference consistent with the clipped
+                # command so the observer tracks the plant's real input
+                f_ref = (i_cmd * self._n + g.k_p * f_meas + damp) / (1.0 + g.k_p)
+            self._dob.commit(f_ref)
+        self._delay.append(i_cmd)
+        return self._delay.popleft()

@@ -114,21 +114,25 @@ def test_a_margins_loop_past_the_floats_is_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "huge_out").exists()
 
 
-# the reflected inertia and drag scale with n_m ** 2: an n_m whose square
-# leaves the floats is a range error at its key in every scenario
-@pytest.mark.parametrize("value", ["1e200", "1e308"])
+# the reflected inertia and drag scale with n_m ** 2, and the drive constant
+# with k_tau * n_m: an n_m or a k_tau that takes one past the floats is a
+# range error at its key in every scenario
+@pytest.mark.parametrize("key, value, message", [
+    ("actuator.n_m", "1e200", "n_m must have a finite square"),
+    ("actuator.n_m", "1e308", "n_m must have a finite square"),
+    ("actuator.k_tau", "1e308",
+     "k_tau must give a finite drive constant eta * k_tau * n_m"),
+], ids=["1e200", "1e308", "k_tau-1e308"])
 @pytest.mark.parametrize("scenario", [s for s in cli.SCENARIOS
                                       if "actuator" in cli._SCENARIOS[s].reads])
 def test_an_n_m_past_the_floats_is_a_config_error(tmp_path, capsys, scenario,
-                                                  value):
-    assert cli.validate({"scenario": scenario, "actuator.n_m": value}) == [
-        ("actuator.n_m", "n_m must have a finite square")]
-    cfg = _write(tmp_path, "n_m.cfg", f"scenario = {scenario}\n"
-                 f"actuator.n_m = {value}\nout = n_m_out\n")
+                                                  key, value, message):
+    assert cli.validate({"scenario": scenario, key: value}) == [(key, message)]
+    cfg = _write(tmp_path, "actuator.cfg", f"scenario = {scenario}\n"
+                 f"{key} = {value}\nout = actuator_out\n")
     assert main(["run", cfg]) == 2
-    assert capsys.readouterr().err == \
-        "config error at actuator.n_m: n_m must have a finite square\n"
-    assert not (tmp_path / "n_m_out").exists()
+    assert capsys.readouterr().err == f"config error at {key}: {message}\n"
+    assert not (tmp_path / "actuator_out").exists()
 
 
 # every error a prepare step raises for bad input is one type to catch

@@ -1,5 +1,6 @@
 """Fixed-step time-domain simulation against the rational models."""
 import math
+import sys
 import traceback
 import warnings
 from dataclasses import replace
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import locked_plant_rates, plant_energy, rk4_step
+from oracles import (ReferenceForceController, locked_plant_rates,
+                     plant_energy, rk4_step)
 from vlcasim import powertherm as pt, simkit as sk
 from vlcasim.vlca import (ControllerGains, ControllerKind, DEFAULT_MOMENT_ARM,
                           EXPERIMENT_GAINS, VLCA_ACTUATOR, closed_loop_tf,
@@ -256,6 +258,60 @@ def test_loop_delay_must_be_whole_control_periods():
         with pytest.raises(ValueError, match="delay_t"):
             sk.DiscreteForceController(ControllerKind.PDM, P,
                                        replace(G, delay_t=delay_t))
+
+
+_FORCES = st.floats(-2e4, 2e4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(ControllerKind),
+       gains=st.builds(ControllerGains, k_p=st.floats(0.0, 20.0),
+                       k_dm=st.floats(0.0, 50.0),
+                       k_df=st.none() | st.floats(0.0, 0.05),
+                       k_i=st.floats(0.0, 3000.0),
+                       q_d_cutoff=st.floats(1.0, 3000.0),
+                       q_taud_cutoff=st.floats(1.0, 3000.0),
+                       q_taud_zeta=st.floats(0.1, 2.0),
+                       delay_t=st.sampled_from([0.0, 1e-3, 2e-3, 3e-3])),
+       inputs=st.lists(st.tuples(_FORCES, _FORCES, st.floats(-0.5, 0.5)),
+                       min_size=1, max_size=50),
+       kick=st.integers(0, 49))
+def test_the_controller_equals_its_four_class_oracle(kind, gains, inputs,
+                                                     kick):
+    # every law, the derivative filter, the observer, the clip with the
+    # PIDM hold and the observer's back-calculation, and the delay, bit for
+    # bit; a target far past the clip at a drawn step saturates every run
+    inputs[kick % len(inputs)] = (1e9, 0.0, 0.0)
+    live = sk.DiscreteForceController(kind, P, gains)
+    ref = ReferenceForceController(kind, P, gains)
+    assert live.latency_s == ref.latency_s
+    for x in inputs:
+        assert live.step(*x).hex() == ref.step(*x).hex()
+    assert live.saturation_count == ref.saturation_count > 0
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_a_controller_step_is_one_python_call(kind):
+    # the law is written out in step: a PDF, PDM or PIDM step calls no
+    # other Python function, and a PDM_DOB step only its observer's two
+    # biquads, G before the clip and Q after it
+    ctrl = sk.DiscreteForceController(kind, P, G)
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for f_target in (100.0, 1e9):  # the second step clips
+            ctrl.step(f_target, 20.0, 0.01)
+    finally:
+        sys.setprofile(None)
+    assert ctrl.saturation_count == 1
+    biquads = (2 if kind is ControllerKind.PDM_DOB else 0) * [
+        sk._TustinBiquad.step.__code__]
+    assert calls == [sk.DiscreteForceController.step.__code__, *biquads] * 2
 
 
 def test_observer_with_vanishing_cutoff_reduces_to_inner_loop():

@@ -432,7 +432,8 @@ def test_simulate_osc_argument_guards():
 
 
 @pytest.mark.parametrize("run", ["force_tracking", "ideal_torque",
-                                 "cascaded_vlca"])
+                                 "cascaded_vlca", "force_tracking-pd_f",
+                                 "force_tracking-pd_m", "force_tracking-pid_m"])
 def test_loop_state_is_plain_floats(monkeypatch, run):
     # every value the controllers and the leg's period map take and return
     # is a Python float, not a numpy scalar
@@ -456,15 +457,17 @@ def test_loop_state_is_plain_floats(monkeypatch, run):
 
     monkeypatch.setattr(simkit.DiscreteForceController, "step", spy_step)
     monkeypatch.setattr(tb, "leg_period_map", spy_map)
-    if run == "force_tracking":
-        simkit.run_force_tracking(ControllerKind.PDM_DOB, ControllerGains(),
+    if run.startswith("force_tracking"):
+        # a bare "force_tracking" runs the observer
+        kind = ControllerKind(run.partition("-")[2] or "pd_m_dob")
+        simkit.run_force_tracking(kind, ControllerGains(),
                                   simkit.SineRef(20.0, 5.0), 0.05)
     else:
         traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.05, 0.05),
                                  freq_hz=2.0)
         tb.simulate_osc(traj, 10.0, run, 0.05)
     assert calls["step"] or run == "ideal_torque"
-    assert calls["advance"] or run == "force_tracking"
+    assert calls["advance"] or run.startswith("force_tracking")
     leaked = {type(v).__name__ for seen in calls.values() for args in seen
               for v in args if type(v) is not float}
     assert not leaked
