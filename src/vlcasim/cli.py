@@ -310,8 +310,8 @@ def _force_inputs(spec: RunSpec):
     x = spec.extras
     simkit.control_steps(x["duration_s"], "duration_s")
     kind = ControllerKind(x["kind"])
-    # a fractional-sample delay is a config error
-    simkit.DiscreteForceController(kind, spec.actuator, spec.gains)
+    # a fractional-sample delay or an unset filter cutoff is a config error
+    simkit.force_law_constants(kind, spec.actuator, spec.gains)
     full_scale = x["amplitude_nm"] / DEFAULT_MOMENT_ARM
     ref_name = x["reference"]
     if ref_name == "ramp":

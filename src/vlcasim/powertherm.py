@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -67,7 +66,7 @@ def _propagator(params: ThermalParams, cooling_on: bool, dt: float):
     """Exact zero-order-hold update of the two-node network over dt, as the
     2 x 3 block [Ad | Bd] of rise' = Ad rise + Bd power, where rise is each
     node's temperature above ambient. A map that leaves the floats is
-    reported by the stepper's NonFiniteState, so numpy stays quiet here."""
+    reported by the run's NonFiniteState, so numpy stays quiet here."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g_wh = 1.0 / params.r_wh
         g_ha = 1.0 / params.r_ha(cooling_on)
@@ -123,15 +122,15 @@ def simulate_constant_current(current_a: float, duration_s: float,
     n = simkit.control_steps(duration_s, "duration_s", dt)
     state = initial or ThermalState(params.ambient_c, params.ambient_c)
     amb = params.ambient_c
-    i2, r25, alpha = current_a ** 2, params.r_elec_25, params.alpha
-
-    def power(k, x):  # at resistance_at(amb + x[0]), in its operation order
-        return i2 * (r25 * (1.0 + alpha * (amb + x[0] - 25.0)))
-
-    # x is each node's rise above ambient; the power is held over a period
-    rise = simkit._step_linear(
-        repeat(simkit._affine_map(_propagator(params, cooling_on, dt)), n),
-        [state.t_winding - amb, state.t_housing - amb], power, dt)
+    # x is each node's rise above ambient; the winding power, at
+    # resistance_at(amb + x0) in its operation order, is held over a period
+    rise, = simkit._simulate(
+        "powertherm.simulate_constant_current",
+        {"a": (_propagator(params, cooling_on, dt), n)},
+        [state.t_winding - amb, state.t_housing - amb],
+        body=["u = i2 * (r25 * (1.0 + alpha * (amb + x0 - 25.0)))"],
+        period_s=dt, i2=current_a ** 2, r25=params.r_elec_25,
+        alpha=params.alpha, amb=amb)
     return ThermalTrace(t=np.arange(n + 1) * dt,
                         current_a=np.full(n + 1, current_a),
                         t_winding=amb + rise[:, 0], t_housing=amb + rise[:, 1],

@@ -1,33 +1,34 @@
 """Fixed-step time-domain simulation of the actuator force loops.
 
-Controllers run at 1 kHz with a one-period command delay and hold their
-current over each period. Every plant here is linear, so each advances
-by its exact zero-order-hold map, one step per period: the force loop, the
-chirp and the position loop under their held current, and the hammer
-strike with its half-sine pulse carried as an oscillator in the state.
-Each map is built once per plant into a function of Python floats
-(_affine_map), so a period makes no numpy call. Every linear recurrence,
-powertherm's thermal network too, steps through one loop, _step_linear,
-which records the states and checks them once, after the loop.
-The package's only Runge-Kutta integration is the nonlinear leg's
-fixed-step Dormand-Prince map, in testbed; its period body is the second
-generated kernel (testbed._leg_kernel), built from the DP5 tableau and the
-leg's rate lines as _affine_map's steppers are from [Ad | Bd].
-Saturation clips commanded current at the amplifier limit and is
-recorded, not fatal.
+Controllers run at 1 kHz with a whole number of periods of command delay
+and hold their current over each period. Every plant here is linear, so
+each advances by its exact zero-order-hold map, one step per period: the
+force loop, the chirp and the position loop under their held current, and
+the hammer strike with its half-sine pulse carried as an oscillator in the
+state. Each run is one generated kernel (_run_factory): the loop itself,
+with the run's command lines, the map's rows summed left to right in
+column order, and the recording of the states, so a period makes no
+Python call but the reference's value. powertherm's thermal network runs
+the same way. The force laws are stated once, as the tagged source lines
+_FORCE_LINES; the force loop and the leg's cascaded mode write them into
+their kernels, and the position loop writes its clip. A run checks its
+states once, after the loop. The package's only Runge-Kutta integration is
+the nonlinear leg's fixed-step Dormand-Prince map, in testbed, whose run
+kernel (testbed._leg_kernel) is built from the DP5 tableau, the leg's rate
+lines and these force lines. Saturation clips commanded current at the
+amplifier limit and is recorded, not fatal.
 """
 
 from __future__ import annotations
 
 import linecache
 import math
+import re
 import warnings
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, repeat
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,72 +71,96 @@ def control_steps(duration: float, name: str, dt: float = CONTROL_DT) -> int:
 
 # ---------------------------------------------------------------- plant
 
-@lru_cache(maxsize=None)
-def _affine_factory(n: int):
-    """factory(*entries) -> step(x, u) for n states, the entries of the
-    n x (n+1) map row-major. The source is generated and compiled once per
-    n, as dataclasses and namedtuple build their methods; the entries
-    arrive as arguments, so each float, non-finite ones included, reaches
-    the closure unchanged."""
-    cols = [f"x{j}" for j in range(n)] + ["u"]
-    rows = [[f"a{i}_{j}" for j in range(n + 1)] for i in range(n)]
-    sums = ", ".join(" + ".join(f"{a} * {c}" for a, c in zip(row, cols))
-                     for row in rows)
-    src = (f"def factory({', '.join(a for row in rows for a in row)}):\n"
-           f"    def step(x, u):\n"
-           f"        {''.join(c + ', ' for c in cols[:-1])}= x\n"
-           f"        return [{sums}]\n"
-           f"    return step\n")
-    return _compile_factory(src, f"<simkit._affine_factory n={n}>")
-
-
-def _compile_factory(src: str, filename: str, **namespace):
-    """The function `factory` that the generated source src defines,
-    compiled under filename with the globals namespace. src is registered
-    in linecache under filename, so that a traceback shows its lines."""
+def _compile(src: str, filename: str, name: str, **namespace):
+    """The function `name` that the generated source src defines, compiled
+    under filename with the globals namespace. src is registered in
+    linecache under filename, so that a traceback shows its lines."""
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     exec(compile(src, filename, "exec"), namespace)
-    return namespace["factory"]
+    return namespace[name]
 
 
-def _affine_map(adb: np.ndarray) -> Callable[[Sequence[float], float], list]:
-    """The map (x, u) -> [Ad | Bd] (x, u) of the n x (n+1) matrix adb as
-    one function of Python floats: x holds n floats, u is a float, and each
-    row is summed left to right in column order. It returns a list."""
-    return _affine_factory(adb.shape[0])(*adb.ravel().tolist())
+_CHUNK = 1024  # periods a run kernel records between packing its states
 
 
-def _step_linear(steps: Iterable[Callable], x0: Sequence[float],
-                 command: Callable[[int, list], float], dt: float
-                 ) -> np.ndarray:
-    """The one loop that advances a linear recurrence: x0, then the state
-    after each period, one row each. Period k starts at k * dt and maps its
-    state x, a list of floats, by steps' k-th _affine_map under the scalar
-    input command(k, x), a float held over the period. The rows are checked
-    once, after the loop: NonFiniteState names the start of the period
-    whose step first left the floats, or t=0 for a non-finite x0."""
-    x = list(x0)
-    history = array("d", x)  # packed: no float object outlives its step
-    for k, step in enumerate(steps):
-        x = step(x, command(k, x))
-        history.extend(x)
+@lru_cache(maxsize=None)
+def _run_factory(name: str, n: int, args: tuple, maps: tuple, start: tuple,
+                 body: tuple, ret: tuple):
+    """run(**args) -> (history, *ret): one linear run as one generated
+    function, compiled under the file name <name>. The n states x0, x1, ...
+    arrive as arguments and are recorded in history, an array("d"), after
+    the start lines have run. Then each map p of maps in turn advances them
+    p_steps periods: period k (counted from 0 in each map) runs the body
+    lines, which leave the input u held over it, maps the state by the
+    n x (n+1) entries p<i>_<j>, each row summed left to right in column
+    order (x0, ..., u), and records it. The source is compiled once per
+    argument tuple, as dataclasses and namedtuple build their methods; every
+    float reaches the run unchanged, non-finite ones included."""
+    xs = [f"x{i}" for i in range(n)]
+    state = ", ".join(xs)
+    src = [f"def run({', '.join(args)}):", *(f"    {line}" for line in start),
+           f"    xs = array('d', ({state},))"]
+    for p in maps:
+        sums = ", ".join(" + ".join(f"{p}{i}_{j} * {c}"
+                                    for j, c in enumerate(xs + ["u"]))
+                         for i in range(n))
+        # a list takes the states faster than the array; packing it every
+        # _CHUNK periods keeps no more float objects than that alive
+        src += [f"    for chunk in range(0, {p}_steps, {_CHUNK}):",
+                "        rows = []",
+                f"        for k in range(chunk, min(chunk + {_CHUNK}, {p}_steps)):",
+                *(f"            {line}" for line in body),
+                f"            {state} = {sums}",
+                *(f"            rows.append({x})" for x in xs),
+                "        xs.extend(rows)"]
+    src.append(f"    return xs, {''.join(r + ', ' for r in ret)}")
+    return _compile("\n".join(src) + "\n", f"<{name}>", "run",
+                    array=array, copysign=math.copysign)
+
+
+def _simulate(name: str, maps: dict, x0: Sequence[float],
+              start: Sequence[str] = (), body: Sequence[str] = (),
+              ret: Sequence[str] = (), period_s: float = CONTROL_DT, **args):
+    """Run the linear run kernel `name` (_run_factory) from the state x0:
+    maps holds, per map prefix, the n x (n+1) map [Ad | Bd] and its period
+    count, in the order the run takes them; args are the other names the
+    lines read. Returns (states, *ret): states holds x0 and the state after
+    each period, one row each, checked once, after the run.
+    NonFiniteState names the start of the period whose step first left
+    the floats, or t=0 for a non-finite x0."""
+    args = {**{f"x{i}": v for i, v in enumerate(x0)},
+            **{f"{p}_steps": steps for p, (_, steps) in maps.items()},
+            **{f"{p}{i}_{j}": v for p, (adb, _) in maps.items()
+               for i, row in enumerate(adb.tolist()) for j, v in enumerate(row)},
+            **args}
+    run = _run_factory(name, len(x0), tuple(args), tuple(maps), tuple(start),
+                       tuple(body), tuple(ret))
+    history, *rest = run(**args)
     states = np.frombuffer(history).reshape(-1, len(x0))
     bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
         raise NonFiniteState(f"plant state diverged at "
-                             f"t={max(bad.argmax() - 1, 0) * dt:.3f} s")
-    return states
+                             f"t={max(bad.argmax() - 1, 0) * period_s:.3f} s")
+    return (states, *rest)
 
 
-def _run_linear(plant, n: int, command: Callable[[int, list], float]
-                ) -> np.ndarray:
-    """State history of the linear plant (A, B) = plant over n control
-    periods from rest: row k is the state at the start of period k, and
-    command(k, x) is the input held over that period (_step_linear). Each
-    period advances by the exact zero-order-hold map x -> Ad x + Bd u."""
-    adb = np.hstack(zoh_discretize(*plant, CONTROL_DT))
-    return _step_linear(repeat(_affine_map(adb), n), [0.0] * adb.shape[0],
-                        command, CONTROL_DT)[:n]
+def _zoh_map(plant) -> np.ndarray:
+    """[Ad | Bd] of the linear plant (A, B) = plant held over CONTROL_DT."""
+    return np.hstack(zoh_discretize(*plant, CONTROL_DT))
+
+
+def _run_linear(plant, inputs: Sequence[float]) -> np.ndarray:
+    """State history of the linear plant (A, B) = plant from rest under the
+    open-loop input inputs[k] held over period k: row k is the state at the
+    start of period k, for each of the len(inputs) periods. Each period
+    advances by the exact zero-order-hold map x -> Ad x + Bd u."""
+    inputs = np.ascontiguousarray(inputs, dtype=float)
+    adb = _zoh_map(plant)
+    n = adb.shape[0]
+    states, = _simulate(f"simkit._run_linear n={n}", {"a": (adb, len(inputs))},
+                        [0.0] * n, body=["u = inputs[k]"],
+                        inputs=memoryview(inputs))
+    return states[:len(inputs)]
 
 
 def _locked_plant(params: ActuatorParams):
@@ -212,32 +237,7 @@ class ChirpRef:
         return self.amplitude * math.sin(phase)
 
 
-# ------------------------------------------------------------- filters
-
-class _TustinBiquad:
-    """Bilinear discretization of (B2 s^2 + B1 s + B0)/(A2 s^2 + A1 s + A0),
-    direct form II transposed."""
-
-    def __init__(self, num, den):
-        b2, b1, b0 = num[2], num[1], num[0]
-        a2, a1, a0 = den[2], den[1], den[0]
-        k = 2.0 / CONTROL_DT
-        k2 = k * k
-        d0 = a2 * k2 + a1 * k + a0
-        self.b0 = (b2 * k2 + b1 * k + b0) / d0
-        self.b1 = (2.0 * b0 - 2.0 * b2 * k2) / d0
-        self.b2 = (b2 * k2 - b1 * k + b0) / d0
-        self.a1 = (2.0 * a0 - 2.0 * a2 * k2) / d0
-        self.a2 = (a2 * k2 - a1 * k + a0) / d0
-        self.z1 = 0.0
-        self.z2 = 0.0
-
-    def step(self, u: float) -> float:
-        y = self.b0 * u + self.z1
-        self.z1 = self.b1 * u - self.a1 * y + self.z2
-        self.z2 = self.b2 * u - self.a2 * y
-        return y
-
+# --------------------------------------------------------- force law
 
 def delay_samples(delay_t: float) -> int:
     """The loop delay in whole control periods; ValueError for a delay the
@@ -250,93 +250,113 @@ def delay_samples(delay_t: float) -> int:
     return n
 
 
-class DiscreteForceController:
-    """One force-loop controller stepping at CONTROL_DT.
+# The force-loop controllers as source lines, each tagged with the part of
+# a law that takes it: "start" (the state each controller starts from),
+# "dob" (the disturbance observer's G and Q biquads, direct form II
+# transposed, and the f_ref solve), "pdf" (the filtered force derivative),
+# "pidm" (the integrator with its hold at the rail), "pdm" (the PDM law,
+# the observer's inner loop too), "clip" (the amplifier clip) and "back"
+# (the observer's back-calculation). One period reads the raw force target
+# f_target, the measured spring force f_meas and the motor-side screw
+# speed v_m, and leaves the clipped current command in i_cmd; a law runs
+# the lines of its parts (_FORCE_TAGS) in the order written. PDF
+# differentiates the measured force through the bilinear map of w*s/(s+w).
+# PDM_DOB runs the PDM law on the observer's reference
+# f_ref = f_target + Q(f_ref) - G(f_meas), where Q is the margin model's
+# low-pass (q_taud_tf) and G is Q over the PDM loop's closed-loop force
+# response. Q's direct feedthrough qb0 < 1 is solved algebraically, so the
+# observer adds no sample of delay beyond the loop's own. Q then advances
+# on the reference the amplifier acted on: under current clipping, the one
+# back-calculated from the clipped command, which keeps the integral-like
+# observer from winding up.
+_FORCE_LINES = [line.split(" ", 1) for line in """\
+start gz1 = gz2 = qz1 = qz2 = dy = du = integ = 0.0
+start sat = 0
+dob gy = gb0 * f_meas + gz1
+dob gz1, gz2 = gb1 * f_meas - ga1 * gy + gz2, gb2 * f_meas - ga2 * gy
+dob f_ref = (f_target + qz1 - gy) / q_den
+pdf deriv = da * dy + db * (f_meas - du)
+pdf dy, du = deriv, f_meas
+pdf u = k_p * (f_ref - f_meas) + f_ref - k_df * deriv
+pidm err = f_ref - f_meas
+pidm integ_next = integ + err * dt
+pidm u = k_p * err + k_i * integ_next + f_ref - kdm_nm * v_m
+pdm damp = kdm_nm * v_m
+pdm u = k_p * (f_ref - f_meas) + f_ref - damp
+clip i_cmd = u / n_drive
+clip clipped = abs(i_cmd) > i_max
+clip if clipped: i_cmd, sat = copysign(i_max, i_cmd), sat + 1
+pidm if not clipped: integ = integ_next
+back if clipped: f_ref = (i_cmd * n_drive + k_p * f_meas + damp) / (1.0 + k_p)
+dob qy = qb0 * f_ref + qz1
+dob qz1, qz2 = qb1 * f_ref - qa1 * qy + qz2, qb2 * f_ref - qa2 * qy""".splitlines()]
+_FORCE_TAGS = {ControllerKind.PDF: {"pdf", "clip"},
+               ControllerKind.PDM: {"pdm", "clip"},
+               ControllerKind.PIDM: {"pidm", "clip"},
+               ControllerKind.PDM_DOB: {"dob", "pdm", "clip", "back"}}
+# the names one controller owns: its inputs, its state and its temporaries
+_FORCE_VARS = ("f_target", "f_meas", "v_m", "f_ref", "gy", "gz1", "gz2", "qy",
+               "qz1", "qz2", "deriv", "dy", "du", "err", "integ", "integ_next",
+               "damp", "u", "i_cmd", "clipped", "sat")
 
-    step() takes the raw force target, the measured spring force, and the
-    motor-side velocity in screw coordinates; it returns the current that
-    reaches the amplifier this period (after the command delay and clip).
 
-    PDF differentiates the measured force through the bilinear map of
-    w*s/(s+w). PDM_DOB runs the PDM law on the observer's reference
-    f_ref = f_target + Q(f_ref) - G(f_meas), where Q is the margin model's
-    low-pass (q_taud_tf) and G is Q over the PDM loop's closed-loop force
-    response. Q's direct feedthrough is solved algebraically each period,
-    so the observer adds no sample of delay beyond the loop's own. Q then
-    advances on the reference the amplifier acted on: under current
-    clipping, the one back-calculated from the clipped command, which keeps
-    the integral-like observer from winding up.
-    """
+def _renamed(line: str, names: dict) -> str:
+    """line with every name in names replaced by its value."""
+    return re.sub(r"\w+", lambda w: names.get(w[0], w[0]), line)
 
-    def __init__(self, kind: ControllerKind, params: ActuatorParams,
-                 gains: ControllerGains):
-        self.kind = kind
-        self.params = params
-        self.gains = gains
-        self.saturation_count = 0
-        self._n = params.drive_constant
-        self._integ = 0.0
-        # the commands in flight, oldest first: the transport delay's FIFO
-        self._delay = deque([0.0] * delay_samples(gains.delay_t))
-        self._pdf = kind is ControllerKind.PDF
-        self._pidm = kind is ControllerKind.PIDM
-        self._q = self._g = None
-        if self._pdf:
-            w, k = gains.cutoff("q_d_cutoff"), 2.0 / CONTROL_DT
-            self._da = (k - w) / (k + w)
-            self._db = w * k / (k + w)
-            self._dy = self._du = 0.0  # the filter's last output and input
-            self._k_df = gains.resolved_k_df(params)
-        if kind is ControllerKind.PDM_DOB:
-            q = q_taud_tf(gains)  # the margin model's observer filter, monic
-            w2, den = q.num.coefficients[0], q.den.coefficients
-            m = params.effective_mass
-            b = params.effective_damping + gains.k_dm * params.n_m
-            k = params.k_r * (1.0 + gains.k_p)
-            self._q = _TustinBiquad((w2, 0.0, 0.0), den)
-            scale = w2 / k
-            self._g = _TustinBiquad((k * scale, b * scale, m * scale), den)
 
-    @property
-    def latency_s(self) -> float:
-        """Time between computing a command and it reaching the amplifier."""
-        return len(self._delay) * CONTROL_DT
+def _force_law(tags: set, suffix: str = ""):
+    """(start lines, period lines) of the _FORCE_LINES tagged with one of
+    tags, each controller name (_FORCE_VARS) carrying suffix. Without the
+    observer the reference is the target itself."""
+    names = {v: v + suffix for v in _FORCE_VARS}
+    if "dob" not in tags:
+        names["f_ref"] = names["f_target"]
+    return ([_renamed(line, names) for tag, line in _FORCE_LINES
+             if tag == "start"],
+            [_renamed(line, names) for tag, line in _FORCE_LINES if tag in tags])
 
-    def step(self, f_target: float, f_meas: float, motor_velocity: float) -> float:
-        g = self.gains
-        q = self._q
-        if q is None:
-            f_ref = f_target
-        else:
-            # f_ref = f_target + Q(f_ref) - G(f_meas); Q has feedthrough b0 < 1
-            f_ref = (f_target + q.z1 - self._g.step(f_meas)) / (1.0 - q.b0)
-        err = f_ref - f_meas
-        damp = g.k_dm * self.params.n_m * motor_velocity
-        if self._pdf:
-            deriv = self._da * self._dy + self._db * (f_meas - self._du)
-            self._dy, self._du = deriv, f_meas
-            u = g.k_p * err + f_ref - self._k_df * deriv
-        elif self._pidm:
-            integ_next = self._integ + err * CONTROL_DT
-            u = g.k_p * err + g.k_i * integ_next + f_ref - damp
-        else:  # PDM and the DOB's inner loop
-            u = g.k_p * err + f_ref - damp
-        i_cmd = u / self._n
-        clipped = abs(i_cmd) > CURRENT_LIMIT_A
-        if clipped:
-            i_cmd = math.copysign(CURRENT_LIMIT_A, i_cmd)
-            self.saturation_count += 1
-        if self._pidm:
-            # hold the integrator while the amplifier is at its rail
-            self._integ = self._integ if clipped else integ_next
-        if q is not None:
-            if clipped:
-                # back-calculate the reference consistent with the clipped
-                # command so the observer tracks the plant's real input
-                f_ref = (i_cmd * self._n + g.k_p * f_meas + damp) / (1.0 + g.k_p)
-            q.step(f_ref)
-        self._delay.append(i_cmd)
-        return self._delay.popleft()
+
+def _tustin(prefix: str, num, den) -> dict:
+    """Coefficients <prefix>b0, b1, b2, a1, a2 of the bilinear
+    discretization of (B2 s^2 + B1 s + B0)/(A2 s^2 + A1 s + A0)."""
+    b2, b1, b0 = num[2], num[1], num[0]
+    a2, a1, a0 = den[2], den[1], den[0]
+    k = 2.0 / CONTROL_DT
+    k2 = k * k
+    d0 = a2 * k2 + a1 * k + a0
+    return {prefix + "b0": (b2 * k2 + b1 * k + b0) / d0,
+            prefix + "b1": (2.0 * b0 - 2.0 * b2 * k2) / d0,
+            prefix + "b2": (b2 * k2 - b1 * k + b0) / d0,
+            prefix + "a1": (2.0 * a0 - 2.0 * a2 * k2) / d0,
+            prefix + "a2": (a2 * k2 - a1 * k + a0) / d0}
+
+
+def force_law_constants(kind: ControllerKind, params: ActuatorParams,
+                        gains: ControllerGains) -> dict:
+    """The run constants kind's force law reads (_force_law), by name, with
+    the loop delay in whole control periods as "delay": a command reaches
+    the amplifier that many periods after it is computed. Raises ValueError
+    for a delay the controller cannot realise (delay_samples) and
+    MissingFilterCutoff for a filter the law needs but gains leave unset."""
+    c = {"delay": delay_samples(gains.delay_t), "dt": CONTROL_DT,
+         "k_p": gains.k_p, "k_i": gains.k_i, "kdm_nm": gains.k_dm * params.n_m,
+         "n_drive": params.drive_constant, "i_max": CURRENT_LIMIT_A}
+    if kind is ControllerKind.PDF:
+        w, k = gains.cutoff("q_d_cutoff"), 2.0 / CONTROL_DT
+        c.update(da=(k - w) / (k + w), db=w * k / (k + w),
+                 k_df=gains.resolved_k_df(params))
+    if kind is ControllerKind.PDM_DOB:
+        q = q_taud_tf(gains)  # the margin model's observer filter, monic
+        w2, den = q.num.coefficients[0], q.den.coefficients
+        m = params.effective_mass
+        b = params.effective_damping + gains.k_dm * params.n_m
+        k = params.k_r * (1.0 + gains.k_p)
+        scale = w2 / k
+        c.update(_tustin("q", (w2, 0.0, 0.0), den))
+        c.update(_tustin("g", (k * scale, b * scale, m * scale), den))
+        c["q_den"] = 1.0 - c["qb0"]
+    return c
 
 
 # --------------------------------------------------------------- traces
@@ -388,30 +408,29 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
     reference is any object with value(t) -> N.
     """
     n = control_steps(duration, "duration")
-    ctrl = DiscreteForceController(kind, params, gains)
-    k_r, n_drive = params.k_r, params.drive_constant
-    currents = array("d")
-
+    law = force_law_constants(kind, params, gains)
+    start, lines = _force_law(_FORCE_TAGS[kind])
     # the reference generator lives on the same clock as the controller,
-    # so each command is computed for the instant it takes effect
-    preview = ctrl.latency_s
-
-    def command(k, y):
-        t = k * CONTROL_DT
-        i = ctrl.step(reference.value(t + preview), k_r * y[0], y[1])
-        currents.append(i)
-        return n_drive * i
-
-    x, v = _run_linear(_locked_plant(params), n, command).T
+    # so each command is computed for the instant it takes effect; the
+    # command of period k reaches the amplifier in period k + delay
+    states, cmds, saturated = _simulate(
+        f"simkit.run_force_tracking kind={kind.value}",
+        {"a": (_zoh_map(_locked_plant(params)), n)}, [0.0, 0.0],
+        start=[*start, "cmds = array('d', bytes(8 * delay))"],
+        body=["f_target = value(k * dt + preview)", "f_meas = k_r * x0",
+              "v_m = x1", *lines, "cmds.append(i_cmd)", "u = n_drive * cmds[k]"],
+        ret=["cmds", "sat"], value=reference.value,
+        preview=law["delay"] * CONTROL_DT, k_r=params.k_r, **law)
+    x, v = states[:n].T
     t = np.arange(n) * CONTROL_DT
-    f_meas = k_r * x
+    f_meas = params.k_r * x
     trace = SimTrace(CONTROL_DT, t,
                      f_cmd=np.array([reference.value(tk) for tk in t.tolist()]),
                      f_meas=f_meas, f_loadcell=f_meas + params.b_r * v,
-                     i_m=np.frombuffer(currents), x_r=x,
+                     i_m=np.frombuffer(cmds)[:n], x_r=x,
                      meta={"kind": kind.value,
                            "reference": type(reference).__name__})
-    _warn_if_saturated(trace, ctrl.saturation_count)
+    _warn_if_saturated(trace, saturated)
     return trace
 
 
@@ -444,12 +463,11 @@ def run_plant_chirp(drive: np.ndarray,
     current), so a response estimate against the measured spring force
     yields the force plant directly.
     """
-    n_drive = params.drive_constant
-    x, v = _run_linear(_locked_plant(params), len(drive),
-                       lambda k, y: n_drive * drive.item(k)).T
+    with np.errstate(over="ignore"):  # a state past the floats raises below
+        f_cmd = params.drive_constant * drive
+    x, v = _run_linear(_locked_plant(params), f_cmd).T
     f_meas = params.k_r * x
-    return SimTrace(CONTROL_DT, np.arange(len(drive)) * CONTROL_DT,
-                    n_drive * drive,
+    return SimTrace(CONTROL_DT, np.arange(len(drive)) * CONTROL_DT, f_cmd,
                     f_meas=f_meas, f_loadcell=f_meas + params.b_r * v,
                     i_m=drive, x_r=x, meta={"kind": "open_loop_chirp"})
 
@@ -594,29 +612,24 @@ def run_joint_position_control(element: str,
     """
     n = control_steps(duration, "duration")
     k_s, b_s = spring_element(element, params)
-    n_drive = params.drive_constant
     x_des = DEFAULT_MOMENT_ARM * step_rad
-    held = 0.0  # the last period's command: one period of command delay
-    currents = array("d")
-    clipped = 0
-
-    def command(k, y):
-        nonlocal clipped, held
-        i_cmd = (POSITION_KP * (x_des - y[2]) - POSITION_KD * y[1]) / n_drive
-        if abs(i_cmd) > CURRENT_LIMIT_A:
-            i_cmd = math.copysign(CURRENT_LIMIT_A, i_cmd)
-            clipped += 1
-        i_out, held = held, i_cmd
-        currents.append(i_out)
-        return n_drive * i_out
-
-    xm, vm, xl, vl = _run_linear(two_mass_plant(element, params), n,
-                                 command).T
+    start, clip = _force_law({"clip"})
+    # the clipped command of period k is held over period k + 1: one period
+    # of command delay
+    states, cmds, clipped = _simulate(
+        "simkit.run_joint_position_control",
+        {"a": (_zoh_map(two_mass_plant(element, params)), n)}, [0.0] * 4,
+        start=[*start, "cmds = array('d', [0.0])"],
+        body=["u = kp * (x_des - x2) - kd * x1", *clip, "cmds.append(i_cmd)",
+              "u = n_drive * cmds[k]"],
+        ret=["cmds", "sat"], kp=POSITION_KP, kd=POSITION_KD, x_des=x_des,
+        n_drive=params.drive_constant, i_max=CURRENT_LIMIT_A)
+    xm, vm, xl, vl = states[:n].T
     f_cmd = POSITION_KP * (x_des - xl) - POSITION_KD * vm
     defl = xm - xl
     trace = SimTrace(CONTROL_DT, np.arange(n) * CONTROL_DT, f_cmd,
                      f_meas=k_s * defl, f_loadcell=k_s * defl + b_s * (vm - vl),
-                     i_m=np.frombuffer(currents), x_r=defl,
+                     i_m=np.frombuffer(cmds)[:n], x_r=defl,
                      q_out=xl / DEFAULT_MOMENT_ARM,
                      meta={"kind": "position_step", "element": element,
                            "step_rad": step_rad, "x_des_m": x_des})
@@ -693,20 +706,25 @@ def run_impact(config: ImpactConfig,
     def period(a, h):
         return zoh_discretize(a, np.zeros((4, 1)), h)[0]
 
-    def stepper(ad):  # the strike has no input: a zero column for u
-        return _affine_map(np.hstack((ad, np.zeros((4, 1)))))
+    def held(ad):  # the strike has no input: a zero column for u
+        return np.hstack((ad, np.zeros((4, 1))))
 
     dt = CONTROL_DT
     n = control_steps(IMPACT_DURATION_S, "IMPACT_DURATION_S")
     n_on = int(w / dt + 1e-9)  # whole periods under the pulse
     tail = w - n_on * dt       # the pulse's share of the period it ends in
-    strike = [stepper(period(struck, dt))] * n_on
-    if tail > 1e-9 * dt:
-        strike.append(stepper(period(free, dt - tail) @ period(struck, tail)))
-    steps = chain(strike, repeat(stepper(period(free, dt)),
-                                 n - 1 - len(strike)))
-    x, v = _step_linear(steps, [0.0, 0.0, 0.0, 1.0], lambda k, y: 0.0,
-                        dt)[:, :2].T
+    n_tail = int(tail > 1e-9 * dt)
+    after = held(period(free, dt))
+    # the segments: the strike, the period the pulse ends in when it ends
+    # part way (struck, then free over the rest), and the free plant
+    ends = (held(period(free, dt - tail) @ period(struck, tail)) if n_tail
+            else after)
+    states, = _simulate("simkit.run_impact",
+                        {"s": (held(period(struck, dt)), n_on),
+                         "t": (ends, n_tail),
+                         "f": (after, n - 1 - n_on - n_tail)},
+                        [0.0, 0.0, 0.0, 1.0], u=0.0)
+    x, v = states[:, :2].T
 
     t = np.arange(n) * dt
     f_hammer = np.array([hammer(tk) for tk in t.tolist()])

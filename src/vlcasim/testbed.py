@@ -7,7 +7,6 @@ ideal torque sources or the full actuator force loops in series.
 from __future__ import annotations
 
 import math
-import re
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -104,14 +103,69 @@ def _leg_constants(p: TwoDofParams) -> dict:
         g_c0=p.m1 * p.c1 + (p.m2 + mp) * p.l1, g_c01=p.m2 * p.c2 + mp * p.l2)
 
 
+# The operational-space law as source lines: the joint torques tau0, tau1
+# that give the hip the task-space acceleration the gains ask for, through
+# the "dyn" lines' mass matrix, velocity product and gravity, and the flag
+# damped for a Jacobian near its singularity, where a damped least-squares
+# solve takes over. They read the joint state (q0, q1, w0, w1), the desired
+# hip position, velocity and acceleration (xd, yd, vxd, vyd, axd, ayd) and
+# the run constants kp0, kp1, kd0, kd1 and damp_at (_law_constants).
+_OSC_LINES = """\
+s0, c0 = sin(q0), cos(q0)
+s01, c01 = sin(q0 + q1), cos(q0 + q1)
+px = l1 * c0 + l2 * c01
+py = l1 * s0 + l2 * s01
+j00 = -l1 * s0 - l2 * s01
+j01 = -l2 * s01
+j10 = l1 * c0 + l2 * c01
+j11 = l2 * c01
+wsum = w0 + w1
+jd00 = -l1 * c0 * w0 - l2 * c01 * wsum
+jd01 = -l2 * c01 * wsum
+jd10 = -l1 * s0 * w0 - l2 * s01 * wsum
+jd11 = -l2 * s01 * wsum
+ax = axd + kp0 * (xd - px) + kd0 * (vxd - (j00 * w0 + j01 * w1))
+ay = ayd + kp1 * (yd - py) + kd1 * (vyd - (j10 * w0 + j11 * w1))
+rx = ax - (jd00 * w0 + jd01 * w1)
+ry = ay - (jd10 * w0 + jd11 * w1)
+det = j00 * j11 - j01 * j10
+damped = abs(det) < damp_at
+if not damped:
+    inv = 1.0 / det
+    qdd0 = inv * (j11 * rx - j01 * ry)
+    qdd1 = inv * (-j10 * rx + j00 * ry)
+else:
+    # damped least-squares through J^T (J J^T + lam^2 I)^-1
+    fro = sqrt(j00 * j00 + j01 * j01 + j10 * j10 + j11 * j11)
+    lam = 0.01 * fro * (1.0 - abs(det) / damp_at)
+    m00 = j00 * j00 + j01 * j01 + lam * lam
+    m01 = j00 * j10 + j01 * j11
+    m11 = j10 * j10 + j11 * j11 + lam * lam
+    mdet = m00 * m11 - m01 * m01
+    ux = (m11 * rx - m01 * ry) / mdet
+    uy = (-m01 * rx + m00 * ry) / mdet
+    qdd0 = j00 * ux + j10 * uy
+    qdd1 = j01 * ux + j11 * uy
+tau0 = a11 * qdd0 + a12 * qdd1 + b1 + g1
+tau1 = a12 * qdd0 + a22 * qdd1 + b2 + g2""".splitlines()
+_KERNEL_GLOBALS = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt,
+                   "copysign": math.copysign}
+
+
 @lru_cache(maxsize=None)
-def _dyn_factory(constants: tuple):
-    """factory(*constants) -> dyn: the "dyn" lines, compiled once."""
-    body = "".join(f"        {line}\n" for tag, line in _LEG_LINES if tag == "dyn")
-    return simkit._compile_factory(
-        f"def factory({', '.join(constants)}):\n    def dyn(q0, q1, w0, w1):\n"
-        f"{body}        return a11, a12, a22, b1, b2, g1, g2\n    return dyn\n",
-        "<testbed._dyn_factory>", cos=math.cos, sin=math.sin)
+def _dyn_factory(constants: tuple, law: bool = False):
+    """factory(*constants) -> dyn, the "dyn" lines as a function, or with
+    law the law, the "dyn" lines and _OSC_LINES; compiled once."""
+    args, out = (("q0, q1, w0, w1, xd, yd, vxd, vyd, axd, ayd",
+                  "tau0, tau1, damped") if law
+                 else ("q0, q1, w0, w1", "a11, a12, a22, b1, b2, g1, g2"))
+    lines = [line for tag, line in _LEG_LINES if tag == "dyn"]
+    body = "".join(f"        {line}\n" for line in lines + _OSC_LINES * law)
+    name = "law" if law else "dyn"
+    return simkit._compile(
+        f"def factory({', '.join(constants)}):\n    def {name}({args}):\n"
+        f"{body}        return {out}\n    return {name}\n",
+        f"<testbed._dyn_factory {name}>", "factory", **_KERNEL_GLOBALS)
 
 
 def _leg_dynamics(p: TwoDofParams):
@@ -161,62 +215,22 @@ class TaskGains:
             raise ValueError("gains must be >= 0")
 
 
+def _law_constants(gains: TaskGains, p: TwoDofParams) -> dict:
+    """The run constants _OSC_LINES reads besides the leg's."""
+    (kp0, kp1), (kd0, kd1) = gains.kp, gains.kd
+    return dict(kp0=kp0, kp1=kp1, kd0=kd0, kd1=kd1,
+                damp_at=1e-3 * p.reach ** 2)
+
+
 def _osc_law(gains: TaskGains, p: TwoDofParams):
     """The operational-space torque law of one run, its constants hoisted:
     law(q0, q1, w0, w1, xd, yd, vxd, vyd, axd, ayd) -> (tau0, tau1, damped)
     for the joint state and the desired hip position, velocity and
     acceleration, equal bit for bit to the reference osc_tau in
-    tests/oracles.py."""
-    sin, cos, sqrt = math.sin, math.cos, math.sqrt
-    (kp0, kp1), (kd0, kd1) = gains.kp, gains.kd
-    l1, l2 = p.l1, p.l2
-    damp_at = 1e-3 * p.reach ** 2
-    dyn = _leg_dynamics(p)
-
-    def law(q0, q1, w0, w1, xd, yd, vxd, vyd, axd, ayd):
-        s0, c0 = sin(q0), cos(q0)
-        s01, c01 = sin(q0 + q1), cos(q0 + q1)
-        px = l1 * c0 + l2 * c01
-        py = l1 * s0 + l2 * s01
-        j00 = -l1 * s0 - l2 * s01
-        j01 = -l2 * s01
-        j10 = l1 * c0 + l2 * c01
-        j11 = l2 * c01
-        wsum = w0 + w1
-        jd00 = -l1 * c0 * w0 - l2 * c01 * wsum
-        jd01 = -l2 * c01 * wsum
-        jd10 = -l1 * s0 * w0 - l2 * s01 * wsum
-        jd11 = -l2 * s01 * wsum
-
-        ax = axd + kp0 * (xd - px) + kd0 * (vxd - (j00 * w0 + j01 * w1))
-        ay = ayd + kp1 * (yd - py) + kd1 * (vyd - (j10 * w0 + j11 * w1))
-        rx = ax - (jd00 * w0 + jd01 * w1)
-        ry = ay - (jd10 * w0 + jd11 * w1)
-
-        det = j00 * j11 - j01 * j10
-        damped = abs(det) < damp_at
-        if not damped:
-            inv = 1.0 / det
-            qdd0 = inv * (j11 * rx - j01 * ry)
-            qdd1 = inv * (-j10 * rx + j00 * ry)
-        else:
-            # damped least-squares through J^T (J J^T + lam^2 I)^-1
-            fro = sqrt(j00 * j00 + j01 * j01 + j10 * j10 + j11 * j11)
-            lam = 0.01 * fro * (1.0 - abs(det) / damp_at)
-            m00 = j00 * j00 + j01 * j01 + lam * lam
-            m01 = j00 * j10 + j01 * j11
-            m11 = j10 * j10 + j11 * j11 + lam * lam
-            mdet = m00 * m11 - m01 * m01
-            ux = (m11 * rx - m01 * ry) / mdet
-            uy = (-m01 * rx + m00 * ry) / mdet
-            qdd0 = j00 * ux + j10 * uy
-            qdd1 = j01 * ux + j11 * uy
-
-        a11, a12, a22, b1, b2, g1, g2 = dyn(q0, q1, w0, w1)
-        tau0 = a11 * qdd0 + a12 * qdd1 + b1 + g1
-        tau1 = a12 * qdd0 + a22 * qdd1 + b2 + g2
-        return tau0, tau1, damped
-    return law
+    tests/oracles.py. It runs the lines a leg run's kernel runs at each
+    period start: the "dyn" lines, then _OSC_LINES."""
+    constants = {**_leg_constants(p), **_law_constants(gains, p)}
+    return _dyn_factory(tuple(constants), True)(*constants.values())
 
 
 # -------------------------------------------------------- trajectories
@@ -449,47 +463,111 @@ def leg_substeps(params: TwoDofParams, cascaded: bool,
 
 
 @lru_cache(maxsize=None)
-def _leg_kernel(m: int, pushed: bool, constants: tuple):
+def _leg_kernel(m: int, pushed: bool, constants: tuple, run: bool = False):
     """factory(n, external_force, *constants) -> advance(state, u0, u1, t):
     n fixed DP5 substeps over the first m of the eight state floats (the
     rest returned as given) with the inputs held and the hip force
-    external_force(t) taken once. Every
-    stage runs the mode's lines of _LEG_LINES on its own names, so a period
-    is one call, and adds to the state the sum of its (h * a_ij) * k_j
-    products (constants h<row>_<j>), left to right in j, as
-    tests/oracles.py's dp5_step does. Generated and compiled once per
-    (m, pushed), as simkit._affine_factory builds the linear steppers."""
+    external_force(t) taken once. Every stage runs the mode's lines of
+    _LEG_LINES on its own names, so a period is one call, and adds to the
+    state the sum of its (h * a_ij) * k_j products (constants h<row>_<j>),
+    left to right in j, as tests/oracles.py's dp5_step does.
+
+    With run, the factory returns instead the whole leg run,
+    run(des, states, taus, cmds_0, cmds_1, *state) -> (error, singular,
+    saturated): for each row (xd, yd, vxd, vyd, axd, ayd) of des, one
+    control period from the state, recorded in states first. It runs the
+    first stage's "dyn" lines, then _OSC_LINES on them, whose torques it
+    records in taus; in cascaded mode each joint's PDM_DOB force law
+    (simkit._force_law, its names carrying _0 or _1) turns a torque into a
+    current command, recorded in cmds_0 or cmds_1, and the substeps take
+    the command "delay" periods old. The first substep reuses the period
+    start's "dyn" lines. The state after the last period is recorded too.
+    A ValueError of the period's arithmetic (math.cos of a state past the
+    floats) ends the run and is returned as error; the hip force's own
+    exceptions propagate. Generated and compiled once per (m, pushed,
+    constants, run), as simkit._run_factory builds the linear runs."""
     tags = {"dyn", "joint", *["push"] * pushed, *["spring", "screw"] * (m == 8)}
-    lines = [line for tag, line in _LEG_LINES if tag in tags]
+    lines = [(tag, line) for tag, line in _LEG_LINES if tag in tags]
     xs = [f"x{i}" for i in range(8)]
     rows = [[j for j, a in enumerate(row, 1) if a] for row in (*_DP5_A, _DP5_B)]
+    # the substep's lines, the first stage's tagged ("dyn" for its dynamics)
     body, ks, stage = [], [], xs
     for s, row in enumerate(rows, 1):
         # stage s: its rates k_s, then the next stage (after the last: x)
         names = dict(zip(_LEG_STATE, stage))
         ks.append([names.get(k, f"k{s}_{i}") for i, k in enumerate(_LEG_RATES[:m])])
         names.update(zip(_LEG_RATES, ks[-1]))
-        body += [re.sub(r"\w+", lambda w: names.get(w[0], w[0]), line)
-                 for line in lines]
+        body += [(tag if s == 1 else "", simkit._renamed(line, names))
+                 for tag, line in lines]
         sums = [f"{x} + ({' + '.join(f'h{s}_{j} * {ks[j - 1][i]}' for j in row)})"
                 for i, x in enumerate(xs[:m])]
         if s < len(rows):
             stage = [f"y{s + 1}_{i}" for i in range(m)] + xs[m:]
-            body += [f"{y} = {sum_}" for y, sum_ in zip(stage, sums)]
+            body += [("", f"{y} = {sum_}") for y, sum_ in zip(stage, sums)]
         else:  # at once: the sums read the first stage's rates, x among them
-            body.append(f"{', '.join(xs[:m])} = {', '.join(sums)}")
-    src = (f"def factory(n, external_force, {', '.join(constants)}):\n"
-           f"    def advance(state, {'i0, i1' if m == 8 else 't0, t1'}, t):\n"
-           f"        {', '.join(xs)} = state\n"
-           + "        fi0, fi1 = n_drive * i0, n_drive * i1\n" * (m == 8)
-           + ("        fx, fy = external_force(t)\n" if pushed
-              else "        te0 = te1 = 0.0\n")
-           + "        for _ in range(n):\n"
-           + "".join(f"            {line}\n" for line in body)
-           + f"        return {', '.join(xs)}\n    return advance\n")
-    return simkit._compile_factory(
-        src, f"<testbed._leg_kernel m={m} pushed={pushed}>",
-        cos=math.cos, sin=math.sin)
+            body.append(("", f"{', '.join(xs[:m])} = {', '.join(sums)}"))
+    name = f"<testbed._leg_kernel m={m} pushed={pushed}{' run' * run}>"
+    if not run:
+        src = (f"def factory(n, external_force, {', '.join(constants)}):\n"
+               f"    def advance(state, {'i0, i1' if m == 8 else 't0, t1'}, t):\n"
+               f"        {', '.join(xs)} = state\n"
+               + "        fi0, fi1 = n_drive * i0, n_drive * i1\n" * (m == 8)
+               + ("        fx, fy = external_force(t)\n" if pushed
+                  else "        te0 = te1 = 0.0\n")
+               + "        for _ in range(n):\n"
+               + "".join(f"            {line}\n" for _, line in body)
+               + f"        return {', '.join(xs)}\n    return advance\n")
+        return simkit._compile(src, name, "factory", **_KERNEL_GLOBALS)
+
+    dyn = [line for tag, line in body if tag == "dyn"]
+    start, drive = ["singular = 0"], ["t0, t1 = tau0, tau1"]
+    if m == 8:
+        drive = []
+        law_tags = simkit._FORCE_TAGS[ControllerKind.PDM_DOB]
+        for j, (d, v) in enumerate((("x4", "x5"), ("x6", "x7"))):
+            first, period = simkit._force_law(law_tags, f"_{j}")
+            start += first
+            drive += [f"f_target_{j}, f_meas_{j}, v_m_{j} = tau{j} / r, k_r * {d}, {v}",
+                      *period, f"cmds_{j}.append(i_cmd_{j})"]
+        drive.append("fi0, fi1 = n_drive * cmds_0[k], n_drive * cmds_1[k]")
+    if not pushed:
+        start.append("te0 = te1 = 0.0")
+    joints = dict(zip(_LEG_STATE, xs))
+    period = [*dyn, *(simkit._renamed(line, joints) for line in _OSC_LINES),
+              "singular += damped", "taus.append(tau0)", "taus.append(tau1)",
+              *drive, "for sub in range(n):", "    if sub:",
+              *(f"        {line}" for line in dyn),
+              *(f"    {line}" for tag, line in body if tag != "dyn")]
+    saturated = "sat_0 + sat_1" if m == 8 else "0"
+    src = "\n".join([
+        f"def factory(n, external_force, {', '.join(constants)}):",
+        f"    def run(des, states, taus, cmds_0, cmds_1, {', '.join(xs)}):",
+        *(f"        {line}" for line in start),
+        "        for k, (xd, yd, vxd, vyd, axd, ayd) in enumerate(des):",
+        *(f"            states.append({x})" for x in xs),
+        *["            fx, fy = external_force(k * dt)"] * pushed,
+        "            try:",
+        *(f"                {line}" for line in period),
+        "            except ValueError as error:",
+        f"                return error, singular, {saturated}",
+        *(f"        states.append({x})" for x in xs),
+        f"        return None, singular, {saturated}",
+        "    return run", ""])
+    return simkit._compile(src, name, "factory", **_KERNEL_GLOBALS)
+
+
+def _period_constants(params: TwoDofParams, cascaded: bool,
+                      actuator: ActuatorParams):
+    """(n, constants): the substep count of the leg's period map and the
+    run constants its lines read, by name."""
+    n = leg_substeps(params, cascaded, actuator)
+    h = simkit.CONTROL_DT / n
+    return n, {
+        **_leg_constants(params), "k_r": actuator.k_r, "b_r": actuator.b_r,
+        "r": DEFAULT_MOMENT_ARM, "m_m": actuator.effective_mass,
+        "b_dt": actuator.drivetrain_damping, "n_drive": actuator.drive_constant,
+        **{f"h{s}_{j}": h * a for s, row in enumerate((*_DP5_A, _DP5_B), 1)
+           for j, a in enumerate(row, 1) if a}}
 
 
 def leg_period_map(params: TwoDofParams, cascaded: bool,
@@ -513,16 +591,10 @@ def leg_period_map(params: TwoDofParams, cascaded: bool,
     given. Cascaded mode integrates all eight: its rates add the spring
     torques and the screw rates to the same joint solve. One period equals
     n steps of tests/oracles.py's dp5_step on rates written from the
-    reference _dyn_scalars there bit for bit.
+    reference _dyn_scalars there bit for bit. A leg run (simulate_osc)
+    takes the same substep lines inside its own kernel.
     """
-    n = leg_substeps(params, cascaded, actuator)
-    h = simkit.CONTROL_DT / n
-    constants = {
-        **_leg_constants(params), "k_r": actuator.k_r, "b_r": actuator.b_r,
-        "r": DEFAULT_MOMENT_ARM, "m_m": actuator.effective_mass,
-        "b_dt": actuator.drivetrain_damping, "n_drive": actuator.drive_constant,
-        **{f"h{s}_{j}": h * a for s, row in enumerate((*_DP5_A, _DP5_B), 1)
-           for j, a in enumerate(row, 1) if a}}
+    n, constants = _period_constants(params, cascaded, actuator)
     factory = _leg_kernel(8 if cascaded else 4, external_force is not None,
                           tuple(constants))
     return factory(n, external_force, *constants.values())
@@ -533,19 +605,19 @@ def osc_run_inputs(trajectory, payload_kg: float, duration: float,
                    force_gains: ControllerGains):
     """The checks every leg run makes before it integrates, and what they
     yield: (params carrying the payload, sample times, desired positions,
-    velocities, accelerations, each joint's PDM_DOB force controller).
-    Raises ValueError for a bad run length, payload, force loop or
-    actuator block (leg_substeps), and its subclass WorkspaceViolation for
-    a path the leg cannot reach."""
+    velocities, accelerations, the constants of each joint's PDM_DOB force
+    law, simkit.force_law_constants). Raises ValueError for a bad run
+    length, payload, force loop or actuator block (leg_substeps), and its
+    subclass WorkspaceViolation for a path the leg cannot reach."""
     n = simkit.control_steps(duration, "duration_s")
     params = replace(params, payload_mass=float(payload_kg))
-    ctrls = [simkit.DiscreteForceController(ControllerKind.PDM_DOB, actuator,
-                                            force_gains) for _ in range(2)]
+    force = simkit.force_law_constants(ControllerKind.PDM_DOB, actuator,
+                                       force_gains)
     leg_substeps(params, True, actuator)
     times = np.arange(n) * simkit.CONTROL_DT
     pos_des, vel_des, acc_des = trajectory.sample(times)
     _check_workspace(pos_des, params)
-    return params, times, pos_des, vel_des, acc_des, ctrls
+    return params, times, pos_des, vel_des, acc_des, force
 
 
 def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
@@ -563,16 +635,18 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     saturation and command delay. The leg starts at rest on the
     trajectory's initial point, knee down (or at q_init when given), with
     the spring preloaded against gravity.
+
+    The whole run is one generated kernel (_leg_kernel). A state that
+    leaves the floats raises simkit.NonFiniteState naming the start of the
+    period that produced it; an exception of external_force propagates.
     """
     if mode not in ("ideal_torque", "cascaded_vlca"):
         raise ValueError("mode must be 'ideal_torque' or 'cascaded_vlca'")
-    params, times, pos_des, vel_des, acc_des, ctrls = osc_run_inputs(
+    params, times, pos_des, vel_des, acc_des, force = osc_run_inputs(
         trajectory, payload_kg, duration, params, actuator, force_gains)
     q0, q1 = map(float, inverse_kinematics(pos_des[0], params)
                  if q_init is None else q_init)
     cascaded = mode == "cascaded_vlca"
-    advance = leg_period_map(params, cascaded, actuator, external_force)
-    law = _osc_law(task_gains, params)
     k_r, b_r, r = actuator.k_r, actuator.b_r, DEFAULT_MOMENT_ARM
 
     d0 = d1 = 0.0  # the actuator entries stay at zero in ideal mode
@@ -580,49 +654,47 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
         # preload the springs against gravity so the leg starts settled
         g1, g2 = _leg_dynamics(params)(q0, q1, 0.0, 0.0)[5:]
         d0, d1 = (g1 / r) / k_r, (g2 / r) / k_r
-    state = (q0, q1, 0.0, 0.0, d0, 0.0, d1, 0.0)
 
-    pos, vel, acc = pos_des.tolist(), vel_des.tolist(), acc_des.tolist()
+    n, constants = _period_constants(params, cascaded, actuator)
+    constants.update(_law_constants(task_gains, params), dt=simkit.CONTROL_DT)
+    if cascaded:
+        constants.update(force)
+    run = _leg_kernel(8 if cascaded else 4, external_force is not None,
+                      tuple(constants), True)(n, external_force,
+                                              *constants.values())
     # packed doubles: no float object outlives its step
-    states, held, tau_cmd = array("d"), array("d"), array("d")
-    singular = 0
-    for k, t in enumerate(times.tolist()):
-        tau0, tau1, damped = law(*state[:4], *pos[k], *vel[k], *acc[k])
-        singular += damped
-        if cascaded:
-            d0, v0, d1, v1 = state[4:]
-            u = (ctrls[0].step(tau0 / r, k_r * d0, v0),
-                 ctrls[1].step(tau1 / r, k_r * d1, v1))
-        else:
-            u = (tau0, tau1)
-        states.extend(state)
-        held.extend(u)
-        tau_cmd.extend((tau0, tau1))
-        try:
-            state = advance(state, *u, t)
-        except ValueError as exc:  # math.cos of a stage state past the floats
-            raise simkit.NonFiniteState(
-                f"leg simulation diverged at t={t:.3f} s") from exc
-        if not all(map(math.isfinite, state)):
-            raise simkit.NonFiniteState(f"leg simulation diverged at t={t:.3f} s")
+    states, taus = array("d"), array("d")
+    cmds = [array("d", bytes(8 * force["delay"])) for _ in range(2)]
+    error, singular, saturated = run(
+        np.hstack((pos_des, vel_des, acc_des)).tolist(), states, taus, *cmds,
+        q0, q1, 0.0, 0.0, d0, 0.0, d1, 0.0)
+    states = np.frombuffer(states).reshape(-1, 8)
+    # row k + 1 is the state period k produced; a period that raised
+    # recorded no state
+    bad = np.flatnonzero(~np.isfinite(states[1:]).all(axis=1))
+    if error is not None or bad.size:
+        k = bad[0] if bad.size else len(states) - 1
+        raise simkit.NonFiniteState(f"leg simulation diverged at "
+                                    f"t={times[k]:.3f} s") from (
+            None if bad.size else error)
 
-    states = np.frombuffer(states).reshape(len(times), -1)
-    held, tau_cmd = (np.frombuffer(a).reshape(-1, 2) for a in (held, tau_cmd))
+    steps = len(times)
+    states = states[:steps]
+    tau_cmd = np.frombuffer(taus).reshape(-1, 2)
     q, qdot = states[:, :2], states[:, 2:4]
     if cascaded:
         # spring deflection and screw rate of both actuators
         f_k, v_s = k_r * states[:, 4::2], states[:, 5::2]
         tau_applied = r * (f_k + b_r * (v_s - r * qdot))
-        i_m, motor_speed = held, actuator.n_m * v_s
+        i_m = np.column_stack([np.frombuffer(c)[:steps] for c in cmds])
+        motor_speed = actuator.n_m * v_s
     else:
-        tau_applied = held
+        tau_applied = tau_cmd.copy()
         i_m, f_k, motor_speed = (np.full(q.shape, math.nan) for _ in range(3))
     return TestbedTrace(dt=simkit.CONTROL_DT, t=times, x=hip_position(q, params),
                         x_des=pos_des, q=q, qdot=qdot,
                         tau_cmd=tau_cmd, tau_applied=tau_applied,
                         i_m=i_m, f_k=f_k, motor_speed_rad_s=motor_speed,
-                        saturation_count=sum(c.saturation_count for c in ctrls),
-                        singular_count=singular,
+                        saturation_count=saturated, singular_count=singular,
                         meta={"mode": mode, "payload_kg": payload_kg,
-                              "substeps": leg_substeps(params, cascaded,
-                                                       actuator)})
+                              "substeps": n})

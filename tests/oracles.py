@@ -9,11 +9,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from vlcasim.simkit import CONTROL_DT, CURRENT_LIMIT_A, delay_samples
-from vlcasim.testbed import TwoDofParams
-from vlcasim.vlca import (MARGIN_DELAY_GRID, ActuatorParams, ControllerGains,
-                          ControllerKind, MarginCalibration, loop_margins,
-                          open_loop_tf, q_taud_tf)
+from vlcasim.lintf import zoh_discretize
+from vlcasim.simkit import (CONTROL_DT, CURRENT_LIMIT_A, _locked_plant,
+                            delay_samples)
+from vlcasim.testbed import TwoDofParams, leg_substeps
+from vlcasim.vlca import (DEFAULT_MOMENT_ARM, MARGIN_DELAY_GRID,
+                          ActuatorParams, ControllerGains, ControllerKind,
+                          MarginCalibration, loop_margins, open_loop_tf,
+                          q_taud_tf)
 
 
 @dataclass(frozen=True)
@@ -408,3 +411,106 @@ class ReferenceForceController:
             self._dob.commit(f_ref)
         self._delay.append(i_cmd)
         return self._delay.popleft()
+
+
+def affine_step(rows, x: Sequence[float], u: float) -> list:
+    """One period of the map [Ad | Bd], given as rows of floats, from the
+    state x under the held input u: each row's products with (x, u) summed
+    left to right in column order."""
+    return [reduce(add, (a * c for a, c in zip(row, [*x, u]))) for row in rows]
+
+
+def force_loop(kind: ControllerKind, params: ActuatorParams,
+               gains: ControllerGains, reference, n: int):
+    """simkit.run_force_tracking's loop written out: ReferenceForceController
+    on the locked-output plant, stepped by affine_step from rest for n
+    periods. Returns (states, currents, saturated): x0 and the state after
+    each period, the current each period held, and the clipped count."""
+    ctrl = ReferenceForceController(kind, params, gains)
+    rows = np.hstack(zoh_discretize(*_locked_plant(params), CONTROL_DT)).tolist()
+    x = [0.0, 0.0]
+    states, currents = [x], []
+    for k in range(n):
+        t = k * CONTROL_DT
+        i = ctrl.step(reference.value(t + ctrl.latency_s), params.k_r * x[0],
+                      x[1])
+        currents.append(i)
+        x = affine_step(rows, x, params.drive_constant * i)
+        states.append(x)
+    return states, currents, ctrl.saturation_count
+
+
+def leg_period(params, cascaded, actuator, external_force, state, u0, u1, t):
+    """One leg control period as leg_substeps(...) dp5_step calls on leg
+    rates written from _dyn_scalars and DEFAULT_MOMENT_ARM, with the torques
+    or currents and the hip force held at t."""
+    k_r, b_r = actuator.k_r, actuator.b_r
+    m_m, b_dt = actuator.effective_mass, actuator.drivetrain_damping
+    n_drive = actuator.drive_constant
+    l1, l2 = params.l1, params.l2
+
+    def rates(_t, y):
+        a, b, wa, wb = y[:4]
+        te0 = te1 = 0.0
+        if external_force is not None:
+            fx, fy = external_force(t)
+            s0, c0 = math.sin(a), math.cos(a)
+            s01, c01 = math.sin(a + b), math.cos(a + b)
+            te0 = (-l1 * s0 - l2 * s01) * fx + (l1 * c0 + l2 * c01) * fy
+            te1 = -l2 * s01 * fx + l2 * c01 * fy
+        if cascaded:
+            d0, v0, d1, v1 = y[4:]
+            r = DEFAULT_MOMENT_ARM
+            dd0, dd1 = v0 - r * wa, v1 - r * wb
+            f0 = k_r * d0 + b_r * dd0
+            f1 = k_r * d1 + b_r * dd1
+            t0, t1 = r * f0, r * f1
+        else:
+            t0, t1 = u0, u1
+        a11, a12, a22, b1, b2, g1, g2 = _dyn_scalars(a, b, wa, wb, params)
+        det = a11 * a22 - a12 * a12
+        r_0 = t0 - b1 - g1 + te0
+        r_1 = t1 - b2 - g2 + te1
+        wd0 = (a22 * r_0 - a12 * r_1) / det
+        wd1 = (a11 * r_1 - a12 * r_0) / det
+        if not cascaded:
+            return (wa, wb, wd0, wd1) + (0.0,) * 4
+        vd0 = (n_drive * u0 - b_dt * v0 - f0) / m_m
+        vd1 = (n_drive * u1 - b_dt * v1 - f1) / m_m
+        return wa, wb, wd0, wd1, dd0, vd0, dd1, vd1
+
+    n = leg_substeps(params, cascaded, actuator)
+    h = CONTROL_DT / n
+    for _ in range(n):
+        state = dp5_step(rates, t, state, h)
+    return state
+
+
+def leg_run(params: TwoDofParams, cascaded: bool, actuator: ActuatorParams,
+            task_gains, force_gains: ControllerGains, rows, state,
+            external_force=None):
+    """testbed.simulate_osc's loop written out: per row (xd, yd, vxd, vyd,
+    axd, ayd) of rows, osc_tau at the state, in cascaded mode one
+    ReferenceForceController per joint, and leg_period. Returns (states,
+    torques, held inputs, saturated, damped): the state at each period
+    start, the law's torques and the torques or currents each period held,
+    and the clipped and singularity-damped period counts."""
+    ctrls = [ReferenceForceController(ControllerKind.PDM_DOB, actuator,
+                                      force_gains) for _ in range(2)]
+    k_r, r = actuator.k_r, DEFAULT_MOMENT_ARM
+    states, taus, held, damped_count = [], [], [], 0
+    for k, (xd, yd, vxd, vyd, axd, ayd) in enumerate(rows):
+        tau0, tau1, damped = osc_tau(*state[:4], xd, yd, vxd, vyd, axd, ayd,
+                                     task_gains, params)
+        damped_count += damped
+        u = (tau0, tau1)
+        if cascaded:
+            u = (ctrls[0].step(tau0 / r, k_r * state[4], state[5]),
+                 ctrls[1].step(tau1 / r, k_r * state[6], state[7]))
+        states.append(tuple(state))
+        taus.append((tau0, tau1))
+        held.append(u)
+        state = leg_period(params, cascaded, actuator, external_force, state,
+                           *u, k * CONTROL_DT)
+    return (states, taus, held, sum(c.saturation_count for c in ctrls),
+            damped_count)

@@ -713,13 +713,13 @@ def test_gains_overrides_reach_the_leg_force_loops(tmp_path, scenario,
 def test_manifest_records_the_simulated_gains(tmp_path, monkeypatch,
                                               scenario, cutoff):
     simulated = []
+    constants = cli.simkit.force_law_constants
 
-    class Recording(cli.simkit.DiscreteForceController):
-        def __init__(self, kind, params, gains):
-            simulated.append(gains)
-            super().__init__(kind, params, gains)
+    def recording(kind, params, gains):
+        simulated.append(gains)
+        return constants(kind, params, gains)
 
-    monkeypatch.setattr(cli.simkit, "DiscreteForceController", Recording)
+    monkeypatch.setattr(cli.simkit, "force_law_constants", recording)
     raw = {"scenario": scenario, "out": "run", **_SHORT_RUNS[scenario]}
     if cutoff is not None:
         raw["gains.q_taud_cutoff"] = cutoff

@@ -1,5 +1,8 @@
 """Fixed-step time-domain simulation against the rational models."""
 import math
+import os
+import re
+import subprocess
 import sys
 import traceback
 import warnings
@@ -9,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (ReferenceForceController, locked_plant_rates,
-                     plant_energy, rk4_step)
+from oracles import (ReferenceForceController, affine_step, force_loop,
+                     locked_plant_rates, plant_energy, rk4_step)
 from vlcasim import powertherm as pt, simkit as sk
 from vlcasim.vlca import (ControllerGains, ControllerKind, DEFAULT_MOMENT_ARM,
                           EXPERIMENT_GAINS, VLCA_ACTUATOR, closed_loop_tf,
@@ -30,7 +33,9 @@ def _make_trace(t, u, y):
 # --------------------------------------------------------------- integrator
 
 def _locked_run(n, command):
-    return sk._run_linear(sk._locked_plant(P), n, command)
+    """The locked plant's open-loop run under command(k, None) in period k."""
+    return sk._run_linear(sk._locked_plant(P), [command(k, None)
+                                                for k in range(n)])
 
 
 def test_equilibrium_state_stays_put():
@@ -44,19 +49,18 @@ def test_constant_current_settles_at_static_deflection():
 
 
 def test_run_loop_holds_each_command_over_its_period():
-    # row k is the state the command of period k sees; the history is
-    # the exact map applied to the held inputs, for the 2-state locked
-    # plant and the 4-state position-loop plant
+    # row k is the state at the start of period k; the history is the
+    # exact map applied to the held inputs, each row summed left to right,
+    # for the 2-state locked plant and the 4-state position-loop plant
     for plant in (sk._locked_plant(P), sk.two_mass_plant("elastomer")):
-        seen = []
-
-        def command(k, y):
-            seen.append(list(y))
-            return 100.0 * math.sin(0.3 * k)
-
-        states = sk._run_linear(plant, 50, command)
-        assert states.tolist() == seen
+        inputs = [100.0 * math.sin(0.3 * k) for k in range(50)]
+        states = sk._run_linear(plant, inputs)
         ad, bd = sk.zoh_discretize(*plant, sk.CONTROL_DT)
+        rows = np.hstack((ad, bd)).tolist()
+        x = [0.0] * len(rows)
+        for k in range(50):
+            assert list(map(float.hex, states[k])) == list(map(float.hex, x))
+            x = affine_step(rows, x, inputs[k])
         for k in range(49):
             np.testing.assert_allclose(
                 states[k + 1],
@@ -82,8 +86,10 @@ def test_the_scalar_map_sums_each_row_in_column_order(case):
     entries, v = case
     n = len(v) - 1
     adb = np.array(entries).reshape(n, n + 1)
-    got = sk._affine_map(adb)(v[:n], v[n])
-    assert [type(g) for g in got] == [float] * n
+    # one period of a run kernel from the state v[:n] under the input v[n]
+    states, = sk._simulate(f"simkit.test_map n={n}", {"a": (adb, 1)}, v[:n],
+                           body=["u = u0"], u0=v[n])
+    got = states[1].tolist()
     want = [_column_order_sum(row, v) for row in adb.tolist()]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     # and it is the matrix product up to rounding in its summation order
@@ -91,13 +97,17 @@ def test_the_scalar_map_sums_each_row_in_column_order(case):
     assert (np.abs(np.array(got) - product) <= 1e-14 * (np.abs(adb) @ np.abs(v))).all()
 
 
-def test_a_scalar_map_traceback_shows_its_generated_line():
-    step = sk._affine_map(np.eye(2, 3))
+def test_a_scalar_map_traceback_shows_its_generated_line(monkeypatch):
+    # an entry that is no number fails inside the open-loop run's kernel
+    adb = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, None]], dtype=object)
+    monkeypatch.setattr(sk, "zoh_discretize",
+                        lambda a, b, dt: (adb[:, :2], adb[:, 2:]))
     with pytest.raises(TypeError) as info:
-        step([1.0, 2.0], None)
+        sk._run_linear(sk._locked_plant(P), [1.0])
     last = traceback.extract_tb(info.value.__traceback__)[-1]
-    assert last.filename == "<simkit._affine_factory n=2>"
-    assert last.line.startswith("return [a0_0 * x0 + a0_1 * x1 + a0_2 * u")
+    assert last.filename == "<simkit._run_linear n=2>"
+    assert last.name == "run"
+    assert last.line.startswith("x0, x1 = a0_0 * x0 + a0_1 * x1 + a0_2 * u")
 
 
 def _gemv_divergence(adb, n, command):
@@ -131,23 +141,36 @@ def test_a_non_finite_state_stops_the_run_in_the_period_numpy_would(
         _locked_run(2000, lambda k, y: 1.0)
 
 
+def _spy_kernels(monkeypatch, seen):
+    """Record, for every run kernel call, the kernel's file name and the
+    types of the numbers it takes: its state, its map entries and its run
+    constants (a period count or the loop delay is an int)."""
+    factory = sk._run_factory
+
+    def spied(filename, *rest):
+        run = factory(filename, *rest)
+
+        def recorded(**args):
+            seen.append((filename.split()[0], {
+                type(v) for k, v in args.items()
+                if not (callable(v) or isinstance(v, memoryview))
+                and not (k.endswith("_steps") or k == "delay")}))
+            return run(**args)
+        return recorded
+
+    monkeypatch.setattr(sk, "_run_factory", spied)
+
+
+_THERMAL = pt.ThermalParams(c_winding=1.0, c_housing=2.5, r_wh=0.036,
+                            r_ha_on=3.5, r_ha_off=45.7)
+
+
 def test_every_period_steps_python_floats(monkeypatch):
-    # each state the commands see, and each input they return, is Python
-    # floats: no numpy scalar enters the scalar map, in any of the five
-    # runs that step through the one loop
-    step_linear = sk._step_linear
-    seen, runs = set(), []
-
-    def checked(steps, x0, command, dt):
-        def recorded(k, y):
-            u = command(k, y)
-            seen.update(map(type, y))
-            seen.add(type(u))
-            return u
-        runs.append(command.__qualname__.split(".")[0])
-        return step_linear(steps, x0, recorded, dt)
-
-    monkeypatch.setattr(sk, "_step_linear", checked)
+    # each state, map entry and run constant a run kernel takes is a Python
+    # float: no numpy scalar enters a kernel, in any of the five runs that
+    # have one
+    seen = []
+    _spy_kernels(monkeypatch, seen)
     for kind in ControllerKind:
         sk.run_force_tracking(kind, G, sk.StepRef(500.0), 0.2)
     sk.run_plant_chirp(np.full(200, 1.0))
@@ -155,14 +178,98 @@ def test_every_period_steps_python_floats(monkeypatch):
         sk.run_joint_position_control(element, duration=0.2)
     for grounding in ("viscoelastic", "rigid"):
         sk.run_impact(sk.ImpactConfig(grounding))
-    thermal = pt.ThermalParams(c_winding=1.0, c_housing=2.5, r_wh=0.036,
-                               r_ha_on=3.5, r_ha_off=45.7)
     for cooling_on in (True, False):
-        pt.simulate_constant_current(20.0, 0.2, thermal, cooling_on)
-    assert seen == {float}
-    assert runs == (["run_force_tracking"] * len(ControllerKind)
-                    + ["run_plant_chirp"] + ["run_joint_position_control"] * 2
-                    + ["run_impact"] * 2 + ["simulate_constant_current"] * 2)
+        pt.simulate_constant_current(20.0, 0.2, _THERMAL, cooling_on)
+    assert [types for _, types in seen] == [{float}] * len(seen)
+    assert [name for name, _ in seen] == (
+        ["simkit.run_force_tracking"] * len(ControllerKind)
+        + ["simkit._run_linear"] + ["simkit.run_joint_position_control"] * 2
+        + ["simkit.run_impact"] * 2
+        + ["powertherm.simulate_constant_current"] * 2)
+
+
+def _kernel_calls(run):
+    """(caller file, callee file, callee name) of every Python call that
+    run() makes."""
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            calls.append((frame.f_back.f_code.co_filename,
+                          frame.f_code.co_filename, frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("name,run", [
+    ("simkit._run_linear n=2", lambda: sk.run_plant_chirp(np.full(50, 1.0))),
+    ("simkit.run_joint_position_control",
+     lambda: sk.run_joint_position_control("elastomer", duration=0.05)),
+    ("simkit.run_impact", lambda: sk.run_impact(sk.ImpactConfig())),
+    ("powertherm.simulate_constant_current",
+     lambda: pt.simulate_constant_current(20.0, 0.05, _THERMAL)),
+], ids=["chirp", "position", "impact", "thermal"])
+def test_a_linear_run_is_one_kernel_call(name, run):
+    # the run's loop is its kernel: one call, which calls no Python
+    # function in any period
+    kernel = f"<{name}>"
+    calls = _kernel_calls(run)
+    assert [callee for _, file, callee in calls if file == kernel] == ["run"]
+    assert [call for call in calls if call[0] == kernel] == []
+
+
+@pytest.mark.parametrize("name,run", [
+    *((f"simkit.run_force_tracking kind={kind.value}",
+       lambda kind=kind: sk.run_force_tracking(kind, G, sk.StepRef(1.0), 0.01))
+      for kind in ControllerKind),
+    ("simkit._run_linear n=2", lambda: sk.run_plant_chirp(np.full(10, 1.0))),
+    ("simkit.run_joint_position_control",
+     lambda: sk.run_joint_position_control("elastomer", duration=0.01)),
+    ("simkit.run_impact", lambda: sk.run_impact(sk.ImpactConfig())),
+    ("powertherm.simulate_constant_current",
+     lambda: pt.simulate_constant_current(1.0, 0.01, _THERMAL)),
+], ids=[*(kind.value for kind in ControllerKind), "chirp", "position",
+        "impact", "thermal"])
+def test_a_run_kernel_traceback_shows_its_generated_line(monkeypatch, name,
+                                                         run):
+    # a map entry that is no number fails on the kernel's map line
+    zoh = sk.zoh_discretize
+
+    def broken(a, b, dt):
+        ad, bd = zoh(a, b, dt)
+        adb = np.hstack((ad, bd)).astype(object)
+        adb[0, 0] = None
+        return adb[:, :len(ad)], adb[:, len(ad):]
+
+    monkeypatch.setattr(sk, "zoh_discretize", broken)
+    monkeypatch.setattr(pt, "zoh_discretize", broken)
+    with pytest.raises(TypeError) as info:
+        run()
+    last = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert last.filename == f"<{name}>"
+    assert last.name == "run"
+    prefix = "s" if name == "simkit.run_impact" else "a"
+    assert re.match(rf"x0, x1(, x2, x3)? = {prefix}0_0 \* x0 \+ ", last.line)
+
+
+def test_importing_the_cli_compiles_no_kernel():
+    # the kernels compile on a run's first call, so that start-up does not
+    # pay for them
+    code = ("import linecache, vlcasim.cli\n"
+            "from vlcasim import simkit, testbed\n"
+            "print([f.cache_info().currsize for f in (simkit._run_factory,"
+            " testbed._leg_kernel, testbed._dyn_factory)],"
+            " [f for f in linecache.cache if f.startswith('<')])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             p for p in sys.path if p)})
+    assert out.stdout.split() == ["[0,", "0,", "0]", "[]"]
 
 
 def test_an_impact_past_the_floats_names_its_first_period():
@@ -231,18 +338,42 @@ def test_run_clock_rounds_and_bounds_the_step_count():
 
 # --------------------------------------------------------------- controller
 
+class _Table:
+    """A reference that reads its targets off a table, one per control
+    period: the period nearest t, the last one past the table's end."""
+
+    def __init__(self, targets):
+        self.targets = targets
+
+    def value(self, t):
+        return self.targets[min(round(t / sk.CONTROL_DT),
+                                len(self.targets) - 1)]
+
+
 def test_controller_transport_delay_in_samples():
     # a command that changes every period: the delay must carry each
-    # value, not just its timing
+    # value, not just its timing. Without feedback gains a PDM command is
+    # the target over the drive constant, whatever the plant does, and
+    # each command is computed for the instant it reaches the amplifier
     targets = [100.0, -40.0, 7.0, 0.0, 0.0, 0.0]
 
     def outputs(delay_t):
-        ctrl = sk.DiscreteForceController(ControllerKind.PDM, P,
-                                          replace(G, delay_t=delay_t))
-        assert ctrl.latency_s == pytest.approx(delay_t)
-        return [ctrl.step(f, 0.0, 0.0) for f in targets]
+        feed, seen = iter(targets), []
+
+        class Feed:
+            @staticmethod
+            def value(t):
+                seen.append(t)
+                return next(feed, 0.0)
+
+        tr = sk.run_force_tracking(
+            ControllerKind.PDM, replace(G, k_p=0.0, k_dm=0.0, delay_t=delay_t),
+            Feed(), len(targets) * sk.CONTROL_DT)
+        assert seen[0] == pytest.approx(delay_t)
+        return tr.i_m.tolist()
 
     undelayed = outputs(0.0)
+    assert undelayed == [f / P.drive_constant for f in targets]
     for delay_t, first_live in ((0.0, 0), (1e-3, 1), (2e-3, 2), (3e-3, 3)):
         outs = outputs(delay_t)
         nonzero = [k for k, o in enumerate(outs) if abs(o) > 0.0]
@@ -256,8 +387,8 @@ def test_loop_delay_must_be_whole_control_periods():
     assert sk.delay_samples(3e-3) == 3  # 2.9999999999999996 periods
     for delay_t in (0.25e-3, 0.4e-3, 1.5e-3, 2.5e-3):
         with pytest.raises(ValueError, match="delay_t"):
-            sk.DiscreteForceController(ControllerKind.PDM, P,
-                                       replace(G, delay_t=delay_t))
+            sk.force_law_constants(ControllerKind.PDM, P,
+                                   replace(G, delay_t=delay_t))
 
 
 _FORCES = st.floats(-2e4, 2e4)
@@ -273,45 +404,42 @@ _FORCES = st.floats(-2e4, 2e4)
                        q_taud_cutoff=st.floats(1.0, 3000.0),
                        q_taud_zeta=st.floats(0.1, 2.0),
                        delay_t=st.sampled_from([0.0, 1e-3, 2e-3, 3e-3])),
-       inputs=st.lists(st.tuples(_FORCES, _FORCES, st.floats(-0.5, 0.5)),
-                       min_size=1, max_size=50),
+       targets=st.lists(_FORCES, min_size=1, max_size=50),
        kick=st.integers(0, 49))
-def test_the_controller_equals_its_four_class_oracle(kind, gains, inputs,
+def test_the_controller_equals_its_four_class_oracle(kind, gains, targets,
                                                      kick):
     # every law, the derivative filter, the observer, the clip with the
-    # PIDM hold and the observer's back-calculation, and the delay, bit for
-    # bit; a target far past the clip at a drawn step saturates every run
-    inputs[kick % len(inputs)] = (1e9, 0.0, 0.0)
-    live = sk.DiscreteForceController(kind, P, gains)
-    ref = ReferenceForceController(kind, P, gains)
-    assert live.latency_s == ref.latency_s
-    for x in inputs:
-        assert live.step(*x).hex() == ref.step(*x).hex()
-    assert live.saturation_count == ref.saturation_count > 0
+    # PIDM hold and the observer's back-calculation, and the delay, closed
+    # on the locked plant: the run's kernel equals the four-class oracle
+    # stepping the plant row by row, bit for bit; a target far past the
+    # clip at a drawn step saturates every run (period k commands the
+    # target of period k + delay)
+    n, ref = len(targets), _Table(targets)
+    targets[min(sk.delay_samples(gains.delay_t) + kick % n, n - 1)] = 1e9
+    with pytest.warns(sk.SaturationWarning):
+        live = sk.run_force_tracking(kind, gains, ref, n * sk.CONTROL_DT)
+    states, currents, saturated = force_loop(kind, P, gains, ref, n)
+    x, v = np.array(states[:n]).T
+    assert list(map(float.hex, live.x_r)) == list(map(float.hex, x))
+    assert (list(map(float.hex, live.f_loadcell))
+            == list(map(float.hex, P.k_r * x + P.b_r * v)))
+    assert list(map(float.hex, live.i_m)) == list(map(float.hex, currents))
+    assert live.saturation_count == saturated > 0
 
 
 @pytest.mark.parametrize("kind", list(ControllerKind))
 def test_a_controller_step_is_one_python_call(kind):
-    # the law is written out in step: a PDF, PDM or PIDM step calls no
-    # other Python function, and a PDM_DOB step only its observer's two
-    # biquads, G before the clip and Q after it
-    ctrl = sk.DiscreteForceController(kind, P, G)
-    calls = []
-
-    def profile(frame, event, _arg):
-        if event == "call":
-            calls.append(frame.f_code)
-
-    sys.setprofile(profile)
-    try:
-        for f_target in (100.0, 1e9):  # the second step clips
-            ctrl.step(f_target, 20.0, 0.01)
-    finally:
-        sys.setprofile(None)
-    assert ctrl.saturation_count == 1
-    biquads = (2 if kind is ControllerKind.PDM_DOB else 0) * [
-        sk._TustinBiquad.step.__code__]
-    assert calls == [sk.DiscreteForceController.step.__code__, *biquads] * 2
+    # the law is written into the run's kernel: a force-tracking run calls
+    # its kernel once, and a period calls no Python function but the
+    # reference's value, in a period that clips too
+    ref = _Table([100.0, 100.0, 1e9, 100.0])
+    with pytest.warns(sk.SaturationWarning):
+        calls = _kernel_calls(
+            lambda: sk.run_force_tracking(kind, G, ref, 0.004))
+    kernel = f"<simkit.run_force_tracking kind={kind.value}>"
+    assert [callee for _, file, callee in calls if file == kernel] == ["run"]
+    assert [callee for file, _, callee in calls if file == kernel] == (
+        ["value"] * 4)
 
 
 def test_observer_with_vanishing_cutoff_reduces_to_inner_loop():

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (_dyn_scalars, dp5_step, hip_jacobian, osc_tau,
-                     total_energy)
+from oracles import (_dyn_scalars, dp5_step, hip_jacobian, leg_period,
+                     leg_run, osc_tau, total_energy)
 from vlcasim import powertherm, simkit
 from vlcasim import testbed as tb
 from vlcasim.vlca import (ControllerGains, ControllerKind,
-                          DEFAULT_MOMENT_ARM, VLCA_ACTUATOR)
+                          DEFAULT_MOMENT_ARM, EXPERIMENT_GAINS, VLCA_ACTUATOR)
 
 P = tb.TwoDofParams()
 
@@ -435,28 +435,42 @@ def test_simulate_osc_argument_guards():
                                  "cascaded_vlca", "force_tracking-pd_f",
                                  "force_tracking-pd_m", "force_tracking-pid_m"])
 def test_loop_state_is_plain_floats(monkeypatch, run):
-    # every value the controllers and the leg's period map take and return
-    # is a Python float, not a numpy scalar
-    calls = {"step": [], "advance": []}
-    step = simkit.DiscreteForceController.step
-    period_map = tb.leg_period_map
+    # every number the run kernels take, the leg's state and run constants
+    # and the force loop's, is a Python float, not a numpy scalar (a count
+    # or the loop delay is an int)
+    seen = []
+    linear, leg = simkit._run_factory, tb._leg_kernel
 
-    def spy_step(self, *args):
-        out = step(self, *args)
-        calls["step"].append((*args, out))
-        return out
+    def numbers(args):
+        return {type(v) for k, v in args if not (callable(v) or v is None)
+                and not (k.endswith("_steps") or k in ("n", "delay"))}
 
-    def spy_map(*args, **kwargs):
-        advance = period_map(*args, **kwargs)
+    def spy_linear(*key):
+        run = linear(*key)
 
-        def spy_advance(state, *args):
-            out = advance(state, *args)
-            calls["advance"].append((*state, *args, *out))
-            return out
-        return spy_advance
+        def spied(**args):
+            seen.append(numbers(args.items()))
+            return run(**args)
+        return spied
 
-    monkeypatch.setattr(simkit.DiscreteForceController, "step", spy_step)
-    monkeypatch.setattr(tb, "leg_period_map", spy_map)
+    def spy_leg(m, pushed, constants, run=False):
+        factory = leg(m, pushed, constants, run)
+
+        def spied(*args):
+            seen.append(numbers(zip(("n", "external_force", *constants),
+                                    args)))
+            leg_run = factory(*args)
+
+            def spied_run(des, *arrays_and_state):
+                seen.append(numbers((f"x{i}", v) for i, v in
+                                    enumerate(arrays_and_state[4:])))
+                seen.append({type(v) for row in des for v in row})
+                return leg_run(des, *arrays_and_state)
+            return spied_run
+        return spied
+
+    monkeypatch.setattr(simkit, "_run_factory", spy_linear)
+    monkeypatch.setattr(tb, "_leg_kernel", spy_leg)
     if run.startswith("force_tracking"):
         # a bare "force_tracking" runs the observer
         kind = ControllerKind(run.partition("-")[2] or "pd_m_dob")
@@ -466,11 +480,8 @@ def test_loop_state_is_plain_floats(monkeypatch, run):
         traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.05, 0.05),
                                  freq_hz=2.0)
         tb.simulate_osc(traj, 10.0, run, 0.05)
-    assert calls["step"] or run == "ideal_torque"
-    assert calls["advance"] or run.startswith("force_tracking")
-    leaked = {type(v).__name__ for seen in calls.values() for args in seen
-              for v in args if type(v) is not float}
-    assert not leaked
+    assert len(seen) == (1 if run.startswith("force_tracking") else 3)
+    assert seen == [{float}] * len(seen)
 
 
 def test_trace_csv_layout():
@@ -494,52 +505,6 @@ def test_trace_csv_layout():
 
 
 # ---------------------------------------------------------- period map
-
-def _dp5_period(params, cascaded, actuator, external_force, state, u0, u1, t):
-    """One control period as leg_substeps(...) dp5_step calls on leg rates
-    written from _dyn_scalars and DEFAULT_MOMENT_ARM, with the torques or
-    currents and the hip force held at t."""
-    k_r, b_r = actuator.k_r, actuator.b_r
-    m_m, b_dt = actuator.effective_mass, actuator.drivetrain_damping
-    n_drive = actuator.drive_constant
-    l1, l2 = params.l1, params.l2
-
-    def rates(_t, y):
-        a, b, wa, wb = y[:4]
-        te0 = te1 = 0.0
-        if external_force is not None:
-            fx, fy = external_force(t)
-            s0, c0 = math.sin(a), math.cos(a)
-            s01, c01 = math.sin(a + b), math.cos(a + b)
-            te0 = (-l1 * s0 - l2 * s01) * fx + (l1 * c0 + l2 * c01) * fy
-            te1 = -l2 * s01 * fx + l2 * c01 * fy
-        if cascaded:
-            d0, v0, d1, v1 = y[4:]
-            r = DEFAULT_MOMENT_ARM
-            dd0, dd1 = v0 - r * wa, v1 - r * wb
-            f0 = k_r * d0 + b_r * dd0
-            f1 = k_r * d1 + b_r * dd1
-            t0, t1 = r * f0, r * f1
-        else:
-            t0, t1 = u0, u1
-        a11, a12, a22, b1, b2, g1, g2 = _dyn_scalars(a, b, wa, wb, params)
-        det = a11 * a22 - a12 * a12
-        r_0 = t0 - b1 - g1 + te0
-        r_1 = t1 - b2 - g2 + te1
-        wd0 = (a22 * r_0 - a12 * r_1) / det
-        wd1 = (a11 * r_1 - a12 * r_0) / det
-        if not cascaded:
-            return (wa, wb, wd0, wd1) + (0.0,) * 4
-        vd0 = (n_drive * u0 - b_dt * v0 - f0) / m_m
-        vd1 = (n_drive * u1 - b_dt * v1 - f1) / m_m
-        return wa, wb, wd0, wd1, dd0, vd0, dd1, vd1
-
-    n = tb.leg_substeps(params, cascaded, actuator)
-    h = simkit.CONTROL_DT / n
-    for _ in range(n):
-        state = dp5_step(rates, t, state, h)
-    return state
-
 
 @st.composite
 def leg_periods(draw):
@@ -573,7 +538,7 @@ def test_period_map_equals_dp5_step_bit_for_bit(case):
     args = (case["params"], case["cascaded"], VLCA_ACTUATOR,
             case["external_force"])
     got = tb.leg_period_map(*args)(case["state"], *case["u"], case["t"])
-    want = _dp5_period(*args, case["state"], *case["u"], case["t"])
+    want = leg_period(*args, case["state"], *case["u"], case["t"])
     assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
@@ -625,7 +590,7 @@ def test_a_period_is_one_python_call(cascaded, pushed):
     mode = "cascaded_vlca" if cascaded else "ideal_torque"
     traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.05, 0.05),
                              freq_hz=2.0)
-    kernels = (tb._leg_kernel, tb._dyn_factory, simkit._affine_factory)
+    kernels = (tb._leg_kernel, tb._dyn_factory, simkit._run_factory)
     tb.simulate_osc(traj, 10.0, mode, 0.01, external_force=force)
     misses = [kernel.cache_info().misses for kernel in kernels]
     tb.simulate_osc(traj, 23.0, mode, 0.01, external_force=force)
@@ -640,6 +605,114 @@ def test_a_leg_kernel_traceback_shows_its_generated_line():
     assert last.filename == "<testbed._leg_kernel m=4 pushed=False>"
     assert last.name == "advance"
     assert last.line == "c0, c1_ = cos(x0), cos(x1)"
+
+
+def _leg_run_case(mode, payload_kg=10.0, duration=0.2, force=None):
+    """A short sine run and the oracle's loop over the same inputs."""
+    traj = tb.SineTrajectory(center=(0.18, 0.45), amplitude=(0.03, 0.12),
+                             freq_hz=2.0, phase_rad=1.2)
+    got = tb.simulate_osc(traj, payload_kg, mode, duration,
+                          external_force=force)
+    params = replace(P, payload_mass=payload_kg)
+    pos, vel, acc = traj.sample(got.t)
+    state = (*got.q[0].tolist(), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    cascaded = mode == "cascaded_vlca"
+    if cascaded:
+        g1, g2 = _dyn_scalars(*state[:2], 0.0, 0.0, params)[5:]
+        r, k_r = DEFAULT_MOMENT_ARM, VLCA_ACTUATOR.k_r
+        state = (*state[:4], (g1 / r) / k_r, 0.0, (g2 / r) / k_r, 0.0)
+    want = leg_run(params, cascaded, VLCA_ACTUATOR, tb.TaskGains(),
+                   EXPERIMENT_GAINS, np.hstack((pos, vel, acc)).tolist(),
+                   state, force)
+    return got, want
+
+
+@pytest.mark.parametrize("pushed", [False, True], ids=["free", "pushed"])
+@pytest.mark.parametrize("mode", ["ideal_torque", "cascaded_vlca"])
+def test_a_leg_run_equals_the_oracle_loop_bit_for_bit(mode, pushed):
+    # the law, both joints' force loops with their delay and clip, the
+    # substeps and the recording, against osc_tau, the four-class force
+    # controllers and dp5_step, period by period; the heavy payload
+    # saturates the cascaded run
+    def push(t):
+        return 15.0 * math.cos(7.0 * t), -20.0
+
+    got, (states, taus, held, saturated, damped) = _leg_run_case(
+        mode, payload_kg=30.0, force=push if pushed else None)
+    hexes = np.vectorize(float.hex)
+    assert (hexes(np.hstack((got.q, got.qdot))).tolist()
+            == hexes(np.array(states)[:, :4]).tolist())
+    assert hexes(got.tau_cmd).tolist() == hexes(np.array(taus)).tolist()
+    applied = got.i_m if mode == "cascaded_vlca" else got.tau_applied
+    assert hexes(applied).tolist() == hexes(np.array(held)).tolist()
+    if mode == "cascaded_vlca":
+        f_k = VLCA_ACTUATOR.k_r * np.array(states)[:, 4::2]
+        assert hexes(got.f_k).tolist() == hexes(f_k).tolist()
+        assert saturated > 0
+    assert (got.saturation_count, got.singular_count) == (saturated, damped)
+
+
+@pytest.mark.parametrize("mode", ["ideal_torque", "cascaded_vlca"])
+def test_a_hip_force_error_is_not_a_divergence(mode):
+    # only the kernel's own arithmetic maps to NonFiniteState: the hip
+    # force's exceptions reach the caller as they are
+    class TableEnd(ValueError):
+        pass
+
+    def table(t):
+        if t > 0.0105:
+            raise TableEnd(f"no force past t={t:.3f} s")
+        return 5.0, -3.0
+
+    traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.0, 0.05),
+                             freq_hz=1.0)
+    with pytest.raises(TableEnd, match=r"^no force past t=0\.011 s$"):
+        tb.simulate_osc(traj, 10.0, mode, 0.05, external_force=table)
+
+
+@pytest.mark.parametrize("pushed", [False, True], ids=["free", "pushed"])
+@pytest.mark.parametrize("cascaded", [False, True], ids=["ideal", "cascaded"])
+def test_a_leg_run_is_one_kernel_call(cascaded, pushed):
+    # the whole run is its kernel: one call, which calls no Python function
+    # but the hip force, once a period
+    def push(t):
+        return 10.0 * math.cos(t), -5.0
+
+    traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.05, 0.05),
+                             freq_hz=2.0)
+    mode = "cascaded_vlca" if cascaded else "ideal_torque"
+    kernel = f"<testbed._leg_kernel m={8 if cascaded else 4} pushed={pushed} run>"
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            calls.append((frame.f_back.f_code.co_filename,
+                          frame.f_code.co_filename, frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        tb.simulate_osc(traj, 10.0, mode, 0.01,
+                        external_force=push if pushed else None)
+    finally:
+        sys.setprofile(None)
+    assert [name for _, file, name in calls if file == kernel] == ["factory",
+                                                                   "run"]
+    assert [name for file, _, name in calls if file == kernel] == (
+        ["push"] * 10 * pushed)
+
+
+def test_a_leg_run_kernel_traceback_shows_its_generated_line():
+    # a hip force that is no number fails on the kernel's line that reads it
+    traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.0, 0.05),
+                             freq_hz=1.0)
+    with pytest.raises(TypeError) as info:
+        tb.simulate_osc(traj, 10.0, "ideal_torque", 0.01,
+                        external_force=lambda t: (None, 0.0))
+    last = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert last.filename == "<testbed._leg_kernel m=4 pushed=True run>"
+    assert last.name == "run"
+    assert last.line == ("te0 = (-l1 * sin(x0) - l2 * s01) * fx"
+                         " + (l1 * c0 + l2 * c01) * fy")
 
 
 # --------------------------------------------------------- step budget
