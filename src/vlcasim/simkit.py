@@ -221,10 +221,16 @@ class ChirpRef:
     duration_s: float
 
     def __post_init__(self):
-        if not (0.0 < self.f0_hz < self.f1_hz):
-            raise ValueError("need 0 < f0_hz < f1_hz")
+        if not self.f0_hz > 0.0:
+            raise ValueError("f0_hz must be > 0")
+        if not self.f1_hz > self.f0_hz:
+            raise ValueError("f1_hz must be above f0_hz")
         if self.duration_s <= 0.0:
             raise ValueError("duration_s must be > 0")
+        # value's constants, worked out once in its operation order
+        r = self.rate
+        object.__setattr__(self, "_sweep",
+                           (r, 2.0 * math.pi * self.f0_hz, math.log(r)))
 
     @property
     def rate(self) -> float:
@@ -232,9 +238,8 @@ class ChirpRef:
         return (self.f1_hz / self.f0_hz) ** (1.0 / self.duration_s)
 
     def value(self, t: float) -> float:
-        r = self.rate
-        phase = 2.0 * math.pi * self.f0_hz * (r ** t - 1.0) / math.log(r)
-        return self.amplitude * math.sin(phase)
+        r, w, log_r = self._sweep
+        return self.amplitude * math.sin(w * (r ** t - 1.0) / log_r)
 
 
 # --------------------------------------------------------- force law
@@ -441,16 +446,13 @@ def chirp_record_samples(duration_s: float) -> int:
 
 def chirp_drive(chirp: ChirpRef) -> np.ndarray:
     """The identification drive current at each control step: the sweep,
-    then zero over the quiet tail. Each sample is chirp.value's arithmetic
-    in Python floats, so the two agree bit for bit; numpy's r ** t rounds
-    differently in about 5% of the samples of the default bode record."""
+    then zero over the quiet tail. Each sample is chirp.value at a Python
+    float; numpy's r ** t rounds differently in about 5% of the samples of
+    the default bode record."""
     t = np.arange(chirp_record_samples(chirp.duration_s)) * CONTROL_DT
     on = t <= chirp.duration_s
-    r, w, log_r = chirp.rate, 2.0 * math.pi * chirp.f0_hz, math.log(chirp.rate)
-    amp, sin = chirp.amplitude, math.sin
     drive = np.zeros(len(t))
-    drive[on] = np.fromiter((amp * sin(w * (r ** tk - 1.0) / log_r)
-                             for tk in t[on].tolist()), float)
+    drive[on] = np.fromiter(map(chirp.value, t[on].tolist()), float)
     return drive
 
 

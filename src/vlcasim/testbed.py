@@ -109,7 +109,7 @@ def _leg_constants(p: TwoDofParams) -> dict:
 # damped for a Jacobian near its singularity, where a damped least-squares
 # solve takes over. They read the joint state (q0, q1, w0, w1), the desired
 # hip position, velocity and acceleration (xd, yd, vxd, vyd, axd, ayd) and
-# the run constants kp0, kp1, kd0, kd1 and damp_at (_law_constants).
+# the run constants kp0, kp1, kd0, kd1 and damp_at (_leg_run).
 _OSC_LINES = """\
 s0, c0 = sin(q0), cos(q0)
 s01, c01 = sin(q0 + q1), cos(q0 + q1)
@@ -153,19 +153,15 @@ _KERNEL_GLOBALS = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt,
 
 
 @lru_cache(maxsize=None)
-def _dyn_factory(constants: tuple, law: bool = False):
-    """factory(*constants) -> dyn, the "dyn" lines as a function, or with
-    law the law, the "dyn" lines and _OSC_LINES; compiled once."""
-    args, out = (("q0, q1, w0, w1, xd, yd, vxd, vyd, axd, ayd",
-                  "tau0, tau1, damped") if law
-                 else ("q0, q1, w0, w1", "a11, a12, a22, b1, b2, g1, g2"))
-    lines = [line for tag, line in _LEG_LINES if tag == "dyn"]
-    body = "".join(f"        {line}\n" for line in lines + _OSC_LINES * law)
-    name = "law" if law else "dyn"
+def _dyn_factory(constants: tuple):
+    """factory(*constants) -> dyn, the "dyn" lines as a function; compiled
+    once."""
+    body = "".join(f"        {line}\n" for tag, line in _LEG_LINES if tag == "dyn")
     return simkit._compile(
-        f"def factory({', '.join(constants)}):\n    def {name}({args}):\n"
-        f"{body}        return {out}\n    return {name}\n",
-        f"<testbed._dyn_factory {name}>", "factory", **_KERNEL_GLOBALS)
+        f"def factory({', '.join(constants)}):\n"
+        f"    def dyn(q0, q1, w0, w1):\n{body}"
+        "        return a11, a12, a22, b1, b2, g1, g2\n    return dyn\n",
+        "<testbed._dyn_factory>", "factory", **_KERNEL_GLOBALS)
 
 
 def _leg_dynamics(p: TwoDofParams):
@@ -213,24 +209,6 @@ class TaskGains:
             raise ValueError("kp and kd must have two entries")
         if min(self.kp) < 0.0 or min(self.kd) < 0.0:
             raise ValueError("gains must be >= 0")
-
-
-def _law_constants(gains: TaskGains, p: TwoDofParams) -> dict:
-    """The run constants _OSC_LINES reads besides the leg's."""
-    (kp0, kp1), (kd0, kd1) = gains.kp, gains.kd
-    return dict(kp0=kp0, kp1=kp1, kd0=kd0, kd1=kd1,
-                damp_at=1e-3 * p.reach ** 2)
-
-
-def _osc_law(gains: TaskGains, p: TwoDofParams):
-    """The operational-space torque law of one run, its constants hoisted:
-    law(q0, q1, w0, w1, xd, yd, vxd, vyd, axd, ayd) -> (tau0, tau1, damped)
-    for the joint state and the desired hip position, velocity and
-    acceleration, equal bit for bit to the reference osc_tau in
-    tests/oracles.py. It runs the lines a leg run's kernel runs at each
-    period start: the "dyn" lines, then _OSC_LINES."""
-    constants = {**_leg_constants(p), **_law_constants(gains, p)}
-    return _dyn_factory(tuple(constants), True)(*constants.values())
 
 
 # -------------------------------------------------------- trajectories
@@ -463,29 +441,24 @@ def leg_substeps(params: TwoDofParams, cascaded: bool,
 
 
 @lru_cache(maxsize=None)
-def _leg_kernel(m: int, pushed: bool, constants: tuple, run: bool = False):
-    """factory(n, external_force, *constants) -> advance(state, u0, u1, t):
-    n fixed DP5 substeps over the first m of the eight state floats (the
-    rest returned as given) with the inputs held and the hip force
-    external_force(t) taken once. Every stage runs the mode's lines of
-    _LEG_LINES on its own names, so a period is one call, and adds to the
-    state the sum of its (h * a_ij) * k_j products (constants h<row>_<j>),
-    left to right in j, as tests/oracles.py's dp5_step does.
-
-    With run, the factory returns instead the whole leg run,
-    run(des, states, taus, cmds_0, cmds_1, *state) -> (error, singular,
-    saturated): for each row (xd, yd, vxd, vyd, axd, ayd) of des, one
-    control period from the state, recorded in states first. It runs the
-    first stage's "dyn" lines, then _OSC_LINES on them, whose torques it
-    records in taus; in cascaded mode each joint's PDM_DOB force law
-    (simkit._force_law, its names carrying _0 or _1) turns a torque into a
-    current command, recorded in cmds_0 or cmds_1, and the substeps take
-    the command "delay" periods old. The first substep reuses the period
-    start's "dyn" lines. The state after the last period is recorded too.
-    A ValueError of the period's arithmetic (math.cos of a state past the
-    floats) ends the run and is returned as error; the hip force's own
-    exceptions propagate. Generated and compiled once per (m, pushed,
-    constants, run), as simkit._run_factory builds the linear runs."""
+def _leg_kernel(m: int, pushed: bool, constants: tuple):
+    """factory(n, external_force, *constants) -> run(des, states, taus,
+    cmds_0, cmds_1, *state) -> (error, singular, saturated): the whole leg
+    run over the first m of the eight state floats, the rest carried as
+    given. Per row (xd, yd, vxd, vyd, axd, ayd) of des, one control period:
+    record the state in states; run the first stage's "dyn" lines, then
+    _OSC_LINES on them, recording the torques in taus; in cascaded mode
+    turn each torque into a current command, recorded in cmds_0 or cmds_1,
+    by the joint's PDM_DOB lines (simkit._force_law, names suffixed _0 or
+    _1); then n fixed DP5 substeps with the command "delay" periods old and
+    the hip force external_force(k * dt) held. Every stage runs the mode's
+    lines of _LEG_LINES on its own names and adds to the state the sum of
+    its (h * a_ij) * k_j products (constants h<row>_<j>), left to right in
+    j, as tests/oracles.py's dp5_step does; the first substep reuses the
+    period start's "dyn" lines. The last state is recorded too. A
+    ValueError of the period's arithmetic (math.cos of a state past the
+    floats) ends the run, returned as error; the hip force's own exceptions
+    propagate. Compiled once per (m, pushed, constants)."""
     tags = {"dyn", "joint", *["push"] * pushed, *["spring", "screw"] * (m == 8)}
     lines = [(tag, line) for tag, line in _LEG_LINES if tag in tags]
     xs = [f"x{i}" for i in range(8)]
@@ -506,18 +479,6 @@ def _leg_kernel(m: int, pushed: bool, constants: tuple, run: bool = False):
             body += [("", f"{y} = {sum_}") for y, sum_ in zip(stage, sums)]
         else:  # at once: the sums read the first stage's rates, x among them
             body.append(("", f"{', '.join(xs[:m])} = {', '.join(sums)}"))
-    name = f"<testbed._leg_kernel m={m} pushed={pushed}{' run' * run}>"
-    if not run:
-        src = (f"def factory(n, external_force, {', '.join(constants)}):\n"
-               f"    def advance(state, {'i0, i1' if m == 8 else 't0, t1'}, t):\n"
-               f"        {', '.join(xs)} = state\n"
-               + "        fi0, fi1 = n_drive * i0, n_drive * i1\n" * (m == 8)
-               + ("        fx, fy = external_force(t)\n" if pushed
-                  else "        te0 = te1 = 0.0\n")
-               + "        for _ in range(n):\n"
-               + "".join(f"            {line}\n" for _, line in body)
-               + f"        return {', '.join(xs)}\n    return advance\n")
-        return simkit._compile(src, name, "factory", **_KERNEL_GLOBALS)
 
     dyn = [line for tag, line in body if tag == "dyn"]
     start, drive = ["singular = 0"], ["t0, t1 = tau0, tau1"]
@@ -553,51 +514,40 @@ def _leg_kernel(m: int, pushed: bool, constants: tuple, run: bool = False):
         *(f"        states.append({x})" for x in xs),
         f"        return None, singular, {saturated}",
         "    return run", ""])
-    return simkit._compile(src, name, "factory", **_KERNEL_GLOBALS)
+    return simkit._compile(src, f"<testbed._leg_kernel m={m} pushed={pushed} run>",
+                           "factory", **_KERNEL_GLOBALS)
 
 
-def _period_constants(params: TwoDofParams, cascaded: bool,
-                      actuator: ActuatorParams):
-    """(n, constants): the substep count of the leg's period map and the
-    run constants its lines read, by name."""
+def _leg_run(params: TwoDofParams, cascaded: bool, actuator: ActuatorParams,
+             task_gains: TaskGains, force: dict,
+             external_force: Optional[Callable[[float], Sequence[float]]]):
+    """(n, run): a leg run's substeps per control period and its kernel
+    (_leg_kernel) with every constant bound: the leg's, the actuator's, the
+    DP5 coefficients, the task gains and, in cascaded mode, force, each
+    joint's PDM_DOB constants (simkit.force_law_constants). run(des,
+    states, taus, cmds_0, cmds_1, *state) records into lists or arrays,
+    each joint's commands starting with force["delay"] zeros.
+
+    The state is (q0, q1, w0, w1, d0, v0, d1, v1): the joint angles and
+    rates, then each actuator's spring deflection d (the screw position
+    less the linkage displacement) and screw rate v, so d's rate is v - r*w
+    and the spring force k_r*d + b_r*(v - r*w), r the moment arm. Ideal
+    mode integrates the joints only, under the law's torques, and carries
+    the actuator entries as given; cascaded mode integrates all eight."""
     n = leg_substeps(params, cascaded, actuator)
     h = simkit.CONTROL_DT / n
-    return n, {
+    (kp0, kp1), (kd0, kd1) = task_gains.kp, task_gains.kd
+    constants = {
         **_leg_constants(params), "k_r": actuator.k_r, "b_r": actuator.b_r,
         "r": DEFAULT_MOMENT_ARM, "m_m": actuator.effective_mass,
         "b_dt": actuator.drivetrain_damping, "n_drive": actuator.drive_constant,
         **{f"h{s}_{j}": h * a for s, row in enumerate((*_DP5_A, _DP5_B), 1)
-           for j, a in enumerate(row, 1) if a}}
-
-
-def leg_period_map(params: TwoDofParams, cascaded: bool,
-                   actuator: ActuatorParams,
-                   external_force: Optional[Callable[[float], Sequence[float]]] = None):
-    """The leg's advance over one control period, built once per run.
-
-    Returns advance(state, u0, u1, t) -> state: n = leg_substeps(...) fixed
-    DP5 substeps of CONTROL_DT / n with u held for the period (the joint
-    torques [N*m] in ideal mode, the motor currents [A] in cascaded mode)
-    and the hip force external_force(t) taken at the period start t. The
-    state is (q0, q1, w0, w1, d0, v0, d1, v1): the joint angles and rates,
-    then each actuator's spring deflection and screw rate. The deflection d
-    is the screw position less the linkage displacement, so its rate is
-    v - r*w and the spring force k_r*d + b_r*(v - r*w), r the moment arm.
-
-    advance is one generated function (_leg_kernel) that writes the leg's
-    rates, _LEG_LINES, into every stage; the dynamics among them are the
-    lines that _leg_dynamics runs. Ideal mode integrates (q0, q1, w0, w1)
-    only, under the held joint torques, and returns the actuator entries as
-    given. Cascaded mode integrates all eight: its rates add the spring
-    torques and the screw rates to the same joint solve. One period equals
-    n steps of tests/oracles.py's dp5_step on rates written from the
-    reference _dyn_scalars there bit for bit. A leg run (simulate_osc)
-    takes the same substep lines inside its own kernel.
-    """
-    n, constants = _period_constants(params, cascaded, actuator)
-    factory = _leg_kernel(8 if cascaded else 4, external_force is not None,
-                          tuple(constants))
-    return factory(n, external_force, *constants.values())
+           for j, a in enumerate(row, 1) if a},
+        "kp0": kp0, "kp1": kp1, "kd0": kd0, "kd1": kd1,
+        "damp_at": 1e-3 * params.reach ** 2, "dt": simkit.CONTROL_DT,
+        **(force if cascaded else {})}
+    return n, _leg_kernel(8 if cascaded else 4, external_force is not None,
+                          tuple(constants))(n, external_force, *constants.values())
 
 
 def osc_run_inputs(trajectory, payload_kg: float, duration: float,
@@ -655,13 +605,8 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
         g1, g2 = _leg_dynamics(params)(q0, q1, 0.0, 0.0)[5:]
         d0, d1 = (g1 / r) / k_r, (g2 / r) / k_r
 
-    n, constants = _period_constants(params, cascaded, actuator)
-    constants.update(_law_constants(task_gains, params), dt=simkit.CONTROL_DT)
-    if cascaded:
-        constants.update(force)
-    run = _leg_kernel(8 if cascaded else 4, external_force is not None,
-                      tuple(constants), True)(n, external_force,
-                                              *constants.values())
+    n, run = _leg_run(params, cascaded, actuator, task_gains, force,
+                      external_force)
     # packed doubles: no float object outlives its step
     states, taus = array("d"), array("d")
     cmds = [array("d", bytes(8 * force["delay"])) for _ in range(2)]

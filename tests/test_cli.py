@@ -181,6 +181,21 @@ def test_a_value_of_the_wrong_kind_is_reported_at_its_key(scenario, key,
     assert cli.validate({"scenario": scenario, key: value}) == [(key, message)]
 
 
+# a chirp's range error names its field, which routes it to that field's
+# key; force_tracking derives its chirp's band, so the error stays on the
+# scenario
+@pytest.mark.parametrize("config, key, message", [
+    ({"scenario": "bode", "bode.f0_hz": "0"}, "bode.f0_hz", "f0_hz must be > 0"),
+    ({"scenario": "bode", "bode.f0_hz": "200"}, "bode.f1_hz",
+     "f1_hz must be above f0_hz"),
+    ({"scenario": "force_tracking", "force_tracking.reference": "chirp",
+      "force_tracking.freq_hz": "0.01"}, "force_tracking",
+     "f1_hz must be above f0_hz"),
+], ids=["bode_f0_zero", "bode_f0_above_f1", "force_tracking_chirp"])
+def test_a_chirp_band_error_is_reported_at_its_key(config, key, message):
+    assert cli.validate(config) == [(key, message)]
+
+
 def test_validate_applies_set_overrides(tmp_path, capsys):
     cfg = _write(tmp_path, "ok.cfg", "scenario = margins\n")
     assert main(["validate", cfg, "--set", "gains.delay_t=-1"]) == 2
@@ -443,7 +458,7 @@ def test_a_plant_past_the_floats_is_reported_as_diverged():
     ("osc", "testbed.m1"), ("osc", "testbed.i1"),
     ("efficiency", "testbed.m1")])
 def test_a_leg_past_the_floats_is_reported_as_diverged(scenario, key):
-    # the leg's period map takes cos of a stage angle past the floats
+    # the leg's run kernel takes cos of a stage angle past the floats
     raw = {"scenario": scenario, "out": "edge_out", key: "1e308"}
     assert cli.validate(raw) == []
     with pytest.raises(cli.ScenarioFailed) as failed:

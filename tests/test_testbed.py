@@ -133,9 +133,10 @@ def test_velocity_product_vanishes_at_rest_and_is_power_neutral():
 
 
 def test_passive_swing_conserves_energy():
-    # the leg's own period map, unactuated in zero gravity, for 1 s; in
-    # cascaded mode, undamped and without current, the swing loads the
-    # springs from rest and they trade energy with the joints and screws
+    # the reference period (oracles.leg_period, which the run kernel equals
+    # bit for bit), unactuated in zero gravity, for 1 s; in cascaded mode,
+    # undamped and without current, the swing loads the springs from rest
+    # and they trade energy with the joints and screws
     zero_g = replace(P, gravity=0.0)
     act = replace(VLCA_ACTUATOR, b_r=0.0, b_m=0.0)
     k_r, m_m = act.k_r, act.effective_mass
@@ -146,12 +147,12 @@ def test_passive_swing_conserves_energy():
                 + 0.5 * m_m * (s[5] ** 2 + s[7] ** 2))
 
     for cascaded, tol in ((False, 1e-6), (True, 1e-5)):
-        advance = tb.leg_period_map(zero_g, cascaded, act)
         state = (0.4, -0.8, 1.0, -0.5) + (0.0,) * 4
         e0 = energy(state)
         drift = 0.0
         for k in range(1000):
-            state = advance(state, 0.0, 0.0, k * simkit.CONTROL_DT)
+            state = leg_period(zero_g, cascaded, act, None, state, 0.0, 0.0,
+                               k * simkit.CONTROL_DT)
             drift = max(drift, abs(energy(state) - e0))
         assert drift <= tol * abs(e0), cascaded
 
@@ -219,11 +220,39 @@ def test_linkage_rated_point():
 
 # -------------------------------------------------------------- osc control
 
+def _kernel_run(rows, state, params=P, cascaded=False, gains=tb.TaskGains(),
+                force_gains=EXPERIMENT_GAINS, external_force=None):
+    """len(rows) periods of the run kernel (testbed._leg_run) from state,
+    as tests/oracles.leg_run returns its loop, the state after the last
+    period among the states, and the kernel's error first: (error, states,
+    torques, held inputs, saturated, damped)."""
+    force = simkit.force_law_constants(ControllerKind.PDM_DOB, VLCA_ACTUATOR,
+                                       force_gains)
+    _, run = tb._leg_run(params, cascaded, VLCA_ACTUATOR, gains, force,
+                         external_force)
+    states, taus, cmds = [], [], [[0.0] * force["delay"] for _ in range(2)]
+    error, singular, saturated = run(rows, states, taus, *cmds, *state)
+    taus = list(zip(taus[::2], taus[1::2]))
+    held = list(zip(*cmds))[:len(rows)] if cascaded else taus
+    return (error, [tuple(states[i:i + 8]) for i in range(0, len(states), 8)],
+            taus, held, saturated, singular)
+
+
+def _law(gains, params, q0, q1, w0, w1, *target):
+    """(tau0, tau1, damped): the law at the joint state and the desired hip
+    position, velocity and acceleration, as one ideal period of the run
+    kernel records it."""
+    state = (*map(float, (q0, q1, w0, w1)), 0.0, 0.0, 0.0, 0.0)
+    _, _, (tau,), _, _, damped = _kernel_run([tuple(map(float, target))],
+                                             state, params, gains=gains)
+    return (*tau, damped == 1)
+
+
 def test_rest_on_target_commands_gravity_support():
     q = np.array([1.2, -0.9])
     x_here = tb.hip_position(q, P)
-    *tau, damped = tb._osc_law(tb.TaskGains(), P)(*q, 0.0, 0.0, *x_here,
-                                                   0.0, 0.0, 0.0, 0.0)
+    *tau, damped = _law(tb.TaskGains(), P, *q, 0.0, 0.0, *x_here,
+                        0.0, 0.0, 0.0, 0.0)
     want = _terms(q, (0.0, 0.0), P)[2]
     np.testing.assert_allclose(tau, want, atol=1e-9)
     assert not damped
@@ -234,7 +263,6 @@ def test_osc_torque_is_the_computed_torque_law():
     # with a = xdd_des + kp (x_des - x) + kd (xd_des - J qdot)
     rng = np.random.default_rng(17)
     gains = tb.TaskGains(kp=(625.0, 400.0), kd=(40.0, 30.0))
-    law = tb._osc_law(gains, P)
     for _ in range(200):
         q = np.array([rng.uniform(-1.0, 2.5), -rng.uniform(0.3, 2.6)])
         qdot = rng.uniform(-4.0, 4.0, 2)
@@ -245,7 +273,7 @@ def test_osc_torque_is_the_computed_torque_law():
              + np.multiply(gains.kd, xd_des - jac.j @ qdot))
         m, b, g = _terms(q, qdot, P)
         want = m @ np.linalg.solve(jac.j, a - jac.jdot @ qdot) + b + g
-        *tau, damped = law(*q, *qdot, *x_des, *xd_des, *xdd_des)
+        *tau, damped = _law(gains, P, *q, *qdot, *x_des, *xd_des, *xdd_des)
         assert not damped
         np.testing.assert_allclose(tau, want, rtol=1e-9, atol=1e-9)
 
@@ -253,8 +281,8 @@ def test_osc_torque_is_the_computed_torque_law():
 def test_crouch_torques_stay_inside_the_joint_rating():
     p23 = tb.TwoDofParams(payload_mass=23.0)
     q = tb.inverse_kinematics((0.15, 0.45), p23)
-    *tau, _ = tb._osc_law(tb.TaskGains(), p23)(
-        *q, 0.0, 0.0, *tb.hip_position(q, p23), 0.0, 0.0, 0.0, 0.0)
+    *tau, _ = _law(tb.TaskGains(), p23, *q, 0.0, 0.0,
+                   *tb.hip_position(q, p23), 0.0, 0.0, 0.0, 0.0)
     assert np.max(np.abs(tau)) < 270.0
     assert tau[1] == pytest.approx(89.60, abs=0.5)
 
@@ -264,16 +292,26 @@ def test_task_stiffness_acts_linearly_on_error():
     x_des = tb.hip_position(q, P) + np.array([0.03, -0.02])
 
     def tau(kp):
-        return np.array(tb._osc_law(tb.TaskGains(kp=(kp, kp)), P)(
-            *q, 0.0, 0.0, *x_des, 0.0, 0.0, 0.0, 0.0)[:2])
+        return np.array(_law(tb.TaskGains(kp=(kp, kp)), P, *q, 0.0, 0.0,
+                             *x_des, 0.0, 0.0, 0.0, 0.0)[:2])
 
     base, one, two = tau(0.0), tau(400.0), tau(800.0)
     np.testing.assert_allclose(two - base, 2.0 * (one - base),
                                rtol=1e-12, atol=1e-12)
 
 
+def _regular(case):
+    """Whether the leg's mass matrix is regular at a straight and a folded
+    knee, where its determinant is smallest: every leg run refuses a leg
+    for which it is not (leg_substeps divides by it), and a period's joint
+    solve would divide by zero."""
+    return min(a11 * a22 - a12 * a12 for a11, a12, a22 in (
+        _dyn_scalars(0.0, q1, 0.0, 0.0, case[0])[:3]
+        for q1 in (0.0, math.pi))) > 0.0
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(legs_and_states(), st.sampled_from([True, False]),
+@given(legs_and_states().filter(_regular), st.sampled_from([True, False]),
        st.tuples(*[st.floats(-1.0, 1.0)] * 6),
        st.tuples(*[st.floats(0.0, 1e3)] * 4))
 def test_osc_law_equals_the_reference_bit_for_bit(case, damped, targets,
@@ -285,7 +323,7 @@ def test_osc_law_equals_the_reference_bit_for_bit(case, damped, targets,
     q1 = math.copysign(1e-3 * math.sin(q1) if damped
                        else 0.1 + abs(q1) % 2.3, q1)
     gains = tb.TaskGains(kp=gains[:2], kd=gains[2:])
-    got = tb._osc_law(gains, params)(q0, q1, w0, w1, *targets)
+    got = _law(gains, params, q0, q1, w0, w1, *targets)
     want = osc_tau(q0, q1, w0, w1, *targets, gains, params)
     assert got[2] is want[2] is damped
     assert list(map(float.hex, got[:2])) == list(map(float.hex, want[:2]))
@@ -411,7 +449,7 @@ def test_trajectory_leaving_the_workspace_is_refused():
 @pytest.mark.parametrize("mode", ["ideal_torque", "cascaded_vlca"])
 @pytest.mark.parametrize("name", ["m1", "i1"])
 def test_a_stage_state_past_the_floats_is_a_divergence(mode, name):
-    # the period map takes cos of a stage angle that has left the floats;
+    # the run kernel takes cos of a stage angle that has left the floats;
     # the run reports that as the divergence it is, with the cause chained
     traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.0, 0.05),
                              freq_hz=1.0)
@@ -453,8 +491,8 @@ def test_loop_state_is_plain_floats(monkeypatch, run):
             return run(**args)
         return spied
 
-    def spy_leg(m, pushed, constants, run=False):
-        factory = leg(m, pushed, constants, run)
+    def spy_leg(m, pushed, constants):
+        factory = leg(m, pushed, constants)
 
         def spied(*args):
             seen.append(numbers(zip(("n", "external_force", *constants),
@@ -504,89 +542,100 @@ def test_trace_csv_layout():
     assert row.split(",")[6] == "4.940656458e-324"
 
 
-# ---------------------------------------------------------- period map
+# ---------------------------------------------------------- run kernel
 
 @st.composite
-def leg_periods(draw):
-    """A leg state, held inputs, payload and hip force for one control
-    period in either mode."""
+def leg_runs(draw):
+    """A few control periods in either mode from a drawn state, in some
+    draws on the damped branch (|sin q1| <= 1e-3): the desired rows, the
+    payload, task gains, force-loop delay and hip force."""
     cascaded = draw(st.booleans())
     angle, rate = st.floats(-2.4, 2.4), st.floats(-6.0, 6.0)
-    state = (draw(angle), draw(angle), draw(rate), draw(rate))
+    q0, q1 = draw(angle), draw(angle)
+    if draw(st.booleans()):
+        q1 = 1e-3 * math.sin(q1)
+    state = (q0, q1, draw(rate), draw(rate))
     if cascaded:
         defl, vel = st.floats(-4e-4, 4e-4), st.floats(-0.05, 0.05)
         for _ in range(2):
             state += (draw(defl), draw(vel))
-        u = (draw(st.floats(-31.0, 31.0)), draw(st.floats(-31.0, 31.0)))
     else:
         state += (0.0,) * 4
-        u = (draw(st.floats(-300.0, 300.0)), draw(st.floats(-300.0, 300.0)))
     force = None
     if draw(st.booleans()):
         fx, fy = draw(st.floats(-200.0, 200.0)), draw(st.floats(-200.0, 200.0))
 
         def force(t):
             return fx * math.cos(3.0 * t), fy
-    return dict(params=replace(P, payload_mass=draw(st.floats(0.0, 30.0))),
-                cascaded=cascaded, external_force=force, state=state, u=u,
-                t=draw(st.floats(0.0, 5.0)))
+    gain = st.floats(0.0, 1e3)
+    return dict(
+        rows=draw(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 6),
+                           min_size=1, max_size=3)),
+        state=state, params=replace(P, payload_mass=draw(st.floats(0.0, 30.0))),
+        cascaded=cascaded,
+        gains=tb.TaskGains(kp=(draw(gain), draw(gain)),
+                           kd=(draw(gain), draw(gain))),
+        force_gains=replace(EXPERIMENT_GAINS,
+                            delay_t=draw(st.sampled_from([0.0, 1e-3]))),
+        external_force=force)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(leg_periods())
-def test_period_map_equals_dp5_step_bit_for_bit(case):
-    args = (case["params"], case["cascaded"], VLCA_ACTUATOR,
-            case["external_force"])
-    got = tb.leg_period_map(*args)(case["state"], *case["u"], case["t"])
-    want = leg_period(*args, case["state"], *case["u"], case["t"])
-    assert list(map(float.hex, got)) == list(map(float.hex, want))
+def _hexes(rows):
+    return [list(map(float.hex, row)) for row in rows]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(leg_runs())
+def test_the_run_kernel_equals_the_leg_oracle_from_drawn_states(case):
+    # the law, both joints' force loops (a delay of 0 ms acts on the first
+    # period's command), the substeps and the recording, against osc_tau,
+    # the four-class force controllers and dp5_step; the state after the
+    # last period is one more oracle period from the last start
+    error, states, taus, held, saturated, damped = _kernel_run(**case)
+    want = leg_run(case["params"], case["cascaded"], VLCA_ACTUATOR,
+                   case["gains"], case["force_gains"], case["rows"],
+                   case["state"], case["external_force"])
+    last = leg_period(case["params"], case["cascaded"], VLCA_ACTUATOR,
+                      case["external_force"], want[0][-1], *want[2][-1],
+                      (len(case["rows"]) - 1) * simkit.CONTROL_DT)
+    assert error is None
+    assert _hexes(states) == _hexes([*want[0], last])
+    assert _hexes(taus) == _hexes(want[1])
+    assert _hexes(held) == _hexes(want[2])
+    assert (saturated, damped) == want[3:]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(leg_periods().filter(lambda case: not case["cascaded"]),
+@given(leg_runs().filter(lambda case: not case["cascaded"]),
        st.tuples(*[st.floats()] * 4))
-@example(dict(params=P, cascaded=False, external_force=None, t=0.0,
-              state=(0.6, -1.2, 0.3, -0.4), u=(20.0, -5.0)),
+@example(dict(rows=[(0.2, 0.5, 0.0, 0.0, 0.0, 0.0)] * 3,
+              state=(0.6, -1.2, 0.3, -0.4) + (0.0,) * 4, params=P,
+              cascaded=False, gains=tb.TaskGains(),
+              force_gains=EXPERIMENT_GAINS, external_force=None),
          (-0.0, 5e-324, math.inf, math.nan))
 def test_ideal_period_returns_the_actuator_entries_as_given(case, entries):
     # ideal mode integrates the joints only: any actuator entries, -0.0 and
-    # non-finite ones included, come back bit for bit (a zero-rate stage sum
-    # would turn -0.0 into 0.0) and leave the joints as from rest
-    advance = tb.leg_period_map(case["params"], False, VLCA_ACTUATOR,
-                                case["external_force"])
+    # non-finite ones included, are recorded bit for bit in every row (a
+    # zero-rate stage sum would turn -0.0 into 0.0) and leave the joints as
+    # from rest
     joints = case["state"][:4]
-    got = advance(joints + entries, *case["u"], case["t"])
-    at_rest = advance(joints + (0.0,) * 4, *case["u"], case["t"])
-    assert list(map(float.hex, got[4:])) == list(map(float.hex, entries))
-    assert list(map(float.hex, got[:4])) == list(map(float.hex, at_rest[:4]))
-    assert at_rest[4:] == (0.0,) * 4
+    got = _kernel_run(**{**case, "state": joints + entries})[1]
+    at_rest = _kernel_run(**{**case, "state": joints + (0.0,) * 4})[1]
+    assert _hexes(row[4:] for row in got) == _hexes([entries] * len(got))
+    assert _hexes(row[:4] for row in got) == _hexes(row[:4] for row in at_rest)
+    assert [row[4:] for row in at_rest] == [(0.0,) * 4] * len(at_rest)
 
 
 @pytest.mark.parametrize("pushed", [False, True], ids=["free", "pushed"])
 @pytest.mark.parametrize("cascaded", [False, True], ids=["ideal", "cascaded"])
 def test_a_period_is_one_python_call(cascaded, pushed):
-    # the rates are written into the period body: stepping a period calls
-    # no Python function but the hip force, and a second run compiles no
-    # kernel
+    # a second run, at another payload, compiles no kernel: each kernel's
+    # constants arrive as arguments (that a run makes no Python call but
+    # the hip force is test_a_leg_run_is_one_kernel_call)
     def push(t):
         return 10.0 * math.cos(t), -5.0
 
     force = push if pushed else None
-    advance = tb.leg_period_map(P, cascaded, VLCA_ACTUATOR, force)
-    calls = []
-
-    def profile(frame, event, _arg):
-        if event == "call" and frame.f_code is not push.__code__:
-            calls.append(frame.f_code.co_name)
-
-    sys.setprofile(profile)
-    try:
-        advance((0.6, -1.2, 0.3, -0.4, 1e-4, 0.01, -1e-4, 0.02), 3.0, -2.0,
-                0.1)
-    finally:
-        sys.setprofile(None)
-    assert calls == ["advance"]
-
     mode = "cascaded_vlca" if cascaded else "ideal_torque"
     traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.05, 0.05),
                              freq_hz=2.0)
@@ -595,16 +644,6 @@ def test_a_period_is_one_python_call(cascaded, pushed):
     misses = [kernel.cache_info().misses for kernel in kernels]
     tb.simulate_osc(traj, 23.0, mode, 0.01, external_force=force)
     assert [kernel.cache_info().misses for kernel in kernels] == misses
-
-
-def test_a_leg_kernel_traceback_shows_its_generated_line():
-    advance = tb.leg_period_map(P, False, VLCA_ACTUATOR)
-    with pytest.raises(ValueError, match="math domain error") as info:
-        advance((math.inf, -1.2, 0.0, 0.0) + (0.0,) * 4, 0.0, 0.0, 0.0)
-    last = traceback.extract_tb(info.value.__traceback__)[-1]
-    assert last.filename == "<testbed._leg_kernel m=4 pushed=False>"
-    assert last.name == "advance"
-    assert last.line == "c0, c1_ = cos(x0), cos(x1)"
 
 
 def _leg_run_case(mode, payload_kg=10.0, duration=0.2, force=None):
