@@ -27,7 +27,7 @@ class FitDiverged(Exception):
 
 
 # margin search band [rad/s] and scan density; crossings are refined by
-# bisection down to MARGIN_REL_TOL relative frequency resolution
+# regula falsi down to MARGIN_REL_TOL relative frequency resolution
 MARGIN_BAND = (1e-2, 1e5)
 MARGIN_SCAN_PER_DECADE = 200
 MARGIN_REL_TOL = 1e-9
@@ -93,7 +93,11 @@ class DelayedTransferFunction:
         lead = self.den.coefficients[-1]
         if lead != 1.0:
             object.__setattr__(self, "num", self.num.scaled(1.0 / lead))
-            object.__setattr__(self, "den", self.den.scaled(1.0 / lead))
+            # the lead is stored as exactly 1, which lead * (1/lead) need not
+            # round to, so that normalizing again (dataclasses.replace)
+            # leaves the coefficients alone
+            den = self.den.scaled(1.0 / lead).coefficients[:-1] + (1.0,)
+            object.__setattr__(self, "den", Polynomial(den))
 
     def eval(self, omega):
         return tf_eval(self, omega)
@@ -205,24 +209,38 @@ def sweep_response(eval_fn: Callable[[float], complex], omega_min: float,
     return _sweep_points(full[n_chain:], resp[n_chain:], phase[n_chain:])
 
 
-def _bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
-    """Refine every bracket [a, b] of a sign change of f at once.
+def _regula_falsi(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
+                  fb: np.ndarray) -> np.ndarray:
+    """Refine every bracket [a, b] of a sign change of f at once by
+    Anderson-Bjorck regula falsi in log frequency (Anderson & Bjorck, BIT
+    13, 1973).
 
-    f(w, idx) evaluates the brackets idx at the trial frequencies w. Each
-    bracket halves in log frequency until (b - a)/a <= MARGIN_REL_TOL;
-    returns the geometric midpoints.
+    f(w, idx) evaluates the brackets idx at the trial frequencies w; fa and
+    fb hold f at the ends. A bracket stops once (b - a)/a <= MARGIN_REL_TOL
+    or once its next iterate is not strictly inside it, and yields its last
+    iterate, which lies in its final bracket (the end with the smaller |f|
+    if not even the first iterate is inside).
     """
-    a, b, fa = a.copy(), b.copy(), fa.copy()
-    live = np.flatnonzero((b - a) / a > MARGIN_REL_TOL)
-    while live.size:
-        m = np.sqrt(a[live] * b[live])
-        fm = f(m, live)
-        left = fa[live] * fm <= 0.0
-        b[live[left]] = m[left]
-        a[live[~left]] = m[~left]
-        fa[live[~left]] = fm[~left]
-        live = live[(b[live] - a[live]) / a[live] > MARGIN_REL_TOL]
-    return np.sqrt(a * b)
+    out = np.where(np.abs(fa) < np.abs(fb), a, b)
+    log_tol = math.log1p(MARGIN_REL_TOL)
+    # lb is the latest iterate and la the end kept from before it
+    la, lb, idx = np.log(a), np.log(b), np.arange(a.size)
+    while True:
+        x = lb - fb * (lb - la) / (fb - fa)
+        go = ((x - la) * (x - lb) < 0.0) & (np.abs(lb - la) > log_tol)
+        if not go.any():
+            return out
+        la, lb, fa, fb, idx, x = (v[go] for v in (la, lb, fa, fb, idx, x))
+        w = np.exp(x)
+        fx = f(w, idx)
+        out[idx] = w
+        # a root between la and x keeps la, its value weighted by
+        # 1 - fx/fb, or halved where that is not positive
+        kept = fx * fb > 0.0
+        m = 1.0 - fx / fb
+        fa = np.where(kept, fa * np.where(m > 0.0, m, 0.5), fb)
+        la = np.where(kept, la, lb)
+        lb, fb = x, fx
 
 
 def _rational_phase(tf: DelayedTransferFunction, w, rat_left) -> np.ndarray:
@@ -242,8 +260,9 @@ def _margin_scan(open_loop: DelayedTransferFunction):
     f = mag - 1.0
     on_grid = np.flatnonzero(f == 0.0)
     cells = np.flatnonzero(f[:-1] * f[1:] < 0.0)
-    w_c = _bisect(lambda w, i: np.abs(_rational_array(open_loop, w)) - 1.0,
-                  omegas[cells], omegas[cells + 1], f[cells])
+    w_c = _regula_falsi(
+        lambda w, i: np.abs(_rational_array(open_loop, w)) - 1.0,
+        omegas[cells], omegas[cells + 1], f[cells], f[cells + 1])
     return (omegas, rat, mag, np.concatenate([omegas[on_grid], w_c]),
             np.concatenate([rat[on_grid],
                             _rational_phase(open_loop, w_c, rat[cells])]))
@@ -259,7 +278,7 @@ def phase_margins(open_loop: DelayedTransferFunction, delays) -> np.ndarray:
 
 
 def stability_margins(open_loop: DelayedTransferFunction) -> StabilityReport:
-    """Gain/phase margins from a scan of MARGIN_BAND plus bisection.
+    """Gain/phase margins from a scan of MARGIN_BAND plus regula falsi.
 
     Phase margin is reported at the unity-magnitude crossing with the
     smallest margin; gain margin at the -180 deg (mod 360) crossing with
@@ -294,9 +313,11 @@ def stability_margins(open_loop: DelayedTransferFunction) -> StabilityReport:
     first = np.cumsum(per_cell) - per_cell
     levels = lo[cells] + 1.0 + (np.arange(cells.size) - first[cells])
     target = 2.0 * math.pi * levels - math.pi
-    w_x = _bisect(lambda w, i: _rational_phase(open_loop, w, rat[cells[i]])
-                  - w * delay - target[i],
-                  omegas[cells], omegas[cells + 1], phase[cells] - target)
+    w_x = _regula_falsi(
+        lambda w, i: (_rational_phase(open_loop, w, rat[cells[i]])
+                      - w * delay - target[i]),
+        omegas[cells], omegas[cells + 1], phase[cells] - target,
+        phase[cells + 1] - target)
     w_pc = np.concatenate([omegas[on_level], w_x])
     m_pc = np.concatenate([mag[on_level], np.abs(_rational_array(open_loop, w_x))])
     keep = m_pc > 0.0

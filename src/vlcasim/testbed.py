@@ -417,7 +417,8 @@ def leg_substeps(params: TwoDofParams, cascaded: bool,
     with c <= (b_dt + b_r)/m_m + b_r r^2/I and k <= k_r (1/m_m + r^2/I),
     r the moment arm DEFAULT_MOMENT_ARM and I a floor on the mass matrix's
     smallest eigenvalue, so a real lambda lies in [-c, 0] and a complex one
-    within sqrt(k) of 0. Raises ValueError above MAX_LEG_SUBSTEPS."""
+    within sqrt(k) of 0. Raises ValueError above MAX_LEG_SUBSTEPS, and for a
+    mass matrix that is singular at some knee angle."""
     if not cascaded:
         return LEG_SUBSTEPS["ideal_torque"]
     # det / trace at the straight and the folded knee: the determinant is
@@ -427,6 +428,13 @@ def leg_substeps(params: TwoDofParams, cascaded: bool,
     mass = [dyn(0.0, q1, 0.0, 0.0)[:3] for q1 in (0.0, math.pi)]
     i_min = (min(a11 * a22 - a12 * a12 for a11, a12, a22 in mass)
              / max(a11 + a22 for a11, _, a22 in mass))
+    # singular, to rounding, where a12^2 reaches a11 a22: only a thigh
+    # without inertia (i2 = 0) lets the knee turn without moving any mass
+    if any(a12 * a12 >= (1.0 - 1e-12) * a11 * a22 for a11, a12, a22 in mass):
+        raise ValueError(
+            f"i2 = {params.i2:g} makes the leg's mass matrix singular at a "
+            "straight or folded knee: with this payload and these centroids "
+            "the knee turns without moving any inertia")
     r2, m_m = DEFAULT_MOMENT_ARM ** 2, actuator.effective_mass
     c_max = actuator.effective_damping / m_m + actuator.b_r * r2 / i_min
     k_max = actuator.k_r * (1.0 / m_m + r2 / i_min)
@@ -557,8 +565,9 @@ def osc_run_inputs(trajectory, payload_kg: float, duration: float,
     yield: (params carrying the payload, sample times, desired positions,
     velocities, accelerations, the constants of each joint's PDM_DOB force
     law, simkit.force_law_constants). Raises ValueError for a bad run
-    length, payload, force loop or actuator block (leg_substeps), and its
-    subclass WorkspaceViolation for a path the leg cannot reach."""
+    length, payload, force loop, actuator block or singular mass matrix
+    (leg_substeps), and its subclass WorkspaceViolation for a path the leg
+    cannot reach."""
     n = simkit.control_steps(duration, "duration_s")
     params = replace(params, payload_mass=float(payload_kg))
     force = simkit.force_law_constants(ControllerKind.PDM_DOB, actuator,

@@ -468,6 +468,21 @@ def test_a_leg_past_the_floats_is_reported_as_diverged(scenario, key):
         "NonFiniteState: leg simulation diverged at t=0.000 s"
 
 
+@pytest.mark.parametrize("scenario", ["osc", "efficiency"])
+def test_a_leg_with_a_singular_mass_matrix_is_a_config_error(tmp_path, capsys,
+                                                             scenario):
+    # no inertia about the knee: the thigh's mass sits on the knee and the
+    # hip carries nothing
+    cfg = _write(tmp_path, "knee.cfg", f"scenario = {scenario}\n"
+                 f"out = knee_out\ntestbed.i2 = 0\ntestbed.c2 = 0\n"
+                 f"{scenario}.payload_kg = 0\n")
+    assert main(["validate", cfg]) == 2
+    assert capsys.readouterr().out.startswith(
+        "testbed.i2: i2 = 0 makes the leg's mass matrix singular")
+    assert main(["run", cfg]) == 2
+    assert not (tmp_path / "knee_out").exists()
+
+
 # one field of each namespace, set to a value inside its range
 _NAMESPACE_KEYS = {"actuator": ("actuator.k_r", "5.5e6"),
                    "gains": ("gains.k_p", "4"),

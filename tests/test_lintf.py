@@ -78,6 +78,16 @@ def test_denominator_normalization_preserves_response():
         assert cmath.isclose(a.eval(w), b.eval(w), rel_tol=1e-14)
 
 
+def test_normalizing_again_leaves_the_coefficients_alone():
+    # 49 * (1/49) rounds to 0.9999999999999999, which a second scaling by
+    # its reciprocal would move again
+    tf = _tf((3.0, 7.0), (5.0, 11.0, 49.0))
+    assert tf.den.coefficients[-1] == 1.0
+    again = replace(tf, delay_s=2.5e-3)
+    assert again.num.coefficients == tf.num.coefficients
+    assert again.den.coefficients == tf.den.coefficients
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ValueError):
         _tf((1.0,), (0.0,))
@@ -178,7 +188,8 @@ def test_margins_first_order_lag():
     pm = 180.0 - math.degrees(math.atan(wc))
     assert rep.gain_crossover_rad_s == pytest.approx(wc, rel=1e-9)
     assert rep.phase_margin_deg == pytest.approx(pm, abs=1e-6)
-    assert rep.phase_margin_deg == pytest.approx(95.73917047803555, rel=1e-12)
+    # 180 - degrees(atan(sqrt(99))) to 40 digits (mpmath), rounded
+    assert rep.phase_margin_deg == pytest.approx(95.73917047726679, rel=1e-12)
     assert math.isinf(rep.gain_margin_db)
     assert math.isnan(rep.phase_crossover_rad_s)
     assert rep.crossover_count == 1
@@ -210,10 +221,12 @@ def test_margins_resonant_peak_crosses_twice():
     g = _tf((0.8 * wn * wn,), (wn * wn, 2.0 * zeta * wn, 1.0))
     rep = stability_margins(g)
     assert rep.crossover_count == 2
-    # the reported crossing is the one with the least phase margin
-    assert rep.gain_crossover_rad_s == pytest.approx(13.24709336496342,
+    # the reported crossing is the one with the least phase margin; the
+    # pins are the exact crossing (a root of a quadratic in omega^2) and its
+    # margin to 40 digits (mpmath), rounded
+    assert rep.gain_crossover_rad_s == pytest.approx(13.247093360856262,
                                                      rel=1e-9)
-    assert rep.phase_margin_deg == pytest.approx(19.340250431816827, rel=1e-9)
+    assert rep.phase_margin_deg == pytest.approx(19.34025045207559, rel=1e-9)
 
 
 def test_margin_is_consistent_with_phase_at_crossover():

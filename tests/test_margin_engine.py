@@ -123,14 +123,17 @@ def test_margins_agree_with_a_dense_brute_force_scan(tf):
                      180.0 + math.degrees(cmath.phase(h_gc))) < 1e-6
     assert rep.phase_margin_deg == pytest.approx(min(pm for _, pm in unity),
                                                  abs=1e-5)
+    w_gc = min(unity, key=lambda c: c[1])[0]
+    assert abs(rep.gain_crossover_rad_s - w_gc) <= MARGIN_REL_TOL * w_gc
 
     if not phase_x:
         assert math.isinf(rep.gain_margin_db)
         assert math.isnan(rep.phase_crossover_rad_s)
         return
     w_pc = rep.phase_crossover_rad_s
-    # the bisection leaves w_pc within MARGIN_REL_TOL of the crossing, where
-    # the phase moves by omega*T plus the rational slope per unit log omega
+    # the regula falsi leaves w_pc within MARGIN_REL_TOL of the crossing,
+    # where the phase moves by omega*T plus the rational slope per unit log
+    # omega
     slack = math.degrees((w_pc * tf.delay_s + 10.0) * MARGIN_REL_TOL)
     assert _miss_deg(math.degrees(cmath.phase(tf_eval(tf, w_pc))), -180.0) \
         < 1e-6 + slack

@@ -303,8 +303,8 @@ def test_task_stiffness_acts_linearly_on_error():
 def _regular(case):
     """Whether the leg's mass matrix is regular at a straight and a folded
     knee, where its determinant is smallest: every leg run refuses a leg
-    for which it is not (leg_substeps divides by it), and a period's joint
-    solve would divide by zero."""
+    for which it is not (leg_substeps names it singular), and a period's
+    joint solve would divide by zero."""
     return min(a11 * a22 - a12 * a12 for a11, a12, a22 in (
         _dyn_scalars(0.0, q1, 0.0, 0.0, case[0])[:3]
         for q1 in (0.0, math.pi))) > 0.0
@@ -812,6 +812,23 @@ def test_leg_substeps_have_a_ceiling():
     with pytest.raises(ValueError, match="leg substeps"):
         tb.simulate_osc(traj, 10.0, "cascaded_vlca", 0.1,
                         actuator=replace(VLCA_ACTUATOR, b_r=1e9))
+
+
+@pytest.mark.parametrize("change", [
+    {"i2": 0.0, "c2": 0.0}, {"i1": 0.0, "c1": 0.0, "i2": 0.0}],
+    ids=["no-knee-inertia", "massless-shank"])
+@pytest.mark.parametrize("mode", ["ideal_torque", "cascaded_vlca"])
+def test_a_singular_mass_matrix_is_refused_by_name(change, mode):
+    # without a payload, neither leg resists turning about a straight or a
+    # folded knee: the first at every knee angle, the second there only
+    params = replace(P, payload_mass=0.0, **change)
+    with pytest.raises(ValueError, match="^i2 = 0 makes the leg's mass "
+                                         "matrix singular"):
+        tb.leg_substeps(params, True, VLCA_ACTUATOR)
+    traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.0, 0.05),
+                             freq_hz=1.0)
+    with pytest.raises(ValueError, match="^i2 = 0"):
+        tb.simulate_osc(traj, 0.0, mode, 0.1, params=params)
 
 
 def test_leg_substeps_meet_error_budget(monkeypatch):

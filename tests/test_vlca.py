@@ -223,9 +223,11 @@ def test_motor_side_damping_beats_force_derivative_margin():
 
 
 def test_margins_shrink_with_transport_delay():
-    want = {0.0: 44.85702726751387, 0.25e-3: 40.98859125110599,
-            0.5e-3: 37.1201552346981, 1.0e-3: 29.383283201882307,
-            2.5e-3: 6.172667103434975}
+    # the PDM loop's margins from its unity crossing solved to 40 digits
+    # (mpmath), rounded
+    want = {0.0: 44.857027269075274, 0.25e-3: 40.98859125178382,
+            0.5e-3: 37.12015523449236, 1.0e-3: 29.38328319990945,
+            2.5e-3: 6.172667096160709}
     last = math.inf
     for t, pm in want.items():
         rep = stability_margins(open_loop_tf(ControllerKind.PDM, P,
@@ -326,6 +328,21 @@ def test_calibration_makes_no_full_margin_scan(monkeypatch):
     cal = calibrate_margins(P, G)
     assert not calls
     assert not math.isnan(cal.pm_pidm_deg + cal.pm_pdm_dob_deg)
+
+
+def test_margin_refinement_takes_few_evaluations(monkeypatch):
+    # each crossing search evaluates the loop once on its grid, then once
+    # per refinement step and once to read the refined points; with 24
+    # bisection steps a calibration took 494 evaluations and a table 255
+    calls = []
+    rational = lintf._rational_array
+    monkeypatch.setattr(lintf, "_rational_array",
+                        lambda *a: calls.append(a) or rational(*a))
+    calibrate_margins(P, G)
+    assert len(calls) <= 95
+    calls.clear()
+    margin_table(P, G)
+    assert len(calls) <= 51
 
 
 # k_p = 0.41 puts the PDF loop's resonant peak near unity: the weakly
