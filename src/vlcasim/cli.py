@@ -212,7 +212,7 @@ class _Emitter:
     def __init__(self, outdir: str):
         self.outdir = outdir
         self.files = []
-        self.counters = {}  # simulation name -> deterministic work counts
+        self.counters = {}  # simulation or stage -> deterministic work counts
 
     def write(self, name: str, content: str):
         path = os.path.join(self.outdir, name)
@@ -281,10 +281,13 @@ def _margin_loops(spec: RunSpec):
 
 def _scenario_margins(spec: RunSpec, em: _Emitter):
     entries = margin_table(spec.actuator, spec.gains)
+    em.counters["margin_table"] = lintf.scan_counters(e.scan for e in entries)
     em.write("margin_table.csv", margin_table_to_csv(entries))
 
-    pms = {k: lintf.phase_margins(loop, MARGIN_DELAY_GRID)
-           for k, loop in spec.inputs.items()}
+    # the table's scans serve the sweep: no crossing search depends on the
+    # delay
+    pms = {k: e.scan.phase_margins(MARGIN_DELAY_GRID)
+           for k, e in zip(MARGIN_TABLE_ORDER, entries)}
     delay_ms = MARGIN_DELAY_GRID * 1e3
     em.write("margins_vs_delay.csv", lintf.csv_table(
         "delay_ms," + ",".join(k.value for k in MARGIN_TABLE_ORDER),
@@ -298,6 +301,7 @@ def _scenario_margins(spec: RunSpec, em: _Emitter):
 
     if spec.extras["calibrate"]:
         cal = calibrate_margins(spec.actuator, spec.gains)
+        em.counters["calibrate_margins"] = lintf.scan_counters(cal.scans)
         em.write("margin_calibration.csv", lintf.csv_table(
             "delay_ms,q_d_cutoff_hz,pm_pd_f,pm_pd_m,pm_pid_m,pm_pd_m_dob,"
             "objective_deg",
@@ -648,7 +652,8 @@ class RunManifest:
     error: Optional[str] = None
     output_dir: str = ""
     # per simulation: control steps, leg substeps, rate evaluations,
-    # saturated and singularity-damped steps
+    # saturated and singularity-damped steps; per margin stage: loop shapes
+    # scanned, grid points and refinement evaluations
     counters: dict = field(default_factory=dict)
 
     def to_json(self) -> str:

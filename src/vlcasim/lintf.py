@@ -6,9 +6,10 @@ one CSV table writer that every output file goes through.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy
@@ -132,18 +133,65 @@ def tf_eval(tf: DelayedTransferFunction, omega):
     each > 0."""
     if np.any(np.asarray(omega) <= 0.0):
         raise ValueError("omega must be > 0")
-    h = _rational_array(tf, omega)
+    h, den_abs = _rational_array(np.array(tf.num.coefficients[::-1]),
+                                 np.array(tf.den.coefficients[::-1]),
+                                 1j * omega)
+    pole = _pole_on_axis(den_abs, omega)
+    if pole:
+        raise PoleOnAxis(pole)
+    h = h[()]
     return h * np.exp(-1j * omega * tf.delay_s) if tf.delay_s else h
 
 
-def _rational_array(tf: DelayedTransferFunction, omegas):
-    """num/den at each omega, without the delay factor."""
-    s = 1j * omegas
-    den = tf.den(s)
-    if np.any(np.abs(den) < _DEN_FLOOR):
-        w_bad = float(np.ravel(omegas)[np.argmin(np.abs(den))])
-        raise PoleOnAxis(f"denominator vanishes at omega={w_bad:g} rad/s")
-    return tf.num(s) / den
+def _descending(polys) -> np.ndarray:
+    """The polynomials' coefficients, highest power first, one row each and
+    zero-padded in front to a common length: Horner's rule runs through
+    leading zeros without changing a bit of the value."""
+    width = max(len(p.coefficients) for p in polys)
+    rows = np.zeros((len(polys), width))
+    for row, p in zip(rows, polys):
+        row[width - len(p.coefficients):] = p.coefficients[::-1]
+    return rows
+
+
+def _horner(rows, s) -> np.ndarray:
+    """Each row of descending coefficients at s, rows and s broadcast
+    against each other, in place and in np.polyval's operation order."""
+    # complex coefficients, as np.polyval's additions promote them, spare
+    # the additions a cast buffer as large as the result
+    rows = np.asarray(rows, complex)
+    y = np.zeros(np.broadcast(rows[..., 0], s).shape, complex)
+    for k in range(rows.shape[-1]):
+        y *= s
+        y += rows[..., k]
+    return y
+
+
+def _rational_array(num, den, s):
+    """num/den at s = j*omega, each given as rows of descending coefficients
+    that broadcast against s, and |den| there for the caller's PoleOnAxis
+    check, or None where den clears the floor everywhere; where it does not,
+    the quotient is num itself."""
+    d = _horner(den, s)
+    den_abs = np.abs(d)
+    pole = den_abs < _DEN_FLOOR
+    if pole.any():
+        d[pole] = 1.0
+    else:
+        den_abs = None
+    h = _horner(num, s)
+    h /= d
+    return h, den_abs
+
+
+def _pole_on_axis(den_abs, omegas):
+    """The PoleOnAxis message for |den| at omegas, as _rational_array gives
+    it, naming the omega where it is least; None when it clears the floor
+    everywhere."""
+    if den_abs is None or not np.any(den_abs < _DEN_FLOOR):
+        return None
+    w_bad = float(np.ravel(omegas)[np.argmin(den_abs)])
+    return f"denominator vanishes at omega={w_bad:g} rad/s"
 
 
 def _low_freq_phase(tf: DelayedTransferFunction) -> float:
@@ -157,10 +205,12 @@ def _low_freq_phase(tf: DelayedTransferFunction) -> float:
     return base + (n0 - d0) * (math.pi / 2.0)
 
 
-def _unwrap_with_anchor(phases: np.ndarray, anchor: float) -> np.ndarray:
+def _unwrap_with_anchor(phases: np.ndarray, anchor) -> np.ndarray:
+    """Each row of phases unwrapped, then moved by whole turns to start
+    nearest its anchor (a float, or a column of them for several rows)."""
     out = np.unwrap(phases)
-    shift = 2.0 * math.pi * round((anchor - out[0]) / (2.0 * math.pi))
-    return out + shift
+    out += 2.0 * math.pi * np.round((anchor - out[..., :1]) / (2.0 * math.pi))
+    return out
 
 
 def _sweep_grid(omega_min: float, omega_max: float, points_per_decade: int):
@@ -210,18 +260,21 @@ def sweep_response(eval_fn: Callable[[float], complex], omega_min: float,
 
 
 def _regula_falsi(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
-                  fb: np.ndarray) -> np.ndarray:
+                  fb: np.ndarray, va: np.ndarray, vb: np.ndarray):
     """Refine every bracket [a, b] of a sign change of f at once by
     Anderson-Bjorck regula falsi in log frequency (Anderson & Bjorck, BIT
     13, 1973).
 
-    f(w, idx) evaluates the brackets idx at the trial frequencies w; fa and
-    fb hold f at the ends. A bracket stops once (b - a)/a <= MARGIN_REL_TOL
-    or once its next iterate is not strictly inside it, and yields its last
-    iterate, which lies in its final bracket (the end with the smaller |f|
-    if not even the first iterate is inside).
+    f(w, idx) evaluates the brackets idx at the trial frequencies w and
+    returns f there and a value v wanted at the root; fa, fb and va, vb hold
+    f and v at the ends. A bracket stops once (b - a)/a <= MARGIN_REL_TOL,
+    once its next iterate is not strictly inside it or once f comes back
+    NaN, and yields its last iterate, which lies in its final bracket (the
+    end with the smaller |f| if not even the first iterate is inside), and
+    v there.
     """
-    out = np.where(np.abs(fa) < np.abs(fb), a, b)
+    near_a = np.abs(fa) < np.abs(fb)
+    out, val = np.where(near_a, a, b), np.where(near_a, va, vb)
     log_tol = math.log1p(MARGIN_REL_TOL)
     # lb is the latest iterate and la the end kept from before it
     la, lb, idx = np.log(a), np.log(b), np.arange(a.size)
@@ -229,10 +282,10 @@ def _regula_falsi(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
         x = lb - fb * (lb - la) / (fb - fa)
         go = ((x - la) * (x - lb) < 0.0) & (np.abs(lb - la) > log_tol)
         if not go.any():
-            return out
+            return out, val
         la, lb, fa, fb, idx, x = (v[go] for v in (la, lb, fa, fb, idx, x))
         w = np.exp(x)
-        fx = f(w, idx)
+        fx, val[idx] = f(w, idx)
         out[idx] = w
         # a root between la and x keeps la, its value weighted by
         # 1 - fx/fb, or halved where that is not positive
@@ -243,38 +296,196 @@ def _regula_falsi(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
         lb, fb = x, fx
 
 
-def _rational_phase(tf: DelayedTransferFunction, w, rat_left) -> np.ndarray:
-    # the rational phase takes its branch from the cell's left grid point
-    raw = np.angle(_rational_array(tf, w))
+def _branch_fixed(raw, rat_left) -> np.ndarray:
+    # a rational phase inside a grid cell takes its branch from the cell's
+    # left grid point
     return raw + 2.0 * math.pi * np.round((rat_left - raw) / (2.0 * math.pi))
 
 
-def _margin_scan(open_loop: DelayedTransferFunction):
-    """The one crossing search, which no delay enters: (grid omegas, their
-    unwrapped rational phase, |L|, unity crossings, rational phase there)."""
+# loops whose rational parts a margin scan evaluates together: each adds
+# about 0.15 MB of scratch arrays to a block, most of them np.unwrap's
+_SCAN_BLOCK = 3
+
+
+@functools.cache
+def _margin_grid():
+    """The margin scan's grid, built on first use and read-only: (the
+    anchoring chain and MARGIN_BAND's grid, the chain's length)."""
     full, n_chain = _sweep_grid(*MARGIN_BAND, MARGIN_SCAN_PER_DECADE)
-    h_full = _rational_array(open_loop, full)
-    rat_full = _unwrap_with_anchor(np.angle(h_full), _low_freq_phase(open_loop))
-    omegas, rat = full[n_chain:], rat_full[n_chain:]
-    mag = np.abs(h_full[n_chain:])
+    full.flags.writeable = False
+    return full, n_chain
+
+
+@dataclass(frozen=True, eq=False)
+class MarginScan:
+    """What the margin scan found for one loop. Its unity crossings no delay
+    enters, so they give the phase margin behind any delay; the -180 deg
+    crossings lie behind the loop's own delay and are found only for a
+    scan with gain margins. A PoleOnAxis met by the scan is held and raised
+    by what reads the results it spoiled."""
+
+    delay_s: float
+    w_gc: np.ndarray      # unity crossings [rad/s]
+    rat_gc: np.ndarray    # the rational part's phase there [rad]
+    w_pc: Optional[np.ndarray]  # -180 deg (mod 360) crossings [rad/s]
+    m_pc: Optional[np.ndarray]  # |L| there
+    pole: Optional[str]       # PoleOnAxis on the grid or at a unity crossing
+    gain_pole: Optional[str]  # PoleOnAxis in the -180 deg search
+    refinements: int      # rational evaluations of the regula falsi
+
+    def phase_margins(self, delays) -> np.ndarray:
+        """Phase margin [deg] behind each delay [s] in place of the loop's
+        own, bit-equal to stability_margins(replace(loop, delay_s=T))
+        .phase_margin_deg; NaN without a unity crossing."""
+        if self.pole:
+            raise PoleOnAxis(self.pole)
+        pm = 180.0 + np.degrees(self.rat_gc - self.w_gc
+                                * np.asarray(delays, float)[..., None])
+        return (pm.min(axis=-1) if self.w_gc.size
+                else np.full(pm.shape[:-1], math.nan))
+
+    def report(self) -> StabilityReport:
+        """The margins behind the loop's own delay, as stability_margins
+        states them."""
+        if self.pole:
+            raise PoleOnAxis(self.pole)
+        if not self.w_gc.size:
+            raise NoCrossover("loop magnitude never crosses unity in the scan band")
+        if self.gain_pole:
+            raise PoleOnAxis(self.gain_pole)
+        pm = 180.0 + np.degrees(self.rat_gc - self.w_gc * self.delay_s)
+        best = int(np.argmin(pm))
+        keep = self.m_pc > 0.0
+        if keep.any():
+            gm = -20.0 * np.log10(self.m_pc[keep])
+            i_gm = int(np.argmin(gm))
+            gm_db, w_gm = float(gm[i_gm]), float(self.w_pc[keep][i_gm])
+        else:
+            gm_db, w_gm = math.inf, math.nan
+        return StabilityReport(phase_margin_deg=float(pm[best]),
+                               gain_crossover_rad_s=float(self.w_gc[best]),
+                               gain_margin_db=gm_db,
+                               phase_crossover_rad_s=w_gm,
+                               crossover_count=int(self.w_gc.size))
+
+
+def scan_counters(scans) -> dict:
+    """Deterministic work counts of a set of margin scans."""
+    scans = list(scans)
+    return {"loop_shapes": len(scans),
+            "grid_points": len(scans) * _margin_grid()[0].size,
+            "refinement_evaluations": sum(s.refinements for s in scans)}
+
+
+def margin_scan(loops: Sequence[DelayedTransferFunction],
+                gain_margins: bool = False) -> list:
+    """Scan a stack of loops for their crossings, _SCAN_BLOCK loops at a
+    time; one MarginScan per loop, in order. gain_margins adds each loop's
+    -180 deg crossings behind its own delay, which MarginScan.report needs.
+
+    A loop's PoleOnAxis stops no other loop: its scan holds it, so reading
+    the scans in order raises what scanning the loops one by one would.
+    """
+    scans = []
+    for i in range(0, len(loops), _SCAN_BLOCK):
+        scans += _scan_block(loops[i:i + _SCAN_BLOCK], gain_margins)
+    return scans
+
+
+def _scan_block(loops, gain_margins: bool) -> list:
+    """margin_scan of a few loops: one evaluation of their rational parts on
+    the grid, one phase unwrap along the rows, and one regula falsi for each
+    kind of crossing over every bracket of every loop."""
+    full, n_chain = _margin_grid()
+    omegas = full[n_chain:]
+    num = _descending([loop.num for loop in loops])
+    den = _descending([loop.den for loop in loops])
+    poles, gain_poles = [None] * len(loops), [None] * len(loops)
+    refinements = np.zeros(len(loops), np.int64)
+
+    def rational(w, rows, stage_poles):
+        # each bracket's loop at its trial frequency; a loop whose
+        # denominator vanishes there is held as failed and its brackets get
+        # NaN, which stops them
+        h, den_abs = _rational_array(num[rows], den[rows], 1j * w)
+        refinements[:] += np.bincount(rows, minlength=len(loops))
+        if den_abs is not None:
+            for r in np.unique(rows[den_abs < _DEN_FLOOR]):
+                mine = rows == r
+                stage_poles[r] = _pole_on_axis(den_abs[mine], w[mine])
+                h[mine] = math.nan
+        return h
+
+    h, den_abs = _rational_array(num[:, None], den[:, None], 1j * full)
+    if den_abs is not None:
+        poles = [_pole_on_axis(row, full) for row in den_abs]
+    del den_abs
+    live = np.array([p is None for p in poles])[:, None]
+    mag = np.abs(h[:, n_chain:])
     f = mag - 1.0
-    on_grid = np.flatnonzero(f == 0.0)
-    cells = np.flatnonzero(f[:-1] * f[1:] < 0.0)
-    w_c = _regula_falsi(
-        lambda w, i: np.abs(_rational_array(open_loop, w)) - 1.0,
-        omegas[cells], omegas[cells + 1], f[cells], f[cells + 1])
-    return (omegas, rat, mag, np.concatenate([omegas[on_grid], w_c]),
-            np.concatenate([rat[on_grid],
-                            _rational_phase(open_loop, w_c, rat[cells])]))
+    on_rows, on_cols = np.nonzero((f == 0.0) & live)
+    rows, cells = np.nonzero((f[:, :-1] * f[:, 1:] < 0.0) & live)
+    fa, fb = f[rows, cells], f[rows, cells + 1]
+    ha, hb = h[rows, n_chain + cells], h[rows, n_chain + cells + 1]
+    raw = np.angle(h)
+    del f, h
+    anchors = np.array([_low_freq_phase(loop) for loop in loops])
+    rat = _unwrap_with_anchor(raw, anchors[:, None])[:, n_chain:].copy()
+    del raw
 
+    # ---- unity-magnitude crossings, and the rational phase there
+    def unity(w, i):
+        h = rational(w, rows[i], poles)
+        return np.abs(h) - 1.0, h
+    w_c, h_c = _regula_falsi(unity, omegas[cells], omegas[cells + 1],
+                             fa, fb, ha, hb)
+    rat_c = _branch_fixed(np.angle(h_c), rat[rows, cells])
+    w_gc = [np.concatenate([omegas[on_cols[on_rows == r]], w_c[rows == r]])
+            for r in range(len(loops))]
+    rat_gc = [np.concatenate([rat[r, on_cols[on_rows == r]], rat_c[rows == r]])
+              for r in range(len(loops))]
 
-def phase_margins(open_loop: DelayedTransferFunction, delays) -> np.ndarray:
-    """Phase margin [deg] behind each delay [s] in place of the loop's own,
-    from one crossing search; bit-equal to stability_margins(replace(
-    open_loop, delay_s=T)).phase_margin_deg, NaN without a unity crossing."""
-    *_, w_gc, rat_gc = _margin_scan(open_loop)
-    pm = 180.0 + np.degrees(rat_gc - w_gc * np.asarray(delays, float)[..., None])
-    return pm.min(axis=-1) if w_gc.size else np.full(pm.shape[:-1], math.nan)
+    # ---- -180 deg (mod 360) crossings behind each loop's own delay, for
+    # the loops still standing with a unity crossing; level k of
+    # u = (phase + pi)/2pi is the target 2*pi*k - pi
+    w_pc, m_pc = [None] * len(loops), [None] * len(loops)
+    if gain_margins:
+        delay = np.array([loop.delay_s for loop in loops])
+        sel = np.flatnonzero([p is None and w.size > 0
+                              for p, w in zip(poles, w_gc)])
+        phase = rat[sel] - omegas * delay[sel, None]
+        u = (phase + math.pi) / (2.0 * math.pi)
+        lv_sel, lv_cols = np.nonzero(u[:, :-1] == np.floor(u[:, :-1]))
+        lo = np.floor(np.minimum(u[:, :-1], u[:, 1:]))
+        hi = np.ceil(np.maximum(u[:, :-1], u[:, 1:]))
+        per_cell = np.maximum(hi - lo - 1.0, 0.0).astype(np.int64).ravel()
+        brackets = np.repeat(np.arange(per_cell.size), per_cell)
+        first = np.cumsum(per_cell) - per_cell
+        levels = (lo.ravel()[brackets] + 1.0
+                  + (np.arange(brackets.size) - first[brackets]))
+        target = 2.0 * math.pi * levels - math.pi
+        x_sel, x_cells = np.divmod(brackets, omegas.size - 1)
+        x_rows = sel[x_sel]
+
+        def minus_180(w, i):
+            r = x_rows[i]
+            h = rational(w, r, gain_poles)
+            return (_branch_fixed(np.angle(h), rat[r, x_cells[i]])
+                    - w * delay[r] - target[i]), np.abs(h)
+        w_x, m_x = _regula_falsi(
+            minus_180, omegas[x_cells], omegas[x_cells + 1],
+            phase[x_sel, x_cells] - target, phase[x_sel, x_cells + 1] - target,
+            mag[x_rows, x_cells], mag[x_rows, x_cells + 1])
+        for j, r in enumerate(sel):
+            on_level = lv_cols[lv_sel == j]
+            w_pc[r] = np.concatenate([omegas[on_level], w_x[x_sel == j]])
+            m_pc[r] = np.concatenate([mag[r, on_level], m_x[x_sel == j]])
+
+    return [MarginScan(delay_s=loop.delay_s, w_gc=w_gc[r], rat_gc=rat_gc[r],
+                       w_pc=w_pc[r], m_pc=m_pc[r], pole=poles[r],
+                       gain_pole=gain_poles[r],
+                       refinements=int(refinements[r]))
+            for r, loop in enumerate(loops)]
 
 
 def stability_margins(open_loop: DelayedTransferFunction) -> StabilityReport:
@@ -292,46 +503,7 @@ def stability_margins(open_loop: DelayedTransferFunction) -> StabilityReport:
     assumes that |L| - 1 changes sign at most once in a cell and that the
     phase is monotone across every crossing's cell.
     """
-    omegas, rat, mag, w_gc, rat_gc = _margin_scan(open_loop)
-    delay = open_loop.delay_s
-    phase = rat - omegas * delay
-
-    # ---- unity-magnitude crossings -> phase margin candidates
-    if not w_gc.size:
-        raise NoCrossover("loop magnitude never crosses unity in the scan band")
-    pm = 180.0 + np.degrees(rat_gc - w_gc * delay)
-    best = int(np.argmin(pm))
-
-    # ---- -180 deg (mod 360) crossings -> gain margin candidates; level k
-    # of u = (phase + pi)/2pi is the target 2*pi*k - pi
-    u = (phase + math.pi) / (2.0 * math.pi)
-    on_level = np.flatnonzero(u[:-1] == np.floor(u[:-1]))
-    lo = np.floor(np.minimum(u[:-1], u[1:]))
-    hi = np.ceil(np.maximum(u[:-1], u[1:]))
-    per_cell = np.maximum(hi - lo - 1.0, 0.0).astype(np.int64)
-    cells = np.repeat(np.arange(per_cell.size), per_cell)
-    first = np.cumsum(per_cell) - per_cell
-    levels = lo[cells] + 1.0 + (np.arange(cells.size) - first[cells])
-    target = 2.0 * math.pi * levels - math.pi
-    w_x = _regula_falsi(
-        lambda w, i: (_rational_phase(open_loop, w, rat[cells[i]])
-                      - w * delay - target[i]),
-        omegas[cells], omegas[cells + 1], phase[cells] - target,
-        phase[cells + 1] - target)
-    w_pc = np.concatenate([omegas[on_level], w_x])
-    m_pc = np.concatenate([mag[on_level], np.abs(_rational_array(open_loop, w_x))])
-    keep = m_pc > 0.0
-    if keep.any():
-        gm = -20.0 * np.log10(m_pc[keep])
-        i_gm = int(np.argmin(gm))
-        gm_db, w_gm = float(gm[i_gm]), float(w_pc[keep][i_gm])
-    else:
-        gm_db, w_gm = math.inf, math.nan
-
-    return StabilityReport(phase_margin_deg=float(pm[best]),
-                           gain_crossover_rad_s=float(w_gc[best]),
-                           gain_margin_db=gm_db, phase_crossover_rad_s=w_gm,
-                           crossover_count=int(w_gc.size))
+    return margin_scan([open_loop], gain_margins=True)[0].report()
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,15 @@ spring multiplied by the squared speed reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .lintf import (DelayedTransferFunction, NoCrossover, Polynomial,
-                    StabilityReport, csv_table, phase_margins,
-                    stability_margins, sweep_response, tf_eval)
+from .lintf import (DelayedTransferFunction, MarginScan, NoCrossover,
+                    Polynomial, StabilityReport, csv_table, margin_scan,
+                    sweep_response, tf_eval)
 
 
 class MissingFilterCutoff(ValueError):
@@ -254,10 +254,11 @@ def closed_loop_tf(kind: ControllerKind, params: ActuatorParams,
     return ClosedLoopResponse(kind, params, gains)
 
 
-def loop_margins(loop: DelayedTransferFunction) -> Optional[StabilityReport]:
-    """The loop's stability margins; None when |L| never crosses unity."""
+def loop_margins(scan: MarginScan) -> Optional[StabilityReport]:
+    """The scanned loop's stability margins; None when |L| never crosses
+    unity."""
     try:
-        return stability_margins(loop)
+        return scan.report()
     except NoCrossover:
         return None
 
@@ -266,6 +267,8 @@ def loop_margins(loop: DelayedTransferFunction) -> Optional[StabilityReport]:
 class MarginEntry:
     label: str
     report: Optional[StabilityReport]  # None without a unity crossing
+    # the loop's scan, whose unity crossings give the margin behind any delay
+    scan: MarginScan = field(compare=False, repr=False)
 
 
 MARGIN_TABLE_ORDER = (ControllerKind.PDF, ControllerKind.PDM,
@@ -276,12 +279,14 @@ MARGIN_DELAY_GRID = np.linspace(0.25e-3, 2.5e-3, 10)
 
 
 def margin_table(params: ActuatorParams, gains: ControllerGains) -> list:
-    """Stability margins for each loop structure plus the bare force plant;
-    a loop without a unity crossing gets an entry without a report."""
-    loops = [(kind.value, open_loop_tf(kind, params, gains))
-             for kind in MARGIN_TABLE_ORDER]
-    loops.append(("plant", replace(force_plant(params), delay_s=gains.delay_t)))
-    return [MarginEntry(label, loop_margins(loop)) for label, loop in loops]
+    """Stability margins for each loop structure plus the bare force plant,
+    from one stacked scan; a loop without a unity crossing gets an entry
+    without a report."""
+    loops = [open_loop_tf(kind, params, gains) for kind in MARGIN_TABLE_ORDER]
+    loops.append(replace(force_plant(params), delay_s=gains.delay_t))
+    labels = [kind.value for kind in MARGIN_TABLE_ORDER] + ["plant"]
+    return [MarginEntry(label, loop_margins(scan), scan) for label, scan
+            in zip(labels, margin_scan(loops, gain_margins=True))]
 
 
 MARGIN_CSV_HEADER = "controller,phase_margin_deg,gain_crossover_hz,gain_margin_db"
@@ -305,6 +310,8 @@ class MarginCalibration:
     pm_pidm_deg: float
     pm_pdm_dob_deg: float
     objective_deg: float  # worst |target miss| across the two targets
+    # the search's margin scans: PDM, PDF per cutoff, PIDM and PDM_DOB
+    scans: tuple = field(default=(), compare=False, repr=False)
 
 
 def calibrate_margins(params: ActuatorParams, gains: ControllerGains,
@@ -321,25 +328,30 @@ def calibrate_margins(params: ActuatorParams, gains: ControllerGains,
         delay_grid = MARGIN_DELAY_GRID
     if q_d_grid is None:
         q_d_grid = 2.0 * math.pi * np.geomspace(20.0, 200.0, 16)
-    # one crossing search per loop shape serves every range-checked delay
     delays = [replace(gains, delay_t=float(t)).delay_t for t in delay_grid]
-    pdm = phase_margins(open_loop_tf(ControllerKind.PDM, params, gains),
-                        delays).tolist()
-    pdf_by_cutoff = [(float(wd), phase_margins(open_loop_tf(
-        ControllerKind.PDF, params, replace(gains, q_d_cutoff=float(wd))),
-        delays).tolist()) for wd in q_d_grid]
+    cutoffs = [float(wd) for wd in q_d_grid]
+    # one stacked scan, one crossing search per loop shape, serves every
+    # range-checked delay; the best point's PIDM and PDM_DOB loops have the
+    # nominal shapes: neither depends on q_d_cutoff, and no scan on the delay
+    scans = tuple(margin_scan([
+        open_loop_tf(ControllerKind.PDM, params, gains),
+        *(open_loop_tf(ControllerKind.PDF, params,
+                       replace(gains, q_d_cutoff=wd)) for wd in cutoffs),
+        open_loop_tf(ControllerKind.PIDM, params, gains),
+        open_loop_tf(ControllerKind.PDM_DOB, params, gains)]))
+    pdm = scans[0].phase_margins(delays).tolist()
+    pdf_by_cutoff = [(wd, scan.phase_margins(delays).tolist())
+                     for wd, scan in zip(cutoffs, scans[1:-2])]
     # delay-major, as the grid is walked; min keeps the first of tied points
     points = [(max(abs(pdf[i] - pm_pdf_target), abs(pdm[i] - pm_pdm_target)),
                t, wd, pdf[i], pdm[i])
               for i, t in enumerate(delays) if not math.isnan(pdm[i])
               for wd, pdf in pdf_by_cutoff if not math.isnan(pdf[i])]
     if not points:
-        return MarginCalibration(*(math.nan,) * 7)
+        return MarginCalibration(*(math.nan,) * 7, scans=scans)
     obj, t, wd, pm_pdf, pm_pdm = min(points, key=lambda p: p[0])
-    g = replace(gains, delay_t=t, q_d_cutoff=wd)
-    pm_pidm, pm_dob = (phase_margins(open_loop_tf(kind, params, g), [t])[0]
-                       for kind in (ControllerKind.PIDM, ControllerKind.PDM_DOB))
+    pm_pidm, pm_dob = (scan.phase_margins([t])[0] for scan in scans[-2:])
     return MarginCalibration(
         delay_t=t, q_d_cutoff=wd, pm_pdf_deg=pm_pdf, pm_pdm_deg=pm_pdm,
         pm_pidm_deg=float(pm_pidm), pm_pdm_dob_deg=float(pm_dob),
-        objective_deg=obj)
+        objective_deg=obj, scans=scans)

@@ -9,14 +9,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from vlcasim.lintf import zoh_discretize
+from vlcasim.lintf import NoCrossover, stability_margins, zoh_discretize
 from vlcasim.simkit import (CONTROL_DT, CURRENT_LIMIT_A, _locked_plant,
                             delay_samples)
 from vlcasim.testbed import TwoDofParams, leg_substeps
 from vlcasim.vlca import (DEFAULT_MOMENT_ARM, MARGIN_DELAY_GRID,
                           ActuatorParams, ControllerGains, ControllerKind,
-                          MarginCalibration, loop_margins, open_loop_tf,
-                          q_taud_tf)
+                          MarginCalibration, open_loop_tf, q_taud_tf)
 
 
 @dataclass(frozen=True)
@@ -240,9 +239,12 @@ def csv_per_cell(header: str, columns) -> str:
 
 
 def phase_margin(kind: ControllerKind, params, gains) -> float:
-    """The loop's phase margin [deg]; NaN without a unity crossing."""
-    rep = loop_margins(open_loop_tf(kind, params, gains))
-    return math.nan if rep is None else rep.phase_margin_deg
+    """The loop's phase margin [deg] from its own scan; NaN without a unity
+    crossing."""
+    try:
+        return stability_margins(open_loop_tf(kind, params, gains)).phase_margin_deg
+    except NoCrossover:
+        return math.nan
 
 
 def calibrate_margins_grid(params, gains, pm_pdf_target: float = 17.1,
@@ -352,8 +354,9 @@ class _DobShaper:
 
 
 class ReferenceForceController:
-    """simkit.DiscreteForceController as four classes: the derivative
-    filter, the biquad and the observer's shape/commit protocol apart.
+    """The force controller as four classes: the derivative filter, the
+    biquad and the observer's shape/commit protocol apart; the run kernels
+    state it once, as the tagged lines simkit._FORCE_LINES.
 
     step() takes the raw force target, the measured spring force, and the
     motor-side velocity in screw coordinates; it returns the current that

@@ -856,6 +856,26 @@ def test_osc_manifest_counts_each_simulation(tmp_path):
         assert c["singularity_damped_steps"] == 0
 
 
+@pytest.mark.parametrize("calibrate,shapes", [
+    ("0", {"margin_table": 5}),
+    ("1", {"margin_table": 5, "calibrate_margins": 19})])
+def test_margins_manifest_counts_each_loop_shape_once(tmp_path, calibrate,
+                                                      shapes):
+    # the table's five scans also serve the delay sweep; a calibration
+    # scans PDM, 16 PDF cutoffs, PIDM and PDM_DOB
+    raw = {"scenario": "margins", "out": "m_out",
+           "margins.calibrate": calibrate}
+    cli.run(raw)
+    first = (tmp_path / "m_out" / "manifest.json").read_bytes()
+    counters = json.loads(first)["counters"]
+    assert {k: c["loop_shapes"] for k, c in counters.items()} == shapes
+    for c in counters.values():
+        assert c["grid_points"] == c["loop_shapes"] * 2601
+        assert c["refinement_evaluations"] > 0
+    cli.run(raw)
+    assert (tmp_path / "m_out" / "manifest.json").read_bytes() == first
+
+
 def test_output_root_env_var(tmp_path, monkeypatch):
     root = tmp_path / "elsewhere"
     monkeypatch.setenv("VLCA_OUT", str(root))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vlcasim.lintf import (MARGIN_BAND, MARGIN_REL_TOL, DelayedTransferFunction,
-                           NoCrossover, Polynomial, phase_margins,
+                           NoCrossover, PoleOnAxis, Polynomial, margin_scan,
                            stability_margins, tf_eval)
 from vlcasim.vlca import (MAX_DELAY_T, VLCA_ACTUATOR, ControllerGains,
                           ControllerKind, force_plant, open_loop_tf)
@@ -177,6 +177,55 @@ def test_phase_margins_equal_a_full_scan_at_each_delay(loop, delays):
             expected.append(rep.phase_margin_deg)
         except NoCrossover:
             expected.append(math.nan)
-    got = phase_margins(loop, delays)
+    got = margin_scan([loop])[0].phase_margins(delays)
     assert got.shape == (len(delays),)
     assert got.tobytes() == np.array(expected).tobytes()
+
+
+@st.composite
+def axis_pole_loops(draw):
+    """A loop with a pole of order 38-45 at the origin: its denominator
+    falls under the floor at the bottom of the anchoring chain."""
+    den = Polynomial((0.0,) * draw(st.integers(38, 45)) + (1.0,))
+    return DelayedTransferFunction(Polynomial((draw(st.floats(0.1, 10.0)),)),
+                                   den * _real_root(draw(st.floats(0.5, 50.0))))
+
+
+@st.composite
+def integrator_loops(draw):
+    """k/s^m, m = 1-3: without a delay the double integrator's phase sits
+    on -180 deg at every grid point."""
+    den = Polynomial((0.0,) * draw(st.integers(1, 3)) + (1.0,))
+    return DelayedTransferFunction(
+        Polynomial((10.0 ** draw(st.floats(-2.0, 6.0)),)), den,
+        draw(st.one_of(st.just(0.0), st.floats(0.0, 10e-3))))
+
+
+def _outcome(read):
+    """What reading a scan gives, bit for bit: its value, or the error."""
+    try:
+        value = read()
+    except (NoCrossover, PoleOnAxis) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    return tuple(float(v).hex() for v in vars(value).values())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(
+           generic_loops(), actuator_loops(), axis_pole_loops(),
+           integrator_loops(),
+           st.builds(lambda loop, t: replace(loop, delay_s=t),
+                     plant_and_gain_loops(), st.floats(0.0, 10e-3))),
+           min_size=1, max_size=6),
+       st.lists(st.floats(0.0, 10e-3), min_size=1, max_size=3))
+def test_a_stacked_scan_equals_scans_one_by_one(loops, delays):
+    # a loop's margins and phase margins, and the error a loop raises, do
+    # not depend on the loops scanned beside it, with gain margins or not
+    with_gain, without = margin_scan(loops, gain_margins=True), margin_scan(loops)
+    for loop, scan, plain in zip(loops, with_gain, without):
+        assert _outcome(scan.report) == _outcome(lambda: stability_margins(loop))
+        alone = _outcome(lambda: margin_scan([loop])[0].phase_margins(delays))
+        assert _outcome(lambda: scan.phase_margins(delays)) == alone
+        assert _outcome(lambda: plain.phase_margins(delays)) == alone

@@ -301,6 +301,8 @@ def test_single_point_calibration_is_exact():
 
 def _assert_same_calibration(cal, ref):
     for f in fields(MarginCalibration):
+        if not f.compare:  # the scans that found it
+            continue
         a, b = getattr(cal, f.name), getattr(ref, f.name)
         assert type(a) is float and type(b) is float, f.name
         assert a == b or (math.isnan(a) and math.isnan(b)), f.name
@@ -317,32 +319,43 @@ def test_calibration_equals_the_per_point_grid_search(b_r):
 
 def test_calibration_makes_no_full_margin_scan(monkeypatch):
     # every margin of a calibration, the best point's PIDM and PDM_DOB
-    # margins included, comes from one crossing search per loop shape
+    # margins included, comes from one stacked scan of its 19 loop shapes,
+    # which looks for no -180 deg crossing
     calls = []
 
-    def counted(loop):
-        calls.append(loop)
-        return stability_margins(loop)
-    for module in (lintf, vlca):
-        monkeypatch.setattr(module, "stability_margins", counted)
+    def counted(loops, gain_margins=False):
+        calls.append((len(loops), gain_margins))
+        return lintf.margin_scan(loops, gain_margins)
+    monkeypatch.setattr(vlca, "margin_scan", counted)
     cal = calibrate_margins(P, G)
-    assert not calls
+    assert calls == [(19, False)]
     assert not math.isnan(cal.pm_pidm_deg + cal.pm_pdm_dob_deg)
 
 
 def test_margin_refinement_takes_few_evaluations(monkeypatch):
-    # each crossing search evaluates the loop once on its grid, then once
-    # per refinement step and once to read the refined points; with 24
-    # bisection steps a calibration took 494 evaluations and a table 255
-    calls = []
+    # each block of stacked loops is evaluated once on the grid, then once
+    # per refinement step over all its brackets, and no point twice; scans
+    # of one loop each that evaluated the refined points again took 95 calls
+    # (49,495 points) for a calibration and 51 (13,361) for a table, and 494
+    # and 255 calls with 24 bisection steps
+    sizes = []
     rational = lintf._rational_array
-    monkeypatch.setattr(lintf, "_rational_array",
-                        lambda *a: calls.append(a) or rational(*a))
-    calibrate_margins(P, G)
-    assert len(calls) <= 95
-    calls.clear()
-    margin_table(P, G)
-    assert len(calls) <= 51
+
+    def counted(*args):
+        h, den_abs = rational(*args)
+        sizes.append(h.size)
+        return h, den_abs
+    monkeypatch.setattr(lintf, "_rational_array", counted)
+    cal = calibrate_margins(P, G)
+    assert (len(sizes), sum(sizes)) == (28, 49476)
+    # the scans count every one of those points
+    work = lintf.scan_counters(cal.scans)
+    assert work["grid_points"] + work["refinement_evaluations"] == sum(sizes)
+    sizes.clear()
+    entries = margin_table(P, G)
+    assert (len(sizes), sum(sizes)) == (17, 13276)
+    work = lintf.scan_counters(e.scan for e in entries)
+    assert work["grid_points"] + work["refinement_evaluations"] == sum(sizes)
 
 
 # k_p = 0.41 puts the PDF loop's resonant peak near unity: the weakly
@@ -369,7 +382,8 @@ def test_calibration_without_any_crossing_is_all_nan():
     flat = replace(G, k_p=0.0, k_dm=0.0)
     cal = calibrate_margins(P, flat)
     _assert_same_calibration(cal, calibrate_margins_grid(P, flat))
-    assert all(math.isnan(getattr(cal, f.name)) for f in fields(cal))
+    assert all(math.isnan(getattr(cal, f.name)) for f in fields(cal)
+               if f.compare)
 
 
 def test_calibration_keeps_the_first_of_tied_points():
