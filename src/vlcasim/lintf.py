@@ -656,17 +656,26 @@ def csv_table(header: str, columns) -> str:
     if len(cols) != header.count(",") + 1 or len({len(c) for c in cols}) > 1:
         raise ValueError("need one equal-length column per header field")
     # an all-finite float array is formatted a row at a time, an all-NaN/inf
-    # one is an empty field of the row template, any other column cell by
-    # cell; blocks of rows keep few cells alive as Python objects
+    # one is an empty field of the row template and a constant one its text
+    # there, any other column cell by cell; blocks of rows keep few cells
+    # alive as Python objects
     def field(c) -> str:
         if c.dtype.kind != "f":
             return "%s"
         finite = np.isfinite(c)
-        return "%.10g" if finite.all() else "%s" if finite.any() else ""
+        if not finite.all():
+            return "%s" if finite.any() else ""
+        # == and the sign bit together compare finite floats bit for bit,
+        # so a column of 0.0 and -0.0 is not constant
+        if len(c) and (c == c[0]).all() and (
+                np.signbit(c) == np.signbit(c[0])).all():
+            return "%.10g" % c[0]
+        return "%.10g"
 
     fields = [field(c) for c in cols]
     row = ",".join(fields)
-    live = [(c, f == "%s") for c, f in zip(cols, fields) if f]
+    live = [(c, f == "%s") for c, f in zip(cols, fields)
+            if f in ("%s", "%.10g")]
     lines = [header]
     n = len(cols[0])
     for i in range(0, n, 256):

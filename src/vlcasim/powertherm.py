@@ -5,6 +5,7 @@ accounting for lift experiments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -217,7 +218,19 @@ def _illinois_root(f, a: float, b: float):
 def calibrate_thermal(actuator: ActuatorParams = VLCA_ACTUATOR,
                       targets: ThermalTargets = ThermalTargets()
                       ) -> CalibrationReport:
-    """Fit the network to the bench targets.
+    """Fit the network to the bench targets (see _fit_network). The fit is
+    memoized per process on (actuator, targets), so a sweep, which checks
+    every combination before it runs them, calibrates each actuator once.
+    The memo has no bound: a sweep has at most MAX_SWEEP_RUNS actuators,
+    and an entry is one ThermalParams. Every call gets a residuals dict of
+    its own."""
+    params, residuals = _fit_network(actuator, targets)
+    return CalibrationReport(params=params, residuals=dict(residuals))
+
+
+@functools.cache
+def _fit_network(actuator: ActuatorParams, targets: ThermalTargets):
+    """(ThermalParams, residual (name, value) pairs) of the fit.
 
     The settled-temperature target fixes the cooled loop resistance in
     closed form and the coolant gain the ambient-path resistance ratio,
@@ -284,7 +297,7 @@ def calibrate_thermal(actuator: ActuatorParams = VLCA_ACTUATOR,
         raise CalibrationInfeasible(
             f"best fit misses {worst} by {misses[worst] * 100:.2f}% "
             f"(tolerance {100 * _TARGET_TOL:.0f}%)", residuals)
-    return CalibrationReport(params=params, residuals=residuals)
+    return params, tuple(residuals.items())
 
 
 # ----------------------------------------------------------- power flow

@@ -3,6 +3,13 @@
 No plotting dependency: the renderer lays out axes, 1-2-5 tick grids
 (decade ticks on log axes), polylines, and a legend, and returns the SVG
 document as a string. Output is byte-stable for identical inputs.
+
+A series longer than four points per pixel column whose pixel x never
+decreases is drawn by M4 (Jugel et al., "M4: A Visualization-Oriented
+Time Series Data Aggregation", VLDB 2014): each column keeps its first,
+last, lowest and highest point, so each column's drawn span and its
+joins to its neighbours stay. Limits, ticks and the legend come from
+the whole series.
 """
 
 from __future__ import annotations
@@ -93,6 +100,23 @@ def _to_px(v, lo: float, hi: float, p_lo: float, p_hi: float, log: bool):
     return p_lo + (v - lo) / (hi - lo) * (p_hi - p_lo)
 
 
+def _m4(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the points M4 keeps from pixel coordinates
+    whose x never decreases: in each column floor(xs), the first and last
+    point and the first point of least and of greatest y."""
+    col = np.floor(xs)
+    new = np.r_[True, col[1:] != col[:-1]]
+    starts = np.flatnonzero(new)
+    ends = np.r_[starts[1:] - 1, len(xs) - 1]
+    group = np.cumsum(new) - 1  # the k-th column that holds points is k
+    keep = np.zeros(len(xs), bool)
+    keep[starts] = keep[ends] = True
+    for extreme in (np.minimum, np.maximum):
+        hits = np.flatnonzero(ys == extreme.reduceat(ys, starts)[group])
+        keep[hits[np.r_[True, group[hits[1:]] != group[hits[:-1]]]]] = True
+    return np.flatnonzero(keep)
+
+
 def line_chart(series: Sequence[tuple], title: str = "", xlabel: str = "",
                ylabel: str = "", logx: bool = False,
                logy: bool = False) -> str:
@@ -155,9 +179,13 @@ def line_chart(series: Sequence[tuple], title: str = "", xlabel: str = "",
         color = PALETTE[idx % len(PALETTE)]
         if len(x) == 0:
             continue
-        xs = _to_px(x, x_lo, x_hi, px0, px1, logx).tolist()
-        ys = _to_px(y, y_lo, y_hi, py0, py1, logy).tolist()
-        coords = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
+        xs = _to_px(x, x_lo, x_hi, px0, px1, logx)
+        ys = _to_px(y, y_lo, y_hi, py0, py1, logy)
+        if len(xs) > 4 * (px1 - px0 + 1) and (xs[1:] >= xs[:-1]).all():
+            kept = _m4(xs - px0, ys)
+            xs, ys = xs[kept], ys[kept]
+        coords = " ".join(map("%.2f,%.2f".__mod__,
+                              zip(xs.tolist(), ys.tolist())))
         out.append(f'<polyline points="{coords}" fill="none" '
                    f'stroke="{color}" stroke-width="1.5"/>')
     ly = py1 + 14

@@ -223,6 +223,41 @@ def polyline_points(x, y, limits, logx: bool = False, logy: bool = False,
         for xv, yv in zip(x, y))
 
 
+def m4_kept(x, y, limits, logx: bool = False, logy: bool = False,
+            frame=(64, 704, 394, 34)):
+    """The samples of a cleaned series that a chart draws, found one point
+    at a time: every sample, unless the series has more than four points
+    per pixel column and its pixel x never decreases; then, in each column
+    floor(x_px - px0), the first and last sample and the first of least
+    and of greatest pixel y, in their original order."""
+    def to_px(v, lo, hi, p_lo, p_hi, log):
+        if log:
+            v, lo, hi = math.log10(v), math.log10(lo), math.log10(hi)
+        return p_lo + (v - lo) / (hi - lo) * (p_hi - p_lo)
+
+    x_lo, x_hi, y_lo, y_hi = limits
+    px0, px1, py0, py1 = frame
+    pts = [(to_px(float(a), x_lo, x_hi, px0, px1, logx),
+            to_px(float(b), y_lo, y_hi, py0, py1, logy)) for a, b in zip(x, y)]
+    if (len(pts) <= 4 * (px1 - px0 + 1)
+            or any(b[0] < a[0] for a, b in zip(pts, pts[1:]))):
+        return x, y
+    columns = {}  # column -> [first, last, lowest, highest] sample index
+    for i, (xp, yp) in enumerate(pts):
+        c = math.floor(xp - px0)
+        if c not in columns:
+            columns[c] = [i, i, i, i]
+            continue
+        picks = columns[c]
+        picks[1] = i
+        if yp < pts[picks[2]][1]:
+            picks[2] = i
+        if yp > pts[picks[3]][1]:
+            picks[3] = i
+    kept = sorted({i for picks in columns.values() for i in picks})
+    return np.asarray(x)[kept], np.asarray(y)[kept]
+
+
 def csv_per_cell(header: str, columns) -> str:
     """CSV text with every cell formatted on its own: a float as %.10g, an
     int as is, text as given, None, NaN and +-inf as an empty cell."""

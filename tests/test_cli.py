@@ -904,6 +904,18 @@ def test_sweep_fans_out_a_range(tmp_path, capsys):
     assert dirs[0].startswith("000_impulse_ns=10")
 
 
+def test_a_thermal_sweep_calibrates_each_actuator_once(tmp_path):
+    # a sweep checks every combination before it runs the first, so each
+    # actuator is asked for twice, in the same order; 34 of them are more
+    # than a 32-entry LRU memo would keep
+    cfg = _write(tmp_path, "th.cfg", "scenario = thermal\nout = th_out\n"
+                                     "thermal.hold_duration_s = 1\n")
+    powertherm._fit_network.cache_clear()
+    assert main(["sweep", cfg, "--set", "actuator.m_r=1.0:4.3:0.1"]) == 0
+    info = powertherm._fit_network.cache_info()
+    assert (info.misses, info.hits) == (34, 34)
+
+
 def test_a_sweep_under_vlca_out_writes_where_its_manifest_says(
         tmp_path, monkeypatch):
     root = tmp_path / "root"

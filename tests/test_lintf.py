@@ -562,6 +562,26 @@ def test_csv_matches_the_per_cell_rule_for_every_kind_of_float_column():
         assert all(r.split(",")[where] == "" for r in rows)
 
 
+def test_csv_constant_columns_follow_the_per_cell_rule():
+    n = 700  # crosses the 256-row blocks
+    t = np.arange(n) * 1e-3
+    signed = np.zeros(n)
+    signed[[3, 300]] = -0.0  # equal to 0.0, but not the same bits
+    wide = np.full((n, 3), 2.5)  # a 2-D column: each column a strided view
+    wide[:, 1], wide[:, 2] = -0.0, t
+    header = "a,b,c,d,e,f,g"
+    cols = [np.full(n, 0.1), np.full(n, -0.0), signed, wide, np.full(n, 1e300)]
+    text = csv_table(header, cols)
+    assert text == csv_per_cell(header, [*cols[:3], *wide.T, cols[4]])
+    rows = [r.split(",") for r in text.splitlines()[1:]]
+    assert {r[1] for r in rows} == {"-0"} and {r[2] for r in rows} == {"0", "-0"}
+    # every column constant: the row template is the whole row
+    assert csv_table("a,b", [np.full(n, 1.5), wide[:, :1]]) == (
+        "a,b\n" + "1.5,2.5\n" * n)
+    for empty in ([np.array([]), np.array([])], [np.empty((0, 2))]):
+        assert csv_table("a,b", empty) == "a,b\n"
+
+
 def test_csv_columns_must_match_the_header():
     with pytest.raises(ValueError):
         csv_table("a,b", [[1.0, 2.0]])

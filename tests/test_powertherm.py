@@ -57,13 +57,26 @@ def test_a_drive_too_weak_for_the_burst_is_infeasible():
 
 
 def test_calibration_is_one_short_root_find(monkeypatch):
-    # the coordinate descent took 64 simulations at the defaults
+    # the coordinate descent took 64 simulations at the defaults; the
+    # cache is cleared so that a real calibration is counted
+    pt._fit_network.cache_clear()
     calls = []
     simulate = pt.simulate_constant_current
     monkeypatch.setattr(pt, "simulate_constant_current",
                         lambda *a, **kw: calls.append(a) or simulate(*a, **kw))
     pt.calibrate_thermal()
     assert len(calls) <= 24
+
+
+def test_an_actuator_is_calibrated_once_per_process(monkeypatch):
+    pt._fit_network.cache_clear()
+    first = pt.calibrate_thermal()
+    first.residuals["settle_c"] = math.inf  # a caller's dict is its own
+    monkeypatch.setattr(pt, "simulate_constant_current",
+                        lambda *a, **kw: pytest.fail("calibrated again"))
+    again = pt.calibrate_thermal(replace(VLCA_ACTUATOR), pt.ThermalTargets())
+    assert again.params is first.params
+    assert abs(again.residuals["settle_c"]) < 1e-6
 
 
 def test_resistance_split_encodes_the_cooling_ratio(calibrated):
