@@ -173,9 +173,11 @@ def _resolve(raw_config: dict):
             .encode()).hexdigest(),
         **resolved,
     )
-    # range checks through the scenario's own input builders
+    # range checks through the scenario's own input builders, where numpy
+    # arithmetic that leaves the floats raises (an ArithmeticError)
     try:
-        spec.inputs = sc.prepare(spec)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            spec.inputs = sc.prepare(spec)
     except ValueError as exc:
         return [(error_key(exc, scenario), str(exc))], None
     except ArithmeticError as exc:
@@ -273,10 +275,10 @@ def _scenario_bode(spec: RunSpec, em: _Emitter):
         xlabel="frequency [Hz]", ylabel="phase [deg]", logx=True))
 
 
-def _margin_loops(spec: RunSpec):
+def _margin_check(spec: RunSpec):
     # a loop whose coefficients leave the floats is a config error
-    return {k: open_loop_tf(k, spec.actuator, spec.gains)
-            for k in MARGIN_TABLE_ORDER}
+    for kind in MARGIN_TABLE_ORDER:
+        open_loop_tf(kind, spec.actuator, spec.gains)
 
 
 def _scenario_margins(spec: RunSpec, em: _Emitter):
@@ -352,6 +354,9 @@ def _position_step_check(spec: RunSpec):
     if x["step_rad"] == 0.0:
         # the step is the scale of the overshoot and settling metrics
         raise ValueError("step_rad must be nonzero")
+    if not math.isfinite(simkit.POSITION_KP * DEFAULT_MOMENT_ARM
+                         * x["step_rad"]):
+        raise ValueError("step_rad commands a force past the float range")
 
 
 def _scenario_position_step(spec: RunSpec, em: _Emitter):
@@ -592,7 +597,7 @@ _SCENARIOS = {
     "margins": _Scenario(
         {"calibrate": (0, "int")},
         {"actuator": VLCA_ACTUATOR, "gains": ControllerGains()},
-        _margin_loops, _scenario_margins),
+        _margin_check, _scenario_margins),
     "force_tracking": _Scenario(
         {"kind": ("pd_m_dob", tuple(k.value for k in ControllerKind)),
          "reference": ("ramp", ("step", "ramp", "sine", "chirp")),

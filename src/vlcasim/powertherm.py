@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -97,7 +97,6 @@ class ThermalTrace:
     t_winding: np.ndarray
     t_housing: np.ndarray
     cooling_on: bool
-    meta: dict = field(default_factory=dict)
 
     @property
     def peak_winding(self) -> float:
@@ -338,10 +337,9 @@ def power_series(trace, actuator: ActuatorParams = VLCA_ACTUATOR):
     return p_joint, p_motor, p_in
 
 
-def power_flow(trace, actuator: ActuatorParams = VLCA_ACTUATOR,
-               min_motor_w: float = 1.0) -> PowerSummary:
+def power_flow(trace, actuator: ActuatorParams = VLCA_ACTUATOR) -> PowerSummary:
     """Efficiency bookkeeping over the samples where the joints do
-    positive work and the shafts deliver more than min_motor_w; trace
+    positive work and the shafts deliver more than 1 W; trace
     must come from a cascaded leg simulation. Both averages are NaN when
     fewer than 10 samples qualify.
 
@@ -351,7 +349,7 @@ def power_flow(trace, actuator: ActuatorParams = VLCA_ACTUATOR,
     reads a drivetrain efficiency of 1.238, the default 1.5 s lift 0.887.
     """
     p_joint, p_motor, p_in = power_series(trace, actuator)
-    mask = (p_joint > 0.0) & (p_motor > min_motor_w)
+    mask = (p_joint > 0.0) & (p_motor > 1.0)
     n = int(mask.sum())
     drive = elec = math.nan
     if n >= 10:

@@ -80,9 +80,6 @@ def _compile(src: str, filename: str, name: str, **namespace):
     return namespace[name]
 
 
-_CHUNK = 1024  # periods a run kernel records between packing its states
-
-
 @lru_cache(maxsize=None)
 def _run_factory(name: str, n: int, args: tuple, maps: tuple, start: tuple,
                  body: tuple, ret: tuple):
@@ -104,15 +101,10 @@ def _run_factory(name: str, n: int, args: tuple, maps: tuple, start: tuple,
         sums = ", ".join(" + ".join(f"{p}{i}_{j} * {c}"
                                     for j, c in enumerate(xs + ["u"]))
                          for i in range(n))
-        # a list takes the states faster than the array; packing it every
-        # _CHUNK periods keeps no more float objects than that alive
-        src += [f"    for chunk in range(0, {p}_steps, {_CHUNK}):",
-                "        rows = []",
-                f"        for k in range(chunk, min(chunk + {_CHUNK}, {p}_steps)):",
-                *(f"            {line}" for line in body),
-                f"            {state} = {sums}",
-                *(f"            rows.append({x})" for x in xs),
-                "        xs.extend(rows)"]
+        src += [f"    for k in range({p}_steps):",
+                *(f"        {line}" for line in body),
+                f"        {state} = {sums}",
+                *(f"        xs.append({x})" for x in xs)]
     src.append(f"    return xs, {''.join(r + ', ' for r in ret)}")
     return _compile("\n".join(src) + "\n", f"<{name}>", "run",
                     array=array, copysign=math.copysign)

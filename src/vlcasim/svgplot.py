@@ -25,10 +25,10 @@ _WIDTH, _HEIGHT = 720, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 34, 46
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5):
+def _nice_ticks(lo: float, hi: float):
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo, hi]
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 4  # the step of five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

@@ -313,6 +313,18 @@ def test_run_lengths_stop_at_the_ceiling(key):
     "scenario = impact\nimpact.impulse_ns = 1e308",
     "scenario = materials\nmaterials.w_cost = 1e308\n"
     "materials.w_creep = 1e308",
+    # numpy arithmetic in a prepare step that leaves the floats
+    *(f"scenario = {key.split('.')[0]}\n{key} = {v}"
+      for key, v in (("bode.chirp_amp_a", "1e308"), ("bode.chirp_amp_a", "-1e308"),
+                     ("osc.freq_hz", "1e308"), ("osc.amplitude_m", "1e308"),
+                     ("osc.amplitude_m", "-1e308"), ("osc.center_x", "1e308"),
+                     ("osc.center_x", "-1e308"), ("osc.center_y", "1e308"),
+                     ("osc.center_y", "-1e308"), ("efficiency.lift_m", "1e308"),
+                     ("efficiency.lift_m", "-1e308"),
+                     ("efficiency.duration_s", "1e-308"))),
+    # a position step whose commanded force is past the floats
+    "scenario = position_step\nposition_step.step_rad = 1e308",
+    "scenario = position_step\nposition_step.step_rad = -1e308",
 ], ids=["impact", "force_tracking", "position_step", "osc",
         "osc_first_knot_nan", "osc_middle_knot_nan", "thermal_burst",
         "thermal_hold", "efficiency_duration", "efficiency_payload",
@@ -333,7 +345,13 @@ def test_run_lengths_stop_at_the_ceiling(key):
         "osc_drag_past_substep_ceiling",
         "efficiency_damping_past_substep_ceiling",
         "impact_peak_past_the_floats",
-        "materials_weight_total_past_the_floats"])
+        "materials_weight_total_past_the_floats",
+        "bode_chirp_amp_1e308", "bode_chirp_amp_-1e308", "osc_freq_1e308",
+        "osc_amplitude_1e308", "osc_amplitude_-1e308", "osc_center_x_1e308",
+        "osc_center_x_-1e308", "osc_center_y_1e308", "osc_center_y_-1e308",
+        "efficiency_lift_1e308", "efficiency_lift_-1e308",
+        "efficiency_duration_1e-308", "position_step_step_1e308",
+        "position_step_step_-1e308"])
 def test_validate_range_checks_scenario_extras(tmp_path, capsys, lines):
     cfg = _write(tmp_path, "extras.cfg", f"{lines}\nout = extras_out\n")
     assert main(["validate", cfg]) == 2
@@ -434,6 +452,11 @@ def _fails_with(exc, why):
     ("osc", "actuator.b_r", "1.2e6"),
     # the hold settles, at 224.6 C: above limit_c, which the run reports
     ("thermal", "thermal.alpha", "0.01"),
+    # the leg diverges, at t = 0.000, 0.530 and 0.470 s (ROADMAP item 5)
+    *(pytest.param(scenario, key, "1e9", marks=_fails_with(
+        cli.simkit.NonFiniteState, "the leg diverges; ROADMAP item 5"))
+      for scenario, key in (("osc", "osc.freq_hz"), ("osc", "osc.payload_kg"),
+                            ("efficiency", "efficiency.payload_kg"))),
 ])
 def test_a_validated_boundary_config_runs(scenario, key, value):
     raw = {"scenario": scenario, "out": "edge_out", key: value}

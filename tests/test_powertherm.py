@@ -244,15 +244,15 @@ def _fake_trace(scale_t=1.0):
 
 
 def test_power_flow_recovers_a_known_efficiency():
-    summary = pt.power_flow(_fake_trace(), min_motor_w=0.0)
+    summary = pt.power_flow(_fake_trace())
     assert summary.drivetrain_efficiency_avg == pytest.approx(0.89, rel=1e-9)
     assert summary.n_averaged == 501
     assert 0.5 < summary.electrical_efficiency_avg < 0.89
 
 
 def test_power_flow_is_time_scale_invariant():
-    a = pt.power_flow(_fake_trace(), min_motor_w=0.0)
-    b = pt.power_flow(_fake_trace(scale_t=7.3), min_motor_w=0.0)
+    a = pt.power_flow(_fake_trace())
+    b = pt.power_flow(_fake_trace(scale_t=7.3))
     assert b.drivetrain_efficiency_avg == pytest.approx(
         a.drivetrain_efficiency_avg, rel=1e-12)
 
@@ -267,7 +267,7 @@ def test_power_flow_needs_positive_intervals():
 
 
 def test_power_csv_layout():
-    summary = pt.power_flow(_fake_trace(), min_motor_w=0.0)
+    summary = pt.power_flow(_fake_trace())
     text = pt.power_samples_to_csv(summary)
     lines = text.splitlines()
     assert lines[0] == pt.POWER_CSV_HEADER
