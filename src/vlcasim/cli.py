@@ -20,14 +20,12 @@ failed run still writes the manifest, flagged failed.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Optional
 
@@ -768,6 +766,7 @@ def run_sweep(raw_config: dict, set_exprs, jobs: int = 1) -> dict:
     # costs memory
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 6 ms to import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_worker, combos))
     else:
@@ -801,6 +800,8 @@ def _load_config(path: str, set_exprs) -> dict:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line needs it
+
     parser = argparse.ArgumentParser(
         prog="vlcasim",
         description="Actuator simulation scenario runner")

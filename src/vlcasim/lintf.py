@@ -1,7 +1,8 @@
 """Linear-systems core: real polynomials in s, rational transfer functions
 with an optional transport delay, frequency sweeps with consistent phase
 unwrapping, stability margins, and second-order model fitting; also the
-one CSV table writer that every output file goes through.
+one CSV table writer that every output file goes through, and the numpy
+number text, byte for byte as %, behind it and the SVG coordinates.
 """
 
 from __future__ import annotations
@@ -638,53 +639,280 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------------ csv
 
+# Number text in bulk, byte for byte as % writes it. A chunk of values is
+# laid out as rows of uint32 words from lookup tables, each word up to 4
+# characters padded with NULs: the separator, the sign and the integer
+# part's top 2 digits, then its 4-digit groups, then the fraction's. One
+# bytes.translate per chunk drops the NULs. Each decimal rounding is
+# decided from one float64 product, and only where that product's error
+# cannot flip it; % itself writes the rare value that is not so decided.
+
+_GROUP = 10_000  # values of a 4-digit group
+_CHUNK_CELLS = 2048  # values per formatter call: about 0.5 MB of temporaries
+# Float tables of fewer cells are written cell by cell: a formatter call
+# costs about 70 us, % about 0.3 us a cell, and they met near 256 cells
+# (2 x 128: 87 against 95 us; 8 x 32: 97 against 96 us).
+_MIN_FORMATTER_CELLS = 256
+_EXP_MAX = 280  # |decimal exponent| the %.10g path decides itself
+_POW10 = (10 ** np.arange(16)).astype(float)
+# the integer part's groups (the top one 2 digits at most)
+_INT_DIV = np.array([1e8, 1e4, 1.0])[:, None]
+# the fraction's 15 digits: '.' and 3 digits, then three 4-digit groups;
+# each group's divisor, and the offset of its form without trailing zeros
+_FRAC_DIV = np.array([1e12, 1e8, 1e4, 1.0])[:, None]
+_FRAC_TRAIL = np.array([1000, 2 * _GROUP, 2 * _GROUP, 2 * _GROUP])[:, None]
+_NUL = 2 * _GROUP  # the word of 0 without trailing zeros: 4 NULs
+_DOT2 = 3 * _GROUP + 2000  # '.' and 2 digits
+# separator, sign and top 2 digits: 100 words for each separator, "\n",
+# "," and " ", then 100 more with a '-'
+_LEAD = _DOT2 + 100
+_SEP_NL, _SEP_COMMA, _SEP_SPACE = 0, 2, 4
+_EXP = _LEAD + 600  # 2 words an exponent, from -_EXP_MAX - 1
+
+
+@functools.cache
+def _text_words():
+    """(words, powers). `words` holds 4 NUL-padded bytes each, as native
+    uint32: each 4-digit group in full, without leading zeros (0 as "0")
+    and without trailing zeros (0 as nothing); '.' and a 3-digit group in
+    full and without trailing zeros (0 as nothing, '.' included); '.' and 2
+    digits; a separator, an optional '-' and 0-99 without leading zeros (0
+    as nothing); then each exponent from -_EXP_MAX - 1 to _EXP_MAX + 1 as
+    "e+dd" to "e-ddd" in 2 words. powers holds 10**(9 - e), correctly
+    rounded, for -_EXP_MAX - 1 <= e <= 308."""
+    group = np.arange(_GROUP, dtype=np.uint16)
+    digits = (group[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+              % 10).astype(np.uint8)
+    text = digits + np.uint8(ord("0"))
+    nonzero = digits != 0
+    lead = np.logical_or.accumulate(nonzero, axis=1)
+    trail = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    no_lead = text * lead
+    no_lead[0, 3] = ord("0")
+    point = text[:1000].copy()  # "0ddd" with '.' for its '0'
+    point[:, 0] = ord(".")
+    dot2 = point[:100].copy()  # ".0dd" shifted to ".dd"
+    dot2[:, 1:3], dot2[:, 3] = text[:100, 2:], 0
+    seps = np.zeros((6, 100, 4), np.uint8)
+    seps[:, :, 0] = np.frombuffer(b"\n\n,,  ", np.uint8)[:, None]
+    seps[1::2, :, 1] = ord("-")
+    seps[:, :, 2:] = (text * lead)[:100, 2:]
+    e = np.arange(-_EXP_MAX - 1, _EXP_MAX + 2)
+    exp = np.zeros((len(e), 8), np.uint8)
+    exp[:, 0] = ord("e")
+    exp[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    exp[:, 2:5] = text[np.abs(e), 1:]
+    short = np.abs(e) < 100
+    exp[short, 2:4], exp[short, 4] = exp[short, 3:5], 0
+    words = np.concatenate([text, no_lead, text * trail, point,
+                            point * trail[:1000], dot2, seps.reshape(-1, 4),
+                            exp.reshape(-1, 4)]).view(np.uint32)[:, 0]
+    powers = np.array([float(f"1e{9 - k}") for k in range(e[0], 309)])
+    return words, powers
+
+
+def _int_index(out: np.ndarray, i: np.ndarray, v: np.ndarray, block_shape,
+               seps):
+    """Write to out (3 rows) the word indices of the integer part i (a
+    float below 1e10) of each value of v, after its separator (seps: one
+    per column of the block) and sign: leading zeros dropped, one digit
+    kept."""
+    sign = (np.signbit(v).reshape(block_shape) + seps).ravel()
+    if i.max() < _GROUP:  # the units group alone, the usual case
+        out[0], out[1], out[2] = _LEAD + 100 * sign, _NUL, _GROUP + i
+        return
+    q = np.floor(i / _INT_DIV)
+    out[:] = q + _GROUP * (q < _GROUP)  # no leading zeros below a digit
+    out[1] += _GROUP * (q[1] == 0)  # nothing for a leading 0 group
+    out[1:] -= (_GROUP * q[:-1]).astype(np.intp)  # each group's digits
+    out[0] = _LEAD + 100 * sign + q[0]
+
+
+def _text(slots: np.ndarray) -> str:
+    """The text of rows of words, NULs dropped."""
+    return slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _round10(a: np.ndarray):
+    """(n, e, by_percent) for values |v| = a: |v| rounds to n * 10**(e - 9)
+    in 10 significant digits, n an integer-valued float (0 for 0).
+
+    e = floor(log10|v|) and s = |v| * 10**(9 - e) carry an error below
+    2.3e-6 for s < 1e10, so where |frac(s) - 1/2| > 3e-6 rounding s to
+    the nearest integer rounds |v| correctly. by_percent marks the values
+    outside that margin, with s outside [1e9, 1e10) or with |e| >
+    _EXP_MAX; their n and e are 0."""
+    e = np.floor(np.log10(np.where(a == 0.0, 1.0, a))).astype(np.intp)
+    by_percent = np.abs(e) > _EXP_MAX
+    np.maximum(e, -_EXP_MAX, out=e)  # the powers start there
+    s = a * _text_words()[1][e + _EXP_MAX + 1]
+    n = np.floor(s)
+    s -= n  # its fraction
+    by_percent |= (np.abs(s - 0.5) <= 3e-6) | (n < 1e9) | (n >= 1e10)
+    by_percent &= a != 0.0
+    n += s > 0.5
+    carry = n == 1e10  # rounded up into the next decade
+    if carry.any():
+        n[carry], e[carry] = 1e9, e[carry] + 1
+    if by_percent.any():
+        n[by_percent] = e[by_percent] = 0
+    return n, e, by_percent
+
+
+def _g10_parts(a: np.ndarray):
+    """(i, f, e, fixed, by_percent) for values |v| = a as "%.10g" writes
+    them: the integer part i and the fraction f as 15 digits, both
+    integer-valued floats, of the digits before an exponent e (written
+    where not fixed)."""
+    n, e, by_percent = _round10(a)
+    fixed = (e >= -4) & (e < 10)
+    k = np.where(fixed, 9 - e, 9)  # digits after the point
+    scale = _POW10[k]
+    i = np.floor(n / scale)
+    return i, (n - i * scale) * _POW10[15 - k], e, fixed, by_percent
+
+
+def _g10_text(block: np.ndarray, seps) -> str:
+    """The values of the 2-D float64 block, row by row, each as "%.10g" %
+    value after its column's separator; a non-finite value as nothing."""
+    v = block.ravel()
+    finite = np.isfinite(v)
+    all_finite = finite.all()
+    if not all_finite:
+        v = np.where(finite, v, 0.0)
+    a = np.abs(v)
+    i, f, e, fixed, by_percent = _g10_parts(a)
+    idx = np.empty((8, len(v)), np.intp)
+    _int_index(idx[:3], i, v, block.shape, seps)
+    q = np.floor(f / _FRAC_DIV)
+    last = q * _FRAC_DIV == f  # no digit follows the group
+    q[1:] -= _GROUP * q[:-1]  # each group's own digits
+    q += _FRAC_TRAIL * last
+    q[0] += 3 * _GROUP  # '.' and 3 digits
+    idx[3:7] = q
+    idx[7] = _NUL
+    if not fixed.all():
+        sci = np.flatnonzero(~fixed)  # their last fraction group is empty
+        idx[6, sci] = _EXP + 2 * (e[sci] + _EXP_MAX + 1)
+        idx[7, sci] = idx[6, sci] + 1
+    if not all_finite:
+        idx[2, ~finite] = _NUL  # the rest of a 0 is NUL already
+    slots = _text_words()[0].take(idx.T)
+    for j in np.flatnonzero(by_percent).tolist():
+        cell = b"%.10g" % a[j]  # after the separator-and-sign word
+        row = slots[j].view(np.uint8)
+        row[4:] = 0
+        row[4:4 + len(cell)] = np.frombuffer(cell, np.uint8)
+    return _text(slots)
+
+
+def _f2_text(block: np.ndarray, seps) -> Optional[str]:
+    """The values of the 2-D float64 block, row by row, each as "%.2f" %
+    value after its column's separator; None unless every value is
+    decided: |v| < 1e7, where 100 |v| carries an error below 6e-8, and
+    |frac(100 |v|) - 1/2| > 2e-7."""
+    words = _text_words()[0]
+    v = block.ravel()
+    a = np.abs(v)
+    s = a * 100.0
+    n = np.floor(s)
+    frac = s - n
+    if not ((np.abs(frac - 0.5) > 2e-7) & (a < 1e7)).all():  # NaN fails
+        return None
+    n += frac > 0.5
+    i = np.floor(n / 100.0)
+    idx = np.empty((4, len(v)), np.intp)
+    _int_index(idx[:3], i, v, block.shape, seps)
+    idx[3] = _DOT2 + n - 100.0 * i
+    return _text(words.take(idx.T))
+
+
+def _blocks(cols):
+    """The columns' rows in float64 blocks of about _CHUNK_CELLS values."""
+    rows = max(1, _CHUNK_CELLS // len(cols))
+    for i in range(0, len(cols[0]), rows):
+        yield np.column_stack([c[i:i + rows] for c in cols]).astype(
+            float, copy=False)
+
+
+def coordinate_text(xs: np.ndarray, ys: np.ndarray) -> str:
+    """" ".join("%.2f,%.2f" % p for p in zip(xs, ys)), byte for byte. If
+    one value is not decided (see _f2_text), all go through %."""
+    seps = np.array([_SEP_SPACE, _SEP_COMMA])
+    chunks = [_f2_text(b, seps) for b in _blocks((xs, ys))]
+    if None in chunks:
+        return " ".join(map("%.2f,%.2f".__mod__,
+                            zip(xs.tolist(), ys.tolist())))
+    if chunks:
+        chunks[0] = chunks[0][1:]  # the first pair has no separator
+    return "".join(chunks)
+
+
+def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if v is None or not math.isfinite(v):
+        return ""
+    return "%d" % v if isinstance(v, (int, np.integer)) else "%.10g" % v
+
+
+def _one_text(c: np.ndarray) -> Optional[str]:
+    """The one text of every cell of a float column, if it has one: ""
+    with no finite cell, its %.10g when every cell has the same bits."""
+    finite = np.isfinite(c)
+    if not finite.any():
+        return ""
+    # == and the sign bit together compare finite floats bit for bit
+    if (finite.all() and (c == c[0]).all()
+            and (np.signbit(c) == np.signbit(c[0])).all()):
+        return "%.10g" % c[0]
+    return None
+
+
+def _column(c) -> np.ndarray:
+    """A column as an array: a list of floats as float64, any other list
+    as objects."""
+    if isinstance(c, np.ndarray):
+        return c
+    c = list(c)
+    return np.array(c, dtype=float if all(isinstance(v, float) for v in c)
+                    else object)
+
+
 def csv_table(header: str, columns) -> str:
     """CSV text of a table given column by column; every output CSV is
     written here. Each column is a sequence of cells, or a 2-D array for
     several numeric columns side by side. A float is written as %.10g, an
-    int as is, text as given; None, NaN and +-inf are an empty cell."""
-    def cell(v) -> str:
-        if isinstance(v, str):
-            return v
-        if v is None or not math.isfinite(v):
-            return ""
-        return "%d" % v if isinstance(v, (int, np.integer)) else "%.10g" % v
+    int as is, text as given; None, NaN and +-inf are an empty cell.
 
-    arrays = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
-              for c in columns]
+    A table of float columns only, of at least _MIN_FORMATTER_CELLS cells,
+    is written by _g10_text, the rows and columns of a chunk in one call;
+    any other table cell by cell."""
+    arrays = [_column(c) for c in columns]
     cols = [col for a in arrays for col in (a.T if a.ndim == 2 else [a])]
     if len(cols) != header.count(",") + 1 or len({len(c) for c in cols}) > 1:
         raise ValueError("need one equal-length column per header field")
-    # an all-finite float array is formatted a row at a time, an all-NaN/inf
-    # one is an empty field of the row template and a constant one its text
-    # there, any other column cell by cell; blocks of rows keep few cells
-    # alive as Python objects
-    def field(c) -> str:
-        if c.dtype.kind != "f":
-            return "%s"
-        finite = np.isfinite(c)
-        if not finite.all():
-            return "%s" if finite.any() else ""
-        # == and the sign bit together compare finite floats bit for bit,
-        # so a column of 0.0 and -0.0 is not constant
-        if len(c) and (c == c[0]).all() and (
-                np.signbit(c) == np.signbit(c[0])).all():
-            return "%.10g" % c[0]
-        return "%.10g"
-
-    fields = [field(c) for c in cols]
-    row = ",".join(fields)
-    live = [(c, f == "%s") for c, f in zip(cols, fields)
-            if f in ("%s", "%.10g")]
-    lines = [header]
-    n = len(cols[0])
-    for i in range(0, n, 256):
-        block = [c[i:i + 256].tolist() for c, _ in live]
-        block = [[cell(v) for v in b] if per_cell else b
-                 for b, (_, per_cell) in zip(block, live)]
-        lines += ([row % r for r in zip(*block)] if block
-                  else [row] * min(256, n - i))
-    return "\n".join(lines) + "\n"
+    if (len(cols) * len(cols[0]) >= _MIN_FORMATTER_CELLS
+            and all(c.dtype.kind == "f" for c in cols)):
+        # the columns at the row's end that write one text in every row
+        # (temp_C, q_out outside position runs, cooling) are added to each
+        # row by a replace of the row separator
+        end = ""
+        while len(cols) > 1 and (one := _one_text(cols[-1])) is not None:
+            end = "," + one + end
+            cols = cols[:-1]
+        seps = np.full(len(cols), _SEP_COMMA)
+        seps[0] = _SEP_NL
+        texts = [header]
+        for b in _blocks(cols):
+            text = _g10_text(b, seps)
+            texts.append(text.replace("\n", end + "\n") if end else text)
+        texts[1] = texts[1][len(end):]  # the first row follows the header
+        return "".join([*texts, end, "\n"])
+    cells = [["%.10g" % x if math.isfinite(x) else "" for x in c.tolist()]
+             if c.dtype.kind == "f" else list(map(_cell, c.tolist()))
+             for c in cols]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 FRF_CSV_HEADER = "omega_rad_s,magnitude,phase_deg"

@@ -424,9 +424,7 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
     trace = SimTrace(CONTROL_DT, t,
                      f_cmd=np.array([reference.value(tk) for tk in t.tolist()]),
                      f_meas=f_meas, f_loadcell=f_meas + params.b_r * v,
-                     i_m=np.frombuffer(cmds)[:n], x_r=x,
-                     meta={"kind": kind.value,
-                           "reference": type(reference).__name__})
+                     i_m=np.frombuffer(cmds)[:n], x_r=x)
     _warn_if_saturated(trace, saturated)
     return trace
 
@@ -624,9 +622,7 @@ def run_joint_position_control(element: str,
     trace = SimTrace(CONTROL_DT, np.arange(n) * CONTROL_DT, f_cmd,
                      f_meas=k_s * defl, f_loadcell=k_s * defl + b_s * (vm - vl),
                      i_m=np.frombuffer(cmds)[:n], x_r=defl,
-                     q_out=xl / DEFAULT_MOMENT_ARM,
-                     meta={"kind": "position_step", "element": element,
-                           "step_rad": step_rad, "x_des_m": x_des})
+                     q_out=xl / DEFAULT_MOMENT_ARM)
     if step_rad != 0.0:
         trace.meta["overshoot_frac"] = overshoot_fraction(trace.q_out, step_rad)
         trace.meta["settling_time_s"] = settling_time(trace.t, trace.q_out,
@@ -726,8 +722,7 @@ def run_impact(config: ImpactConfig,
     return SimTrace(dt, t, f_cmd=np.zeros(n), f_meas=k_s * x,
                     f_loadcell=f_hammer - IMPACT_SENSOR_MASS_KG * acc,
                     i_m=np.zeros(n), x_r=x if visco else np.zeros(n),
-                    meta={"kind": "impact", "grounding": config.grounding,
-                          "f_peak_n": f_peak})
+                    meta={"f_peak_n": f_peak})
 
 
 # -------------------------------------------------------------- metrics

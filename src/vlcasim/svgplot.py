@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .lintf import coordinate_text
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 
 _WIDTH, _HEIGHT = 720, 440
@@ -184,8 +186,7 @@ def line_chart(series: Sequence[tuple], title: str = "", xlabel: str = "",
         if len(xs) > 4 * (px1 - px0 + 1) and (xs[1:] >= xs[:-1]).all():
             kept = _m4(xs - px0, ys)
             xs, ys = xs[kept], ys[kept]
-        coords = " ".join(map("%.2f,%.2f".__mod__,
-                              zip(xs.tolist(), ys.tolist())))
+        coords = coordinate_text(xs, ys)
         out.append(f'<polyline points="{coords}" fill="none" '
                    f'stroke="{color}" stroke-width="1.5"/>')
     ly = py1 + 14

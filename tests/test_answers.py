@@ -45,3 +45,16 @@ def test_a_one_ulp_cell_is_reported_with_its_file_column_and_row(tmp_path):
     assert answers.summary_line(result).endswith(
         "largest relative CSV difference 1.97e-16 at run/trace.csv column f_N "
         "row 2")
+
+
+def test_the_corpus_holds_the_benchmark_batches_of_two_seeds():
+    runs = answers.corpus()
+    workloads = answers._workloads()
+    for workload in workloads.WORKLOADS:
+        for seed in answers.BENCH_SEEDS:
+            batch = workloads.batch(workload, seed)
+            mine = [cfg for name, cfg in runs.items()
+                    if name.startswith(f"{workload}_{seed}_")]
+            assert [{k: v for k, v in cfg.items() if k != "out"}
+                    for cfg in mine] == batch
+    assert len({cfg["out"] for cfg in runs.values()}) == len(runs)

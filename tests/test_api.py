@@ -204,6 +204,20 @@ def test_importing_the_cli_loads_scipy_but_none_of_its_subpackages(tmp_path):
         "force_tracking", "position_step", "impact", "thermal")}
 
 
+def test_importing_the_cli_loads_no_process_pool_and_no_argparse():
+    # a sweep with --jobs above 1 imports the process pool, and main()
+    # the argument parser; an in-process run needs neither
+    src = str(pathlib.Path(vlcasim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, vlcasim.cli; print(sorted(m for m in ("
+             "'concurrent.futures.process', 'multiprocessing', 'argparse')"
+             " if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
 def test_only_lintf_imports_scipy():
     importers = set()
     for path in pathlib.Path(vlcasim.__file__).parent.glob("*.py"):

@@ -1,4 +1,5 @@
 """Scenario runner: config validation, manifests, reruns, sweeps."""
+import concurrent.futures
 import csv
 import inspect
 import io
@@ -974,7 +975,7 @@ def test_sweep_jobs_are_clamped_to_the_core_count(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     cfg = _write(tmp_path, "sw.cfg",
                  "scenario = materials\nout = sw_out\nseed = 3\n")

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from oracles import csv_per_cell
 from vlcasim import lintf, powertherm, simkit
@@ -541,7 +541,7 @@ def test_csv_blocks_match_a_row_by_row_rendering():
 
 
 def test_csv_matches_the_per_cell_rule_for_every_kind_of_float_column():
-    n = 700  # crosses the 256-row blocks
+    n = 700  # with 4 or more columns, crosses a 2,048-cell writer chunk
     rng = np.random.default_rng(11)
     finite = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
     mixed = finite.copy()
@@ -563,7 +563,7 @@ def test_csv_matches_the_per_cell_rule_for_every_kind_of_float_column():
 
 
 def test_csv_constant_columns_follow_the_per_cell_rule():
-    n = 700  # crosses the 256-row blocks
+    n = 700  # with 4 or more columns, crosses a 2,048-cell writer chunk
     t = np.arange(n) * 1e-3
     signed = np.zeros(n)
     signed[[3, 300]] = -0.0  # equal to 0.0, but not the same bits
@@ -588,3 +588,96 @@ def test_csv_columns_must_match_the_header():
     with pytest.raises(ValueError):
         csv_table("a,b", [[1.0, 2.0], [3.0]])
     assert csv_table("a,b", [[], []]) == "a,b\n"
+
+
+# --------------------------------------------- the vectorized %.10g writer
+
+def _tie_neighbours(rng, n):
+    """Decimal ties of the 11th significant digit, d.dddddddddd5e(k), as
+    the nearest floats, with the floats one ulp either side of each."""
+    digits = rng.integers(10 ** 9, 10 ** 10, n) * 10 + 5
+    exps = rng.integers(-30, 30, n)
+    ties = np.array([float(f"{d}e{k}") for d, k in zip(digits.tolist(),
+                                                        exps.tolist())])
+    return np.concatenate([ties, np.nextafter(ties, math.inf),
+                           np.nextafter(ties, -math.inf)])
+
+
+_SPECIAL = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                     5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                     -1e300, 1.7976931348623157e308, 1e-5, 1e-4, 0.1, 1.0,
+                     1e10, 9999999999.5, 9999999999.7, 0.99999999997,
+                     1234567890.5, 1234567891.5])
+
+
+def _float_column(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "bits":  # every kind of float: NaN, +-inf, subnormals
+        return rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+    if kind == "wide":
+        return rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300, n)
+    if kind == "ties":
+        return rng.choice(_tie_neighbours(rng, n), n)
+    if kind == "special":
+        return rng.choice(_SPECIAL, n) * rng.choice([1.0, -1.0], n)
+    return np.arange(n) * 10.0 ** rng.integers(-6, 3)  # a time column
+
+
+# a failing table is reported as drawn: shrinking one takes minutes
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          phases=[Phase.generate])
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(300, 2500),
+       kinds=st.lists(st.sampled_from(["bits", "wide", "ties", "special",
+                                       "time"]), min_size=1, max_size=4),
+       ends=st.lists(st.sampled_from(_SPECIAL), max_size=2))
+def test_csv_writes_each_float_as_the_per_cell_rule(seed, rows, kinds, ends):
+    # each column mixes the drawn kinds cell by cell, and columns of one
+    # value (NaN, +-inf, -0.0, ...) may end the row; tables of 2,048 cells
+    # or more cross a chunk of the formatter
+    rng = np.random.default_rng(seed)
+    cols = []
+    for _ in kinds:
+        pick = rng.integers(0, len(kinds), rows)
+        cols.append(np.choose(pick, [_float_column(k, rows, rng)
+                                     for k in kinds]))
+    cols += [np.full(rows, value) for value in ends]
+    header = ",".join(f"c{j}" for j in range(len(cols)))
+    assert csv_table(header, cols) == csv_per_cell(header, cols)
+
+
+@pytest.mark.parametrize("value, text", [
+    (1234567890.5, "1234567890"),    # a tie: % rounds half to even
+    (1234567891.5, "1234567892"),
+    (9999999999.5, "1e+10"),
+    (5e-324, "4.940656458e-324"),    # past the decided exponents
+    (1.7976931348623157e308, "1.797693135e+308"),
+    (9999999999.7, "1e+10"),         # decided, and carried into 1e10
+    (0.99999999997, "1"),
+    (99999.999997, "100000")])
+def test_an_undecided_or_carried_cell_is_written_as_percent_writes_it(
+        value, text):
+    assert "%.10g" % value == text
+    col = np.full(300, value)
+    col[1::2] *= -1.0
+    assert csv_table("v", [col]).splitlines()[1:] == [text, "-" + text] * 150
+
+
+def test_the_formatter_hands_the_undecided_values_to_percent():
+    a = np.array([1234567890.5, 9999999999.5, 5e-324, 1.7976931348623157e308,
+                  0.1, 1234567890.4, 9999999999.7, 0.0])
+    n, e, by_percent = lintf._round10(a)
+    assert by_percent.tolist() == [True] * 4 + [False] * 4
+    assert n[4:].tolist() == [1e9, 1234567890.0, 1e9, 0.0]
+    assert e[4:].tolist() == [-1, 9, 10, 0]
+
+
+def test_a_small_float_table_and_a_mixed_one_are_written_cell_by_cell():
+    # below _MIN_FORMATTER_CELLS, or with a text or int column, the table
+    # takes the per-cell rule; each must still match it
+    rng = np.random.default_rng(5)
+    small = [rng.normal(size=10) for _ in range(3)]
+    assert 30 < lintf._MIN_FORMATTER_CELLS
+    assert csv_table("a,b,c", small) == csv_per_cell("a,b,c", small)
+    mixed = [["x"] * 400, np.arange(400), rng.normal(size=400)]
+    assert csv_table("a,b,c", mixed) == csv_per_cell("a,b,c", mixed)
+    floats = [list(rng.normal(size=400)), list(rng.normal(size=400))]
+    assert csv_table("a,b", floats) == csv_per_cell("a,b", floats)

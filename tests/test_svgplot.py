@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import m4_kept, polyline_points
-from vlcasim import svgplot
+from vlcasim import lintf, svgplot
 
 NAN, INF = math.nan, math.inf
 _RNG = np.random.default_rng(7)
@@ -181,6 +181,42 @@ def test_the_pair_format_writes_each_coordinate_as_the_f_string_does():
     for a in values:
         for b in values:
             assert "%.2f,%.2f" % (a, b) == f"{a:.2f},{b:.2f}"
+
+
+def _pair_join(x, y):
+    return " ".join(map("%.2f,%.2f".__mod__, zip(x.tolist(), y.tolist())))
+
+
+@pytest.mark.parametrize("values", [
+    [0.125, 2.675, 703.995, -0.0, 0.0, -0.001, -0.004999, -0.005, 1.005],
+    _near(np.array([0.125, 2.675, 64.125, 393.995]), 3),  # ties and ulps
+    [1.0, 2.5, 1e7 + 0.125, -3.0]])  # one value past 1e7: all by %
+def test_coordinates_are_the_pair_format_join(values):
+    x = np.asarray(values, dtype=float)
+    for xs, ys in [(x, x[::-1].copy()), (x, -x), (np.tile(x, 700),
+                                                  np.repeat(x, 700))]:
+        assert lintf.coordinate_text(xs, ys) == _pair_join(xs, ys)
+
+
+def test_a_tie_sends_the_chunk_to_percent():
+    seps = np.array([lintf._SEP_SPACE, lintf._SEP_COMMA])
+    assert lintf._f2_text(np.array([[0.125, 1.0]]), seps) is None
+    assert lintf._f2_text(np.array([[0.126, 1e7]]), seps) is None
+    assert lintf._f2_text(np.array([[0.126, 1.0]]), seps) == " 0.13,1.00"
+
+
+def test_chart_polylines_are_the_pair_format_join_of_their_pixels():
+    # x from 0 to 640 on the 640 px axis puts pixel x at 64 + x, so the
+    # pixel ties 64.125 and 66.675 are drawn; y sweeps small negatives
+    x = np.array([0.0, 0.125, 2.675, 3.0, 640.0])
+    y = np.array([-0.0, -1e-3, 0.125, 2.675, 1.0])
+    svg = svgplot.line_chart([("a", x, y)])
+    limits = svgplot._limits([(x, y)], False)
+    px = svgplot._to_px(x, *limits[:2], 64, 704, False)
+    py = svgplot._to_px(y, *limits[2:], 394, 34, False)
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == [
+        _pair_join(px, py)]
+    assert "64.12," in svg and "66.67," in svg
 
 
 # run in a child capped at 1 GiB of address space and 10 s: a tick loop

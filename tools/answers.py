@@ -3,14 +3,17 @@
     python tools/answers.py BASE CHANGE [--work DIR]
 
 BASE and CHANGE are checkouts of this repository (each with its src/).
-Every corpus config runs through `python -m vlcasim.cli run` in a fresh
-process against each tree's src/, into the same relative output path
-under DIR/base and DIR/change. Then the two output directories are
-compared file by file, and one line is printed that a change can quote:
-the files compared, those byte-identical by SHA-256 (each manifest.json
-compared without its output_dir), the SVGs that differ, and the largest
-relative CSV difference with its file, column and row. The exit status
-is 0 when every file is identical, 1 otherwise.
+The corpus is the nine default scenarios and a few variants, and the
+seed-0 and seed-1 batches of each benchmark workload (bench/workloads.py
+beside this script, read as it is). Every corpus config runs through
+`python -m vlcasim.cli run` in a fresh process against each tree's src/,
+into the same relative output path under DIR/base and DIR/change. Then
+the two output directories are compared file by file, and one line is
+printed that a change can quote: the files compared, those
+byte-identical by SHA-256 (each manifest.json compared without its
+output_dir), the SVGs that differ, and the largest relative CSV
+difference with its file, column and row. The exit status is 0 when
+every file is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -28,6 +32,17 @@ import tempfile
 SCENARIOS = ("bode", "margins", "force_tracking", "position_step", "impact",
              "osc", "thermal", "efficiency", "materials")
 KINDS = ("pd_f", "pd_m", "pid_m", "pd_m_dob")
+BENCH_SEEDS = (0, 1)
+
+
+def _workloads():
+    """bench/workloads.py, loaded from its file without importing bench."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def corpus() -> dict:
@@ -40,6 +55,11 @@ def corpus() -> dict:
             runs[f"force_tracking_{kind}_delay_{delay}"] = {
                 "scenario": "force_tracking", "force_tracking.kind": kind,
                 "gains.delay_t": delay}
+    workloads = _workloads()
+    for workload in workloads.WORKLOADS:
+        for seed in BENCH_SEEDS:
+            for i, cfg in enumerate(workloads.batch(workload, seed)):
+                runs[f"{workload}_{seed}_{i:02d}_{cfg['scenario']}"] = cfg
     return {name: {**cfg, "out": name} for name, cfg in runs.items()}
 
 
