@@ -359,15 +359,16 @@ def _position_step_check(spec: RunSpec):
 
 def _scenario_position_step(spec: RunSpec, em: _Emitter):
     x = spec.extras
+    step = x["step_rad"]
     metrics, curves = [], []
     for element in ("elastomer", "steel_spring"):
         trace = simkit.run_joint_position_control(
-            element, step_rad=x["step_rad"], duration=x["duration_s"],
+            element, step_rad=step, duration=x["duration_s"],
             params=spec.actuator)
         em.write(f"position_step_{element}.csv", trace.to_csv())
-        # settling_time_s is inf, an empty cell, if the run never settles
-        metrics.append((element, trace.meta["overshoot_frac"],
-                        trace.meta["settling_time_s"]))
+        # the settling time is inf, an empty cell, if the run never settles
+        metrics.append((element, simkit.overshoot_fraction(trace.q_out, step),
+                        simkit.settling_time(trace.t, trace.q_out, step)))
         curves.append((element, trace.t, trace.q_out))
     em.write("position_step_metrics.csv", lintf.csv_table(
         "element,overshoot_frac,settling_s", zip(*metrics)))
@@ -807,19 +808,15 @@ def main(argv=None) -> int:
         description="Actuator simulation scenario runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute a scenario config")
-    p_run.add_argument("config")
-    p_run.add_argument("--set", action="append", default=[], metavar="K=V")
-
-    p_val = sub.add_parser("validate", help="check a config without running")
-    p_val.add_argument("config")
-    p_val.add_argument("--set", action="append", default=[], metavar="K=V")
-
-    p_sweep = sub.add_parser("sweep", help="fan a config over value ranges")
-    p_sweep.add_argument("config")
-    p_sweep.add_argument("--set", action="append", default=[],
-                         metavar="K=A:B:STEP", required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    for command, help_text, set_metavar in (
+            ("run", "execute a scenario config", "K=V"),
+            ("validate", "check a config without running", "K=V"),
+            ("sweep", "fan a config over value ranges", "K=A:B:STEP")):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("config")
+        p.add_argument("--set", action="append", default=[],
+                       metavar=set_metavar, required=command == "sweep")
+    p.add_argument("--jobs", type=int, default=1)  # sweep, the last one
 
     args = parser.parse_args(argv)
     try:

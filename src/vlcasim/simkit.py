@@ -8,15 +8,16 @@ the hammer strike with its half-sine pulse carried as an oscillator in the
 state. Each run is one generated kernel (_run_factory): the loop itself,
 with the run's command lines, the map's rows summed left to right in
 column order, and the recording of the states, so a period makes no
-Python call but the reference's value. powertherm's thermal network runs
-the same way. The force laws are stated once, as the tagged source lines
-_FORCE_LINES; the force loop and the leg's cascaded mode write them into
-their kernels, and the position loop writes its clip. A run checks its
-states once, after the loop. The package's only Runge-Kutta integration is
-the nonlinear leg's fixed-step Dormand-Prince map, in testbed, whose run
-kernel (testbed._leg_kernel) is built from the DP5 tableau, the leg's rate
-lines and these force lines. Saturation clips commanded current at the
-amplifier limit and is recorded, not fatal.
+Python call but the reference's value; powertherm's thermal network runs
+the same way. Every generated kernel, the leg's in testbed too, is one
+flat function that takes its run constants as arguments, compiled by
+_compile. The force laws are stated once, as the tagged source lines
+_FORCE_LINES, which the force loop and the leg's cascaded mode write into
+their kernels; the position loop writes their clip. A run checks its
+states once, after the loop, and returns a SimTrace built once. The only
+Runge-Kutta integration is the leg's fixed-step Dormand-Prince map
+(testbed._leg_kernel). Saturation clips commanded current at the
+amplifier limit and is counted and warned of, not fatal.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import re
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -71,11 +72,19 @@ def control_steps(duration: float, name: str, dt: float = CONTROL_DT) -> int:
 
 # ---------------------------------------------------------------- plant
 
-def _compile(src: str, filename: str, name: str, **namespace):
+# the globals of every generated kernel: the names its lines read beside
+# its arguments
+_KERNEL_GLOBALS = {"array": array, "copysign": math.copysign, "cos": math.cos,
+                   "sin": math.sin, "sqrt": math.sqrt}
+
+
+def _compile(src: str, filename: str, name: str):
     """The function `name` that the generated source src defines, compiled
-    under filename with the globals namespace. src is registered in
-    linecache under filename, so that a traceback shows its lines."""
+    under filename with a copy of _KERNEL_GLOBALS as its globals. src is
+    registered in linecache under filename, so that a traceback shows its
+    lines."""
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    namespace = dict(_KERNEL_GLOBALS)
     exec(compile(src, filename, "exec"), namespace)
     return namespace[name]
 
@@ -106,8 +115,7 @@ def _run_factory(name: str, n: int, args: tuple, maps: tuple, start: tuple,
                 f"        {state} = {sums}",
                 *(f"        xs.append({x})" for x in xs)]
     src.append(f"    return xs, {''.join(r + ', ' for r in ret)}")
-    return _compile("\n".join(src) + "\n", f"<{name}>", "run",
-                    array=array, copysign=math.copysign)
+    return _compile("\n".join(src) + "\n", f"<{name}>", "run")
 
 
 def _simulate(name: str, maps: dict, x0: Sequence[float],
@@ -374,8 +382,8 @@ class SimTrace:
     x_r: np.ndarray          # spring deflection [m]
     # output/joint position of a position run; None fills it with nan
     q_out: Optional[np.ndarray] = None
-    saturation_count: int = 0
-    meta: dict = field(default_factory=dict)
+    saturation_count: int = 0  # control steps whose current was clipped
+    held_input: bool = False   # f_cmd held over each period (the chirp)
 
     def __post_init__(self):
         if self.q_out is None:
@@ -388,11 +396,13 @@ class SimTrace:
             self.x_r, self.q_out, np.full(len(self.t), math.nan)))
 
 
-def _warn_if_saturated(trace: SimTrace, count: int):
-    trace.saturation_count = count
+def _warn_if_saturated(trace: SimTrace) -> SimTrace:
+    """trace, after a SaturationWarning if any of its steps clipped."""
+    count = trace.saturation_count
     if count > 0:
         warnings.warn(f"current clipped at {CURRENT_LIMIT_A:g} A on {count} "
                       f"control steps", SaturationWarning, stacklevel=3)
+    return trace
 
 
 # ----------------------------------------------------------- force loop
@@ -420,13 +430,11 @@ def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
         preview=law["delay"] * CONTROL_DT, k_r=params.k_r, **law)
     x, v = states[:n].T
     t = np.arange(n) * CONTROL_DT
+    f_cmd = np.array([reference.value(tk) for tk in t.tolist()])
     f_meas = params.k_r * x
-    trace = SimTrace(CONTROL_DT, t,
-                     f_cmd=np.array([reference.value(tk) for tk in t.tolist()]),
-                     f_meas=f_meas, f_loadcell=f_meas + params.b_r * v,
-                     i_m=np.frombuffer(cmds)[:n], x_r=x)
-    _warn_if_saturated(trace, saturated)
-    return trace
+    return _warn_if_saturated(SimTrace(
+        CONTROL_DT, t, f_cmd, f_meas=f_meas, f_loadcell=f_meas + params.b_r * v,
+        i_m=np.frombuffer(cmds)[:n], x_r=x, saturation_count=saturated))
 
 
 def chirp_record_samples(duration_s: float) -> int:
@@ -461,7 +469,7 @@ def run_plant_chirp(drive: np.ndarray,
     f_meas = params.k_r * x
     return SimTrace(CONTROL_DT, np.arange(len(drive)) * CONTROL_DT, f_cmd,
                     f_meas=f_meas, f_loadcell=f_meas + params.b_r * v,
-                    i_m=drive, x_r=x, meta={"kind": "open_loop_chirp"})
+                    i_m=drive, x_r=x, held_input=True)
 
 
 # ------------------------------------------------- response estimation
@@ -523,8 +531,8 @@ def empirical_frequency_response(trace: SimTrace) -> list:
     if n < FRF_MIN_SAMPLES:
         raise InsufficientExcitation(
             f"record too short: {n} samples, need {FRF_MIN_SAMPLES}")
-    win, freqs, spec_u, f_lo, f_hi = excited_band(
-        u, trace.dt, held=trace.meta.get("kind") == "open_loop_chirp")
+    win, freqs, spec_u, f_lo, f_hi = excited_band(u, trace.dt,
+                                                  trace.held_input)
     spec_y = np.fft.rfft(y * win)
 
     # keep clear of the rolloff at the band edges
@@ -619,16 +627,10 @@ def run_joint_position_control(element: str,
     xm, vm, xl, vl = states[:n].T
     f_cmd = POSITION_KP * (x_des - xl) - POSITION_KD * vm
     defl = xm - xl
-    trace = SimTrace(CONTROL_DT, np.arange(n) * CONTROL_DT, f_cmd,
-                     f_meas=k_s * defl, f_loadcell=k_s * defl + b_s * (vm - vl),
-                     i_m=np.frombuffer(cmds)[:n], x_r=defl,
-                     q_out=xl / DEFAULT_MOMENT_ARM)
-    if step_rad != 0.0:
-        trace.meta["overshoot_frac"] = overshoot_fraction(trace.q_out, step_rad)
-        trace.meta["settling_time_s"] = settling_time(trace.t, trace.q_out,
-                                                      step_rad)
-    _warn_if_saturated(trace, clipped)
-    return trace
+    return _warn_if_saturated(SimTrace(
+        CONTROL_DT, np.arange(n) * CONTROL_DT, f_cmd, f_meas=k_s * defl,
+        f_loadcell=k_s * defl + b_s * (vm - vl), i_m=np.frombuffer(cmds)[:n],
+        x_r=defl, q_out=xl / DEFAULT_MOMENT_ARM, saturation_count=clipped))
 
 
 # --------------------------------------------------------------- impact
@@ -721,8 +723,7 @@ def run_impact(config: ImpactConfig,
     acc = (f_hammer - (b_dt + b_s) * v - k_s * x) * inv_m
     return SimTrace(dt, t, f_cmd=np.zeros(n), f_meas=k_s * x,
                     f_loadcell=f_hammer - IMPACT_SENSOR_MASS_KG * acc,
-                    i_m=np.zeros(n), x_r=x if visco else np.zeros(n),
-                    meta={"f_peak_n": f_peak})
+                    i_m=np.zeros(n), x_r=x if visco else np.zeros(n))
 
 
 # -------------------------------------------------------------- metrics

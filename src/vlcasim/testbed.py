@@ -2,14 +2,18 @@
 screw linkage of constant moment arm (vlca.DEFAULT_MOMENT_ARM) at each
 joint, operational-space control, and coupled simulation with either
 ideal torque sources or the full actuator force loops in series.
+
+The leg's generated kernels, its dynamics (_dyn_kernel) and its whole run
+(_leg_kernel), take a run's constants as leading arguments, which
+_leg_dynamics and _leg_run bind with functools.partial.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -148,30 +152,27 @@ else:
     qdd1 = j01 * ux + j11 * uy
 tau0 = a11 * qdd0 + a12 * qdd1 + b1 + g1
 tau1 = a12 * qdd0 + a22 * qdd1 + b2 + g2""".splitlines()
-_KERNEL_GLOBALS = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt,
-                   "copysign": math.copysign}
 
 
 @lru_cache(maxsize=None)
-def _dyn_factory(constants: tuple):
-    """factory(*constants) -> dyn, the "dyn" lines as a function; compiled
-    once."""
-    body = "".join(f"        {line}\n" for tag, line in _LEG_LINES if tag == "dyn")
+def _dyn_kernel(constants: tuple):
+    """dyn(*constants, q0, q1, w0, w1): the "dyn" lines as one function;
+    compiled once."""
+    body = "".join(f"    {line}\n" for tag, line in _LEG_LINES if tag == "dyn")
     return simkit._compile(
-        f"def factory({', '.join(constants)}):\n"
-        f"    def dyn(q0, q1, w0, w1):\n{body}"
-        "        return a11, a12, a22, b1, b2, g1, g2\n    return dyn\n",
-        "<testbed._dyn_factory>", "factory", **_KERNEL_GLOBALS)
+        f"def dyn({', '.join(constants)}, q0, q1, w0, w1):\n{body}"
+        "    return a11, a12, a22, b1, b2, g1, g2\n",
+        "<testbed._dyn_kernel>", "dyn")
 
 
 def _leg_dynamics(p: TwoDofParams):
-    """The leg's rigid-body dynamics with the run constants of p hoisted:
+    """The leg's rigid-body dynamics with the run constants of p bound:
     dyn(q0, q1, w0, w1) -> (a11, a12, a22, b1, b2, g1, g2), the mass-matrix
     entries, the velocity-product vector and the gravity vector, equal bit
     for bit to the reference _dyn_scalars in tests/oracles.py. It runs the
     "dyn" lines of _LEG_LINES, which every leg period body inlines."""
     constants = _leg_constants(p)
-    return _dyn_factory(tuple(constants))(*constants.values())
+    return partial(_dyn_kernel(tuple(constants)), *constants.values())
 
 
 def hip_position(q, params: TwoDofParams) -> np.ndarray:
@@ -328,7 +329,6 @@ TESTBED_CSV_HEADER = ("t_s,x_m,y_m,x_des_m,y_des_m,q0_rad,q1_rad,"
 
 @dataclass
 class TestbedTrace:
-    dt: float
     t: np.ndarray
     x: np.ndarray              # hip position (n, 2)
     x_des: np.ndarray          # commanded hip position (n, 2)
@@ -339,9 +339,9 @@ class TestbedTrace:
     i_m: np.ndarray            # motor currents (n, 2); nan in ideal mode
     f_k: np.ndarray            # spring forces (n, 2); nan in ideal mode
     motor_speed_rad_s: np.ndarray  # motor speeds (n, 2); nan in ideal mode
-    saturation_count: int = 0
-    singular_count: int = 0
-    meta: dict = field(default_factory=dict)
+    substeps: int              # DP5 substeps per control period
+    saturation_count: int = 0  # commands clipped, over both joints
+    singular_count: int = 0    # periods the law damped near a singularity
 
     def max_tracking_error(self) -> float:
         return float(np.max(np.linalg.norm(self.x - self.x_des, axis=1)))
@@ -353,7 +353,7 @@ class TestbedTrace:
 
     def counters(self) -> dict:
         """Deterministic work counts of the run that produced this trace."""
-        steps, substeps = len(self.t), self.meta["substeps"]
+        steps, substeps = len(self.t), self.substeps
         return {"control_steps": steps,
                 "leg_substeps": steps * substeps,
                 "rate_evaluations": steps * substeps * len(_DP5_B),
@@ -450,11 +450,11 @@ def leg_substeps(params: TwoDofParams, cascaded: bool,
 
 @lru_cache(maxsize=None)
 def _leg_kernel(m: int, pushed: bool, constants: tuple):
-    """factory(n, external_force, *constants) -> run(des, states, taus,
-    cmds_0, cmds_1, *state) -> (error, singular, saturated): the whole leg
-    run over the first m of the eight state floats, the rest carried as
-    given. Per row (xd, yd, vxd, vyd, axd, ayd) of des, one control period:
-    record the state in states; run the first stage's "dyn" lines, then
+    """run(n, external_force, *constants, des, states, taus, cmds_0,
+    cmds_1, *state) -> (error, singular, saturated): the whole leg run over
+    the first m of the eight state floats, the rest carried as given. Per
+    row (xd, yd, vxd, vyd, axd, ayd) of des, one control period: record
+    the state in states; run the first stage's "dyn" lines, then
     _OSC_LINES on them, recording the torques in taus; in cascaded mode
     turn each torque into a current command, recorded in cmds_0 or cmds_1,
     by the joint's PDM_DOB lines (simkit._force_law, names suffixed _0 or
@@ -509,32 +509,32 @@ def _leg_kernel(m: int, pushed: bool, constants: tuple):
               *(f"    {line}" for tag, line in body if tag != "dyn")]
     saturated = "sat_0 + sat_1" if m == 8 else "0"
     src = "\n".join([
-        f"def factory(n, external_force, {', '.join(constants)}):",
-        f"    def run(des, states, taus, cmds_0, cmds_1, {', '.join(xs)}):",
-        *(f"        {line}" for line in start),
-        "        for k, (xd, yd, vxd, vyd, axd, ayd) in enumerate(des):",
-        *(f"            states.append({x})" for x in xs),
-        *["            fx, fy = external_force(k * dt)"] * pushed,
-        "            try:",
-        *(f"                {line}" for line in period),
-        "            except ValueError as error:",
-        f"                return error, singular, {saturated}",
+        f"def run(n, external_force, {', '.join(constants)},",
+        f"        des, states, taus, cmds_0, cmds_1, {', '.join(xs)}):",
+        *(f"    {line}" for line in start),
+        "    for k, (xd, yd, vxd, vyd, axd, ayd) in enumerate(des):",
         *(f"        states.append({x})" for x in xs),
-        f"        return None, singular, {saturated}",
-        "    return run", ""])
+        *["        fx, fy = external_force(k * dt)"] * pushed,
+        "        try:",
+        *(f"            {line}" for line in period),
+        "        except ValueError as error:",
+        f"            return error, singular, {saturated}",
+        *(f"    states.append({x})" for x in xs),
+        f"    return None, singular, {saturated}", ""])
     return simkit._compile(src, f"<testbed._leg_kernel m={m} pushed={pushed} run>",
-                           "factory", **_KERNEL_GLOBALS)
+                           "run")
 
 
 def _leg_run(params: TwoDofParams, cascaded: bool, actuator: ActuatorParams,
              task_gains: TaskGains, force: dict,
              external_force: Optional[Callable[[float], Sequence[float]]]):
     """(n, run): a leg run's substeps per control period and its kernel
-    (_leg_kernel) with every constant bound: the leg's, the actuator's, the
-    DP5 coefficients, the task gains and, in cascaded mode, force, each
-    joint's PDM_DOB constants (simkit.force_law_constants). run(des,
-    states, taus, cmds_0, cmds_1, *state) records into lists or arrays,
-    each joint's commands starting with force["delay"] zeros.
+    (_leg_kernel) with n, the hip force and every constant bound: the
+    leg's, the actuator's, the DP5 coefficients, the task gains and, in
+    cascaded mode, force, each joint's PDM_DOB constants
+    (simkit.force_law_constants). run(des, states, taus, cmds_0, cmds_1,
+    *state) records into lists or arrays, each joint's commands starting
+    with force["delay"] zeros.
 
     The state is (q0, q1, w0, w1, d0, v0, d1, v1): the joint angles and
     rates, then each actuator's spring deflection d (the screw position
@@ -554,8 +554,9 @@ def _leg_run(params: TwoDofParams, cascaded: bool, actuator: ActuatorParams,
         "kp0": kp0, "kp1": kp1, "kd0": kd0, "kd1": kd1,
         "damp_at": 1e-3 * params.reach ** 2, "dt": simkit.CONTROL_DT,
         **(force if cascaded else {})}
-    return n, _leg_kernel(8 if cascaded else 4, external_force is not None,
-                          tuple(constants))(n, external_force, *constants.values())
+    kernel = _leg_kernel(8 if cascaded else 4, external_force is not None,
+                         tuple(constants))
+    return n, partial(kernel, n, external_force, *constants.values())
 
 
 def osc_run_inputs(trajectory, payload_kg: float, duration: float,
@@ -645,10 +646,9 @@ def simulate_osc(trajectory, payload_kg: float, mode: str, duration: float,
     else:
         tau_applied = tau_cmd.copy()
         i_m, f_k, motor_speed = (np.full(q.shape, math.nan) for _ in range(3))
-    return TestbedTrace(dt=simkit.CONTROL_DT, t=times, x=hip_position(q, params),
+    return TestbedTrace(t=times, x=hip_position(q, params),
                         x_des=pos_des, q=q, qdot=qdot,
                         tau_cmd=tau_cmd, tau_applied=tau_applied,
                         i_m=i_m, f_k=f_k, motor_speed_rad_s=motor_speed,
-                        saturation_count=saturated, singular_count=singular,
-                        meta={"mode": mode, "payload_kg": payload_kg,
-                              "substeps": n})
+                        substeps=n, saturation_count=saturated,
+                        singular_count=singular)

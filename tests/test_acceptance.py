@@ -104,8 +104,9 @@ def test_criterion_4_elastomer_beats_steel_spring():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", simkit.SaturationWarning)
             tr = simkit.run_joint_position_control(element)
-        metrics[element] = (tr.meta["settling_time_s"],
-                            tr.meta["overshoot_frac"])
+        step = simkit.POSITION_STEP_RAD
+        metrics[element] = (simkit.settling_time(tr.t, tr.q_out, step),
+                            simkit.overshoot_fraction(tr.q_out, step))
     settle_e, over_e = metrics["elastomer"]
     settle_s, over_s = metrics["steel_spring"]
     elapsed = time.perf_counter() - t0

@@ -423,6 +423,27 @@ def test_position_step_defaults_are_the_library_defaults():
     assert extras["duration_s"][0] == params["duration"].default
 
 
+def test_position_step_metrics_are_those_of_each_written_trace():
+    # each row holds %.10g of overshoot_fraction and settling_time on the
+    # q_out of the trace its element's CSV was written from
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", simkit.SaturationWarning)
+        cli.run({"scenario": "position_step", "out": "step"})
+        traces = {e: simkit.run_joint_position_control(e)
+                  for e in ("elastomer", "steel_spring")}
+    with open(os.path.join("step", "position_step_metrics.csv")) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["element", "overshoot_frac", "settling_s"]
+    step = simkit.POSITION_STEP_RAD
+    for (element, over, settle), (name, tr) in zip(rows[1:], traces.items()):
+        with open(os.path.join("step", f"position_step_{name}.csv")) as fh:
+            assert fh.read() == tr.to_csv()
+        assert element == name
+        assert over == "%.10g" % simkit.overshoot_fraction(tr.q_out, step)
+        assert settle == "%.10g" % simkit.settling_time(tr.t, tr.q_out, step)
+    assert len(rows) == 3
+
+
 def _fails_with(exc, why):
     return pytest.mark.xfail(raises=exc, strict=True, reason=why)
 

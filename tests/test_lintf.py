@@ -529,14 +529,20 @@ def test_csv_two_dimensional_column_splits_into_columns():
 
 
 def test_csv_blocks_match_a_row_by_row_rendering():
+    # three columns: a writer chunk holds `edge` rows, and the table spans
+    # two chunks and part of a third, with non-finite cells either side of
+    # the first chunk edge
+    edge = lintf._CHUNK_CELLS // 3
+    n = 2 * edge + 100
     rng = np.random.default_rng(3)
-    t = np.arange(600) * 1e-3
-    xy = rng.normal(size=(600, 2)) * 10.0 ** rng.integers(-8, 8, size=(600, 2))
-    xy[[0, 255, 256, 599], 1] = [math.nan, math.inf, -math.inf, math.nan]
+    t = np.arange(n) * 1e-3
+    xy = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-8, 8, size=(n, 2))
+    xy[[0, edge - 1, edge, n - 1], 1] = [math.nan, math.inf, -math.inf,
+                                         math.nan]
     expected = ["t,x,y"] + [
         ",".join("" if not math.isfinite(v) else f"{v:.10g}"
                  for v in (t[k], *xy[k]))
-        for k in range(600)]
+        for k in range(n)]
     assert csv_table("t,x,y", [t, xy]) == "\n".join(expected) + "\n"
 
 

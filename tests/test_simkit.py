@@ -265,7 +265,7 @@ def test_importing_the_cli_compiles_no_kernel():
     code = ("import linecache, vlcasim.cli\n"
             "from vlcasim import simkit, testbed\n"
             "print([f.cache_info().currsize for f in (simkit._run_factory,"
-            " testbed._leg_kernel, testbed._dyn_factory)],"
+            " testbed._leg_kernel, testbed._dyn_kernel)],"
             " [f for f in linecache.cache if f.startswith('<')])\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
@@ -562,6 +562,32 @@ def test_silent_drive_is_refused():
         sk.empirical_frequency_response(trace)
 
 
+def test_only_a_plant_chirp_trace_has_a_held_input():
+    assert sk.run_plant_chirp(np.full(50, 1.0)).held_input is True
+    tr = sk.run_force_tracking(ControllerKind.PDM, G, sk.StepRef(500.0), 0.05)
+    assert tr.held_input is False
+
+
+def test_the_hold_correction_moves_a_plant_chirp_estimate():
+    # the same record without the flag: the estimate differs, and where
+    # both estimate a frequency w the held one leads by the hold's
+    # half-sample delay w*dt/2 and is larger by the inverse of its sinc
+    chirp = sk.ChirpRef(amplitude=2.0, f0_hz=0.5, f1_hz=150.0, duration_s=20.0)
+    tr = sk.run_plant_chirp(sk.chirp_drive(chirp))
+    held = sk.empirical_frequency_response(tr)
+    raw = sk.empirical_frequency_response(replace(tr, held_input=False))
+    assert held != raw
+    by_omega = {p.omega: p for p in raw}
+    shared = [(p, by_omega[p.omega]) for p in held if p.omega in by_omega]
+    assert len(shared) >= 30
+    for p, q in shared:
+        half = 0.5 * p.omega * sk.CONTROL_DT
+        assert p.phase_deg - q.phase_deg == pytest.approx(math.degrees(half),
+                                                          abs=1e-9)
+        assert p.magnitude * math.sin(half) / half == pytest.approx(
+            q.magnitude, rel=1e-9)
+
+
 @pytest.fixture(scope="module")
 def plant_chirp_points():
     chirp = sk.ChirpRef(amplitude=2.0, f0_hz=0.5, f1_hz=150.0,
@@ -621,8 +647,9 @@ def test_viscoelastic_element_softens_the_step_response():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sk.SaturationWarning)
             tr = sk.run_joint_position_control(element)
-        results[element] = (tr.meta["overshoot_frac"],
-                            tr.meta["settling_time_s"])
+        step = sk.POSITION_STEP_RAD
+        results[element] = (sk.overshoot_fraction(tr.q_out, step),
+                            sk.settling_time(tr.t, tr.q_out, step))
     over_e, settle_e = results["elastomer"]
     over_s, settle_s = results["steel_spring"]
     assert over_e < over_s
@@ -656,7 +683,6 @@ def test_zero_step_position_command_stays_at_rest():
     tr = sk.run_joint_position_control("elastomer", step_rad=0.0,
                                        duration=0.5)
     assert np.max(np.abs(tr.q_out)) == 0.0
-    assert "overshoot_frac" not in tr.meta
 
 
 @pytest.mark.parametrize("element,clipped", [("elastomer", 108),
@@ -871,10 +897,9 @@ def test_heavy_drag_strike_reads_the_hammer_force(b_m):
     # the drag holds the assembly still, so the cap passes the whole hammer
     # force; 50 RK4 substeps per period are unstable at b_m = 10
     for grounding in ("rigid", "viscoelastic"):
-        tr = sk.run_impact(sk.ImpactConfig(grounding=grounding),
-                           replace(P, b_m=b_m))
-        assert (np.max(tr.f_loadcell)
-                == pytest.approx(tr.meta["f_peak_n"], rel=1e-6))
+        cfg = sk.ImpactConfig(grounding=grounding)
+        tr = sk.run_impact(cfg, replace(P, b_m=b_m))
+        assert np.max(tr.f_loadcell) == pytest.approx(cfg.f_peak_n, rel=1e-6)
 
 
 # ---------------------------------------------------------------------- csv

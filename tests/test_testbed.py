@@ -492,19 +492,15 @@ def test_loop_state_is_plain_floats(monkeypatch, run):
         return spied
 
     def spy_leg(m, pushed, constants):
-        factory = leg(m, pushed, constants)
+        leg_run = leg(m, pushed, constants)
+        names = ("n", "external_force", *constants)
 
         def spied(*args):
-            seen.append(numbers(zip(("n", "external_force", *constants),
-                                    args)))
-            leg_run = factory(*args)
-
-            def spied_run(des, *arrays_and_state):
-                seen.append(numbers((f"x{i}", v) for i, v in
-                                    enumerate(arrays_and_state[4:])))
-                seen.append({type(v) for row in des for v in row})
-                return leg_run(des, *arrays_and_state)
-            return spied_run
+            bound, (des, *rest) = args[:len(names)], args[len(names):]
+            seen.append(numbers(zip(names, bound)))
+            seen.append(numbers((f"x{i}", v) for i, v in enumerate(rest[4:])))
+            seen.append({type(v) for row in des for v in row})
+            return leg_run(*args)
         return spied
 
     monkeypatch.setattr(simkit, "_run_factory", spy_linear)
@@ -639,7 +635,7 @@ def test_a_period_is_one_python_call(cascaded, pushed):
     mode = "cascaded_vlca" if cascaded else "ideal_torque"
     traj = tb.SineTrajectory(center=(0.2, 0.5), amplitude=(0.05, 0.05),
                              freq_hz=2.0)
-    kernels = (tb._leg_kernel, tb._dyn_factory, simkit._run_factory)
+    kernels = (tb._leg_kernel, tb._dyn_kernel, simkit._run_factory)
     tb.simulate_osc(traj, 10.0, mode, 0.01, external_force=force)
     misses = [kernel.cache_info().misses for kernel in kernels]
     tb.simulate_osc(traj, 23.0, mode, 0.01, external_force=force)
@@ -734,8 +730,7 @@ def test_a_leg_run_is_one_kernel_call(cascaded, pushed):
                         external_force=push if pushed else None)
     finally:
         sys.setprofile(None)
-    assert [name for _, file, name in calls if file == kernel] == ["factory",
-                                                                   "run"]
+    assert [name for _, file, name in calls if file == kernel] == ["run"]
     assert [name for file, _, name in calls if file == kernel] == (
         ["push"] * 10 * pushed)
 

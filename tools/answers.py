@@ -7,7 +7,8 @@ The corpus is the nine default scenarios and a few variants, and the
 seed-0 and seed-1 batches of each benchmark workload (bench/workloads.py
 beside this script, read as it is). Every corpus config runs through
 `python -m vlcasim.cli run` in a fresh process against each tree's src/,
-into the same relative output path under DIR/base and DIR/change. Then
+into the same relative output path under DIR/base and DIR/change; the
+two trees' corpora run side by side, one thread each. Then
 the two output directories are compared file by file, and one line is
 printed that a change can quote: the files compared, those
 byte-identical by SHA-256 (each manifest.json compared without its
@@ -28,6 +29,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 SCENARIOS = ("bode", "margins", "force_tracking", "position_step", "impact",
              "osc", "thermal", "efficiency", "materials")
@@ -171,8 +173,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     work = args.work or tempfile.mkdtemp(prefix="answers-")
     out = {side: os.path.join(work, side) for side in ("base", "change")}
-    run_corpus(args.base, out["base"])
-    run_corpus(args.change, out["change"])
+    # the runs are mostly interpreter start-up: one tree's process starts
+    # while the other's runs
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        list(pool.map(run_corpus, (args.base, args.change),
+                      (out["base"], out["change"])))
     result = compare(out["base"], out["change"])
     print(summary_line(result))
     return 0 if result["identical"] == result["compared"] else 1
