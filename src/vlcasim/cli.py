@@ -661,7 +661,9 @@ class RunManifest:
     counters: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        # the fields hold only JSON values, so the field dict itself is
+        # written: asdict would deep-copy parameters and counters first
+        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
 
 def _resolved_parameters(spec: RunSpec) -> dict:

@@ -648,7 +648,13 @@ def _expm(a: np.ndarray) -> np.ndarray:
 # cannot flip it; % itself writes the rare value that is not so decided.
 
 _GROUP = 10_000  # values of a 4-digit group
-_CHUNK_CELLS = 2048  # values per formatter call: about 0.5 MB of temporaries
+# values per formatter call: about 1 MB of temporaries. Over the 54 tables
+# of the seed-0 actuator_sim and leg_sim batches (5.7 MB), a warm process
+# took 70-71 ms at 2048, 63-66 ms at 4096 and 89 ms at 8192 (best of 10).
+# The leg's tables alone are slower at 4096 (26 against 34 ms) unless
+# glibc's mmap threshold is raised (MALLOC_MMAP_THRESHOLD_=4194304: 26
+# against 23 ms)
+_CHUNK_CELLS = 4096
 # Float tables of fewer cells are written cell by cell: a formatter call
 # costs about 70 us, % about 0.3 us a cell, and they met near 256 cells
 # (2 x 128: 87 against 95 us; 8 x 32: 97 against 96 us).

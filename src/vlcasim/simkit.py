@@ -8,8 +8,11 @@ the hammer strike with its half-sine pulse carried as an oscillator in the
 state. Each run is one generated kernel (_run_factory): the loop itself,
 with the run's command lines, the map's rows summed left to right in
 column order, and the recording of the states, so a period makes no
-Python call but the reference's value; powertherm's thermal network runs
-the same way. Every generated kernel, the leg's in testbed too, is one
+Python call; powertherm's thermal network runs the same way. A built-in
+force reference states its law once, as a source expression (_law), which
+the force loop's kernel writes in as a line and _sampler evaluates over
+the trace's times; only a reference of another class is called, through
+its value. Every generated kernel, the leg's in testbed too, is one
 flat function that takes its run constants as arguments, compiled by
 _compile. The force laws are stated once, as the tagged source lines
 _FORCE_LINES, which the force loop and the leg's cascaded mode write into
@@ -87,6 +90,11 @@ def _compile(src: str, filename: str, name: str):
     namespace = dict(_KERNEL_GLOBALS)
     exec(compile(src, filename, "exec"), namespace)
     return namespace[name]
+
+
+def _renamed(line: str, names: dict) -> str:
+    """line with every name in names replaced by its value."""
+    return re.sub(r"\w+", lambda w: names.get(w[0], w[0]), line)
 
 
 @lru_cache(maxsize=None)
@@ -173,15 +181,42 @@ def _locked_plant(params: ActuatorParams):
 
 # ---------------------------------------------------------- references
 
+def _law(names: str, law: str):
+    """Class decorator of a built-in reference: its law is law, one
+    expression of t over the constants names, which the reference's
+    _law_constants() gives in that order. value(t) is compiled from law
+    when the class is made (it is no run kernel, and linecache does not
+    hold it); the force loop's kernel and _sampler write law into their
+    lines, with each constant an argument named ref_<name>
+    (_reference_law), so that neither calls value."""
+    def build(cls):
+        src = (f"def value(self, t):\n    {names}, = self._law_constants()\n"
+               f"    return {law}\n")
+        namespace = dict(_KERNEL_GLOBALS)
+        exec(compile(src, f"<simkit.{cls.__name__}.value>", "exec"), namespace)
+        value = namespace["value"]
+        value.__qualname__ = f"{cls.__name__}.value"
+        prefixed = {n: f"ref_{n}" for n in names.split(", ")}
+        value.law = (tuple(prefixed.values()), _renamed(law, prefixed))
+        cls.value = value
+        return cls
+    return build
+
+
+@_law("level, start_time", "level if t >= start_time else 0.0")
 @dataclass(frozen=True)
 class StepRef:
     level: float            # [N]
     start_time: float = 0.0
 
-    def value(self, t: float) -> float:
-        return self.level if t >= self.start_time else 0.0
+    def _law_constants(self) -> tuple:
+        return self.level, self.start_time
 
 
+@_law("start_level, end_level, start_time, ramp_time",
+      "start_level if t <= start_time else end_level"
+      " if t >= start_time + ramp_time"
+      " else start_level + (t - start_time) / ramp_time * (end_level - start_level)")
 @dataclass(frozen=True)
 class RampRef:
     start_level: float
@@ -193,24 +228,22 @@ class RampRef:
         if self.ramp_time <= 0.0:
             raise ValueError("ramp_time must be > 0")
 
-    def value(self, t: float) -> float:
-        if t <= self.start_time:
-            return self.start_level
-        if t >= self.start_time + self.ramp_time:
-            return self.end_level
-        frac = (t - self.start_time) / self.ramp_time
-        return self.start_level + frac * (self.end_level - self.start_level)
+    def _law_constants(self) -> tuple:
+        return self.start_level, self.end_level, self.start_time, self.ramp_time
 
 
+# amplitude * sin(2.0 * pi * freq_hz * t), with 2.0 * pi * freq_hz as w
+@_law("amplitude, w", "amplitude * sin(w * t)")
 @dataclass(frozen=True)
 class SineRef:
     amplitude: float
     freq_hz: float
 
-    def value(self, t: float) -> float:
-        return self.amplitude * math.sin(2.0 * math.pi * self.freq_hz * t)
+    def _law_constants(self) -> tuple:
+        return self.amplitude, 2.0 * math.pi * self.freq_hz
 
 
+@_law("amplitude, r, w, log_r", "amplitude * sin(w * (r ** t - 1.0) / log_r)")
 @dataclass(frozen=True)
 class ChirpRef:
     """Exponential sweep from f0 to f1 over the given duration."""
@@ -227,7 +260,7 @@ class ChirpRef:
             raise ValueError("f1_hz must be above f0_hz")
         if self.duration_s <= 0.0:
             raise ValueError("duration_s must be > 0")
-        # value's constants, worked out once in its operation order
+        # the law's constants r, w, log_r, worked out once
         r = self.rate
         object.__setattr__(self, "_sweep",
                            (r, 2.0 * math.pi * self.f0_hz, math.log(r)))
@@ -237,9 +270,8 @@ class ChirpRef:
         """Frequency growth per second of the sweep, f1/f0 ** (1/duration)."""
         return (self.f1_hz / self.f0_hz) ** (1.0 / self.duration_s)
 
-    def value(self, t: float) -> float:
-        r, w, log_r = self._sweep
-        return self.amplitude * math.sin(w * (r ** t - 1.0) / log_r)
+    def _law_constants(self) -> tuple:
+        return (self.amplitude, *self._sweep)
 
 
 # --------------------------------------------------------- force law
@@ -295,31 +327,29 @@ pidm if not clipped: integ = integ_next
 back if clipped: f_ref = (i_cmd * n_drive + k_p * f_meas + damp) / (1.0 + k_p)
 dob qy = qb0 * f_ref + qz1
 dob qz1, qz2 = qb1 * f_ref - qa1 * qy + qz2, qb2 * f_ref - qa2 * qy""".splitlines()]
-_FORCE_TAGS = {ControllerKind.PDF: {"pdf", "clip"},
-               ControllerKind.PDM: {"pdm", "clip"},
-               ControllerKind.PIDM: {"pidm", "clip"},
-               ControllerKind.PDM_DOB: {"dob", "pdm", "clip", "back"}}
+_FORCE_TAGS = {ControllerKind.PDF: frozenset({"pdf", "clip"}),
+               ControllerKind.PDM: frozenset({"pdm", "clip"}),
+               ControllerKind.PIDM: frozenset({"pidm", "clip"}),
+               ControllerKind.PDM_DOB: frozenset({"dob", "pdm", "clip", "back"})}
 # the names one controller owns: its inputs, its state and its temporaries
 _FORCE_VARS = ("f_target", "f_meas", "v_m", "f_ref", "gy", "gz1", "gz2", "qy",
                "qz1", "qz2", "deriv", "dy", "du", "err", "integ", "integ_next",
                "damp", "u", "i_cmd", "clipped", "sat")
 
 
-def _renamed(line: str, names: dict) -> str:
-    """line with every name in names replaced by its value."""
-    return re.sub(r"\w+", lambda w: names.get(w[0], w[0]), line)
-
-
-def _force_law(tags: set, suffix: str = ""):
-    """(start lines, period lines) of the _FORCE_LINES tagged with one of
-    tags, each controller name (_FORCE_VARS) carrying suffix. Without the
-    observer the reference is the target itself."""
+@lru_cache(maxsize=None)
+def _force_law(tags: frozenset, suffix: str = ""):
+    """(start lines, period lines), two tuples, of the _FORCE_LINES tagged
+    with one of tags, each controller name (_FORCE_VARS) carrying suffix.
+    Without the observer the reference is the target itself. Built once per
+    (tags, suffix)."""
     names = {v: v + suffix for v in _FORCE_VARS}
     if "dob" not in tags:
         names["f_ref"] = names["f_target"]
-    return ([_renamed(line, names) for tag, line in _FORCE_LINES
-             if tag == "start"],
-            [_renamed(line, names) for tag, line in _FORCE_LINES if tag in tags])
+    return (tuple(_renamed(line, names) for tag, line in _FORCE_LINES
+                  if tag == "start"),
+            tuple(_renamed(line, names) for tag, line in _FORCE_LINES
+                  if tag in tags))
 
 
 def _tustin(prefix: str, num, den) -> dict:
@@ -407,34 +437,67 @@ def _warn_if_saturated(trace: SimTrace) -> SimTrace:
 
 # ----------------------------------------------------------- force loop
 
+def _reference_law(reference):
+    """(label, law, args): reference's law as one expression of t over the
+    arguments args, by name. A built-in reference's law is its own (_law),
+    labelled " ref=<its class>"; any other reference's is ref_value(t),
+    with its value passed in, labelled ""."""
+    law = getattr(reference.value, "law", None)
+    if law is None:
+        return "", "ref_value(t)", {"ref_value": reference.value}
+    names, expr = law
+    return (f" ref={type(reference).__name__}", expr,
+            dict(zip(names, reference._law_constants())))
+
+
+@lru_cache(maxsize=None)
+def _sampler(label: str, law: str, names: tuple):
+    """sample(ts, *names) -> array("d") of law (_reference_law) at each t
+    of ts, in order, compiled once per law under <simkit._sampler{label}>."""
+    src = (f"def sample(ts, {', '.join(names)}):\n    out = array('d')\n"
+           f"    for t in ts:\n        out.append({law})\n    return out\n")
+    return _compile(src, f"<simkit._sampler{label}>", "sample")
+
+
+def _sample(reference, ts: list) -> np.ndarray:
+    """reference.value at each time of ts, by one _sampler call."""
+    label, law, args = _reference_law(reference)
+    return np.frombuffer(_sampler(label, law, tuple(args))(ts, **args))
+
+
 def run_force_tracking(kind: ControllerKind, gains: ControllerGains,
                        reference, duration: float,
                        params: ActuatorParams = VLCA_ACTUATOR) -> SimTrace:
     """Closed-loop force tracking against the locked-output plant.
 
-    reference is any object with value(t) -> N.
+    reference is any object with value(t) -> N. A built-in reference's law
+    is written into the run's kernel, whose periods then make no Python
+    call; any other's value is called once a period, then once a sample of
+    the f_cmd column.
     """
     n = control_steps(duration, "duration")
     law = force_law_constants(kind, params, gains)
     start, lines = _force_law(_FORCE_TAGS[kind])
+    label, target, ref_args = _reference_law(reference)
     # the reference generator lives on the same clock as the controller,
     # so each command is computed for the instant it takes effect; the
     # command of period k reaches the amplifier in period k + delay
     states, cmds, saturated = _simulate(
-        f"simkit.run_force_tracking kind={kind.value}",
+        f"simkit.run_force_tracking kind={kind.value}{label}",
         {"a": (_zoh_map(_locked_plant(params)), n)}, [0.0, 0.0],
         start=[*start, "cmds = array('d', bytes(8 * delay))"],
-        body=["f_target = value(k * dt + preview)", "f_meas = k_r * x0",
-              "v_m = x1", *lines, "cmds.append(i_cmd)", "u = n_drive * cmds[k]"],
-        ret=["cmds", "sat"], value=reference.value,
-        preview=law["delay"] * CONTROL_DT, k_r=params.k_r, **law)
+        body=["t = k * dt + preview", f"f_target = {target}",
+              "f_meas = k_r * x0", "v_m = x1", *lines, "cmds.append(i_cmd)",
+              "u = n_drive * cmds[k]"],
+        ret=["cmds", "sat"], preview=law["delay"] * CONTROL_DT,
+        k_r=params.k_r, **ref_args, **law)
     x, v = states[:n].T
     t = np.arange(n) * CONTROL_DT
-    f_cmd = np.array([reference.value(tk) for tk in t.tolist()])
     f_meas = params.k_r * x
     return _warn_if_saturated(SimTrace(
-        CONTROL_DT, t, f_cmd, f_meas=f_meas, f_loadcell=f_meas + params.b_r * v,
-        i_m=np.frombuffer(cmds)[:n], x_r=x, saturation_count=saturated))
+        CONTROL_DT, t, _sample(reference, t.tolist()), f_meas=f_meas,
+        f_loadcell=f_meas + params.b_r * v, i_m=np.frombuffer(cmds)[:n], x_r=x,
+        saturation_count=saturated))
 
 
 def chirp_record_samples(duration_s: float) -> int:
@@ -444,13 +507,13 @@ def chirp_record_samples(duration_s: float) -> int:
 
 def chirp_drive(chirp: ChirpRef) -> np.ndarray:
     """The identification drive current at each control step: the sweep,
-    then zero over the quiet tail. Each sample is chirp.value at a Python
-    float; numpy's r ** t rounds differently in about 5% of the samples of
-    the default bode record."""
+    then zero over the quiet tail. Each sample is chirp's law at a Python
+    float (_sample); numpy's r ** t rounds differently in about 5% of the
+    samples of the default bode record."""
     t = np.arange(chirp_record_samples(chirp.duration_s)) * CONTROL_DT
     on = t <= chirp.duration_s
     drive = np.zeros(len(t))
-    drive[on] = np.fromiter(map(chirp.value, t[on].tolist()), float)
+    drive[on] = _sample(chirp, t[on].tolist())
     return drive
 
 
@@ -613,7 +676,7 @@ def run_joint_position_control(element: str,
     n = control_steps(duration, "duration")
     k_s, b_s = spring_element(element, params)
     x_des = DEFAULT_MOMENT_ARM * step_rad
-    start, clip = _force_law({"clip"})
+    start, clip = _force_law(frozenset({"clip"}))
     # the clipped command of period k is held over period k + 1: one period
     # of command delay
     states, cmds, clipped = _simulate(

@@ -547,7 +547,8 @@ def test_csv_blocks_match_a_row_by_row_rendering():
 
 
 def test_csv_matches_the_per_cell_rule_for_every_kind_of_float_column():
-    n = 700  # with 4 or more columns, crosses a 2,048-cell writer chunk
+    # with 4 or more columns, crosses a writer chunk
+    n = lintf._CHUNK_CELLS // 4 + 200
     rng = np.random.default_rng(11)
     finite = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
     mixed = finite.copy()
@@ -569,7 +570,8 @@ def test_csv_matches_the_per_cell_rule_for_every_kind_of_float_column():
 
 
 def test_csv_constant_columns_follow_the_per_cell_rule():
-    n = 700  # with 4 or more columns, crosses a 2,048-cell writer chunk
+    # with 4 or more columns, crosses a writer chunk
+    n = lintf._CHUNK_CELLS // 4 + 200
     t = np.arange(n) * 1e-3
     signed = np.zeros(n)
     signed[[3, 300]] = -0.0  # equal to 0.0, but not the same bits
@@ -637,8 +639,8 @@ def _float_column(kind: str, n: int, rng) -> np.ndarray:
        ends=st.lists(st.sampled_from(_SPECIAL), max_size=2))
 def test_csv_writes_each_float_as_the_per_cell_rule(seed, rows, kinds, ends):
     # each column mixes the drawn kinds cell by cell, and columns of one
-    # value (NaN, +-inf, -0.0, ...) may end the row; tables of 2,048 cells
-    # or more cross a chunk of the formatter
+    # value (NaN, +-inf, -0.0, ...) may end the row; tables of
+    # lintf._CHUNK_CELLS cells or more cross a chunk of the formatter
     rng = np.random.default_rng(seed)
     cols = []
     for _ in kinds:

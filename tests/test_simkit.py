@@ -1,4 +1,5 @@
 """Fixed-step time-domain simulation against the rational models."""
+import linecache
 import math
 import os
 import re
@@ -226,7 +227,7 @@ def test_a_linear_run_is_one_kernel_call(name, run):
 
 
 @pytest.mark.parametrize("name,run", [
-    *((f"simkit.run_force_tracking kind={kind.value}",
+    *((f"simkit.run_force_tracking kind={kind.value} ref=StepRef",
        lambda kind=kind: sk.run_force_tracking(kind, G, sk.StepRef(1.0), 0.01))
       for kind in ControllerKind),
     ("simkit._run_linear n=2", lambda: sk.run_plant_chirp(np.full(10, 1.0))),
@@ -432,16 +433,147 @@ def test_the_controller_equals_its_four_class_oracle(kind, gains, targets,
 @pytest.mark.parametrize("kind", list(ControllerKind))
 def test_a_controller_step_is_one_python_call(kind):
     # the law is written into the run's kernel: a force-tracking run calls
-    # its kernel once, and a period calls no Python function but the
-    # reference's value, in a period that clips too
-    ref = _Table([100.0, 100.0, 1e9, 100.0])
-    with pytest.warns(sk.SaturationWarning):
-        calls = _kernel_calls(
-            lambda: sk.run_force_tracking(kind, G, ref, 0.004))
-    kernel = f"<simkit.run_force_tracking kind={kind.value}>"
-    assert [callee for _, file, callee in calls if file == kernel] == ["run"]
-    assert [callee for file, _, callee in calls if file == kernel] == (
-        ["value"] * 4)
+    # its kernel once, and a period calls no Python function but the value
+    # of a reference that is not built in, in a period that clips too; a
+    # built-in reference's law is a line of the kernel, which then calls
+    # nothing. The first call compiles the kernel, whose module body would
+    # show as a call in the kernel's file
+    for ref, label, called in (
+            (_Table([100.0, 100.0, 1e9, 100.0]), "", ["value"] * 4),
+            (sk.StepRef(1e9, start_time=0.002), " ref=StepRef", [])):
+        def run():
+            sk.run_force_tracking(kind, G, ref, 0.004)
+
+        with pytest.warns(sk.SaturationWarning):
+            run()
+            calls = _kernel_calls(run)
+        kernel = f"<simkit.run_force_tracking kind={kind.value}{label}>"
+        assert [callee for _, file, callee in calls if file == kernel] == [
+            "run"]
+        assert [callee for file, _, callee in calls if file == kernel] == called
+
+
+_BUILT_IN_REFERENCES = [sk.StepRef(500.0, 0.005),
+                        sk.RampRef(10.0, 300.0, 0.002, 0.005),
+                        sk.SineRef(300.0, 40.0),
+                        sk.ChirpRef(300.0, 0.5, 50.0, 0.01)]
+
+
+@pytest.mark.parametrize("ref", _BUILT_IN_REFERENCES,
+                         ids=lambda ref: type(ref).__name__)
+def test_a_built_in_reference_reaches_no_kernel_as_a_callable(monkeypatch,
+                                                              ref):
+    # no argument of a force-loop kernel or sampler that the runs and the
+    # chirp drive call is callable; a table reference passes its value,
+    # which shows that the spies see what a kernel is passed
+    seen = []
+
+    def spied(factory):
+        def spy(*key):
+            function = factory(*key)
+
+            def call(*args, **kwargs):
+                seen.append([*args, *kwargs.values()])
+                return function(*args, **kwargs)
+            return call
+        return spy
+
+    monkeypatch.setattr(sk, "_run_factory", spied(sk._run_factory))
+    monkeypatch.setattr(sk, "_sampler", spied(sk._sampler))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sk.SaturationWarning)
+        for kind in ControllerKind:
+            sk.run_force_tracking(kind, G, ref, 0.01)
+        if isinstance(ref, sk.ChirpRef):
+            sk.chirp_drive(ref)
+        assert len(seen) == 8 + isinstance(ref, sk.ChirpRef)
+        assert not [v for args in seen for v in args if callable(v)]
+        sk.run_force_tracking(ControllerKind.PDM, G, _Table([1.0]), 0.01)
+    assert len([v for args in seen[-2:] for v in args if callable(v)]) == 2
+
+
+def _kernel_targets(run, kernel: str) -> list:
+    """f_target as each period of the kernel file kernel leaves its
+    f_target line, read off the kernel's frame by a line tracer while run()
+    runs."""
+    targets = []
+
+    def tracer(frame, event, _arg):
+        if frame.f_code.co_filename != kernel:
+            return None
+        lines = [line.strip() for line in linecache.cache[kernel][2]]
+        after = lines.index(next(line for line in lines
+                                 if line.startswith("f_target ="))) + 2
+
+        def local(frame, event, _arg):
+            if event == "line" and frame.f_lineno == after:
+                targets.append(frame.f_locals["f_target"])
+            return local
+        return local
+
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return targets
+
+
+_LEVELS = st.floats(-2e4, 2e4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(ControllerKind), delay=st.integers(0, 3),
+       n=st.integers(1, 40),
+       cls=st.sampled_from([sk.StepRef, sk.RampRef, sk.SineRef, sk.ChirpRef]),
+       data=st.data())
+def test_a_built_in_reference_law_equals_its_value_bit_for_bit(kind, delay, n,
+                                                               cls, data):
+    # the kernel's target of each period, the trace's f_cmd and the
+    # sampler over the times where a step or a ramp turns (a kernel time,
+    # or one ulp either side of it) equal value at the same times; the
+    # kernel evaluates the law at k * dt + preview, f_cmd at k * dt
+    dt = sk.CONTROL_DT
+    grid = [k * dt + delay * dt for k in range(n)]
+
+    def edge():
+        t = data.draw(st.sampled_from(grid))
+        return data.draw(st.sampled_from(
+            [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]))
+
+    if cls is sk.StepRef:
+        ref = sk.StepRef(data.draw(_LEVELS), edge())
+        turns = [ref.start_time]
+    elif cls is sk.RampRef:
+        start, end = edge(), edge()
+        ramp = end - start if end > start else data.draw(st.floats(1e-9, 0.05))
+        ref = sk.RampRef(data.draw(_LEVELS), data.draw(_LEVELS), start, ramp)
+        turns = [start, start + ramp]
+    elif cls is sk.SineRef:
+        ref = sk.SineRef(data.draw(_LEVELS), data.draw(st.floats(0.0, 1e3)))
+        turns = []
+    else:
+        f0 = data.draw(st.floats(0.01, 100.0))
+        ref = sk.ChirpRef(data.draw(_LEVELS), f0,
+                          f0 * data.draw(st.floats(1.001, 1e3)),
+                          data.draw(st.floats(0.1, 100.0)))
+        turns = []
+    times = [*grid, *data.draw(st.lists(st.floats(0.0, 0.1), max_size=5)),
+             *(u for t in turns for u in (math.nextafter(t, -math.inf), t,
+                                          math.nextafter(t, math.inf)))]
+    gains = replace(G, delay_t=delay * dt)
+    kernel = f"<simkit.run_force_tracking kind={kind.value} ref={cls.__name__}>"
+    traces = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sk.SaturationWarning)
+        targets = _kernel_targets(lambda: traces.append(
+            sk.run_force_tracking(kind, gains, ref, n * dt)), kernel)
+    assert list(map(float.hex, targets)) == [
+        ref.value(t).hex() for t in grid]
+    assert list(map(float.hex, traces[0].f_cmd)) == [
+        ref.value(k * dt).hex() for k in range(n)]
+    assert list(map(float.hex, sk._sample(ref, times))) == [
+        ref.value(t).hex() for t in times]
 
 
 def test_observer_with_vanishing_cutoff_reduces_to_inner_loop():
