@@ -208,6 +208,23 @@ def _resolve_outdir(spec_out: str) -> str:
 
 # --------------------------------------------------------------- output
 
+def _write_new(path: str, text: str):
+    """Write text to path as a new file, unlinking an old one first.
+
+    On ext4 (auto_da_alloc) a file truncated in place starts its
+    writeback at close, and the next truncate of it waits for that
+    writeback; a temporary file renamed over it flushes as well.
+    Rewriting 38 files (9.8 MB) every 150 ms on an ext4 virtual disk
+    took 28 ms to 1.3 s a round by truncation, 31 ms to 1.5 s by rename
+    and 3-7 ms with the old file unlinked first."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 class _Emitter:
     def __init__(self, outdir: str):
         self.outdir = outdir
@@ -215,9 +232,7 @@ class _Emitter:
         self.counters = {}  # simulation or stage -> deterministic work counts
 
     def write(self, name: str, content: str):
-        path = os.path.join(self.outdir, name)
-        with open(path, "w", newline="") as fh:
-            fh.write(content)
+        _write_new(os.path.join(self.outdir, name), content)
         self.files.append(name)
 
 
@@ -702,8 +717,7 @@ def _run_into(spec: RunSpec, outdir: str) -> RunManifest:
         raise ScenarioFailed(manifest.error) from exc
     finally:
         manifest.files = sorted(em.files)
-        with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-            fh.write(manifest.to_json())
+        _write_new(os.path.join(outdir, "manifest.json"), manifest.to_json())
     return manifest
 
 
@@ -781,8 +795,8 @@ def run_sweep(raw_config: dict, set_exprs, jobs: int = 1) -> dict:
                  for od, st, err in results],
         "status": "ok" if all(st == "ok" for _, st, _ in results) else "failed",
     }
-    with open(os.path.join(root, "sweep_manifest.json"), "w") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_new(os.path.join(root, "sweep_manifest.json"),
+               json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 

@@ -726,20 +726,63 @@ _SHORT_RUNS = {
 }
 
 
+def _tree_bytes(root):
+    """Every file under root, by its path relative to root."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.mark.parametrize("scenario", _SHORT_RUNS)
 def test_reruns_are_byte_identical(tmp_path, scenario):
-    for out in ("first", "second"):
+    def run_into(out):
         lines = {"scenario": scenario, "out": out, "seed": "3",
                  **_SHORT_RUNS[scenario]}
         cfg = _write(tmp_path, f"{out}.cfg",
                      "".join(f"{k} = {v}\n" for k, v in lines.items()))
         assert main(["run", cfg]) == 0
+
+    run_into("first")
+    run_into("second")
     names = _read_manifest(tmp_path / "first")["files"]
     assert names == _read_manifest(tmp_path / "second")["files"]
     for name in names:
         a = (tmp_path / "first" / name).read_bytes()
         b = (tmp_path / "second" / name).read_bytes()
         assert a == b, name
+    first = _tree_bytes(tmp_path / "first")
+    run_into("first")
+    assert _tree_bytes(tmp_path / "first") == first
+
+
+def test_a_rerun_replaces_its_files(tmp_path, monkeypatch):
+    # a rerun writes each file new: a hard link to an old file keeps the
+    # first run's bytes, and the directory reads as a fresh run's
+    def force_run(seconds):
+        cli.run({"scenario": "force_tracking", "out": "out",
+                 "force_tracking.duration_s": seconds})
+
+    def materials_sweep(stop):
+        cli.run_sweep({"scenario": "materials", "out": "sw_out"},
+                      [f"materials.w_cost=1:{stop}:1"])
+
+    cases = [(force_run, "0.2", "0.3", "out",
+              ["force_tracking.csv", "manifest.json"]),
+             (materials_sweep, "2", "3", "sw_out", ["sweep_manifest.json"])]
+    for write, first, second, out, linked in cases:
+        write(first)
+        kept = {name: (tmp_path / out / name).read_bytes() for name in linked}
+        for name in linked:
+            os.link(tmp_path / out / name, tmp_path / f"{out}_{name}")
+        write(second)
+        for name in linked:
+            assert (tmp_path / f"{out}_{name}").read_bytes() == kept[name]
+            assert (tmp_path / out / name).read_bytes() != kept[name]
+        fresh = tmp_path / "fresh"
+        fresh.mkdir(exist_ok=True)
+        monkeypatch.chdir(fresh)
+        write(second)
+        monkeypatch.chdir(tmp_path)
+        assert _tree_bytes(tmp_path / out) == _tree_bytes(fresh / out)
 
 
 def _non_finite_number(cell: str) -> bool:
